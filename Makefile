@@ -33,6 +33,7 @@ verify: test lint chaos-smoke chaos-overload chaos-server
 	go test -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s -run '^$$' ./internal/journal
 	go test -fuzz '^FuzzRead$$' -fuzztime 10s -run '^$$' ./internal/vcde
 	go test -fuzz '^FuzzShardReply$$' -fuzztime 10s -run '^$$' ./internal/dist
+	go test -fuzz '^FuzzShardFrame$$' -fuzztime 10s -run '^$$' ./internal/dist
 	go test -fuzz '^FuzzWideBlockEquiv$$' -fuzztime 10s -run '^$$' ./internal/fault
 
 # Chaos soak: every canonical fault schedule (torn journal writes,

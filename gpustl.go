@@ -453,8 +453,9 @@ func NewDistCoordinator(opt DistOptions, workers ...WorkerTransport) (*DistCoord
 // single-machine distribution).
 func NewLocalWorker(name string) WorkerTransport { return dist.NewLocal(name) }
 
-// NewWorkerTransport returns an HTTP/JSON transport to a stlworker
-// daemon at addr ("host:port" or a full URL).
+// NewWorkerTransport returns an HTTP transport (binary shard frames,
+// JSON replies) to a stlworker daemon at addr ("host:port" or a full
+// URL).
 func NewWorkerTransport(addr string) WorkerTransport { return dist.NewHTTP(addr) }
 
 // NewWorkerHandler returns the worker daemon's HTTP handler (cmd/

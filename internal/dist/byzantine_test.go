@@ -230,8 +230,8 @@ func TestChecksumMismatchRejected(t *testing.T) {
 		t.Fatal("inconsistent checksum accepted")
 	}
 	res.Checksum = ""
-	if err := res.VerifyChecksum(); err != nil {
-		t.Fatalf("legacy empty checksum rejected: %v", err)
+	if err := res.VerifyChecksum(); err == nil {
+		t.Fatal("reply without a checksum accepted")
 	}
 }
 

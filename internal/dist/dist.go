@@ -29,9 +29,10 @@
 //     of an error.
 //
 // Transports: Local executes shards in-process (tests, single-machine
-// parallelism); HTTP speaks JSON to a cmd/stlworker daemon (NewHandler
-// is the server side). Chaos decorates any transport with fault
-// injection for the chaos test harness.
+// parallelism); HTTP ships each shard to a cmd/stlworker daemon as one
+// fixed-width binary frame (wire.go) and reads back a JSON reply
+// (NewHandler is the server side). Chaos decorates any transport with
+// fault injection for the chaos test harness.
 package dist
 
 import (
@@ -50,17 +51,17 @@ import (
 type ShardRequest struct {
 	// Shard and Attempt identify the dispatch; workers echo both so the
 	// coordinator can reject stale or misdirected replies.
-	Shard   int `json:"shard"`
-	Attempt int `json:"attempt"`
+	Shard   int
+	Attempt int
 	// Module and Lanes select the gate-level model to elaborate.
-	Module circuits.ModuleKind `json:"module"`
-	Lanes  int                 `json:"lanes"`
+	Module circuits.ModuleKind
+	Lanes  int
 	// Faults is the shard's explicit fault list; detections refer to it
 	// by index, so coordinator and worker need not share a master list.
-	Faults []fault.Fault `json:"faults"`
+	Faults []fault.Fault
 	// Stream is the ordered pattern stream (already reversed when the
 	// campaign runs with Reverse semantics).
-	Stream []fault.TimedPattern `json:"stream"`
+	Stream []fault.TimedPattern
 }
 
 // Detection is one first detection inside a shard reply.
@@ -87,9 +88,8 @@ type ShardResult struct {
 	// cheaply; it does NOT authenticate the worker — a Byzantine worker
 	// checksums its own lie consistently, which is exactly why the
 	// coordinator's verification re-executes shards on a second worker
-	// and votes on these sums. Empty means a legacy worker; the
-	// coordinator accepts but cannot cross-check such replies.
-	Checksum string `json:"checksum,omitempty"`
+	// and votes on these sums.
+	Checksum string `json:"checksum"`
 }
 
 // ChecksumDetections computes the canonical content checksum of a
@@ -106,12 +106,8 @@ func ChecksumDetections(dets []Detection) string {
 }
 
 // VerifyChecksum recomputes the reply's content checksum and compares
-// it to the one the worker sent. An empty checksum (legacy worker) is
-// accepted without a check.
+// it to the one the worker sent.
 func (res *ShardResult) VerifyChecksum() error {
-	if res.Checksum == "" {
-		return nil
-	}
 	if got := ChecksumDetections(res.Detections); got != res.Checksum {
 		return fmt.Errorf("dist: reply checksum mismatch: payload sums to %s, reply claims %s", got, res.Checksum)
 	}

@@ -140,8 +140,8 @@ func FuzzShardReply(f *testing.F) {
 		}
 		verr := res.Validate(req)
 		cerr := res.VerifyChecksum()
-		if verr == nil && cerr == nil && res.Checksum != "" {
-			// An accepted checksummed reply must re-checksum to itself.
+		if verr == nil && cerr == nil {
+			// An accepted reply must re-checksum to itself.
 			if ChecksumDetections(res.Detections) != res.Checksum {
 				t.Fatal("VerifyChecksum accepted a reply whose checksum does not match")
 			}

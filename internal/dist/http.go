@@ -74,10 +74,11 @@ func (e *BusyError) Is(target error) bool { return target == ErrBusy }
 // shrink it.
 var MaxReplyBytes int64 = 64 << 20
 
-// HTTP is the client-side Transport speaking JSON to a cmd/stlworker
-// daemon: POST /simulate with a ShardRequest body, GET /healthz for
-// heartbeats. Request contexts propagate cancellation, so a hedged
-// loser or a dead worker's dispatch aborts the HTTP round trip.
+// HTTP is the client-side Transport of a cmd/stlworker daemon: POST
+// /simulate with a ShardRequest as one binary shard frame (wire.go),
+// answered with a JSON ShardResult; GET /healthz for heartbeats. Request
+// contexts propagate cancellation, so a hedged loser or a dead worker's
+// dispatch aborts the HTTP round trip.
 type HTTP struct {
 	base   string
 	client *http.Client
@@ -99,15 +100,15 @@ func (t *HTTP) Name() string { return t.base }
 
 // Simulate implements Transport.
 func (t *HTTP) Simulate(ctx context.Context, req *ShardRequest) (*ShardResult, error) {
-	body, err := json.Marshal(req)
+	body, err := encodeShardFrame(req)
 	if err != nil {
-		return nil, fmt.Errorf("dist: encoding shard %d: %w", req.Shard, err)
+		return nil, err
 	}
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, t.base+simulatePath, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
-	hreq.Header.Set("Content-Type", "application/json")
+	hreq.Header.Set("Content-Type", frameContentType)
 	if dl, ok := ctx.Deadline(); ok {
 		// Propagate the dispatch deadline so the worker can refuse or
 		// bound work on an already-expired campaign.
@@ -188,10 +189,9 @@ type WorkerOptions struct {
 	// arriving past both is answered 429 + Retry-After immediately.
 	MaxConcurrent int
 	MaxQueue      int
-	// MaxInflightBytes bounds the summed request body bytes of admitted
-	// shards — per-request memory accounting, so a burst of huge shard
-	// requests cannot OOM the worker. Requests without a Content-Length
-	// are charged one byte.
+	// MaxInflightBytes bounds the summed request body bytes (shard frame
+	// bytes) of admitted shards — per-request memory accounting, so a
+	// burst of huge shard requests cannot OOM the worker.
 	MaxInflightBytes int64
 	// RetryAfter is the hint sent with 429 replies (default 1s; HTTP
 	// Retry-After has whole-second granularity).
@@ -378,14 +378,22 @@ func NewHandlerOptions(name string, o WorkerOptions) *WorkerHandler {
 			http.Error(w, "worker draining, shard not accepted", http.StatusServiceUnavailable)
 			return
 		}
+		// The body is buffered whole, so its length must be known up
+		// front: that makes the byte accounting below exact.
+		if r.ContentLength < 0 {
+			m.Counter("gpustl_worker_bad_requests_total").Inc()
+			http.Error(w, "Content-Length required", http.StatusLengthRequired)
+			return
+		}
+		if r.ContentLength > maxFrameBytes {
+			m.Counter("gpustl_worker_bad_requests_total").Inc()
+			http.Error(w, fmt.Sprintf("shard frame exceeds %d bytes", maxFrameBytes), http.StatusRequestEntityTooLarge)
+			return
+		}
 		// Memory accounting first — it never queues, so an oversized
 		// burst bounces in microseconds — then the concurrency slot,
 		// which may wait briefly in the bounded accept queue.
-		cost := r.ContentLength
-		if cost < 1 {
-			cost = 1
-		}
-		relBytes, ok := h.bytes.TryAcquire(cost)
+		relBytes, ok := h.bytes.TryAcquire(r.ContentLength)
 		if !ok {
 			busy(w, "in-flight bytes")
 			return
@@ -416,10 +424,16 @@ func NewHandlerOptions(name string, o WorkerOptions) *WorkerHandler {
 			ctx, cancel = context.WithDeadline(ctx, dl)
 			defer cancel()
 		}
-		var req ShardRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		body := make([]byte, r.ContentLength)
+		if _, err := io.ReadFull(r.Body, body); err != nil {
 			m.Counter("gpustl_worker_bad_requests_total").Inc()
-			http.Error(w, fmt.Sprintf("bad shard request: %v", err), http.StatusBadRequest)
+			http.Error(w, fmt.Sprintf("reading shard frame: %v", err), http.StatusBadRequest)
+			return
+		}
+		req, err := decodeShardFrame(body)
+		if err != nil {
+			m.Counter("gpustl_worker_bad_requests_total").Inc()
+			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		var span *obs.Span
@@ -442,7 +456,7 @@ func NewHandlerOptions(name string, o WorkerOptions) *WorkerHandler {
 		h.executing.Add(1)
 		defer h.executing.Add(-1)
 		start := time.Now()
-		res, err := exec.Simulate(ctx, &req)
+		res, err := exec.Simulate(ctx, req)
 		if err != nil {
 			span.Annotate("error", err.Error())
 			logf("shard %d attempt %d: %v", req.Shard, req.Attempt, err)

@@ -1,8 +1,8 @@
 package dist
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"math/rand"
@@ -252,14 +252,14 @@ func TestDeadlineHeaderWorkerSide(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return strings.NewReader(string(data))
+		return bytes.NewReader(data)
 	}
 	post := func(deadline string) *http.Response {
 		req, err := http.NewRequest(http.MethodPost, srv.URL+simulatePath, body())
 		if err != nil {
 			t.Fatal(err)
 		}
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", frameContentType)
 		if deadline != "" {
 			req.Header.Set(deadlineHeader, deadline)
 		}
@@ -458,5 +458,5 @@ func TestWorkerMemoryAccounting429(t *testing.T) {
 // marshalShardRequest keeps the test body honest about the wire format
 // without exporting anything new.
 func marshalShardRequest(req *ShardRequest) ([]byte, error) {
-	return json.Marshal(req)
+	return encodeShardFrame(req)
 }

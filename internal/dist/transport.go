@@ -7,6 +7,7 @@ import (
 
 	"gpustl/internal/circuits"
 	"gpustl/internal/fault"
+	"gpustl/internal/gpu"
 )
 
 // Transport carries shard requests to one worker. Implementations must
@@ -50,8 +51,14 @@ func NewLocal(name string) *Local {
 // Name implements Transport.
 func (l *Local) Name() string { return l.name }
 
-// module returns the cached gate-level model for kind/lanes.
+// module returns the cached gate-level model for kind/lanes (0 = the
+// module's default). Lane counts past a warp are refused before anything
+// is built or cached, so hostile requests can neither crash the engine
+// nor grow the cache.
 func (l *Local) module(kind circuits.ModuleKind, lanes int) (*circuits.Module, error) {
+	if lanes < 0 || lanes > gpu.WarpSize {
+		return nil, fmt.Errorf("dist: worker %s: lane count %d outside [0, %d]", l.name, lanes, gpu.WarpSize)
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	key := localModKey{kind, lanes}

@@ -1137,7 +1137,7 @@ func (c *Campaign) simulateShardOptWide(ctx context.Context, ordered []TimedPatt
 	// undetected fault, rewritten per lane); recycle it across campaigns.
 	walk, _ := walkBufPool.Get().([]walkFault)
 	defer func() { walkBufPool.Put(walk[:0]) }() //nolint:staticcheck // slice header boxing is fine here
-	mask := make([]uint64, w) // valid-pattern mask of the current block
+	mask := make([]uint64, w)                    // valid-pattern mask of the current block
 	for lane := range lanes {
 		ls := &lanes[lane]
 		remaining := laneFaults[lane]
