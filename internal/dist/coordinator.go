@@ -334,8 +334,8 @@ var (
 // the campaign (unless opt.NoDrop). It returns an error only for a
 // canceled context or an unusable campaign; permanently failed shards
 // degrade the Result to explicit FC bounds instead.
-// opt.RecordActivations cannot be sharded and falls back to the
-// in-process simulator.
+// opt.RecordActivations falls back to the in-process simulator: shard
+// replies carry no activation counts.
 func (c *Coordinator) Run(ctx context.Context, camp *fault.Campaign, stream []fault.TimedPattern, opt fault.SimOptions) (*Result, error) {
 	if err := camp.Err(); err != nil {
 		return nil, fmt.Errorf("dist: campaign unusable: %w", err)

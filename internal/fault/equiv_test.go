@@ -29,11 +29,26 @@ func dupStream(stream []TimedPattern) []TimedPattern {
 	return out
 }
 
+// simulate runs the stream on c through the test-only reference engine
+// or through SimulateCtx (the shard walker), failing the test on error.
+func simulate(t testing.TB, c *Campaign, reference bool, stream []TimedPattern, opt SimOptions) *Report {
+	t.Helper()
+	run := c.SimulateCtx
+	if reference {
+		run = c.simulateReference
+	}
+	rep, err := run(context.Background(), stream, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 // TestOptimizedMatchesReference is the engine equivalence harness: for
 // every option combination the optimized path supports, the detections,
 // per-pattern counts and campaign drop state must be byte-identical to
-// the NoOptimize reference engine — same fault, same first-detecting
-// pattern index, same clock cycle.
+// the reference engine — same fault, same first-detecting pattern index,
+// same clock cycle.
 func TestOptimizedMatchesReference(t *testing.T) {
 	cases := []struct {
 		name string
@@ -67,16 +82,10 @@ func TestOptimizedMatchesReference(t *testing.T) {
 				stream = dupStream(randomDUStream(r, 300))
 			}
 
-			run := func(noOpt bool) (*Report, []ID) {
+			run := func(reference bool) (*Report, []ID) {
 				c := NewCampaign(m)
 				c.SampleFaults(1500, 11)
-				opt := tc.opt
-				opt.NoOptimize = noOpt
-				opt.Warnf = t.Logf // reference runs ignore BlockWords with a warning
-				rep, err := c.SimulateCtx(context.Background(), stream, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
+				rep := simulate(t, c, reference, stream, tc.opt)
 				return rep, c.DetectedIDs()
 			}
 			ref, refDet := run(true)
@@ -144,16 +153,13 @@ func TestSimulateSubsetMatchesReference(t *testing.T) {
 	}
 
 	// Reference: a throwaway campaign holding exactly the subset faults,
-	// run through the naive engine. Detection ids map through the subset.
+	// run through the reference engine. Detection ids map through the
+	// subset.
 	sub := make([]Fault, len(ids))
 	for i, id := range ids {
 		sub[i] = all[id]
 	}
-	refCamp := NewCampaignWithFaults(m, sub)
-	ref, err := refCamp.SimulateCtx(context.Background(), stream, SimOptions{NoOptimize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := simulate(t, NewCampaignWithFaults(m, sub), true, stream, SimOptions{})
 	if len(ref.Detections) != len(dets) {
 		t.Fatalf("detection counts differ: reference %d, subset %d", len(ref.Detections), len(dets))
 	}
@@ -162,5 +168,81 @@ func TestSimulateSubsetMatchesReference(t *testing.T) {
 		if dets[i] != want {
 			t.Fatalf("detection %d differs: subset %+v, reference-mapped %+v", i, dets[i], want)
 		}
+	}
+}
+
+// TestActivationsMatchReference pins the activation counts of the shard
+// walker to the reference engine's. Under NoDrop the reference walks
+// every lane fault over every original pattern, so its counts are
+// exactly ActivatedPerPattern's definition; the walker counts each
+// unique pattern once and scatters the count to its duplicates, which
+// the doubled streams force. Every block width, serial and sharded.
+func TestActivationsMatchReference(t *testing.T) {
+	r := rand.New(rand.NewSource(77))
+	sp := spModule(t)
+	spCamp := NewCampaign(sp)
+	spCamp.SampleFaults(1500, 17)
+
+	// Only faults the first 64 patterns detect: every fault drops in the
+	// first W=1 block, and the walker must still sweep the later blocks
+	// for their counts.
+	du := duModule(t)
+	duStream := dupStream(randomDUStream(r, 300))
+	probe := NewCampaign(du)
+	var early []Fault
+	for _, d := range probe.Simulate(duStream[:64], SimOptions{}).Detections {
+		early = append(early, probe.Faults()[d.Fault])
+	}
+
+	cases := []struct {
+		name   string
+		c      *Campaign
+		stream []TimedPattern
+	}{
+		{"sp", spCamp, dupStream(randomSPStream(r, sp.Lanes, 300))},
+		{"du_early_drop", NewCampaignWithFaults(du, early), duStream},
+	}
+	opt := SimOptions{RecordActivations: true, NoDrop: true}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ref := simulate(t, tc.c, true, tc.stream, opt)
+			var total int64
+			for _, n := range ref.ActivatedPerPattern {
+				total += int64(n)
+			}
+			if total == 0 {
+				t.Fatal("reference recorded no activations")
+			}
+			for _, w := range []int{0, 1, 4, 8, 16} {
+				for _, workers := range []int{1, 3} {
+					o := opt
+					o.BlockWords, o.Workers = w, workers
+					got := simulate(t, tc.c, false, tc.stream, o)
+					if len(got.ActivatedPerPattern) != len(ref.ActivatedPerPattern) {
+						t.Fatalf("w=%d workers=%d: %d activation counts, reference %d",
+							w, workers, len(got.ActivatedPerPattern), len(ref.ActivatedPerPattern))
+					}
+					for i, want := range ref.ActivatedPerPattern {
+						if got.ActivatedPerPattern[i] != want {
+							t.Fatalf("w=%d workers=%d pattern %d: %d activations, reference %d",
+								w, workers, i, got.ActivatedPerPattern[i], want)
+						}
+					}
+					if len(got.Detections) != len(ref.Detections) {
+						t.Fatalf("w=%d workers=%d: %d detections, reference %d",
+							w, workers, len(got.Detections), len(ref.Detections))
+					}
+					for i := range ref.Detections {
+						if got.Detections[i] != ref.Detections[i] {
+							t.Fatalf("w=%d workers=%d detection %d: %+v, reference %+v",
+								w, workers, i, got.Detections[i], ref.Detections[i])
+						}
+					}
+				}
+			}
+			if tc.c.Detected() != 0 {
+				t.Fatalf("NoDrop runs committed %d detections", tc.c.Detected())
+			}
+		})
 	}
 }

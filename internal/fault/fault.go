@@ -8,9 +8,9 @@
 // test pattern produces a discrepancy at the module's outputs. Patterns are
 // the per-clock-cycle input vectors extracted by the logic-tracing stage.
 //
-// Faults are simulated serially with 64 patterns in parallel (one per bit
-// of a machine word) and evaluation restricted to each fault's fan-out
-// cone; detected faults are dropped immediately. A persistent fault list
+// Faults are simulated serially with 64×W patterns in parallel (one per
+// bit of W machine words) and evaluation restricted to each fault's
+// fan-out cone; detected faults are dropped immediately. A persistent fault list
 // lets several PTPs targeting the same module share one campaign, which is
 // the cross-PTP fault-dropping mechanism of the paper's stage 3.
 package fault
@@ -18,7 +18,6 @@ package fault
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"math/bits"
 	"math/rand"
 	"runtime"
@@ -130,7 +129,6 @@ type Campaign struct {
 	detected []bool
 	nDet     int
 
-	ev      *netlist.Evaluator
 	initErr error // deferred constructor error (e.g. sequential module)
 
 	// stats accumulates engine counters across this campaign's SimulateCtx
@@ -140,7 +138,8 @@ type Campaign struct {
 	stats   SimStats
 	runs    uint64
 
-	// Cone ordering of the fault list (see coneOrdering), built once.
+	// Cone ordering of the fault list (see coneOrdering), built once per
+	// fault list: SampleFaults drops it.
 	coneOnce  sync.Once
 	coneOrder []ID
 	coneRank  []int32
@@ -151,26 +150,24 @@ type Campaign struct {
 // is created in a failed state: SimulateCtx returns the error, Err exposes
 // it.
 func NewCampaign(m *circuits.Module) *Campaign {
-	sites := AllSites(m.NL)
-	c := &Campaign{
-		Module:   m,
-		faults:   ExpandLanes(sites, m.Lanes),
-		detected: make([]bool, len(sites)*m.Lanes),
-	}
-	c.ev, c.initErr = netlist.NewEvaluator(m.NL)
-	return c
+	return newCampaign(m, ExpandLanes(AllSites(m.NL), m.Lanes))
 }
 
 // NewCampaignWithFaults creates a campaign over an explicit fault list.
 func NewCampaignWithFaults(m *circuits.Module, faults []Fault) *Campaign {
 	fs := make([]Fault, len(faults))
 	copy(fs, faults)
-	c := &Campaign{
-		Module:   m,
-		faults:   fs,
-		detected: make([]bool, len(fs)),
+	return newCampaign(m, fs)
+}
+
+// newCampaign wraps an owned fault list. Evaluators come from the
+// netlist's per-width pool at run time, so the only construction-time
+// check is that the module is combinational.
+func newCampaign(m *circuits.Module, faults []Fault) *Campaign {
+	c := &Campaign{Module: m, faults: faults, detected: make([]bool, len(faults))}
+	if m.NL.NumDFFs() > 0 {
+		c.initErr = fmt.Errorf("fault: %s: %w", m.NL.Name, netlist.ErrSequential)
 	}
-	c.ev, c.initErr = netlist.NewEvaluator(m.NL)
 	return c
 }
 
@@ -196,6 +193,9 @@ func (c *Campaign) SampleFaults(n int, seed int64) {
 	c.faults = nf
 	c.detected = make([]bool, n)
 	c.nDet = 0
+	// The cone ordering indexes the old list; rebuild it on next use.
+	c.coneOnce = sync.Once{}
+	c.coneOrder, c.coneRank = nil, nil
 }
 
 // Faults returns the campaign's master fault list (do not mutate).
@@ -319,14 +319,18 @@ type Report struct {
 	DetectedPerPattern []int32
 	// Detections lists each fault detected during this run.
 	Detections []Detection
-	// ActivatedPerPattern counts locally activated faults per pattern; only
-	// filled when Simulate is called with activations enabled.
+	// ActivatedPerPattern[i] counts the run's input faults (those
+	// undetected when it started) in stream entry i's lane that entry i
+	// excites: the faulty net — the gate output for a stem fault, the
+	// driving net for a pin fault — carries the opposite of the stuck
+	// value. The count ignores dropping, so it depends on the pattern
+	// alone and duplicates of a pattern get equal counts. Only filled
+	// with SimOptions.RecordActivations.
 	ActivatedPerPattern []int32
 
 	// Stats reports what the simulation engine did on this run: dedup
 	// effectiveness, pre-screen and cone-skip hit counts, propagation
-	// count. The naive (NoOptimize) engine fills the pattern and
-	// evaluation totals with zero skips.
+	// count.
 	Stats SimStats
 
 	// Copied stream metadata, so the FSR is self-contained like the
@@ -346,24 +350,17 @@ type SimOptions struct {
 	// paper for the SFU_IMM PTP, where reverse-order application improved
 	// compaction).
 	Reverse bool
-	// RecordActivations additionally counts locally activated faults per
-	// pattern (slower; for small-scale analysis). Activation counters are
-	// written per pattern as the stream is walked, which a sharded run
-	// cannot do coherently, so this option FORCES serial execution: any
-	// explicit Workers > 1 is overridden to 1 and a warning is emitted
-	// through Warnf.
+	// RecordActivations additionally fills Report.ActivatedPerPattern
+	// (see there; for small-scale analysis). Counts are taken once per
+	// unique pattern on every block of the lane, including blocks after
+	// the last fault dropped, and copied to duplicates; any Workers
+	// setting gives the same counts.
 	RecordActivations bool
-	// NoDrop evaluates every fault against every pattern instead of
-	// dropping at first detection (only with RecordActivations analyses).
+	// NoDrop reports first detections without updating the campaign's
+	// fault-dropping state: the run's detections are not committed, so
+	// the next run sees the same fault list (core sets it for
+	// KeepCampaign).
 	NoDrop bool
-	// NoOptimize runs the straightforward reference engine: no activation
-	// pre-screen, no unique-pattern dedup, no cone-aware scheduling. The
-	// optimized engine is detection-for-detection identical by contract
-	// (the equivalence tests enforce it); this switch exists for those
-	// tests and for debugging. RecordActivations implies NoOptimize: the
-	// per-pattern activation counters must see every original pattern,
-	// which dedup would fold away.
-	NoOptimize bool
 	// BlockWords sets the evaluator block width in 64-pattern machine
 	// words: each good-circuit sweep covers 64×BlockWords patterns, with
 	// stride-BlockWords value arrays throughout the engine. 0 (the
@@ -371,8 +368,7 @@ type SimOptions struct {
 	// (AutoBlockWords); values outside [0, netlist.MaxBlockWords] are
 	// rejected with an error. Detections are byte-identical at every
 	// width — bit order equals stream order, so first detections cannot
-	// move. The naive reference engine (NoOptimize/RecordActivations) is
-	// always scalar and ignores this knob with a warning.
+	// move.
 	BlockWords int
 	// Workers runs the fault-serial loop on this many goroutines, each
 	// with its own evaluator over a shard of the fault list. Results are
@@ -380,10 +376,6 @@ type SimOptions struct {
 	// 0 selects runtime.GOMAXPROCS(0); 1 means serial; negative values
 	// are rejected with an error.
 	Workers int
-	// Warnf receives warnings about option combinations the simulator
-	// overrides (e.g. RecordActivations forcing serial execution). nil
-	// routes warnings to the default structured logger at WARN level.
-	Warnf func(format string, args ...any)
 	// Metrics receives batched simulation counters (patterns simulated,
 	// faults dropped, throughput). Updates happen once per SimulateCtx
 	// call, after the shard merge — never inside the 64-pattern inner
@@ -392,26 +384,14 @@ type SimOptions struct {
 	Metrics *obs.Registry
 }
 
-// warnf emits a warning through the configured sink, defaulting to the
-// process-default slog logger so overridden options are visible even
-// when callers do not wire a sink.
-func (o SimOptions) warnf(format string, args ...any) {
-	if o.Warnf != nil {
-		o.Warnf(format, args...)
-		return
-	}
-	slog.Warn(fmt.Sprintf(format, args...))
-}
-
 // minFaultsPerWorker bounds the parallel fan-out: spawning a goroutine
 // (and building a private evaluator) is only worth a few hundred faults
 // of work, so small campaigns scale the worker count down.
 const minFaultsPerWorker = 256
 
 // planWorkers validates and resolves SimOptions.Workers: negative values
-// are an error, 0 defaults to runtime.GOMAXPROCS(0), RecordActivations
-// forces serial (warning when it overrides an explicit setting), and the
-// fan-out is capped so every worker has at least minFaultsPerWorker
+// are an error, 0 defaults to runtime.GOMAXPROCS(0), and the fan-out is
+// capped so every worker has at least minFaultsPerWorker
 // faults. Results are identical at any resolved count.
 func (c *Campaign) planWorkers(opt SimOptions) (int, error) {
 	workers := opt.Workers
@@ -420,12 +400,6 @@ func (c *Campaign) planWorkers(opt SimOptions) (int, error) {
 	}
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if opt.RecordActivations && workers > 1 {
-		if opt.Workers > 1 {
-			opt.warnf("fault: RecordActivations forces serial simulation; overriding Workers=%d", opt.Workers)
-		}
-		workers = 1
 	}
 	if n := c.Remaining(); workers > 1 && n < workers*minFaultsPerWorker {
 		workers = n / minFaultsPerWorker
@@ -462,84 +436,38 @@ func (c *Campaign) SimulateCtx(ctx context.Context, stream []TimedPattern, opt S
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ordered := stream
-	if opt.Reverse {
-		ordered = make([]TimedPattern, len(stream))
-		for i, p := range stream {
-			ordered[len(stream)-1-i] = p
-		}
-	}
-
-	rep := &Report{
-		NumPatterns:        len(ordered),
-		DetectedPerPattern: make([]int32, len(ordered)),
-		CCs:                make([]uint64, len(ordered)),
-		Lanes:              make([]int16, len(ordered)),
-		PCs:                make([]int32, len(ordered)),
-		Warps:              make([]int16, len(ordered)),
-	}
-	if opt.RecordActivations {
-		rep.ActivatedPerPattern = make([]int32, len(ordered))
-	}
-	for i, p := range ordered {
-		rep.CCs[i] = p.CC
-		rep.Lanes[i] = p.Lane
-		rep.PCs[i] = p.PC
-		rep.Warps[i] = p.Warp
-	}
-
-	// Split the stream by lane, keeping global stream indices.
-	laneIdx := make([][]int32, c.Module.Lanes)
-	for i, p := range ordered {
-		if int(p.Lane) >= len(laneIdx) {
-			continue // pattern for a lane this module build does not have
-		}
-		laneIdx[p.Lane] = append(laneIdx[p.Lane], int32(i))
-	}
-
-	// Partition the remaining faults into shards, one per worker, each
-	// grouped by lane. With one worker this is the plain serial loop.
 	workers, err := c.planWorkers(opt)
 	if err != nil {
 		return nil, err
 	}
-	shards := c.partitionByLane(workers)
-	simStart := time.Now()
-	faultsIn := c.Remaining()
-
-	// RecordActivations needs every original pattern walked (dedup would
-	// fold the activation counters), so it rides the reference engine.
-	naive := opt.NoOptimize || opt.RecordActivations
 	if opt.BlockWords < 0 || opt.BlockWords > netlist.MaxBlockWords {
 		return nil, fmt.Errorf("fault: SimOptions.BlockWords = %d outside [0, %d] (0 = auto)",
 			opt.BlockWords, netlist.MaxBlockWords)
 	}
-	blockW := 1
-	var runStats SimStats
-	var lanes []laneStream
-	if naive {
-		if opt.BlockWords > 1 {
-			opt.warnf("fault: the NoOptimize/RecordActivations reference engine is scalar; ignoring BlockWords=%d", opt.BlockWords)
-		}
-		for _, idxs := range laneIdx {
-			runStats.TotalPatterns += uint64(len(idxs))
-		}
-		runStats.UniquePatterns = runStats.TotalPatterns
-	} else {
-		// Dedup and pack the stimulus once, shared read-only by every
-		// shard; the cone index is built here, before forking workers.
-		ci := c.Module.NL.Cone()
-		lanes, blockW = buildLaneStreams(c.Module.NL, ordered, laneIdx,
-			laneClassUse(ci, c.faults, shards), opt.BlockWords)
-		for _, ls := range lanes {
-			runStats.TotalPatterns += uint64(ls.total)
-			runStats.UniquePatterns += uint64(ls.unique)
+	ordered := orderStream(stream, opt.Reverse)
+	rep := newReport(ordered, opt.RecordActivations)
+
+	// Partition the remaining faults into shards, one per worker, each
+	// grouped by lane. With one worker this is the plain serial loop.
+	shards := c.partitionByLane(workers)
+	simStart := time.Now()
+	faultsIn := c.Remaining()
+
+	// Dedup and pack the stimulus once, shared read-only by every shard;
+	// the cone index is built here, before forking workers. firstOcc maps
+	// every pattern to its first occurrence in its lane, for the
+	// activation scatter after the merge.
+	var firstOcc []int32
+	if opt.RecordActivations {
+		firstOcc = make([]int32, len(ordered))
+		for i := range firstOcc {
+			firstOcc[i] = int32(i)
 		}
 	}
-	plan := c.Module.NL.Plan()
-	runStats.BlockWords = uint64(blockW)
-	runStats.PlanLevels = uint64(plan.NumLevels())
-	runStats.PlanRuns = uint64(plan.NumRuns())
+	nl := c.Module.NL
+	lanes, blockW := buildLaneStreams(nl, ordered, c.laneIndex(ordered),
+		laneClassUse(nl.Cone(), c.faults, shards), opt.BlockWords, firstOcc)
+	runStats := c.streamStats(lanes, blockW)
 
 	// Run the shards. Every worker recovers its own panics: the first
 	// error or panic cancels the remaining workers and is surfaced to the
@@ -554,66 +482,32 @@ func (c *Campaign) SimulateCtx(ctx context.Context, stream []TimedPattern, opt S
 		errOnce.Do(func() { firstErr = err })
 		cancel()
 	}
-	runShard := func(shard [][]ID, ev *netlist.Evaluator, activated []int32) (*shardResult, error) {
-		if naive {
-			return c.simulateShard(sctx, ordered, laneIdx, shard, ev, opt, activated)
-		}
-		return c.simulateShardOpt(sctx, ordered, lanes, shard, ev)
-	}
 	results := make([]*shardResult, workers)
-	if workers == 1 {
-		func() {
+	var wg sync.WaitGroup
+	for w := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			defer func() {
 				if v := recover(); v != nil {
-					fail(fmt.Errorf("fault: simulation panicked: %v", v))
+					fail(fmt.Errorf("fault: simulation worker %d panicked: %v", w, v))
 				}
 			}()
-			// The campaign's resident serial evaluator is scalar; a wide
-			// run borrows a width-matched one from the pool instead.
-			ev := c.ev
-			if blockW != 1 {
-				var err error
-				ev, err = c.getEvaluatorW(blockW)
-				if err != nil {
-					fail(err)
-					return
-				}
-				defer c.putEvaluator(ev)
-			}
-			sr, err := runShard(shards[0], ev, rep.ActivatedPerPattern)
+			ev, err := nl.AcquireEvaluator(blockW)
 			if err != nil {
 				fail(err)
 				return
 			}
-			results[0] = sr
+			defer nl.ReleaseEvaluator(ev)
+			sr, err := c.simulateShardOpt(sctx, ordered, lanes, shards[w], ev, opt.RecordActivations)
+			if err != nil {
+				fail(err)
+				return
+			}
+			results[w] = sr
 		}()
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				defer func() {
-					if v := recover(); v != nil {
-						fail(fmt.Errorf("fault: simulation worker %d panicked: %v", w, v))
-					}
-				}()
-				ev, err := c.getEvaluatorW(blockW)
-				if err != nil {
-					fail(err)
-					return
-				}
-				defer c.putEvaluator(ev)
-				sr, err := runShard(shards[w], ev, nil)
-				if err != nil {
-					fail(err)
-					return
-				}
-				results[w] = sr
-			}(w)
-		}
-		wg.Wait()
 	}
+	wg.Wait()
 	if firstErr != nil {
 		return nil, firstErr
 	}
@@ -621,24 +515,12 @@ func (c *Campaign) SimulateCtx(ctx context.Context, stream []TimedPattern, opt S
 		return nil, err
 	}
 
-	// Merge shard results into the report and the campaign state.
-	for _, sr := range results {
-		if sr == nil {
-			continue
-		}
-		for i, n := range sr.perPattern {
-			rep.DetectedPerPattern[i] += n
-		}
-		rep.Detections = append(rep.Detections, sr.detections...)
-		runStats.Add(sr.stats)
-		if !opt.NoDrop {
-			for _, d := range sr.detections {
-				c.detected[d.Fault] = true
-				c.nDet++
-			}
-		}
+	runStats.Add(c.merge(rep, results, ordered, opt.NoDrop))
+	// Shards counted each unique pattern at its first occurrence; a
+	// duplicate comes later in stream order, so its source is final.
+	for i, f := range firstOcc {
+		rep.ActivatedPerPattern[i] = rep.ActivatedPerPattern[f]
 	}
-	sortDetections(rep.Detections, ordered)
 	rep.Stats = runStats
 	c.statsMu.Lock()
 	c.stats.Add(runStats)
@@ -655,6 +537,100 @@ func (c *Campaign) SimulateCtx(ctx context.Context, stream []TimedPattern, opt S
 	return rep, nil
 }
 
+// orderStream returns the stream in application order: as given, or a
+// reversed copy.
+func orderStream(stream []TimedPattern, reverse bool) []TimedPattern {
+	if !reverse {
+		return stream
+	}
+	out := make([]TimedPattern, len(stream))
+	for i, p := range stream {
+		out[len(stream)-1-i] = p
+	}
+	return out
+}
+
+// newReport allocates the report of a run over the ordered stream, with
+// the stream metadata copied in so the FSR is self-contained.
+func newReport(ordered []TimedPattern, activations bool) *Report {
+	n := len(ordered)
+	rep := &Report{
+		NumPatterns:        n,
+		DetectedPerPattern: make([]int32, n),
+		CCs:                make([]uint64, n),
+		Lanes:              make([]int16, n),
+		PCs:                make([]int32, n),
+		Warps:              make([]int16, n),
+	}
+	if activations {
+		rep.ActivatedPerPattern = make([]int32, n)
+	}
+	for i, p := range ordered {
+		rep.CCs[i] = p.CC
+		rep.Lanes[i] = p.Lane
+		rep.PCs[i] = p.PC
+		rep.Warps[i] = p.Warp
+	}
+	return rep
+}
+
+// laneIndex splits a stream by lane, keeping global stream indices.
+// Patterns for lanes this module build does not have are left out.
+func (c *Campaign) laneIndex(stream []TimedPattern) [][]int32 {
+	laneIdx := make([][]int32, c.Module.Lanes)
+	for i, p := range stream {
+		if int(p.Lane) < len(laneIdx) {
+			laneIdx[p.Lane] = append(laneIdx[p.Lane], int32(i))
+		}
+	}
+	return laneIdx
+}
+
+// streamStats starts a run's stats with what the packed stimulus and the
+// evaluator shape already tell: pattern totals before and after dedup,
+// the block width, and the compiled plan's structure.
+func (c *Campaign) streamStats(lanes []laneStream, blockW int) SimStats {
+	var st SimStats
+	for _, ls := range lanes {
+		st.TotalPatterns += uint64(ls.total)
+		st.UniquePatterns += uint64(ls.unique)
+	}
+	plan := c.Module.NL.Plan()
+	st.BlockWords = uint64(blockW)
+	st.PlanLevels = uint64(plan.NumLevels())
+	st.PlanRuns = uint64(plan.NumRuns())
+	return st
+}
+
+// merge folds shard results into the report — per-pattern detection and
+// activation counts, and the detections in (pattern, fault) order — and,
+// unless noDrop, into the campaign's fault-dropping state. It returns the
+// shards' summed work counters.
+func (c *Campaign) merge(rep *Report, results []*shardResult, ordered []TimedPattern, noDrop bool) SimStats {
+	var st SimStats
+	for _, sr := range results {
+		if sr == nil {
+			continue
+		}
+		for i, n := range sr.perPattern {
+			rep.DetectedPerPattern[i] += n
+		}
+		for i, n := range sr.activated {
+			rep.ActivatedPerPattern[i] += n
+		}
+		rep.Detections = append(rep.Detections, sr.detections...)
+		st.Add(sr.stats)
+		if !noDrop {
+			for _, d := range sr.detections {
+				c.detected[d.Fault] = true
+				c.nDet++
+			}
+		}
+	}
+	sortDetections(rep.Detections, ordered)
+	return st
+}
+
 // Stats returns the engine counters accumulated across this campaign's
 // SimulateCtx runs (SimulateSubset calls report their stats to the caller
 // instead — a distributed coordinator owns that aggregation).
@@ -662,27 +638,6 @@ func (c *Campaign) Stats() SimStats {
 	c.statsMu.Lock()
 	defer c.statsMu.Unlock()
 	return c.stats
-}
-
-// getEvaluator takes a pooled scalar evaluator or builds a fresh one.
-func (c *Campaign) getEvaluator() (*netlist.Evaluator, error) {
-	return c.getEvaluatorW(1)
-}
-
-// getEvaluatorW takes an evaluator of the requested block width from the
-// netlist's per-width pool (or builds a fresh one). Pooling at the
-// netlist level means the wide scratch arrays survive campaign churn —
-// a new campaign over the same circuit starts warm.
-func (c *Campaign) getEvaluatorW(w int) (*netlist.Evaluator, error) {
-	return c.Module.NL.AcquireEvaluator(w)
-}
-
-// putEvaluator returns a worker's evaluator to the netlist pool. The
-// campaign's own serial evaluator never enters the pool.
-func (c *Campaign) putEvaluator(ev *netlist.Evaluator) {
-	if ev != nil && ev != c.ev {
-		c.Module.NL.ReleaseEvaluator(ev)
-	}
 }
 
 // recordMetrics publishes one SimulateCtx run's batched counters. It is
@@ -728,13 +683,14 @@ func (c *Campaign) recordMetrics(opt SimOptions, patterns, faultsIn, dropped int
 // shardResult carries one worker's detections, to be merged serially.
 type shardResult struct {
 	perPattern []int32
+	activated  []int32 // RecordActivations only, at first-occurrence indices
 	detections []Detection
 	stats      SimStats
 }
 
 // partitionByLane splits the campaign's currently undetected faults into
 // k shards, round-robin, with each shard's faults grouped by lane (the
-// layout simulateShard consumes). Faults for lanes the module build does
+// layout simulateShardOpt consumes). Faults for lanes the module build does
 // not have are skipped, matching the simulation loop. Faults are dealt
 // in cone order, so every shard's lane list comes out sorted for the
 // optimized engine with no per-run sorting; results are independent of
@@ -803,7 +759,7 @@ func (c *Campaign) PartitionRemaining(k int) [][]ID {
 // order given (a coordinator that wants Reverse semantics pre-reverses
 // it). Detections carry global stream indices and are sorted by
 // (Pattern, Fault); faults already detected in this campaign are
-// skipped. Evaluator scratch is pooled per campaign, and concurrent
+// skipped. Evaluator scratch is pooled per netlist, and concurrent
 // SimulateSubset calls on one campaign are safe.
 func (c *Campaign) SimulateSubset(ctx context.Context, stream []TimedPattern, ids []ID) ([]Detection, error) {
 	dets, _, err := c.SimulateSubsetStats(ctx, stream, ids)
@@ -842,31 +798,18 @@ func (c *Campaign) SimulateSubsetStats(ctx context.Context, stream []TimedPatter
 		}
 		laneFaults[f.Lane] = append(laneFaults[f.Lane], id)
 	}
-	laneIdx := make([][]int32, c.Module.Lanes)
-	for i, p := range stream {
-		if int(p.Lane) >= len(laneIdx) {
-			continue
-		}
-		laneIdx[p.Lane] = append(laneIdx[p.Lane], int32(i))
-	}
-	ci := c.Module.NL.Cone()
-	lanes, blockW := buildLaneStreams(c.Module.NL, stream, laneIdx,
-		laneClassUse(ci, c.faults, [][][]ID{laneFaults}), 0)
-	var stats SimStats
-	for _, ls := range lanes {
-		stats.TotalPatterns += uint64(ls.total)
-		stats.UniquePatterns += uint64(ls.unique)
-	}
-	plan := c.Module.NL.Plan()
-	stats.BlockWords = uint64(blockW)
-	stats.PlanLevels = uint64(plan.NumLevels())
-	stats.PlanRuns = uint64(plan.NumRuns())
-	ev, err := c.getEvaluatorW(blockW)
+	nl := c.Module.NL
+	lanes, blockW := buildLaneStreams(nl, stream, c.laneIndex(stream),
+		laneClassUse(nl.Cone(), c.faults, [][][]ID{laneFaults}), 0, nil)
+	stats := c.streamStats(lanes, blockW)
+	// Evaluators come from the netlist's per-width pool, so the wide
+	// scratch arrays survive campaign churn.
+	ev, err := nl.AcquireEvaluator(blockW)
 	if err != nil {
 		return nil, SimStats{}, err
 	}
-	defer c.putEvaluator(ev)
-	sr, err := c.simulateShardOpt(ctx, stream, lanes, laneFaults, ev)
+	defer nl.ReleaseEvaluator(ev)
+	sr, err := c.simulateShardOpt(ctx, stream, lanes, laneFaults, ev, false)
 	if err != nil {
 		return nil, SimStats{}, err
 	}
@@ -875,140 +818,60 @@ func (c *Campaign) SimulateSubsetStats(ctx context.Context, stream []TimedPatter
 	return sr.detections, stats, nil
 }
 
-// simulateShard runs the fault-serial, 64-pattern-parallel loop for one
-// shard of the fault list on a private evaluator. It only reads shared
-// state (ordered stream, lane indices, fault list); activation recording
-// (serial-only) is the one exception, writing the activated counters
-// directly. Cancellation is checked once per 64-pattern block, so a
-// canceled context stops the shard within one block's worth of work.
-func (c *Campaign) simulateShard(ctx context.Context, ordered []TimedPattern, laneIdx [][]int32,
-	laneFaults [][]ID, ev *netlist.Evaluator, opt SimOptions, activated []int32) (*shardResult, error) {
-
-	sr := &shardResult{perPattern: make([]int32, len(ordered))}
-	inputs := make([]uint64, len(c.Module.NL.Inputs))
-
-	var seen []uint64 // NoDrop: first-detection-recorded bitset per fault id
-	if opt.NoDrop {
-		seen = make([]uint64, (len(c.faults)+63)/64)
-	}
-
-	for lane := 0; lane < c.Module.Lanes; lane++ {
-		idxs := laneIdx[lane]
-		remaining := laneFaults[lane]
-		if len(idxs) == 0 || len(remaining) == 0 {
-			continue
-		}
-		for blk := 0; blk < len(idxs); blk += 64 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			end := blk + 64
-			if end > len(idxs) {
-				end = len(idxs)
-			}
-			n := end - blk
-			for i := range inputs {
-				inputs[i] = 0
-			}
-			for s := 0; s < n; s++ {
-				ordered[idxs[blk+s]].Pat.ApplyTo(inputs, uint(s))
-			}
-			if err := ev.Run(inputs); err != nil {
-				return nil, err
-			}
-			sr.stats.Blocks++
-
-			w := 0
-			for _, id := range remaining {
-				f := c.faults[id]
-				sr.stats.FaultEvals++
-				sr.stats.Propagations++
-				det := ev.FaultDetect(f.Site)
-				if n < 64 {
-					det &= (1 << uint(n)) - 1
-				}
-				if opt.RecordActivations && activated != nil {
-					act := activationMask(ev, c.Module.NL, f.Site)
-					if n < 64 {
-						act &= (1 << uint(n)) - 1
-					}
-					for s := 0; s < n; s++ {
-						if act>>uint(s)&1 == 1 {
-							activated[idxs[blk+s]]++
-						}
-					}
-				}
-				if det == 0 {
-					remaining[w] = id
-					w++
-					continue
-				}
-				if opt.NoDrop {
-					if seen[uint32(id)>>6]>>(uint32(id)&63)&1 == 0 {
-						seen[uint32(id)>>6] |= 1 << (uint32(id) & 63)
-						first := bits.TrailingZeros64(det)
-						gi := idxs[blk+first]
-						sr.perPattern[gi]++
-						sr.detections = append(sr.detections, Detection{
-							Fault: id, Pattern: gi, CC: ordered[gi].CC,
-						})
-					}
-					remaining[w] = id
-					w++
-					continue
-				}
-				first := bits.TrailingZeros64(det)
-				gi := idxs[blk+first]
-				sr.perPattern[gi]++
-				sr.detections = append(sr.detections, Detection{
-					Fault: id, Pattern: gi, CC: ordered[gi].CC,
-				})
-			}
-			remaining = remaining[:w]
-			if len(remaining) == 0 && !opt.RecordActivations {
-				break
-			}
-		}
-	}
-	return sr, nil
-}
-
-// simulateShardOpt is the optimized fault-serial loop: it consumes the
-// pre-packed deduplicated lane streams (so there is no per-shard input
-// clearing or packing), orders each lane's faults by fan-out cone, and
-// resolves most fault×block visits without event-driven propagation —
-// via the unchanged-cone test (no primary input in the fault's detection
-// support changed since the previous block, so the previous zero
-// detection mask carries over) or the activation pre-screen (the site's
-// local delta is zero, and detection is a bitwise subset of it). Visits
-// that survive both tests combine the delta with the evaluator's
-// memoized per-block observability mask (Evaluator.Obs) instead of
-// propagating: only fan-out stems fill the memo with a real
-// event-driven pass, which every fault in the stem's fan-out-free
-// region then shares. The inner loop allocates nothing.
+// simulateShardOpt is the fault-serial shard walker, one shape for every
+// block width W. It consumes the pre-packed deduplicated lane streams
+// (so there is no per-shard input clearing or packing), orders each
+// lane's faults by fan-out cone, and resolves most fault×block visits
+// without propagating anything — via the unchanged-cone test (no primary
+// input in the fault's detection support changed since an earlier block,
+// so that block's zero detection mask carries over) or the activation
+// pre-screen (the site's local delta is zero on every valid pattern, and
+// detection is a bitwise subset of it). Visits that survive both tests
+// combine the delta with the evaluator's memoized per-block
+// observability row (Evaluator.ObsW) instead of propagating: only
+// fan-out stems fill the memo with a real cone walk, which every fault
+// in the stem's fan-out-free region then shares. The inner loop
+// allocates nothing.
 //
-// Detections are byte-identical to simulateShard on the original stream:
-// a duplicate pattern can never be a first detection (its earlier twin
-// detects first), gidx maps every unique slot back to the earliest
-// original stream index, and both skip rules only ever elide provably
-// zero masks. NoDrop needs no special handling here: a fault is removed
-// from the local walk after its first detection either way — later
-// patterns cannot produce another first detection — and whether the
-// campaign's dropped state is updated is decided at merge time.
+// The per-visit work stays word-granular on purpose: the visit scans
+// the block's 64-pattern words in order for the first active word
+// (SiteOpFirstActive) and, only from there, for the first word whose
+// delta meets the observability row (SiteOpDetectFrom). Word order
+// equals stream order, so the earliest set bit at any width names the
+// earliest unique pattern — and a fault that dies in its first active
+// word pays one word of work, not W, which is what makes wide blocks a
+// win on real streams where most faults drop almost immediately. A
+// visit whose delta is zero across every valid word is a prescreen skip;
+// anything else is one propagation.
+//
+// Detections are byte-identical to the reference engine's on the
+// original stream: a duplicate pattern can never be a first detection
+// (its earlier twin detects first), gidx maps every unique slot back to
+// the earliest original stream index, and both skip rules only ever
+// elide provably zero masks. NoDrop needs no special handling here: a
+// fault leaves the local walk after its first detection either way —
+// later patterns cannot produce another first detection — and whether
+// the campaign's dropped state is updated is decided at merge time.
+//
+// With activations set the walker also counts, per unique pattern, the
+// lane's input faults the pattern excites (Report.ActivatedPerPattern),
+// at the pattern's first-occurrence index; it then sweeps every block of
+// the lane, even after the last fault dropped.
 func (c *Campaign) simulateShardOpt(ctx context.Context, ordered []TimedPattern, lanes []laneStream,
-	laneFaults [][]ID, ev *netlist.Evaluator) (*shardResult, error) {
+	laneFaults [][]ID, ev *netlist.Evaluator, activations bool) (*shardResult, error) {
 
-	if ev.BlockWords() > 1 {
-		return c.simulateShardOptWide(ctx, ordered, lanes, laneFaults, ev)
-	}
 	sr := &shardResult{perPattern: make([]int32, len(ordered))}
+	if activations {
+		sr.activated = make([]int32, len(ordered))
+	}
 	ci := c.Module.NL.Cone()
+	w := ev.BlockWords()
 
-	// Per-lane walk scratch: fault ids with their sites and cone classes
-	// hoisted into parallel arrays, compacted together as faults drop, so
-	// the inner loop touches only sequential memory. Sized once to the
-	// largest lane and reused.
-	var walk []walkFault
+	// The walk buffer is the shard's largest allocation (one entry per
+	// undetected fault, rewritten per lane); recycle it across campaigns.
+	walk, _ := walkBufPool.Get().([]walkFault)
+	defer func() { walkBufPool.Put(walk[:0]) }() //nolint:staticcheck // slice header boxing is fine here
+	mask := make([]uint64, w)                    // valid-pattern mask of the current block
 	for lane := range lanes {
 		ls := &lanes[lane]
 		remaining := laneFaults[lane]
@@ -1028,46 +891,61 @@ func (c *Campaign) simulateShardOpt(ctx context.Context, ordered []TimedPattern,
 			}
 			sr.stats.Blocks++
 			sr.stats.FaultEvals += uint64(n)
-			mask := ^uint64(0)
-			if nv := len(blk.gidx); nv < 64 {
-				mask = 1<<uint(nv) - 1
+			nv := len(blk.gidx)
+			words := w // valid words; words-1 may be partial
+			for j := range mask {
+				mask[j] = ^uint64(0)
+			}
+			if nv < 64*w {
+				words = (nv + 63) / 64
+				if rem := nv % 64; rem > 0 {
+					mask[words-1] = 1<<uint(rem) - 1
+				}
+			}
+			if activations {
+				c.countActivations(sr.activated, ev, remaining, blk.gidx, mask, words)
 			}
 
-			w := 0
+			kept := 0
 			for i := 0; i < n; i++ {
 				f := &walk[i]
 				if blk.skip != nil {
 					if cl := f.class; blk.skip[cl>>6]>>(uint(cl)&63)&1 == 1 {
 						sr.stats.ConeSkips++
-						walk[w] = *f
-						w++
+						walk[kept] = *f
+						kept++
 						continue
 					}
 				}
-				delta := ev.SiteOpDeltaAt(f.op, 0) & mask
-				if delta == 0 {
+				j0, d0 := ev.SiteOpFirstActive(f.op, mask, words)
+				if j0 < 0 {
 					sr.stats.PrescreenSkips++
-					walk[w] = *f
-					w++
+					walk[kept] = *f
+					kept++
 					continue
 				}
 				sr.stats.Propagations++
-				det := delta & ev.Obs(f.gate)
-				if det == 0 {
-					walk[w] = *f
-					w++
+				obs := ev.ObsW(f.gate)
+				first := -1
+				if x := d0 & obs[j0]; x != 0 {
+					first = j0*64 + bits.TrailingZeros64(x)
+				} else if j, x := ev.SiteOpDetectFrom(f.op, mask, obs, j0+1, words); j >= 0 {
+					first = j*64 + bits.TrailingZeros64(x)
+				}
+				if first < 0 {
+					walk[kept] = *f
+					kept++
 					continue
 				}
-				first := bits.TrailingZeros64(det)
 				gi := blk.gidx[first]
 				sr.perPattern[gi]++
 				sr.detections = append(sr.detections, Detection{
 					Fault: f.id, Pattern: gi, CC: ordered[gi].CC,
 				})
 			}
-			n = w
+			n = kept
 			walk = walk[:n]
-			if n == 0 {
+			if n == 0 && !activations {
 				break
 			}
 		}
@@ -1113,121 +991,28 @@ func (c *Campaign) buildWalk(dst []walkFault, remaining []ID, ci *netlist.ConeIn
 	return dst
 }
 
-// simulateShardOptWide is simulateShardOpt for block widths above one
-// word. The per-visit work stays word-granular on purpose: the visit
-// scans the block's 64-pattern words in order, computing the one-word
-// site delta (SiteDeltaAt) and, only when it is non-zero, ANDing it with
-// the one-word memoized observability (ObsAt), stopping at the first
-// word that detects. Word order equals stream order, so the earliest set
-// bit at any width names the same unique pattern the scalar walk would —
-// and a fault that dies in its first active word pays one word of work,
-// not W, which is what makes wide blocks a win on real streams where
-// most faults drop almost immediately. The per-visit skip logic and
-// stats accounting mirror the scalar loop exactly: a visit whose delta
-// is zero across every valid word is a prescreen skip, anything else is
-// one propagation.
-func (c *Campaign) simulateShardOptWide(ctx context.Context, ordered []TimedPattern, lanes []laneStream,
-	laneFaults [][]ID, ev *netlist.Evaluator) (*shardResult, error) {
-
-	sr := &shardResult{perPattern: make([]int32, len(ordered))}
-	ci := c.Module.NL.Cone()
-	w := ev.BlockWords()
-
-	// The walk buffer is the shard's largest allocation (one entry per
-	// undetected fault, rewritten per lane); recycle it across campaigns.
-	walk, _ := walkBufPool.Get().([]walkFault)
-	defer func() { walkBufPool.Put(walk[:0]) }() //nolint:staticcheck // slice header boxing is fine here
-	mask := make([]uint64, w)                    // valid-pattern mask of the current block
-	for lane := range lanes {
-		ls := &lanes[lane]
-		remaining := laneFaults[lane]
-		if len(ls.blocks) == 0 || len(remaining) == 0 {
-			continue
+// countActivations adds to acts, at each valid pattern's stream index,
+// how many of the given faults the evaluator's current block excites
+// there: the faulty net — the gate output for a stem fault, the driving
+// net for a pin fault — carries the opposite of the stuck value.
+func (c *Campaign) countActivations(acts []int32, ev *netlist.Evaluator, ids []ID, gidx []int32, mask []uint64, words int) {
+	for _, id := range ids {
+		s := c.faults[id].Site
+		net := s.Gate
+		if s.Pin >= 0 {
+			net = c.Module.NL.Gates[s.Gate].In[s.Pin]
 		}
-		c.sortByCone(remaining)
-		walk = c.buildWalk(walk, remaining, ci)
-		n := len(walk)
-		for b := range ls.blocks {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			blk := &ls.blocks[b]
-			if err := ev.Run(blk.inputs); err != nil {
-				return nil, err
-			}
-			sr.stats.Blocks++
-			sr.stats.FaultEvals += uint64(n)
-			nv := len(blk.gidx)
-			words := w // valid words; words-1 may be partial
-			for j := range mask {
-				mask[j] = ^uint64(0)
-			}
-			if nv < 64*w {
-				words = (nv + 63) / 64
-				if rem := nv % 64; rem > 0 {
-					mask[words-1] = 1<<uint(rem) - 1
-				}
-			}
-
-			kept := 0
-			for i := 0; i < n; i++ {
-				f := &walk[i]
-				if blk.skip != nil {
-					if cl := f.class; blk.skip[cl>>6]>>(uint(cl)&63)&1 == 1 {
-						sr.stats.ConeSkips++
-						walk[kept] = *f
-						kept++
-						continue
-					}
-				}
-				j0, d0 := ev.SiteOpFirstActive(f.op, mask, words)
-				if j0 < 0 {
-					sr.stats.PrescreenSkips++
-					walk[kept] = *f
-					kept++
-					continue
-				}
-				sr.stats.Propagations++
-				obs := ev.ObsW(f.gate)
-				first := -1
-				if x := d0 & obs[j0]; x != 0 {
-					first = j0*64 + bits.TrailingZeros64(x)
-				} else if j, x := ev.SiteOpDetectFrom(f.op, mask, obs, j0+1, words); j >= 0 {
-					first = j*64 + bits.TrailingZeros64(x)
-				}
-				if first < 0 {
-					walk[kept] = *f
-					kept++
-					continue
-				}
-				gi := blk.gidx[first]
-				sr.perPattern[gi]++
-				sr.detections = append(sr.detections, Detection{
-					Fault: f.id, Pattern: gi, CC: ordered[gi].CC,
-				})
-			}
-			n = kept
-			walk = walk[:n]
-			if n == 0 {
-				break
+		var sa uint64
+		if s.SA1 {
+			sa = ^uint64(0)
+		}
+		row := ev.ValueW(net)
+		for j := 0; j < words; j++ {
+			for x := (row[j] ^ sa) & mask[j]; x != 0; x &= x - 1 {
+				acts[gidx[j*64+bits.TrailingZeros64(x)]]++
 			}
 		}
 	}
-	return sr, nil
-}
-
-// activationMask computes, for the evaluator's current block, on which
-// patterns the fault site's forced value differs from the fault-free value.
-func activationMask(ev *netlist.Evaluator, nl *netlist.Netlist, s netlist.FaultSite) uint64 {
-	var sa uint64
-	if s.SA1 {
-		sa = ^uint64(0)
-	}
-	if s.Pin < 0 {
-		return ev.Value(s.Gate) ^ sa
-	}
-	in := nl.Gates[s.Gate].In[s.Pin]
-	return ev.Value(in) ^ sa
 }
 
 // sortDetections orders detections by (pattern, fault) — the report

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -373,5 +374,51 @@ func BenchmarkSimulateSPMetrics(b *testing.B) {
 		c := NewCampaign(m)
 		c.SampleFaults(5000, 1)
 		c.Simulate(stream, SimOptions{Metrics: reg})
+	}
+}
+
+// TestSampleFaultsAfterRun covers sampling a campaign that has already
+// simulated: the cone ordering cached by the first run indexes the old
+// fault list, so SampleFaults must drop it. The sampled-after-run
+// campaign must report exactly what a freshly sampled one does.
+func TestSampleFaultsAfterRun(t *testing.T) {
+	m := duModule(t)
+	r := rand.New(rand.NewSource(23))
+	stream := randomDUStream(r, 200)
+
+	c := NewCampaign(m)
+	if _, err := c.SimulateCtx(context.Background(), stream, SimOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	c.Reset()
+	c.SampleFaults(300, 1)
+	got, err := c.SimulateCtx(context.Background(), stream, SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := NewCampaign(m)
+	fresh.SampleFaults(300, 1)
+	want, err := fresh.SimulateCtx(context.Background(), stream, SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Detections) != len(want.Detections) || len(want.Detections) == 0 {
+		t.Fatalf("sampled after run: %d detections, fresh sample %d",
+			len(got.Detections), len(want.Detections))
+	}
+	for i := range want.Detections {
+		if got.Detections[i] != want.Detections[i] {
+			t.Fatalf("detection %d: %+v, fresh sample %+v", i, got.Detections[i], want.Detections[i])
+		}
+	}
+	for i := range want.DetectedPerPattern {
+		if got.DetectedPerPattern[i] != want.DetectedPerPattern[i] {
+			t.Fatalf("pattern %d: %d detections, fresh sample %d",
+				i, got.DetectedPerPattern[i], want.DetectedPerPattern[i])
+		}
+	}
+	if c.Detected() != fresh.Detected() {
+		t.Fatalf("campaign detected %d, fresh sample %d", c.Detected(), fresh.Detected())
 	}
 }

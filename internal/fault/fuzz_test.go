@@ -1,46 +1,46 @@
 package fault
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
 	"gpustl/internal/circuits"
 )
 
-// FuzzWideBlockEquiv fuzzes the wide-block engine against the NoOptimize
-// scalar oracle: for any pattern stream and any block width W the
-// optimized detections must be byte-identical — same faults, same first
-// detecting pattern index, same clock cycle, same drop set. Bit order
-// equals stream order at every width, so any divergence is an engine bug,
-// never an accepted reordering.
+// FuzzWideBlockEquiv fuzzes the shard walker against the test-only
+// reference engine: for any pattern stream, block width W, worker count
+// and drop mode the detections must be byte-identical — same faults,
+// same first detecting pattern index, same clock cycle, same drop set.
+// Bit order equals stream order at every width, so any divergence is an
+// engine bug, never an accepted reordering. With noDrop the run also
+// records activations, which must match the reference pattern by
+// pattern.
 func FuzzWideBlockEquiv(f *testing.F) {
 	mod, err := circuits.Build(circuits.ModuleDU, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
 
-	f.Add(int64(1), uint8(70), uint8(0), false)
-	f.Add(int64(2), uint8(1), uint8(1), false)
-	f.Add(int64(3), uint8(65), uint8(16), true)
-	f.Add(int64(4), uint8(130), uint8(4), false)
-	f.Add(int64(5), uint8(9), uint8(8), true)
+	f.Add(int64(1), uint8(70), uint8(0), false, uint8(0), false)
+	f.Add(int64(2), uint8(1), uint8(1), false, uint8(1), true)
+	f.Add(int64(3), uint8(65), uint8(16), true, uint8(0), false)
+	f.Add(int64(4), uint8(130), uint8(4), false, uint8(1), false)
+	f.Add(int64(5), uint8(9), uint8(8), true, uint8(1), true)
+	f.Add(int64(6), uint8(200), uint8(1), false, uint8(1), true)
 
-	f.Fuzz(func(t *testing.T, seed int64, nPat, w uint8, reverse bool) {
+	f.Fuzz(func(t *testing.T, seed int64, nPat, w uint8, reverse bool, wk uint8, noDrop bool) {
 		r := rand.New(rand.NewSource(seed))
 		stream := randomDUStream(r, 1+int(nPat))
 		width := int(w) % 17 // 0 = auto, else an explicit W in [1,16]
+		workers := []int{1, 3}[wk%2]
 
-		run := func(noOpt bool) (*Report, []ID) {
+		run := func(reference bool) (*Report, []ID) {
 			c := NewCampaign(mod)
-			c.SampleFaults(400, seed)
-			opt := SimOptions{Reverse: reverse, BlockWords: width, NoOptimize: noOpt}
-			opt.Warnf = func(string, ...any) {} // reference ignores BlockWords
-			rep, err := c.SimulateCtx(context.Background(), stream, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return rep, c.DetectedIDs()
+			// 800 faults give three workers minFaultsPerWorker each.
+			c.SampleFaults(800, seed)
+			opt := SimOptions{Reverse: reverse, BlockWords: width, Workers: workers,
+				NoDrop: noDrop, RecordActivations: noDrop}
+			return simulate(t, c, reference, stream, opt), c.DetectedIDs()
 		}
 		ref, refIDs := run(true)
 		opt, optIDs := run(false)
@@ -68,6 +68,10 @@ func FuzzWideBlockEquiv(f *testing.F) {
 			if opt.DetectedPerPattern[p] != ref.DetectedPerPattern[p] {
 				t.Fatalf("w=%d pattern %d: %d detections, reference %d",
 					width, p, opt.DetectedPerPattern[p], ref.DetectedPerPattern[p])
+			}
+			if noDrop && opt.ActivatedPerPattern[p] != ref.ActivatedPerPattern[p] {
+				t.Fatalf("w=%d workers=%d pattern %d: %d activations, reference %d",
+					width, workers, p, opt.ActivatedPerPattern[p], ref.ActivatedPerPattern[p])
 			}
 		}
 	})

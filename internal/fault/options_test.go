@@ -2,7 +2,6 @@ package fault
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -98,41 +97,47 @@ func TestWorkersZeroDefaultsToGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestRecordActivationsOverrideWarns verifies that RecordActivations
-// forces serial execution with a visible warning through SimOptions.Warnf
-// when Workers > 1 was requested, and stays silent when the caller never
-// asked for parallelism.
-func TestRecordActivationsOverrideWarns(t *testing.T) {
-	m := duModule(t)
+// TestRecordActivationsWorkersAgree verifies that activation counts do
+// not depend on sharding: a four-worker run counts the same activations
+// (and detections) as a serial one, without falling back to serial.
+func TestRecordActivationsWorkersAgree(t *testing.T) {
+	m := spModule(t)
 	r := rand.New(rand.NewSource(8))
-	stream := randomDUStream(r, 64)
+	stream := dupStream(randomSPStream(r, m.Lanes, 256))
 
-	var warnings []string
-	warnf := func(format string, args ...any) {
-		warnings = append(warnings, fmt.Sprintf(format, args...))
+	run := func(workers int) *Report {
+		c := NewCampaign(m)
+		c.SampleFaults(1200, 2)
+		if got, err := c.planWorkers(SimOptions{Workers: workers}); err != nil || got != workers {
+			t.Fatalf("planWorkers(%d) = %d, %v", workers, got, err)
+		}
+		rep, err := c.SimulateCtx(context.Background(), stream, SimOptions{
+			RecordActivations: true, Workers: workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
 	}
-
-	c := NewCampaign(m)
-	c.SampleFaults(300, 2)
-	_, err := c.SimulateCtx(context.Background(), stream, SimOptions{
-		RecordActivations: true, NoDrop: true, Workers: 4, Warnf: warnf,
-	})
-	if err != nil {
-		t.Fatal(err)
+	serial, sharded := run(1), run(4)
+	var total int64
+	for i, want := range serial.ActivatedPerPattern {
+		total += int64(want)
+		if got := sharded.ActivatedPerPattern[i]; got != want {
+			t.Fatalf("pattern %d: %d activations with 4 workers, %d serial", i, got, want)
+		}
 	}
-	if len(warnings) != 1 || !strings.Contains(warnings[0], "RecordActivations") {
-		t.Fatalf("want one RecordActivations warning, got %q", warnings)
+	if total == 0 {
+		t.Fatal("no activations recorded")
 	}
-
-	warnings = nil
-	c2 := NewCampaign(m)
-	c2.SampleFaults(300, 2)
-	if _, err := c2.SimulateCtx(context.Background(), stream, SimOptions{
-		RecordActivations: true, NoDrop: true, Warnf: warnf,
-	}); err != nil {
-		t.Fatal(err)
+	if len(serial.Detections) != len(sharded.Detections) {
+		t.Fatalf("detection counts differ: serial %d, sharded %d",
+			len(serial.Detections), len(sharded.Detections))
 	}
-	if len(warnings) != 0 {
-		t.Fatalf("implicit serial must not warn, got %q", warnings)
+	for i := range serial.Detections {
+		if serial.Detections[i] != sharded.Detections[i] {
+			t.Fatalf("detection %d differs: serial %+v, sharded %+v",
+				i, serial.Detections[i], sharded.Detections[i])
+		}
 	}
 }

@@ -24,8 +24,8 @@ type SimStats struct {
 	// BlockWords is the evaluator block width of the run, in 64-pattern
 	// machine words: each good-circuit sweep covers 64×BlockWords
 	// patterns. Merging takes the maximum, so a campaign's cumulative
-	// stats report the widest width any of its runs used; the naive
-	// engine is always scalar (1).
+	// stats report the widest width any of its runs used; the test-only
+	// reference engine always reports 1.
 	BlockWords uint64 `json:"block_words,omitempty"`
 	// PlanLevels and PlanRuns describe the netlist's compiled SoA
 	// evaluation plan: how many logic levels hold planned gates and how
@@ -36,8 +36,9 @@ type SimStats struct {
 	// TotalPatterns is the stream length fed to the run (after lane
 	// filtering), including duplicates.
 	TotalPatterns uint64 `json:"total_patterns"`
-	// UniquePatterns is the stream length after per-lane dedup; the naive
-	// engine reports TotalPatterns here (it deduplicates nothing).
+	// UniquePatterns is the stream length after per-lane dedup; the
+	// reference engine reports TotalPatterns here (it deduplicates
+	// nothing).
 	UniquePatterns uint64 `json:"unique_patterns"`
 	// FaultEvals counts fault×block visits.
 	FaultEvals uint64 `json:"fault_evals"`
@@ -49,10 +50,10 @@ type SimStats struct {
 	// the fault site's local delta was zero, so nothing can propagate.
 	PrescreenSkips uint64 `json:"prescreen_skips"`
 	// Propagations counts visits that computed a real detection mask: in
-	// the optimized engine a delta&Obs combination against the memoized
-	// observability of the fault site (the shared event-driven propagation
-	// that fills a stem's memo is amortized, not per-fault); in the naive
-	// engine a full fan-out-cone evaluation.
+	// the shard walker a delta&ObsW combination against the memoized
+	// observability of the fault site (the shared cone walk that fills a
+	// stem's memo is amortized, not per-fault); in the reference engine
+	// a full fan-out-cone evaluation.
 	Propagations uint64 `json:"propagations"`
 }
 

@@ -71,8 +71,12 @@ type laneStream struct {
 // is why dedup runs as a first phase, before any packing). The chosen
 // width is returned alongside the streams so the caller can build
 // matching evaluators.
+//
+// firstOcc, when non-nil, receives the dedup map-back: for every dropped
+// duplicate gi, firstOcc[gi] is the stream index of its first
+// occurrence. Other entries are left as they are.
 func buildLaneStreams(nl *netlist.Netlist, ordered []TimedPattern, laneIdx [][]int32,
-	classUsed [][]uint64, reqWords int) ([]laneStream, int) {
+	classUsed [][]uint64, reqWords int, firstOcc []int32) ([]laneStream, int) {
 
 	numIn := len(nl.Inputs)
 	lanes := make([]laneStream, len(laneIdx))
@@ -122,6 +126,9 @@ func buildLaneStreams(nl *netlist.Netlist, ordered []TimedPattern, laneIdx [][]i
 				}
 				if u.pats[j] == p {
 					dup = true
+					if firstOcc != nil {
+						firstOcc[gi] = u.gidx[j]
+					}
 					break
 				}
 				h = (h + 1) & hmask
@@ -278,14 +285,13 @@ func buildClassSkips(ci *netlist.ConeInfo, numIn int, ls *laneStream, used []uin
 // the only classes the block-skip analysis needs to consider.
 func laneClassUse(ci *netlist.ConeInfo, faults []Fault, laneFaults [][][]ID) [][]uint64 {
 	words := (ci.NumClasses() + 63) / 64
-	out := make([][]uint64, 0)
 	var lanes int
 	for _, shard := range laneFaults {
 		if len(shard) > lanes {
 			lanes = len(shard)
 		}
 	}
-	out = make([][]uint64, lanes)
+	out := make([][]uint64, lanes)
 	for i := range out {
 		out[i] = make([]uint64, words)
 	}

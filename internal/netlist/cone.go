@@ -39,18 +39,6 @@ func (ci *ConeInfo) DetSupp(gate int32) []uint64 {
 // gate, or -1 when the gate reaches no output (its faults are undetectable).
 func (ci *ConeInfo) FirstOut(gate int32) int32 { return ci.firstOut[gate] }
 
-// Intersects reports whether changed (a Words-wide primary-input bitset)
-// overlaps the gate's detection support.
-func (ci *ConeInfo) Intersects(gate int32, changed []uint64) bool {
-	row := ci.detSupp[int(gate)*ci.Words : (int(gate)+1)*ci.Words]
-	for w, c := range changed {
-		if row[w]&c != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // SupportSize returns the number of primary inputs in the gate's
 // detection support.
 func (ci *ConeInfo) SupportSize(gate int32) int {

@@ -170,30 +170,43 @@ func TestSiteDeltaSubset(t *testing.T) {
 	}
 }
 
-// TestObsFactorsDetection checks the exact factorization the optimized
-// engine's detection path relies on: for every gate, Obs equals the
-// detection mask of an all-ones flip, and for arbitrary faults
-// FaultDetect == SiteDelta & Obs. Obs answers are memoized per block, so
-// every gate is probed twice (cold and warm) and across two Run blocks
-// to catch stale-memo bugs.
+// TestObsFactorsDetection checks the exact factorization the shard
+// walker's detection path relies on, on a width-1 evaluator: for every
+// gate, ObsW equals the detection mask of an all-ones flip, and for
+// arbitrary faults FaultDetect == SiteDelta & ObsW. Rows are memoized
+// per block, so every gate is probed twice (cold and warm) and across
+// two Run blocks to catch stale-memo bugs. Stem rows come from the
+// compiled stem cones and, on a twin netlist whose cone budget is
+// spent, from the over-budget fallback walk; the reference is
+// FaultDetectDelta on an untouched evaluator.
 func TestObsFactorsDetection(t *testing.T) {
 	r := rand.New(rand.NewSource(59))
 	for trial := 0; trial < 10; trial++ {
-		nl := randomCircuit(t, r, 4+r.Intn(10), 30+r.Intn(150))
+		seed, nIn, nGates := r.Int63(), 4+r.Intn(10), 30+r.Intn(150)
+		nl := randomCircuit(t, rand.New(rand.NewSource(seed)), nIn, nGates)
+		twin := randomCircuit(t, rand.New(rand.NewSource(seed)), nIn, nGates)
+		twin.stemOnce.Do(twin.initStemCones)
+		twin.stems.budget.Store(0) // every stem over budget
 		ev := mustEval(t, nl)
-		ref := mustEval(t, nl) // reference: never touched by Obs memoization
+		fb := mustEval(t, twin)
+		ref := mustEval(t, nl) // reference: never touched by ObsW memoization
 		inputs := make([]uint64, len(nl.Inputs))
 		for block := 0; block < 2; block++ {
 			for i := range inputs {
 				inputs[i] = r.Uint64()
 			}
 			mustRun(t, ev, inputs)
+			mustRun(t, fb, inputs)
 			mustRun(t, ref, inputs)
 			for round := 0; round < 2; round++ {
 				for gid := range nl.Gates {
 					want := ref.FaultDetectDelta(FaultSite{Gate: int32(gid), Pin: -1}, ^uint64(0))
-					if got := ev.Obs(int32(gid)); got != want {
-						t.Fatalf("trial %d block %d round %d gate %d: Obs %#x want %#x",
+					if got := ev.ObsW(int32(gid))[0]; got != want {
+						t.Fatalf("trial %d block %d round %d gate %d: ObsW %#x want %#x",
+							trial, block, round, gid, got, want)
+					}
+					if got := fb.ObsW(int32(gid))[0]; got != want {
+						t.Fatalf("trial %d block %d round %d gate %d: fallback ObsW %#x want %#x",
 							trial, block, round, gid, got, want)
 					}
 				}
@@ -207,8 +220,8 @@ func TestObsFactorsDetection(t *testing.T) {
 				}
 				f := FaultSite{Gate: gid, Pin: pin, SA1: r.Intn(2) == 1}
 				want := ref.FaultDetect(f)
-				if got := ev.SiteDelta(f) & ev.Obs(gid); got != want {
-					t.Fatalf("trial %d block %d fault %v: delta&Obs %#x want %#x", trial, block, f, got, want)
+				if got := ev.SiteDelta(f) & ev.ObsW(gid)[0]; got != want {
+					t.Fatalf("trial %d block %d fault %v: delta&ObsW %#x want %#x", trial, block, f, got, want)
 				}
 			}
 		}
@@ -228,7 +241,7 @@ func TestObsEpochWrap(t *testing.T) {
 	mustRun(t, ev, inputs)
 	want := make([]uint64, len(nl.Gates))
 	for gid := range nl.Gates {
-		want[gid] = ev.Obs(int32(gid))
+		want[gid] = ev.ObsW(int32(gid))[0]
 	}
 
 	// Poison: every gate claims a memoized garbage mask in the epoch the
@@ -240,7 +253,7 @@ func TestObsEpochWrap(t *testing.T) {
 	ev.obsEpoch = math.MaxUint32 // next Run increments to 0 -> wrap
 	mustRun(t, ev, inputs)
 	for gid := range nl.Gates {
-		if got := ev.Obs(int32(gid)); got != want[gid] {
+		if got := ev.ObsW(int32(gid))[0]; got != want[gid] {
 			t.Fatalf("gate %d after obs epoch wrap: got %#x want %#x", gid, got, want[gid])
 		}
 	}

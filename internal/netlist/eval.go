@@ -35,15 +35,15 @@ func (f FaultSite) String() string {
 // W (BlockWords) is fixed at construction; net n's good values occupy
 // good[n*W : (n+1)*W], pattern p at word p/64, bit p%64 — bit order is
 // stream order, so first detections are identical at every width. The
-// faulty-cone machinery is deliberately word-granular at every width:
-// SiteDeltaAt, ObsAt and FaultDetectDeltaAt operate on one 64-pattern
-// word offset of the wide block, so a caller scanning words in order
+// fault engine's per-fault work is word-granular at every width, W == 1
+// included: SiteOpFirstActive and SiteOpDetectFrom scan a block's words
+// in order against the memoized observability row (ObsW), so a caller
 // stops paying the moment a detection (or a proven zero) appears — most
 // faults die in their first active word, and the block's later words are
-// only ever touched for the survivors. The offset-free scalar methods
-// (SiteDelta, FaultDetect, Obs, Output, Value) are the W == 1
-// specialization the reference engine, ATPG and tests use; they require
-// a width-1 evaluator.
+// only ever touched for the survivors. SiteDelta, FaultDetect,
+// FaultDetectDelta, Output and Value are single-word conveniences for
+// the reference engine, ATPG and tests; they read word 0 of the block,
+// which is all of it on a width-1 evaluator.
 type Evaluator struct {
 	nl   *Netlist
 	w    int // words per net value; 64*w patterns per block
@@ -52,10 +52,8 @@ type Evaluator struct {
 	good []uint64 // len(Gates)*w, stride w
 
 	// Faulty-cone scratch, reset lazily via epoch stamps. faulty is
-	// stride-w: a wide stem propagation (stemObsW) writes whole rows in
-	// one cone walk so the scheduling cost amortizes over all W words,
-	// while the scalar propagation (W == 1) addresses the same array
-	// one word per net.
+	// stride-w: a cone walk (walkCone) writes whole rows, so the
+	// scheduling cost amortizes over all W words.
 	faulty []uint64 // stride w
 	stamp  []uint32
 	sched  []uint32
@@ -63,7 +61,7 @@ type Evaluator struct {
 	bucket [][]int32
 	lvls   []int32
 
-	// Per-block observability memo (see Obs/ObsW), one W-word row per
+	// Per-block observability memo (see ObsW), one W-word row per
 	// net, invalidated by Run via its own epoch.
 	obsVal   []uint64 // stride w
 	obsStamp []uint32
@@ -75,11 +73,9 @@ type Evaluator struct {
 	// detect scan visit only touched outputs instead of all of them.
 	touchedOuts []int32
 
-	flipBuf []uint64 // sensFlipW's flipped-input row, w words
+	rowBuf []uint64 // one-row scratch: sensFlipW's flipped input, FaultDetectDelta's detection
 
-	// stems caches the netlist's static stem cones (fetched on first wide
-	// stem fill); see StemCones.
-	stems []StemCone
+	cones coneScratch // stem-cone compile scratch; see stemCone
 }
 
 // ErrSequential reports that a combinational-only entry point was handed
@@ -124,7 +120,7 @@ func NewEvaluatorWide(nl *Netlist, w int) (*Evaluator, error) {
 		obsVal:   make([]uint64, ng*w),
 		obsStamp: make([]uint32, ng),
 		isOut:    make([]bool, ng),
-		flipBuf:  make([]uint64, w),
+		rowBuf:   make([]uint64, w),
 	}
 	for _, o := range nl.Outputs {
 		e.isOut[o] = true
@@ -170,9 +166,6 @@ func (e *Evaluator) Netlist() *Netlist { return e.nl }
 
 // BlockWords returns the evaluator's block width in 64-pattern words.
 func (e *Evaluator) BlockWords() int { return e.w }
-
-// PatternsPerBlock returns how many patterns one Run sweeps (64×W).
-func (e *Evaluator) PatternsPerBlock() int { return 64 * e.w }
 
 // row returns net's w-word value row inside one of the stride-w arrays.
 func (e *Evaluator) row(a []uint64, net int32) []uint64 {
@@ -380,33 +373,24 @@ func (e *Evaluator) runWide() {
 	}
 }
 
-// Output returns the packed good value of primary output i after Run
-// (W == 1; wide evaluators use OutputW).
-func (e *Evaluator) Output(i int) uint64 { return e.good[e.nl.Outputs[i]] }
+// Output returns word 0 of primary output i's good value row after Run
+// (the whole row at W == 1; see OutputW).
+func (e *Evaluator) Output(i int) uint64 { return e.good[int(e.nl.Outputs[i])*e.w] }
 
 // OutputW returns the W-word good value row of primary output i after
 // Run. The returned slice must not be mutated.
 func (e *Evaluator) OutputW(i int) []uint64 { return e.row(e.good, e.nl.Outputs[i]) }
 
-// Value returns the packed good value of an arbitrary net after Run
-// (W == 1; wide evaluators use ValueW).
-func (e *Evaluator) Value(net int32) uint64 { return e.good[net] }
+// Value returns word 0 of an arbitrary net's good value row after Run
+// (the whole row at W == 1; see ValueW).
+func (e *Evaluator) Value(net int32) uint64 { return e.good[int(net)*e.w] }
 
 // ValueW returns the W-word good value row of an arbitrary net after
 // Run. The returned slice must not be mutated.
 func (e *Evaluator) ValueW(net int32) []uint64 { return e.row(e.good, net) }
 
-// get reads a net's value under the current faulty epoch (W == 1).
-func (e *Evaluator) get(net int32) uint64 {
-	if e.stamp[net] == e.epoch {
-		return e.faulty[net]
-	}
-	return e.good[net]
-}
-
 // markTouch stamps a net as faulty-valued this epoch (first time only)
-// and schedules its consumers; the caller stores the value itself —
-// one word for the scalar propagation, a whole row for the wide one.
+// and schedules its consumers; the caller stores the row itself.
 func (e *Evaluator) markTouch(net int32) {
 	if e.stamp[net] == e.epoch {
 		return
@@ -425,43 +409,6 @@ func (e *Evaluator) markTouch(net int32) {
 			e.bucket[l] = append(e.bucket[l], c)
 		}
 	}
-}
-
-// mark records a faulty value on a net and schedules its consumers
-// (W == 1).
-func (e *Evaluator) mark(net int32, val uint64) {
-	e.markTouch(net)
-	e.faulty[net] = val
-}
-
-// evalFaulty computes gate id under the current faulty values (W == 1).
-// A single switch with direct operand reads: this is the innermost call
-// of every scalar cone propagation, so it avoids the generic arity loop
-// and scratch array of the gateFn path.
-func (e *Evaluator) evalFaulty(id int32) uint64 {
-	g := &e.nl.Gates[id]
-	switch g.Kind {
-	case KBuf:
-		return e.get(g.In[0])
-	case KNot:
-		return ^e.get(g.In[0])
-	case KAnd:
-		return e.get(g.In[0]) & e.get(g.In[1])
-	case KOr:
-		return e.get(g.In[0]) | e.get(g.In[1])
-	case KXor:
-		return e.get(g.In[0]) ^ e.get(g.In[1])
-	case KNand:
-		return ^(e.get(g.In[0]) & e.get(g.In[1]))
-	case KNor:
-		return ^(e.get(g.In[0]) | e.get(g.In[1]))
-	case KXnor:
-		return ^(e.get(g.In[0]) ^ e.get(g.In[1]))
-	case KMux:
-		s := e.get(g.In[0])
-		return (s & e.get(g.In[2])) | (^s & e.get(g.In[1]))
-	}
-	return e.get(id) // KInput, KConst0, KConst1: sources keep their value
 }
 
 // faultyRow returns net's current W-word value row: its faulty row when
@@ -599,39 +546,36 @@ func (e *Evaluator) evalFaultyW(id int32, dst, grow []uint64) uint64 {
 	return d
 }
 
-// SiteDelta returns the packed mask of patterns on which the stuck-at
-// fault's site output differs from the fault-free value of the last Run —
-// the local activation of the fault (W == 1; wide evaluators use
-// SiteDeltaAt per word). Gate functions are bitwise, so a bit that is
-// zero here stays zero on every downstream net: SiteDelta == 0 proves
-// FaultDetect would return 0 without propagating anything, and the
-// detection mask is always a bitwise subset of the site delta.
-func (e *Evaluator) SiteDelta(f FaultSite) uint64 { return e.SiteDeltaAt(f, 0) }
-
-// SiteDeltaAt is SiteDelta for word offset off of the current wide
-// block: the activation mask of patterns off×64 .. off×64+63.
-func (e *Evaluator) SiteDeltaAt(f FaultSite, off int) uint64 {
+// SiteDelta returns the packed mask of patterns (word 0 of the block) on
+// which the stuck-at fault's site output differs from the fault-free
+// value of the last Run — the local activation of the fault. Gate
+// functions are bitwise, so a bit that is zero here stays zero on every
+// downstream net: SiteDelta == 0 proves FaultDetect would return 0
+// without propagating anything, and the detection mask is always a
+// bitwise subset of the site delta. It evaluates the gate directly, not
+// through CompileSiteOp, so it stays an independent check of the
+// compiled ops the fault engine runs.
+func (e *Evaluator) SiteDelta(f FaultSite) uint64 {
 	var sa uint64
 	if f.SA1 {
 		sa = ^uint64(0)
 	}
 	w := e.w
 	if f.Pin < 0 {
-		return sa ^ e.good[int(f.Gate)*w+off]
+		return sa ^ e.good[int(f.Gate)*w]
 	}
-	// Evaluate the gate under good inputs with the faulty pin forced. This
-	// deliberately bypasses getAt(): outside an epoch it would read stale
-	// faulty values from the previous propagation.
+	// Evaluate the gate under good inputs with the faulty pin forced,
+	// reading good rows only: faulty rows are stale outside a walk.
 	g := &e.nl.Gates[f.Gate]
 	var v [3]uint64
 	for p := 0; p < g.NumIn(); p++ {
 		if int8(p) == f.Pin {
 			v[p] = sa
 		} else {
-			v[p] = e.good[int(g.In[p])*w+off]
+			v[p] = e.good[int(g.In[p])*w]
 		}
 	}
-	return gateFn(g.Kind, v[0], v[1], v[2]) ^ e.good[int(f.Gate)*w+off]
+	return gateFn(g.Kind, v[0], v[1], v[2]) ^ e.good[int(f.Gate)*w]
 }
 
 // SiteOpKind enumerates the primitive activation functions a compiled
@@ -742,32 +686,6 @@ func CompileSiteOp(nl *Netlist, f FaultSite) SiteOp {
 	// to the constant form so a malformed site still yields SiteDelta's
 	// answer for an un-evaluated source (good[g] itself).
 	return cv(f.SA1)
-}
-
-// SiteOpDeltaAt evaluates a compiled site op for word offset off of the
-// current block: the activation mask SiteDeltaAt would return for the
-// fault the op was compiled from.
-func (e *Evaluator) SiteOpDeltaAt(op SiteOp, off int) uint64 {
-	w := e.w
-	good := e.good
-	switch op.Op {
-	case SopBuf:
-		return good[int(op.A)*w+off]
-	case SopNot:
-		return ^good[int(op.A)*w+off]
-	case SopXor:
-		return good[int(op.A)*w+off] ^ good[int(op.B)*w+off]
-	case SopXnor:
-		return ^(good[int(op.A)*w+off] ^ good[int(op.B)*w+off])
-	case SopAndXor:
-		return (good[int(op.A)*w+off] & good[int(op.B)*w+off]) ^ good[int(op.C)*w+off]
-	case SopAndnXor:
-		return (^good[int(op.A)*w+off] & good[int(op.B)*w+off]) ^ good[int(op.C)*w+off]
-	case SopOrXor:
-		return (good[int(op.A)*w+off] | good[int(op.B)*w+off]) ^ good[int(op.C)*w+off]
-	default: // SopOrnXor
-		return (^good[int(op.A)*w+off] | good[int(op.B)*w+off]) ^ good[int(op.C)*w+off]
-	}
 }
 
 // SiteOpFirstActive scans words 0..words-1 of the current block for the
@@ -911,52 +829,29 @@ func (e *Evaluator) SiteOpDetectFrom(op SiteOp, mask, obs []uint64, from, words 
 }
 
 // FaultDetect evaluates the circuit with the given stuck-at fault against
-// the pattern block loaded by the last Run (W == 1). It returns a packed
-// mask with bit i set when pattern i produces a primary-output
-// discrepancy.
+// the pattern block loaded by the last Run (word 0 of the block). It
+// returns a packed mask with bit i set when pattern i produces a
+// primary-output discrepancy.
 func (e *Evaluator) FaultDetect(f FaultSite) uint64 {
 	return e.FaultDetectDelta(f, e.SiteDelta(f))
 }
 
 // FaultDetectDelta is FaultDetect with the fault site's local delta
 // (SiteDelta, possibly masked down to the valid patterns of a partial
-// block) already in hand (W == 1): it propagates the delta through the
-// fan-out cone and returns the detection mask, a bitwise subset of
-// delta. A zero delta returns 0 immediately without consuming an epoch.
+// block) already in hand: it propagates the delta through the fan-out
+// cone with the event-driven row walk (walkCone) and returns the
+// detection mask, a bitwise subset of delta. The delta applies to word 0;
+// any further words of a wide block carry no fault. A zero delta returns
+// 0 immediately without consuming an epoch.
 func (e *Evaluator) FaultDetectDelta(f FaultSite, delta uint64) uint64 {
 	if delta == 0 {
 		return 0
 	}
-	e.bumpEpoch()
-	e.mark(f.Gate, e.good[f.Gate]^delta)
-
-	// Propagate level by level. mark pushes a level onto the e.lvls
-	// min-heap when its bucket first becomes non-empty; consumers always
-	// sit at strictly higher levels, so popping the minimum processes each
-	// touched level exactly once and a drained bucket never regrows.
-	for len(e.lvls) > 0 {
-		l := e.popLvl()
-		gates := e.bucket[l]
-		for k := 0; k < len(gates); k++ {
-			id := gates[k]
-			v := e.evalFaulty(id)
-			if v != e.good[id] {
-				e.mark(id, v)
-			} else if e.stamp[id] == e.epoch {
-				// A previously marked gate converged back to good.
-				e.faulty[id] = v
-			}
-		}
-		e.bucket[l] = gates[:0]
-	}
-
-	// Only outputs actually marked this epoch can differ; a marked output
-	// that converged back to good contributes zero either way.
-	var detect uint64
-	for _, out := range e.touchedOuts {
-		detect |= e.faulty[out] ^ e.good[out]
-	}
-	return detect
+	frow := e.row(e.faulty, f.Gate)
+	copy(frow, e.row(e.good, f.Gate))
+	frow[0] ^= delta
+	e.walkCone(f.Gate, e.rowBuf)
+	return e.rowBuf[0]
 }
 
 // bumpEpoch starts a fresh faulty-propagation epoch.
@@ -973,62 +868,27 @@ func (e *Evaluator) bumpEpoch() {
 	e.touchedOuts = e.touchedOuts[:0]
 }
 
-// Obs returns the packed observability mask of a gate's output net for
-// the block loaded by the last Run (W == 1; wide evaluators use ObsAt
-// per word): bit s is set when flipping the net on pattern s alone
-// produces a primary-output discrepancy. Gate functions are bitwise, so
-// the patterns are independent and the detection mask of any single-site
-// fault factors exactly:
+// ObsW returns the W-word observability row of a gate's output net for
+// the block loaded by the last Run (which must not be mutated): bit p%64
+// of word p/64 is set when flipping the net on pattern p alone produces
+// a primary-output discrepancy. Gate functions are bitwise, so the
+// patterns are independent and the detection mask of any single-site
+// fault factors exactly, word by word:
 //
-//	FaultDetectDelta(f, delta) == delta & Obs(f.Gate)
+//	FaultDetectDelta(f, delta) == delta & ObsW(f.Gate)[0]
 //
 // bit s of the detection depends only on whether the site flipped on
 // pattern s (delta bit s) and on whether a flip there reaches an output
-// on pattern s (Obs bit s).
+// on pattern s (observability bit s).
 //
-// Masks are memoized per net per Run block. A net with a single
-// consuming pin inherits the consumer's mask filtered by the consumer's
-// local flip-sensitivity — exact, because the flip reaches the consumer
+// Rows are memoized per net per Run block. A net with a single consuming
+// pin inherits the consumer's row filtered by the consumer's local
+// flip-sensitivity — exact, because the flip reaches the consumer
 // through that one edge and every side input holds its fault-free
 // value — so whole fanout-free chains resolve with one gate evaluation
-// per link. A fanout stem's mask is computed once per block by
-// propagating an all-ones flip through its cone and is then shared by
-// every fault in the fanout-free region feeding the stem.
-func (e *Evaluator) Obs(gate int32) uint64 {
-	g := gate
-	for e.obsStamp[g] != e.obsEpoch {
-		fo := e.nl.fanout[g]
-		if len(fo) == 1 {
-			e.obsChain = append(e.obsChain, g)
-			g = fo[0]
-			continue
-		}
-		var v uint64
-		if e.isOut[g] { // a primary output observes any flip directly
-			v = ^uint64(0)
-		} else if len(fo) > 1 { // fanout stem: one explicit cone propagation
-			v = e.FaultDetectDelta(FaultSite{Gate: g, Pin: -1}, ^uint64(0))
-		}
-		e.obsVal[g], e.obsStamp[g] = v, e.obsEpoch
-	}
-	obs := e.obsVal[g]
-	for i := len(e.obsChain) - 1; i >= 0; i-- {
-		gi := e.obsChain[i]
-		obs &= e.sensFlip(gi, e.nl.fanout[gi][0])
-		if e.isOut[gi] { // directly observed, whatever happens downstream
-			obs = ^uint64(0)
-		}
-		e.obsVal[gi], e.obsStamp[gi] = obs, e.obsEpoch
-	}
-	e.obsChain = e.obsChain[:0]
-	return e.obsVal[gate]
-}
-
-// ObsW is Obs for wide evaluators: the returned W-word row (which must
-// not be mutated) is the gate's observability mask for the whole block,
-// pattern p at word p/64 bit p%64. The memoization scheme is the same as
-// Obs's; a stem's row is filled by a single event-driven cone walk whose
-// scheduling cost amortizes over all W words (stemObsW).
+// per link. A fanout stem's row is filled once per block by flipping the
+// stem across the whole block (stemObsW) and is then shared by every
+// fault in the fanout-free region feeding the stem.
 func (e *Evaluator) ObsW(gate int32) []uint64 {
 	g := gate
 	for e.obsStamp[g] != e.obsEpoch {
@@ -1079,21 +939,17 @@ func (e *Evaluator) ObsW(gate int32) []uint64 {
 // Flipping a stem for a whole block diverges essentially its entire
 // static cone — across 64×W patterns some pattern sensitizes almost
 // every path — so the fill walks the precomputed level-ordered cone list
-// (StemCones) in one flat loop: every cone gate is pre-stamped into the
-// faulty epoch and evaluated exactly once, with no per-gate scheduling
-// (fan-out scans, level buckets, divergence tests) at all. Stems whose
-// cone exceeded the netlist's cache budget use the event-driven walk of
-// FaultDetectDelta on whole rows instead.
+// (StemCone) in one flat loop: every cone gate is evaluated exactly
+// once, with no per-gate scheduling (fan-out scans, level buckets,
+// divergence tests) at all. Stems whose cone exceeded the netlist's
+// cache budget use the event-driven walkCone instead.
 func (e *Evaluator) stemObsW(g int32, dst []uint64) {
-	if e.stems == nil {
-		e.stems = e.nl.StemCones()
-	}
 	frow, grow := e.row(e.faulty, g), e.row(e.good, g)
 	for j := range frow {
 		frow[j] = ^grow[j]
 	}
 
-	if sc := &e.stems[g]; sc.Ops != nil {
+	if sc := e.nl.stemCone(g, &e.cones); sc.Ops != nil {
 		// The compiled cone resolves every operand to the good or faulty
 		// half of the combined buffer at build time, so the flat walk
 		// needs no epoch, no stamps, and no per-operand source checks.
@@ -1114,9 +970,21 @@ func (e *Evaluator) stemObsW(g int32, dst []uint64) {
 		return
 	}
 
+	e.walkCone(g, dst)
+}
+
+// walkCone propagates the faulty row already written for net g through
+// g's fan-out cone, event-driven and level by level on whole rows, and
+// writes the OR of the resulting primary-output discrepancies into dst.
+// A gate joins the walk only when one of its inputs diverged, so the
+// cost follows the sensitized part of the cone, not its static size.
+func (e *Evaluator) walkCone(g int32, dst []uint64) {
 	e.bumpEpoch()
 	e.markTouch(g)
-	// Same level-ordered walk as FaultDetectDelta, on whole rows.
+	// markTouch pushes a level onto the e.lvls min-heap when its bucket
+	// first becomes non-empty; consumers always sit at strictly higher
+	// levels, so popping the minimum processes each touched level exactly
+	// once and a drained bucket never regrows.
 	for len(e.lvls) > 0 {
 		l := e.popLvl()
 		gates := e.bucket[l]
@@ -1131,6 +999,8 @@ func (e *Evaluator) stemObsW(g int32, dst []uint64) {
 		e.bucket[l] = gates[:0]
 	}
 
+	// Only outputs marked this epoch can differ; a marked output that
+	// converged back to good contributes zero either way.
 	for j := range dst {
 		dst[j] = 0
 	}
@@ -1142,25 +1012,11 @@ func (e *Evaluator) stemObsW(g int32, dst []uint64) {
 	}
 }
 
-// sensFlip returns the mask of patterns on which gate c's fault-free
-// output flips when net from flips, every other input held at its
-// fault-free value (W == 1). Pins are matched by net, so a net feeding
-// several pins of c flips all of them together, exactly as a real flip
-// would.
-func (e *Evaluator) sensFlip(from, c int32) uint64 {
-	g := &e.nl.Gates[c]
-	var v [3]uint64
-	for p := 0; p < g.NumIn(); p++ {
-		v[p] = e.good[g.In[p]]
-		if g.In[p] == from {
-			v[p] = ^v[p]
-		}
-	}
-	return gateFn(g.Kind, v[0], v[1], v[2]) ^ e.good[c]
-}
-
-// sensFlipW is sensFlip on W-word rows, written into dst (which must not
-// alias a good row).
+// sensFlipW writes into dst (which must not alias a good row) the W-word
+// mask of patterns on which gate c's fault-free output flips when net
+// from flips, every other input held at its fault-free value. Pins are
+// matched by net, so a net feeding several pins of c flips all of them
+// together, exactly as a real flip would.
 func (e *Evaluator) sensFlipW(from, c int32, dst []uint64) {
 	g := &e.nl.Gates[c]
 	var rows [3][]uint64
@@ -1169,12 +1025,12 @@ func (e *Evaluator) sensFlipW(from, c int32, dst []uint64) {
 		r := e.row(e.good, g.In[p])
 		if g.In[p] == from {
 			if !flipped {
-				for j := range e.flipBuf {
-					e.flipBuf[j] = ^r[j]
+				for j := range e.rowBuf {
+					e.rowBuf[j] = ^r[j]
 				}
 				flipped = true
 			}
-			r = e.flipBuf
+			r = e.rowBuf
 		}
 		rows[p] = r
 	}

@@ -107,8 +107,8 @@ type Netlist struct {
 	planOnce sync.Once // lazily compiled SoA evaluation plan (see plan.go)
 	plan     *EvalPlan
 
-	stemOnce  sync.Once // lazily built static stem cones (see stemcone.go)
-	stemCones []StemCone
+	stemOnce sync.Once // sizes the lazily filled stem-cone cache (see stemcone.go)
+	stems    stemConeCache
 
 	// evPool recycles evaluators per block width (index w-1). The
 	// expensive part of an evaluator is its width-strided scratch —

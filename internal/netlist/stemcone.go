@@ -1,11 +1,16 @@
 package netlist
 
+import (
+	"sync"
+	"sync/atomic"
+)
+
 // StemCone is the static downstream cone of one fanout stem, compiled to
 // a flat op list in non-decreasing level order (so a single forward pass
 // evaluates producers before consumers), plus the primary-output nets the
 // stem reaches — including the stem itself when it is an output.
 //
-// The wide observability fill flips a stem to the complement of its
+// The observability fill flips a stem to the complement of its
 // fault-free row across a whole block (64×W patterns). Such a flip
 // diverges essentially the entire cone — across hundreds of patterns
 // some pattern sensitizes almost every path — so an event-driven walk
@@ -19,6 +24,9 @@ package netlist
 // combined good|faulty buffer, anything else reads the good half. That
 // removes the per-operand stamp check (a data-dependent load) the
 // event-driven walk needs to decide which copy holds the operand.
+//
+// Cones are compiled lazily, one stem at a time, the first time an
+// evaluator fills that stem's observability (stemCone).
 type StemCone struct {
 	Ops  []ConeOp // compiled cone in level order; nil when over budget
 	Outs []int32  // reachable primary-output nets (stem included when an output)
@@ -50,91 +58,109 @@ const (
 )
 
 // stemConeBudget bounds the total number of cone ops cached per netlist.
-// Stems past the budget keep nil lists and the observability fill falls
-// back to the event-driven walk for them.
+// Stems compiled once the budget is spent keep nil lists and the
+// observability fill falls back to the event-driven walk for them.
 const stemConeBudget = 1 << 23
 
-// StemCones returns the per-gate static cone cache, indexed by gate id;
-// non-stem gates (fanout below two) hold empty entries. Built once per
-// netlist on first use and immutable afterwards, so it is safe to share
-// across evaluators and goroutines.
-func (n *Netlist) StemCones() []StemCone {
-	n.stemOnce.Do(func() { n.stemCones = buildStemCones(n) })
-	return n.stemCones
+// stemConeCache is a netlist's lazily filled cone cache: one slot per
+// gate, compiled the first time any evaluator fills that stem's
+// observability. Compiled cones are immutable, so evaluators on any
+// goroutine share them; the budget is spent in compile order.
+type stemConeCache struct {
+	slots  []stemSlot
+	budget atomic.Int64
 }
 
-func buildStemCones(n *Netlist) []StemCone {
-	ng := len(n.Gates)
-	cones := make([]StemCone, ng)
+type stemSlot struct {
+	once sync.Once
+	cone *StemCone
+}
 
-	isOut := make([]bool, ng)
-	for _, o := range n.Outputs {
-		isOut[o] = true
-	}
+func (n *Netlist) initStemCones() {
+	n.stems.slots = make([]stemSlot, len(n.Gates))
+	n.stems.budget.Store(stemConeBudget)
+}
 
-	// Gates that reach no primary output can never influence an
-	// observability row; leaving them out of the lists skips their
-	// evaluation on every fill. Their consumers are equally unreachable,
-	// so no retained gate ever reads a dropped gate's row.
-	reach := n.Cone().firstOut
+// stemCone returns the compiled cone of fan-out stem g, compiling it
+// with the caller's scratch on first use. Compiling only the stems that
+// runs actually observe keeps a short or narrow run from paying for
+// every cone of the netlist. An evaluator that asks for a stem another
+// one is compiling waits for that compile instead of repeating it.
+func (n *Netlist) stemCone(g int32, scr *coneScratch) *StemCone {
+	n.stemOnce.Do(n.initStemCones)
+	s := &n.stems.slots[g]
+	s.once.Do(func() { s.cone = n.compileStemCone(g, scr) })
+	return s.cone
+}
 
-	// Per-stem reachability with epoch-stamped visits; level buckets are
-	// reused across stems to emit each cone in level order without a sort.
-	seen := make([]uint32, ng)
-	epoch := uint32(0)
-	buckets := make([][]int32, n.maxLvl+1)
-	queue := make([]int32, 0, 256)
-	budget := stemConeBudget
+// coneScratch is an evaluator's reusable working set for compiling stem
+// cones, allocated on its first compile.
+type coneScratch struct {
+	seen    []uint32 // cone membership, stamped with epoch
+	epoch   uint32
+	isOut   []bool
+	queue   []int32
+	buckets [][]int32 // cone gates per level, drained by every compile
+}
 
-	for g := int32(0); g < int32(ng); g++ {
-		if len(n.fanout[g]) < 2 {
-			continue
+// compileStemCone collects stem g's static fan-out cone and compiles it
+// in level order, or returns a cone with nil Ops when the netlist's
+// budget cannot hold it. Gates that reach no primary output are left
+// out: they can never influence an observability row, and their
+// consumers are equally unreachable, so no retained gate ever reads a
+// dropped gate's row.
+func (n *Netlist) compileStemCone(g int32, scr *coneScratch) *StemCone {
+	if scr.seen == nil {
+		scr.seen = make([]uint32, len(n.Gates))
+		scr.isOut = make([]bool, len(n.Gates))
+		for _, o := range n.Outputs {
+			scr.isOut[o] = true
 		}
-		epoch++
-		queue = queue[:0]
-		seen[g] = epoch
-		total := 0
-		for _, c := range n.fanout[g] {
+		scr.buckets = make([][]int32, n.maxLvl+1)
+	}
+	scr.epoch++
+	if scr.epoch == 0 { // uint32 wrap: clear stale membership for real
+		clear(scr.seen)
+		scr.epoch = 1
+	}
+	seen, epoch := scr.seen, scr.epoch
+	reach := n.Cone().firstOut
+	seen[g] = epoch
+	queue := append(scr.queue[:0], g)
+	for qi := 0; qi < len(queue); qi++ {
+		for _, c := range n.fanout[queue[qi]] {
 			if seen[c] != epoch && reach[c] >= 0 {
 				seen[c] = epoch
 				queue = append(queue, c)
 			}
 		}
-		for qi := 0; qi < len(queue); qi++ {
-			id := queue[qi]
-			l := n.level[id]
-			buckets[l] = append(buckets[l], id)
-			total++
-			for _, c := range n.fanout[id] {
-				if seen[c] != epoch && reach[c] >= 0 {
-					seen[c] = epoch
-					queue = append(queue, c)
-				}
-			}
-		}
-		if total > budget {
-			for l := range buckets {
-				buckets[l] = buckets[l][:0]
-			}
-			continue // over budget: this stem falls back to the event walk
-		}
-		budget -= total
-		sc := &cones[g]
-		sc.Ops = make([]ConeOp, 0, total)
-		for l := range buckets {
-			for _, id := range buckets[l] {
-				sc.Ops = append(sc.Ops, compileConeOp(n, seen, epoch, id))
-				if isOut[id] {
-					sc.Outs = append(sc.Outs, id)
-				}
-			}
-			buckets[l] = buckets[l][:0]
-		}
-		if isOut[g] {
-			sc.Outs = append(sc.Outs, g)
-		}
 	}
-	return cones
+	scr.queue = queue
+	cone := queue[1:] // the stem itself is the flipped source, not an op
+
+	sc := &StemCone{}
+	if n.stems.budget.Add(-int64(len(cone))) < 0 {
+		n.stems.budget.Add(int64(len(cone)))
+		return sc // over budget: this stem falls back to the event walk
+	}
+	for _, id := range cone {
+		l := n.level[id]
+		scr.buckets[l] = append(scr.buckets[l], id)
+	}
+	sc.Ops = make([]ConeOp, 0, len(cone))
+	for l := n.level[g] + 1; l < int32(len(scr.buckets)); l++ {
+		for _, id := range scr.buckets[l] {
+			sc.Ops = append(sc.Ops, compileConeOp(n, seen, epoch, id))
+			if scr.isOut[id] {
+				sc.Outs = append(sc.Outs, id)
+			}
+		}
+		scr.buckets[l] = scr.buckets[l][:0]
+	}
+	if scr.isOut[g] {
+		sc.Outs = append(sc.Outs, g)
+	}
+	return sc
 }
 
 // compileConeOp resolves gate id into a ConeOp for the stem whose cone

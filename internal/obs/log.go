@@ -28,8 +28,8 @@ func NewLogger(w io.Writer, component string, level slog.Level, jsonFormat bool)
 
 // Logf adapts a slog.Logger to the printf-style `Logf func(format,
 // args...)` sinks the pipeline options expose (run.Options.Logf,
-// dist.Options.Logf, fault.SimOptions.Warnf), so packages keep their
-// dependency-free injection points while the cmds log structurally.
+// dist.Options.Logf), so packages keep their dependency-free injection
+// points while the cmds log structurally.
 // level selects the record level; a nil logger yields a no-op sink.
 func Logf(l *slog.Logger, level slog.Level) func(format string, args ...any) {
 	if l == nil {
