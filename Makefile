@@ -34,6 +34,7 @@ verify: test lint chaos-smoke chaos-overload chaos-server
 	go test -fuzz '^FuzzRead$$' -fuzztime 10s -run '^$$' ./internal/vcde
 	go test -fuzz '^FuzzShardReply$$' -fuzztime 10s -run '^$$' ./internal/dist
 	go test -fuzz '^FuzzShardFrame$$' -fuzztime 10s -run '^$$' ./internal/dist
+	go test -fuzz '^FuzzWorkerHealth$$' -fuzztime 10s -run '^$$' ./internal/dist
 	go test -fuzz '^FuzzWideBlockEquiv$$' -fuzztime 10s -run '^$$' ./internal/fault
 
 # Chaos soak: every canonical fault schedule (torn journal writes,
@@ -90,7 +91,7 @@ bench:
 	go test -bench $(FAULT_BENCHES) -benchtime 10x -count=3 -run '^$$' -json . | tee BENCH_fault.json
 	go test -bench $(EVAL_BENCHES) -benchtime 100x -count=3 -run '^$$' -json ./internal/netlist | tee BENCH_eval.json
 	go test -bench $(OVERLOAD_BENCHES) -benchtime 10x -run '^$$' -json . | tee BENCH_overload.json
-	go test -bench 'BenchmarkAdmission|BenchmarkRetryBudget|BenchmarkBreaker' -benchtime 1000x -run '^$$' -json ./internal/overload | tee -a BENCH_overload.json
+	go test -bench 'BenchmarkAdmission|BenchmarkRetryBudget' -benchtime 1000x -run '^$$' -json ./internal/overload | tee -a BENCH_overload.json
 	go test -bench . -benchtime 1x -run '^$$' ./internal/...
 
 # The engine benchmarks guarded against regression, and the committed

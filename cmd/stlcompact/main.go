@@ -10,7 +10,6 @@
 //	           [-max-ptp-retries N] [-fsck] [-deadline D]
 //	           [-workers-addr HOST:PORT,HOST:PORT,...] [-verify-frac F]
 //	           [-retry-budget F] [-retry-burst N]
-//	           [-breaker-threshold N] [-breaker-open D]
 //	           [-trace-out FILE.jsonl] [-metrics-out FILE.json] [-log-json]
 //	           [-cpuprofile FILE] [-memprofile FILE] [-failpoints SPEC]
 //
@@ -35,12 +34,12 @@
 // header), so nothing burns cycles once time is up, and a checkpointed
 // campaign that hits it resumes on the next invocation. The overload
 // knobs bound distributed retry behavior: -retry-budget caps retries to
-// a fraction of dispatches (plus a -retry-burst bank), and
-// -breaker-threshold consecutive failures open a per-worker circuit
-// breaker for -breaker-open (see docs/ROBUSTNESS.md, "Overload &
-// degradation"). A campaign stopped by overload or deadline exits with
-// a "transient" note — re-run with the same -checkpoint to resume; the
-// journal holds everything finished.
+// a fraction of dispatches (plus a -retry-burst bank); a worker that
+// fails 5 times in a row is routed around until a single probe proves
+// it healthy (see docs/ROBUSTNESS.md, "Worker health"). A campaign
+// stopped by overload or deadline exits with a "transient" note —
+// re-run with the same -checkpoint to resume; the journal holds
+// everything finished.
 //
 // The compaction runs under the resilience layer: a PTP that fails (or
 // whose compacted form loses more than -fctol points of fault coverage)
@@ -128,8 +127,6 @@ func main() {
 		deadline   = flag.Duration("deadline", 0, "whole-campaign deadline, propagated down to workers (0 = none)")
 		retryBud   = flag.Float64("retry-budget", 0, "distributed retries earned per dispatch (0 = default 0.1, negative = unlimited)")
 		retryBurst = flag.Int("retry-burst", 0, "banked retry tokens before the budget bites (0 = default 64)")
-		brkThresh  = flag.Int("breaker-threshold", 0, "consecutive failures opening a per-worker circuit breaker (0 = default 5, negative = off)")
-		brkOpen    = flag.Duration("breaker-open", 0, "breaker cool-down before a half-open probe (0 = default 2s)")
 	)
 	flag.Parse()
 	logger = obs.NewLogger(os.Stderr, "stlcompact", slog.LevelInfo, *logJSON)
@@ -265,14 +262,12 @@ func main() {
 		}
 		var err error
 		co, err = gpustl.NewDistCoordinator(gpustl.DistOptions{
-			Logf:             obs.Logf(logger, slog.LevelInfo),
-			Metrics:          metrics,
-			Tracer:           tracer,
-			VerifyFraction:   *verifyFrac,
-			RetryBudget:      *retryBud,
-			RetryBurst:       *retryBurst,
-			BreakerThreshold: *brkThresh,
-			BreakerOpenFor:   *brkOpen,
+			Logf:           obs.Logf(logger, slog.LevelInfo),
+			Metrics:        metrics,
+			Tracer:         tracer,
+			VerifyFraction: *verifyFrac,
+			RetryBudget:    *retryBud,
+			RetryBurst:     *retryBurst,
 		}, transports...)
 		if err != nil {
 			fatalf("%v", err)

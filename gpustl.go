@@ -491,7 +491,7 @@ func NewWorkerHandlerOptions(name string, o WorkerServiceOptions) *WorkerHandler
 }
 
 // ---------------------------------------------------------------------------
-// Overload resilience: admission control, retry budgets, breakers.
+// Overload resilience: admission control and retry budgets.
 
 // ErrOverloaded marks work shed by admission control rather than
 // attempted: a fast, explicit refusal that left no partial artifact.

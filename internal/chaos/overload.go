@@ -239,8 +239,9 @@ func (h *Harness) offerCampaign(ctx context.Context, s Schedule, pool *overload.
 }
 
 // runOverloadCampaignOnce is one run.Run attempt of the overload
-// scenario: brownout-capable workers, tight retry budget, small breaker
-// cool-down, the shared admission pool gating the campaign.
+// scenario: brownout-capable workers, tight retry budget, a 25ms
+// open-worker cool-down (MaxBackoff), the shared admission pool gating
+// the campaign.
 func (h *Harness) runOverloadCampaignOnce(ctx context.Context, s Schedule,
 	pool *overload.Admission, dir string, reg *obs.Registry,
 	coordinators *atomic.Uint64) (*run.Report, error) {
@@ -267,7 +268,6 @@ func (h *Harness) runOverloadCampaignOnce(ctx context.Context, s Schedule,
 		VerifyFraction:    s.VerifyFraction,
 		RetryBudget:       overloadRetryRatio,
 		RetryBurst:        overloadRetryBurst,
-		BreakerOpenFor:    50 * time.Millisecond,
 		Metrics:           reg,
 	}, transports...)
 	if err != nil {

@@ -29,7 +29,12 @@ type Options struct {
 	MaxAttempts int
 	// BaseBackoff is the delay before the first retry (default 25ms);
 	// it doubles per failure, capped at MaxBackoff (default 2s), with
-	// ±50% deterministic jitter from Seed.
+	// ±50% deterministic jitter from Seed. BaseBackoff is also how long
+	// a worker that bounced a shard (429/503) without a Retry-After hint
+	// is routed around; MaxBackoff is also the cool-down of a worker
+	// tripped open by 5 consecutive genuine failures (plus up to 50%
+	// jitter seeded from Seed and the worker name), after which a single
+	// probe dispatch decides its recovery. See health.go.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
 	// Per-shard deadline = ShardBaseTimeout + n_patterns ×
@@ -57,16 +62,13 @@ type Options struct {
 	// 0 trusts every reply (default), 1 verifies everything. Selection
 	// is a deterministic hash of (Seed, shard), so the same run verifies
 	// the same shards. Verified shards cost one extra execution; a
-	// checksum mismatch escalates to a third worker and majority vote,
-	// and outvoted workers accumulate strikes toward quarantine.
+	// checksum mismatch escalates to a third worker and majority vote.
+	// One outvoted reply quarantines its worker: banned for the rest of
+	// this run AND every later Run on the same Coordinator, its
+	// in-flight shards redistributed, and every shard it settled
+	// *unverified* requeued — a single proven lie is disqualifying,
+	// mirroring the poison-PTP quarantine.
 	VerifyFraction float64
-	// QuarantineAfter is how many outvoted (Byzantine) replies a worker
-	// may produce before it is quarantined: banned for the rest of this
-	// run AND every later Run on the same Coordinator, its in-flight
-	// shards redistributed, and every shard it settled *unverified*
-	// requeued (default 1 — a single proven lie is disqualifying,
-	// mirroring the poison-PTP quarantine).
-	QuarantineAfter int
 	// RetryBudget bounds genuine-failure retries to this fraction of
 	// dispatches, with RetryBurst tokens banked for cold-start bursts
 	// (token bucket; defaults 0.1 and 64). The bucket is shared across
@@ -80,14 +82,6 @@ type Options struct {
 	// consume budget; only failure-driven retries do.
 	RetryBudget float64
 	RetryBurst  int
-	// BreakerThreshold consecutive genuine failures trip a worker's
-	// circuit breaker open for BreakerOpenFor (with seeded jitter), after
-	// which a single half-open probe decides recovery (defaults 5, 2s).
-	// Breaker state persists across Runs on the same coordinator, like
-	// the Byzantine ban list; unlike it, an open breaker heals. A
-	// negative BreakerThreshold disables breakers.
-	BreakerThreshold int
-	BreakerOpenFor   time.Duration
 	// Admission, if non-nil, gates each Run behind the given admission
 	// pool: the run's estimated simulation weight (remaining faults ×
 	// stream patterns) must be admitted before any shard is dispatched,
@@ -147,20 +141,11 @@ func (o Options) withDefaults(numWorkers int) Options {
 	if o.VerifyFraction > 1 {
 		o.VerifyFraction = 1
 	}
-	if o.QuarantineAfter <= 0 {
-		o.QuarantineAfter = 1
-	}
 	if o.RetryBudget == 0 {
 		o.RetryBudget = 0.1
 	}
 	if o.RetryBurst <= 0 {
 		o.RetryBurst = 64
-	}
-	if o.BreakerThreshold == 0 {
-		o.BreakerThreshold = 5
-	}
-	if o.BreakerOpenFor <= 0 {
-		o.BreakerOpenFor = 2 * time.Second
 	}
 	return o
 }
@@ -230,19 +215,22 @@ func (r *Result) Degraded() bool { return r.FailedShards > 0 }
 // Coordinator shards fault campaigns across a fixed set of workers.
 // It is safe for sequential reuse across many Run calls (one per PTP
 // and FC evaluation); each run spins up its own heartbeats and state.
-// The Byzantine blacklist is the exception: a worker quarantined in one
-// run stays banned for every later run on the same coordinator — a
-// proven liar does not get a second chance just because the next PTP
-// started.
+// Worker health (health.go) is the exception: a down worker stays down
+// until it answers a ping, an open one stays open, and a worker
+// quarantined in one run stays banned for every later run on the same
+// coordinator — a proven liar does not get a second chance just
+// because the next PTP started.
 type Coordinator struct {
 	opt        Options
 	autoShards bool // Shards was defaulted, not requested: sizing may shrink it
 	transports []Transport
 	budget     *overload.RetryBudget
-	breakers   map[string]*overload.Breaker
 
+	// health[i] is transports[i]'s health. Only the running Run's loop
+	// writes it (under mu, so Banned may read it from any goroutine) and
+	// reads it without the lock.
 	mu     sync.Mutex
-	banned map[string]bool
+	health []workerHealth
 }
 
 // New creates a coordinator over the given worker transports.
@@ -257,23 +245,10 @@ func New(opt Options, transports ...Transport) (*Coordinator, error) {
 		autoShards: autoShards,
 		transports: transports,
 		budget:     overload.NewRetryBudget(opt.RetryBudget, opt.RetryBurst, opt.Metrics),
-		breakers:   map[string]*overload.Breaker{},
 	}
-	if opt.BreakerThreshold > 0 {
-		for _, t := range transports {
-			// Seed each worker's jitter from the coordinator seed and the
-			// worker name, so a restarted coordinator reproduces the same
-			// probe schedule and no two workers probe in lockstep.
-			h := fnv.New64a()
-			fmt.Fprintf(h, "%d:%s", opt.Seed, t.Name())
-			c.breakers[t.Name()] = overload.NewBreaker(overload.BreakerOptions{
-				FailureThreshold: opt.BreakerThreshold,
-				OpenFor:          opt.BreakerOpenFor,
-				Seed:             int64(h.Sum64()),
-			})
-		}
+	for _, t := range transports {
+		c.health = append(c.health, newWorkerHealth(opt, t.Name()))
 	}
-	c.banned = map[string]bool{}
 	return c, nil
 }
 
@@ -282,24 +257,22 @@ func New(opt Options, transports ...Transport) (*Coordinator, error) {
 func (c *Coordinator) Banned() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	names := make([]string, 0, len(c.banned))
-	for n := range c.banned {
-		names = append(names, n)
+	var names []string
+	for i, h := range c.health {
+		if h.state == healthBanned {
+			names = append(names, c.transports[i].Name())
+		}
 	}
 	sort.Strings(names)
 	return names
 }
 
-func (c *Coordinator) ban(name string) {
+// step applies e to h under mu: the one path by which worker health
+// changes.
+func (c *Coordinator) step(h *workerHealth, e healthEvent, now time.Time) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.banned[name] = true
-}
-
-func (c *Coordinator) isBanned(name string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.banned[name]
+	h.step(e, now)
+	c.mu.Unlock()
 }
 
 // Close closes every transport.
@@ -345,13 +318,7 @@ func (c *Coordinator) Run(ctx context.Context, camp *fault.Campaign, stream []fa
 		// watchdog) rather than the bare Canceled sentinel.
 		return nil, context.Cause(ctx)
 	}
-	usable := 0
-	for _, t := range c.transports {
-		if !c.isBanned(t.Name()) {
-			usable++
-		}
-	}
-	if usable == 0 {
+	if len(c.Banned()) == len(c.transports) {
 		return nil, fmt.Errorf("dist: every worker is quarantined for byzantine replies (%s)",
 			strings.Join(c.Banned(), ", "))
 	}
@@ -484,8 +451,7 @@ const (
 	evResult eventKind = iota
 	evRetry
 	evHedge
-	evWorkerDown
-	evWorkerUp
+	evHealth
 	evStrand
 )
 
@@ -496,26 +462,23 @@ type event struct {
 	err     error
 	s       *shardState // evRetry / evHedge
 	attempt int         // evHedge: attempt the timer was armed for
-	w       *worker     // evWorkerDown / evWorkerUp
+	w       *worker     // evHealth
+	he      healthEvent // evHealth: a heartbeat edge or the worker's timer
 }
 
 type worker struct {
 	t        Transport
-	alive    bool
+	h        *workerHealth // the coordinator's, kept across Runs
 	inflight int
-	// strikes counts this run's outvoted replies; quarantined marks the
-	// worker banned (never picked, never revived by heartbeats).
-	strikes     int
-	quarantined bool
-	// breaker is the worker's circuit breaker, shared across Runs on the
-	// coordinator (nil when disabled — nil-safe, permanently closed).
-	breaker *overload.Breaker
+	timer    *time.Timer        // the one timer armed for h's open/draining hold
+	stopPing context.CancelFunc // ends the heartbeat once the worker is banned
 }
 
 type dispatch struct {
 	shard   int
 	attempt int
 	w       *worker
+	probe   uint64 // the worker's probe token when this dispatch is its probe
 	req     *ShardRequest
 	ctx     context.Context
 	cancel  context.CancelCauseFunc
@@ -536,7 +499,7 @@ type shardState struct {
 	failures int
 	inflight map[int]*dispatch
 	tried    map[string]bool
-	parked   bool
+	parked   bool // waiting in runLoop.pending for a worker to turn eligible
 
 	done   bool
 	failed bool
@@ -586,7 +549,7 @@ type runLoop struct {
 	remaining   int
 	strandArmed bool
 	stats       Stats
-	opensStart  uint64 // breaker trips before this run, for Stats delta
+	opensStart  uint64 // workers' open trips before this run, for Stats delta
 }
 
 func newRunLoop(c *Coordinator, ctx context.Context, camp *fault.Campaign, ordered []fault.TimedPattern, parts [][]fault.ID) *runLoop {
@@ -603,20 +566,16 @@ func newRunLoop(c *Coordinator, ctx context.Context, camp *fault.Campaign, order
 		deadline: c.opt.ShardBaseTimeout +
 			time.Duration(len(ordered))*c.opt.ShardPatternTimeout,
 	}
-	for _, t := range c.transports {
-		w := &worker{t: t, alive: true, breaker: c.breakers[t.Name()]}
-		rl.opensStart += w.breaker.Opens()
-		if c.isBanned(t.Name()) {
-			// Quarantined in an earlier run on this coordinator: present
-			// but never picked, never pinged, never revived.
-			w.alive, w.quarantined = false, true
-		}
+	now := time.Now()
+	for i, t := range c.transports {
+		w := &worker{t: t, h: &c.health[i]}
+		// A probe slot the last run left claimed is free again, and a hold
+		// that ended between runs ends now rather than on a timer tick.
+		c.step(w.h, healthEvent{kind: hNewRun}, now)
+		c.step(w.h, healthEvent{kind: hTimer}, now)
+		rl.opensStart += w.h.opens
 		rl.workers = append(rl.workers, w)
-		if w.alive {
-			rl.workerUpGauge(w, 1)
-		} else {
-			rl.workerUpGauge(w, 0)
-		}
+		rl.workerUpGauge(w)
 	}
 	all := camp.Faults()
 	for i, ids := range parts {
@@ -638,8 +597,6 @@ func newRunLoop(c *Coordinator, ctx context.Context, camp *fault.Campaign, order
 	return rl
 }
 
-// run drives the event loop to completion (every shard done or failed)
-// or parent-context cancellation.
 // verifySelected decides whether shard id is re-executed for
 // verification: a deterministic hash of (Seed, shard) against
 // VerifyFraction, so the same seed verifies the same shards regardless
@@ -666,16 +623,21 @@ func (rl *runLoop) verifySelected(id int) bool {
 	return float64(x)/float64(math.MaxUint64) < f
 }
 
+// run drives the event loop to completion (every shard done or failed)
+// or parent-context cancellation.
 func (rl *runLoop) run() error {
 	for _, w := range rl.workers {
-		if w.quarantined {
-			continue
+		if w.h.state == healthBanned {
+			continue // banned in an earlier run: never pinged again
 		}
+		pingCtx, stop := context.WithCancel(rl.loopCtx)
+		w.stopPing = stop
 		rl.wg.Add(1)
-		go rl.heartbeat(w)
+		go rl.heartbeat(pingCtx, w, w.h.state == healthDown)
+		rl.armTimer(w) // an open or draining hold carried over from an earlier run
 	}
 	for _, s := range rl.shards {
-		rl.dispatchOrPark(s)
+		rl.place(s)
 	}
 	rl.checkStranded()
 	for rl.remaining > 0 {
@@ -692,20 +654,15 @@ func (rl *runLoop) run() error {
 }
 
 // shutdown cancels everything still moving and waits for all goroutines,
-// so a finished Run leaks nothing into the next one.
+// so a finished Run leaks nothing into the next one. Senders never block
+// once loopCtx is done, so the events channel is left open: a timer
+// callback already running when its Stop comes may still send into it.
 func (rl *runLoop) shutdown() {
 	rl.cancel()
 	for _, t := range rl.timers {
 		t.Stop()
 	}
-	// Drain events so in-flight senders blocked on the channel can exit
-	// (send also selects on loopCtx, so this is belt and braces).
-	go func() {
-		for range rl.events {
-		}
-	}()
 	rl.wg.Wait()
-	close(rl.events)
 }
 
 func (rl *runLoop) send(ev event) {
@@ -715,8 +672,10 @@ func (rl *runLoop) send(ev event) {
 	}
 }
 
-func (rl *runLoop) afterFunc(d time.Duration, ev event) {
-	rl.timers = append(rl.timers, time.AfterFunc(d, func() { rl.send(ev) }))
+func (rl *runLoop) afterFunc(d time.Duration, ev event) *time.Timer {
+	t := time.AfterFunc(d, func() { rl.send(ev) })
+	rl.timers = append(rl.timers, t)
+	return t
 }
 
 func (rl *runLoop) handle(ev event) {
@@ -725,61 +684,123 @@ func (rl *runLoop) handle(ev event) {
 		rl.onResult(ev.d, ev.res, ev.err)
 	case evRetry:
 		if !ev.s.done && !ev.s.failed && len(ev.s.inflight) == 0 {
-			rl.dispatchOrPark(ev.s)
+			rl.place(ev.s)
 		}
 	case evHedge:
 		rl.onHedge(ev.s, ev.attempt)
-	case evWorkerDown:
-		rl.onWorkerDown(ev.w)
-	case evWorkerUp:
-		rl.onWorkerUp(ev.w)
+	case evHealth:
+		rl.observe(ev.w, ev.he)
 	case evStrand:
 		rl.strandArmed = false
 		rl.failStranded()
 	}
 }
 
-func (rl *runLoop) heartbeat(w *worker) {
+// heartbeat pings w every HeartbeatInterval and reports the edges:
+// hPingLost after HeartbeatMisses consecutive failures, hPingOK when a
+// lost worker — down since this run or an earlier one — answers again.
+func (rl *runLoop) heartbeat(ctx context.Context, w *worker, down bool) {
 	defer rl.wg.Done()
 	tick := time.NewTicker(rl.opt.HeartbeatInterval)
 	defer tick.Stop()
-	misses, down := 0, false
+	misses := 0
 	for {
 		select {
-		case <-rl.loopCtx.Done():
+		case <-ctx.Done():
 			return
 		case <-tick.C:
 		}
 		// A ping may take up to the full miss budget: a slow-but-alive
 		// worker (its CPU busy simulating) must not read as dead.
-		pctx, pcancel := context.WithTimeout(rl.loopCtx,
+		pctx, pcancel := context.WithTimeout(ctx,
 			time.Duration(rl.opt.HeartbeatMisses)*rl.opt.HeartbeatInterval)
 		err := w.t.Ping(pctx)
 		pcancel()
-		if rl.loopCtx.Err() != nil {
+		if ctx.Err() != nil {
 			return
 		}
 		if err != nil {
 			misses++
 			if misses >= rl.opt.HeartbeatMisses && !down {
 				down = true
-				rl.send(event{kind: evWorkerDown, w: w})
+				rl.send(event{kind: evHealth, w: w, he: healthEvent{kind: hPingLost}})
 			}
 			continue
 		}
 		misses = 0
 		if down {
 			down = false
-			rl.send(event{kind: evWorkerUp, w: w})
+			rl.send(event{kind: evHealth, w: w, he: healthEvent{kind: hPingOK}})
 		}
 	}
 }
 
-// pickWorker chooses an alive worker for a shard: one the shard has not
-// tried yet when possible ("retry on a different worker"), least loaded
-// as the tie-break, never one that already has this shard in flight —
-// and for verify shards, never one whose reply is already a cast vote
-// (independent re-execution is the whole point).
+// observe feeds one event to w's health and carries out what the
+// transition means for this run: preempting a down or banned worker's
+// attempts, requeueing what a banned worker settled unverified, keeping
+// the worker's one timer armed for its hold, and re-placing the parked
+// shards whenever a worker turns eligible or leaves the candidate pool.
+func (rl *runLoop) observe(w *worker, e healthEvent) {
+	h := w.h
+	was, wasEligible, until, opens := h.state, h.eligible(), h.until, h.opens
+	rl.co.step(h, e, time.Now())
+	if h.state != was || !h.until.Equal(until) {
+		rl.armTimer(w)
+	}
+	if h.opens > opens {
+		rl.co.logf("dist: worker %s: %s -> open, probing again in %v",
+			w.t.Name(), was, time.Until(h.until).Round(time.Millisecond))
+	}
+	if h.state != was {
+		switch {
+		case h.state == healthDown:
+			rl.stats.WorkerDeaths++
+			rl.co.logf("dist: worker %s: heartbeat lost, redistributing its in-flight shards", w.t.Name())
+			rl.preempt(w, errWorkerDown)
+		case h.state == healthBanned:
+			rl.quarantine(w)
+		case was == healthDown:
+			rl.stats.WorkerRevivals++
+			rl.co.logf("dist: worker %s: heartbeat recovered", w.t.Name())
+		}
+		rl.workerUpGauge(w)
+	}
+	if (!wasEligible && h.eligible()) || (h.state != was && !h.live()) {
+		rl.unpark()
+	}
+}
+
+// armTimer keeps exactly one timer per worker: armed for the end of an
+// open or draining hold, none otherwise.
+func (rl *runLoop) armTimer(w *worker) {
+	if w.timer != nil {
+		w.timer.Stop()
+		w.timer = nil
+	}
+	if s := w.h.state; s == healthOpen || s == healthDraining {
+		w.timer = rl.afterFunc(time.Until(w.h.until),
+			event{kind: evHealth, w: w, he: healthEvent{kind: hTimer}})
+	}
+}
+
+// unpark re-places every parked shard: the one place parked work
+// wakes up.
+func (rl *runLoop) unpark() {
+	parked := rl.pending
+	rl.pending = nil
+	for _, s := range parked {
+		s.parked = false
+		if !s.done && !s.failed && len(s.inflight) == 0 {
+			rl.place(s)
+		}
+	}
+}
+
+// pickWorker chooses an eligible worker for a shard: one the shard has
+// not tried yet when possible ("retry on a different worker"), least
+// loaded as the tie-break, never one that already has this shard in
+// flight — and for verify shards, never one whose reply is already a
+// cast vote (independent re-execution is the whole point).
 func (rl *runLoop) pickWorker(s *shardState) *worker {
 	busy := map[string]bool{}
 	for _, d := range s.inflight {
@@ -788,13 +809,7 @@ func (rl *runLoop) pickWorker(s *shardState) *worker {
 	var best *worker
 	bestFresh := false
 	for _, w := range rl.workers {
-		if !w.alive || busy[w.t.Name()] || s.replied[w.t.Name()] {
-			continue
-		}
-		// Ready is non-consuming: scanning ten candidates must not burn
-		// ten half-open probe slots. The winner claims its slot via
-		// Acquire in dispatch.
-		if !w.breaker.Ready() {
+		if !w.h.eligible() || busy[w.t.Name()] || s.replied[w.t.Name()] {
 			continue
 		}
 		fresh := !s.tried[w.t.Name()]
@@ -809,17 +824,13 @@ func (rl *runLoop) pickWorker(s *shardState) *worker {
 }
 
 // dispatch sends one attempt of the shard to a worker; false when no
-// eligible worker is alive.
+// eligible worker exists.
 func (rl *runLoop) dispatch(s *shardState) bool {
 	w := rl.pickWorker(s)
 	if w == nil {
 		return false
 	}
-	if !w.breaker.Acquire() {
-		// The probe slot vanished between Ready and Acquire (possible
-		// only through a racing OnCancel); treat as no worker available.
-		return false
-	}
+	rl.observe(w, healthEvent{kind: hClaim})
 	rl.co.budget.OnRequest()
 	attempt := s.seq
 	s.seq++
@@ -836,6 +847,9 @@ func (rl *runLoop) dispatch(s *shardState) bool {
 	d := &dispatch{
 		shard: s.id, attempt: attempt, w: w, req: req, ctx: tctx, cancel: cancelCause,
 		hedged: len(s.inflight) > 0, started: time.Now(),
+	}
+	if w.h.state == healthProbe {
+		d.probe = w.h.probeSeq // this dispatch holds the probe slot
 	}
 	if sp := rl.opt.Tracer.Start(obs.SpanFromContext(rl.loopCtx), obs.KindShard,
 		fmt.Sprintf("shard:%d", s.id)); sp != nil {
@@ -872,88 +886,114 @@ func (rl *runLoop) dispatch(s *shardState) bool {
 	return true
 }
 
-func (rl *runLoop) dispatchOrPark(s *shardState) {
+// place dispatches the shard, or parks it until observe sees a worker
+// turn eligible. A verify shard holding votes that no live worker is
+// left to extend is decided instead: parking it would wait on workers
+// that are down or banned. Every path that re-places a shard — reply,
+// preemption, retry, unpark — comes through here. It reports whether
+// the shard was dispatched.
+func (rl *runLoop) place(s *shardState) bool {
 	if rl.dispatch(s) {
-		s.parked = false
-		return
+		return true
+	}
+	if s.verify && len(s.replies) > 0 && !rl.votersLeft(s) {
+		rl.closeVote(s)
+		return false
 	}
 	if !s.parked {
 		s.parked = true
 		rl.pending = append(rl.pending, s)
 	}
-	// Parked shards are normally revived by evWorkerUp. A worker held
-	// back only by its breaker never goes through the heartbeat
-	// down/up cycle, so arm a retry for when the cool-down may have
-	// elapsed (bounded poll at base-backoff granularity).
-	if rl.breakerBlocked() {
-		rl.afterFunc(rl.opt.BaseBackoff, event{kind: evRetry, s: s})
-	}
+	return false
 }
 
-// breakerBlocked reports whether some alive worker is currently
-// ineligible only because of its circuit breaker — capacity that will
-// come back without a heartbeat transition.
-func (rl *runLoop) breakerBlocked() bool {
+// votersLeft reports whether some live worker has not yet voted on s.
+func (rl *runLoop) votersLeft(s *shardState) bool {
 	for _, w := range rl.workers {
-		if w.alive && !w.breaker.Ready() {
+		if w.h.live() && !s.replied[w.t.Name()] {
 			return true
 		}
 	}
 	return false
 }
 
+// closeVote decides a verify shard that no further vote can reach. A
+// lone vote settles unverified — availability beats verification, and
+// a later quarantine of its worker requeues the shard; a two-vote tie
+// fails.
+func (rl *runLoop) closeVote(s *shardState) {
+	if len(s.replies) == 1 {
+		rl.stats.VerifySkipped++
+		rl.co.logf("dist: shard %d: no second worker for verification, settling unverified", s.id)
+		rl.settle(s, s.replies[0].d, s.replies[0].res)
+		return
+	}
+	s.errs = append(s.errs, "checksum vote tie with no third worker available")
+	rl.fail(s)
+}
+
+// checkReply cross-checks a reply against its request, then its own
+// checksum, which catches accidental corruption in flight (a lying
+// worker sums its lie consistently; the vote exists for that). A
+// rejected reply is the dispatch's failure.
+func (rl *runLoop) checkReply(d *dispatch, res *ShardResult) error {
+	err := res.Validate(d.req)
+	if err == nil {
+		err = res.VerifyChecksum()
+	}
+	if err != nil {
+		rl.stats.InvalidReplies++
+		rl.co.logf("dist: shard %d attempt %d on %s: rejecting reply: %v",
+			d.shard, d.attempt, d.w.t.Name(), err)
+	}
+	return err
+}
+
 func (rl *runLoop) onResult(d *dispatch, res *ShardResult, err error) {
 	s := rl.shards[d.shard]
 	delete(s.inflight, d.attempt)
 	d.w.inflight--
-	if s.done || s.failed {
-		if err == nil {
-			// A duplicated reply for a settled shard: the hedge loser
-			// finishing anyway, or chaos replaying. Counted once, merged
-			// never — but still evidence the worker is healthy.
-			rl.stats.DuplicateReplies++
-			d.w.breaker.OnSuccess()
-			return
+	settled := s.done || s.failed
+	if err == nil && !settled {
+		err = rl.checkReply(d, res)
+	}
+
+	// What the outcome says about the worker. Coordinator preemptions
+	// (hedge lost, worker down or quarantined) and backpressure bounces
+	// carry no failure verdict.
+	cause := context.Cause(d.ctx)
+	preempted := errors.Is(cause, errLostRace) || errors.Is(cause, errWorkerDown) ||
+		errors.Is(cause, errQuarantined)
+	he := healthEvent{kind: hFailure, probe: d.probe}
+	switch {
+	case err == nil:
+		he.kind = hSuccess
+	case preempted:
+		he.kind = hCancel
+	case errors.Is(err, ErrBusy), errors.Is(err, ErrUnavailable):
+		he.kind = hBounce
+		var be *BusyError
+		if errors.As(err, &be) {
+			he.after = be.After
 		}
-		// The attempt erred after the shard settled. A canceled hedge
-		// loser or dead-worker preemption was already attributed at
-		// cancellation time (the run may end before the victim ever
-		// reports back); anything else is a genuine late failure worth
-		// a log line, but the shard's outcome no longer depends on it.
-		switch cause := context.Cause(d.ctx); {
-		case errors.Is(cause, errLostRace), errors.Is(cause, errWorkerDown):
-			d.w.breaker.OnCancel()
-		case errors.Is(err, ErrBusy), errors.Is(err, ErrUnavailable):
-			// Backpressure bounces carry no health verdict.
-			d.w.breaker.OnCancel()
-		default:
-			d.w.breaker.OnFailure()
+	}
+	rl.observe(d.w, he)
+
+	if settled {
+		// A duplicated reply for a settled shard (the hedge loser
+		// finishing anyway, or chaos replaying) is counted once, merged
+		// never. A canceled loser was attributed at cancellation time —
+		// the run may end before it reports back; any other late error
+		// no longer decides anything but is worth a log line.
+		if err == nil {
+			rl.stats.DuplicateReplies++
+		} else if he.kind == hFailure {
 			rl.co.logf("dist: shard %d attempt %d on %s: late failure after settle: %v",
 				s.id, d.attempt, d.w.t.Name(), err)
 		}
 		return
 	}
 	if err == nil {
-		if verr := res.Validate(d.req); verr != nil {
-			rl.stats.InvalidReplies++
-			rl.co.logf("dist: shard %d attempt %d on %s: rejecting reply: %v",
-				s.id, d.attempt, d.w.t.Name(), verr)
-			err = verr
-		}
-	}
-	if err == nil {
-		// The reply's own checksum catches accidental corruption in
-		// flight (a lying worker sums its lie consistently; the vote
-		// below exists for that).
-		if verr := res.VerifyChecksum(); verr != nil {
-			rl.stats.InvalidReplies++
-			rl.co.logf("dist: shard %d attempt %d on %s: rejecting reply: %v",
-				s.id, d.attempt, d.w.t.Name(), verr)
-			err = verr
-		}
-	}
-	if err == nil {
-		d.w.breaker.OnSuccess()
 		// The exemplar pins the campaign's trace ID to the latency
 		// bucket, so a burning latency SLO links straight to a trace.
 		var traceID string
@@ -970,62 +1010,45 @@ func (rl *runLoop) onResult(d *dispatch, res *ShardResult, err error) {
 		}
 		return
 	}
-	switch cause := context.Cause(d.ctx); {
+	switch {
 	case errors.Is(cause, errLostRace):
 		// Normally the shard settled (handled above). Reaching here
 		// means the settle was undone — the shard was requeued after its
 		// worker's quarantine — and this canceled loser may be the last
 		// in-flight attempt, so restart the shard if nothing else is.
-		d.w.breaker.OnCancel()
 		if len(s.inflight) == 0 {
-			rl.dispatchOrPark(s)
+			rl.place(s)
 		}
 		return
-	case errors.Is(cause, errWorkerDown), errors.Is(cause, errQuarantined):
-		d.w.breaker.OnCancel()
+	case preempted:
 		if len(s.inflight) > 0 {
 			return // the sibling attempt is still racing
 		}
 		rl.stats.Redispatches++
-		rl.dispatchOrPark(s)
+		rl.place(s)
 		return
-	}
-	if errors.Is(err, ErrUnavailable) {
-		// A draining worker bounced the shard: redistribution, not
-		// failure. Back off one base interval — with a single worker
-		// mid-drain an immediate retry would spin.
-		d.w.breaker.OnCancel()
-		rl.stats.UnavailableReplies++
-		rl.stats.Redispatches++
-		rl.co.logf("dist: shard %d attempt %d: worker %s draining, redistributing",
-			s.id, d.attempt, d.w.t.Name())
-		if len(s.inflight) == 0 {
-			rl.afterFunc(rl.opt.BaseBackoff, event{kind: evRetry, s: s})
+	case he.kind == hBounce:
+		// A draining (503) or saturated (429) worker bounced the shard:
+		// redistribution, not failure — no failure charge, no retry
+		// budget. observe has already routed around the worker for its
+		// Retry-After hint (or one base interval), so a lone worker is
+		// retried when that hold ends instead of spinning.
+		if errors.Is(err, ErrUnavailable) {
+			rl.stats.UnavailableReplies++
+			rl.co.logf("dist: shard %d attempt %d: worker %s draining, redistributing",
+				s.id, d.attempt, d.w.t.Name())
+		} else {
+			rl.stats.BusyReplies++
+			rl.co.logf("dist: shard %d attempt %d: worker %s saturated, rerouting (worker held off %v)",
+				s.id, d.attempt, d.w.t.Name(), d.w.h.hold(he))
 		}
-		return
-	}
-	if errors.Is(err, ErrBusy) {
-		// A saturated worker pushed back (429 + Retry-After):
-		// backpressure, not failure — same contract as the drain path.
-		// Reroute after the worker's own hint (or one base interval),
-		// with no failure charge, no breaker charge, no retry budget.
-		d.w.breaker.OnCancel()
-		rl.stats.BusyReplies++
 		rl.stats.Redispatches++
-		delay := rl.opt.BaseBackoff
-		var be *BusyError
-		if errors.As(err, &be) && be.After > 0 {
-			delay = be.After
-		}
-		rl.co.logf("dist: shard %d attempt %d: worker %s saturated, rerouting after %v",
-			s.id, d.attempt, d.w.t.Name(), delay)
 		if len(s.inflight) == 0 {
-			rl.afterFunc(delay, event{kind: evRetry, s: s})
+			rl.place(s)
 		}
 		return
 	}
 	s.failures++
-	d.w.breaker.OnFailure()
 	s.errs = append(s.errs, fmt.Sprintf("attempt %d on %s: %v", d.attempt, d.w.t.Name(), err))
 	if len(s.inflight) > 0 {
 		return // a hedge is still in flight; it may yet win
@@ -1075,10 +1098,9 @@ func (rl *runLoop) settle(s *shardState, d *dispatch, res *ShardResult) {
 
 // onVerifyReply folds one valid reply into a verify shard's checksum
 // vote. The shard settles when two workers agree; a disagreement
-// escalates to a third worker; outvoted workers take a strike toward
-// quarantine. When no second worker exists the shard settles unverified
-// — availability beats verification, and a later quarantine of the
-// settling worker requeues exactly these shards.
+// escalates to a third worker; an outvoted worker is quarantined. When
+// no live worker is left to cast the next vote, place settles the
+// shard unverified (or fails a tie).
 func (rl *runLoop) onVerifyReply(s *shardState, d *dispatch, res *ShardResult) {
 	name := d.w.t.Name()
 	if s.replied[name] {
@@ -1099,7 +1121,7 @@ func (rl *runLoop) onVerifyReply(s *shardState, d *dispatch, res *ShardResult) {
 		if n < 2 {
 			continue
 		}
-		// Majority: settle with an agreeing reply, strike every
+		// Majority: settle with an agreeing reply, quarantine every
 		// dissenter — its reply was valid and plausible but provably
 		// wrong, the Byzantine signature.
 		for _, v := range s.replies {
@@ -1113,7 +1135,8 @@ func (rl *runLoop) onVerifyReply(s *shardState, d *dispatch, res *ShardResult) {
 		for _, v := range s.replies {
 			if v.sum != sum {
 				rl.stats.ByzantineReplies++
-				rl.strike(v.w, s.id)
+				rl.co.logf("dist: worker %s: byzantine reply on shard %d", v.w.t.Name(), s.id)
+				rl.observe(v.w, healthEvent{kind: hOutvoted})
 			}
 		}
 		return
@@ -1135,56 +1158,26 @@ func (rl *runLoop) onVerifyReply(s *shardState, d *dispatch, res *ShardResult) {
 	if len(s.inflight) > 0 {
 		return // an attempt on another worker is already racing; its reply will vote
 	}
-	if rl.dispatch(s) {
+	if rl.place(s) {
 		rl.stats.VerifyDispatches++
-		return
-	}
-	// No distinct worker available to cast the next vote.
-	if len(s.replies) == 1 {
-		rl.stats.VerifySkipped++
-		rl.co.logf("dist: shard %d: no second worker for verification, settling unverified", s.id)
-		rl.settle(s, d, res)
-		return
-	}
-	s.errs = append(s.errs, "checksum vote tie with no third worker available")
-	rl.fail(s)
-}
-
-// strike charges a worker with one proven-wrong reply and quarantines
-// it at the Options.QuarantineAfter threshold.
-func (rl *runLoop) strike(w *worker, shard int) {
-	w.strikes++
-	rl.co.logf("dist: worker %s: byzantine reply on shard %d (strike %d of %d)",
-		w.t.Name(), shard, w.strikes, rl.opt.QuarantineAfter)
-	if w.strikes >= rl.opt.QuarantineAfter && !w.quarantined {
-		rl.quarantine(w)
 	}
 }
 
-// quarantine bans a worker for Byzantine replies: out of rotation for
-// this run and every later one on the coordinator, its in-flight
-// dispatches canceled, and — the critical part — every shard it settled
-// WITHOUT verification is requeued, because nothing vouches for those
-// results anymore. Shards it settled under a checksum majority stand:
-// another worker agreed.
+// quarantine carries out a ban (observe saw the worker enter banned):
+// out of rotation for this run and every later one on the coordinator,
+// never pinged again, its in-flight dispatches canceled, and — the
+// critical part — every shard it settled WITHOUT verification
+// requeued, because nothing vouches for those results anymore. Shards
+// it settled under a checksum majority stand: another worker agreed.
 func (rl *runLoop) quarantine(w *worker) {
-	w.quarantined = true
-	w.alive = false
-	rl.co.ban(w.t.Name())
+	name := w.t.Name()
+	w.stopPing()
 	rl.stats.QuarantinedWorkers++
-	rl.workerUpGauge(w, 0)
-	rl.opt.Metrics.Gauge(fmt.Sprintf("gpustl_dist_worker_quarantined{worker=%q}", w.t.Name())).Set(1)
-	rl.co.logf("dist: worker %s: QUARANTINED after %d byzantine replies", w.t.Name(), w.strikes)
+	rl.opt.Metrics.Gauge(fmt.Sprintf("gpustl_dist_worker_quarantined{worker=%q}", name)).Set(1)
+	rl.co.logf("dist: worker %s: QUARANTINED for a byzantine reply", name)
+	rl.preempt(w, errQuarantined)
 	for _, s := range rl.shards {
-		for _, d := range s.inflight {
-			if d.w == w {
-				d.cancel(errQuarantined)
-				rl.stats.Preempted++
-			}
-		}
-	}
-	for _, s := range rl.shards {
-		if s.done && !s.verified && s.by == w.t.Name() {
+		if s.done && !s.verified && s.by == name {
 			s.done = false
 			s.by = ""
 			s.dets, s.stats = nil, fault.SimStats{}
@@ -1192,9 +1185,21 @@ func (rl *runLoop) quarantine(w *worker) {
 			s.replied = map[string]bool{}
 			rl.remaining++
 			rl.stats.RequeuedShards++
-			rl.co.logf("dist: shard %d: settled by quarantined worker %s, requeueing", s.id, w.t.Name())
+			rl.co.logf("dist: shard %d: settled by quarantined worker %s, requeueing", s.id, name)
 			if len(s.inflight) == 0 {
-				rl.dispatchOrPark(s)
+				rl.place(s)
+			}
+		}
+	}
+}
+
+// preempt cancels every in-flight dispatch on w with the given cause.
+func (rl *runLoop) preempt(w *worker, cause error) {
+	for _, s := range rl.shards {
+		for _, d := range s.inflight {
+			if d.w == w {
+				d.cancel(cause)
+				rl.stats.Preempted++
 			}
 		}
 	}
@@ -1213,44 +1218,12 @@ func (rl *runLoop) onHedge(s *shardState, attempt int) {
 	}
 }
 
-func (rl *runLoop) workerUpGauge(w *worker, up float64) {
+func (rl *runLoop) workerUpGauge(w *worker) {
+	up := 0.0
+	if w.h.live() {
+		up = 1
+	}
 	rl.opt.Metrics.Gauge(fmt.Sprintf("gpustl_dist_worker_up{worker=%q}", w.t.Name())).Set(up)
-}
-
-func (rl *runLoop) onWorkerDown(w *worker) {
-	if !w.alive {
-		return
-	}
-	w.alive = false
-	rl.stats.WorkerDeaths++
-	rl.workerUpGauge(w, 0)
-	rl.co.logf("dist: worker %s: heartbeat lost, redistributing its in-flight shards", w.t.Name())
-	for _, s := range rl.shards {
-		for _, d := range s.inflight {
-			if d.w == w {
-				d.cancel(errWorkerDown)
-				rl.stats.Preempted++
-			}
-		}
-	}
-}
-
-func (rl *runLoop) onWorkerUp(w *worker) {
-	if w.alive || w.quarantined {
-		return // a quarantined worker answering pings stays banned
-	}
-	w.alive = true
-	rl.stats.WorkerRevivals++
-	rl.workerUpGauge(w, 1)
-	rl.co.logf("dist: worker %s: heartbeat recovered", w.t.Name())
-	parked := rl.pending
-	rl.pending = nil
-	for _, s := range parked {
-		s.parked = false
-		if !s.done && !s.failed && len(s.inflight) == 0 {
-			rl.dispatchOrPark(s)
-		}
-	}
 }
 
 func (rl *runLoop) fail(s *shardState) {
@@ -1260,11 +1233,11 @@ func (rl *runLoop) fail(s *shardState) {
 		s.id, len(s.ids), s.failures)
 }
 
-// stranded reports whether no alive worker remains and nothing is in
-// flight: no capacity left that could ever answer.
+// stranded reports whether every worker is down or banned and nothing
+// is in flight: no capacity left that could ever answer.
 func (rl *runLoop) stranded() bool {
 	for _, w := range rl.workers {
-		if w.alive || w.inflight > 0 {
+		if w.h.live() || w.inflight > 0 {
 			return false
 		}
 	}
@@ -1327,7 +1300,7 @@ func (rl *runLoop) finish(camp *fault.Campaign, ordered []fault.TimedPattern, op
 	}
 	var opens uint64
 	for _, w := range rl.workers {
-		opens += w.breaker.Opens()
+		opens += w.h.opens
 	}
 	rl.stats.BreakerOpens = int(opens - rl.opensStart)
 	if !opt.NoDrop {
@@ -1403,17 +1376,14 @@ func (rl *runLoop) recordStats(res *Result) {
 	} {
 		m.Counter(c.name).Add(uint64(c.n))
 	}
-	// Breaker-state gauges: 0 closed, 0.5 half-open, 1 open — scrapes
-	// see at a glance which workers are being routed around.
+	// Breaker-state gauges: 0 closed, 0.5 probing, 1 open — scrapes see
+	// at a glance which workers are being routed around for failing.
 	for _, w := range rl.workers {
-		if w.breaker == nil {
-			continue
-		}
 		v := 0.0
-		switch w.breaker.State() {
-		case overload.BreakerOpen:
+		switch w.h.state {
+		case healthOpen:
 			v = 1
-		case overload.BreakerHalfOpen:
+		case healthProbe:
 			v = 0.5
 		}
 		m.Gauge(fmt.Sprintf("gpustl_dist_breaker_state{worker=%q}", w.t.Name())).Set(v)

@@ -18,8 +18,12 @@
 //     shard has not failed on;
 //   - hedged re-dispatch of straggler shards (first reply wins, the
 //     loser is canceled through its context);
-//   - heartbeat-based worker health: a worker that stops answering
-//     pings is declared dead and its in-flight shards are redistributed;
+//   - one health state machine per worker (health.go) answers "may this
+//     worker get work?": a worker that stops answering pings is down
+//     and its in-flight shards are redistributed; five consecutive
+//     failures trip it open until a single probe proves it healthy; a
+//     429/503 bounce holds it off for its Retry-After; one outvoted
+//     checksum vote bans it for good;
 //   - reply validation: a reply is cross-checked against its request
 //     (shard/attempt echo, detection indices, clock cycles, ordering),
 //     so corrupted or misdirected payloads are rejected and retried;

@@ -102,7 +102,6 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	opt.MaxAttempts = 8
 	opt.RetryBudget = 0.001 // effectively: just the banked burst
 	opt.RetryBurst = 1
-	opt.BreakerThreshold = -1 // isolate the budget from breaker routing
 	opt.HedgeFraction = -1
 	co, err := New(opt,
 		&failNTransport{inner: NewLocal("dead1"), n: -1},
@@ -138,9 +137,9 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 }
 
 // TestBreakerTripsAndRoutesAround pins down the breaker lifecycle in
-// the coordinator: a persistently failing worker trips its breaker,
-// later work routes around it, the merge stays byte-identical, and the
-// open state persists into the next Run on the same coordinator.
+// the coordinator: a persistently failing worker trips open, later work
+// routes around it, the merge stays byte-identical, and the open state
+// persists into the next Run on the same coordinator.
 func TestBreakerTripsAndRoutesAround(t *testing.T) {
 	m := spModule(t)
 	stream := randomSPStream(rand.New(rand.NewSource(63)), m.Lanes, 256)
@@ -151,8 +150,10 @@ func TestBreakerTripsAndRoutesAround(t *testing.T) {
 	reg := obs.NewRegistry()
 	opt := fastOptions()
 	opt.MaxAttempts = 8
-	opt.BreakerThreshold = 2
-	opt.BreakerOpenFor = time.Minute // stays open for the whole test
+	// Ten shards start five per worker: the sick worker fails five first
+	// attempts in a row, which trips it open (the threshold is 5).
+	opt.Shards = 10
+	opt.MaxBackoff = time.Minute // the open cool-down: stays open for the whole test
 	opt.HedgeFraction = -1
 	opt.Metrics = reg
 	co, err := New(opt, &failNTransport{inner: NewLocal("sick"), n: -1}, NewLocal("healthy"))

@@ -3,7 +3,7 @@
 // when offered more work than it can carry, instead of queueing
 // unboundedly, retry-storming a sick fleet, or falling over mid-burst.
 //
-// It provides four primitives, each independently wired into the tiers
+// It provides three primitives, each independently wired into the tiers
 // above it (internal/run, internal/dist, the stlworker daemon):
 //
 //   - Admission: a weighted semaphore over estimated in-flight
@@ -19,21 +19,18 @@
 //     are fine; a fleet-wide retry storm against an already-sick
 //     backend is how overload turns into outage. When the budget is
 //     spent, retries are denied and the caller degrades instead.
-//   - Breaker: a per-backend closed/open/half-open circuit breaker.
-//     Consecutive failures open it; while open, callers route around
-//     the backend without burning attempts on it; after a (seeded,
-//     jittered) cool-down a single half-open probe decides whether to
-//     close it again.
-//   - Clock: the injected time source that makes all of the above
-//     deterministic under test — breaker probe scheduling and admission
-//     queue-wait accounting advance on a FakeClock exactly as the test
-//     dictates.
+//   - Clock: the injected time source that makes admission
+//     queue-wait accounting deterministic under test — it advances on a
+//     FakeClock exactly as the test dictates.
+//
+// The per-worker circuit breaker lives with the rest of worker health
+// in internal/dist (health.go).
 //
 // Everything is nil-safe in the style of internal/obs: a nil *Admission
-// admits instantly, a nil *RetryBudget always allows, a nil *Breaker is
-// always closed. Callers wire the layer unconditionally; "no limits
-// configured" costs a predicted branch (guarded by the
-// BenchmarkFaultSimulationOverload pair in the repo root).
+// admits instantly and a nil *RetryBudget always allows. Callers wire
+// the layer unconditionally; "no limits configured" costs a predicted
+// branch (guarded by the BenchmarkFaultSimulationOverload pair in the
+// repo root).
 package overload
 
 import (
@@ -60,9 +57,9 @@ func (shedError) Error() string { return "overload: shed" }
 // was corrupted, the same work succeeds once load eases.
 func (shedError) Transient() bool { return true }
 
-// Clock abstracts the time source so shed decisions and breaker probe
-// scheduling are deterministic under test. Production code uses
-// SystemClock; tests drive a FakeClock.
+// Clock abstracts the time source so shed decisions are deterministic
+// under test. Production code uses SystemClock; tests drive a
+// FakeClock.
 type Clock interface {
 	Now() time.Time
 	// After behaves like time.After. Admission uses it only for

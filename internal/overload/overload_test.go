@@ -319,99 +319,6 @@ func TestRetryBudgetDisabledAndNil(t *testing.T) {
 	b.OnRequest()
 }
 
-func TestBreakerLifecycle(t *testing.T) {
-	clk := NewFakeClock(time.Unix(0, 0))
-	b := NewBreaker(BreakerOptions{FailureThreshold: 3, OpenFor: 10 * time.Second, JitterFrac: -1, Clock: clk})
-	if b.State() != BreakerClosed || !b.Ready() || !b.Acquire() {
-		t.Fatal("new breaker should be closed and ready")
-	}
-	b.OnFailure()
-	b.OnFailure()
-	if b.State() != BreakerClosed {
-		t.Fatal("under threshold must stay closed")
-	}
-	b.OnSuccess() // resets the consecutive count
-	b.OnFailure()
-	b.OnFailure()
-	if b.State() != BreakerClosed {
-		t.Fatal("success must reset consecutive failures")
-	}
-	b.OnFailure()
-	if b.State() != BreakerOpen || b.Ready() || b.Acquire() {
-		t.Fatal("threshold'th consecutive failure must open")
-	}
-	if b.Opens() != 1 {
-		t.Fatalf("opens = %d", b.Opens())
-	}
-
-	clk.Advance(9 * time.Second)
-	if b.Ready() {
-		t.Fatal("ready before cool-down elapsed")
-	}
-	clk.Advance(time.Second)
-	if b.State() != BreakerHalfOpen || !b.Ready() {
-		t.Fatal("cool-down elapsed: should be half-open and ready")
-	}
-	// Exactly one probe slot.
-	if !b.Acquire() {
-		t.Fatal("first half-open Acquire must claim the probe")
-	}
-	if b.Ready() || b.Acquire() {
-		t.Fatal("second dispatcher must be refused while probing")
-	}
-	b.OnSuccess()
-	if b.State() != BreakerClosed || !b.Ready() {
-		t.Fatal("successful probe must close")
-	}
-
-	// Failed probe reopens for a fresh cool-down.
-	for i := 0; i < 3; i++ {
-		b.OnFailure()
-	}
-	clk.Advance(10 * time.Second)
-	if !b.Acquire() {
-		t.Fatal("probe after second trip")
-	}
-	b.OnFailure()
-	if b.State() != BreakerOpen || b.Opens() != 3 {
-		t.Fatalf("failed probe must reopen: state=%v opens=%d", b.State(), b.Opens())
-	}
-}
-
-func TestBreakerJitterDeterministic(t *testing.T) {
-	// Same seed ⇒ same probe schedule; different seeds ⇒ (almost surely)
-	// different. That is the whole point of seeded jitter.
-	open := func(seed int64) time.Duration {
-		clk := NewFakeClock(time.Unix(0, 0))
-		b := NewBreaker(BreakerOptions{FailureThreshold: 1, OpenFor: 10 * time.Second, JitterFrac: 1, Seed: seed, Clock: clk})
-		b.OnFailure()
-		var d time.Duration
-		for step := time.Second; !b.Ready(); d += step {
-			clk.Advance(step)
-		}
-		return d
-	}
-	if open(1) != open(1) {
-		t.Fatal("same seed must give the same cool-down")
-	}
-	if open(1) == open(2) && open(3) == open(4) {
-		t.Fatal("different seeds should jitter differently")
-	}
-	d := open(7)
-	if d < 10*time.Second || d > 21*time.Second {
-		t.Fatalf("jittered cool-down %v outside [OpenFor, 2*OpenFor]", d)
-	}
-}
-
-func TestBreakerNil(t *testing.T) {
-	var b *Breaker
-	if !b.Ready() || !b.Acquire() || b.State() != BreakerClosed || b.Opens() != 0 {
-		t.Fatal("nil breaker must be permanently closed")
-	}
-	b.OnSuccess()
-	b.OnFailure()
-}
-
 func TestAdmissionMetrics(t *testing.T) {
 	m := obs.NewRegistry()
 	a := NewAdmission(AdmissionOptions{Capacity: 2, MaxQueue: 2, Metrics: m, Name: "camp"})
@@ -500,15 +407,5 @@ func BenchmarkRetryBudget(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rb.OnRequest()
 		rb.Allow()
-	}
-}
-
-func BenchmarkBreakerReady(b *testing.B) {
-	br := NewBreaker(BreakerOptions{})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if !br.Ready() {
-			b.Fatal("closed breaker not ready")
-		}
 	}
 }

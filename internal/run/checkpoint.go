@@ -26,9 +26,9 @@ const CheckpointVersion = 2
 // and truncates at the first corrupt or torn record.
 const WALFile = "campaign.wal"
 
-// legacyCheckpointFile is the PR-1 whole-state JSON checkpoint. It is
-// still read — and migrated into the journal — so campaigns started
-// before the journal existed resume without losing work.
+// legacyCheckpointFile is the pre-journal (v1) whole-state checkpoint.
+// It is no longer read: a directory holding one and no journal is
+// refused (refuseLegacy) rather than resumed or silently restarted.
 const legacyCheckpointFile = "checkpoint.json"
 
 // markEvery is how many outcome records sit between two consecutive
@@ -107,22 +107,35 @@ type Checkpoint struct {
 	Entries    []Entry `json:"entries"`
 }
 
-// LoadCheckpoint reads the campaign state persisted in dir: the
-// write-ahead journal when present, the legacy checkpoint.json
-// otherwise. Missing state is not an error: it returns (nil, nil) so a
-// first run starts fresh. A journal with a corrupt tail loads the
-// records before the corruption (exactly what a resume would use).
+// LoadCheckpoint reads the campaign state persisted in dir's
+// write-ahead journal. Missing state is not an error: it returns
+// (nil, nil) so a first run starts fresh — unless dir holds a legacy
+// checkpoint.json, which is refused. A journal with a corrupt tail
+// loads the records before the corruption (exactly what a resume would
+// use).
 func LoadCheckpoint(dir string) (*Checkpoint, error) {
 	walPath := filepath.Join(dir, WALFile)
 	rp, err := journal.Scan(walPath)
 	if err != nil {
 		return nil, fmt.Errorf("run: reading journal: %w", err)
 	}
-	if len(rp.Records) > 0 {
-		ck, _, err := checkpointFromReplay(rp)
-		return ck, err
+	if len(rp.Records) == 0 {
+		return nil, refuseLegacy(dir)
 	}
-	return loadLegacyCheckpoint(dir)
+	ck, _, err := checkpointFromReplay(rp)
+	return ck, err
+}
+
+// refuseLegacy fails when dir holds a legacy checkpoint.json. Callers
+// ask only when dir has no journal to resume: resuming the legacy
+// campaign is no longer supported, and starting over silently would
+// discard it.
+func refuseLegacy(dir string) error {
+	path := filepath.Join(dir, legacyCheckpointFile)
+	if _, err := os.Stat(path); err != nil {
+		return nil
+	}
+	return fmt.Errorf("run: %s is a pre-journal (v1) checkpoint, which this binary no longer reads; delete it to start the campaign over", path)
 }
 
 // checkpointFromReplay rebuilds the checkpoint from a journal replay,
@@ -179,45 +192,6 @@ func checkpointFromReplay(rp *journal.Replay) (*Checkpoint, markRecord, error) {
 	return ck, totals, nil
 }
 
-// loadLegacyCheckpoint reads the PR-1 single-file JSON checkpoint. Its
-// errors name the file and suggest a way out — a truncated or corrupt
-// checkpoint used to surface as a bare JSON error with no path.
-func loadLegacyCheckpoint(dir string) (*Checkpoint, error) {
-	path := filepath.Join(dir, legacyCheckpointFile)
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("run: reading checkpoint %s: %w", path, err)
-	}
-	var ck Checkpoint
-	if err := json.Unmarshal(data, &ck); err != nil {
-		return nil, fmt.Errorf("run: checkpoint %s is truncated or corrupt (%v); run `stlcompact -fsck -checkpoint %s` with the campaign's flags to see what is salvageable, or delete the file to start fresh",
-			path, err, dir)
-	}
-	if ck.Version != 1 && ck.Version != CheckpointVersion {
-		return nil, fmt.Errorf("run: checkpoint %s has version %d, this binary supports %d; delete the file to start fresh",
-			path, ck.Version, CheckpointVersion)
-	}
-	return &ck, nil
-}
-
-// Save writes the checkpoint as the legacy single-file JSON snapshot,
-// durably: temp file, fsync(file), rename, fsync(directory). The
-// runner itself persists through the journal; Save remains for
-// exporting state and for exercising the legacy migration path.
-func (ck *Checkpoint) Save(dir string) error {
-	data, err := json.MarshalIndent(ck, "", "  ")
-	if err != nil {
-		return fmt.Errorf("run: encoding checkpoint: %w", err)
-	}
-	if err := journal.WriteFileAtomic(filepath.Join(dir, legacyCheckpointFile), data); err != nil {
-		return fmt.Errorf("run: writing checkpoint: %w", err)
-	}
-	return nil
-}
-
 // campaignLog is the runner's append handle on the write-ahead journal.
 type campaignLog struct {
 	j      *journal.Journal
@@ -226,12 +200,16 @@ type campaignLog struct {
 
 // openCampaign opens (or creates) dir's campaign journal, replays it,
 // and validates it against this run's config hash and library size.
-// When no journal exists yet, a legacy checkpoint.json (if any) is
-// migrated into a fresh journal so pre-journal campaigns keep their
-// work. The returned checkpoint holds every salvaged entry; notes
-// carries human-readable salvage and migration messages.
+// A directory with no journal but a legacy checkpoint.json is refused. The returned checkpoint holds every salvaged entry; notes
+// carries human-readable salvage messages.
 func openCampaign(dir, configHash string, nPTPs int) (*campaignLog, *Checkpoint, []string, error) {
 	walPath := filepath.Join(dir, WALFile)
+	// Refuse before Open creates a journal next to the legacy file.
+	if fi, err := os.Stat(walPath); err != nil || fi.Size() == 0 {
+		if err := refuseLegacy(dir); err != nil {
+			return nil, nil, nil, err
+		}
+	}
 	j, rp, err := journal.Open(walPath)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("run: opening journal: %w", err)
@@ -265,36 +243,11 @@ func openCampaign(dir, configHash string, nPTPs int) (*campaignLog, *Checkpoint,
 		return cl, ck, notes, nil
 	}
 
-	// No journal yet: fresh start, or migration from a legacy
-	// checkpoint written before the journal existed.
-	legacy, err := loadLegacyCheckpoint(dir)
-	if err != nil {
-		return fail(err)
-	}
-	if legacy != nil {
-		if legacy.ConfigHash != configHash {
-			return fail(fmt.Errorf("run: checkpoint was written by a different configuration (hash %.12s, want %.12s); delete %s to start over",
-				legacy.ConfigHash, configHash, dir))
-		}
-		if len(legacy.Entries) > nPTPs {
-			return fail(fmt.Errorf("run: checkpoint has %d entries but the library has %d PTPs", len(legacy.Entries), nPTPs))
-		}
-	}
+	// No journal records yet: a fresh start.
 	if _, err := cl.j.Append(recMeta, metaRecord{Version: CheckpointVersion, ConfigHash: configHash, PTPs: nPTPs}); err != nil {
 		return fail(fmt.Errorf("run: journaling campaign meta: %w", err))
 	}
-	ck := &Checkpoint{Version: CheckpointVersion, ConfigHash: configHash}
-	if legacy != nil {
-		notes = append(notes, fmt.Sprintf("migrated legacy %s (%d entries) into %s",
-			legacyCheckpointFile, len(legacy.Entries), WALFile))
-		for _, e := range legacy.Entries {
-			if err := cl.appendOutcome(e); err != nil {
-				return fail(err)
-			}
-		}
-		ck.Entries = legacy.Entries
-	}
-	return cl, ck, notes, nil
+	return cl, &Checkpoint{Version: CheckpointVersion, ConfigHash: configHash}, notes, nil
 }
 
 // appendOutcome journals one finished PTP (fsync'd before returning)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 
 	"gpustl/internal/journal"
@@ -29,7 +28,8 @@ const (
 	// records were reordered, duplicated, or spliced.
 	FsckSeq FsckKind = "sequence-break"
 	// FsckSchema: a record passes the CRC but its payload does not
-	// decode as the schema its type promises.
+	// decode as the schema its type promises — or there are no records
+	// and the directory holds a legacy checkpoint.json instead.
 	FsckSchema FsckKind = "schema"
 	// FsckConfigHash: the journal was written under a different
 	// configuration than the one being checked — resuming would mix
@@ -57,9 +57,6 @@ type FsckIssue struct {
 // FsckReport summarizes a campaign-state integrity check.
 type FsckReport struct {
 	JournalPath string
-	// Legacy is true when no journal exists and the legacy
-	// checkpoint.json was checked instead.
-	Legacy bool
 	// Records is how many intact journal records were read.
 	Records int
 	// Salvageable is how many PTP outcomes a resume would recover.
@@ -77,11 +74,7 @@ func (r *FsckReport) add(kind FsckKind, format string, args ...any) {
 // Render writes the check's findings and the repair summary: what a
 // resume would salvage and what must be deleted or re-run.
 func (r *FsckReport) Render(w io.Writer) {
-	what := r.JournalPath
-	if r.Legacy {
-		what += " (legacy checkpoint)"
-	}
-	fmt.Fprintf(w, "fsck: %s: %d record(s), %d outcome(s) salvageable\n", what, r.Records, r.Salvageable)
+	fmt.Fprintf(w, "fsck: %s: %d record(s), %d outcome(s) salvageable\n", r.JournalPath, r.Records, r.Salvageable)
 	for _, is := range r.Issues {
 		fmt.Fprintf(w, "  [%s] %s\n", is.Kind, is.Detail)
 	}
@@ -105,7 +98,9 @@ func (r *FsckReport) Render(w io.Writer) {
 //     with the replayed totals),
 //   - the campaign's config hash against wantHash (skipped when empty),
 //   - each outcome's input-PTP hash against lib (skipped when nil),
-//   - each artifact path's checksum sidecar.
+//   - each artifact path's checksum sidecar,
+//   - a legacy checkpoint.json in a directory with no journal records,
+//     which no binary reads anymore.
 //
 // Every finding carries a distinct FsckKind; the caller maps a non-clean
 // report to a non-zero exit.
@@ -117,9 +112,9 @@ func Fsck(dir, wantHash string, lib *stl.STL, artifacts []string) (*FsckReport, 
 	if err != nil {
 		return nil, fmt.Errorf("fsck: reading journal: %w", err)
 	}
-	if rp.TotalSize == 0 && len(rp.Records) == 0 {
-		if _, err := os.Stat(walPath); os.IsNotExist(err) {
-			return fsckLegacy(dir, wantHash, lib, artifacts, rep)
+	if len(rp.Records) == 0 {
+		if err := refuseLegacy(dir); err != nil {
+			rep.add(FsckSchema, "%v", err)
 		}
 	}
 	rep.Records = len(rp.Records)
@@ -242,25 +237,4 @@ func fsckArtifacts(paths []string, rep *FsckReport) {
 			rep.add(FsckArtifact, "%v", err)
 		}
 	}
-}
-
-// fsckLegacy checks the pre-journal checkpoint.json when no journal
-// exists yet.
-func fsckLegacy(dir, wantHash string, lib *stl.STL, artifacts []string, rep *FsckReport) (*FsckReport, error) {
-	path := filepath.Join(dir, legacyCheckpointFile)
-	rep.JournalPath = path
-	rep.Legacy = true
-	ck, err := loadLegacyCheckpoint(dir)
-	if err != nil {
-		rep.add(FsckSchema, "%v", err)
-		fsckArtifacts(artifacts, rep)
-		return rep, nil
-	}
-	if ck != nil {
-		rep.Records = 1
-		rep.Salvageable = len(ck.Entries)
-		fsckCheckpoint(ck, wantHash, lib, rep)
-	}
-	fsckArtifacts(artifacts, rep)
-	return rep, nil
 }

@@ -209,27 +209,3 @@ func TestFsckDistinctDiagnosticsRender(t *testing.T) {
 		}
 	}
 }
-
-func TestFsckLegacyCheckpoint(t *testing.T) {
-	// A directory holding only a legacy checkpoint.json is checked
-	// through the migration reader.
-	dir := t.TempDir()
-	ck := &Checkpoint{Version: 1, ConfigHash: "abc"}
-	if err := ck.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Fsck(dir, "abc", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Legacy || !rep.Clean() {
-		t.Fatalf("legacy=%v issues=%+v", rep.Legacy, rep.Issues)
-	}
-	rep, err = Fsck(dir, "other", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Issues) != 1 || rep.Issues[0].Kind != FsckConfigHash {
-		t.Fatalf("issues: %v", issueKinds(rep))
-	}
-}

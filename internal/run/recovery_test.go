@@ -3,6 +3,8 @@ package run
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -204,80 +206,55 @@ func TestFlippedCRCByteIsSalvaged(t *testing.T) {
 	assertSameResult(t, ref, got, want)
 }
 
-// TestLegacyCheckpointMigration: a checkpoint.json written by the
-// pre-journal format resumes — its entries are migrated into a fresh
-// journal and the final result is byte-identical.
-func TestLegacyCheckpointMigration(t *testing.T) {
+// TestLegacyCheckpointRefused: a directory holding a pre-journal
+// checkpoint.json and no journal is refused — by a resume, by
+// LoadCheckpoint and by fsck — with the file named and the remedy
+// spelled out, instead of being migrated or silently started over.
+func TestLegacyCheckpointRefused(t *testing.T) {
 	cfg := gpu.DefaultConfig()
 	copt := core.Options{Workers: 4}
-	ref, want := referenceRun(t)
-
-	// Build a half-finished campaign, then express it as a legacy
-	// checkpoint.json in a directory with no journal.
-	walDir := t.TempDir()
 	lib, ms := testEnv(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	_, _ = Run(ctx, cfg, ms, lib, copt, Options{
-		CheckpointDir: walDir, FCTolerance: 5,
-		StageHook: func(ptp string, stage core.Stage) error {
-			if ptp == "MEM" && stage == core.StagePartition {
-				cancel()
-			}
-			return nil
-		},
-	})
-	ck, err := LoadCheckpoint(walDir)
-	if err != nil || ck == nil || len(ck.Entries) != 1 {
-		t.Fatalf("seed checkpoint: %+v, %v", ck, err)
-	}
-	legacyDir := t.TempDir()
-	ck.Version = 1
-	if err := ck.Save(legacyDir); err != nil {
-		t.Fatal(err)
-	}
-
-	lib2, ms2 := testEnv(t)
-	got, err := Run(context.Background(), cfg, ms2, lib2, copt,
-		Options{CheckpointDir: legacyDir, FCTolerance: 5})
+	hash, err := ConfigHash(cfg, ms, lib, copt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if notes := strings.Join(got.Notes, "\n"); !strings.Contains(notes, "migrated legacy") {
-		t.Fatalf("migration not reported: %q", got.Notes)
-	}
-	if got.Resumed != 1 {
-		t.Fatalf("resumed %d outcomes from the legacy checkpoint, want 1", got.Resumed)
-	}
-	assertSameResult(t, ref, got, want)
-
-	// The migration wrote a journal; a further resume uses it directly.
-	if _, err := os.Stat(filepath.Join(legacyDir, WALFile)); err != nil {
-		t.Fatalf("migration left no journal: %v", err)
-	}
-}
-
-// TestCorruptLegacyCheckpointNamesFileAndRemedy is the regression test
-// for the opaque-JSON-error bug: a truncated checkpoint.json must fail
-// with the file path and a suggested way out, not a bare decode error.
-func TestCorruptLegacyCheckpointNamesFileAndRemedy(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "checkpoint.json")
-	// A checkpoint torn mid-write: valid prefix, abrupt end.
-	if err := os.WriteFile(path, []byte(`{"version":1,"configHash":"abc","entries":[{"index":0,`), 0o666); err != nil {
+	// A v1 checkpoint of this very configuration, with nothing done yet.
+	legacy := fmt.Sprintf(`{"version":1,"configHash":%q,"entries":[]}`, hash)
+	if err := os.WriteFile(path, []byte(legacy), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	_, err := LoadCheckpoint(dir)
-	if err == nil {
-		t.Fatal("truncated checkpoint loaded without error")
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s accepted a legacy checkpoint", what)
+		}
+		if msg := err.Error(); !strings.Contains(msg, path) || !strings.Contains(msg, "delete it") {
+			t.Fatalf("%s: error does not name the file and the remedy: %q", what, msg)
+		}
 	}
-	msg := err.Error()
-	if !strings.Contains(msg, path) {
-		t.Errorf("error does not name the file: %q", msg)
+
+	_, err = Run(context.Background(), cfg, ms, lib, copt, Options{CheckpointDir: dir, FCTolerance: 5})
+	refused("Run", err)
+	_, err = LoadCheckpoint(dir)
+	refused("LoadCheckpoint", err)
+
+	rep, err := Fsck(dir, hash, lib, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(msg, "truncated or corrupt") ||
-		!strings.Contains(msg, "-fsck") || !strings.Contains(msg, "start fresh") {
-		t.Errorf("error does not suggest a remedy: %q", msg)
+	if len(rep.Issues) != 1 || rep.Issues[0].Kind != FsckSchema {
+		t.Fatalf("fsck issues: %v", issueKinds(rep))
+	}
+	refused("fsck", errors.New(rep.Issues[0].Detail))
+
+	// Deleting the file, as the message says, starts the campaign over.
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(context.Background(), cfg, ms, lib, copt, Options{CheckpointDir: dir, FCTolerance: 5}); err != nil {
+		t.Fatalf("fresh start after deleting the legacy checkpoint: %v", err)
 	}
 }
 

@@ -103,7 +103,7 @@ type Options struct {
 	// inject failures and by callers for progress reporting.
 	StageHook func(ptp string, stage core.Stage) error
 	// Logf, when set, receives operational notes (journal salvage,
-	// legacy-checkpoint migration, quarantine retries) as they happen.
+	// quarantine retries) as they happen.
 	Logf func(format string, args ...any)
 	// Tracer, when set, records the campaign -> PTP -> stage span
 	// hierarchy of the run. Spans are contiguous within a PTP (each
@@ -165,7 +165,7 @@ type Report struct {
 	Reverted           int
 	Quarantined        int
 	Resumed            int
-	// Notes carries operational messages (journal salvage, migration).
+	// Notes carries operational messages (journal salvage).
 	// They are not part of Render — reports stay byte-identical across
 	// kills and resumes.
 	Notes []string
