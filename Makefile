@@ -12,17 +12,20 @@ lint:
 	go vet ./...
 
 # Full verification: lint, the race detector, the crash-recovery
-# durability tests, and a short fuzz smoke of every hostile-input
-# decoder. The race pass matters here — the fault simulator, the
-# resilient runner and the metrics registry are the concurrent parts
-# of the codebase (the obs registry gets an explicit high-contention
-# race run); the fuzz smoke keeps the journal/STL/assembly parsers
-# honest against corrupt bytes without the cost of a long fuzzing
-# session. The explicit metrics-lint pass scrapes a live server's
-# /metrics and fails on any Prometheus text-format hygiene problem.
+# durability tests, a flake guard that reruns the chaos tests most
+# sensitive to failpoint isolation twenty times, and a short fuzz
+# smoke of every hostile-input decoder. The race pass matters here —
+# the fault simulator, the resilient runner and the metrics registry
+# are the concurrent parts of the codebase (the obs registry gets an
+# explicit high-contention race run); the fuzz smoke keeps the
+# journal/STL/assembly parsers honest against corrupt bytes without
+# the cost of a long fuzzing run. The explicit metrics-lint pass
+# scrapes a live server's /metrics and fails on any Prometheus
+# text-format hygiene problem.
 .PHONY: verify
 verify: test lint chaos-smoke chaos-overload chaos-server
 	go test -race ./...
+	go test -count=20 -run 'TestSoakConcurrentSchedules|TestChaosMergeByteIdentical|TestConcurrentRunsDoNotShareFailpoints' ./internal/chaos ./internal/dist
 	go test -race -run 'TestRegistryConcurrent' -count=1 ./internal/obs
 	go test -run 'TestMetricsLint' -count=1 .
 	go test -run 'TestCrashRecovery|TestTornFinalRecord|TestFlippedCRCByte' -count=1 ./internal/run

@@ -26,8 +26,9 @@
 // plausible-but-wrong results (Byzantine) is outvoted, quarantined and
 // blacklisted for the rest of the run (see docs/ROBUSTNESS.md).
 //
-// With -failpoints, named fault-injection sites are armed for chaos
-// drills (same spec syntax as stlworker; see internal/failpoint).
+// With -failpoints, named fault-injection sites are armed for this
+// campaign's run, for chaos drills (same spec syntax as stlworker; see
+// internal/failpoint).
 //
 // With -deadline, the whole campaign is bounded: the deadline
 // propagates through every tier down to the workers (X-Gpustl-Deadline
@@ -123,7 +124,7 @@ func main() {
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 		verifyFrac = flag.Float64("verify-frac", 0, "fraction of shards re-executed on a second worker and settled by checksum vote (Byzantine tolerance; 0 = trust, 1 = verify all)")
-		failpoints = flag.String("failpoints", "", "arm fault-injection sites: name=action[|p=|after=|times=|seed=],... (chaos drills)")
+		failpoints = flag.String("failpoints", "", "arm fault-injection sites for this campaign: name=action[|p=|after=|times=|seed=],... (chaos drills)")
 		deadline   = flag.Duration("deadline", 0, "whole-campaign deadline, propagated down to workers (0 = none)")
 		retryBud   = flag.Float64("retry-budget", 0, "distributed retries earned per dispatch (0 = default 0.1, negative = unlimited)")
 		retryBurst = flag.Int("retry-burst", 0, "banked retry tokens before the budget bites (0 = default 64)")
@@ -131,11 +132,13 @@ func main() {
 	flag.Parse()
 	logger = obs.NewLogger(os.Stderr, "stlcompact", slog.LevelInfo, *logJSON)
 
+	var fps *failpoint.Set
 	if *failpoints != "" {
-		if err := failpoint.EnableSpec(*failpoints); err != nil {
+		var err error
+		if fps, err = failpoint.ParseSet(*failpoints); err != nil {
 			fatalf("bad -failpoints: %v", err)
 		}
-		logger.Info("failpoints armed", "names", failpoint.Armed())
+		logger.Info("failpoints armed", "names", fps.Names())
 	}
 
 	stopCPU, err := prof.Start(*cpuProf)
@@ -176,7 +179,9 @@ func main() {
 	// the report, -save, -trace-out and -metrics-out outputs flush with
 	// everything finished so far, and -checkpoint lets the next
 	// invocation resume.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	// The -failpoints set rides the root ctx: the campaign's sites
+	// evaluate against it.
+	ctx, stop := signal.NotifyContext(failpoint.WithSet(context.Background(), fps), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	mod, err := gpustl.BuildModule(kind)

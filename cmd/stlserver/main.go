@@ -47,6 +47,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -80,7 +81,7 @@ func main() {
 		traceKeep   = flag.Int("trace-keep", 2, "rotated trace files kept (trace.1 .. trace.N)")
 		sloLatency  = flag.Duration("slo-campaign-latency", 5*time.Minute, "campaign latency SLO threshold: 99% of campaigns should finish within this")
 		logJSON     = flag.Bool("log-json", false, "emit logs as JSON instead of text")
-		failpoints  = flag.String("failpoints", "", "arm fault-injection sites: name=action[|p=|after=|times=|seed=],... (chaos drills)")
+		failpoints  = flag.String("failpoints", "", "arm fault-injection sites for every campaign this server runs: name=action[|p=|after=|times=|seed=],... (chaos drills)")
 	)
 	flag.Parse()
 
@@ -89,13 +90,18 @@ func main() {
 		logger.Error("-state is required")
 		os.Exit(2)
 	}
+	// The -failpoints set rides the root ctx into Run (every campaign
+	// this server executes) and every API request (BaseContext below).
+	var fps *failpoint.Set
 	if *failpoints != "" {
-		if err := failpoint.EnableSpec(*failpoints); err != nil {
+		var err error
+		if fps, err = failpoint.ParseSet(*failpoints); err != nil {
 			logger.Error("bad -failpoints", "err", err)
 			os.Exit(2)
 		}
-		logger.Info("failpoints armed", "names", failpoint.Armed())
+		logger.Info("failpoints armed", "names", fps.Names())
 	}
+	root := failpoint.WithSet(context.Background(), fps)
 	if *name == "" {
 		host, err := os.Hostname()
 		if err != nil {
@@ -189,7 +195,11 @@ func main() {
 			"99.9% of Byzantine verification re-executions agree"),
 	})
 
-	hsrv := &http.Server{Addr: *listen, Handler: srv.Handler()}
+	hsrv := &http.Server{
+		Addr:        *listen,
+		Handler:     srv.Handler(),
+		BaseContext: func(net.Listener) context.Context { return root },
+	}
 	var msrv *http.Server
 	if *metricsAddr != "" {
 		msrv = &http.Server{Addr: *metricsAddr, Handler: obs.NewDebugMuxSLO(reg, "gpustl_server", slo)}
@@ -203,7 +213,7 @@ func main() {
 
 	// SIGINT/SIGTERM cancel ctx → the server drains; a second signal
 	// (stop() restores default handling) kills the process.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := signal.NotifyContext(root, os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	// Background telemetry: the SLO engine samples its objectives every

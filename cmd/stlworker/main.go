@@ -44,9 +44,10 @@
 // checks go unhealthy, and then the process exits. A second signal
 // aborts immediately.
 //
-// With -failpoints, named fault-injection sites are armed at startup
-// (same spec syntax as stlcompact; see internal/failpoint) — the knob
-// chaos drills use to make a live worker lie, stall or drop replies.
+// With -failpoints, named fault-injection sites are armed for every
+// shard request this worker serves (same spec syntax as stlcompact; see
+// internal/failpoint) — the knob chaos drills use to make a live worker
+// lie, stall, freeze or drop replies.
 //
 // With -metrics-addr, a second listener serves the operator endpoints:
 // /metrics (Prometheus text: shards served, faults/patterns/detections,
@@ -59,6 +60,7 @@ import (
 	"errors"
 	"flag"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -76,7 +78,7 @@ func main() {
 		name        = flag.String("name", "", "worker name in replies and logs (default: host:listen)")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (empty = off)")
 		logJSON     = flag.Bool("log-json", false, "emit logs as JSON instead of text")
-		failpoints  = flag.String("failpoints", "", "arm fault-injection sites: name=action[|p=|after=|times=|seed=],... (chaos drills)")
+		failpoints  = flag.String("failpoints", "", "arm fault-injection sites for every shard this worker serves: name=action[|p=|after=|times=|seed=],... (chaos drills)")
 		maxConc     = flag.Int("max-concurrent", 0, "max shards simulating at once (0 = unlimited)")
 		maxQueue    = flag.Int("max-queue", 0, "bounded accept queue beyond -max-concurrent; past it shards bounce with 429")
 		maxBytes    = flag.Int64("max-inflight-bytes", 0, "cap summed shard-frame bytes of admitted shards: 32 per pattern, 8 per fault, about 2.7x fewer than JSON bodies (0 = unlimited)")
@@ -89,13 +91,18 @@ func main() {
 
 	logger := obs.NewLogger(os.Stderr, "stlworker", slog.LevelInfo, *logJSON)
 
+	// The -failpoints set rides every request's ctx (BaseContext below):
+	// this worker's shards, and no other process's, see its faults.
+	var fps *failpoint.Set
 	if *failpoints != "" {
-		if err := failpoint.EnableSpec(*failpoints); err != nil {
+		var err error
+		if fps, err = failpoint.ParseSet(*failpoints); err != nil {
 			logger.Error("bad -failpoints", "err", err)
 			os.Exit(2)
 		}
-		logger.Info("failpoints armed", "names", failpoint.Armed())
+		logger.Info("failpoints armed", "names", fps.Names())
 	}
+	root := failpoint.WithSet(context.Background(), fps)
 
 	if *name == "" {
 		host, err := os.Hostname()
@@ -136,8 +143,9 @@ func main() {
 			"max_inflight_bytes", *maxBytes, "retry_after", *retryAfter)
 	}
 	srv := &http.Server{
-		Addr:    *listen,
-		Handler: handler,
+		Addr:        *listen,
+		Handler:     handler,
+		BaseContext: func(net.Listener) context.Context { return root },
 	}
 
 	var msrv *http.Server
@@ -159,7 +167,7 @@ func main() {
 	// them elsewhere without charging a failure), health checks go
 	// unhealthy so heartbeats steer new work away, then the listeners
 	// shut down. A second signal kills the process immediately.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := signal.NotifyContext(root, os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	errc := make(chan error, 1)

@@ -500,8 +500,8 @@ var ErrOverloaded = overload.ErrOverloaded
 
 // AdmissionPool is a weighted semaphore with a bounded FIFO wait queue
 // and deadline-aware shedding — the campaign-level admission gate. Wire
-// one into RunnerOptions.Admission and/or DistOptions.Admission; a nil
-// pool admits everything instantly.
+// one into RunnerOptions.Admission; a nil pool admits everything
+// instantly.
 type AdmissionPool = overload.Admission
 
 // AdmissionPoolOptions configures an AdmissionPool.

@@ -12,6 +12,7 @@ import (
 
 	"gpustl/internal/core"
 	"gpustl/internal/dist"
+	"gpustl/internal/failpoint"
 	"gpustl/internal/journal"
 	"gpustl/internal/obs"
 	"gpustl/internal/overload"
@@ -85,16 +86,9 @@ func (h *Harness) RunOverloadRound(ctx context.Context, s Schedule, res *Result)
 	// Saturate the pool as a long-running admitted campaign would, then
 	// queue campaign B behind it. Both states are deterministic: B
 	// cannot be admitted while the hold is in place.
-	hold, ok := pool.TryAcquire(campaignCost)
-	if !ok {
-		// A fresh pool refuses only through the injected
-		// overload.admit.shed. Its After: 1 skip is meant for this hold,
-		// but the site is process-global: a concurrently running
-		// schedule's admission pool (the server's tenant quotas) may have
-		// used the skip up. The fault fires once per arming, so one more
-		// try must be admitted.
-		hold, ok = pool.TryAcquire(campaignCost)
-	}
+	// The hold is the round's first evaluation of overload.admit.shed,
+	// which its After: 1 skip lets through.
+	hold, ok := pool.TryAcquire(ctx, campaignCost)
 	if !ok {
 		return fmt.Errorf("chaos: %s: fresh pool refused the hold", s.Name)
 	}
@@ -254,7 +248,7 @@ func (h *Harness) runOverloadCampaignOnce(ctx context.Context, s Schedule,
 	for i := range transports {
 		t := dist.Transport(dist.NewLocal(fmt.Sprintf("%s-w%d", s.Name, i)))
 		if i < s.FaultyWorkers {
-			t = dist.WithFailpoints(t, s.distNames()...)
+			t = dist.WithFailpoints(t, failpoint.FromContext(ctx))
 		}
 		transports[i] = t
 	}

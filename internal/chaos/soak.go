@@ -30,23 +30,22 @@ import (
 )
 
 // Schedule is one named fault scenario: which failpoints to arm, and
-// what execution topology the campaign runs under. Schedules meant to
-// run concurrently must arm disjoint failpoint names (Soak rejects
-// conflicts): the registry is process-global, so two schedules arming
-// the same site with different configs would fight over it.
+// what execution topology the campaign runs under. Each iteration arms
+// its own failpoint.Set and hands it to its campaign through the ctx,
+// so concurrent schedules may arm any sites, the same ones included:
+// no schedule's faults ever reach another's campaign.
 type Schedule struct {
 	Name string
 	// Failpoints maps registered failpoint names to the config armed
 	// for every campaign iteration of this schedule. Each iteration
-	// re-arms them, refreshing Times budgets.
+	// arms a fresh set, refreshing Times budgets.
 	Failpoints map[string]failpoint.Config
 	// Workers > 0 distributes fault simulations across that many
 	// in-process worker transports via a dist.Coordinator; 0 simulates
 	// in-process (journal/run faults only).
 	Workers int
 	// FaultyWorkers is how many of the Workers are wrapped with this
-	// schedule's dist.* failpoints (restricted to exactly those names,
-	// so a concurrent schedule's dist sites do not fire here).
+	// schedule's dist.* failpoints; the rest are honest.
 	FaultyWorkers int
 	// VerifyFraction is passed to the coordinator (Byzantine
 	// re-execution + vote). Schedules arming dist.reply.byzantine need
@@ -67,35 +66,34 @@ type Schedule struct {
 	Server bool
 }
 
-// distNames returns the schedule's armed dist.* failpoint names — the
-// allow-list for its faulty workers' transport wrappers.
-func (s Schedule) distNames() []string {
-	var names []string
-	for n := range s.Failpoints {
-		if len(n) > 5 && n[:5] == "dist." {
-			names = append(names, n)
-		}
-	}
-	return names
-}
-
 // Spec renders the schedule's failpoint arming for iteration iter as
 // the comma-separated `-failpoints` spec string stlcompact, stlworker
 // and chaossoak accept — the exact line that reproduces a failing
-// campaign standalone (arm includes the per-iteration seed offset).
+// campaign standalone (with the per-iteration seed offset).
 func (s Schedule) Spec(iter int) string {
-	names := make([]string, 0, len(s.Failpoints))
-	for n := range s.Failpoints {
+	cfgs := s.configs(iter)
+	names := make([]string, 0, len(cfgs))
+	for n := range cfgs {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	entries := make([]string, 0, len(names))
 	for _, n := range names {
-		cfg := s.Failpoints[n]
-		cfg.Seed += int64(iter) * 7919
-		entries = append(entries, n+"="+cfg.Spec())
+		entries = append(entries, n+"="+cfgs[n].Spec())
 	}
 	return strings.Join(entries, ",")
+}
+
+// configs returns the schedule's failpoint configs for iteration iter,
+// each seed offset by the iteration so consecutive campaigns draw
+// different (but still deterministic) fate sequences.
+func (s Schedule) configs(iter int) map[string]failpoint.Config {
+	cfgs := make(map[string]failpoint.Config, len(s.Failpoints))
+	for name, cfg := range s.Failpoints {
+		cfg.Seed += int64(iter) * 7919
+		cfgs[name] = cfg
+	}
+	return cfgs
 }
 
 // Result is one schedule's soak outcome.
@@ -159,8 +157,10 @@ func (h *Harness) env() (*stl.STL, *core.ModuleSet, error) {
 }
 
 // Reference computes (once) the fault-free compacted STL bytes every
-// chaos campaign must reproduce.
+// chaos campaign must reproduce. It disarms whatever failpoint set ctx
+// carries, so it may be called from inside an armed campaign.
 func (h *Harness) Reference(ctx context.Context) ([]byte, error) {
+	ctx = failpoint.WithSet(ctx, nil)
 	h.refOnce.Do(func() {
 		lib, ms, err := h.env()
 		if err != nil {
@@ -186,29 +186,9 @@ func stlBytes(s *stl.STL) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// arm (re-)enables the schedule's failpoints, offsetting each seed by
-// the iteration so consecutive campaigns draw different (but still
-// deterministic) fate sequences.
-func (s Schedule) arm(iter int) error {
-	for name, cfg := range s.Failpoints {
-		cfg.Seed += int64(iter) * 7919
-		if err := failpoint.Enable(name, cfg); err != nil {
-			return fmt.Errorf("chaos: schedule %s: %w", s.Name, err)
-		}
-	}
-	return nil
-}
-
-// disarm disables only this schedule's failpoints (concurrent
-// schedules keep theirs).
-func (s Schedule) disarm() {
-	for name := range s.Failpoints {
-		failpoint.Disable(name)
-	}
-}
-
-// RunCampaign runs one chaos campaign under the (already armed)
-// schedule and returns when the compacted output byte-matches ref.
+// RunCampaign runs one chaos campaign under the failpoint set ctx
+// carries (the schedule's arming for this iteration) and returns when
+// the compacted output byte-matches ref.
 //
 // The loop has two recovery tiers, mirroring production operation:
 //
@@ -263,7 +243,7 @@ func (h *Harness) RunCampaign(ctx context.Context, s Schedule, res *Result) erro
 			for i := range transports {
 				t := dist.Transport(dist.NewLocal(fmt.Sprintf("%s-w%d", s.Name, i)))
 				if i < s.FaultyWorkers {
-					t = dist.WithFailpoints(t, s.distNames()...)
+					t = dist.WithFailpoints(t, failpoint.FromContext(ctx))
 				}
 				transports[i] = t
 			}
@@ -357,23 +337,17 @@ func wipe(dir string) error {
 
 // SoakSchedule loops campaigns of one schedule until ctx expires or
 // iters campaigns completed (iters <= 0 means until ctx expires),
-// re-arming the schedule's failpoints before each campaign.
+// arming a fresh failpoint set for each campaign.
 func (h *Harness) SoakSchedule(ctx context.Context, s Schedule, iters int) Result {
 	res := Result{Schedule: s.Name}
-	// The reference must never see an armed failpoint: compute it (once)
-	// before the first arm, not lazily mid-campaign.
-	if _, err := h.Reference(ctx); err != nil {
-		res.Err = err
-		return res
-	}
-	defer s.disarm()
 	for i := 0; iters <= 0 || res.Campaigns < iters; i++ {
 		if ctx.Err() != nil {
 			break
 		}
 		res.Iter = i
-		if err := s.arm(i); err != nil {
-			res.Err = err
+		set, err := failpoint.NewSet(s.configs(i))
+		if err != nil {
+			res.Err = fmt.Errorf("chaos: schedule %s: %w", s.Name, err)
 			break
 		}
 		round := h.RunCampaign
@@ -383,7 +357,7 @@ func (h *Harness) SoakSchedule(ctx context.Context, s Schedule, iters int) Resul
 		if s.Server {
 			round = h.RunServerRound
 		}
-		if err := round(ctx, s, &res); err != nil {
+		if err := round(failpoint.WithSet(ctx, set), s, &res); err != nil {
 			if ctx.Err() != nil {
 				break // deadline hit mid-campaign: not a failure
 			}
@@ -398,24 +372,9 @@ func (h *Harness) SoakSchedule(ctx context.Context, s Schedule, iters int) Resul
 }
 
 // Soak runs every schedule concurrently until ctx expires (or iters
-// campaigns per schedule). It rejects schedule sets whose failpoint
-// names overlap: the registry is process-global, and concurrent
-// schedules fighting over one site would make both meaningless.
+// campaigns per schedule). Each campaign runs under its own schedule's
+// set, so schedules may overlap freely.
 func (h *Harness) Soak(ctx context.Context, schedules []Schedule, iters int) ([]Result, error) {
-	owner := map[string]string{}
-	for _, s := range schedules {
-		for name := range s.Failpoints {
-			if prev, ok := owner[name]; ok {
-				return nil, fmt.Errorf("chaos: schedules %s and %s both arm %s", prev, s.Name, name)
-			}
-			owner[name] = s.Name
-		}
-	}
-	// Compute the reference before the storm: it must never run with
-	// failpoints armed.
-	if _, err := h.Reference(ctx); err != nil {
-		return nil, err
-	}
 	results := make([]Result, len(schedules))
 	var wg sync.WaitGroup
 	for i, s := range schedules {
@@ -435,12 +394,13 @@ func (h *Harness) Soak(ctx context.Context, schedules []Schedule, iters int) ([]
 	return results, firstErr
 }
 
-// Schedules is the canonical soak set: eight concurrent schedules with
-// disjoint failpoint names covering every registered site — journal
-// torn writes and disk-full, commit-bracket crashes, stage panics, a
-// lossy wire, a Byzantine liar, a worker whose heartbeats die, a
-// 3×-load overload storm against a saturated admission pool, and a
-// control plane killed and restarted at journaled cut points.
+// Schedules is the canonical soak set: eight concurrent schedules that
+// together arm every registered site — journal torn writes and
+// disk-full, commit-bracket crashes, stage panics, a lossy and
+// corrupting wire, a Byzantine liar, a worker whose heartbeats flap
+// and who then freezes, a 3×-load overload storm against a saturated
+// admission pool, and a control plane killed and restarted at
+// journaled cut points.
 func Schedules() []Schedule {
 	return []Schedule{
 		{
@@ -477,6 +437,7 @@ func Schedules() []Schedule {
 				"dist.reply.reorder":   {Kind: failpoint.KindReorder, Prob: 0.3, Seed: 43},
 				"dist.reply.delay":     {Kind: failpoint.KindDelay, Delay: 3 * time.Millisecond, Prob: 0.3, Seed: 44},
 				"dist.transport.error": {Kind: failpoint.KindError, Prob: 0.15, Seed: 45},
+				"dist.reply.corrupt":   {Kind: failpoint.KindCorrupt, Prob: 0.15, Seed: 46, Bit: -1},
 			},
 		},
 		{
@@ -495,6 +456,9 @@ func Schedules() []Schedule {
 			FaultyWorkers: 1,
 			Failpoints: map[string]failpoint.Config{
 				"dist.ping.error": {Kind: failpoint.KindError, Times: 4, Seed: 61},
+				// The worker freezes on its fourth shard for good: only
+				// the heartbeat's death declaration settles that shard.
+				"dist.worker.kill": {Kind: failpoint.KindError, After: 3, Times: 1, Seed: 62},
 			},
 		},
 		{

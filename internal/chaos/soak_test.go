@@ -1,37 +1,30 @@
 package chaos
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"gpustl/internal/core"
 	"gpustl/internal/failpoint"
 	"gpustl/internal/obs"
+	"gpustl/internal/run"
 )
 
-// TestSchedulesAreDisjointAndRegistered: the canonical schedule set
-// must arm only registered failpoint names, with no name owned by two
-// schedules (Soak runs them concurrently against one global registry).
-func TestSchedulesAreDisjointAndRegistered(t *testing.T) {
-	registered := map[string]bool{}
-	for _, n := range failpoint.Names() {
-		registered[n] = true
-	}
-	owner := map[string]string{}
+// TestSchedulesAreRegistered: every canonical schedule must arm
+// something, and only registered failpoint names, so each builds a set.
+func TestSchedulesAreRegistered(t *testing.T) {
 	for _, s := range Schedules() {
 		if len(s.Failpoints) == 0 {
 			t.Errorf("schedule %s arms nothing", s.Name)
 		}
-		for name := range s.Failpoints {
-			if !registered[name] {
-				t.Errorf("schedule %s arms unregistered failpoint %s", s.Name, name)
-			}
-			if prev, ok := owner[name]; ok {
-				t.Errorf("failpoint %s armed by both %s and %s", name, prev, s.Name)
-			}
-			owner[name] = s.Name
+		if _, err := failpoint.NewSet(s.Failpoints); err != nil {
+			t.Errorf("schedule %s: %v", s.Name, err)
 		}
 	}
 }
@@ -39,7 +32,6 @@ func TestSchedulesAreDisjointAndRegistered(t *testing.T) {
 // TestSoakEachSchedule runs every canonical schedule for two campaigns,
 // one schedule at a time, so a failure names its scenario directly.
 func TestSoakEachSchedule(t *testing.T) {
-	defer failpoint.Reset()
 	for _, s := range Schedules() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
@@ -79,7 +71,6 @@ func TestSoakConcurrentSchedules(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak: skipped in -short mode")
 	}
-	defer failpoint.Reset()
 	h := NewHarness(2)
 	h.Logf = t.Logf
 	h.Metrics = obs.NewRegistry()
@@ -99,13 +90,11 @@ func TestSoakConcurrentSchedules(t *testing.T) {
 // TestEquivalenceMatrix is the chaos-seeded equivalence matrix from the
 // issue: journal/commit crash-points × dist fault schedules × worker
 // counts, every cell asserting the compacted STL byte-matches the
-// fault-free reference. Cells run sequentially — each owns the whole
-// registry — so crash-points here may overlap schedule names freely.
+// fault-free reference.
 func TestEquivalenceMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix: skipped in -short mode")
 	}
-	defer failpoint.Reset()
 
 	crashPoints := []struct {
 		name string
@@ -238,15 +227,18 @@ func TestOverloadRoundCounts(t *testing.T) {
 
 // TestScheduleSpecRoundTrips: every canonical schedule's printed repro
 // spec must re-arm the same configs (including the per-iteration seed
-// offset) through the same EnableSpec path the CLIs use.
+// offset) through the same ParseSet path the CLIs use.
 func TestScheduleSpecRoundTrips(t *testing.T) {
 	for _, s := range Schedules() {
 		for _, iter := range []int{0, 3} {
 			spec := s.Spec(iter)
-			if err := failpoint.EnableSpec(spec); err != nil {
+			set, err := failpoint.ParseSet(spec)
+			if err != nil {
 				t.Fatalf("schedule %s iter %d: spec %q does not re-arm: %v", s.Name, iter, spec, err)
 			}
-			s.disarm()
+			if got := set.Names(); len(got) != len(s.Failpoints) {
+				t.Fatalf("schedule %s iter %d: spec %q arms %v", s.Name, iter, spec, got)
+			}
 			for name, cfg := range s.Failpoints {
 				want := cfg
 				want.Seed += int64(iter) * 7919
@@ -257,4 +249,95 @@ func TestScheduleSpecRoundTrips(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSoakOverlappingSchedules: two schedules arming the same site with
+// different configs run concurrently, each campaign under its own set.
+func TestSoakOverlappingSchedules(t *testing.T) {
+	h := NewHarness(6)
+	h.Logf = t.Logf
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	results, err := h.Soak(ctx, []Schedule{
+		{Name: "postcommit-twice", Failpoints: map[string]failpoint.Config{
+			"run.postcommit.crash": {Kind: failpoint.KindError, Times: 2, Seed: 1},
+		}},
+		{Name: "postcommit-late", Failpoints: map[string]failpoint.Config{
+			"run.postcommit.crash": {Kind: failpoint.KindError, After: 1, Times: 1, Seed: 2},
+		}},
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range results {
+		if r.Campaigns != 1 {
+			t.Errorf("%s: %d campaigns, want 1", r.Schedule, r.Campaigns)
+		}
+		if r.Crashes == 0 {
+			t.Errorf("%s: its own postcommit crash never fired", r.Schedule)
+		}
+	}
+}
+
+// TestConcurrentRunsDoNotShareFailpoints: campaign A arms
+// run.postcommit.crash with unlimited fires and crashes after its first
+// commit, over and over; campaign B runs alongside it with no set. B
+// must never see A's faults: every round finishes cleanly and
+// byte-identical to the reference.
+func TestConcurrentRunsDoNotShareFailpoints(t *testing.T) {
+	h := NewHarness(7)
+	ref, err := h.Reference(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := failpoint.NewSet(map[string]failpoint.Config{
+		"run.postcommit.crash": {Kind: failpoint.KindError},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	actx, stopA := context.WithCancel(failpoint.WithSet(context.Background(), set))
+	var aCrashes atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for actx.Err() == nil {
+			if _, err := h.campaign(actx, t.TempDir()); err != nil && actx.Err() == nil {
+				aCrashes.Add(1)
+			}
+		}
+	}()
+	defer func() { stopA(); wg.Wait() }()
+
+	for i := 0; i < 20; i++ {
+		got, err := h.campaign(context.Background(), t.TempDir())
+		if err != nil {
+			t.Fatalf("round %d: campaign B failed: %v", i, err)
+		}
+		if !bytes.Equal(got, ref) {
+			t.Fatalf("round %d: campaign B produced %d bytes differing from the %d-byte reference",
+				i, len(got), len(ref))
+		}
+	}
+	stopA()
+	wg.Wait()
+	if aCrashes.Load() == 0 {
+		t.Fatal("campaign A never crashed: its set was not armed")
+	}
+}
+
+// campaign runs the harness workload once, checkpointed to dir (so the
+// commit-bracket failpoints are live), and returns the compacted bytes.
+func (h *Harness) campaign(ctx context.Context, dir string) ([]byte, error) {
+	lib, ms, err := h.env()
+	if err != nil {
+		return nil, err
+	}
+	rep, err := run.Run(ctx, h.Cfg, ms, lib, core.Options{Workers: 2},
+		run.Options{CheckpointDir: dir, FCTolerance: 5})
+	if err != nil {
+		return nil, err
+	}
+	return stlBytes(rep.Compacted)
 }

@@ -29,21 +29,17 @@ func byzOptions(reg *obs.Registry) Options {
 // campaign must still be byte-identical to a serial run, and the
 // quarantine must surface in Stats and gpustl_* metrics.
 func TestByzantineWorkerQuarantined(t *testing.T) {
-	defer failpoint.Reset()
 	m := spModule(t)
 	stream := randomSPStream(rand.New(rand.NewSource(61)), m.Lanes, 512)
 
 	serial := newSPCampaign(t, m, 800, 67)
 	wantRep := serial.Simulate(stream, fault.SimOptions{Workers: 1})
 
-	// Arm the Byzantine failpoint globally, but only the liar's
-	// transport is wrapped to act on it.
-	if err := failpoint.Enable("dist.reply.byzantine", failpoint.Config{
-		Kind: failpoint.KindCorrupt, Prob: 1, Seed: 11,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	liar := WithFailpoints(NewLocal("liar"), "dist.reply.byzantine")
+	// The Byzantine failpoint is armed in a set scoped to the liar's
+	// transport alone.
+	liar := WithFailpoints(NewLocal("liar"), fpSet(t, map[string]failpoint.Config{
+		"dist.reply.byzantine": {Kind: failpoint.KindCorrupt, Prob: 1, Seed: 11},
+	}))
 	reg := obs.NewRegistry()
 	co, err := New(byzOptions(reg), liar, NewLocal("w1"), NewLocal("w2"), NewLocal("w3"))
 	if err != nil {
@@ -94,13 +90,7 @@ func TestByzantineWorkerQuarantined(t *testing.T) {
 
 	// The blacklist persists across runs on the same coordinator: the
 	// liar is never consulted again, so the next campaign sees zero
-	// Byzantine replies and stays exact.
-	failpoint.Reset()
-	if err := failpoint.Enable("dist.reply.byzantine", failpoint.Config{
-		Kind: failpoint.KindCorrupt, Prob: 1, Seed: 12,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	// Byzantine replies and stays exact (the liar's set is still armed).
 	serial2 := newSPCampaign(t, m, 600, 71)
 	wantRep2 := serial2.Simulate(stream, fault.SimOptions{Workers: 1})
 	camp2 := newSPCampaign(t, m, 600, 71)
@@ -139,7 +129,6 @@ func (s *slowTransport) Simulate(ctx context.Context, req *ShardRequest) (*Shard
 // its unverified shards first, then lies on a later verification
 // execution and is caught.
 func TestQuarantineRequeuesUnverifiedShards(t *testing.T) {
-	defer failpoint.Reset()
 	m := spModule(t)
 	stream := randomSPStream(rand.New(rand.NewSource(62)), m.Lanes, 384)
 
@@ -148,12 +137,9 @@ func TestQuarantineRequeuesUnverifiedShards(t *testing.T) {
 
 	// Honest for its first 4 replies — long enough to settle its share
 	// of the initial dispatch wave — then every reply is a lie.
-	if err := failpoint.Enable("dist.reply.byzantine", failpoint.Config{
-		Kind: failpoint.KindCorrupt, Prob: 1, After: 4, Seed: 21,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	liar := WithFailpoints(NewLocal("liar"), "dist.reply.byzantine")
+	liar := WithFailpoints(NewLocal("liar"), fpSet(t, map[string]failpoint.Config{
+		"dist.reply.byzantine": {Kind: failpoint.KindCorrupt, Prob: 1, After: 4, Seed: 21},
+	}))
 	opt := fastOptions()
 	opt.VerifyFraction = 0.5
 	opt.Shards = 9

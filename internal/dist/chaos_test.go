@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"gpustl/internal/failpoint"
 	"gpustl/internal/fault"
 )
 
@@ -30,9 +31,10 @@ func chaosOptions() Options {
 }
 
 // TestChaosMergeByteIdentical is the acceptance chaos run: a worker that
-// crashes mid-campaign, a straggler, a worker with a lossy/corrupting
-// wire, and one steady worker. Whatever the scheduling, the merged
-// detected-fault set must be byte-identical to a serial Simulate.
+// freezes mid-campaign, a straggler, a worker with a lossy/corrupting
+// wire, and one steady worker, each armed by a set scoped to its own
+// transport. Whatever the scheduling, the merged detected-fault set
+// must be byte-identical to a serial Simulate.
 func TestChaosMergeByteIdentical(t *testing.T) {
 	m := spModule(t)
 	stream := randomSPStream(rand.New(rand.NewSource(51)), m.Lanes, 768)
@@ -40,16 +42,24 @@ func TestChaosMergeByteIdentical(t *testing.T) {
 	serial := newSPCampaign(t, m, 1000, 41)
 	wantRep := serial.Simulate(stream, fault.SimOptions{Workers: 1})
 
-	// KillAfter 2: the 8 shards start two per worker, so the kill worker
-	// serves its first shard and dies on its second at every run. A
-	// later kill would depend on a retry happening to land on it.
-	kill := NewChaos(NewLocal("chaos-kill"), ChaosOptions{Seed: 101, KillAfter: 2})
-	straggle := NewChaos(NewLocal("chaos-delay"), ChaosOptions{
-		Seed: 102, DelayProb: 0.5, Delay: 40 * time.Millisecond,
-	})
-	wire := NewChaos(NewLocal("chaos-wire"), ChaosOptions{
-		Seed: 103, DropProb: 0.35, DupProb: 0.25, CorruptProb: 0.3,
-	})
+	// after=1|times=1: the 8 shards start two per worker, so the kill
+	// worker serves its first shard and freezes on its second at every
+	// run. A later kill would depend on a retry happening to land on it.
+	// The frozen shard can settle only once the heartbeat declares the
+	// death and preempts it (hedging is seconds away).
+	kill := WithFailpoints(NewLocal("chaos-kill"), fpSet(t, map[string]failpoint.Config{
+		"dist.worker.kill": {Kind: failpoint.KindError, After: 1, Times: 1},
+	}))
+	straggle := WithFailpoints(NewLocal("chaos-delay"), fpSet(t, map[string]failpoint.Config{
+		"dist.reply.delay": {Kind: failpoint.KindDelay, Delay: 40 * time.Millisecond, Prob: 0.5, Seed: 102},
+	}))
+	// The wire worker's first reply is always lost (drop's first roll
+	// with seed 104 fires), so at least one retry is deterministic.
+	wire := WithFailpoints(NewLocal("chaos-wire"), fpSet(t, map[string]failpoint.Config{
+		"dist.reply.drop":    {Kind: failpoint.KindDrop, Prob: 0.35, Seed: 104},
+		"dist.reply.dup":     {Kind: failpoint.KindDuplicate, Prob: 0.25, Seed: 105},
+		"dist.reply.corrupt": {Kind: failpoint.KindCorrupt, Prob: 0.3, Seed: 106, Bit: -1},
+	}))
 	co, err := New(chaosOptions(), kill, straggle, wire, NewLocal("steady"))
 	if err != nil {
 		t.Fatal(err)
@@ -68,11 +78,14 @@ func TestChaosMergeByteIdentical(t *testing.T) {
 	if !reflect.DeepEqual(camp.DetectedIDs(), serial.DetectedIDs()) {
 		t.Fatal("chaos run: detected-ID set differs from serial")
 	}
-	if !kill.Killed() {
+	if !kill.(*faultTransport).killed.Load() {
 		t.Fatal("chaos kill never fired; test exercised nothing")
 	}
-	if res.Stats.WorkerDeaths == 0 {
+	if res.Stats.WorkerDeaths < 1 {
 		t.Fatalf("killed worker was never declared dead: %+v", res.Stats)
+	}
+	if res.Stats.Preempted < 1 {
+		t.Fatalf("frozen worker's shard was never preempted: %+v", res.Stats)
 	}
 	if res.Stats.Retries == 0 {
 		t.Fatalf("lossy wire never caused a retry: %+v", res.Stats)
@@ -164,7 +177,9 @@ func TestChaosInjectionsRejectedByValidation(t *testing.T) {
 		Faults: camp.Faults(), Stream: stream,
 	}
 
-	corrupting := NewChaos(NewLocal("w"), ChaosOptions{Seed: 1, CorruptProb: 1})
+	corrupting := WithFailpoints(NewLocal("w"), fpSet(t, map[string]failpoint.Config{
+		"dist.reply.corrupt": {Kind: failpoint.KindCorrupt, Seed: 1, Bit: -1},
+	}))
 	for i := 0; i < 6; i++ { // several rounds to hit multiple corruption variants
 		res, err := corrupting.Simulate(context.Background(), req)
 		if err != nil {
@@ -175,7 +190,9 @@ func TestChaosInjectionsRejectedByValidation(t *testing.T) {
 		}
 	}
 
-	duping := NewChaos(NewLocal("w"), ChaosOptions{Seed: 2, DupProb: 1})
+	duping := WithFailpoints(NewLocal("w"), fpSet(t, map[string]failpoint.Config{
+		"dist.reply.dup": {Kind: failpoint.KindDuplicate, Seed: 2},
+	}))
 	first, err := duping.Simulate(context.Background(), req) // primes the stale copy
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +210,9 @@ func TestChaosInjectionsRejectedByValidation(t *testing.T) {
 		t.Fatal("stale duplicated reply passed validation despite wrong attempt echo")
 	}
 
-	dropping := NewChaos(NewLocal("w"), ChaosOptions{Seed: 3, DropProb: 1})
+	dropping := WithFailpoints(NewLocal("w"), fpSet(t, map[string]failpoint.Config{
+		"dist.reply.drop": {Kind: failpoint.KindDrop, Seed: 3},
+	}))
 	if _, err := dropping.Simulate(context.Background(), req); err == nil {
 		t.Fatal("dropped reply did not error")
 	}
@@ -273,9 +292,9 @@ func TestHedgedStraggler(t *testing.T) {
 	serial := newSPCampaign(t, m, 500, 53)
 	wantRep := serial.Simulate(stream, fault.SimOptions{Workers: 1})
 
-	slow := NewChaos(NewLocal("slow"), ChaosOptions{
-		Seed: 201, DelayProb: 1.0, Delay: 10 * time.Second,
-	})
+	slow := WithFailpoints(NewLocal("slow"), fpSet(t, map[string]failpoint.Config{
+		"dist.reply.delay": {Kind: failpoint.KindDelay, Delay: 10 * time.Second, Seed: 201},
+	}))
 	opt := fastOptions()
 	opt.Shards = 1 // a single shard must land on the slow worker first
 	opt.ShardBaseTimeout = 20 * time.Second

@@ -82,15 +82,6 @@ type Options struct {
 	// consume budget; only failure-driven retries do.
 	RetryBudget float64
 	RetryBurst  int
-	// Admission, if non-nil, gates each Run behind the given admission
-	// pool: the run's estimated simulation weight (remaining faults ×
-	// stream patterns) must be admitted before any shard is dispatched,
-	// and ErrOverloaded is returned — fast, with nothing dispatched —
-	// when the pool sheds it. Share one pool across coordinators to
-	// bound a whole process's in-flight simulation bytes. Do not gate a
-	// Run with a pool its caller already holds a slot on (self-deadlock
-	// at capacity).
-	Admission *overload.Admission
 	// Seed drives backoff jitter (results never depend on it).
 	Seed int64
 	// Logf receives coordinator progress lines (nil = silent).
@@ -314,8 +305,8 @@ func (c *Coordinator) Run(ctx context.Context, camp *fault.Campaign, stream []fa
 		return nil, fmt.Errorf("dist: campaign unusable: %w", err)
 	}
 	if err := ctx.Err(); err != nil {
-		// Surface the cause (admission shed, campaign deadline, stage
-		// watchdog) rather than the bare Canceled sentinel.
+		// Surface the cause (campaign deadline, stage watchdog) rather
+		// than the bare Canceled sentinel.
 		return nil, context.Cause(ctx)
 	}
 	if len(c.Banned()) == len(c.transports) {
@@ -360,24 +351,6 @@ func (c *Coordinator) Run(ctx context.Context, camp *fault.Campaign, stream []fa
 		cov := camp.Coverage()
 		return &Result{Report: BuildReport(ordered, nil), FCLower: cov, FCUpper: cov}, nil
 	}
-
-	// Admission gate: the run's weight is remaining faults × stream
-	// patterns, the same proportional simulation-bytes estimate
-	// overload.CampaignCost uses. A shed returns ErrOverloaded with
-	// nothing dispatched. Nil Admission admits instantly.
-	nf := 0
-	for _, p := range parts {
-		nf += len(p)
-	}
-	npat := len(ordered)
-	if npat == 0 {
-		npat = 1
-	}
-	release, aerr := c.opt.Admission.Acquire(ctx, int64(nf)*int64(npat))
-	if aerr != nil {
-		return nil, fmt.Errorf("dist: campaign run shed by admission control: %w", aerr)
-	}
-	defer release()
 
 	rl := newRunLoop(c, ctx, camp, ordered, parts)
 	defer rl.shutdown()

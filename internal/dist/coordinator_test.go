@@ -370,8 +370,9 @@ func TestValidateRejectsBadReplies(t *testing.T) {
 		},
 	}
 	for name, mangle := range cases {
-		bad := cloneResult(good)
-		mangle(bad)
+		bad := *good
+		bad.Detections = append([]Detection(nil), good.Detections...)
+		mangle(&bad)
 		if err := bad.Validate(req); err == nil {
 			t.Errorf("%s: corrupted reply passed validation", name)
 		}

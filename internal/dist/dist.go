@@ -35,8 +35,9 @@
 // Transports: Local executes shards in-process (tests, single-machine
 // parallelism); HTTP ships each shard to a cmd/stlworker daemon as one
 // fixed-width binary frame (wire.go) and reads back a JSON reply
-// (NewHandler is the server side). Chaos decorates any transport with
-// fault injection for the chaos test harness.
+// (NewHandler is the server side). WithFailpoints decorates any
+// transport with the dist.* fault-injection sites, armed by a set
+// scoped to that one transport or by the set of each call's ctx.
 package dist
 
 import (

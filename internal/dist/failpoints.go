@@ -2,9 +2,11 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gpustl/internal/failpoint"
@@ -27,6 +29,10 @@ var (
 	// dist.reply.reorder delivers replies out of order by swapping the
 	// current reply with a held earlier one.
 	fpReplyReorder = failpoint.New("dist.reply.reorder")
+	// dist.reply.corrupt mangles the reply's structure: an out-of-range
+	// fault index, a clock cycle off the stream, a duplicated or
+	// misordered detection. Validate must reject every variant.
+	fpReplyCorrupt = failpoint.New("dist.reply.corrupt")
 	// dist.reply.byzantine makes the worker lie plausibly: the reply
 	// passes validation and carries a consistent checksum, but its
 	// detections are wrong. Only re-execution and voting can catch it.
@@ -41,67 +47,81 @@ var (
 	// dist.ping.error fails heartbeat probes (exercises dead-worker
 	// declaration and revival).
 	fpPingErr = failpoint.New("dist.ping.error")
+	// dist.worker.kill freezes the worker for good: the Simulate call it
+	// fires on and every later one block until their ctx ends, and every
+	// Ping fails. Only the heartbeat's death declaration can settle the
+	// frozen worker's shards.
+	fpWorkerKill = failpoint.New("dist.worker.kill")
 )
+
+// errWorkerKilled is what a worker frozen by dist.worker.kill answers
+// to pings.
+var errWorkerKilled = errors.New("dist: worker killed by failpoint dist.worker.kill")
 
 // faultTransport decorates a Transport with the dist failpoint sites.
 type faultTransport struct {
 	inner Transport
-	allow map[string]bool
+	// fpctx carries the set scoped to this transport; nil evaluates
+	// each call against the set of its own ctx.
+	fpctx  context.Context
+	killed atomic.Bool
 
 	mu    sync.Mutex
 	stale *ShardResult // last reply seen, for dup/reorder
 	held  *ShardResult // reply held back by an armed reorder
 }
 
-// WithFailpoints wraps t with the dist.* failpoint sites. With no names
-// the wrapper evaluates every site; naming a subset restricts this
-// wrapper to those failpoints, so a chaos schedule can arm
-// dist.reply.byzantine globally while only one worker's transport acts
-// on it. Disarmed sites cost one atomic load per call.
-func WithFailpoints(t Transport, names ...string) Transport {
+// WithFailpoints wraps t with the dist.* failpoint sites. A non-nil set
+// scopes that arming to this one transport: its calls evaluate against
+// set whatever their ctx carries, which is how a chaos schedule makes
+// one worker of a fleet faulty. A nil set evaluates each call against
+// the set of the ctx it runs under, which is how a worker process
+// serves its -failpoints.
+func WithFailpoints(t Transport, set *failpoint.Set) Transport {
 	ft := &faultTransport{inner: t}
-	if len(names) > 0 {
-		ft.allow = make(map[string]bool, len(names))
-		for _, n := range names {
-			ft.allow[n] = true
-		}
+	if set != nil {
+		ft.fpctx = failpoint.WithSet(context.Background(), set)
 	}
 	return ft
 }
 
-func (ft *faultTransport) allowed(fp *failpoint.Failpoint) bool {
-	return ft.allow == nil || ft.allow[fp.Name()]
-}
-
-// eval gates a failpoint through this wrapper's allow-list before
-// advancing its trigger state, so a restricted wrapper leaves the
-// shared counters of other wrappers' failpoints untouched.
-func (ft *faultTransport) eval(fp *failpoint.Failpoint) (failpoint.Outcome, bool) {
-	if !ft.allowed(fp) {
-		return failpoint.Outcome{}, false
+// scope returns the ctx this call's sites evaluate against.
+func (ft *faultTransport) scope(ctx context.Context) context.Context {
+	if ft.fpctx != nil {
+		return ft.fpctx
 	}
-	return fp.Eval()
+	return ctx
 }
 
 func (ft *faultTransport) Name() string { return ft.inner.Name() }
 func (ft *faultTransport) Close() error { return ft.inner.Close() }
 
 func (ft *faultTransport) Ping(ctx context.Context) error {
-	if out, ok := ft.eval(fpPingErr); ok {
+	if ft.killed.Load() {
+		return errWorkerKilled
+	}
+	if out, ok := fpPingErr.Eval(ft.scope(ctx)); ok {
 		return out.Err
 	}
 	return ft.inner.Ping(ctx)
 }
 
 func (ft *faultTransport) Simulate(ctx context.Context, req *ShardRequest) (*ShardResult, error) {
-	if out, ok := ft.eval(fpReplyBusy); ok {
+	fctx := ft.scope(ctx)
+	if _, ok := fpWorkerKill.Eval(fctx); ok || ft.killed.Load() {
+		// Frozen, not crashed: no reply ever comes back.
+		ft.killed.Store(true)
+		<-ctx.Done()
+		return nil, context.Cause(ctx)
+	}
+	if out, ok := fpReplyBusy.Eval(fctx); ok {
 		// Bounce before any work, exactly like a real saturated worker.
 		return nil, &BusyError{Worker: ft.inner.Name(), After: out.Delay}
 	}
-	if out, ok := ft.eval(fpTransportErr); ok {
+	if out, ok := fpTransportErr.Eval(fctx); ok {
 		return nil, out.Err
 	}
-	if out, ok := ft.eval(fpReplyDelay); ok {
+	if out, ok := fpReplyDelay.Eval(fctx); ok {
 		select {
 		case <-time.After(out.Delay):
 		case <-ctx.Done():
@@ -112,22 +132,25 @@ func (ft *faultTransport) Simulate(ctx context.Context, req *ShardRequest) (*Sha
 	if err != nil {
 		return nil, err
 	}
-	if out, ok := ft.eval(fpReplyByzantine); ok {
+	if out, ok := fpReplyByzantine.Eval(fctx); ok {
 		byzantineMutate(res, req, out.Bit)
+	}
+	if out, ok := fpReplyCorrupt.Eval(fctx); ok {
+		corruptReply(res, out.Bit)
 	}
 	ft.mu.Lock()
 	prev := ft.stale
 	ft.stale = res
 	ft.mu.Unlock()
-	if out, ok := ft.eval(fpReplyDrop); ok {
+	if out, ok := fpReplyDrop.Eval(fctx); ok {
 		return nil, fmt.Errorf("%s: reply lost in flight", out.Msg)
 	}
-	if _, ok := ft.eval(fpReplyDup); ok && prev != nil && prev != res {
+	if _, ok := fpReplyDup.Eval(fctx); ok && prev != nil && prev != res {
 		// Replay an earlier reply verbatim: its shard/attempt echo is
 		// stale, so coordinator validation must reject it.
 		return prev, nil
 	}
-	if _, ok := ft.eval(fpReplyReorder); ok {
+	if _, ok := fpReplyReorder.Eval(fctx); ok {
 		ft.mu.Lock()
 		swapped := ft.held
 		ft.held = res
@@ -138,6 +161,26 @@ func (ft *faultTransport) Simulate(ctx context.Context, req *ShardRequest) (*Sha
 		return res, nil // nothing held yet; start the swap chain
 	}
 	return res, nil
+}
+
+// corruptReply mangles a reply in one of the ways Validate must catch;
+// variant (a seeded random int from the failpoint) picks the way. With
+// no detections to mangle, it appends a bogus one.
+func corruptReply(r *ShardResult, variant int) {
+	if len(r.Detections) == 0 {
+		r.Detections = append(r.Detections, Detection{Fault: 1 << 20})
+		return
+	}
+	switch variant % 4 {
+	case 0: // out-of-range fault index
+		r.Detections[0].Fault = 1 << 20
+	case 1: // clock cycle no longer matching the stream
+		r.Detections[len(r.Detections)/2].CC++
+	case 2: // duplicated detection
+		r.Detections = append(r.Detections, r.Detections[0])
+	default: // order violation (also a duplicate when only one entry)
+		r.Detections = append(r.Detections, r.Detections[len(r.Detections)-1])
+	}
 }
 
 // byzantineMutate turns an honest reply into a plausible lie: the

@@ -297,9 +297,9 @@ func NewHandlerOptions(name string, o WorkerOptions) *WorkerHandler {
 		o.RetryAfter = time.Second
 	}
 	// The executor carries the worker-side failpoint sites (reply
-	// corruption, Byzantine mutation, delays): one atomic load each when
-	// disarmed, so production workers pay nothing.
-	exec := WithFailpoints(NewLocal(name))
+	// corruption, Byzantine mutation, delays), armed by the failpoint
+	// set of each request's ctx: one ctx lookup each when disarmed.
+	exec := WithFailpoints(NewLocal(name), nil)
 	h := &WorkerHandler{mux: http.NewServeMux()}
 	if o.MaxConcurrent > 0 {
 		h.slots = overload.NewAdmission(overload.AdmissionOptions{
@@ -327,6 +327,12 @@ func NewHandlerOptions(name string, o WorkerOptions) *WorkerHandler {
 		if h.draining.Load() {
 			w.Header().Set(drainingHeader, "1")
 			http.Error(w, "worker draining", http.StatusServiceUnavailable)
+			return
+		}
+		// The executor's ping carries the dist.ping.error and
+		// dist.worker.kill sites, so an armed worker really misses beats.
+		if err := exec.Ping(r.Context()); err != nil {
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -393,7 +399,7 @@ func NewHandlerOptions(name string, o WorkerOptions) *WorkerHandler {
 		// Memory accounting first — it never queues, so an oversized
 		// burst bounces in microseconds — then the concurrency slot,
 		// which may wait briefly in the bounded accept queue.
-		relBytes, ok := h.bytes.TryAcquire(r.ContentLength)
+		relBytes, ok := h.bytes.TryAcquire(r.Context(), r.ContentLength)
 		if !ok {
 			busy(w, "in-flight bytes")
 			return

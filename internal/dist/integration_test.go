@@ -8,6 +8,7 @@ import (
 	"gpustl/internal/circuits"
 	"gpustl/internal/core"
 	"gpustl/internal/dist"
+	"gpustl/internal/failpoint"
 	"gpustl/internal/fault"
 	"gpustl/internal/gpu"
 	"gpustl/internal/ptpgen"
@@ -35,6 +36,13 @@ func TestCompactorWithDistSimulator(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	chaosSet, err := failpoint.NewSet(map[string]failpoint.Config{
+		"dist.reply.drop":    {Kind: failpoint.KindDrop, Prob: 0.3, Seed: 7},
+		"dist.reply.corrupt": {Kind: failpoint.KindCorrupt, Prob: 0.3, Seed: 8, Bit: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	co, err := dist.New(dist.Options{
 		MaxAttempts:       8,
 		BaseBackoff:       2 * time.Millisecond,
@@ -44,9 +52,7 @@ func TestCompactorWithDistSimulator(t *testing.T) {
 		Seed:              3,
 	},
 		dist.NewLocal("w1"),
-		dist.NewChaos(dist.NewLocal("w2"), dist.ChaosOptions{
-			Seed: 7, DropProb: 0.3, CorruptProb: 0.3,
-		}),
+		dist.WithFailpoints(dist.NewLocal("w2"), chaosSet),
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"gpustl/internal/failpoint"
 	"gpustl/internal/fault"
 	"gpustl/internal/obs"
 )
@@ -18,9 +19,9 @@ func TestHedgeLoserAttribution(t *testing.T) {
 	m := spModule(t)
 	stream := randomSPStream(rand.New(rand.NewSource(54)), m.Lanes, 256)
 
-	slow := NewChaos(NewLocal("slow"), ChaosOptions{
-		Seed: 201, DelayProb: 1.0, Delay: 10 * time.Second,
-	})
+	slow := WithFailpoints(NewLocal("slow"), fpSet(t, map[string]failpoint.Config{
+		"dist.reply.delay": {Kind: failpoint.KindDelay, Delay: 10 * time.Second, Seed: 201},
+	}))
 	reg := obs.NewRegistry()
 	opt := fastOptions()
 	opt.Shards = 1 // the single shard lands on the slow worker first

@@ -17,7 +17,6 @@ import (
 	"gpustl/internal/failpoint"
 	"gpustl/internal/fault"
 	"gpustl/internal/obs"
-	"gpustl/internal/overload"
 )
 
 // failNTransport fails its first n Simulate calls with a genuine error
@@ -56,14 +55,9 @@ func TestBusyRerouteNoFailureCharge(t *testing.T) {
 	serial := newSPCampaign(t, m, 500, 61)
 	wantRep := serial.Simulate(stream, fault.SimOptions{Workers: 1})
 
-	if err := failpoint.Enable("dist.reply.busy", failpoint.Config{
-		Kind: failpoint.KindError, Delay: 2 * time.Millisecond, Times: 2,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	defer failpoint.Disable("dist.reply.busy")
-
-	brown := WithFailpoints(NewLocal("brown"), "dist.reply.busy")
+	brown := WithFailpoints(NewLocal("brown"), fpSet(t, map[string]failpoint.Config{
+		"dist.reply.busy": {Kind: failpoint.KindError, Delay: 2 * time.Millisecond, Times: 2},
+	}))
 	co, err := New(fastOptions(), brown, NewLocal("steady"))
 	if err != nil {
 		t.Fatal(err)
@@ -194,43 +188,6 @@ func TestBreakerTripsAndRoutesAround(t *testing.T) {
 	}
 	if res2.Degraded() || res2.Stats.Retries != 0 || res2.Stats.BreakerOpens != 0 {
 		t.Fatalf("open breaker not honored across runs: %+v", res2.Stats)
-	}
-}
-
-// TestRunShedByAdmission pins down the coordinator-level admission
-// gate: a saturated pool sheds the whole Run with ErrOverloaded before
-// anything is dispatched, and a freed pool admits the retry.
-func TestRunShedByAdmission(t *testing.T) {
-	m := spModule(t)
-	stream := randomSPStream(rand.New(rand.NewSource(65)), m.Lanes, 128)
-
-	pool := overload.NewAdmission(overload.AdmissionOptions{Capacity: 1, MaxQueue: 0})
-	opt := fastOptions()
-	opt.Admission = pool
-	co, err := New(opt, NewLocal("w1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close()
-
-	hold, ok := pool.TryAcquire(1)
-	if !ok {
-		t.Fatal("could not pre-occupy the pool")
-	}
-	camp := newSPCampaign(t, m, 300, 65)
-	if _, err := co.Run(context.Background(), camp, stream, fault.SimOptions{}); !errors.Is(err, overload.ErrOverloaded) {
-		t.Fatalf("want ErrOverloaded, got %v", err)
-	}
-	if camp.Detected() != 0 {
-		t.Fatal("shed run committed detections")
-	}
-	hold()
-	res, err := co.Run(context.Background(), camp, stream, fault.SimOptions{})
-	if err != nil {
-		t.Fatalf("freed pool should admit: %v", err)
-	}
-	if res.Degraded() {
-		t.Fatalf("admitted run degraded: %+v", res.ShardErrors)
 	}
 }
 
@@ -365,7 +322,7 @@ func TestWorkerBackpressure429(t *testing.T) {
 	}
 
 	// Saturate: take the only slot, then fill the accept queue.
-	relSlot, ok := h.slots.TryAcquire(1)
+	relSlot, ok := h.slots.TryAcquire(context.Background(), 1)
 	if !ok {
 		t.Fatal("could not occupy the slot")
 	}
@@ -438,7 +395,7 @@ func TestWorkerMemoryAccounting429(t *testing.T) {
 	camp := newSPCampaign(t, m, 100, 68)
 	req := &ShardRequest{Module: m.Kind, Lanes: m.Lanes, Faults: camp.Faults(), Stream: stream}
 
-	hold, ok := h.bytes.TryAcquire(64) // spend the whole byte budget
+	hold, ok := h.bytes.TryAcquire(context.Background(), 64) // spend the whole byte budget
 	if !ok {
 		t.Fatal("could not pre-fill the bytes pool")
 	}

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -53,7 +54,7 @@ func TestWorkerReadyzJSONBody(t *testing.T) {
 	}
 
 	// Occupy the only slot: still ready (queue has room), depth visible.
-	rel, ok := h.slots.TryAcquire(1)
+	rel, ok := h.slots.TryAcquire(context.Background(), 1)
 	if !ok {
 		t.Fatal("could not occupy the slot")
 	}

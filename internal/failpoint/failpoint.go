@@ -1,35 +1,41 @@
 // Package failpoint is a deterministic fault-injection registry: named
 // injection points compiled into the failure surfaces of the codebase
-// (journal appends, shard transports, the resilient runner) that cost
-// one atomic load when disarmed and, when armed, fire seeded,
-// trigger-counted fault actions — error returns, latency spikes,
-// panics, torn/short writes, bit-flip corruption, and drop/duplicate/
-// reorder decisions for message-shaped call sites.
+// (journal appends, shard transports, the resilient runner) that fire
+// seeded, trigger-counted fault actions — error returns, latency
+// spikes, panics, torn/short writes, bit-flip corruption, and drop/
+// duplicate/reorder decisions for message-shaped call sites.
+//
+// Arming belongs to a run, not to the process. A Set, parsed from a
+// -failpoints spec (ParseSet) or built from configs (NewSet), travels
+// in the run's context.Context (WithSet), and each site evaluates
+// against the set of the ctx it runs under. A site called without a
+// ctx (a journal append, a cache write) uses the set of the ctx its
+// owner was opened or started under. Two campaigns in one process
+// therefore never see each other's faults.
 //
 // Design rules:
 //
-//   - Zero overhead when disabled. A site holds a *Failpoint whose
-//     armed state is an atomic pointer; the disarmed fast path is a
-//     single load-and-nil-check, with no map lookup, no lock, and no
-//     allocation. Production binaries keep the sites compiled in.
-//   - Deterministic. Every armed failpoint owns a rand.Rand seeded from
-//     its Config, and its probability rolls and trigger counters are
-//     advanced under a lock in evaluation order, so a given seed and
-//     call sequence always yields the same fate sequence.
+//   - Cheap when disarmed. The disarmed path is one ctx.Value lookup
+//     and a nil check, with no lock and no allocation. Production
+//     binaries keep the sites compiled in.
+//   - Deterministic. Every armed site in a Set owns a rand.Rand seeded
+//     from its Config, and its probability rolls and trigger counters
+//     are advanced under a lock in evaluation order, so a given seed
+//     and call sequence always yields the same fate sequence.
 //   - Declared, not stringly created. Sites register their names with
-//     New at package init; Enable rejects unknown names, and Names
-//     feeds the lint test that insists every registered failpoint is
-//     exercised by at least one test.
+//     New at package init; NewSet and ParseSet reject unknown names,
+//     and Names feeds the lint test that insists every registered
+//     failpoint is exercised by at least one test.
 package failpoint
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -123,7 +129,7 @@ type Outcome struct {
 	Bit int
 }
 
-// armed is the state of an enabled failpoint. Counters and the RNG are
+// armed is one site's state inside a Set. Counters and the RNG are
 // advanced under the mutex so the fate sequence is a pure function of
 // (Config, evaluation order).
 type armed struct {
@@ -135,10 +141,10 @@ type armed struct {
 }
 
 // Failpoint is one named injection point. Sites create it with New at
-// package init and call Eval/Inject/InjectWrite on the hot path.
+// package init and call Eval/Inject/InjectWrite on the hot path with
+// the ctx they run under.
 type Failpoint struct {
 	name string
-	arm  atomic.Pointer[armed]
 }
 
 var (
@@ -163,8 +169,8 @@ func New(name string) *Failpoint {
 	return fp
 }
 
-// Lookup returns the registered failpoint with the given name, or nil.
-func Lookup(name string) *Failpoint {
+// lookup returns the registered failpoint with the given name, or nil.
+func lookup(name string) *Failpoint {
 	regMu.Lock()
 	defer regMu.Unlock()
 	return registry[name]
@@ -183,25 +189,29 @@ func Names() []string {
 	return names
 }
 
-// Armed returns the names of currently enabled failpoints, sorted.
-func Armed() []string {
-	regMu.Lock()
-	defer regMu.Unlock()
-	var names []string
-	for n, fp := range registry {
-		if fp.Enabled() {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	return names
+// Set is the arming of one run: a config, trigger counters and a
+// seeded RNG per armed site. It is immutable once built (only the
+// per-site counters advance), so one Set may be shared by every
+// goroutine of its run.
+type Set struct {
+	sites map[*Failpoint]*armed
 }
 
-// Enable arms the named failpoint with cfg. Unknown names are an error:
-// a chaos schedule referring to a failpoint that no longer exists must
-// fail loudly, not silently inject nothing.
-func Enable(name string, cfg Config) error {
-	fp := Lookup(name)
+// NewSet arms each named failpoint with its config. Unknown names are
+// an error: a chaos schedule referring to a failpoint that no longer
+// exists must fail loudly, not silently inject nothing.
+func NewSet(cfgs map[string]Config) (*Set, error) {
+	s := &Set{sites: make(map[*Failpoint]*armed, len(cfgs))}
+	for name, cfg := range cfgs {
+		if err := s.arm(name, cfg); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
+func (s *Set) arm(name string, cfg Config) error {
+	fp := lookup(name)
 	if fp == nil {
 		return fmt.Errorf("failpoint: unknown failpoint %q (known: %v)", name, Names())
 	}
@@ -211,41 +221,53 @@ func Enable(name string, cfg Config) error {
 	if cfg.Kind == KindDelay && cfg.Delay <= 0 {
 		return fmt.Errorf("failpoint: enabling %q as delay without a duration", name)
 	}
-	fp.arm.Store(&armed{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))})
+	s.sites[fp] = &armed{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 	return nil
 }
 
-// Disable disarms the named failpoint (no-op when unknown or disarmed).
-func Disable(name string) {
-	if fp := Lookup(name); fp != nil {
-		fp.arm.Store(nil)
+// Names returns the names of the failpoints armed in s, sorted.
+func (s *Set) Names() []string {
+	var names []string
+	if s != nil {
+		for fp := range s.sites {
+			names = append(names, fp.name)
+		}
 	}
+	sort.Strings(names)
+	return names
 }
 
-// Reset disarms every failpoint. Chaos harnesses call it between
-// iterations so no schedule leaks into the next.
-func Reset() {
-	regMu.Lock()
-	defer regMu.Unlock()
-	for _, fp := range registry {
-		fp.arm.Store(nil)
-	}
+type setKey struct{}
+
+// WithSet returns a copy of ctx whose failpoint sites evaluate against
+// s. A nil s disarms every site for ctx's descendants, shadowing any
+// set further up.
+func WithSet(ctx context.Context, s *Set) context.Context {
+	return context.WithValue(ctx, setKey{}, s)
+}
+
+// FromContext returns the Set ctx carries, or nil.
+func FromContext(ctx context.Context) *Set {
+	s, _ := ctx.Value(setKey{}).(*Set)
+	return s
 }
 
 // Name returns the failpoint's registered name.
 func (f *Failpoint) Name() string { return f.name }
 
-// Enabled reports whether the failpoint is armed. One atomic load.
-func (f *Failpoint) Enabled() bool { return f != nil && f.arm.Load() != nil }
-
-// Eval advances the failpoint's trigger state and reports whether this
-// evaluation fires, with the resolved action. The disarmed fast path is
-// a single atomic load and returns immediately.
-func (f *Failpoint) Eval() (Outcome, bool) {
+// Eval advances the failpoint's trigger state in the Set ctx carries
+// and reports whether this evaluation fires, with the resolved action.
+// The disarmed path — no set, or a set that does not arm f — is one
+// ctx lookup and returns immediately.
+func (f *Failpoint) Eval(ctx context.Context) (Outcome, bool) {
 	if f == nil {
 		return Outcome{}, false
 	}
-	a := f.arm.Load()
+	s := FromContext(ctx)
+	if s == nil {
+		return Outcome{}, false
+	}
+	a := s.sites[f]
 	if a == nil {
 		return Outcome{}, false
 	}
@@ -290,8 +312,8 @@ func (f *Failpoint) Eval() (Outcome, bool) {
 // Inject is the plain call-site helper: it sleeps for KindDelay, panics
 // for KindPanic, and returns the injected error for every other fired
 // kind (nil when the failpoint does not fire).
-func (f *Failpoint) Inject() error {
-	out, ok := f.Eval()
+func (f *Failpoint) Inject(ctx context.Context) error {
+	out, ok := f.Eval(ctx)
 	if !ok {
 		return nil
 	}
@@ -317,8 +339,8 @@ func (f *Failpoint) Inject() error {
 //   - other kinds behave as Inject (payload unchanged).
 //
 // When the failpoint does not fire, p is returned as-is with nil error.
-func (f *Failpoint) InjectWrite(p []byte) ([]byte, error) {
-	out, ok := f.Eval()
+func (f *Failpoint) InjectWrite(ctx context.Context, p []byte) ([]byte, error) {
+	out, ok := f.Eval(ctx)
 	if !ok {
 		return p, nil
 	}

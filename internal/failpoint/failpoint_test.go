@@ -2,6 +2,7 @@ package failpoint
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"strings"
@@ -10,47 +11,84 @@ import (
 	"time"
 )
 
-// tfp registers a uniquely named failpoint for this test binary and
-// disarms it on cleanup.
+// tfp registers a uniquely named failpoint for this test binary.
 func tfp(t *testing.T) *Failpoint {
 	t.Helper()
-	fp := New("test." + t.Name())
-	t.Cleanup(func() { Disable(fp.Name()) })
-	return fp
+	return New("test." + t.Name())
+}
+
+// armCtx returns a ctx carrying a fresh Set that arms fp with cfg.
+func armCtx(t *testing.T, fp *Failpoint, cfg Config) context.Context {
+	t.Helper()
+	s, err := NewSet(map[string]Config{fp.Name(): cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return WithSet(context.Background(), s)
 }
 
 func TestDisarmedIsInert(t *testing.T) {
 	fp := tfp(t)
-	if fp.Enabled() {
-		t.Fatal("fresh failpoint reports enabled")
+	other, err := NewSet(map[string]Config{New("test." + t.Name() + ".other").Name(): {Kind: KindError}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := fp.Inject(); err != nil {
-		t.Fatalf("disarmed Inject returned %v", err)
-	}
-	p := []byte("payload")
-	out, err := fp.InjectWrite(p)
-	if err != nil || !bytes.Equal(out, p) {
-		t.Fatalf("disarmed InjectWrite mutated payload: %q, %v", out, err)
-	}
-	if _, fired := fp.Eval(); fired {
-		t.Fatal("disarmed failpoint fired")
+	// No set at all, a set arming another site, and a nil set shadowing
+	// an armed one: all three leave fp disarmed.
+	for _, ctx := range []context.Context{
+		context.Background(),
+		WithSet(context.Background(), other),
+		WithSet(armCtx(t, fp, Config{Kind: KindError}), nil),
+	} {
+		if err := fp.Inject(ctx); err != nil {
+			t.Fatalf("disarmed Inject returned %v", err)
+		}
+		p := []byte("payload")
+		out, err := fp.InjectWrite(ctx, p)
+		if err != nil || !bytes.Equal(out, p) {
+			t.Fatalf("disarmed InjectWrite mutated payload: %q, %v", out, err)
+		}
+		if _, fired := fp.Eval(ctx); fired {
+			t.Fatal("disarmed failpoint fired")
+		}
 	}
 	// A nil handle (site compiled against an optional failpoint) is
 	// inert too.
 	var nilFP *Failpoint
-	if nilFP.Enabled() || nilFP.Inject() != nil {
+	if nilFP.Inject(armCtx(t, fp, Config{Kind: KindError})) != nil {
 		t.Fatal("nil failpoint is not inert")
+	}
+}
+
+// TestSetsAreIsolated: two runs arming the same site with different
+// configs each see only their own fates and counters.
+func TestSetsAreIsolated(t *testing.T) {
+	fp := tfp(t)
+	a := armCtx(t, fp, Config{Kind: KindError, Err: ErrInjected, Times: 1})
+	b := armCtx(t, fp, Config{Kind: KindPanic, After: 2})
+	if err := fp.Inject(a); !errors.Is(err, ErrInjected) {
+		t.Fatalf("set a: %v, want ErrInjected", err)
+	}
+	if err := fp.Inject(a); err != nil {
+		t.Fatalf("set a fired past Times=1: %v", err)
+	}
+	// b's After window is untouched by a's two evaluations.
+	for i := 0; i < 2; i++ {
+		if out, fired := fp.Eval(b); fired {
+			t.Fatalf("set b fired %s during its After window", out.Kind)
+		}
+	}
+	if out, fired := fp.Eval(b); !fired || out.Kind != KindPanic {
+		t.Fatalf("set b third evaluation = (%v, %v), want a panic", out.Kind, fired)
 	}
 }
 
 func TestTriggerCounting(t *testing.T) {
 	fp := tfp(t)
-	if err := Enable(fp.Name(), Config{Kind: KindError, Err: ErrInjected, After: 2, Times: 3}); err != nil {
-		t.Fatal(err)
-	}
+	ctx := armCtx(t, fp, Config{Kind: KindError, Err: ErrInjected, After: 2, Times: 3})
 	var fired int
 	for i := 0; i < 10; i++ {
-		if err := fp.Inject(); err != nil {
+		if err := fp.Inject(ctx); err != nil {
 			if !errors.Is(err, ErrInjected) {
 				t.Fatalf("call %d: wrong error %v", i, err)
 			}
@@ -68,12 +106,10 @@ func TestTriggerCounting(t *testing.T) {
 func TestSeededProbabilityIsDeterministic(t *testing.T) {
 	fp := tfp(t)
 	fates := func(seed int64) []bool {
-		if err := Enable(fp.Name(), Config{Kind: KindError, Prob: 0.4, Seed: seed}); err != nil {
-			t.Fatal(err)
-		}
+		ctx := armCtx(t, fp, Config{Kind: KindError, Prob: 0.4, Seed: seed})
 		var out []bool
 		for i := 0; i < 64; i++ {
-			_, fired := fp.Eval()
+			_, fired := fp.Eval(ctx)
 			out = append(out, fired)
 		}
 		return out
@@ -99,20 +135,16 @@ func TestSeededProbabilityIsDeterministic(t *testing.T) {
 
 func TestInjectDelayAndPanic(t *testing.T) {
 	fp := tfp(t)
-	if err := Enable(fp.Name(), Config{Kind: KindDelay, Delay: 10 * time.Millisecond, Times: 1}); err != nil {
-		t.Fatal(err)
-	}
+	ctx := armCtx(t, fp, Config{Kind: KindDelay, Delay: 10 * time.Millisecond, Times: 1})
 	start := time.Now()
-	if err := fp.Inject(); err != nil {
+	if err := fp.Inject(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if time.Since(start) < 10*time.Millisecond {
 		t.Fatal("delay did not sleep")
 	}
 
-	if err := Enable(fp.Name(), Config{Kind: KindPanic, Msg: "boom"}); err != nil {
-		t.Fatal(err)
-	}
+	ctx = armCtx(t, fp, Config{Kind: KindPanic, Msg: "boom"})
 	func() {
 		defer func() {
 			r := recover()
@@ -120,7 +152,7 @@ func TestInjectDelayAndPanic(t *testing.T) {
 				t.Fatalf("panic = %v, want boom", r)
 			}
 		}()
-		fp.Inject()
+		fp.Inject(ctx)
 		t.Fatal("panic failpoint did not panic")
 	}()
 }
@@ -129,10 +161,8 @@ func TestInjectWriteShortAndCorrupt(t *testing.T) {
 	fp := tfp(t)
 	p := []byte("0123456789")
 
-	if err := Enable(fp.Name(), Config{Kind: KindShortWrite, Bytes: 3, Err: syscall.ENOSPC}); err != nil {
-		t.Fatal(err)
-	}
-	out, err := fp.InjectWrite(p)
+	ctx := armCtx(t, fp, Config{Kind: KindShortWrite, Bytes: 3, Err: syscall.ENOSPC})
+	out, err := fp.InjectWrite(ctx, p)
 	if !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("short write error = %v, want ENOSPC", err)
 	}
@@ -140,18 +170,14 @@ func TestInjectWriteShortAndCorrupt(t *testing.T) {
 		t.Fatalf("kept prefix = %q, want %q", out, "012")
 	}
 
-	if err := Enable(fp.Name(), Config{Kind: KindShortWrite}); err != nil {
-		t.Fatal(err)
-	}
-	out, err = fp.InjectWrite(p)
+	ctx = armCtx(t, fp, Config{Kind: KindShortWrite})
+	out, err = fp.InjectWrite(ctx, p)
 	if !errors.Is(err, io.ErrShortWrite) || len(out) != len(p)/2 {
 		t.Fatalf("default short write = (%q, %v), want half prefix + io.ErrShortWrite", out, err)
 	}
 
-	if err := Enable(fp.Name(), Config{Kind: KindCorrupt, Bit: 1}); err != nil {
-		t.Fatal(err)
-	}
-	out, err = fp.InjectWrite(p)
+	ctx = armCtx(t, fp, Config{Kind: KindCorrupt, Bit: 1})
+	out, err = fp.InjectWrite(ctx, p)
 	if err != nil {
 		t.Fatalf("corrupt must succeed silently, got %v", err)
 	}
@@ -167,14 +193,14 @@ func TestInjectWriteShortAndCorrupt(t *testing.T) {
 }
 
 func TestEnableRejectsUnknownAndInvalid(t *testing.T) {
-	if err := Enable("no.such.failpoint", Config{Kind: KindError}); err == nil {
+	if _, err := NewSet(map[string]Config{"no.such.failpoint": {Kind: KindError}}); err == nil {
 		t.Fatal("unknown name accepted")
 	}
 	fp := tfp(t)
-	if err := Enable(fp.Name(), Config{}); err == nil {
+	if _, err := NewSet(map[string]Config{fp.Name(): {}}); err == nil {
 		t.Fatal("KindNone accepted")
 	}
-	if err := Enable(fp.Name(), Config{Kind: KindDelay}); err == nil {
+	if _, err := NewSet(map[string]Config{fp.Name(): {Kind: KindDelay}}); err == nil {
 		t.Fatal("delay without duration accepted")
 	}
 }
@@ -190,43 +216,36 @@ func TestRegistryListing(t *testing.T) {
 	if !found {
 		t.Fatal("registered name missing from Names()")
 	}
-	if err := Enable(fp.Name(), Config{Kind: KindError}); err != nil {
+	s, err := NewSet(map[string]Config{fp.Name(): {Kind: KindError}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	armedHas := false
-	for _, n := range Armed() {
-		if n == fp.Name() {
-			armedHas = true
-		}
+	if got := s.Names(); len(got) != 1 || got[0] != fp.Name() {
+		t.Fatalf("set names = %v, want [%s]", got, fp.Name())
 	}
-	if !armedHas {
-		t.Fatal("armed name missing from Armed()")
-	}
-	Disable(fp.Name())
-	for _, n := range Armed() {
-		if n == fp.Name() {
-			t.Fatal("disabled name still listed as armed")
-		}
+	if got := (*Set)(nil).Names(); len(got) != 0 {
+		t.Fatalf("nil set names = %v, want none", got)
 	}
 }
 
 func TestEnableSpec(t *testing.T) {
 	a, b := tfp(t), New("test."+t.Name()+".b")
-	t.Cleanup(func() { Disable(b.Name()) })
 
 	spec := a.Name() + "=error(ENOSPC)|p=0.5|seed=3|after=1|times=2, " + b.Name() + "=delay(15ms)"
-	if err := EnableSpec(spec); err != nil {
+	s, err := ParseSet(spec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Enabled() || !b.Enabled() {
-		t.Fatal("spec did not arm both failpoints")
+	if got := s.Names(); len(got) != 2 {
+		t.Fatalf("spec armed %v, want both failpoints", got)
 	}
+	ctx := WithSet(context.Background(), s)
 	// The ENOSPC shorthand must produce a syscall.ENOSPC-classifiable
 	// error once the trigger window opens.
-	a.Eval() // consumed by after=1
+	a.Eval(ctx) // consumed by after=1
 	var got error
 	for i := 0; i < 32 && got == nil; i++ {
-		got = a.Inject()
+		got = a.Inject(ctx)
 	}
 	if !errors.Is(got, syscall.ENOSPC) {
 		t.Fatalf("spec error(ENOSPC) produced %v", got)
@@ -240,21 +259,27 @@ func TestEnableSpec(t *testing.T) {
 		a.Name() + "=error|p=x",
 		"no.such.failpoint=error",
 	} {
-		if err := EnableSpec(bad); err == nil {
+		if _, err := ParseSet(bad); err == nil {
 			t.Fatalf("spec %q accepted", bad)
 		}
 	}
 }
 
-// BenchmarkDisarmedEval documents the zero-overhead claim: a disarmed
-// failpoint evaluation is one atomic load (sub-nanosecond on modern
-// hardware), so leaving sites compiled into production paths is free.
+var benchFP = New("bench.disarmed")
+
+// BenchmarkDisarmedEval documents the disarmed cost: an evaluation
+// under a ctx that carries no set is one ctx.Value lookup, so leaving
+// sites compiled into production paths is cheap. The ctx has the depth
+// of a real call site's: a cancel and a deadline around a value.
 func BenchmarkDisarmedEval(b *testing.B) {
-	fp := New("bench.disarmed")
-	defer Disable(fp.Name())
+	type key struct{}
+	ctx, cancel := context.WithCancel(context.WithValue(context.Background(), key{}, 1))
+	defer cancel()
+	ctx, cancel2 := context.WithTimeout(ctx, time.Hour)
+	defer cancel2()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, fired := fp.Eval(); fired {
+		if _, fired := benchFP.Eval(ctx); fired {
 			b.Fatal("fired")
 		}
 	}

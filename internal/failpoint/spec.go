@@ -9,8 +9,8 @@ import (
 	"time"
 )
 
-// EnableSpec arms failpoints from a human-writable spec string, the
-// format the -failpoints CLI flags accept. Entries are comma-separated:
+// ParseSet builds a Set from a human-writable spec string, the format
+// the -failpoints CLI flags accept. Entries are comma-separated:
 //
 //	name=action[|mod=value|...]
 //
@@ -33,7 +33,8 @@ import (
 // Example:
 //
 //	journal.append.sync=error(ENOSPC)|p=0.1|seed=7,dist.reply.drop=drop|times=3
-func EnableSpec(spec string) error {
+func ParseSet(spec string) (*Set, error) {
+	s := &Set{sites: map[*Failpoint]*armed{}}
 	for _, entry := range strings.Split(spec, ",") {
 		entry = strings.TrimSpace(entry)
 		if entry == "" {
@@ -41,17 +42,17 @@ func EnableSpec(spec string) error {
 		}
 		name, rest, ok := strings.Cut(entry, "=")
 		if !ok {
-			return fmt.Errorf("failpoint: spec entry %q: want name=action", entry)
+			return nil, fmt.Errorf("failpoint: spec entry %q: want name=action", entry)
 		}
 		cfg, err := ParseConfig(rest)
 		if err != nil {
-			return fmt.Errorf("failpoint: spec entry %q: %w", entry, err)
+			return nil, fmt.Errorf("failpoint: spec entry %q: %w", entry, err)
 		}
-		if err := Enable(strings.TrimSpace(name), cfg); err != nil {
-			return err
+		if err := s.arm(strings.TrimSpace(name), cfg); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return s, nil
 }
 
 // ParseConfig parses the action[|mod=value...] part of a spec entry.

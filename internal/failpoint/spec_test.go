@@ -49,7 +49,7 @@ func TestParseConfigErrors(t *testing.T) {
 	}
 }
 
-// TestEnableSpecErrors covers the entry-level failures EnableSpec adds
+// TestEnableSpecErrors covers the entry-level failures ParseSet adds
 // on top of ParseConfig: missing name=action shape, unregistered and
 // empty site names. Every error must quote the offending entry.
 func TestEnableSpecErrors(t *testing.T) {
@@ -69,21 +69,19 @@ func TestEnableSpecErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			defer Disable(fp.Name())
-			err := EnableSpec(tc.in)
+			_, err := ParseSet(tc.in)
 			if err == nil {
-				t.Fatalf("EnableSpec(%q) accepted", tc.in)
+				t.Fatalf("ParseSet(%q) accepted", tc.in)
 			}
 			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("EnableSpec(%q) error %q does not carry %q", tc.in, err, tc.want)
+				t.Fatalf("ParseSet(%q) error %q does not carry %q", tc.in, err, tc.want)
 			}
 		})
 	}
 	// Whitespace and empty entries are tolerated, not errors.
-	if err := EnableSpec(" , " + fp.Name() + "=error , "); err != nil {
+	if s, err := ParseSet(" , " + fp.Name() + "=error , "); err != nil || len(s.Names()) != 1 {
 		t.Fatalf("spec with blank entries rejected: %v", err)
 	}
-	Disable(fp.Name())
 }
 
 // TestConfigSpecRoundTrip: Spec must emit exactly what ParseConfig

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 )
@@ -15,7 +16,7 @@ type benchBody struct {
 // per-PTP durability cost the runner pays.
 func BenchmarkJournalAppend(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "bench.wal")
-	j, _, err := Open(path)
+	j, _, err := Open(context.Background(), path)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func BenchmarkJournalAppend(b *testing.B) {
 // resume-time recovery cost.
 func BenchmarkJournalReplay(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "bench.wal")
-	j, _, err := Open(path)
+	j, _, err := Open(context.Background(), path)
 	if err != nil {
 		b.Fatal(err)
 	}

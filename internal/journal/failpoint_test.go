@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"context"
 	"errors"
 	"path/filepath"
 	"syscall"
@@ -9,24 +10,35 @@ import (
 	"gpustl/internal/failpoint"
 )
 
+// openArmed opens the journal at path under a ctx arming one failpoint:
+// the journal's appends evaluate against the set of the ctx it was
+// opened under.
+func openArmed(t *testing.T, path, name string, cfg failpoint.Config) *Journal {
+	t.Helper()
+	set, err := failpoint.NewSet(map[string]failpoint.Config{name: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, _, err := Open(failpoint.WithSet(context.Background(), set), path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
+
 // TestAppendShortWriteIsSurfacedAndHealed exercises the
 // journal.append.write failpoint: a torn write must be reported as
 // ErrShortWrite (not discovered later as a CRC torn-tail), the partial
 // bytes must be truncated away, and a retry of the same record must
 // succeed and leave a clean journal.
 func TestAppendShortWriteIsSurfacedAndHealed(t *testing.T) {
-	defer failpoint.Reset()
 	path := filepath.Join(t.TempDir(), "campaign.wal")
-	j, _ := openT(t, path)
+	j := openArmed(t, path, "journal.append.write", failpoint.Config{
+		Kind: failpoint.KindShortWrite, After: 1, Times: 1,
+	})
 	defer j.Close()
 
 	if _, err := j.Append("item", payload{N: 1}); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := failpoint.Enable("journal.append.write", failpoint.Config{
-		Kind: failpoint.KindShortWrite, Times: 1,
-	}); err != nil {
 		t.Fatal(err)
 	}
 	_, err := j.Append("item", payload{N: 2})
@@ -54,16 +66,12 @@ func TestAppendShortWriteIsSurfacedAndHealed(t *testing.T) {
 // write failpoint: callers must be able to errors.Is on ErrDiskFull to
 // distinguish "environment out of space" from corruption.
 func TestAppendDiskFullIsDistinct(t *testing.T) {
-	defer failpoint.Reset()
 	path := filepath.Join(t.TempDir(), "campaign.wal")
-	j, _ := openT(t, path)
+	j := openArmed(t, path, "journal.append.write", failpoint.Config{
+		Kind: failpoint.KindShortWrite, Bytes: 5, Err: syscall.ENOSPC, Times: 1,
+	})
 	defer j.Close()
 
-	if err := failpoint.Enable("journal.append.write", failpoint.Config{
-		Kind: failpoint.KindShortWrite, Bytes: 5, Err: syscall.ENOSPC, Times: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
 	_, err := j.Append("item", payload{N: 1})
 	if !errors.Is(err, ErrDiskFull) {
 		t.Fatalf("ENOSPC append error = %v, want ErrDiskFull", err)
@@ -84,17 +92,13 @@ func TestAppendDiskFullIsDistinct(t *testing.T) {
 // unknown) so the journal stays a clean prefix, and an ENOSPC-flavored
 // sync failure classifies as ErrDiskFull.
 func TestAppendSyncFailureHealsTail(t *testing.T) {
-	defer failpoint.Reset()
 	path := filepath.Join(t.TempDir(), "campaign.wal")
-	j, _ := openT(t, path)
+	j := openArmed(t, path, "journal.append.sync", failpoint.Config{
+		Kind: failpoint.KindError, Err: syscall.ENOSPC, After: 1, Times: 1,
+	})
 	defer j.Close()
 
 	if _, err := j.Append("item", payload{N: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := failpoint.Enable("journal.append.sync", failpoint.Config{
-		Kind: failpoint.KindError, Err: syscall.ENOSPC, Times: 1,
-	}); err != nil {
 		t.Fatal(err)
 	}
 	_, err := j.Append("item", payload{N: 2})
@@ -123,16 +127,12 @@ func TestAppendSyncFailureHealsTail(t *testing.T) {
 // CRC mismatch (or torn framing if the flip hit the JSON structure) —
 // the failure mode recovery truncates.
 func TestAppendCorruptionLandsSilently(t *testing.T) {
-	defer failpoint.Reset()
 	path := filepath.Join(t.TempDir(), "campaign.wal")
-	j, _ := openT(t, path)
+	j := openArmed(t, path, "journal.append.write", failpoint.Config{
+		Kind: failpoint.KindCorrupt, Seed: 42, After: 1, Times: 1,
+	})
 
 	if _, err := j.Append("item", payload{N: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := failpoint.Enable("journal.append.write", failpoint.Config{
-		Kind: failpoint.KindCorrupt, Seed: 42, Times: 1,
-	}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := j.Append("item", payload{N: 2}); err != nil {

@@ -14,6 +14,7 @@ package journal
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -229,14 +230,18 @@ type Journal struct {
 	// to it so a write-time error never leaves a torn tail for the next
 	// Scan to misreport as corruption.
 	off int64
+	// fpctx keeps the values of the ctx Open ran under: appends take no
+	// ctx, so the append failpoints evaluate against its set.
+	fpctx context.Context
 }
 
 // Open scans the journal at path (creating it if absent), truncates any
 // torn or corrupt tail so the file is a clean prefix of valid records,
 // and returns the journal ready for append together with the replay of
 // what survived. Callers decide what a truncated tail means; Open only
-// guarantees the file is consistent afterwards.
-func Open(path string) (*Journal, *Replay, error) {
+// guarantees the file is consistent afterwards. The journal's append
+// failpoints evaluate against ctx's failpoint set for its whole life.
+func Open(ctx context.Context, path string) (*Journal, *Replay, error) {
 	rp, err := Scan(path)
 	if err != nil {
 		return nil, nil, err
@@ -268,7 +273,8 @@ func Open(path string) (*Journal, *Replay, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	return &Journal{f: f, path: path, seq: uint64(len(rp.Records)), off: rp.GoodSize}, rp, nil
+	return &Journal{f: f, path: path, seq: uint64(len(rp.Records)), off: rp.GoodSize,
+		fpctx: context.WithoutCancel(ctx)}, rp, nil
 }
 
 // Seq returns the sequence number of the last appended record (0 when
@@ -298,7 +304,7 @@ func (j *Journal) Append(typ string, body any) (uint64, error) {
 	}
 	// The write failpoint decides what reaches the kernel: the full
 	// line, a torn prefix (plus an error), or a bit-flipped copy.
-	toWrite, injected := fpAppendWrite.InjectWrite(line)
+	toWrite, injected := fpAppendWrite.InjectWrite(j.fpctx, line)
 	n, werr := j.f.Write(toWrite)
 	if werr == nil && injected != nil {
 		// Injected torn write: the prefix landed, now surface the error
@@ -311,7 +317,7 @@ func (j *Journal) Append(typ string, body any) (uint64, error) {
 		}
 		return 0, fmt.Errorf("journal: appending to %s: %w", j.path, cerr)
 	}
-	serr := fpAppendSync.Inject()
+	serr := fpAppendSync.Inject(j.fpctx)
 	if serr == nil {
 		serr = j.f.Sync()
 	}

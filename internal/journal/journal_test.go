@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,7 +16,7 @@ type payload struct {
 
 func openT(t *testing.T, path string) (*Journal, *Replay) {
 	t.Helper()
-	j, rp, err := Open(path)
+	j, rp, err := Open(context.Background(), path)
 	if err != nil {
 		t.Fatal(err)
 	}

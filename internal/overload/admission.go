@@ -116,17 +116,15 @@ func (a *Admission) Acquire(ctx context.Context, cost int64) (release func(), er
 	if a == nil {
 		return func() {}, nil
 	}
-	if _, fired := fpAdmitShed.Eval(); fired {
+	if _, fired := fpAdmitShed.Eval(ctx); fired {
 		a.shed(ShedInjected)
 		return nil, ErrOverloaded
 	}
-	if fpAdmitDelay.Enabled() {
-		// A delay-armed site sleeps here; any error kind is treated as a
-		// shed so chaos can also arm it as a hard failure.
-		if ierr := fpAdmitDelay.Inject(); ierr != nil {
-			a.shed(ShedInjected)
-			return nil, ErrOverloaded
-		}
+	// A delay-armed site sleeps here; any error kind is treated as a
+	// shed so chaos can also arm it as a hard failure.
+	if ierr := fpAdmitDelay.Inject(ctx); ierr != nil {
+		a.shed(ShedInjected)
+		return nil, ErrOverloaded
 	}
 	if cost < 1 {
 		cost = 1
@@ -194,11 +192,12 @@ func (a *Admission) Acquire(ctx context.Context, cost int64) (release func(), er
 // TryAcquire admits cost units only if capacity is free right now —
 // never queueing, never blocking. The worker accept path uses it: a
 // saturated worker must answer 429 immediately, not sit on the request.
-func (a *Admission) TryAcquire(cost int64) (release func(), ok bool) {
+// ctx is consulted only for its failpoint set.
+func (a *Admission) TryAcquire(ctx context.Context, cost int64) (release func(), ok bool) {
 	if a == nil {
 		return func() {}, true
 	}
-	if _, fired := fpAdmitShed.Eval(); fired {
+	if _, fired := fpAdmitShed.Eval(ctx); fired {
 		a.shed(ShedInjected)
 		return nil, false
 	}

@@ -195,15 +195,15 @@ func TestAdmissionCostClamp(t *testing.T) {
 
 func TestAdmissionTryAcquire(t *testing.T) {
 	a := NewAdmission(AdmissionOptions{Capacity: 5, MaxQueue: 8})
-	rel, ok := a.TryAcquire(5)
+	rel, ok := a.TryAcquire(context.Background(), 5)
 	if !ok {
 		t.Fatal("first TryAcquire refused")
 	}
-	if _, ok := a.TryAcquire(1); ok {
+	if _, ok := a.TryAcquire(context.Background(), 1); ok {
 		t.Fatal("saturated TryAcquire admitted")
 	}
 	rel()
-	rel2, ok := a.TryAcquire(1)
+	rel2, ok := a.TryAcquire(context.Background(), 1)
 	if !ok {
 		t.Fatal("TryAcquire after release refused")
 	}
@@ -217,7 +217,7 @@ func TestAdmissionNil(t *testing.T) {
 		t.Fatalf("nil admission must admit: %v", err)
 	}
 	rel()
-	rel2, ok := a.TryAcquire(1)
+	rel2, ok := a.TryAcquire(context.Background(), 1)
 	if !ok {
 		t.Fatal("nil TryAcquire refused")
 	}
@@ -227,16 +227,23 @@ func TestAdmissionNil(t *testing.T) {
 	}
 }
 
-func TestAdmissionFailpointShed(t *testing.T) {
-	if err := failpoint.Enable("overload.admit.shed", failpoint.Config{Kind: failpoint.KindError, Times: 1}); err != nil {
+// armed returns a ctx whose failpoint set arms one site with cfg.
+func armed(t *testing.T, name string, cfg failpoint.Config) context.Context {
+	t.Helper()
+	set, err := failpoint.NewSet(map[string]failpoint.Config{name: cfg})
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer failpoint.Disable("overload.admit.shed")
+	return failpoint.WithSet(context.Background(), set)
+}
+
+func TestAdmissionFailpointShed(t *testing.T) {
+	ctx := armed(t, "overload.admit.shed", failpoint.Config{Kind: failpoint.KindError, Times: 1})
 	a := NewAdmission(AdmissionOptions{Capacity: 100, MaxQueue: 4})
-	if _, err := a.Acquire(context.Background(), 1); !errors.Is(err, ErrOverloaded) {
+	if _, err := a.Acquire(ctx, 1); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("armed shed site: want ErrOverloaded, got %v", err)
 	}
-	if rel, err := a.Acquire(context.Background(), 1); err != nil { // Times:1 exhausted
+	if rel, err := a.Acquire(ctx, 1); err != nil { // Times:1 exhausted
 		t.Fatalf("second acquire should pass: %v", err)
 	} else {
 		rel()
@@ -247,13 +254,10 @@ func TestAdmissionFailpointShed(t *testing.T) {
 }
 
 func TestAdmissionFailpointDelay(t *testing.T) {
-	if err := failpoint.Enable("overload.admit.delay", failpoint.Config{Kind: failpoint.KindDelay, Delay: 2 * time.Millisecond, Times: 1}); err != nil {
-		t.Fatal(err)
-	}
-	defer failpoint.Disable("overload.admit.delay")
+	ctx := armed(t, "overload.admit.delay", failpoint.Config{Kind: failpoint.KindDelay, Delay: 2 * time.Millisecond, Times: 1})
 	a := NewAdmission(AdmissionOptions{Capacity: 100, MaxQueue: 4})
 	t0 := time.Now()
-	rel, err := a.Acquire(context.Background(), 1)
+	rel, err := a.Acquire(ctx, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,10 +266,8 @@ func TestAdmissionFailpointDelay(t *testing.T) {
 		t.Fatalf("delay site did not delay (%v)", d)
 	}
 	// Armed as an error kind, the delay site degrades into a shed.
-	if err := failpoint.Enable("overload.admit.delay", failpoint.Config{Kind: failpoint.KindError, Times: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Acquire(context.Background(), 1); !errors.Is(err, ErrOverloaded) {
+	ctx = armed(t, "overload.admit.delay", failpoint.Config{Kind: failpoint.KindError, Times: 1})
+	if _, err := a.Acquire(ctx, 1); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("error-armed delay site: want ErrOverloaded, got %v", err)
 	}
 }

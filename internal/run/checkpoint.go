@@ -2,6 +2,7 @@ package run
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -202,7 +203,7 @@ type campaignLog struct {
 // and validates it against this run's config hash and library size.
 // A directory with no journal but a legacy checkpoint.json is refused. The returned checkpoint holds every salvaged entry; notes
 // carries human-readable salvage messages.
-func openCampaign(dir, configHash string, nPTPs int) (*campaignLog, *Checkpoint, []string, error) {
+func openCampaign(ctx context.Context, dir, configHash string, nPTPs int) (*campaignLog, *Checkpoint, []string, error) {
 	walPath := filepath.Join(dir, WALFile)
 	// Refuse before Open creates a journal next to the legacy file.
 	if fi, err := os.Stat(walPath); err != nil || fi.Size() == 0 {
@@ -210,7 +211,7 @@ func openCampaign(dir, configHash string, nPTPs int) (*campaignLog, *Checkpoint,
 			return nil, nil, nil, err
 		}
 	}
-	j, rp, err := journal.Open(walPath)
+	j, rp, err := journal.Open(ctx, walPath)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("run: opening journal: %w", err)
 	}

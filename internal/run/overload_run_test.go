@@ -24,7 +24,7 @@ import (
 func TestRunShedLeavesNoArtifact(t *testing.T) {
 	lib, ms := testEnv(t)
 	pool := overload.NewAdmission(overload.AdmissionOptions{Capacity: 1, MaxQueue: 0})
-	hold, ok := pool.TryAcquire(1)
+	hold, ok := pool.TryAcquire(context.Background(), 1)
 	if !ok {
 		t.Fatal("could not pre-occupy the pool")
 	}

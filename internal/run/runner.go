@@ -259,7 +259,7 @@ func Run(ctx context.Context, cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL,
 		if err := os.MkdirAll(opts.CheckpointDir, 0o777); err != nil {
 			return nil, fmt.Errorf("run: checkpoint dir: %w", err)
 		}
-		cl, cck, notes, err := openCampaign(opts.CheckpointDir, hash, len(lib.PTPs))
+		cl, cck, notes, err := openCampaign(ctx, opts.CheckpointDir, hash, len(lib.PTPs))
 		if err != nil {
 			return nil, err
 		}
@@ -441,7 +441,7 @@ func Run(ctx context.Context, cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL,
 			// resume redoes this PTP; after it the entry is durable — a
 			// resume skips it. Entries are deterministic, so both paths
 			// converge on the same report.
-			if err := fpPrecommitCrash.Inject(); err != nil {
+			if err := fpPrecommitCrash.Inject(ctx); err != nil {
 				ptpSpan.End()
 				return rep, err
 			}
@@ -454,7 +454,7 @@ func Run(ctx context.Context, cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL,
 				ptpSpan.End()
 				return rep, err
 			}
-			if err := fpPostcommitCrash.Inject(); err != nil {
+			if err := fpPostcommitCrash.Inject(ctx); err != nil {
 				ptpSpan.End()
 				return rep, err
 			}
@@ -603,7 +603,7 @@ func compactOne(ctx context.Context, c *core.Compactor, p *stl.PTP,
 		if !core.CommitStage(s) {
 			// Gated to pre-commit stages: a crash here is retried by the
 			// quarantine policy without touching committed state.
-			if err := fpStagePanic.Inject(); err != nil {
+			if err := fpStagePanic.Inject(cctx); err != nil {
 				return err
 			}
 		}

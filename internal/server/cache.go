@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -25,13 +26,16 @@ type cache struct {
 	mMisses  *obs.Counter // gpustl_server_cache_misses_total
 	mCorrupt *obs.Counter // gpustl_server_cache_corrupt_total
 	logf     func(string, ...any)
+	// fpctx keeps the values of the ctx the cache was opened under:
+	// server.cache.corrupt evaluates against its failpoint set.
+	fpctx context.Context
 }
 
-func newCache(dir string, m *obs.Registry, logf func(string, ...any)) (*cache, error) {
+func newCache(ctx context.Context, dir string, m *obs.Registry, logf func(string, ...any)) (*cache, error) {
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, fmt.Errorf("server: cache dir: %w", err)
 	}
-	c := &cache{dir: dir, logf: logf}
+	c := &cache{dir: dir, logf: logf, fpctx: context.WithoutCancel(ctx)}
 	if m != nil {
 		c.mHits = m.Counter("gpustl_server_cache_hits_total")
 		c.mMisses = m.Counter("gpustl_server_cache_misses_total")
@@ -92,7 +96,7 @@ func (c *cache) get(key string) ([]byte, bool) {
 // artifact without a sum, which get() treats as corrupt (a miss),
 // never as data.
 func (c *cache) put(key string, data []byte) error {
-	stored, err := fpCacheCorrupt.InjectWrite(data)
+	stored, err := fpCacheCorrupt.InjectWrite(c.fpctx, data)
 	if err != nil {
 		return fmt.Errorf("server: cache write: %w", err)
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -110,8 +111,8 @@ func acquireLock(dir, holder string, expiry time.Time) error {
 // this holder (a peer judged us dead and took over while we were
 // stalled). The server.lease.expire failpoint simulates exactly that
 // stall: the renewal is skipped, so the lease runs out for real.
-func renewLock(dir, holder string, expiry time.Time) error {
-	if err := fpLeaseExpire.Inject(); err != nil {
+func renewLock(ctx context.Context, dir, holder string, expiry time.Time) error {
+	if err := fpLeaseExpire.Inject(ctx); err != nil {
 		return fmt.Errorf("server: lease renewal suppressed: %w", err)
 	}
 	cur := readLock(dir)

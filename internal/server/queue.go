@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -144,6 +145,10 @@ type queue struct {
 	mu    sync.Mutex
 	j     *journal.Journal
 	camps map[string]*Campaign
+	// fpctx keeps the values of the ctx the queue was opened under:
+	// appends take no ctx, so server.journal.append evaluates against
+	// its failpoint set.
+	fpctx context.Context
 }
 
 // openQueue opens (or creates) the queue journal in dir and folds its
@@ -151,12 +156,12 @@ type queue struct {
 // running when the previous owner died come back as their journaled
 // state — adoption (requeue or re-lease) is the caller's decision,
 // made against lease expiry.
-func openQueue(path string) (*queue, *journal.Replay, error) {
-	j, rp, err := journal.Open(path)
+func openQueue(ctx context.Context, path string) (*queue, *journal.Replay, error) {
+	j, rp, err := journal.Open(ctx, path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("server: opening queue journal: %w", err)
 	}
-	q := &queue{j: j, camps: make(map[string]*Campaign)}
+	q := &queue{j: j, camps: make(map[string]*Campaign), fpctx: context.WithoutCancel(ctx)}
 	for _, rec := range rp.Records {
 		if err := q.apply(rec.Seq, rec.Type, rec.Body); err != nil {
 			j.Close()
@@ -250,7 +255,7 @@ func (q *queue) apply(seq uint64, typ string, body json.RawMessage) error {
 // rather than keep running with an un-journaled transition the next
 // replay would not know about.
 func (q *queue) append(typ string, r queueRec) error {
-	if err := fpJournalAppend.Inject(); err != nil {
+	if err := fpJournalAppend.Inject(q.fpctx); err != nil {
 		return fmt.Errorf("server: queue journal append %s(%s): %w", typ, r.ID, err)
 	}
 	body, err := json.Marshal(r)

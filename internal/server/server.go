@@ -134,9 +134,11 @@ type Server struct {
 	// had died — so the successor's replay sees only what was durable.
 	killed atomic.Bool
 
-	// ictx governs every executor. It is deliberately NOT a child of
-	// Run's ctx: a graceful drain lets executors outlive ctx by up to
-	// DrainGrace before icancel fires.
+	// ictx governs every executor. Run derives it from its ctx's values
+	// (the failpoint set among them) but not its cancellation: a
+	// graceful drain lets executors outlive ctx by up to DrainGrace
+	// before icancel fires. Assigned under crashMu, so a crash racing
+	// Run's start still cancels it.
 	ictx    context.Context
 	icancel context.CancelCauseFunc
 
@@ -178,7 +180,6 @@ func New(opts Options) *Server {
 		wake:     make(chan struct{}, 1),
 		releases: make(map[string]func()),
 	}
-	s.ictx, s.icancel = context.WithCancelCause(context.Background())
 	if m := o.Metrics; m != nil {
 		s.mSubmitted = m.Counter("gpustl_server_campaigns_submitted_total")
 		s.mDone = m.Counter("gpustl_server_campaigns_done_total")
@@ -226,10 +227,13 @@ func (s *Server) crash(err error) {
 	}
 	s.crashMu.Lock()
 	s.crashErr = err
+	cancel := s.icancel
 	s.crashMu.Unlock()
 	s.ready.Store(false)
 	s.opt.logf("server %s: fail-stop: %v", s.opt.Holder, err)
-	s.icancel(err)
+	if cancel != nil { // nil until Run starts; Run then cancels at once
+		cancel(err)
+	}
 }
 
 // Kill hard-stops the server as if the process received SIGKILL: no
@@ -277,6 +281,12 @@ func (s *Server) runDir(id string) string {
 // the crash cause otherwise.
 func (s *Server) Run(ctx context.Context) error {
 	o := &s.opt
+	s.crashMu.Lock()
+	s.ictx, s.icancel = context.WithCancelCause(context.WithoutCancel(ctx))
+	if s.crashErr != nil {
+		s.icancel(s.crashErr)
+	}
+	s.crashMu.Unlock()
 	if err := os.MkdirAll(o.StateDir, 0o777); err != nil {
 		return fmt.Errorf("server: state dir: %w", err)
 	}
@@ -298,7 +308,7 @@ func (s *Server) Run(ctx context.Context) error {
 		case <-time.After(o.HeartbeatEvery):
 		}
 	}
-	q, rp, err := openQueue(s.queuePath())
+	q, rp, err := openQueue(ctx, s.queuePath())
 	if err != nil {
 		releaseLock(o.StateDir, o.Holder)
 		return err
@@ -308,7 +318,7 @@ func (s *Server) Run(ctx context.Context) error {
 		o.logf("server %s: queue journal salvaged: dropped %d bytes (%s: %s)",
 			o.Holder, rp.TotalSize-rp.GoodSize, rp.Kind, rp.Reason)
 	}
-	c, err := newCache(s.cacheDir(), o.Metrics, o.Logf)
+	c, err := newCache(ctx, s.cacheDir(), o.Metrics, o.Logf)
 	if err != nil {
 		q.close()
 		releaseLock(o.StateDir, o.Holder)
@@ -324,15 +334,17 @@ func (s *Server) Run(ctx context.Context) error {
 	s.ready.Store(true)
 	o.logf("server %s: ready (%d campaigns replayed)", o.Holder, len(q.camps))
 
-	hbDone := make(chan struct{})
-	go s.heartbeat(hbDone)
+	hbDone, hbExited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(hbExited)
+		s.heartbeat(hbDone)
+	}()
+	stopHeartbeat := func() { close(hbDone); <-hbExited }
 
 	s.schedule(ctx)
 
 	// Scheduler exited: either a graceful drain (ctx done) or a crash.
-	err = s.shutdown(ctx)
-	close(hbDone)
-	return err
+	return s.shutdown(ctx, stopHeartbeat)
 }
 
 // adoptOrphans requeues every replayed campaign that was leased or
@@ -367,7 +379,7 @@ func (s *Server) rebuildTenantQuotas() {
 		if c.State.Terminal() {
 			continue
 		}
-		if rel, ok := s.tenant(c.Tenant).adm.TryAcquire(1); ok {
+		if rel, ok := s.tenant(c.Tenant).adm.TryAcquire(s.ictx, 1); ok {
 			s.setRelease(c.ID, rel)
 		} else {
 			// Quota was lowered below the replayed backlog. Run the
@@ -416,7 +428,7 @@ func (s *Server) heartbeat(done <-chan struct{}) {
 			return
 		}
 		expiry := time.Now().Add(s.opt.LeaseTTL)
-		if err := renewLock(s.opt.StateDir, s.opt.Holder, expiry); err != nil {
+		if err := renewLock(s.ictx, s.opt.StateDir, s.opt.Holder, expiry); err != nil {
 			s.mLeaseLost.Inc()
 			s.crash(fmt.Errorf("%w: %v", errLeaseLost, err))
 			return
@@ -529,10 +541,13 @@ func (s *Server) dispatch() {
 // "dead"); on a graceful drain it stops intake, gives executors
 // DrainGrace to finish, checkpoint-cancels the stragglers (their
 // requeue records make the next server resume them), and releases the
-// lock so a successor starts instantly.
-func (s *Server) shutdown(ctx context.Context) error {
+// lock so a successor starts instantly. The heartbeat keeps renewing
+// leases through the drain; stopHeartbeat returns once it has exited,
+// so no renewal rewrites the LOCK after Run returns.
+func (s *Server) shutdown(ctx context.Context, stopHeartbeat func()) error {
 	if s.killed.Load() {
 		s.wg.Wait()
+		stopHeartbeat()
 		s.q.close()
 		s.crashMu.Lock()
 		defer s.crashMu.Unlock()
@@ -551,6 +566,7 @@ func (s *Server) shutdown(ctx context.Context) error {
 		s.icancel(errDraining)
 		<-finished
 	}
+	stopHeartbeat()
 	s.q.close()
 	releaseLock(s.opt.StateDir, s.opt.Holder)
 	s.opt.logf("server %s: drained", s.opt.Holder)
@@ -610,7 +626,7 @@ func (s *Server) SubmitTrace(id string, sp *Spec, trace string) (CampaignView, e
 		}
 		return CampaignView{}, ErrSpecConflict
 	}
-	rel, ok := t.adm.TryAcquire(1)
+	rel, ok := t.adm.TryAcquire(s.ictx, 1)
 	if !ok {
 		s.mRejected.Inc()
 		return CampaignView{}, fmt.Errorf("%w (tenant %s)", ErrOverQuota, tname)

@@ -54,6 +54,23 @@ type testSrv struct {
 // takeover tests start servers that must block on the lease.
 func startSrv(t *testing.T, dir, holder string, mod func(*Options)) *testSrv {
 	t.Helper()
+	return startSrvCtx(t, context.Background(), dir, holder, mod)
+}
+
+// armed returns a ctx whose failpoint set arms one site with cfg.
+func armed(t *testing.T, name string, cfg failpoint.Config) context.Context {
+	t.Helper()
+	set, err := failpoint.NewSet(map[string]failpoint.Config{name: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return failpoint.WithSet(context.Background(), set)
+}
+
+// startSrvCtx is startSrv with Run under a child of parent, so the
+// server's sites evaluate against parent's failpoint set.
+func startSrvCtx(t *testing.T, parent context.Context, dir, holder string, mod func(*Options)) *testSrv {
+	t.Helper()
 	opts := Options{
 		StateDir:       dir,
 		Holder:         holder,
@@ -68,7 +85,7 @@ func startSrv(t *testing.T, dir, holder string, mod func(*Options)) *testSrv {
 		mod(&opts)
 	}
 	s := New(opts)
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(parent)
 	done := make(chan error, 1)
 	go func() { done <- s.Run(ctx) }()
 	ts := &testSrv{Server: s, cancel: cancel, done: done}
@@ -249,14 +266,10 @@ func TestResultCacheDetectsBitRot(t *testing.T) {
 // corrupted as written (the write itself reports success), so the first
 // read must be the point of detection.
 func TestCacheCorruptFailpoint(t *testing.T) {
-	if err := failpoint.Enable("server.cache.corrupt", failpoint.Config{
+	ctx := armed(t, "server.cache.corrupt", failpoint.Config{
 		Kind: failpoint.KindCorrupt, Times: 1, Seed: 7,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { failpoint.Disable("server.cache.corrupt") })
-
-	ts := startSrv(t, t.TempDir(), "t1", nil)
+	})
+	ts := startSrvCtx(t, ctx, t.TempDir(), "t1", nil)
 	ts.waitReady(t, 10*time.Second)
 	sp := smallSpec(t)
 	if _, err := ts.Submit("c1", sp); err != nil {
@@ -290,15 +303,11 @@ func TestCacheCorruptFailpoint(t *testing.T) {
 // continue on in-memory-only state), and a restart must come back
 // without the unjournaled campaign.
 func TestJournalAppendFailureIsFailStop(t *testing.T) {
-	if err := failpoint.Enable("server.journal.append", failpoint.Config{
+	ctx := armed(t, "server.journal.append", failpoint.Config{
 		Kind: failpoint.KindError, Times: 1, Seed: 7,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { failpoint.Disable("server.journal.append") })
-
+	})
 	dir := t.TempDir()
-	a := startSrv(t, dir, "srv", nil)
+	a := startSrvCtx(t, ctx, dir, "srv", nil)
 	a.waitReady(t, 10*time.Second)
 	if _, err := a.Submit("c1", smallSpec(t)); err == nil {
 		t.Fatal("submit with a failing journal append reported success")
@@ -332,14 +341,10 @@ func TestJournalAppendFailureIsFailStop(t *testing.T) {
 // server that cannot renew its lease must assume a successor is coming
 // and crash rather than keep writing.
 func TestLeaseRenewalFailureIsFailStop(t *testing.T) {
-	if err := failpoint.Enable("server.lease.expire", failpoint.Config{
+	ctx := armed(t, "server.lease.expire", failpoint.Config{
 		Kind: failpoint.KindError, Times: 1, Seed: 7,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { failpoint.Disable("server.lease.expire") })
-
-	ts := startSrv(t, t.TempDir(), "srv", nil)
+	})
+	ts := startSrvCtx(t, ctx, t.TempDir(), "srv", nil)
 	ts.waitReady(t, 10*time.Second)
 	select {
 	case err := <-ts.done:
