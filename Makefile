@@ -21,9 +21,10 @@ lint:
 # journal/STL/assembly parsers honest against corrupt bytes without
 # the cost of a long fuzzing run. The explicit metrics-lint pass
 # scrapes a live server's /metrics and fails on any Prometheus
-# text-format hygiene problem.
+# text-format hygiene problem. verify-medium checks the paper's tables
+# at medium scale against the committed results_medium.txt.
 .PHONY: verify
-verify: test lint chaos-smoke chaos-overload chaos-server
+verify: test lint chaos-smoke chaos-overload chaos-server verify-medium
 	go test -race ./...
 	go test -count=20 -run 'TestSoakConcurrentSchedules|TestChaosMergeByteIdentical|TestConcurrentRunsDoNotShareFailpoints' ./internal/chaos ./internal/dist
 	go test -race -run 'TestRegistryConcurrent' -count=1 ./internal/obs
@@ -39,6 +40,28 @@ verify: test lint chaos-smoke chaos-overload chaos-server
 	go test -fuzz '^FuzzShardFrame$$' -fuzztime 10s -run '^$$' ./internal/dist
 	go test -fuzz '^FuzzWorkerHealth$$' -fuzztime 10s -run '^$$' ./internal/dist
 	go test -fuzz '^FuzzWideBlockEquiv$$' -fuzztime 10s -run '^$$' ./internal/fault
+
+# Medium-scale reproduction check: regenerate Tables I-III, the STL
+# summary, the ablations and the baseline comparison and diff them
+# against results_medium.txt (small scale is pinned in go test by
+# internal/experiments/testdata/tables_small.golden). Wall-clock fields
+# vary from run to run, so MASK_TIMES blanks them on both sides: the
+# environment build time, the compaction-time column, the baseline
+# comparison's milliseconds, and the column padding and rule lengths
+# those set.
+MASK_TIMES = sed -E \
+	-e 's/ready in [^ ]+/ready in T/' \
+	-e 's/[0-9][0-9hm.]*(ms|s) *$$/T/' \
+	-e 's/^(proposed|iterative baseline)( +[0-9]+ +)[0-9.]+/\1\2T/' \
+	-e 's/-{3,}/---/' -e 's/ +/ /g'
+
+.PHONY: verify-medium
+verify-medium:
+	go run ./cmd/tables -scale medium -table all -summary -ablations -baseline > .results_medium.got
+	$(MASK_TIMES) results_medium.txt > .results_medium.want.masked
+	$(MASK_TIMES) .results_medium.got > .results_medium.got.masked
+	diff .results_medium.want.masked .results_medium.got.masked
+	rm -f .results_medium.got .results_medium.want.masked .results_medium.got.masked
 
 # Chaos soak: every canonical fault schedule (torn journal writes,
 # mid-commit crashes, stage panics, lossy wire, Byzantine worker,

@@ -107,7 +107,6 @@ func main() {
 		seed       = flag.Int64("seed", 1, "seed")
 		nFaults    = flag.Int("faults", 4000, "fault-list sample (0 = full list)")
 		reverse    = flag.Bool("reverse", false, "apply patterns in reverse order (paper: SFU_IMM)")
-		blockWords = flag.Int("block-words", 0, "fault-simulation block width in 64-pattern words (0 = auto, max 16)")
 		instrG     = flag.Bool("instr", false, "instruction-granularity removal (ablation)")
 		baseline   = flag.Bool("baseline", false, "also run the iterative prior-work baseline")
 		loadPath   = flag.String("load", "", "load PTPs from a saved STL JSON file instead of generating")
@@ -282,7 +281,7 @@ func main() {
 	}
 
 	code := runCompaction(ctx, kind, mod, faults, ptps, runFlags{
-		reverse: *reverse, instrG: *instrG, baseline: *baseline, blockWords: *blockWords,
+		reverse: *reverse, instrG: *instrG, baseline: *baseline,
 		saveDir: *saveDir, ckDir: *ckDir, stageTO: *stageTO, fcTol: *fcTol,
 		retries: *retries, sim: sim, deadline: *deadline,
 		metrics: metrics, tracer: tracer, traceOut: *traceOut, metricsOut: *metricsOut,
@@ -296,7 +295,6 @@ func main() {
 
 type runFlags struct {
 	reverse, instrG, baseline bool
-	blockWords                int
 	saveDir, ckDir            string
 	stageTO                   time.Duration
 	deadline                  time.Duration
@@ -317,7 +315,6 @@ func buildCampaign(kind gpustl.ModuleKind, mod *gpustl.Module, faults []gpustl.F
 	copt := gpustl.CompactorOptions{
 		ReversePatterns:        fl.reverse,
 		InstructionGranularity: fl.instrG,
-		BlockWords:             fl.blockWords,
 		Simulator:              fl.sim,
 		Metrics:                fl.metrics,
 	}

@@ -29,6 +29,15 @@
 //		gpustl.AllFaults(mod), gpustl.CompactorOptions{})
 //	res, _ := comp.CompactPTP(gpustl.GenerateIMM(500, 1))
 //	fmt.Printf("-%.2f%% size, FC %+.2f\n", res.SizeReduction(), res.FCDiff())
+//
+// or a whole library, through the one whole-library entry point (one
+// shared fault campaign per target module, per-PTP failure isolation and
+// an FC-safety guard):
+//
+//	ms, _ := gpustl.NewModuleSet(lib, 0, 1)
+//	rep, _ := gpustl.CompactWholeSTLResilient(ctx, gpustl.DefaultGPUConfig(),
+//		ms, lib, gpustl.CompactorOptions{}, gpustl.RunnerOptions{FCTolerance: 5})
+//	rep.Render(os.Stdout)
 package gpustl
 
 import (
@@ -311,18 +320,11 @@ type LabelDetail = core.LabelDetail
 // LabelDetailed runs the labeling algorithm keeping per-warp detail.
 var LabelDetailed = core.LabelDetailed
 
-// Propagates computes, per instruction, whether its result can reach an
-// observable point (backward liveness toward stores).
-func Propagates(prog []Instruction) []bool { return core.Propagates(prog) }
-
 // CollapseEquivalent removes structurally equivalent stuck-at faults.
 var CollapseEquivalent = fault.CollapseEquivalent
 
 // WriteVerilog emits a netlist as structural Verilog for external tools.
 var WriteVerilog = netlist.WriteVerilog
-
-// STLCompactionResult is the outcome of compacting a whole STL.
-type STLCompactionResult = core.STLResult
 
 // ModuleSet supplies modules and fault lists for STL-wide compaction.
 type ModuleSet = core.ModuleSet
@@ -331,13 +333,6 @@ type ModuleSet = core.ModuleSet
 // the module kinds an STL targets.
 func NewModuleSet(lib *STL, sample int, seed int64) (*ModuleSet, error) {
 	return core.NewModuleSet(lib, sample, seed)
-}
-
-// CompactWholeSTL runs the five-stage method over every candidate PTP,
-// sharing one fault campaign per target module, and reassembles the STL;
-// PTPs with no admissible regions pass through untouched.
-func CompactWholeSTL(cfg GPUConfig, ms *ModuleSet, lib *STL, opt CompactorOptions) (*STLCompactionResult, error) {
-	return core.CompactSTL(cfg, ms, lib, opt)
 }
 
 // Stage identifies one stage of the compaction pipeline, for stage
@@ -379,14 +374,17 @@ const (
 	RunQuarantined   = run.StatusQuarantined
 )
 
-// CompactWholeSTLResilient is CompactWholeSTL under the resilience
-// layer: per-PTP panic isolation, cooperative cancellation through ctx,
-// per-stage watchdog timeouts, a checksummed write-ahead journal for
-// checkpoint/resume, a poison-PTP quarantine policy (crashing or
-// stalling PTPs are retried up to RunnerOptions.MaxPTPRetries times,
-// then kept in their original form while the run continues), and an
-// FC-safety guard that keeps the original PTP when compaction fails or
-// costs more coverage than the tolerance allows.
+// CompactWholeSTLResilient runs the five-stage method over every
+// candidate PTP, sharing one fault campaign per target module, and
+// reassembles the STL; PTPs with no admissible regions pass through
+// untouched. It runs under the resilience layer: per-PTP panic
+// isolation, cooperative cancellation through ctx, per-stage watchdog
+// timeouts, a checksummed write-ahead journal for checkpoint/resume, a
+// poison-PTP quarantine policy (crashing or stalling PTPs are retried up
+// to RunnerOptions.MaxPTPRetries times, then kept in their original form
+// while the run continues), and an FC-safety guard that keeps the
+// original PTP when compaction fails or costs more coverage than the
+// tolerance allows.
 func CompactWholeSTLResilient(ctx context.Context, cfg GPUConfig, ms *ModuleSet,
 	lib *STL, opt CompactorOptions, ropt RunnerOptions) (*RunReport, error) {
 	return run.Run(ctx, cfg, ms, lib, opt, ropt)

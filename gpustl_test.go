@@ -2,6 +2,7 @@ package gpustl
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -88,7 +89,8 @@ func TestFacadeWholeSTL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := CompactWholeSTL(DefaultGPUConfig(), ms, lib, CompactorOptions{})
+	res, err := CompactWholeSTLResilient(context.Background(), DefaultGPUConfig(), ms, lib,
+		CompactorOptions{}, RunnerOptions{FCTolerance: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"gpustl/internal/fault"
 	"gpustl/internal/stl"
 )
 
@@ -23,28 +22,10 @@ import (
 // The returned Result is as in CompactPTP; Result.CompDuration reports the
 // re-simulated duration of the selected program.
 func (c *Compactor) CompactToBudget(p *stl.PTP, budgetCC uint64) (*Result, error) {
-	if p.Target != c.Module.Kind {
-		return nil, fmt.Errorf("core: PTP %s targets %v, compactor owns %v",
-			p.Name, p.Target, c.Module.Kind)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
 	start := time.Now()
-
-	arcs := p.ARCs()
-	sbs := p.SBs
-	if len(sbs) == 0 {
-		sbs = stl.SegmentSBs(p.Prog, arcs)
-	}
-	candidates := make([]bool, len(sbs))
-	for i, sb := range sbs {
-		for _, r := range arcs {
-			if sb.Start >= r.Start && sb.End <= r.End {
-				candidates[i] = true
-				break
-			}
-		}
+	sbs, candidates, err := c.partition(p)
+	if err != nil {
+		return nil, err
 	}
 
 	ctx := context.Background()
@@ -57,14 +38,9 @@ func (c *Compactor) CompactToBudget(p *stl.PTP, budgetCC uint64) (*Result, error
 		return nil, err
 	}
 
-	rep, err := c.simulate(ctx, c.Campaign, col.Patterns, fault.SimOptions{
-		Reverse:    c.Opt.ReversePatterns,
-		NoDrop:     c.Opt.KeepCampaign,
-		Workers:    c.Opt.Workers,
-		BlockWords: c.Opt.BlockWords,
-	})
+	rep, err := c.dropFaults(ctx, p, col.Patterns)
 	if err != nil {
-		return nil, fmt.Errorf("core: fault simulation of %s: %w", p.Name, err)
+		return nil, err
 	}
 
 	// Per-instruction cost (total cc across warps) and detection counts.

@@ -38,10 +38,12 @@ import (
 // simulations. The zero behavior (nil Simulator) is the campaign's own
 // in-process simulator; a distributed coordinator (internal/dist)
 // satisfies this interface to run the same simulations across sharded
-// workers. Implementations must preserve the in-process contract:
-// identical Report (first detections per fault over the stream) and
-// identical campaign mutation (detected faults dropped unless
-// opt.NoDrop) — or fail with an error rather than return partial data.
+// workers. Implementations must preserve the in-process contract of
+// fault.Campaign.SimulateCtx: an identical Report (first detections per
+// fault over the stream, as fault.BuildReport assembles them) and an
+// identical campaign mutation (every detected fault dropped) — or fail
+// with an error, leaving the campaign untouched, rather than return
+// partial data.
 type FaultSimulator interface {
 	SimulateCampaign(ctx context.Context, camp *fault.Campaign, stream []fault.TimedPattern, opt fault.SimOptions) (*fault.Report, error)
 }
@@ -57,20 +59,12 @@ type Options struct {
 	// unsound for programs with cross-instruction operand dependences
 	// inside SBs, but useful to quantify why the paper removes SBs).
 	InstructionGranularity bool
-	// KeepCampaign prevents the stage-3 fault simulation from dropping
-	// faults in the shared campaign (ablation of cross-PTP dropping).
-	KeepCampaign bool
-	// ObservableFC filters the FC evaluation to patterns of instructions
-	// whose results propagate to an observable point (stores/signature),
-	// approximating the paper's system-level fault coverage.
-	ObservableFC bool
-	// Workers parallelizes the fault simulations across this many
-	// goroutines (0/1 = serial). Results are identical at any setting.
+	// Workers parallelizes the in-process fault simulations across this
+	// many goroutines (fault.SimOptions.Workers): 0 selects
+	// runtime.GOMAXPROCS(0), 1 is serial. Results are identical at any
+	// setting. The evaluator block width is always auto-selected from
+	// the pattern stream.
 	Workers int
-	// BlockWords sets the fault simulator's block width in 64-pattern
-	// machine words (fault.SimOptions.BlockWords): 0 auto-selects from
-	// the pattern stream. Results are byte-identical at any width.
-	BlockWords int
 	// Simulator, when non-nil, executes every fault simulation (the
 	// stage-3 run and the standalone FC evaluations) instead of the
 	// in-process engine — e.g. a dist.Coordinator spreading shards over
@@ -201,29 +195,61 @@ func (c *Compactor) runTrace(ctx context.Context, p *stl.PTP, lite bool) (*trace
 
 // evaluateFC runs a standalone fault simulation of the PTP's pattern
 // stream against a fresh copy of the campaign's fault list and returns the
-// coverage percentage. With ObservableFC, only patterns from instructions
-// whose results reach an observable point count.
+// coverage percentage.
 func (c *Compactor) evaluateFC(ctx context.Context, p *stl.PTP, patterns []fault.TimedPattern) (float64, error) {
-	stream := patterns
-	if c.Opt.ObservableFC {
-		prop := Propagates(p.Prog)
-		stream = make([]fault.TimedPattern, 0, len(patterns))
-		for _, tp := range patterns {
-			if int(tp.PC) < len(prop) && prop[tp.PC] {
-				stream = append(stream, tp)
-			}
-		}
-	}
 	fc := fault.NewCampaignWithFaults(c.Module, c.Campaign.Faults())
-	if _, err := c.simulate(ctx, fc, stream, fault.SimOptions{Workers: c.Opt.Workers, BlockWords: c.Opt.BlockWords, Metrics: c.Opt.Metrics}); err != nil {
+	if _, err := c.simulate(ctx, fc, patterns, fault.SimOptions{Workers: c.Opt.Workers, Metrics: c.Opt.Metrics}); err != nil {
 		return 0, fmt.Errorf("core: FC evaluation of %s: %w", p.Name, err)
 	}
 	return fc.Coverage(), nil
 }
 
+// dropFaults runs the stage-3 fault simulation of the PTP's pattern
+// stream on the shared campaign, committing its first detections (the
+// cross-PTP fault dropping), and returns the Fault Sim Report.
+func (c *Compactor) dropFaults(ctx context.Context, p *stl.PTP, patterns []fault.TimedPattern) (*fault.Report, error) {
+	rep, err := c.simulate(ctx, c.Campaign, patterns, fault.SimOptions{
+		Reverse: c.Opt.ReversePatterns,
+		Workers: c.Opt.Workers,
+		Metrics: c.Opt.Metrics,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: fault simulation of %s: %w", p.Name, err)
+	}
+	return rep, nil
+}
+
+// partition is stage 1: it checks that the PTP targets the compactor's
+// module and is well formed, and returns its Small Blocks (the PTP's own,
+// or segmented from its ARCs) with candidates[i] set for each SB that
+// lies fully inside an Admissible Region for Compaction.
+func (c *Compactor) partition(p *stl.PTP) (sbs []stl.SB, candidates []bool, err error) {
+	if p.Target != c.Module.Kind {
+		return nil, nil, fmt.Errorf("core: PTP %s targets %v, compactor owns %v",
+			p.Name, p.Target, c.Module.Kind)
+	}
+	if err := p.Validate(); err != nil {
+		return nil, nil, err
+	}
+	arcs := p.ARCs()
+	sbs = p.SBs
+	if len(sbs) == 0 {
+		sbs = stl.SegmentSBs(p.Prog, arcs)
+	}
+	candidates = make([]bool, len(sbs))
+	for i, sb := range sbs {
+		for _, r := range arcs {
+			if sb.Start >= r.Start && sb.End <= r.End {
+				candidates[i] = true
+				break
+			}
+		}
+	}
+	return sbs, candidates, nil
+}
+
 // CompactPTP runs the five stages on one PTP and returns the result. The
-// shared campaign is updated with the faults this PTP detects (unless
-// KeepCampaign is set).
+// shared campaign is updated with the faults this PTP detects.
 func (c *Compactor) CompactPTP(p *stl.PTP) (*Result, error) {
 	return c.CompactPTPCtx(context.Background(), p, nil)
 }
@@ -240,13 +266,6 @@ func (c *Compactor) CompactPTP(p *stl.PTP) (*Result, error) {
 // is sound because a caller that reverts to the original PTP keeps a
 // program that detects a superset of those faults.
 func (c *Compactor) CompactPTPCtx(ctx context.Context, p *stl.PTP, onStage func(Stage) error) (*Result, error) {
-	if p.Target != c.Module.Kind {
-		return nil, fmt.Errorf("core: PTP %s targets %v, compactor owns %v",
-			p.Name, p.Target, c.Module.Kind)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
 	if err := c.Campaign.Err(); err != nil {
 		return nil, err
 	}
@@ -268,19 +287,9 @@ func (c *Compactor) CompactPTPCtx(ctx context.Context, p *stl.PTP, onStage func(
 	if err := enter(StagePartition); err != nil {
 		return nil, err
 	}
-	arcs := p.ARCs()
-	sbs := p.SBs
-	if len(sbs) == 0 {
-		sbs = stl.SegmentSBs(p.Prog, arcs)
-	}
-	candidates := make([]bool, len(sbs))
-	for i, sb := range sbs {
-		for _, r := range arcs {
-			if sb.Start >= r.Start && sb.End <= r.End {
-				candidates[i] = true
-				break
-			}
-		}
+	sbs, candidates, err := c.partition(p)
+	if err != nil {
+		return nil, err
 	}
 
 	// Stage 2 — logic tracing (the ONE logic simulation).
@@ -305,15 +314,9 @@ func (c *Compactor) CompactPTPCtx(ctx context.Context, p *stl.PTP, onStage func(
 	if err := enter(StageFaultSim); err != nil {
 		return nil, err
 	}
-	rep, err := c.simulate(ctx, c.Campaign, col.Patterns, fault.SimOptions{
-		Reverse:    c.Opt.ReversePatterns,
-		NoDrop:     c.Opt.KeepCampaign,
-		Workers:    c.Opt.Workers,
-		BlockWords: c.Opt.BlockWords,
-		Metrics:    c.Opt.Metrics,
-	})
+	rep, err := c.dropFaults(ctx, p, col.Patterns)
 	if err != nil {
-		return nil, fmt.Errorf("core: fault simulation of %s: %w", p.Name, err)
+		return nil, err
 	}
 	essential := Label(len(p.Prog), rep, col.CCToPC())
 
@@ -440,62 +443,6 @@ func Label(progLen int, rep *fault.Report, idx *trace.CCIndex) []bool {
 		essential[pc] = true
 	}
 	return essential
-}
-
-// Propagates computes, per instruction, whether its result can reach an
-// observable point (a global/shared store), via backward liveness over the
-// program. Control-flow boundaries are treated conservatively (everything
-// live), so instructions in and around loops always count as propagating.
-func Propagates(prog []isa.Instruction) []bool {
-	out := make([]bool, len(prog))
-	live := make([]bool, isa.NumGPR)
-	allLive := func() {
-		for i := range live {
-			live[i] = true
-		}
-	}
-	allLive() // conservative at the program tail
-	for pc := len(prog) - 1; pc >= 0; pc-- {
-		in := prog[pc]
-		switch {
-		case in.Op == isa.OpGST || in.Op == isa.OpSST:
-			out[pc] = true
-			live[in.Ra] = true
-			live[in.Rb] = true
-		case isa.ClassOf(in.Op) == isa.ClassCtrl:
-			out[pc] = true // not removable anyway
-			allLive()      // join point: be conservative
-		case isa.WritesRd(in.Op):
-			if in.Pg != isa.PredAlways {
-				// Predicated write: the old value may survive; stay
-				// conservative and keep the register live.
-				out[pc] = true
-				if isa.ReadsRa(in.Op) {
-					live[in.Ra] = true
-				}
-				if isa.ReadsRb(in.Op) {
-					live[in.Rb] = true
-				}
-				continue
-			}
-			if live[in.Rd] {
-				out[pc] = true
-				live[in.Rd] = false
-				if isa.ReadsRa(in.Op) {
-					live[in.Ra] = true
-				}
-				if isa.ReadsRb(in.Op) {
-					live[in.Rb] = true
-				}
-				if isa.ReadsRd(in.Op) {
-					live[in.Rd] = true
-				}
-			}
-		default:
-			// Loads to dead registers, NOPs: not propagating.
-		}
-	}
-	return out
 }
 
 // Reassemble builds the compacted PTP: instructions in removed (indices

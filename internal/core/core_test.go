@@ -29,32 +29,6 @@ func sampledFaults(t testing.TB, m *circuits.Module, n int, seed int64) []fault.
 	return c.Faults()
 }
 
-func TestPropagates(t *testing.T) {
-	prog, err := asm.Assemble(`
-		MVI R1, 5          ; feeds R3 -> stored: propagates
-		MVI R2, 7          ; dead: overwritten before any use
-		MVI R2, 8          ; feeds R3
-		IADD R3, R1, R2    ; stored
-		GST [R0+0], R3
-		MVI R4, 9          ; dead at exit? conservative tail keeps it live
-		EXIT
-	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := Propagates(prog)
-	if !p[0] || !p[2] || !p[3] || !p[4] {
-		t.Errorf("propagation chain broken: %v", p)
-	}
-	if p[1] {
-		t.Errorf("dead MVI marked propagating: %v", p)
-	}
-	// EXIT (ctrl) always marked.
-	if !p[6] {
-		t.Error("EXIT not marked")
-	}
-}
-
 func TestLabelJoinsOnCC(t *testing.T) {
 	rep := &fault.Report{
 		NumPatterns:        3,

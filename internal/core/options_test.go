@@ -9,35 +9,6 @@ import (
 	"gpustl/internal/ptpgen"
 )
 
-func TestKeepCampaignOption(t *testing.T) {
-	m := module(t, circuits.ModuleDU)
-	faults := sampledFaults(t, m, 2000, 21)
-	imm := ptpgen.IMM(40, 22)
-	mem := ptpgen.MEM(40, 23)
-
-	// With KeepCampaign, compacting IMM must not drop faults, so MEM
-	// compacts exactly as it would alone.
-	keep := New(gpu.DefaultConfig(), m, faults, Options{KeepCampaign: true})
-	if _, err := keep.CompactPTP(imm); err != nil {
-		t.Fatal(err)
-	}
-	if keep.Campaign.Detected() != 0 {
-		t.Fatalf("KeepCampaign dropped %d faults", keep.Campaign.Detected())
-	}
-	memAfter, err := keep.CompactPTP(mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	alone, err := New(gpu.DefaultConfig(), m, faults, Options{}).CompactPTP(mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if memAfter.CompSize != alone.CompSize {
-		t.Errorf("KeepCampaign MEM size %d != standalone %d", memAfter.CompSize, alone.CompSize)
-	}
-}
-
 func TestWorkersOptionDeterminism(t *testing.T) {
 	m := module(t, circuits.ModuleSP)
 	faults := sampledFaults(t, m, 4000, 24)
@@ -60,35 +31,4 @@ func TestWorkersOptionDeterminism(t *testing.T) {
 			t.Fatalf("instruction %d differs", i)
 		}
 	}
-}
-
-func TestObservableFCOption(t *testing.T) {
-	m := module(t, circuits.ModuleSP)
-	faults := sampledFaults(t, m, 3000, 26)
-	p := ptpgen.RAND(40, 27)
-
-	plain, err := New(gpu.DefaultConfig(), m, faults, Options{}).CompactPTP(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	obs, err := New(gpu.DefaultConfig(), m, faults, Options{ObservableFC: true}).CompactPTP(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Observable FC counts only detections whose instruction results reach
-	// a store; it can never exceed the module-level FC.
-	if obs.OrigFC > plain.OrigFC+1e-9 {
-		t.Errorf("observable FC %.2f > module-level %.2f", obs.OrigFC, plain.OrigFC)
-	}
-	// The gap between the two is the module-level-observability optimism
-	// the paper's §III discusses: RAND SBs contain architecturally dead
-	// operations (random chains where only one result is folded into the
-	// signature) whose patterns toggle the module but never reach a store.
-	// The gap must be substantial but not total.
-	gap := plain.OrigFC - obs.OrigFC
-	if gap < 1 || gap > 60 {
-		t.Errorf("module-vs-observable gap %.2f implausible", gap)
-	}
-	t.Logf("module-level FC %.2f, observable FC %.2f (gap %.2f)",
-		plain.OrigFC, obs.OrigFC, gap)
 }

@@ -1,31 +1,10 @@
 package core
 
 import (
-	"fmt"
-
 	"gpustl/internal/circuits"
 	"gpustl/internal/fault"
-	"gpustl/internal/gpu"
 	"gpustl/internal/stl"
 )
-
-// STLResult is the outcome of compacting a whole Self-Test Library.
-type STLResult struct {
-	// PerPTP holds one compaction result per candidate PTP, in the STL's
-	// order; excluded PTPs (no admissible regions) have a nil entry.
-	PerPTP []*Result
-	// Compacted is the reassembled STL: compacted candidates plus the
-	// untouched excluded PTPs, in the original order.
-	Compacted *stl.STL
-
-	OrigSize, CompSize int
-	Excluded           int // PTPs left untouched
-}
-
-// SizeReduction returns the whole-STL size compaction percentage.
-func (r *STLResult) SizeReduction() float64 {
-	return 100 * (1 - float64(r.CompSize)/float64(r.OrigSize))
-}
 
 // ModuleSet supplies the gate-level modules and fault lists per target
 // module kind for an STL-wide compaction.
@@ -60,37 +39,4 @@ func NewModuleSet(lib *stl.STL, sample int, seed int64) (*ModuleSet, error) {
 		ms.Faults[p.Target] = c.Faults()
 	}
 	return ms, nil
-}
-
-// CompactSTL runs the five-stage method over every candidate PTP of the
-// library, sharing one fault campaign per target module (cross-PTP fault
-// dropping within each module, as the paper's stage-3 fault list report
-// prescribes), and reassembles the STL. PTPs with no admissible regions —
-// the carefully devised control-unit tests — pass through untouched.
-func CompactSTL(cfg gpu.Config, ms *ModuleSet, lib *stl.STL, opt Options) (*STLResult, error) {
-	compactors := map[circuits.ModuleKind]*Compactor{}
-	for kind, m := range ms.Modules {
-		compactors[kind] = New(cfg, m, ms.Faults[kind], opt)
-	}
-
-	out := &STLResult{Compacted: &stl.STL{}}
-	for _, p := range lib.PTPs {
-		out.OrigSize += len(p.Prog)
-		c := compactors[p.Target]
-		if c == nil || len(p.ARCs()) == 0 {
-			out.Excluded++
-			out.PerPTP = append(out.PerPTP, nil)
-			out.Compacted.PTPs = append(out.Compacted.PTPs, p)
-			out.CompSize += len(p.Prog)
-			continue
-		}
-		res, err := c.CompactPTP(p)
-		if err != nil {
-			return nil, fmt.Errorf("core: STL compaction of %s: %w", p.Name, err)
-		}
-		out.PerPTP = append(out.PerPTP, res)
-		out.Compacted.PTPs = append(out.Compacted.PTPs, res.Compacted)
-		out.CompSize += res.CompSize
-	}
-	return out, nil
 }

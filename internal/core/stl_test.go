@@ -3,57 +3,9 @@ package core
 import (
 	"testing"
 
-	"gpustl/internal/gpu"
 	"gpustl/internal/ptpgen"
 	"gpustl/internal/stl"
 )
-
-func TestCompactSTLEndToEnd(t *testing.T) {
-	lib := &stl.STL{PTPs: []*stl.PTP{
-		ptpgen.IMM(30, 61),
-		ptpgen.MEM(30, 62),
-		ptpgen.RAND(30, 63),
-		ptpgen.DIVG(4, 2, 64), // excluded: no admissible regions
-	}}
-	ms, err := NewModuleSet(lib, 2500, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := CompactSTL(gpu.DefaultConfig(), ms, lib, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Compacted.PTPs) != 4 || len(res.PerPTP) != 4 {
-		t.Fatalf("PTP counts: %d compacted, %d results",
-			len(res.Compacted.PTPs), len(res.PerPTP))
-	}
-	if res.Excluded != 1 || res.PerPTP[3] != nil {
-		t.Errorf("DIVG not excluded: excluded=%d", res.Excluded)
-	}
-	// The excluded PTP passes through identically.
-	if res.Compacted.PTPs[3] != lib.PTPs[3] {
-		t.Error("excluded PTP was replaced")
-	}
-	if res.SizeReduction() <= 0 {
-		t.Errorf("no STL reduction: %.2f%%", res.SizeReduction())
-	}
-	// Cross-PTP dropping within the DU module: MEM (second DU PTP) must
-	// compact harder than IMM.
-	if res.PerPTP[1].SizeReduction() < res.PerPTP[0].SizeReduction() {
-		t.Errorf("MEM -%.2f%% < IMM -%.2f%%: dropping not shared",
-			res.PerPTP[1].SizeReduction(), res.PerPTP[0].SizeReduction())
-	}
-	// Size bookkeeping.
-	wantComp := 0
-	for _, p := range res.Compacted.PTPs {
-		wantComp += len(p.Prog)
-	}
-	if res.CompSize != wantComp {
-		t.Errorf("CompSize %d != %d", res.CompSize, wantComp)
-	}
-	t.Logf("STL: %d -> %d instructions (-%.2f%%), %d excluded",
-		res.OrigSize, res.CompSize, res.SizeReduction(), res.Excluded)
-}
 
 func TestNewModuleSetSkipsSequential(t *testing.T) {
 	lib := &stl.STL{PTPs: []*stl.PTP{ptpgen.DIVG(3, 1, 65)}}

@@ -295,11 +295,9 @@ var (
 
 // Run distributes the campaign's remaining faults across the workers
 // and merges the result, committing detections of successful shards to
-// the campaign (unless opt.NoDrop). It returns an error only for a
-// canceled context or an unusable campaign; permanently failed shards
-// degrade the Result to explicit FC bounds instead.
-// opt.RecordActivations falls back to the in-process simulator: shard
-// replies carry no activation counts.
+// the campaign. It returns an error only for a canceled context or an
+// unusable campaign; permanently failed shards degrade the Result to
+// explicit FC bounds instead.
 func (c *Coordinator) Run(ctx context.Context, camp *fault.Campaign, stream []fault.TimedPattern, opt fault.SimOptions) (*Result, error) {
 	if err := camp.Err(); err != nil {
 		return nil, fmt.Errorf("dist: campaign unusable: %w", err)
@@ -313,18 +311,6 @@ func (c *Coordinator) Run(ctx context.Context, camp *fault.Campaign, stream []fa
 		return nil, fmt.Errorf("dist: every worker is quarantined for byzantine replies (%s)",
 			strings.Join(c.Banned(), ", "))
 	}
-	if opt.RecordActivations {
-		rep, err := camp.SimulateCtx(ctx, stream, opt)
-		if err != nil {
-			return nil, err
-		}
-		cov := camp.Coverage()
-		return &Result{
-			Report: rep, DetectedThisRun: rep.DetectedThisRun(),
-			FCLower: cov, FCUpper: cov,
-		}, nil
-	}
-
 	ordered := stream
 	if opt.Reverse {
 		ordered = make([]fault.TimedPattern, len(stream))
@@ -349,7 +335,7 @@ func (c *Coordinator) Run(ctx context.Context, camp *fault.Campaign, stream []fa
 	parts := camp.PartitionRemaining(shards)
 	if len(parts) == 0 {
 		cov := camp.Coverage()
-		return &Result{Report: BuildReport(ordered, nil), FCLower: cov, FCUpper: cov}, nil
+		return &Result{Report: fault.BuildReport(ordered, nil), FCLower: cov, FCUpper: cov}, nil
 	}
 
 	rl := newRunLoop(c, ctx, camp, ordered, parts)
@@ -357,7 +343,7 @@ func (c *Coordinator) Run(ctx context.Context, camp *fault.Campaign, stream []fa
 	if err := rl.run(); err != nil {
 		return nil, err
 	}
-	return rl.finish(camp, ordered, opt)
+	return rl.finish(camp, ordered)
 }
 
 // SimulateCampaign adapts the coordinator to the compactor's
@@ -377,41 +363,6 @@ func (c *Coordinator) SimulateCampaign(ctx context.Context, camp *fault.Campaign
 			strings.Join(res.ShardErrors, "; "))
 	}
 	return res.Report, nil
-}
-
-// BuildReport assembles the Fault Sim Report from merged per-fault
-// detections over the ordered stream. Given the union of any
-// shard-partitioned simulation's detections, the result is
-// bit-identical to the report of one serial Campaign.Simulate run —
-// first detections are per-fault, so the partition does not matter.
-func BuildReport(ordered []fault.TimedPattern, dets []fault.Detection) *fault.Report {
-	rep := &fault.Report{
-		NumPatterns:        len(ordered),
-		DetectedPerPattern: make([]int32, len(ordered)),
-		CCs:                make([]uint64, len(ordered)),
-		Lanes:              make([]int16, len(ordered)),
-		PCs:                make([]int32, len(ordered)),
-		Warps:              make([]int16, len(ordered)),
-	}
-	for i, p := range ordered {
-		rep.CCs[i] = p.CC
-		rep.Lanes[i] = p.Lane
-		rep.PCs[i] = p.PC
-		rep.Warps[i] = p.Warp
-	}
-	if len(dets) > 0 {
-		rep.Detections = append(rep.Detections, dets...)
-	}
-	sort.Slice(rep.Detections, func(i, j int) bool {
-		if rep.Detections[i].Pattern != rep.Detections[j].Pattern {
-			return rep.Detections[i].Pattern < rep.Detections[j].Pattern
-		}
-		return rep.Detections[i].Fault < rep.Detections[j].Fault
-	})
-	for _, d := range rep.Detections {
-		rep.DetectedPerPattern[d.Pattern]++
-	}
-	return rep
 }
 
 // ---------------------------------------------------------------------------
@@ -1247,7 +1198,7 @@ func (rl *runLoop) failStranded() {
 
 // finish merges accepted shard replies into the campaign and the final
 // Result with its FC bounds.
-func (rl *runLoop) finish(camp *fault.Campaign, ordered []fault.TimedPattern, opt fault.SimOptions) (*Result, error) {
+func (rl *runLoop) finish(camp *fault.Campaign, ordered []fault.TimedPattern) (*Result, error) {
 	var (
 		dets         []fault.Detection
 		detIDs       []fault.ID
@@ -1276,17 +1227,12 @@ func (rl *runLoop) finish(camp *fault.Campaign, ordered []fault.TimedPattern, op
 		opens += w.h.opens
 	}
 	rl.stats.BreakerOpens = int(opens - rl.opensStart)
-	if !opt.NoDrop {
-		if err := camp.RestoreDetected(detIDs); err != nil {
-			return nil, err
-		}
+	if err := camp.RestoreDetected(detIDs); err != nil {
+		return nil, err
 	}
 	detTotal := camp.Detected()
-	if opt.NoDrop {
-		detTotal += len(detIDs)
-	}
 	res := &Result{
-		Report:          BuildReport(ordered, dets),
+		Report:          fault.BuildReport(ordered, dets),
 		DetectedThisRun: len(dets),
 		Shards:          len(rl.shards),
 		FailedShards:    failedShards,

@@ -140,33 +140,6 @@ func TestCoordinatorMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestCoordinatorNoDrop(t *testing.T) {
-	m := spModule(t)
-	stream := randomSPStream(rand.New(rand.NewSource(32)), m.Lanes, 512)
-
-	serial := newSPCampaign(t, m, 800, 5)
-	wantRep := serial.Simulate(stream, fault.SimOptions{NoDrop: true, Workers: 1})
-
-	co, err := New(fastOptions(), NewLocal("w1"), NewLocal("w2"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close()
-	camp := newSPCampaign(t, m, 800, 5)
-	res, err := co.Run(context.Background(), camp, stream, fault.SimOptions{NoDrop: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameReport(t, res.Report, wantRep)
-	if camp.Detected() != 0 {
-		t.Fatalf("NoDrop must not commit detections, campaign has %d", camp.Detected())
-	}
-	wantFC := 100 * float64(res.DetectedThisRun) / float64(camp.Total())
-	if res.FCLower != wantFC || res.FCUpper != wantFC {
-		t.Fatalf("NoDrop FC = [%v, %v], want %v", res.FCLower, res.FCUpper, wantFC)
-	}
-}
-
 func TestCoordinatorReverse(t *testing.T) {
 	m := spModule(t)
 	stream := randomSPStream(rand.New(rand.NewSource(33)), m.Lanes, 512)
@@ -252,28 +225,6 @@ func allIDs(c *fault.Campaign) []fault.ID {
 		ids[i] = fault.ID(i)
 	}
 	return ids
-}
-
-func TestCoordinatorRecordActivationsFallsBack(t *testing.T) {
-	m := spModule(t)
-	stream := randomSPStream(rand.New(rand.NewSource(36)), m.Lanes, 256)
-	camp := newSPCampaign(t, m, 400, 19)
-
-	co, err := New(fastOptions(), NewLocal("w1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close()
-	res, err := co.Run(context.Background(), camp, stream, fault.SimOptions{RecordActivations: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Report.ActivatedPerPattern == nil {
-		t.Fatal("RecordActivations fallback did not record activations")
-	}
-	if res.Stats.Dispatches != 0 {
-		t.Fatalf("fallback must not dispatch shards, did %d", res.Stats.Dispatches)
-	}
 }
 
 func TestCoordinatorCanceled(t *testing.T) {

@@ -36,13 +36,13 @@ func TestAnyPartitionMatchesSerial(t *testing.T) {
 		}
 		var merged []fault.Detection
 		for _, ids := range shards {
-			dets, err := camp.SimulateSubset(context.Background(), stream, ids)
+			dets, _, err := camp.SimulateSubset(context.Background(), stream, ids)
 			if err != nil {
 				t.Fatalf("k=%d: %v", k, err)
 			}
 			merged = append(merged, dets...)
 		}
-		rep := BuildReport(stream, merged)
+		rep := fault.BuildReport(stream, merged)
 		if !reflect.DeepEqual(rep.Detections, wantRep.Detections) {
 			t.Fatalf("k=%d: merged Detections differ from serial (%d vs %d)",
 				k, len(rep.Detections), len(wantRep.Detections))

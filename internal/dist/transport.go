@@ -82,7 +82,7 @@ func (l *Local) Simulate(ctx context.Context, req *ShardRequest) (*ShardResult, 
 		return nil, err
 	}
 	camp := fault.NewCampaignWithFaults(mod, req.Faults)
-	dets, stats, err := camp.SimulateSubsetStats(ctx, req.Stream, nil)
+	dets, stats, err := camp.SimulateSubset(ctx, req.Stream, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -75,7 +75,8 @@ type Params struct {
 	ATPGBlocks    int // random blocks budget
 	ATPGKeepAll   int // keep-all random blocks (pattern-file redundancy)
 
-	// Workers parallelizes the fault simulations (0/1 = serial).
+	// Workers parallelizes the fault simulations (core.Options.Workers:
+	// 0 = GOMAXPROCS, 1 = serial); the tables are identical either way.
 	Workers int
 }
 

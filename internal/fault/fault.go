@@ -319,14 +319,6 @@ type Report struct {
 	DetectedPerPattern []int32
 	// Detections lists each fault detected during this run.
 	Detections []Detection
-	// ActivatedPerPattern[i] counts the run's input faults (those
-	// undetected when it started) in stream entry i's lane that entry i
-	// excites: the faulty net — the gate output for a stem fault, the
-	// driving net for a pin fault — carries the opposite of the stuck
-	// value. The count ignores dropping, so it depends on the pattern
-	// alone and duplicates of a pattern get equal counts. Only filled
-	// with SimOptions.RecordActivations.
-	ActivatedPerPattern []int32
 
 	// Stats reports what the simulation engine did on this run: dedup
 	// effectiveness, pre-screen and cone-skip hit counts, propagation
@@ -350,17 +342,6 @@ type SimOptions struct {
 	// paper for the SFU_IMM PTP, where reverse-order application improved
 	// compaction).
 	Reverse bool
-	// RecordActivations additionally fills Report.ActivatedPerPattern
-	// (see there; for small-scale analysis). Counts are taken once per
-	// unique pattern on every block of the lane, including blocks after
-	// the last fault dropped, and copied to duplicates; any Workers
-	// setting gives the same counts.
-	RecordActivations bool
-	// NoDrop reports first detections without updating the campaign's
-	// fault-dropping state: the run's detections are not committed, so
-	// the next run sees the same fault list (core sets it for
-	// KeepCampaign).
-	NoDrop bool
 	// BlockWords sets the evaluator block width in 64-pattern machine
 	// words: each good-circuit sweep covers 64×BlockWords patterns, with
 	// stride-BlockWords value arrays throughout the engine. 0 (the
@@ -445,7 +426,6 @@ func (c *Campaign) SimulateCtx(ctx context.Context, stream []TimedPattern, opt S
 			opt.BlockWords, netlist.MaxBlockWords)
 	}
 	ordered := orderStream(stream, opt.Reverse)
-	rep := newReport(ordered, opt.RecordActivations)
 
 	// Partition the remaining faults into shards, one per worker, each
 	// grouped by lane. With one worker this is the plain serial loop.
@@ -454,19 +434,10 @@ func (c *Campaign) SimulateCtx(ctx context.Context, stream []TimedPattern, opt S
 	faultsIn := c.Remaining()
 
 	// Dedup and pack the stimulus once, shared read-only by every shard;
-	// the cone index is built here, before forking workers. firstOcc maps
-	// every pattern to its first occurrence in its lane, for the
-	// activation scatter after the merge.
-	var firstOcc []int32
-	if opt.RecordActivations {
-		firstOcc = make([]int32, len(ordered))
-		for i := range firstOcc {
-			firstOcc[i] = int32(i)
-		}
-	}
+	// the cone index is built here, before forking workers.
 	nl := c.Module.NL
 	lanes, blockW := buildLaneStreams(nl, ordered, c.laneIndex(ordered),
-		laneClassUse(nl.Cone(), c.faults, shards), opt.BlockWords, firstOcc)
+		laneClassUse(nl.Cone(), c.faults, shards), opt.BlockWords)
 	runStats := c.streamStats(lanes, blockW)
 
 	// Run the shards. Every worker recovers its own panics: the first
@@ -499,7 +470,7 @@ func (c *Campaign) SimulateCtx(ctx context.Context, stream []TimedPattern, opt S
 				return
 			}
 			defer nl.ReleaseEvaluator(ev)
-			sr, err := c.simulateShardOpt(sctx, ordered, lanes, shards[w], ev, opt.RecordActivations)
+			sr, err := c.simulateShardOpt(sctx, ordered, lanes, shards[w], ev)
 			if err != nil {
 				fail(err)
 				return
@@ -515,12 +486,8 @@ func (c *Campaign) SimulateCtx(ctx context.Context, stream []TimedPattern, opt S
 		return nil, err
 	}
 
-	runStats.Add(c.merge(rep, results, ordered, opt.NoDrop))
-	// Shards counted each unique pattern at its first occurrence; a
-	// duplicate comes later in stream order, so its source is final.
-	for i, f := range firstOcc {
-		rep.ActivatedPerPattern[i] = rep.ActivatedPerPattern[f]
-	}
+	rep, st := c.merge(results, ordered)
+	runStats.Add(st)
 	rep.Stats = runStats
 	c.statsMu.Lock()
 	c.stats.Add(runStats)
@@ -550,26 +517,34 @@ func orderStream(stream []TimedPattern, reverse bool) []TimedPattern {
 	return out
 }
 
-// newReport allocates the report of a run over the ordered stream, with
-// the stream metadata copied in so the FSR is self-contained.
-func newReport(ordered []TimedPattern, activations bool) *Report {
+// BuildReport assembles the Fault Sim Report of a run over the ordered
+// stream from its first detections, in any order: it sorts dets in place
+// by (pattern, fault), takes ownership of the slice, counts detections
+// per pattern and copies the stream metadata in so the FSR is
+// self-contained. First detections are per-fault, so the union of any
+// fault-partitioned simulation's detections — shards merged in process
+// or replies from distributed workers — gives the report of one serial
+// run. Every pattern index in dets must lie inside ordered.
+func BuildReport(ordered []TimedPattern, dets []Detection) *Report {
 	n := len(ordered)
 	rep := &Report{
 		NumPatterns:        n,
 		DetectedPerPattern: make([]int32, n),
+		Detections:         dets,
 		CCs:                make([]uint64, n),
 		Lanes:              make([]int16, n),
 		PCs:                make([]int32, n),
 		Warps:              make([]int16, n),
-	}
-	if activations {
-		rep.ActivatedPerPattern = make([]int32, n)
 	}
 	for i, p := range ordered {
 		rep.CCs[i] = p.CC
 		rep.Lanes[i] = p.Lane
 		rep.PCs[i] = p.PC
 		rep.Warps[i] = p.Warp
+	}
+	sortDetections(dets, ordered)
+	for _, d := range dets {
+		rep.DetectedPerPattern[d.Pattern]++
 	}
 	return rep
 }
@@ -602,33 +577,26 @@ func (c *Campaign) streamStats(lanes []laneStream, blockW int) SimStats {
 	return st
 }
 
-// merge folds shard results into the report — per-pattern detection and
-// activation counts, and the detections in (pattern, fault) order — and,
-// unless noDrop, into the campaign's fault-dropping state. It returns the
-// shards' summed work counters.
-func (c *Campaign) merge(rep *Report, results []*shardResult, ordered []TimedPattern, noDrop bool) SimStats {
-	var st SimStats
+// merge commits the shards' detections to the campaign's fault-dropping
+// state and builds the run's report from them. It returns the report and
+// the shards' summed work counters.
+func (c *Campaign) merge(results []*shardResult, ordered []TimedPattern) (*Report, SimStats) {
+	var (
+		st   SimStats
+		dets []Detection
+	)
 	for _, sr := range results {
 		if sr == nil {
 			continue
 		}
-		for i, n := range sr.perPattern {
-			rep.DetectedPerPattern[i] += n
-		}
-		for i, n := range sr.activated {
-			rep.ActivatedPerPattern[i] += n
-		}
-		rep.Detections = append(rep.Detections, sr.detections...)
+		dets = append(dets, sr.detections...)
 		st.Add(sr.stats)
-		if !noDrop {
-			for _, d := range sr.detections {
-				c.detected[d.Fault] = true
-				c.nDet++
-			}
+		for _, d := range sr.detections {
+			c.detected[d.Fault] = true
+			c.nDet++
 		}
 	}
-	sortDetections(rep.Detections, ordered)
-	return st
+	return BuildReport(ordered, dets), st
 }
 
 // Stats returns the engine counters accumulated across this campaign's
@@ -682,8 +650,6 @@ func (c *Campaign) recordMetrics(opt SimOptions, patterns, faultsIn, dropped int
 
 // shardResult carries one worker's detections, to be merged serially.
 type shardResult struct {
-	perPattern []int32
-	activated  []int32 // RecordActivations only, at first-occurrence indices
 	detections []Detection
 	stats      SimStats
 }
@@ -761,18 +727,13 @@ func (c *Campaign) PartitionRemaining(k int) [][]ID {
 // (Pattern, Fault); faults already detected in this campaign are
 // skipped. Evaluator scratch is pooled per netlist, and concurrent
 // SimulateSubset calls on one campaign are safe.
-func (c *Campaign) SimulateSubset(ctx context.Context, stream []TimedPattern, ids []ID) ([]Detection, error) {
-	dets, _, err := c.SimulateSubsetStats(ctx, stream, ids)
-	return dets, err
-}
-
-// SimulateSubsetStats is SimulateSubset plus the engine counters of the
-// run (dedup hit-rate, pre-screen and cone skips). A distributed worker
-// ships these back with its detections so the coordinator can aggregate
-// optimization effectiveness across shards; campaign-held cumulative
-// stats deliberately stay untouched, preserving SimulateSubset's
-// no-campaign-mutation contract.
-func (c *Campaign) SimulateSubsetStats(ctx context.Context, stream []TimedPattern, ids []ID) ([]Detection, SimStats, error) {
+//
+// The returned stats are the run's engine counters (dedup hit-rate,
+// pre-screen and cone skips): a distributed worker ships them back with
+// its detections so the coordinator can aggregate optimization
+// effectiveness across shards. The campaign's cumulative Stats stay
+// untouched, like the rest of its state.
+func (c *Campaign) SimulateSubset(ctx context.Context, stream []TimedPattern, ids []ID) ([]Detection, SimStats, error) {
 	if c.initErr != nil {
 		return nil, SimStats{}, fmt.Errorf("fault: campaign over %v unusable: %w", c.Module.Kind, c.initErr)
 	}
@@ -800,7 +761,7 @@ func (c *Campaign) SimulateSubsetStats(ctx context.Context, stream []TimedPatter
 	}
 	nl := c.Module.NL
 	lanes, blockW := buildLaneStreams(nl, stream, c.laneIndex(stream),
-		laneClassUse(nl.Cone(), c.faults, [][][]ID{laneFaults}), 0, nil)
+		laneClassUse(nl.Cone(), c.faults, [][][]ID{laneFaults}), 0)
 	stats := c.streamStats(lanes, blockW)
 	// Evaluators come from the netlist's per-width pool, so the wide
 	// scratch arrays survive campaign churn.
@@ -809,7 +770,7 @@ func (c *Campaign) SimulateSubsetStats(ctx context.Context, stream []TimedPatter
 		return nil, SimStats{}, err
 	}
 	defer nl.ReleaseEvaluator(ev)
-	sr, err := c.simulateShardOpt(ctx, stream, lanes, laneFaults, ev, false)
+	sr, err := c.simulateShardOpt(ctx, stream, lanes, laneFaults, ev)
 	if err != nil {
 		return nil, SimStats{}, err
 	}
@@ -848,22 +809,12 @@ func (c *Campaign) SimulateSubsetStats(ctx context.Context, stream []TimedPatter
 // original stream: a duplicate pattern can never be a first detection
 // (its earlier twin detects first), gidx maps every unique slot back to
 // the earliest original stream index, and both skip rules only ever
-// elide provably zero masks. NoDrop needs no special handling here: a
-// fault leaves the local walk after its first detection either way —
-// later patterns cannot produce another first detection — and whether
-// the campaign's dropped state is updated is decided at merge time.
-//
-// With activations set the walker also counts, per unique pattern, the
-// lane's input faults the pattern excites (Report.ActivatedPerPattern),
-// at the pattern's first-occurrence index; it then sweeps every block of
-// the lane, even after the last fault dropped.
+// elide provably zero masks. A fault leaves the walk at its first
+// detection: later patterns cannot produce another first detection.
 func (c *Campaign) simulateShardOpt(ctx context.Context, ordered []TimedPattern, lanes []laneStream,
-	laneFaults [][]ID, ev *netlist.Evaluator, activations bool) (*shardResult, error) {
+	laneFaults [][]ID, ev *netlist.Evaluator) (*shardResult, error) {
 
-	sr := &shardResult{perPattern: make([]int32, len(ordered))}
-	if activations {
-		sr.activated = make([]int32, len(ordered))
-	}
+	sr := &shardResult{}
 	ci := c.Module.NL.Cone()
 	w := ev.BlockWords()
 
@@ -902,9 +853,6 @@ func (c *Campaign) simulateShardOpt(ctx context.Context, ordered []TimedPattern,
 					mask[words-1] = 1<<uint(rem) - 1
 				}
 			}
-			if activations {
-				c.countActivations(sr.activated, ev, remaining, blk.gidx, mask, words)
-			}
 
 			kept := 0
 			for i := 0; i < n; i++ {
@@ -938,14 +886,13 @@ func (c *Campaign) simulateShardOpt(ctx context.Context, ordered []TimedPattern,
 					continue
 				}
 				gi := blk.gidx[first]
-				sr.perPattern[gi]++
 				sr.detections = append(sr.detections, Detection{
 					Fault: f.id, Pattern: gi, CC: ordered[gi].CC,
 				})
 			}
 			n = kept
 			walk = walk[:n]
-			if n == 0 && !activations {
+			if n == 0 {
 				break
 			}
 		}
@@ -989,30 +936,6 @@ func (c *Campaign) buildWalk(dst []walkFault, remaining []ID, ci *netlist.ConeIn
 		})
 	}
 	return dst
-}
-
-// countActivations adds to acts, at each valid pattern's stream index,
-// how many of the given faults the evaluator's current block excites
-// there: the faulty net — the gate output for a stem fault, the driving
-// net for a pin fault — carries the opposite of the stuck value.
-func (c *Campaign) countActivations(acts []int32, ev *netlist.Evaluator, ids []ID, gidx []int32, mask []uint64, words int) {
-	for _, id := range ids {
-		s := c.faults[id].Site
-		net := s.Gate
-		if s.Pin >= 0 {
-			net = c.Module.NL.Gates[s.Gate].In[s.Pin]
-		}
-		var sa uint64
-		if s.SA1 {
-			sa = ^uint64(0)
-		}
-		row := ev.ValueW(net)
-		for j := 0; j < words; j++ {
-			for x := (row[j] ^ sa) & mask[j]; x != 0; x &= x - 1 {
-				acts[gidx[j*64+bits.TrailingZeros64(x)]]++
-			}
-		}
-	}
 }
 
 // sortDetections orders detections by (pattern, fault) — the report

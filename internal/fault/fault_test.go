@@ -227,50 +227,6 @@ func TestReverseOrder(t *testing.T) {
 	}
 }
 
-func TestActivationRecording(t *testing.T) {
-	m := spModule(t)
-	c := NewCampaign(m)
-	c.SampleFaults(100, 5)
-	r := rand.New(rand.NewSource(10))
-	stream := randomSPStream(r, m.Lanes, 256)
-	rep := c.Simulate(stream, SimOptions{RecordActivations: true, NoDrop: true})
-	if rep.ActivatedPerPattern == nil {
-		t.Fatal("activations not recorded")
-	}
-	var act, det int64
-	for i := range rep.ActivatedPerPattern {
-		act += int64(rep.ActivatedPerPattern[i])
-		det += int64(rep.DetectedPerPattern[i])
-	}
-	if act == 0 {
-		t.Fatal("no activations recorded")
-	}
-	// Every pattern activates roughly half of all stuck-at faults; in
-	// aggregate activations must dominate detections.
-	if act < det {
-		t.Fatalf("activations %d < detections %d", act, det)
-	}
-}
-
-func TestNoDropRecordsFirstOnly(t *testing.T) {
-	m := spModule(t)
-	c := NewCampaign(m)
-	c.SampleFaults(100, 5)
-	r := rand.New(rand.NewSource(12))
-	stream := randomSPStream(r, m.Lanes, 512)
-
-	drop := c.Simulate(stream, SimOptions{})
-	c.Reset()
-	nodrop := c.Simulate(stream, SimOptions{NoDrop: true})
-	if drop.DetectedThisRun() != nodrop.DetectedThisRun() {
-		t.Fatalf("NoDrop changed detections: %d vs %d",
-			drop.DetectedThisRun(), nodrop.DetectedThisRun())
-	}
-	if c.Detected() != 0 {
-		t.Fatalf("NoDrop mutated the campaign fault list: %d", c.Detected())
-	}
-}
-
 func TestCoverageByGroup(t *testing.T) {
 	m := spModule(t)
 	c := NewCampaign(m)

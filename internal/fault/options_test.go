@@ -96,48 +96,3 @@ func TestWorkersZeroDefaultsToGOMAXPROCS(t *testing.T) {
 		}
 	}
 }
-
-// TestRecordActivationsWorkersAgree verifies that activation counts do
-// not depend on sharding: a four-worker run counts the same activations
-// (and detections) as a serial one, without falling back to serial.
-func TestRecordActivationsWorkersAgree(t *testing.T) {
-	m := spModule(t)
-	r := rand.New(rand.NewSource(8))
-	stream := dupStream(randomSPStream(r, m.Lanes, 256))
-
-	run := func(workers int) *Report {
-		c := NewCampaign(m)
-		c.SampleFaults(1200, 2)
-		if got, err := c.planWorkers(SimOptions{Workers: workers}); err != nil || got != workers {
-			t.Fatalf("planWorkers(%d) = %d, %v", workers, got, err)
-		}
-		rep, err := c.SimulateCtx(context.Background(), stream, SimOptions{
-			RecordActivations: true, Workers: workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	serial, sharded := run(1), run(4)
-	var total int64
-	for i, want := range serial.ActivatedPerPattern {
-		total += int64(want)
-		if got := sharded.ActivatedPerPattern[i]; got != want {
-			t.Fatalf("pattern %d: %d activations with 4 workers, %d serial", i, got, want)
-		}
-	}
-	if total == 0 {
-		t.Fatal("no activations recorded")
-	}
-	if len(serial.Detections) != len(sharded.Detections) {
-		t.Fatalf("detection counts differ: serial %d, sharded %d",
-			len(serial.Detections), len(sharded.Detections))
-	}
-	for i := range serial.Detections {
-		if serial.Detections[i] != sharded.Detections[i] {
-			t.Fatalf("detection %d differs: serial %+v, sharded %+v",
-				i, serial.Detections[i], sharded.Detections[i])
-		}
-	}
-}

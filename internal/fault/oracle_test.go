@@ -16,9 +16,9 @@ import (
 
 // simulateReference runs the stream against the campaign's remaining
 // faults with the reference engine and returns the FSR, committing
-// detections to the campaign unless NoDrop, exactly like SimulateCtx.
-// Reverse, NoDrop and RecordActivations are honored; BlockWords and
-// Workers shape an engine the reference does not have and are ignored.
+// detections to the campaign exactly like SimulateCtx. Reverse is
+// honored; BlockWords and Workers shape an engine the reference does not
+// have and are ignored.
 func (c *Campaign) simulateReference(ctx context.Context, stream []TimedPattern, opt SimOptions) (*Report, error) {
 	if c.initErr != nil {
 		return nil, c.initErr
@@ -28,9 +28,8 @@ func (c *Campaign) simulateReference(ctx context.Context, stream []TimedPattern,
 		return nil, err
 	}
 	ordered := orderStream(stream, opt.Reverse)
-	rep := newReport(ordered, opt.RecordActivations)
 	laneIdx := c.laneIndex(ordered)
-	sr, err := c.simulateShard(ctx, ordered, laneIdx, c.partitionByLane(1)[0], ev, opt)
+	sr, err := c.simulateShard(ctx, ordered, laneIdx, c.partitionByLane(1)[0], ev)
 	if err != nil {
 		return nil, err
 	}
@@ -40,7 +39,8 @@ func (c *Campaign) simulateReference(ctx context.Context, stream []TimedPattern,
 		st.TotalPatterns += uint64(len(idxs))
 	}
 	st.UniquePatterns = st.TotalPatterns // nothing deduplicated
-	st.Add(c.merge(rep, []*shardResult{sr}, ordered, opt.NoDrop))
+	rep, runStats := c.merge([]*shardResult{sr}, ordered)
+	st.Add(runStats)
 	rep.Stats = st
 	return rep, nil
 }
@@ -48,22 +48,13 @@ func (c *Campaign) simulateReference(ctx context.Context, stream []TimedPattern,
 // simulateShard runs the fault-serial, 64-pattern-parallel loop for one
 // shard of the fault list on a scalar evaluator: every original pattern,
 // every remaining fault, one full fan-out-cone evaluation per
-// fault×block (FaultDetect). Under NoDrop faults stay in the walk after
-// their first detection, so activations are counted for every lane fault
-// on every pattern. Cancellation is checked once per 64-pattern block.
+// fault×block (FaultDetect). Cancellation is checked once per 64-pattern
+// block.
 func (c *Campaign) simulateShard(ctx context.Context, ordered []TimedPattern, laneIdx [][]int32,
-	laneFaults [][]ID, ev *netlist.Evaluator, opt SimOptions) (*shardResult, error) {
+	laneFaults [][]ID, ev *netlist.Evaluator) (*shardResult, error) {
 
-	sr := &shardResult{perPattern: make([]int32, len(ordered))}
-	if opt.RecordActivations {
-		sr.activated = make([]int32, len(ordered))
-	}
+	sr := &shardResult{}
 	inputs := make([]uint64, len(c.Module.NL.Inputs))
-
-	var seen []uint64 // NoDrop: first-detection-recorded bitset per fault id
-	if opt.NoDrop {
-		seen = make([]uint64, (len(c.faults)+63)/64)
-	}
 
 	for lane := 0; lane < c.Module.Lanes; lane++ {
 		idxs := laneIdx[lane]
@@ -100,63 +91,22 @@ func (c *Campaign) simulateShard(ctx context.Context, ordered []TimedPattern, la
 				if n < 64 {
 					det &= (1 << uint(n)) - 1
 				}
-				if opt.RecordActivations {
-					act := activationMask(ev, c.Module.NL, f.Site)
-					if n < 64 {
-						act &= (1 << uint(n)) - 1
-					}
-					for s := 0; s < n; s++ {
-						if act>>uint(s)&1 == 1 {
-							sr.activated[idxs[blk+s]]++
-						}
-					}
-				}
 				if det == 0 {
-					remaining[w] = id
-					w++
-					continue
-				}
-				if opt.NoDrop {
-					if seen[uint32(id)>>6]>>(uint32(id)&63)&1 == 0 {
-						seen[uint32(id)>>6] |= 1 << (uint32(id) & 63)
-						first := bits.TrailingZeros64(det)
-						gi := idxs[blk+first]
-						sr.perPattern[gi]++
-						sr.detections = append(sr.detections, Detection{
-							Fault: id, Pattern: gi, CC: ordered[gi].CC,
-						})
-					}
 					remaining[w] = id
 					w++
 					continue
 				}
 				first := bits.TrailingZeros64(det)
 				gi := idxs[blk+first]
-				sr.perPattern[gi]++
 				sr.detections = append(sr.detections, Detection{
 					Fault: id, Pattern: gi, CC: ordered[gi].CC,
 				})
 			}
 			remaining = remaining[:w]
-			if len(remaining) == 0 && !opt.RecordActivations {
+			if len(remaining) == 0 {
 				break
 			}
 		}
 	}
 	return sr, nil
-}
-
-// activationMask computes, for the evaluator's current block, on which
-// patterns the fault site's stuck value differs from its net's
-// fault-free value.
-func activationMask(ev *netlist.Evaluator, nl *netlist.Netlist, s netlist.FaultSite) uint64 {
-	var sa uint64
-	if s.SA1 {
-		sa = ^uint64(0)
-	}
-	if s.Pin < 0 {
-		return ev.Value(s.Gate) ^ sa
-	}
-	in := nl.Gates[s.Gate].In[s.Pin]
-	return ev.Value(in) ^ sa
 }

@@ -71,12 +71,8 @@ type laneStream struct {
 // is why dedup runs as a first phase, before any packing). The chosen
 // width is returned alongside the streams so the caller can build
 // matching evaluators.
-//
-// firstOcc, when non-nil, receives the dedup map-back: for every dropped
-// duplicate gi, firstOcc[gi] is the stream index of its first
-// occurrence. Other entries are left as they are.
 func buildLaneStreams(nl *netlist.Netlist, ordered []TimedPattern, laneIdx [][]int32,
-	classUsed [][]uint64, reqWords int, firstOcc []int32) ([]laneStream, int) {
+	classUsed [][]uint64, reqWords int) ([]laneStream, int) {
 
 	numIn := len(nl.Inputs)
 	lanes := make([]laneStream, len(laneIdx))
@@ -126,9 +122,6 @@ func buildLaneStreams(nl *netlist.Netlist, ordered []TimedPattern, laneIdx [][]i
 				}
 				if u.pats[j] == p {
 					dup = true
-					if firstOcc != nil {
-						firstOcc[gi] = u.gidx[j]
-					}
 					break
 				}
 				h = (h + 1) & hmask

@@ -381,14 +381,6 @@ func (e *Evaluator) Output(i int) uint64 { return e.good[int(e.nl.Outputs[i])*e.
 // Run. The returned slice must not be mutated.
 func (e *Evaluator) OutputW(i int) []uint64 { return e.row(e.good, e.nl.Outputs[i]) }
 
-// Value returns word 0 of an arbitrary net's good value row after Run
-// (the whole row at W == 1; see ValueW).
-func (e *Evaluator) Value(net int32) uint64 { return e.good[int(net)*e.w] }
-
-// ValueW returns the W-word good value row of an arbitrary net after
-// Run. The returned slice must not be mutated.
-func (e *Evaluator) ValueW(net int32) []uint64 { return e.row(e.good, net) }
-
 // markTouch stamps a net as faulty-valued this epoch (first time only)
 // and schedules its consumers; the caller stores the row itself.
 func (e *Evaluator) markTouch(net int32) {

@@ -18,9 +18,12 @@ import (
 	"gpustl/internal/stl"
 )
 
-// CheckpointVersion is bumped whenever the persisted schema changes
-// incompatibly; a version mismatch refuses to resume.
-const CheckpointVersion = 2
+// CheckpointVersion is bumped whenever the persisted schema or the
+// ConfigHash input changes incompatibly; a version mismatch refuses to
+// resume. Version 3 stopped hashing two deleted compactor options, so a
+// v2 journal is refused as a schema mismatch rather than reported as a
+// misleading configuration change.
+const CheckpointVersion = 3
 
 // WALFile is the append-only write-ahead journal inside the checkpoint
 // directory. One fsync'd record per PTP outcome; recovery replays it
@@ -316,7 +319,6 @@ func ConfigHash(cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL, opt core.Optio
 		fmt.Fprintf(h, "ptp:%s:%s\n", p.Name, ph)
 	}
 
-	fmt.Fprintf(h, "opt:reverse=%v instr=%v keep=%v obsfc=%v\n",
-		opt.ReversePatterns, opt.InstructionGranularity, opt.KeepCampaign, opt.ObservableFC)
+	fmt.Fprintf(h, "opt:reverse=%v instr=%v\n", opt.ReversePatterns, opt.InstructionGranularity)
 	return hex.EncodeToString(h.Sum(nil)), nil
 }

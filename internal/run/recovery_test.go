@@ -258,6 +258,47 @@ func TestLegacyCheckpointRefused(t *testing.T) {
 	}
 }
 
+// TestV2JournalRefused: a campaign.wal whose meta record carries schema
+// version 2 (written before the config hash dropped two deleted
+// compactor options, so its hash no longer matches either) is refused by
+// Run as a schema mismatch, not as a configuration change, and fsck
+// reports it as a [schema] finding.
+func TestV2JournalRefused(t *testing.T) {
+	cfg := gpu.DefaultConfig()
+	copt := core.Options{Workers: 4}
+	lib, ms := testEnv(t)
+	hash, err := ConfigHash(cfg, ms, lib, copt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	j, _, err := journal.Open(context.Background(), filepath.Join(dir, WALFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Append(recMeta, metaRecord{Version: 2, ConfigHash: strings.Repeat("0", len(hash)), PTPs: len(lib.PTPs)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = Run(context.Background(), cfg, ms, lib, copt, Options{CheckpointDir: dir, FCTolerance: 5})
+	if err == nil {
+		t.Fatal("Run resumed a v2 journal")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "schema version 2") || strings.Contains(msg, "different configuration") {
+		t.Fatalf("Run did not refuse the v2 journal as a schema mismatch: %q", msg)
+	}
+	rep, err := Fsck(dir, hash, lib, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Issues) != 1 || rep.Issues[0].Kind != FsckSchema {
+		t.Fatalf("fsck issues: %v", issueKinds(rep))
+	}
+}
+
 // TestLoadCheckpointMissingIsNotError: a fresh directory starts fresh.
 func TestLoadCheckpointMissingIsNotError(t *testing.T) {
 	ck, err := LoadCheckpoint(t.TempDir())

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"gpustl/internal/circuits"
 	"gpustl/internal/core"
 	"gpustl/internal/gpu"
 	"gpustl/internal/ptpgen"
@@ -37,7 +38,7 @@ func render(t testing.TB, rep *Report) string {
 	return buf.String()
 }
 
-func TestRunCompactsLikeCompactSTL(t *testing.T) {
+func TestRunCompactsLikePlainLoop(t *testing.T) {
 	lib, ms := testEnv(t)
 	rep, err := Run(context.Background(), gpu.DefaultConfig(), ms, lib,
 		core.Options{Workers: 4}, Options{FCTolerance: 5})
@@ -62,15 +63,71 @@ func TestRunCompactsLikeCompactSTL(t *testing.T) {
 		t.Errorf("no reduction: %.2f%%", rep.SizeReduction())
 	}
 
-	// Same inputs through the plain pipeline agree on the compacted sizes.
+	// Oracle: the same inputs through a plain CompactPTP loop over one
+	// shared DU compactor agree PTP by PTP on the compacted sizes.
 	lib2, ms2 := testEnv(t)
-	plain, err := core.CompactSTL(gpu.DefaultConfig(), ms2, lib2, core.Options{Workers: 4})
+	du := core.New(gpu.DefaultConfig(), ms2.Modules[circuits.ModuleDU],
+		ms2.Faults[circuits.ModuleDU], core.Options{Workers: 4})
+	for i, p := range lib2.PTPs[:2] {
+		res, err := du.CompactPTP(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o := rep.Outcomes[i]; o.OrigSize != res.OrigSize || o.CompSize != res.CompSize {
+			t.Errorf("%s: run %d->%d != plain loop %d->%d",
+				p.Name, o.OrigSize, o.CompSize, res.OrigSize, res.CompSize)
+		}
+	}
+}
+
+// TestRunExcludesAndDropsAcrossPTPs runs a two-module library end to
+// end: the PTP without admissible regions passes through as the same
+// object, and the DU PTPs share one campaign, so MEM — compacted after
+// IMM has dropped the faults both detect — compacts harder than IMM.
+func TestRunExcludesAndDropsAcrossPTPs(t *testing.T) {
+	lib := &stl.STL{PTPs: []*stl.PTP{
+		ptpgen.IMM(30, 61),
+		ptpgen.MEM(30, 62),
+		ptpgen.RAND(30, 63),
+		ptpgen.DIVG(4, 2, 64), // excluded: no admissible regions
+	}}
+	ms, err := core.NewModuleSet(lib, 2500, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.CompSize != rep.CompSize || plain.OrigSize != rep.OrigSize {
-		t.Errorf("run %d->%d != core %d->%d",
-			rep.OrigSize, rep.CompSize, plain.OrigSize, plain.CompSize)
+	// A tolerance no FC loss reaches: every candidate stays compacted.
+	rep, err := Run(context.Background(), gpu.DefaultConfig(), ms, lib,
+		core.Options{}, Options{FCTolerance: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Outcomes) != 4 || len(rep.Compacted.PTPs) != 4 {
+		t.Fatalf("PTP counts: %d outcomes, %d compacted", len(rep.Outcomes), len(rep.Compacted.PTPs))
+	}
+	if rep.Excluded != 1 || rep.Outcomes[3].Status != StatusExcluded {
+		t.Errorf("DIVG not excluded: excluded=%d, %+v", rep.Excluded, rep.Outcomes[3])
+	}
+	if rep.Compacted.PTPs[3] != lib.PTPs[3] {
+		t.Error("excluded PTP was replaced")
+	}
+	for _, o := range rep.Outcomes[:3] {
+		if o.Status != StatusCompacted {
+			t.Fatalf("%s: %+v", o.Name, o)
+		}
+	}
+	if rep.SizeReduction() <= 0 {
+		t.Errorf("no STL reduction: %.2f%%", rep.SizeReduction())
+	}
+	reduction := func(o Outcome) float64 { return 100 * (1 - float64(o.CompSize)/float64(o.OrigSize)) }
+	if imm, mem := reduction(rep.Outcomes[0]), reduction(rep.Outcomes[1]); mem < imm {
+		t.Errorf("MEM -%.2f%% < IMM -%.2f%%: dropping not shared", mem, imm)
+	}
+	wantComp := 0
+	for _, p := range rep.Compacted.PTPs {
+		wantComp += len(p.Prog)
+	}
+	if rep.CompSize != wantComp {
+		t.Errorf("CompSize %d != %d", rep.CompSize, wantComp)
 	}
 }
 

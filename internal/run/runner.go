@@ -214,8 +214,10 @@ func (r *Report) Render(w io.Writer) {
 	}
 }
 
-// Run compacts the whole library with per-PTP fault isolation. Unlike
-// core.CompactSTL, a PTP that fails — stage error, panic, watchdog
+// Run compacts the whole library with per-PTP fault isolation, sharing
+// one fault campaign per target module so PTPs compacted in sequence
+// drop each other's faults; PTPs with no admissible regions pass through
+// untouched. A PTP that fails — stage error, panic, watchdog
 // timeout, or FC-safety violation — does not abort the run: the original
 // PTP is kept, the failure is recorded in its Outcome, and the remaining
 // PTPs still compact. Crash-class failures (panic/timeout) are retried
