@@ -426,7 +426,8 @@ func CampaignConfigHash(cfg GPUConfig, ms *ModuleSet, lib *STL, opt CompactorOpt
 type FaultSimulator = core.FaultSimulator
 
 // DistCoordinator shards fault campaigns across worker transports with
-// retries, hedging, heartbeat health checks and graceful degradation.
+// retries, hedging and heartbeat health checks; a simulation either
+// completes on every shard or fails leaving the campaign untouched.
 // Its SimulateCampaign method satisfies FaultSimulator.
 type DistCoordinator = dist.Coordinator
 
@@ -434,9 +435,8 @@ type DistCoordinator = dist.Coordinator
 // backoff, deadlines, hedging, heartbeats, shard count).
 type DistOptions = dist.Options
 
-// DistResult is the outcome of one distributed campaign run, including
-// the fault-coverage lower/upper bounds of a degraded (partially
-// failed) run.
+// DistResult is the outcome of one completed distributed campaign run:
+// the merged report plus the run's coordinator and engine counters.
 type DistResult = dist.Result
 
 // WorkerTransport carries shard requests to one worker.

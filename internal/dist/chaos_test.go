@@ -71,9 +71,6 @@ func TestChaosMergeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Degraded() {
-		t.Fatalf("chaos run degraded with a steady worker present: %+v", res.ShardErrors)
-	}
 	assertSameReport(t, res.Report, wantRep)
 	if !reflect.DeepEqual(camp.DetectedIDs(), serial.DetectedIDs()) {
 		t.Fatal("chaos run: detected-ID set differs from serial")
@@ -94,7 +91,7 @@ func TestChaosMergeByteIdentical(t *testing.T) {
 }
 
 // failShards makes a transport permanently fail chosen shards — the
-// knob for forcing graceful degradation.
+// knob for forcing a shard to fail for good.
 type failShards struct {
 	Transport
 	bad map[int]bool
@@ -107,10 +104,12 @@ func (f *failShards) Simulate(ctx context.Context, req *ShardRequest) (*ShardRes
 	return f.Transport.Simulate(ctx, req)
 }
 
-// TestDegradedBounds: when one shard fails on every worker for
-// MaxAttempts attempts, the campaign must complete without error and
-// report FC as an interval exactly as wide as the unknown faults.
-func TestDegradedBounds(t *testing.T) {
+// TestFailedShardCommitsNothing: when one shard fails on every worker
+// for MaxAttempts attempts, Run and SimulateCampaign both fail naming
+// that shard, and the campaign's detected set is exactly what it was
+// before — the detections of the shards that succeeded are not
+// committed.
+func TestFailedShardCommitsNothing(t *testing.T) {
 	m := spModule(t)
 	stream := randomSPStream(rand.New(rand.NewSource(52)), m.Lanes, 512)
 
@@ -126,40 +125,93 @@ func TestDegradedBounds(t *testing.T) {
 	}
 	defer co.Close()
 
-	camp := newSPCampaign(t, m, 800, 43)
-	total := camp.Total()
-	res, err := co.Run(context.Background(), camp, stream, fault.SimOptions{})
-	if err != nil {
-		t.Fatalf("degraded run must complete, got error: %v", err)
+	for name, simulate := range map[string]func(*fault.Campaign) error{
+		"Run": func(camp *fault.Campaign) error {
+			_, err := co.Run(context.Background(), camp, stream, fault.SimOptions{})
+			return err
+		},
+		"SimulateCampaign": func(camp *fault.Campaign) error {
+			_, err := co.SimulateCampaign(context.Background(), camp, stream, fault.SimOptions{})
+			return err
+		},
+	} {
+		camp := newSPCampaign(t, m, 800, 43)
+		// Start from a partly detected campaign, so "unchanged" means
+		// more than "still empty".
+		camp.Simulate(stream[:16], fault.SimOptions{Workers: 1})
+		before, ids := camp.Detected(), camp.DetectedIDs()
+		if before == 0 {
+			t.Fatal("test needs a campaign with prior detections")
+		}
+		err := simulate(camp)
+		if err == nil {
+			t.Fatalf("%s: a permanently failed shard must fail the run", name)
+		}
+		if !strings.Contains(err.Error(), "shard 0") || !strings.Contains(err.Error(), "injected") {
+			t.Fatalf("%s: error does not name the shard and its attempt errors: %v", name, err)
+		}
+		if camp.Detected() != before || !reflect.DeepEqual(camp.DetectedIDs(), ids) {
+			t.Fatalf("%s: failed run committed detections: %d detected, was %d", name, camp.Detected(), before)
+		}
 	}
-	if !res.Degraded() || res.FailedShards != 1 {
-		t.Fatalf("want exactly one failed shard, got %+v", res)
-	}
-	if res.FailedFaults == 0 {
-		t.Fatal("failed shard reported zero faults")
-	}
-	wantWidth := 100 * float64(res.FailedFaults) / float64(total)
-	if width := res.FCUpper - res.FCLower; !closeTo(width, wantWidth) {
-		t.Fatalf("FC interval width = %v, want %v", width, wantWidth)
-	}
-	if got, want := res.FCLower, camp.Coverage(); !closeTo(got, want) {
-		t.Fatalf("FCLower = %v, want committed coverage %v", got, want)
-	}
-	if len(res.ShardErrors) != 1 || !strings.Contains(res.ShardErrors[0], "injected") {
-		t.Fatalf("shard errors not propagated: %q", res.ShardErrors)
-	}
-	// The successful shards' detections must still be committed.
-	if camp.Detected() != res.DetectedThisRun {
-		t.Fatalf("committed %d detections, result says %d", camp.Detected(), res.DetectedThisRun)
-	}
+}
 
-	// The compactor-facing adapter must refuse partial data instead:
-	// compaction decisions on an incomplete fault list would be unsound.
-	camp2 := newSPCampaign(t, m, 800, 43)
-	if _, err := co.SimulateCampaign(context.Background(), camp2, stream, fault.SimOptions{}); err == nil {
-		t.Fatal("SimulateCampaign must surface degradation as an error")
-	} else if !strings.Contains(err.Error(), "FC bounds") {
-		t.Fatalf("degradation error should name the FC bounds, got: %v", err)
+// hangShard parks one shard until its dispatch is canceled, counting
+// the cancellations, and passes every other shard through.
+type hangShard struct {
+	Transport
+	shard    int
+	canceled *atomic.Int32
+}
+
+func (h *hangShard) Simulate(ctx context.Context, req *ShardRequest) (*ShardResult, error) {
+	if req.Shard != h.shard {
+		return h.Transport.Simulate(ctx, req)
+	}
+	<-ctx.Done()
+	h.canceled.Add(1)
+	return nil, context.Cause(ctx)
+}
+
+// TestFailFast: the first shard to fail for good ends the run at once.
+// Shard 0 fails on every worker while shard 1 hangs; Run must return
+// long before the hanging dispatch's deadline, with that dispatch
+// canceled and nothing committed.
+func TestFailFast(t *testing.T) {
+	m := spModule(t)
+	stream := randomSPStream(rand.New(rand.NewSource(56)), m.Lanes, 256)
+
+	var canceled atomic.Int32
+	worker := func(name string) Transport {
+		return &hangShard{
+			Transport: &failShards{Transport: NewLocal(name), bad: map[int]bool{0: true}},
+			shard:     1,
+			canceled:  &canceled,
+		}
+	}
+	opt := fastOptions()
+	opt.HedgeFraction = -1
+	opt.ShardBaseTimeout = time.Minute // only the failing shard may end the run
+	co, err := New(opt, worker("w1"), worker("w2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+
+	camp := newSPCampaign(t, m, 800, 61)
+	start := time.Now()
+	_, err = co.Run(context.Background(), camp, stream, fault.SimOptions{})
+	if err == nil || !strings.Contains(err.Error(), "shard 0") {
+		t.Fatalf("want the run to fail at shard 0, got %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Fatalf("run waited %v for the hanging shard instead of failing fast", elapsed)
+	}
+	if canceled.Load() == 0 {
+		t.Fatal("the hanging dispatch was never canceled")
+	}
+	if camp.Detected() != 0 {
+		t.Fatalf("failed run committed %d detections", camp.Detected())
 	}
 }
 
@@ -218,11 +270,6 @@ func TestChaosInjectionsRejectedByValidation(t *testing.T) {
 	}
 }
 
-func closeTo(a, b float64) bool {
-	d := a - b
-	return d < 1e-9 && d > -1e-9
-}
-
 // hangTransport hangs every Simulate until canceled and fails pings once
 // dead — the deterministic stand-in for a machine that stops responding
 // mid-shard.
@@ -269,9 +316,6 @@ func TestWorkerDeathRedistributes(t *testing.T) {
 	res, err := co.Run(context.Background(), camp, stream, fault.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Degraded() {
-		t.Fatalf("survivor should have absorbed the dead worker's shards: %+v", res.ShardErrors)
 	}
 	assertSameReport(t, res.Report, wantRep)
 	if res.Stats.WorkerDeaths != 1 {
@@ -322,7 +366,7 @@ func TestHedgedStraggler(t *testing.T) {
 }
 
 // TestAllWorkersDead: when every worker is gone the coordinator must
-// degrade promptly — all shards failed, full-width FC bounds — instead
+// fail the run once the grace period ends, committing nothing, instead
 // of hanging until test timeout.
 func TestAllWorkersDead(t *testing.T) {
 	m := spModule(t)
@@ -341,24 +385,17 @@ func TestAllWorkersDead(t *testing.T) {
 
 	camp := newSPCampaign(t, m, 400, 59)
 	done := make(chan struct{})
-	var res *Result
 	go func() {
 		defer close(done)
-		res, err = co.Run(context.Background(), camp, stream, fault.SimOptions{})
+		_, err = co.Run(context.Background(), camp, stream, fault.SimOptions{})
 	}()
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("coordinator hung with all workers dead")
 	}
-	if err != nil {
-		t.Fatalf("all-dead run must degrade, not error: %v", err)
-	}
-	if res.FailedShards != res.Shards || !res.Degraded() {
-		t.Fatalf("want every shard failed, got %+v", res)
-	}
-	if res.FCLower != 0 || res.FCUpper != 100 {
-		t.Fatalf("FC bounds = [%v, %v], want [0, 100]", res.FCLower, res.FCUpper)
+	if err == nil || !strings.Contains(err.Error(), "no alive workers") {
+		t.Fatalf("all-dead run must fail naming the stranded fleet, got %v", err)
 	}
 	if camp.Detected() != 0 {
 		t.Fatal("no shard succeeded but detections were committed")

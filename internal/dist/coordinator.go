@@ -22,10 +22,10 @@ import (
 // selects sensible defaults (noted per field).
 type Options struct {
 	// MaxAttempts is how many failed simulation attempts a shard may
-	// accumulate before it is declared permanently failed and the
-	// campaign degrades to FC bounds (default 4). Coordinator-initiated
-	// cancellations — hedge losers, dead-worker redistributions — do not
-	// count against it.
+	// accumulate before it is declared permanently failed, which fails
+	// the whole run (default 4). Coordinator-initiated cancellations —
+	// hedge losers, dead-worker redistributions — do not count against
+	// it.
 	MaxAttempts int
 	// BaseBackoff is the delay before the first retry (default 25ms);
 	// it doubles per failure, capped at MaxBackoff (default 2s), with
@@ -74,8 +74,9 @@ type Options struct {
 	// (token bucket; defaults 0.1 and 64). The bucket is shared across
 	// every Run on the coordinator, so a sick fleet cannot be melted by
 	// a sustained retry storm no matter how many campaigns are offered:
-	// once the budget is spent, a shard that would retry fails fast and
-	// the campaign degrades to FC bounds instead. A negative RetryBudget
+	// once the budget is spent, a shard that would retry fails the run
+	// fast with an error wrapping overload.ErrOverloaded, so the caller
+	// backs off and resumes later. A negative RetryBudget
 	// disables budgeting (unbounded retries up to MaxAttempts, the
 	// pre-overload behavior). Coordinator-initiated redispatches —
 	// hedges, drain/busy bounces, dead-worker redistributions — never
@@ -174,34 +175,17 @@ type Stats struct {
 	BreakerOpens int // circuit-breaker trips during this run
 }
 
-// Result is the outcome of one distributed campaign run.
+// Result is the outcome of one completed distributed campaign run.
 type Result struct {
 	// Report is the merged Fault Sim Report, bit-identical to a serial
-	// Campaign.Simulate when every shard succeeded. With failed shards
-	// it covers the successful shards only.
-	Report          *fault.Report
-	DetectedThisRun int
-	Shards          int
-	// Degraded mode: faults of permanently failed shards have UNKNOWN
-	// status — the campaign completes, reporting cumulative
-	// fault-coverage bounds instead of aborting. FCLower counts them
-	// undetected, FCUpper counts them all detected; the true coverage
-	// lies in between. FCLower == FCUpper iff nothing failed.
-	FailedShards int
-	FailedFaults int
-	FCLower      float64
-	FCUpper      float64
-	ShardErrors  []string
-	Stats        Stats
+	// Campaign.Simulate.
+	Report *fault.Report
+	Stats  Stats
 	// SimStats aggregates the engine counters of every accepted shard
 	// reply: dedup dictionary hit rate, activation pre-screen and
-	// unchanged-cone skips. Failed shards contribute nothing.
+	// unchanged-cone skips.
 	SimStats fault.SimStats
 }
-
-// Degraded reports whether any shard permanently failed, making the
-// FC bounds an interval rather than a point.
-func (r *Result) Degraded() bool { return r.FailedShards > 0 }
 
 // Coordinator shards fault campaigns across a fixed set of workers.
 // It is safe for sequential reuse across many Run calls (one per PTP
@@ -293,12 +277,23 @@ var (
 	errQuarantined = errors.New("dist: worker quarantined for byzantine replies")
 )
 
+// errShardFailed marks a run ended by a shard that failed for good.
+var errShardFailed = errors.New("dist: shard failed permanently")
+
 // Run distributes the campaign's remaining faults across the workers
-// and merges the result, committing detections of successful shards to
-// the campaign. It returns an error only for a canceled context or an
-// unusable campaign; permanently failed shards degrade the Result to
-// explicit FC bounds instead.
-func (c *Coordinator) Run(ctx context.Context, camp *fault.Campaign, stream []fault.TimedPattern, opt fault.SimOptions) (*Result, error) {
+// and merges the result. It is all-or-nothing, like the in-process
+// engine: either every shard succeeds and the detections are committed
+// to the campaign, or Run returns an error and the campaign is left
+// untouched. The first shard that fails for good — out of attempts,
+// refused a retry by the budget, stuck on a tied checksum vote, or
+// stranded with no live worker — ends the run and cancels every
+// in-flight dispatch; its error names the shard and its attempt errors
+// and wraps overload.ErrOverloaded when the budget refused the retry.
+// Every exit, failed and canceled ones included, records the run's
+// Stats in Options.Metrics.
+func (c *Coordinator) Run(ctx context.Context, camp *fault.Campaign, stream []fault.TimedPattern, opt fault.SimOptions) (res *Result, err error) {
+	var st Stats
+	defer func() { c.recordStats(st, err) }()
 	if err := camp.Err(); err != nil {
 		return nil, fmt.Errorf("dist: campaign unusable: %w", err)
 	}
@@ -334,33 +329,26 @@ func (c *Coordinator) Run(ctx context.Context, camp *fault.Campaign, stream []fa
 	}
 	parts := camp.PartitionRemaining(shards)
 	if len(parts) == 0 {
-		cov := camp.Coverage()
-		return &Result{Report: fault.BuildReport(ordered, nil), FCLower: cov, FCUpper: cov}, nil
+		return &Result{Report: fault.BuildReport(ordered, nil)}, nil
 	}
 
 	rl := newRunLoop(c, ctx, camp, ordered, parts)
 	defer rl.shutdown()
-	if err := rl.run(); err != nil {
+	err = rl.run()
+	st = rl.stats
+	if err != nil {
 		return nil, err
 	}
 	return rl.finish(camp, ordered)
 }
 
 // SimulateCampaign adapts the coordinator to the compactor's
-// FaultSimulator contract (core.Options.Simulator). Compaction decisions
-// must not act on partial detection data — an unessential label derived
-// from a missing shard would remove instructions that do detect faults —
-// so a degraded run comes back as an error here; the resilient runner
-// then reverts that one PTP while the rest of the STL continues.
+// FaultSimulator contract (core.Options.Simulator): Run already returns
+// the full report or fails leaving the campaign untouched.
 func (c *Coordinator) SimulateCampaign(ctx context.Context, camp *fault.Campaign, stream []fault.TimedPattern, opt fault.SimOptions) (*fault.Report, error) {
 	res, err := c.Run(ctx, camp, stream, opt)
 	if err != nil {
 		return nil, err
-	}
-	if res.Degraded() {
-		return nil, fmt.Errorf("dist: degraded campaign: %d of %d shards failed permanently, %d faults unknown (FC bounds %.2f%%..%.2f%%): %s",
-			res.FailedShards, res.Shards, res.FailedFaults, res.FCLower, res.FCUpper,
-			strings.Join(res.ShardErrors, "; "))
 	}
 	return res.Report, nil
 }
@@ -412,8 +400,9 @@ type dispatch struct {
 }
 
 // shardState walks pending → dispatched (1–2 in-flight attempts) →
-// done | failed. Attempt numbers (seq) are unique per dispatch so reply
-// echoes distinguish every try; failures counts only genuine failures.
+// done; a shard that fails for good ends the run instead. Attempt
+// numbers (seq) are unique per dispatch so reply echoes distinguish
+// every try; failures counts only genuine failures.
 type shardState struct {
 	id     int
 	ids    []fault.ID
@@ -425,11 +414,10 @@ type shardState struct {
 	tried    map[string]bool
 	parked   bool // waiting in runLoop.pending for a worker to turn eligible
 
-	done   bool
-	failed bool
-	dets   []Detection
-	stats  fault.SimStats
-	errs   []string
+	done  bool
+	dets  []Detection
+	stats fault.SimStats
+	errs  []string
 
 	// Byzantine verification state. verify marks the shard as selected
 	// for re-execution on a second worker; replies accumulates the valid
@@ -472,8 +460,8 @@ type runLoop struct {
 	pending     []*shardState
 	remaining   int
 	strandArmed bool
+	err         error // set by fail: the first shard failure ends the run
 	stats       Stats
-	opensStart  uint64 // workers' open trips before this run, for Stats delta
 }
 
 func newRunLoop(c *Coordinator, ctx context.Context, camp *fault.Campaign, ordered []fault.TimedPattern, parts [][]fault.ID) *runLoop {
@@ -497,7 +485,6 @@ func newRunLoop(c *Coordinator, ctx context.Context, camp *fault.Campaign, order
 		// that ended between runs ends now rather than on a timer tick.
 		c.step(w.h, healthEvent{kind: hNewRun}, now)
 		c.step(w.h, healthEvent{kind: hTimer}, now)
-		rl.opensStart += w.h.opens
 		rl.workers = append(rl.workers, w)
 		rl.workerUpGauge(w)
 	}
@@ -547,8 +534,8 @@ func (rl *runLoop) verifySelected(id int) bool {
 	return float64(x)/float64(math.MaxUint64) < f
 }
 
-// run drives the event loop to completion (every shard done or failed)
-// or parent-context cancellation.
+// run drives the event loop until every shard is done, a shard fails
+// for good, or the parent context is canceled.
 func (rl *runLoop) run() error {
 	for _, w := range rl.workers {
 		if w.h.state == healthBanned {
@@ -571,6 +558,9 @@ func (rl *runLoop) run() error {
 				rl.remaining, len(rl.shards), context.Cause(rl.ctx))
 		case ev := <-rl.events:
 			rl.handle(ev)
+			if rl.err != nil {
+				return rl.err
+			}
 			rl.checkStranded()
 		}
 	}
@@ -607,7 +597,7 @@ func (rl *runLoop) handle(ev event) {
 	case evResult:
 		rl.onResult(ev.d, ev.res, ev.err)
 	case evRetry:
-		if !ev.s.done && !ev.s.failed && len(ev.s.inflight) == 0 {
+		if !ev.s.done && len(ev.s.inflight) == 0 {
 			rl.place(ev.s)
 		}
 	case evHedge:
@@ -672,6 +662,7 @@ func (rl *runLoop) observe(w *worker, e healthEvent) {
 		rl.armTimer(w)
 	}
 	if h.opens > opens {
+		rl.stats.BreakerOpens += int(h.opens - opens)
 		rl.co.logf("dist: worker %s: %s -> open, probing again in %v",
 			w.t.Name(), was, time.Until(h.until).Round(time.Millisecond))
 	}
@@ -714,7 +705,7 @@ func (rl *runLoop) unpark() {
 	rl.pending = nil
 	for _, s := range parked {
 		s.parked = false
-		if !s.done && !s.failed && len(s.inflight) == 0 {
+		if !s.done && len(s.inflight) == 0 {
 			rl.place(s)
 		}
 	}
@@ -817,6 +808,9 @@ func (rl *runLoop) dispatch(s *shardState) bool {
 // preemption, retry, unpark — comes through here. It reports whether
 // the shard was dispatched.
 func (rl *runLoop) place(s *shardState) bool {
+	if rl.err != nil {
+		return false // the run is over; shutdown cancels what is in flight
+	}
 	if rl.dispatch(s) {
 		return true
 	}
@@ -844,7 +838,7 @@ func (rl *runLoop) votersLeft(s *shardState) bool {
 // closeVote decides a verify shard that no further vote can reach. A
 // lone vote settles unverified — availability beats verification, and
 // a later quarantine of its worker requeues the shard; a two-vote tie
-// fails.
+// fails the run.
 func (rl *runLoop) closeVote(s *shardState) {
 	if len(s.replies) == 1 {
 		rl.stats.VerifySkipped++
@@ -853,7 +847,7 @@ func (rl *runLoop) closeVote(s *shardState) {
 		return
 	}
 	s.errs = append(s.errs, "checksum vote tie with no third worker available")
-	rl.fail(s)
+	rl.fail(s, nil)
 }
 
 // checkReply cross-checks a reply against its request, then its own
@@ -877,7 +871,7 @@ func (rl *runLoop) onResult(d *dispatch, res *ShardResult, err error) {
 	s := rl.shards[d.shard]
 	delete(s.inflight, d.attempt)
 	d.w.inflight--
-	settled := s.done || s.failed
+	settled := s.done
 	if err == nil && !settled {
 		err = rl.checkReply(d, res)
 	}
@@ -978,18 +972,19 @@ func (rl *runLoop) onResult(d *dispatch, res *ShardResult, err error) {
 		return // a hedge is still in flight; it may yet win
 	}
 	if s.failures >= rl.opt.MaxAttempts {
-		rl.fail(s)
+		rl.fail(s, nil)
 		return
 	}
 	if !rl.co.budget.Allow() {
 		// The fleet-wide retry budget is spent: retrying now would feed
-		// a retry storm against a sick fleet. Fail the shard fast; the
-		// campaign degrades to FC bounds instead of melting the workers.
+		// a retry storm against a sick fleet. Fail the run fast as
+		// overloaded, so the caller backs off instead of melting the
+		// workers.
 		rl.stats.RetryDenied++
 		s.errs = append(s.errs, "retry denied: coordinator retry budget exhausted")
 		rl.co.logf("dist: shard %d: retry budget exhausted after %d failures, failing fast",
 			s.id, s.failures)
-		rl.fail(s)
+		rl.fail(s, overload.ErrOverloaded)
 		return
 	}
 	rl.stats.Retries++
@@ -1024,7 +1019,7 @@ func (rl *runLoop) settle(s *shardState, d *dispatch, res *ShardResult) {
 // vote. The shard settles when two workers agree; a disagreement
 // escalates to a third worker; an outvoted worker is quarantined. When
 // no live worker is left to cast the next vote, place settles the
-// shard unverified (or fails a tie).
+// shard unverified (or fails the run on a tie).
 func (rl *runLoop) onVerifyReply(s *shardState, d *dispatch, res *ShardResult) {
 	name := d.w.t.Name()
 	if s.replied[name] {
@@ -1067,11 +1062,11 @@ func (rl *runLoop) onVerifyReply(s *shardState, d *dispatch, res *ShardResult) {
 	}
 	if len(s.replies) >= 3 {
 		// Three workers, three answers: no majority is reachable and
-		// nothing distinguishes liar from victim. Fail the shard; the
-		// campaign degrades to FC bounds rather than guessing.
+		// nothing distinguishes liar from victim. Fail the run rather
+		// than guess.
 		s.errs = append(s.errs, fmt.Sprintf("checksum vote: %d replies, all disagree", len(s.replies)))
 		rl.co.logf("dist: shard %d: checksum vote unresolvable (%d distinct answers)", s.id, len(counts))
-		rl.fail(s)
+		rl.fail(s, nil)
 		return
 	}
 	if len(s.replies) == 2 {
@@ -1130,7 +1125,7 @@ func (rl *runLoop) preempt(w *worker, cause error) {
 }
 
 func (rl *runLoop) onHedge(s *shardState, attempt int) {
-	if s.done || s.failed {
+	if s.done {
 		return
 	}
 	if _, live := s.inflight[attempt]; !live || len(s.inflight) != 1 {
@@ -1150,11 +1145,20 @@ func (rl *runLoop) workerUpGauge(w *worker) {
 	rl.opt.Metrics.Gauge(fmt.Sprintf("gpustl_dist_worker_up{worker=%q}", w.t.Name())).Set(up)
 }
 
-func (rl *runLoop) fail(s *shardState) {
-	s.failed = true
-	rl.remaining--
+// fail ends the run at shard s, which failed for good: run returns the
+// error, and shutdown cancels every in-flight dispatch. cause, when
+// non-nil, is wrapped too (overload.ErrOverloaded for a denied retry).
+func (rl *runLoop) fail(s *shardState, cause error) {
+	if rl.err != nil {
+		return
+	}
 	rl.co.logf("dist: shard %d (%d faults): permanently failed after %d attempts",
 		s.id, len(s.ids), s.failures)
+	rl.err = fmt.Errorf("%w: shard %d (%d faults, %d failed attempts): %s",
+		errShardFailed, s.id, len(s.ids), s.failures, strings.Join(s.errs, "; "))
+	if cause != nil {
+		rl.err = fmt.Errorf("%w: %w", rl.err, cause)
+	}
 }
 
 // stranded reports whether every worker is down or banned and nothing
@@ -1171,8 +1175,7 @@ func (rl *runLoop) stranded() bool {
 // checkStranded arms a grace timer when the run is stranded; if the
 // heartbeats revive a worker before it fires (a transient blip — the
 // network hiccuped, not the fleet dying), the run continues, otherwise
-// failStranded degrades it. Degrading after the grace beats hanging
-// forever.
+// failStranded fails it. Failing after the grace beats hanging forever.
 func (rl *runLoop) checkStranded() {
 	if rl.strandArmed || rl.remaining == 0 || !rl.stranded() {
 		return
@@ -1182,88 +1185,63 @@ func (rl *runLoop) checkStranded() {
 	rl.afterFunc(grace, event{kind: evStrand})
 }
 
-// failStranded (the armed grace timer firing) fails every unsettled
-// shard if the run is still stranded.
+// failStranded (the armed grace timer firing) fails the run at its
+// first unsettled shard if the run is still stranded.
 func (rl *runLoop) failStranded() {
 	if !rl.stranded() {
 		return
 	}
 	for _, s := range rl.shards {
-		if !s.done && !s.failed {
+		if !s.done {
 			s.errs = append(s.errs, "no alive workers")
-			rl.fail(s)
+			rl.fail(s, nil)
+			return
 		}
 	}
 }
 
-// finish merges accepted shard replies into the campaign and the final
-// Result with its FC bounds.
+// finish merges the shard replies of a run in which every shard
+// succeeded into the campaign and the final Result.
 func (rl *runLoop) finish(camp *fault.Campaign, ordered []fault.TimedPattern) (*Result, error) {
 	var (
-		dets         []fault.Detection
-		detIDs       []fault.ID
-		failedShards int
-		failedFaults int
-		shardErrs    []string
+		dets     []fault.Detection
+		detIDs   []fault.ID
+		simStats fault.SimStats
 	)
-	var simStats fault.SimStats
 	for _, s := range rl.shards {
-		if s.done {
-			for _, d := range s.dets {
-				gid := s.ids[d.Fault]
-				dets = append(dets, fault.Detection{Fault: gid, Pattern: d.Pattern, CC: d.CC})
-				detIDs = append(detIDs, gid)
-			}
-			simStats.Add(s.stats)
-			continue
+		for _, d := range s.dets {
+			gid := s.ids[d.Fault]
+			dets = append(dets, fault.Detection{Fault: gid, Pattern: d.Pattern, CC: d.CC})
+			detIDs = append(detIDs, gid)
 		}
-		failedShards++
-		failedFaults += len(s.ids)
-		shardErrs = append(shardErrs, fmt.Sprintf("shard %d (%d faults): %s",
-			s.id, len(s.ids), strings.Join(s.errs, "; ")))
+		simStats.Add(s.stats)
 	}
-	var opens uint64
-	for _, w := range rl.workers {
-		opens += w.h.opens
-	}
-	rl.stats.BreakerOpens = int(opens - rl.opensStart)
 	if err := camp.RestoreDetected(detIDs); err != nil {
 		return nil, err
 	}
-	detTotal := camp.Detected()
-	res := &Result{
-		Report:          fault.BuildReport(ordered, dets),
-		DetectedThisRun: len(dets),
-		Shards:          len(rl.shards),
-		FailedShards:    failedShards,
-		FailedFaults:    failedFaults,
-		ShardErrors:     shardErrs,
-		Stats:           rl.stats,
-		SimStats:        simStats,
-	}
-	if total := camp.Total(); total > 0 {
-		res.FCLower = 100 * float64(detTotal) / float64(total)
-		res.FCUpper = 100 * float64(detTotal+failedFaults) / float64(total)
-	}
-	rl.recordStats(res)
+	rl.recordSimStats(simStats)
 	// Per-tenant usage attribution: the accepted shard replies' summed
 	// block counts are the fleet work this campaign consumed.
 	if u, tenant := obs.UsageFromContext(rl.loopCtx); u != nil {
-		u.AddFaultBlocks(tenant, res.SimStats.Blocks)
+		u.AddFaultBlocks(tenant, simStats.Blocks)
 	}
-	return res, nil
+	return &Result{Report: fault.BuildReport(ordered, dets), Stats: rl.stats, SimStats: simStats}, nil
 }
 
-// recordStats mirrors the run's Stats into the metrics registry, so a
+// recordStats mirrors a run's Stats into the metrics registry, so a
 // scrape of the coordinator process carries the same numbers Result
-// reports programmatically.
-func (rl *runLoop) recordStats(res *Result) {
-	m := rl.opt.Metrics
+// reports programmatically. err is the run's error: a run ended by a
+// failed shard counts that one shard as failed.
+func (c *Coordinator) recordStats(st Stats, err error) {
+	m := c.opt.Metrics
 	if m == nil {
 		return
 	}
-	st := rl.stats
-	for _, c := range []struct {
+	failed := 0
+	if errors.Is(err, errShardFailed) {
+		failed = 1
+	}
+	for _, ctr := range []struct {
 		name string
 		n    int
 	}{
@@ -1280,7 +1258,7 @@ func (rl *runLoop) recordStats(res *Result) {
 		{"gpustl_dist_invalid_replies_total", st.InvalidReplies},
 		{"gpustl_dist_worker_deaths_total", st.WorkerDeaths},
 		{"gpustl_dist_worker_revivals_total", st.WorkerRevivals},
-		{"gpustl_dist_failed_shards_total", res.FailedShards},
+		{"gpustl_dist_failed_shards_total", failed},
 		{"gpustl_dist_verified_shards_total", st.VerifiedShards},
 		{"gpustl_dist_verify_dispatches_total", st.VerifyDispatches},
 		{"gpustl_dist_verify_mismatches_total", st.VerifyMismatches},
@@ -1293,29 +1271,30 @@ func (rl *runLoop) recordStats(res *Result) {
 		{"gpustl_dist_retry_denied_total", st.RetryDenied},
 		{"gpustl_dist_breaker_opens_total", st.BreakerOpens},
 	} {
-		m.Counter(c.name).Add(uint64(c.n))
+		m.Counter(ctr.name).Add(uint64(ctr.n))
 	}
 	// Breaker-state gauges: 0 closed, 0.5 probing, 1 open — scrapes see
 	// at a glance which workers are being routed around for failing.
-	for _, w := range rl.workers {
+	for i, h := range c.health {
 		v := 0.0
-		switch w.h.state {
+		switch h.state {
 		case healthOpen:
 			v = 1
 		case healthProbe:
 			v = 0.5
 		}
-		m.Gauge(fmt.Sprintf("gpustl_dist_breaker_state{worker=%q}", w.t.Name())).Set(v)
+		m.Gauge(fmt.Sprintf("gpustl_dist_breaker_state{worker=%q}", c.transports[i].Name())).Set(v)
 	}
-	if res.Degraded() {
-		m.Counter("gpustl_dist_degraded_runs_total").Inc()
-	}
-	m.Gauge("gpustl_dist_fc_lower_pct").Set(res.FCLower)
-	m.Gauge("gpustl_dist_fc_upper_pct").Set(res.FCUpper)
+}
 
-	// Engine counters aggregated from the accepted shard replies: how
-	// much work the optimized simulator avoided, fleet-wide.
-	ss := res.SimStats
+// recordSimStats records the engine counters aggregated from a
+// completed run's shard replies: how much work the optimized simulator
+// avoided, fleet-wide.
+func (rl *runLoop) recordSimStats(ss fault.SimStats) {
+	m := rl.opt.Metrics
+	if m == nil {
+		return
+	}
 	for _, c := range []struct {
 		name string
 		n    uint64

@@ -27,10 +27,10 @@
 //   - reply validation: a reply is cross-checked against its request
 //     (shard/attempt echo, detection indices, clock cycles, ordering),
 //     so corrupted or misdirected payloads are rejected and retried;
-//   - graceful degradation: a shard that keeps failing after
-//     Options.MaxAttempts attempts is declared failed and the campaign
-//     completes with explicit fault-coverage lower/upper bounds instead
-//     of an error.
+//   - all-or-nothing failure: the first shard that fails for good (out
+//     of Options.MaxAttempts, refused a retry by the budget, a tied
+//     checksum vote, or no live worker left) ends the run with an error
+//     and commits nothing to the campaign, like the in-process engine.
 //
 // Transports: Local executes shards in-process (tests, single-machine
 // parallelism); HTTP ships each shard to a cmd/stlworker daemon as one

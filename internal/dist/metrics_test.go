@@ -116,3 +116,38 @@ func TestWorkerDownPreemptionAttribution(t *testing.T) {
 		t.Fatalf("preemption inflated Retries to %d: %+v", st.Retries, st)
 	}
 }
+
+// TestCanceledRunRecordsStats pins down that a run canceled mid-flight
+// still lands in the metrics: one run, its dispatches, no failed shard.
+func TestCanceledRunRecordsStats(t *testing.T) {
+	m := spModule(t)
+	stream := randomSPStream(rand.New(rand.NewSource(57)), m.Lanes, 256)
+
+	reg := obs.NewRegistry()
+	opt := fastOptions()
+	opt.HedgeFraction = -1
+	opt.Metrics = reg
+	co, err := New(opt, &hangTransport{name: "stuck"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+
+	camp := newSPCampaign(t, m, 400, 57)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if _, err := co.Run(ctx, camp, stream, fault.SimOptions{}); err == nil {
+		t.Fatal("canceled run must fail")
+	}
+	snap := reg.Snapshot()
+	for name, want := range map[string]uint64{
+		"gpustl_dist_runs_total":          1,
+		"gpustl_dist_shards_total":        4,
+		"gpustl_dist_dispatches_total":    4,
+		"gpustl_dist_failed_shards_total": 0,
+	} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}

@@ -17,6 +17,7 @@ import (
 	"gpustl/internal/failpoint"
 	"gpustl/internal/fault"
 	"gpustl/internal/obs"
+	"gpustl/internal/overload"
 )
 
 // failNTransport fails its first n Simulate calls with a genuine error
@@ -70,9 +71,6 @@ func TestBusyRerouteNoFailureCharge(t *testing.T) {
 	}
 	assertSameReport(t, res.Report, wantRep)
 	st := res.Stats
-	if res.Degraded() {
-		t.Fatalf("busy bounces degraded the run: %+v", res.ShardErrors)
-	}
 	if st.BusyReplies == 0 {
 		t.Fatalf("brownout never bounced a dispatch: %+v", st)
 	}
@@ -86,17 +84,20 @@ func TestBusyRerouteNoFailureCharge(t *testing.T) {
 
 // TestRetryBudgetExhaustion pins down fail-fast under a spent budget:
 // with every worker broken and one banked retry token, the coordinator
-// stops retrying long before MaxAttempts and degrades instead of
-// storming the fleet.
+// stops retrying long before MaxAttempts and fails the run as
+// overloaded instead of storming the fleet. The metrics record the
+// failed run: the denied retry and the one shard that ended it.
 func TestRetryBudgetExhaustion(t *testing.T) {
 	m := spModule(t)
 	stream := randomSPStream(rand.New(rand.NewSource(62)), m.Lanes, 128)
 
+	reg := obs.NewRegistry()
 	opt := fastOptions()
 	opt.MaxAttempts = 8
 	opt.RetryBudget = 0.001 // effectively: just the banked burst
 	opt.RetryBurst = 1
 	opt.HedgeFraction = -1
+	opt.Metrics = reg
 	co, err := New(opt,
 		&failNTransport{inner: NewLocal("dead1"), n: -1},
 		&failNTransport{inner: NewLocal("dead2"), n: -1})
@@ -105,28 +106,31 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	}
 	defer co.Close()
 	camp := newSPCampaign(t, m, 300, 62)
-	res, err := co.Run(context.Background(), camp, stream, fault.SimOptions{})
-	if err != nil {
-		t.Fatal(err)
+	_, err = co.Run(context.Background(), camp, stream, fault.SimOptions{})
+	if err == nil {
+		t.Fatal("broken fleet must fail the run")
 	}
-	st := res.Stats
-	if !res.Degraded() {
-		t.Fatalf("broken fleet did not degrade: %+v", st)
+	if !errors.Is(err, overload.ErrOverloaded) {
+		t.Fatalf("budget-denied run must wrap ErrOverloaded: %v", err)
 	}
-	if st.RetryDenied == 0 {
-		t.Fatalf("budget never denied a retry: %+v", st)
+	if !strings.Contains(err.Error(), "retry budget exhausted") {
+		t.Fatalf("error does not name the budget: %v", err)
 	}
-	if st.Retries > 1 {
-		t.Fatalf("retries %d exceed the 1-token budget: %+v", st.Retries, st)
+	if camp.Detected() != 0 {
+		t.Fatalf("failed run committed %d detections", camp.Detected())
 	}
-	found := false
-	for _, e := range res.ShardErrors {
-		if strings.Contains(e, "retry budget exhausted") {
-			found = true
-		}
+	snap := reg.Snapshot()
+	if n := snap.Counters["gpustl_dist_retries_total"]; n > 1 {
+		t.Fatalf("retries %d exceed the 1-token budget", n)
 	}
-	if !found {
-		t.Fatalf("shard errors do not name the budget: %v", res.ShardErrors)
+	if n := snap.Counters["gpustl_dist_retry_denied_total"]; n < 1 {
+		t.Fatalf("gpustl_dist_retry_denied_total = %d, want at least 1", n)
+	}
+	if n := snap.Counters["gpustl_dist_failed_shards_total"]; n != 1 {
+		t.Fatalf("gpustl_dist_failed_shards_total = %d, want 1", n)
+	}
+	if n := snap.Counters["gpustl_dist_runs_total"]; n != 1 {
+		t.Fatalf("gpustl_dist_runs_total = %d, want 1", n)
 	}
 }
 
@@ -161,9 +165,6 @@ func TestBreakerTripsAndRoutesAround(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameReport(t, res.Report, wantRep)
-	if res.Degraded() {
-		t.Fatalf("healthy worker should have absorbed everything: %+v", res.ShardErrors)
-	}
 	if res.Stats.BreakerOpens < 1 {
 		t.Fatalf("sick worker never tripped its breaker: %+v", res.Stats)
 	}
@@ -186,7 +187,7 @@ func TestBreakerTripsAndRoutesAround(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Degraded() || res2.Stats.Retries != 0 || res2.Stats.BreakerOpens != 0 {
+	if res2.Stats.Retries != 0 || res2.Stats.BreakerOpens != 0 {
 		t.Fatalf("open breaker not honored across runs: %+v", res2.Stats)
 	}
 }

@@ -40,9 +40,6 @@ func TestShardStatsAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Degraded() {
-		t.Fatalf("unexpected degraded run: %+v", res.ShardErrors)
-	}
 
 	ss := res.SimStats
 	if ss.FaultEvals == 0 || ss.Blocks == 0 {

@@ -18,7 +18,7 @@
 //     requests (the classic ~10% budget). Individual request retries
 //     are fine; a fleet-wide retry storm against an already-sick
 //     backend is how overload turns into outage. When the budget is
-//     spent, retries are denied and the caller degrades instead.
+//     spent, retries are denied and the caller fails fast instead.
 //   - Clock: the injected time source that makes admission
 //     queue-wait accounting deterministic under test — it advances on a
 //     FakeClock exactly as the test dictates.

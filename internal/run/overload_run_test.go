@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"gpustl/internal/core"
+	"gpustl/internal/dist"
 	"gpustl/internal/fault"
 	"gpustl/internal/gpu"
 	"gpustl/internal/journal"
@@ -156,6 +157,65 @@ func TestOverloadAbortsWithoutQuarantine(t *testing.T) {
 	}
 	if len(rep2.Outcomes) != 3 || rep2.Quarantined != 0 {
 		t.Fatalf("resume outcomes %d, quarantined %d", len(rep2.Outcomes), rep2.Quarantined)
+	}
+}
+
+// brokenWorker is a dist worker that answers pings but fails every
+// shard it is sent.
+type brokenWorker struct{ dist.Transport }
+
+func (brokenWorker) Simulate(context.Context, *dist.ShardRequest) (*dist.ShardResult, error) {
+	return nil, errors.New("injected worker failure")
+}
+
+// TestRetryBudgetAbortsDistCampaign drives Run through a real
+// dist.Coordinator whose workers always fail. The coordinator's retry
+// budget runs dry, the simulation fails as overloaded, and the campaign
+// aborts with nothing journaled for the PTP — not a permanent revert —
+// so a resume on a healthy fleet redoes it and completes the library.
+func TestRetryBudgetAbortsDistCampaign(t *testing.T) {
+	lib, ms := testEnv(t)
+	reg := obs.NewRegistry()
+	ckDir := t.TempDir()
+	co, err := dist.New(dist.Options{
+		RetryBudget:       0.001, // effectively: just the banked burst
+		RetryBurst:        1,
+		HedgeFraction:     -1,
+		BaseBackoff:       time.Millisecond,
+		HeartbeatInterval: 20 * time.Millisecond,
+	}, brokenWorker{dist.NewLocal("w1")}, brokenWorker{dist.NewLocal("w2")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	rep, err := Run(context.Background(), gpu.DefaultConfig(), ms, lib,
+		core.Options{Workers: 2, Simulator: co},
+		Options{CheckpointDir: ckDir, Metrics: reg})
+	if !errors.Is(err, overload.ErrOverloaded) {
+		t.Fatalf("want ErrOverloaded in chain, got %v", err)
+	}
+	for _, o := range rep.Outcomes {
+		if o.Name == lib.PTPs[0].Name {
+			t.Fatalf("budget-exhausted PTP was journaled: %+v", o)
+		}
+	}
+	if n := reg.Snapshot().Counters["gpustl_run_overload_aborts_total"]; n != 1 {
+		t.Fatalf("abort counter = %d, want 1", n)
+	}
+
+	lib2, ms2 := testEnv(t)
+	rep2, err := Run(context.Background(), gpu.DefaultConfig(), ms2, lib2,
+		core.Options{Workers: 2}, Options{CheckpointDir: ckDir})
+	if err != nil {
+		t.Fatalf("resume after the budget abort failed: %v", err)
+	}
+	if len(rep2.Outcomes) != 3 || rep2.Quarantined != 0 {
+		t.Fatalf("resume outcomes %d, quarantined %d", len(rep2.Outcomes), rep2.Quarantined)
+	}
+	for _, o := range rep2.Outcomes {
+		if o.Status == StatusRevertedError {
+			t.Fatalf("resumed PTP still reverted: %+v", o)
+		}
 	}
 }
 
