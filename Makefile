@@ -40,6 +40,7 @@ verify: test lint chaos-smoke chaos-overload chaos-server verify-medium
 	go test -fuzz '^FuzzShardFrame$$' -fuzztime 10s -run '^$$' ./internal/dist
 	go test -fuzz '^FuzzWorkerHealth$$' -fuzztime 10s -run '^$$' ./internal/dist
 	go test -fuzz '^FuzzWideBlockEquiv$$' -fuzztime 10s -run '^$$' ./internal/fault
+	go test -fuzz '^FuzzObsFactors$$' -fuzztime 10s -run '^$$' ./internal/netlist
 
 # Medium-scale reproduction check: regenerate Tables I-III, the STL
 # summary, the ablations and the baseline comparison and diff them

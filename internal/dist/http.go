@@ -468,6 +468,9 @@ func NewHandlerOptions(name string, o WorkerOptions) *WorkerHandler {
 			logf("shard %d attempt %d: %v", req.Shard, req.Attempt, err)
 			status := http.StatusInternalServerError
 			switch {
+			case errors.Is(err, errBadShard):
+				status = http.StatusBadRequest
+				m.Counter("gpustl_worker_bad_requests_total").Inc()
 			case r.Context().Err() != nil:
 				// The coordinator canceled (hedge lost, deadline, worker
 				// declared dead): the reply will not be read anyway.

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -73,6 +74,10 @@ func (l *Local) module(kind circuits.ModuleKind, lanes int) (*circuits.Module, e
 	return m, nil
 }
 
+// errBadShard marks a shard no worker can simulate: its fault list does
+// not fit the module. The HTTP worker answers it 400, not 500.
+var errBadShard = errors.New("malformed shard")
+
 // Simulate implements Transport: one throwaway campaign over the
 // request's fault list, simulated as a single subset. Detection indices
 // refer to the request's fault list, already sorted (Pattern, Fault).
@@ -82,6 +87,9 @@ func (l *Local) Simulate(ctx context.Context, req *ShardRequest) (*ShardResult, 
 		return nil, err
 	}
 	camp := fault.NewCampaignWithFaults(mod, req.Faults)
+	if err := camp.Err(); err != nil {
+		return nil, fmt.Errorf("dist: worker %s: %w: %w", l.name, errBadShard, err)
+	}
 	dets, stats, err := camp.SimulateSubset(ctx, req.Stream, nil)
 	if err != nil {
 		return nil, err

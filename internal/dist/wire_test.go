@@ -262,13 +262,100 @@ func TestWorkerRejectsHostileModule(t *testing.T) {
 	}
 }
 
+// TestWorkerRejectsFaultsOutsideModule is the regression test for shards
+// whose faults do not fit the module: a gate outside the netlist, a pin
+// past the gate's arity, or a negative fault lane (a wire u16 of 32768
+// or more). Local.Simulate returns an error and the HTTP worker answers
+// 400 and counts a bad request, where both used to panic inside the
+// engine. A negative pattern lane is left out like any lane the module
+// lacks, and a valid shard to the same handler still succeeds.
+func TestWorkerRejectsFaultsOutsideModule(t *testing.T) {
+	valid := func() *ShardRequest {
+		req := &ShardRequest{Shard: 1, Attempt: 1, Module: circuits.ModuleDU, Lanes: 1}
+		for g := int32(100); g < 108; g++ {
+			req.Faults = append(req.Faults, fault.Fault{Site: netlist.FaultSite{Gate: g, Pin: -1, SA1: g%2 == 1}})
+		}
+		for i := uint64(0); i < 70; i++ {
+			req.Stream = append(req.Stream, fault.TimedPattern{CC: i,
+				Pat: circuits.Pattern{W: [2]uint64{i * 0x9e3779b97f4a7c15, i * 0xbf58476d1ce4e5b9}}})
+		}
+		return req
+	}
+	bad := map[string]func(*ShardRequest){
+		"gate 1<<30":       func(r *ShardRequest) { r.Faults[3].Site.Gate = 1 << 30 },
+		"gate -3":          func(r *ShardRequest) { r.Faults[3].Site.Gate = -3 },
+		"gate 700 pin 5":   func(r *ShardRequest) { r.Faults[3].Site = netlist.FaultSite{Gate: 700, Pin: 5} },
+		"pin -2":           func(r *ShardRequest) { r.Faults[3].Site.Pin = -2 },
+		"input pin":        func(r *ShardRequest) { r.Faults[3].Site = netlist.FaultSite{Gate: 0, Pin: 0} },
+		"fault lane -1":    func(r *ShardRequest) { r.Faults[3].Lane = -1 },
+		"fault lane 1<<15": func(r *ShardRequest) { r.Faults[3].Lane = -1 << 15 },
+	}
+
+	l := NewLocal("w")
+	want, err := l.Simulate(context.Background(), valid())
+	if err != nil {
+		t.Fatalf("valid shard: %v", err)
+	}
+	if len(want.Detections) == 0 {
+		t.Fatal("valid shard detected nothing; the cases below prove little")
+	}
+	for name, mutate := range bad {
+		req := valid()
+		mutate(req)
+		if res, err := l.Simulate(context.Background(), req); err == nil {
+			t.Errorf("%s: Local.Simulate accepted the shard: %+v", name, res)
+		}
+	}
+	// Patterns in a negative lane are left out, not simulated.
+	req := valid()
+	for i := range req.Stream {
+		req.Stream[i].Lane = -1
+	}
+	if res, err := l.Simulate(context.Background(), req); err != nil || len(res.Detections) != 0 {
+		t.Fatalf("negative pattern lane: %d detections, err %v; want none, no error", len(res.Detections), err)
+	}
+
+	reg := obs.NewRegistry()
+	srv := httptest.NewServer(NewHandlerOptions("w", WorkerOptions{Metrics: reg}))
+	defer srv.Close()
+	post := func(req *ShardRequest) int {
+		frame, err := encodeShardFrame(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return postFrame(t, srv.URL, bytes.NewReader(frame))
+	}
+	for name, mutate := range bad {
+		req := valid()
+		mutate(req)
+		if code := post(req); code != http.StatusBadRequest {
+			t.Errorf("%s: HTTP %d, want 400", name, code)
+		}
+	}
+	if code := post(req); code != http.StatusOK {
+		t.Errorf("negative pattern lane: HTTP %d, want 200", code)
+	}
+	if code := post(valid()); code != http.StatusOK {
+		t.Fatalf("valid shard after malformed ones: HTTP %d, want 200", code)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters["gpustl_worker_bad_requests_total"]; got != uint64(len(bad)) {
+		t.Errorf("bad-request counter = %d, want %d", got, len(bad))
+	}
+	if got := snap.Counters["gpustl_worker_shards_total"]; got != 2 {
+		t.Errorf("shards served = %d, want 2", got)
+	}
+}
+
 // TestWorkerRequiresContentLength: a chunked /simulate body has no
 // length to account for, so it is refused with 411 before admission.
 func TestWorkerRequiresContentLength(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv := httptest.NewServer(NewHandlerOptions("cl", WorkerOptions{Metrics: reg, MaxInflightBytes: 1 << 20}))
 	defer srv.Close()
-	frame, err := encodeShardFrame(goldenShardRequest())
+	req := goldenShardRequest()
+	req.Faults = req.Faults[:1] // the second golden fault's gate is past SP's netlist
+	frame, err := encodeShardFrame(req)
 	if err != nil {
 		t.Fatal(err)
 	}

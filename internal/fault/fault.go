@@ -129,7 +129,7 @@ type Campaign struct {
 	detected []bool
 	nDet     int
 
-	initErr error // deferred constructor error (e.g. sequential module)
+	initErr error // deferred constructor error (sequential module, malformed fault)
 
 	// stats accumulates engine counters across this campaign's SimulateCtx
 	// runs (the per-campaign dictionary effectiveness view); guarded by
@@ -161,12 +161,27 @@ func NewCampaignWithFaults(m *circuits.Module, faults []Fault) *Campaign {
 }
 
 // newCampaign wraps an owned fault list. Evaluators come from the
-// netlist's per-width pool at run time, so the only construction-time
-// check is that the module is combinational.
+// netlist's per-width pool at run time; construction checks only that
+// the module is combinational and that every fault fits it: a site
+// inside the netlist (gate in range, pin -1 or below the gate's arity)
+// and a non-negative lane. Faults in lanes past the module's are left
+// out of runs, not refused. The first failure becomes the campaign's
+// deferred error.
 func newCampaign(m *circuits.Module, faults []Fault) *Campaign {
 	c := &Campaign{Module: m, faults: faults, detected: make([]bool, len(faults))}
 	if m.NL.NumDFFs() > 0 {
 		c.initErr = fmt.Errorf("fault: %s: %w", m.NL.Name, netlist.ErrSequential)
+		return c
+	}
+	gates := m.NL.Gates
+	for i := range faults {
+		f := &faults[i]
+		g := f.Site.Gate
+		if f.Lane < 0 || uint(g) >= uint(len(gates)) || f.Site.Pin < -1 || int(f.Site.Pin) >= gates[g].NumIn() {
+			c.initErr = fmt.Errorf("fault: %s: fault %d (%v) outside the module (%d gates)",
+				m.NL.Name, i, *f, len(gates))
+			return c
+		}
 	}
 	return c
 }
@@ -550,11 +565,12 @@ func BuildReport(ordered []TimedPattern, dets []Detection) *Report {
 }
 
 // laneIndex splits a stream by lane, keeping global stream indices.
-// Patterns for lanes this module build does not have are left out.
+// Patterns for lanes this module build does not have, negative ones
+// included, are left out.
 func (c *Campaign) laneIndex(stream []TimedPattern) [][]int32 {
 	laneIdx := make([][]int32, c.Module.Lanes)
 	for i, p := range stream {
-		if int(p.Lane) < len(laneIdx) {
+		if p.Lane >= 0 && int(p.Lane) < len(laneIdx) {
 			laneIdx[p.Lane] = append(laneIdx[p.Lane], int32(i))
 		}
 	}
@@ -790,7 +806,7 @@ func (c *Campaign) SimulateSubset(ctx context.Context, stream []TimedPattern, id
 // detection is a bitwise subset of it). Visits that survive both tests
 // combine the delta with the evaluator's memoized per-block
 // observability row (Evaluator.ObsW) instead of propagating: only
-// fan-out stems fill the memo with a real cone walk, which every fault
+// fan-out stems fill the memo with a compiled-cone pass, which every fault
 // in the stem's fan-out-free region then shares. The inner loop
 // allocates nothing.
 //

@@ -11,7 +11,8 @@ import (
 // walker (simulateShardOpt) is held to by the equivalence tests. No
 // activation pre-screen, no unique-pattern dedup, no cone-aware
 // scheduling or observability memo — one scalar evaluator, every
-// original pattern, one event-driven cone propagation per fault×block.
+// original pattern, one forward sweep of the faulty circuit
+// (Evaluator.FaultDetect) per fault×block.
 // It lives in test code only: nothing outside the tests can reach it.
 
 // simulateReference runs the stream against the campaign's remaining
@@ -47,7 +48,7 @@ func (c *Campaign) simulateReference(ctx context.Context, stream []TimedPattern,
 
 // simulateShard runs the fault-serial, 64-pattern-parallel loop for one
 // shard of the fault list on a scalar evaluator: every original pattern,
-// every remaining fault, one full fan-out-cone evaluation per
+// every remaining fault, one forward sweep of the faulty circuit per
 // fault×block (FaultDetect). Cancellation is checked once per 64-pattern
 // block.
 func (c *Campaign) simulateShard(ctx context.Context, ordered []TimedPattern, laneIdx [][]int32,

@@ -43,16 +43,18 @@ func TestSimulateCtxCanceledCommitsNothing(t *testing.T) {
 
 func TestSimulateCtxWorkerPanicRecovered(t *testing.T) {
 	m := spModule(t)
-	// A fault site pointing past the end of the gate list makes the
-	// evaluator panic with an index error deep inside FaultDetect. The
-	// campaign must surface that as an error, not crash the process.
-	bogus := []Fault{
+	// A fault site pointing past the end of the gate list makes a
+	// simulation worker panic with an index error. Construction refuses
+	// such a site, so the list is corrupted after it. The campaign must
+	// surface the panic as an error, not crash the process.
+	faults := []Fault{
 		{Lane: 0, Site: netlist.FaultSite{Gate: 1, Pin: -1, SA1: true}},
-		{Lane: 0, Site: netlist.FaultSite{Gate: 1 << 20, Pin: -1, SA1: false}},
+		{Lane: 0, Site: netlist.FaultSite{Gate: 2, Pin: -1, SA1: false}},
 	}
 	stream := randomSPStream(rand.New(rand.NewSource(5)), m.Lanes, 128)
 	for _, workers := range []int{1, 4} {
-		c := NewCampaignWithFaults(m, bogus)
+		c := NewCampaignWithFaults(m, faults)
+		c.faults[1].Site.Gate = 1 << 20
 		rep, err := c.SimulateCtx(context.Background(), stream,
 			SimOptions{Workers: workers})
 		if err == nil {

@@ -51,9 +51,9 @@ type SimStats struct {
 	PrescreenSkips uint64 `json:"prescreen_skips"`
 	// Propagations counts visits that computed a real detection mask: in
 	// the shard walker a delta&ObsW combination against the memoized
-	// observability of the fault site (the shared cone walk that fills a
-	// stem's memo is amortized, not per-fault); in the reference engine
-	// a full fan-out-cone evaluation.
+	// observability of the fault site (the compiled-cone pass that fills
+	// a stem's memo is amortized, not per-fault); in the reference engine
+	// a forward sweep of the faulty circuit.
 	Propagations uint64 `json:"propagations"`
 }
 

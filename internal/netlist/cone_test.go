@@ -3,6 +3,8 @@ package netlist
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -101,13 +103,8 @@ func TestConeSkipInvariant(t *testing.T) {
 			base[i] = r.Uint64()
 		}
 		for probe := 0; probe < 30; probe++ {
-			gid := int32(r.Intn(len(nl.Gates)))
-			g := nl.Gates[gid]
-			pin := int8(-1)
-			if n := g.NumIn(); n > 0 && r.Intn(2) == 0 {
-				pin = int8(r.Intn(n))
-			}
-			f := FaultSite{Gate: gid, Pin: pin, SA1: r.Intn(2) == 1}
+			f := randomFault(r, nl)
+			gid := f.Gate
 
 			mustRun(t, ev, base)
 			wantDelta := ev.SiteDelta(f)
@@ -151,81 +148,230 @@ func TestSiteDeltaSubset(t *testing.T) {
 		}
 		mustRun(t, ev, inputs)
 		for probe := 0; probe < 60; probe++ {
-			gid := int32(r.Intn(len(nl.Gates)))
-			g := nl.Gates[gid]
-			pin := int8(-1)
-			if n := g.NumIn(); n > 0 && r.Intn(2) == 0 {
-				pin = int8(r.Intn(n))
-			}
-			f := FaultSite{Gate: gid, Pin: pin, SA1: r.Intn(2) == 1}
+			f := randomFault(r, nl)
 			delta := ev.SiteDelta(f)
 			det := ev.FaultDetect(f)
 			if det&^delta != 0 {
 				t.Fatalf("trial %d fault %v: detection %#x not a subset of delta %#x", trial, f, det, delta)
 			}
-			if masked := ev.FaultDetectDelta(f, delta&0xffff); masked&^0xffff != 0 || masked != det&0xffff {
-				t.Fatalf("trial %d fault %v: masked delta gave %#x want %#x", trial, f, masked, det&0xffff)
+		}
+	}
+}
+
+// randomFault draws a random output or input-pin stuck-at fault.
+func randomFault(r *rand.Rand, nl *Netlist) FaultSite {
+	gid := int32(r.Intn(len(nl.Gates)))
+	pin := int8(-1)
+	if n := nl.Gates[gid].NumIn(); n > 0 && r.Intn(2) == 0 {
+		pin = int8(r.Intn(n))
+	}
+	return FaultSite{Gate: gid, Pin: pin, SA1: r.Intn(2) == 1}
+}
+
+// withConeBudget sets a fresh netlist's stem-cone cache budget.
+func withConeBudget(nl *Netlist, budget int64) *Netlist {
+	nl.stemOnce.Do(nl.initStemCones)
+	nl.stems.budget.Store(budget)
+	return nl
+}
+
+// coneOpsTotal returns the summed op count of every fan-out stem's cone:
+// the budget that would cache them all.
+func coneOpsTotal(nl *Netlist) int64 {
+	var scr coneScratch
+	var total int64
+	for g := range nl.Gates {
+		if len(nl.fanout[g]) > 1 {
+			total += int64(len(nl.collectStemCone(int32(g), &scr)))
+		}
+	}
+	return total
+}
+
+// conesCached counts the filled stems whose cone the cache holds and
+// those compiled into evaluator scratch instead. Output stems are never
+// filled; stems that reach no output have empty cones.
+func conesCached(nl *Netlist) (cached, scratch int) {
+	for g := range nl.Gates {
+		if len(nl.fanout[g]) < 2 || nl.Cone().FirstOut(int32(g)) < 0 || slices.Contains(nl.Outputs, int32(g)) {
+			continue
+		}
+		if nl.stems.slots[g].cone != nil {
+			cached++
+		} else {
+			scratch++
+		}
+	}
+	return cached, scratch
+}
+
+// checkObsFactors asserts the exact factorization the shard walker's
+// detection path relies on, for W-word evaluators over nls — twins of
+// one circuit under different stem-cone budgets. On random blocks, word
+// j of every evaluator's ObsW row equals the detection mask of an
+// all-ones flip of the gate on word j alone, taken as
+// FaultDetect(sa0)|FaultDetect(sa1) on a width-1 reference evaluator
+// loaded with that word, and for random faults SiteDelta&ObsW equals
+// FaultDetect word by word. Rows are memoized per block, so every gate
+// is probed twice (cold and warm) and across blocks to catch stale-memo
+// bugs.
+func checkObsFactors(t *testing.T, r *rand.Rand, nls []*Netlist, w, blocks int) {
+	t.Helper()
+	nl := nls[0]
+	evs := make([]*Evaluator, len(nls))
+	for i, n := range nls {
+		ev, err := NewEvaluatorWide(n, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs[i] = ev
+	}
+	refs := make([]*Evaluator, w) // word j's reference; never touched by ObsW
+	for j := range refs {
+		refs[j] = mustEval(t, nl)
+	}
+	inputs := make([]uint64, len(nl.Inputs)*w)
+	word := make([]uint64, len(nl.Inputs))
+	for block := 0; block < blocks; block++ {
+		for i := range inputs {
+			inputs[i] = r.Uint64()
+		}
+		for _, ev := range evs {
+			mustRun(t, ev, inputs)
+		}
+		for j, ref := range refs {
+			for i := range word {
+				word[i] = inputs[i*w+j]
+			}
+			mustRun(t, ref, word)
+		}
+		for round := 0; round < 2; round++ {
+			for gid := range nl.Gates {
+				g := int32(gid)
+				for j, ref := range refs {
+					want := ref.FaultDetect(FaultSite{Gate: g, Pin: -1}) |
+						ref.FaultDetect(FaultSite{Gate: g, Pin: -1, SA1: true})
+					for i, ev := range evs {
+						if got := ev.ObsW(g)[j]; got != want {
+							t.Fatalf("W=%d evaluator %d block %d round %d gate %d word %d: ObsW %#x want %#x",
+								w, i, block, round, g, j, got, want)
+						}
+					}
+				}
+			}
+		}
+		for probe := 0; probe < 60; probe++ {
+			f := randomFault(r, nl)
+			for j, ref := range refs {
+				want := ref.FaultDetect(f)
+				for i, ev := range evs {
+					if got := ref.SiteDelta(f) & ev.ObsW(f.Gate)[j]; got != want {
+						t.Fatalf("W=%d evaluator %d block %d fault %v word %d: delta&ObsW %#x want %#x",
+							w, i, block, f, j, got, want)
+					}
+				}
 			}
 		}
 	}
 }
 
-// TestObsFactorsDetection checks the exact factorization the shard
-// walker's detection path relies on, on a width-1 evaluator: for every
-// gate, ObsW equals the detection mask of an all-ones flip, and for
-// arbitrary faults FaultDetect == SiteDelta & ObsW. Rows are memoized
-// per block, so every gate is probed twice (cold and warm) and across
-// two Run blocks to catch stale-memo bugs. Stem rows come from the
-// compiled stem cones and, on a twin netlist whose cone budget is
-// spent, from the over-budget fallback walk; the reference is
-// FaultDetectDelta on an untouched evaluator.
+// TestObsFactorsDetection checks the ObsW factorization at W=1, at a
+// generic width (4) and at W=16, which runs the fixed-width
+// evalConeOps16, on three twins of each random circuit: one whose cone
+// budget caches every stem, one whose budget is spent so every stem
+// compiles into evaluator scratch on each fill, and one whose budget
+// admits only some stems, so cached and scratch cones interleave in one
+// block and share one scratch.
 func TestObsFactorsDetection(t *testing.T) {
 	r := rand.New(rand.NewSource(59))
+	var partialCached, partialScratch int
 	for trial := 0; trial < 10; trial++ {
 		seed, nIn, nGates := r.Int63(), 4+r.Intn(10), 30+r.Intn(150)
-		nl := randomCircuit(t, rand.New(rand.NewSource(seed)), nIn, nGates)
-		twin := randomCircuit(t, rand.New(rand.NewSource(seed)), nIn, nGates)
-		twin.stemOnce.Do(twin.initStemCones)
-		twin.stems.budget.Store(0) // every stem over budget
-		ev := mustEval(t, nl)
-		fb := mustEval(t, twin)
-		ref := mustEval(t, nl) // reference: never touched by ObsW memoization
-		inputs := make([]uint64, len(nl.Inputs))
-		for block := 0; block < 2; block++ {
-			for i := range inputs {
-				inputs[i] = r.Uint64()
-			}
-			mustRun(t, ev, inputs)
-			mustRun(t, fb, inputs)
-			mustRun(t, ref, inputs)
-			for round := 0; round < 2; round++ {
-				for gid := range nl.Gates {
-					want := ref.FaultDetectDelta(FaultSite{Gate: int32(gid), Pin: -1}, ^uint64(0))
-					if got := ev.ObsW(int32(gid))[0]; got != want {
-						t.Fatalf("trial %d block %d round %d gate %d: ObsW %#x want %#x",
-							trial, block, round, gid, got, want)
-					}
-					if got := fb.ObsW(int32(gid))[0]; got != want {
-						t.Fatalf("trial %d block %d round %d gate %d: fallback ObsW %#x want %#x",
-							trial, block, round, gid, got, want)
-					}
-				}
-			}
-			for probe := 0; probe < 60; probe++ {
-				gid := int32(r.Intn(len(nl.Gates)))
-				g := nl.Gates[gid]
-				pin := int8(-1)
-				if n := g.NumIn(); n > 0 && r.Intn(2) == 0 {
-					pin = int8(r.Intn(n))
-				}
-				f := FaultSite{Gate: gid, Pin: pin, SA1: r.Intn(2) == 1}
-				want := ref.FaultDetect(f)
-				if got := ev.SiteDelta(f) & ev.ObsW(gid)[0]; got != want {
-					t.Fatalf("trial %d block %d fault %v: delta&ObsW %#x want %#x", trial, block, f, got, want)
-				}
-			}
+		build := func() *Netlist { return randomCircuit(t, rand.New(rand.NewSource(seed)), nIn, nGates) }
+		total := coneOpsTotal(build())
+		for _, w := range []int{1, 4, 16} {
+			partial := withConeBudget(build(), total/2)
+			nls := []*Netlist{build(), withConeBudget(build(), 0), partial}
+			checkObsFactors(t, r, nls, w, 2)
+			c, s := conesCached(partial)
+			partialCached += c
+			partialScratch += s
 		}
 	}
+	if partialCached == 0 || partialScratch == 0 {
+		t.Fatalf("partial budget cached %d and scratch-compiled %d stems; want both", partialCached, partialScratch)
+	}
+}
+
+// TestObsConcurrentPartialBudget fills observability rows from several
+// goroutines at once, each with its own evaluator, over one netlist whose
+// budget caches only some stems: the shared cache compiles each stem
+// once while over-budget stems compile into every evaluator's own
+// scratch. Every row must match a fully cached twin's.
+func TestObsConcurrentPartialBudget(t *testing.T) {
+	const w, workers = 4, 4
+	r := rand.New(rand.NewSource(67))
+	build := func() *Netlist { return randomCircuit(t, rand.New(rand.NewSource(67)), 10, 200) }
+	ref, err := NewEvaluatorWide(build(), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := make([]uint64, len(ref.nl.Inputs)*w)
+	for i := range inputs {
+		inputs[i] = r.Uint64()
+	}
+	mustRun(t, ref, inputs)
+	want := make([][]uint64, len(ref.nl.Gates))
+	for g := range want {
+		want[g] = slices.Clone(ref.ObsW(int32(g)))
+	}
+
+	nl := withConeBudget(build(), coneOpsTotal(ref.nl)/2)
+	var wg sync.WaitGroup
+	for k := 0; k < workers; k++ {
+		ev, err := NewEvaluatorWide(nl, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			if err := ev.Run(inputs); err != nil {
+				t.Error(err)
+				return
+			}
+			for i := range want {
+				g := (i + k*len(want)/workers) % len(want) // workers start at different stems
+				if got := ev.ObsW(int32(g)); !slices.Equal(got, want[g]) {
+					t.Errorf("worker %d gate %d: ObsW %#x want %#x", k, g, got, want[g])
+					return
+				}
+			}
+		}(k)
+	}
+	wg.Wait()
+	if c, s := conesCached(nl); c == 0 || s == 0 {
+		t.Fatalf("partial budget cached %d and scratch-compiled %d stems; want both", c, s)
+	}
+}
+
+// FuzzObsFactors fuzzes the budget split: a random circuit, a cone
+// budget anywhere from nothing to every stem cached, and a block width
+// of 1, 4 or 16, checked against a fully cached twin.
+func FuzzObsFactors(f *testing.F) {
+	f.Add(int64(1), uint8(6), uint8(80), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(12), uint8(150), uint8(128), uint8(1))
+	f.Add(int64(3), uint8(4), uint8(40), uint8(255), uint8(2))
+	f.Add(int64(4), uint8(9), uint8(200), uint8(60), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, nIn, nGates, budget, wSel uint8) {
+		build := func() *Netlist {
+			return randomCircuit(t, rand.New(rand.NewSource(seed)), 1+int(nIn)%16, 13+int(nGates))
+		}
+		nl := build()
+		b := coneOpsTotal(nl) * int64(budget) / 255
+		nls := []*Netlist{build(), withConeBudget(nl, b)}
+		checkObsFactors(t, rand.New(rand.NewSource(seed)), nls, []int{1, 4, 16}[wSel%3], 2)
+	})
 }
 
 // TestObsEpochWrap forces the uint32 wrap of the per-block memo epoch
@@ -256,48 +402,5 @@ func TestObsEpochWrap(t *testing.T) {
 		if got := ev.ObsW(int32(gid))[0]; got != want[gid] {
 			t.Fatalf("gate %d after obs epoch wrap: got %#x want %#x", gid, got, want[gid])
 		}
-	}
-}
-
-// TestEpochWrap forces the uint32 epoch wrap inside FaultDetect and
-// asserts the stamp/sched arrays are cleared: stale stamps that happen to
-// collide with the restarted epoch would otherwise feed garbage faulty
-// values into the evaluation.
-func TestEpochWrap(t *testing.T) {
-	r := rand.New(rand.NewSource(53))
-	nl := randomCircuit(t, r, 8, 120)
-	ev := mustEval(t, nl)
-	inputs := make([]uint64, len(nl.Inputs))
-	for i := range inputs {
-		inputs[i] = r.Uint64()
-	}
-	mustRun(t, ev, inputs)
-
-	faults := make([]FaultSite, 0, 32)
-	for len(faults) < 32 {
-		faults = append(faults, FaultSite{Gate: int32(r.Intn(len(nl.Gates))), Pin: -1, SA1: r.Intn(2) == 1})
-	}
-	want := make([]uint64, len(faults))
-	for i, f := range faults {
-		want[i] = ev.FaultDetect(f)
-	}
-
-	// Poison the scratch: pretend every net was marked in the epoch the
-	// wrap restarts at (1), with garbage faulty values. A wrap that fails
-	// to clear stamps would read these as current.
-	for i := range ev.stamp {
-		ev.stamp[i] = 1
-		ev.sched[i] = 1
-		ev.faulty[i] = r.Uint64()
-	}
-	ev.epoch = math.MaxUint32 // next FaultDetect increments to 0 -> wrap
-
-	for i, f := range faults {
-		if got := ev.FaultDetect(f); got != want[i] {
-			t.Fatalf("fault %v after epoch wrap: got %#x want %#x", f, got, want[i])
-		}
-	}
-	if ev.epoch == 0 || ev.epoch > uint32(len(faults)) {
-		t.Fatalf("epoch after wrap = %d, want within [1,%d]", ev.epoch, len(faults))
 	}
 }

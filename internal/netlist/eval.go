@@ -27,10 +27,9 @@ func (f FaultSite) String() string {
 
 // Evaluator computes blocks of 64×W patterns at once over a Netlist (one
 // pattern per bit of W machine words per net) and evaluates single-
-// stuck-at faulty circuits by propagating differences through the
-// fault's fan-out cone only. The fault-free sweep runs over the
-// netlist's compiled SoA plan: per-level, per-kind tight loops with no
-// per-gate dispatch in the inner body.
+// stuck-at faulty circuits through per-gate observability rows. The
+// fault-free sweep runs over the netlist's compiled SoA plan: per-level,
+// per-kind tight loops with no per-gate dispatch in the inner body.
 //
 // W (BlockWords) is fixed at construction; net n's good values occupy
 // good[n*W : (n+1)*W], pattern p at word p/64, bit p%64 — bit order is
@@ -40,26 +39,16 @@ func (f FaultSite) String() string {
 // in order against the memoized observability row (ObsW), so a caller
 // stops paying the moment a detection (or a proven zero) appears — most
 // faults die in their first active word, and the block's later words are
-// only ever touched for the survivors. SiteDelta, FaultDetect,
-// FaultDetectDelta, Output and Value are single-word conveniences for
-// the reference engine, ATPG and tests; they read word 0 of the block,
-// which is all of it on a width-1 evaluator.
+// only ever touched for the survivors. SiteDelta, FaultDetect and Output
+// are single-word conveniences for ATPG and tests; they read word 0 of
+// the block, which is all of it on a width-1 evaluator.
 type Evaluator struct {
-	nl   *Netlist
-	w    int // words per net value; 64*w patterns per block
-	plan *EvalPlan
-	gf   []uint64 // combined good|faulty backing: good = gf[:ng*w], faulty = gf[ng*w:]
-	good []uint64 // len(Gates)*w, stride w
-
-	// Faulty-cone scratch, reset lazily via epoch stamps. faulty is
-	// stride-w: a cone walk (walkCone) writes whole rows, so the
-	// scheduling cost amortizes over all W words.
-	faulty []uint64 // stride w
-	stamp  []uint32
-	sched  []uint32
-	epoch  uint32
-	bucket [][]int32
-	lvls   []int32
+	nl     *Netlist
+	w      int // words per net value; 64*w patterns per block
+	plan   *EvalPlan
+	gf     []uint64 // combined good|faulty backing: good = gf[:ng*w], faulty = gf[ng*w:]
+	good   []uint64 // len(Gates)*w, stride w
+	faulty []uint64 // stride w: scratch rows of a stem fill or a FaultDetect sweep
 
 	// Per-block observability memo (see ObsW), one W-word row per
 	// net, invalidated by Run via its own epoch.
@@ -69,11 +58,7 @@ type Evaluator struct {
 	obsChain []int32
 	isOut    []bool
 
-	// Primary-output nets marked in the current faulty epoch; lets the
-	// detect scan visit only touched outputs instead of all of them.
-	touchedOuts []int32
-
-	rowBuf []uint64 // one-row scratch: sensFlipW's flipped input, FaultDetectDelta's detection
+	rowBuf []uint64 // one-row scratch: sensFlipW's flipped input
 
 	cones coneScratch // stem-cone compile scratch; see stemCone
 }
@@ -114,9 +99,6 @@ func NewEvaluatorWide(nl *Netlist, w int) (*Evaluator, error) {
 		gf:       gf,
 		good:     gf[: ng*w : ng*w],
 		faulty:   gf[ng*w:],
-		stamp:    make([]uint32, ng),
-		sched:    make([]uint32, ng),
-		bucket:   make([][]int32, nl.maxLvl+1),
 		obsVal:   make([]uint64, ng*w),
 		obsStamp: make([]uint32, ng),
 		isOut:    make([]bool, ng),
@@ -381,37 +363,6 @@ func (e *Evaluator) Output(i int) uint64 { return e.good[int(e.nl.Outputs[i])*e.
 // Run. The returned slice must not be mutated.
 func (e *Evaluator) OutputW(i int) []uint64 { return e.row(e.good, e.nl.Outputs[i]) }
 
-// markTouch stamps a net as faulty-valued this epoch (first time only)
-// and schedules its consumers; the caller stores the row itself.
-func (e *Evaluator) markTouch(net int32) {
-	if e.stamp[net] == e.epoch {
-		return
-	}
-	e.stamp[net] = e.epoch
-	if e.isOut[net] {
-		e.touchedOuts = append(e.touchedOuts, net)
-	}
-	for _, c := range e.nl.fanout[net] {
-		if e.sched[c] != e.epoch {
-			e.sched[c] = e.epoch
-			l := e.nl.level[c]
-			if len(e.bucket[l]) == 0 {
-				e.pushLvl(l)
-			}
-			e.bucket[l] = append(e.bucket[l], c)
-		}
-	}
-}
-
-// faultyRow returns net's current W-word value row: its faulty row when
-// marked this epoch, its fault-free row otherwise.
-func (e *Evaluator) faultyRow(net int32) []uint64 {
-	if e.stamp[net] == e.epoch {
-		return e.row(e.faulty, net)
-	}
-	return e.row(e.good, net)
-}
-
 // gateFnW is gateFn over W-word rows. rows[p] is input pin p's value
 // row; dst must not alias any of them.
 func gateFnW(k Kind, rows [3][]uint64, dst []uint64) {
@@ -454,90 +405,6 @@ func gateFnW(k Kind, rows [3][]uint64, dst []uint64) {
 	}
 }
 
-// evalFaultyW computes gate id's W-word row under the current faulty
-// values into dst, returning the OR of its per-word differences from the
-// gate's fault-free row grow (non-zero iff the gate diverged). dst may be
-// the gate's own faulty row: a combinational gate never feeds itself, so
-// no operand row aliases it. The kind switch fetches exactly the operand
-// rows each kind needs and the divergence test rides the same pass that
-// writes dst — this is the innermost call of every wide cone propagation,
-// and a separate compare loop would re-read both rows.
-func (e *Evaluator) evalFaultyW(id int32, dst, grow []uint64) uint64 {
-	g := &e.nl.Gates[id]
-	var d uint64
-	switch g.Kind {
-	case KBuf:
-		a := e.faultyRow(g.In[0])
-		for j := range dst {
-			dst[j] = a[j]
-			d |= a[j] ^ grow[j]
-		}
-	case KNot:
-		a := e.faultyRow(g.In[0])
-		for j := range dst {
-			v := ^a[j]
-			dst[j] = v
-			d |= v ^ grow[j]
-		}
-	case KAnd:
-		a, b := e.faultyRow(g.In[0]), e.faultyRow(g.In[1])
-		for j := range dst {
-			v := a[j] & b[j]
-			dst[j] = v
-			d |= v ^ grow[j]
-		}
-	case KOr:
-		a, b := e.faultyRow(g.In[0]), e.faultyRow(g.In[1])
-		for j := range dst {
-			v := a[j] | b[j]
-			dst[j] = v
-			d |= v ^ grow[j]
-		}
-	case KXor:
-		a, b := e.faultyRow(g.In[0]), e.faultyRow(g.In[1])
-		for j := range dst {
-			v := a[j] ^ b[j]
-			dst[j] = v
-			d |= v ^ grow[j]
-		}
-	case KNand:
-		a, b := e.faultyRow(g.In[0]), e.faultyRow(g.In[1])
-		for j := range dst {
-			v := ^(a[j] & b[j])
-			dst[j] = v
-			d |= v ^ grow[j]
-		}
-	case KNor:
-		a, b := e.faultyRow(g.In[0]), e.faultyRow(g.In[1])
-		for j := range dst {
-			v := ^(a[j] | b[j])
-			dst[j] = v
-			d |= v ^ grow[j]
-		}
-	case KXnor:
-		a, b := e.faultyRow(g.In[0]), e.faultyRow(g.In[1])
-		for j := range dst {
-			v := ^(a[j] ^ b[j])
-			dst[j] = v
-			d |= v ^ grow[j]
-		}
-	case KMux:
-		s, l, h := e.faultyRow(g.In[0]), e.faultyRow(g.In[1]), e.faultyRow(g.In[2])
-		for j := range dst {
-			v := (s[j] & h[j]) | (^s[j] & l[j])
-			dst[j] = v
-			d |= v ^ grow[j]
-		}
-	default: // sources keep their value
-		a := e.faultyRow(id)
-		for j := range dst {
-			dst[j] = a[j]
-			d |= a[j] ^ grow[j]
-		}
-	}
-	return d
-}
-
 // SiteDelta returns the packed mask of patterns (word 0 of the block) on
 // which the stuck-at fault's site output differs from the fault-free
 // value of the last Run — the local activation of the fault. Gate
@@ -557,7 +424,7 @@ func (e *Evaluator) SiteDelta(f FaultSite) uint64 {
 		return sa ^ e.good[int(f.Gate)*w]
 	}
 	// Evaluate the gate under good inputs with the faulty pin forced,
-	// reading good rows only: faulty rows are stale outside a walk.
+	// reading good rows only: faulty rows are scratch.
 	g := &e.nl.Gates[f.Gate]
 	var v [3]uint64
 	for p := 0; p < g.NumIn(); p++ {
@@ -824,40 +691,52 @@ func (e *Evaluator) SiteOpDetectFrom(op SiteOp, mask, obs []uint64, from, words 
 // the pattern block loaded by the last Run (word 0 of the block). It
 // returns a packed mask with bit i set when pattern i produces a
 // primary-output discrepancy.
+//
+// It is a plain forward sweep of word 0 with the fault forced, sharing
+// no code with ObsW or the compiled stem cones, so it stays an
+// independent reference for both. Gate ids are topological, so the
+// sweep starts at the fault's gate and reads fault-free rows below it;
+// fan-out lists are in ascending id order, so it stops after the last
+// consumer of any net that diverged.
 func (e *Evaluator) FaultDetect(f FaultSite) uint64 {
-	return e.FaultDetectDelta(f, e.SiteDelta(f))
-}
-
-// FaultDetectDelta is FaultDetect with the fault site's local delta
-// (SiteDelta, possibly masked down to the valid patterns of a partial
-// block) already in hand: it propagates the delta through the fan-out
-// cone with the event-driven row walk (walkCone) and returns the
-// detection mask, a bitwise subset of delta. The delta applies to word 0;
-// any further words of a wide block carry no fault. A zero delta returns
-// 0 immediately without consuming an epoch.
-func (e *Evaluator) FaultDetectDelta(f FaultSite, delta uint64) uint64 {
+	delta := e.SiteDelta(f)
 	if delta == 0 {
 		return 0
 	}
-	frow := e.row(e.faulty, f.Gate)
-	copy(frow, e.row(e.good, f.Gate))
-	frow[0] ^= delta
-	e.walkCone(f.Gate, e.rowBuf)
-	return e.rowBuf[0]
-}
-
-// bumpEpoch starts a fresh faulty-propagation epoch.
-func (e *Evaluator) bumpEpoch() {
-	e.epoch++
-	if e.epoch == 0 { // uint32 wrap: clear stamps once every 2^32 faults
-		for i := range e.stamp {
-			e.stamp[i] = 0
-			e.sched[i] = 0
+	w, good, v := e.w, e.good, e.faulty
+	gates, fanout := e.nl.Gates, e.nl.fanout
+	from, end := int(f.Gate), int(f.Gate)
+	set := func(id int, x uint64) {
+		v[id*w] = x
+		if fo := fanout[id]; x != good[id*w] && len(fo) > 0 {
+			end = max(end, int(fo[len(fo)-1]))
 		}
-		e.epoch = 1
 	}
-	e.lvls = e.lvls[:0]
-	e.touchedOuts = e.touchedOuts[:0]
+	set(from, good[from*w]^delta)
+	for id := from + 1; id <= end; id++ {
+		g := &gates[id]
+		n := g.NumIn()
+		if n == 0 { // sources keep their fault-free value
+			v[id*w] = good[id*w]
+			continue
+		}
+		var in [3]uint64
+		for p, net := range g.In[:n] {
+			if int(net) < from {
+				in[p] = good[int(net)*w]
+			} else {
+				in[p] = v[int(net)*w]
+			}
+		}
+		set(id, gateFn(g.Kind, in[0], in[1], in[2]))
+	}
+	var det uint64
+	for _, o := range e.nl.Outputs {
+		if int(o) >= from && int(o) <= end {
+			det |= v[int(o)*w] ^ good[int(o)*w]
+		}
+	}
+	return det
 }
 
 // ObsW returns the W-word observability row of a gate's output net for
@@ -867,7 +746,7 @@ func (e *Evaluator) bumpEpoch() {
 // patterns are independent and the detection mask of any single-site
 // fault factors exactly, word by word:
 //
-//	FaultDetectDelta(f, delta) == delta & ObsW(f.Gate)[0]
+//	FaultDetect(f) == SiteDelta(f) & ObsW(f.Gate)[0]
 //
 // bit s of the detection depends only on whether the site flipped on
 // pattern s (delta bit s) and on whether a flip there reaches an output
@@ -930,73 +809,27 @@ func (e *Evaluator) ObsW(gate int32) []uint64 {
 //
 // Flipping a stem for a whole block diverges essentially its entire
 // static cone — across 64×W patterns some pattern sensitizes almost
-// every path — so the fill walks the precomputed level-ordered cone list
+// every path — so the fill runs the stem's level-ordered compiled cone
 // (StemCone) in one flat loop: every cone gate is evaluated exactly
-// once, with no per-gate scheduling (fan-out scans, level buckets,
-// divergence tests) at all. Stems whose cone exceeded the netlist's
-// cache budget use the event-driven walkCone instead.
+// once, with no per-gate scheduling at all. The compiled cone resolves
+// every operand to the good or faulty half of the combined buffer at
+// build time, so the loop needs no epoch, no stamps, and no per-operand
+// source checks.
 func (e *Evaluator) stemObsW(g int32, dst []uint64) {
 	frow, grow := e.row(e.faulty, g), e.row(e.good, g)
 	for j := range frow {
 		frow[j] = ^grow[j]
 	}
-
-	if sc := e.nl.stemCone(g, &e.cones); sc.Ops != nil {
-		// The compiled cone resolves every operand to the good or faulty
-		// half of the combined buffer at build time, so the flat walk
-		// needs no epoch, no stamps, and no per-operand source checks.
-		if e.w == 16 {
-			evalConeOps16(e.gf, sc.Ops)
-		} else {
-			evalConeOps(e.gf, sc.Ops, e.w)
-		}
-		for j := range dst {
-			dst[j] = 0
-		}
-		for _, out := range sc.Outs {
-			fr, gr := e.row(e.faulty, out), e.row(e.good, out)
-			for j := range dst {
-				dst[j] |= fr[j] ^ gr[j]
-			}
-		}
-		return
+	sc := e.nl.stemCone(g, &e.cones)
+	if e.w == 16 {
+		evalConeOps16(e.gf, sc.Ops)
+	} else {
+		evalConeOps(e.gf, sc.Ops, e.w)
 	}
-
-	e.walkCone(g, dst)
-}
-
-// walkCone propagates the faulty row already written for net g through
-// g's fan-out cone, event-driven and level by level on whole rows, and
-// writes the OR of the resulting primary-output discrepancies into dst.
-// A gate joins the walk only when one of its inputs diverged, so the
-// cost follows the sensitized part of the cone, not its static size.
-func (e *Evaluator) walkCone(g int32, dst []uint64) {
-	e.bumpEpoch()
-	e.markTouch(g)
-	// markTouch pushes a level onto the e.lvls min-heap when its bucket
-	// first becomes non-empty; consumers always sit at strictly higher
-	// levels, so popping the minimum processes each touched level exactly
-	// once and a drained bucket never regrows.
-	for len(e.lvls) > 0 {
-		l := e.popLvl()
-		gates := e.bucket[l]
-		for k := 0; k < len(gates); k++ {
-			id := gates[k]
-			if e.evalFaultyW(id, e.row(e.faulty, id), e.row(e.good, id)) != 0 {
-				e.markTouch(id)
-			}
-			// A gate already marked this epoch that converged back to good
-			// keeps its (now equal) row — reads stay consistent either way.
-		}
-		e.bucket[l] = gates[:0]
-	}
-
-	// Only outputs marked this epoch can differ; a marked output that
-	// converged back to good contributes zero either way.
 	for j := range dst {
 		dst[j] = 0
 	}
-	for _, out := range e.touchedOuts {
+	for _, out := range sc.Outs {
 		fr, gr := e.row(e.faulty, out), e.row(e.good, out)
 		for j := range dst {
 			dst[j] |= fr[j] ^ gr[j]
@@ -1031,44 +864,6 @@ func (e *Evaluator) sensFlipW(from, c int32, dst []uint64) {
 	for j := range dst {
 		dst[j] ^= grow[j]
 	}
-}
-
-// pushLvl inserts a level into the e.lvls min-heap.
-func (e *Evaluator) pushLvl(l int32) {
-	e.lvls = append(e.lvls, l)
-	i := len(e.lvls) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if e.lvls[p] <= e.lvls[i] {
-			break
-		}
-		e.lvls[p], e.lvls[i] = e.lvls[i], e.lvls[p]
-		i = p
-	}
-}
-
-// popLvl removes and returns the smallest level from the e.lvls min-heap.
-func (e *Evaluator) popLvl() int32 {
-	top := e.lvls[0]
-	n := len(e.lvls) - 1
-	e.lvls[0] = e.lvls[n]
-	e.lvls = e.lvls[:n]
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && e.lvls[c+1] < e.lvls[c] {
-			c++
-		}
-		if e.lvls[i] <= e.lvls[c] {
-			break
-		}
-		e.lvls[i], e.lvls[c] = e.lvls[c], e.lvls[i]
-		i = c
-	}
-	return top
 }
 
 // EvalOnce evaluates the fault-free circuit on a single pattern given as

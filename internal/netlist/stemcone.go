@@ -13,22 +13,19 @@ import (
 // The observability fill flips a stem to the complement of its
 // fault-free row across a whole block (64×W patterns). Such a flip
 // diverges essentially the entire cone — across hundreds of patterns
-// some pattern sensitizes almost every path — so an event-driven walk
-// re-discovers the same static cone every block while paying scheduling
-// (stamps, fan-out scans, level buckets) per gate per fill. Evaluating
-// the precompiled op list instead makes the fill a flat loop whose only
-// per-gate work is the gate function itself.
+// some pattern sensitizes almost every path — so the fill evaluates the
+// static cone as one flat loop whose only per-gate work is the gate
+// function itself, with no scheduling or divergence tests.
 //
 // Each op's operand slots are resolved at build time: an operand inside
 // the cone (or the stem itself) reads the faulty half of the evaluator's
-// combined good|faulty buffer, anything else reads the good half. That
-// removes the per-operand stamp check (a data-dependent load) the
-// event-driven walk needs to decide which copy holds the operand.
+// combined good|faulty buffer, anything else reads the good half, so no
+// op has to ask at run time which copy holds its operand.
 //
 // Cones are compiled lazily, one stem at a time, the first time an
 // evaluator fills that stem's observability (stemCone).
 type StemCone struct {
-	Ops  []ConeOp // compiled cone in level order; nil when over budget
+	Ops  []ConeOp // compiled cone in level order
 	Outs []int32  // reachable primary-output nets (stem included when an output)
 }
 
@@ -58,8 +55,9 @@ const (
 )
 
 // stemConeBudget bounds the total number of cone ops cached per netlist.
-// Stems compiled once the budget is spent keep nil lists and the
-// observability fill falls back to the event-driven walk for them.
+// A stem compiled once the budget is spent is not cached: every fill of
+// it compiles the cone afresh into the filling evaluator's scratch
+// (coneScratch.cone) and runs it from there.
 const stemConeBudget = 1 << 23
 
 // stemConeCache is a netlist's lazily filled cone cache: one slot per
@@ -73,7 +71,7 @@ type stemConeCache struct {
 
 type stemSlot struct {
 	once sync.Once
-	cone *StemCone
+	cone *StemCone // nil when the budget could not hold it
 }
 
 func (n *Netlist) initStemCones() {
@@ -85,12 +83,19 @@ func (n *Netlist) initStemCones() {
 // with the caller's scratch on first use. Compiling only the stems that
 // runs actually observe keeps a short or narrow run from paying for
 // every cone of the netlist. An evaluator that asks for a stem another
-// one is compiling waits for that compile instead of repeating it.
+// one is compiling waits for that compile instead of repeating it. A
+// stem the cache has no budget for is compiled into scr.cone on every
+// call; the result is valid until the caller's next stemCone.
 func (n *Netlist) stemCone(g int32, scr *coneScratch) *StemCone {
 	n.stemOnce.Do(n.initStemCones)
 	s := &n.stems.slots[g]
-	s.once.Do(func() { s.cone = n.compileStemCone(g, scr) })
-	return s.cone
+	s.once.Do(func() { s.cone = n.cacheStemCone(g, scr) })
+	if s.cone != nil {
+		return s.cone
+	}
+	sc := &scr.cone
+	sc.Ops, sc.Outs = n.emitStemCone(g, n.collectStemCone(g, scr), scr, sc.Ops[:0], sc.Outs[:0])
+	return sc
 }
 
 // coneScratch is an evaluator's reusable working set for compiling stem
@@ -100,16 +105,28 @@ type coneScratch struct {
 	epoch   uint32
 	isOut   []bool
 	queue   []int32
-	buckets [][]int32 // cone gates per level, drained by every compile
+	buckets [][]int32 // cone gates per level, drained by every emit
+	cone    StemCone  // the last over-budget stem compiled (see stemCone)
 }
 
-// compileStemCone collects stem g's static fan-out cone and compiles it
-// in level order, or returns a cone with nil Ops when the netlist's
-// budget cannot hold it. Gates that reach no primary output are left
-// out: they can never influence an observability row, and their
-// consumers are equally unreachable, so no retained gate ever reads a
-// dropped gate's row.
-func (n *Netlist) compileStemCone(g int32, scr *coneScratch) *StemCone {
+// cacheStemCone compiles stem g's cone for the netlist's cache, or
+// returns nil when the budget cannot hold it.
+func (n *Netlist) cacheStemCone(g int32, scr *coneScratch) *StemCone {
+	cone := n.collectStemCone(g, scr)
+	if n.stems.budget.Add(-int64(len(cone))) < 0 {
+		n.stems.budget.Add(int64(len(cone)))
+		return nil
+	}
+	ops, outs := n.emitStemCone(g, cone, scr, make([]ConeOp, 0, len(cone)), nil)
+	return &StemCone{Ops: ops, Outs: outs}
+}
+
+// collectStemCone marks stem g's static fan-out cone in scr and returns
+// its gates, stem excluded, in breadth-first order. Gates that reach no
+// primary output are left out: they can never influence an
+// observability row, and their consumers are equally unreachable, so no
+// retained gate ever reads a dropped gate's row.
+func (n *Netlist) collectStemCone(g int32, scr *coneScratch) []int32 {
 	if scr.seen == nil {
 		scr.seen = make([]uint32, len(n.Gates))
 		scr.isOut = make([]bool, len(n.Gates))
@@ -136,31 +153,30 @@ func (n *Netlist) compileStemCone(g int32, scr *coneScratch) *StemCone {
 		}
 	}
 	scr.queue = queue
-	cone := queue[1:] // the stem itself is the flipped source, not an op
+	return queue[1:] // the stem itself is the flipped source, not an op
+}
 
-	sc := &StemCone{}
-	if n.stems.budget.Add(-int64(len(cone))) < 0 {
-		n.stems.budget.Add(int64(len(cone)))
-		return sc // over budget: this stem falls back to the event walk
-	}
+// emitStemCone compiles the cone the last collectStemCone(g, scr)
+// returned in level order, appending its ops to ops and the primary
+// outputs it reaches to outs.
+func (n *Netlist) emitStemCone(g int32, cone []int32, scr *coneScratch, ops []ConeOp, outs []int32) ([]ConeOp, []int32) {
 	for _, id := range cone {
 		l := n.level[id]
 		scr.buckets[l] = append(scr.buckets[l], id)
 	}
-	sc.Ops = make([]ConeOp, 0, len(cone))
 	for l := n.level[g] + 1; l < int32(len(scr.buckets)); l++ {
 		for _, id := range scr.buckets[l] {
-			sc.Ops = append(sc.Ops, compileConeOp(n, seen, epoch, id))
+			ops = append(ops, compileConeOp(n, scr.seen, scr.epoch, id))
 			if scr.isOut[id] {
-				sc.Outs = append(sc.Outs, id)
+				outs = append(outs, id)
 			}
 		}
 		scr.buckets[l] = scr.buckets[l][:0]
 	}
 	if scr.isOut[g] {
-		sc.Outs = append(sc.Outs, g)
+		outs = append(outs, g)
 	}
-	return sc
+	return ops, outs
 }
 
 // compileConeOp resolves gate id into a ConeOp for the stem whose cone
