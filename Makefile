@@ -14,7 +14,8 @@ lint:
 # Full verification: lint, the race detector, the crash-recovery
 # durability tests, a flake guard that reruns the chaos tests most
 # sensitive to failpoint isolation twenty times, and a short fuzz
-# smoke of every hostile-input decoder. The race pass matters here —
+# smoke of every hostile-input decoder and of asm.Canonical, which the
+# PTP digest depends on. The race pass matters here —
 # the fault simulator, the resilient runner and the metrics registry
 # are the concurrent parts of the codebase (the obs registry gets an
 # explicit high-contention race run); the fuzz smoke keeps the
@@ -31,6 +32,7 @@ verify: test lint chaos-smoke chaos-overload chaos-server verify-medium
 	go test -run 'TestMetricsLint' -count=1 .
 	go test -run 'TestCrashRecovery|TestTornFinalRecord|TestFlippedCRCByte' -count=1 ./internal/run
 	go test -fuzz '^FuzzAssemble$$' -fuzztime 10s -run '^$$' ./internal/asm
+	go test -fuzz '^FuzzCanonical$$' -fuzztime 10s -run '^$$' ./internal/asm
 	go test -fuzz '^FuzzDecode$$' -fuzztime 10s -run '^$$' ./internal/isa
 	go test -fuzz '^FuzzReadPTP$$' -fuzztime 10s -run '^$$' ./internal/stl
 	go test -fuzz '^FuzzReadSTL$$' -fuzztime 10s -run '^$$' ./internal/stl

@@ -56,6 +56,88 @@ var specialRegNames = map[int32]string{
 	isa.SRLane:  "SR_LANE",
 }
 
+// form is an opcode's operand syntax. forms maps every opcode to one;
+// the parser, Format and Canonical all dispatch on it, so which fields
+// an instruction's text carries is defined in this one table.
+type form uint8
+
+const (
+	formInvalid form = iota // not an opcode: the mnemonic alone
+	formNone                // NOP
+	formRR                  // MOV Rd, Ra
+	formRI                  // MVI Rd, imm
+	formS2R                 // S2R Rd, SR_TID
+	formRRR                 // IADD Rd, Ra, Rb
+	formRRI                 // IADDI Rd, Ra, imm
+	formSet                 // ISET Rd, Ra, Rb, COND, Pd
+	formSetI                // ISETI Rd, Ra, imm, COND, Pd
+	formLoad                // GLD Rd, [Ra+imm]
+	formStore               // GST [Ra+imm], Rb
+	formBranch              // BRA imm (or a label)
+)
+
+var forms = [isa.NumOpcodes]form{
+	isa.OpNOP: formNone, isa.OpRET: formNone, isa.OpEXIT: formNone, isa.OpBAR: formNone,
+
+	isa.OpMOV: formRR, isa.OpNOT: formRR, isa.OpINEG: formRR, isa.OpF2I: formRR, isa.OpI2F: formRR,
+	isa.OpRCP: formRR, isa.OpRSQ: formRR, isa.OpSIN: formRR, isa.OpCOS: formRR,
+	isa.OpLG2: formRR, isa.OpEX2: formRR,
+
+	isa.OpMVI: formRI,
+	isa.OpS2R: formS2R,
+
+	isa.OpIADD: formRRR, isa.OpISUB: formRRR, isa.OpIMUL: formRRR, isa.OpIMAD: formRRR,
+	isa.OpIMIN: formRRR, isa.OpIMAX: formRRR, isa.OpAND: formRRR, isa.OpOR: formRRR,
+	isa.OpXOR: formRRR, isa.OpSHL: formRRR, isa.OpSHR: formRRR,
+	isa.OpFADD: formRRR, isa.OpFMUL: formRRR, isa.OpFFMA: formRRR, isa.OpFMIN: formRRR, isa.OpFMAX: formRRR,
+
+	isa.OpIADDI: formRRI, isa.OpISUBI: formRRI, isa.OpIMULI: formRRI, isa.OpANDI: formRRI,
+	isa.OpORI: formRRI, isa.OpXORI: formRRI, isa.OpSHLI: formRRI, isa.OpSHRI: formRRI,
+
+	isa.OpISET: formSet, isa.OpFSET: formSet,
+	isa.OpISETI: formSetI,
+
+	isa.OpGLD: formLoad, isa.OpSLD: formLoad, isa.OpLDC: formLoad,
+	isa.OpGST: formStore, isa.OpSST: formStore,
+
+	isa.OpSSY: formBranch, isa.OpBRA: formBranch, isa.OpCAL: formBranch,
+}
+
+func formOf(op isa.Opcode) form {
+	if int(op) < len(forms) {
+		return forms[op]
+	}
+	return formInvalid
+}
+
+// Operand fields a form's text carries.
+const (
+	fieldRd = 1 << iota
+	fieldRa
+	fieldRb
+	fieldImm
+	fieldCondPd // comparison condition and predicate destination
+)
+
+var formFields = [...]uint8{
+	formRR:     fieldRd | fieldRa,
+	formRI:     fieldRd | fieldImm,
+	formS2R:    fieldRd | fieldImm,
+	formRRR:    fieldRd | fieldRa | fieldRb,
+	formRRI:    fieldRd | fieldRa | fieldImm,
+	formSet:    fieldRd | fieldRa | fieldRb | fieldCondPd,
+	formSetI:   fieldRd | fieldRa | fieldImm | fieldCondPd,
+	formLoad:   fieldRd | fieldRa | fieldImm,
+	formStore:  fieldRa | fieldRb | fieldImm,
+	formBranch: fieldImm,
+}
+
+// formArity is each form's operand count.
+var formArity = [...]int{
+	formRR: 2, formRI: 2, formS2R: 2, formRRR: 3, formRRI: 3,
+	formSet: 5, formSetI: 5, formLoad: 2, formStore: 2, formBranch: 1,
+}
+
 // Assemble parses the program text and returns the instruction sequence.
 func Assemble(src string) ([]isa.Instruction, error) {
 	lines := strings.Split(src, "\n")
@@ -269,177 +351,70 @@ func parseCond(s string) (isa.Cond, error) {
 }
 
 func parseOperands(in *isa.Instruction, ops []string, line int) (string, error) {
-	need := func(n int) error {
-		if len(ops) != n {
-			return errf(line, "%v expects %d operands, got %d", in.Op, n, len(ops))
-		}
-		return nil
+	f := formOf(in.Op)
+	if f == formInvalid {
+		return "", errf(line, "unhandled opcode %v", in.Op)
+	}
+	if n := formArity[f]; len(ops) != n {
+		return "", errf(line, "%v expects %d operands, got %d", in.Op, n, len(ops))
 	}
 	var err error
-	switch in.Op {
-	case isa.OpNOP, isa.OpRET, isa.OpEXIT, isa.OpBAR:
-		return "", need(0)
-
-	case isa.OpMOV, isa.OpNOT, isa.OpINEG,
-		isa.OpF2I, isa.OpI2F,
-		isa.OpRCP, isa.OpRSQ, isa.OpSIN, isa.OpCOS, isa.OpLG2, isa.OpEX2:
-		if err = need(2); err != nil {
-			return "", err
+	switch f {
+	case formRR:
+		if in.Rd, err = parseReg(ops[0]); err == nil {
+			in.Ra, err = parseReg(ops[1])
 		}
-		if in.Rd, err = parseReg(ops[0]); err != nil {
-			return "", errf(line, "%v", err)
+	case formRI:
+		if in.Rd, err = parseReg(ops[0]); err == nil {
+			in.Imm, err = parseImm(ops[1])
 		}
-		if in.Ra, err = parseReg(ops[1]); err != nil {
-			return "", errf(line, "%v", err)
+	case formS2R:
+		if in.Rd, err = parseReg(ops[0]); err == nil {
+			sr, ok := specialRegs[strings.ToUpper(ops[1])]
+			if !ok {
+				return "", errf(line, "unknown special register %q", ops[1])
+			}
+			in.Imm = sr
 		}
-		return "", nil
-
-	case isa.OpMVI:
-		if err = need(2); err != nil {
-			return "", err
+	case formRRR, formSet:
+		if in.Rd, err = parseReg(ops[0]); err == nil {
+			if in.Ra, err = parseReg(ops[1]); err == nil {
+				in.Rb, err = parseReg(ops[2])
+			}
 		}
-		if in.Rd, err = parseReg(ops[0]); err != nil {
-			return "", errf(line, "%v", err)
+	case formRRI, formSetI:
+		if in.Rd, err = parseReg(ops[0]); err == nil {
+			if in.Ra, err = parseReg(ops[1]); err == nil {
+				in.Imm, err = parseImm(ops[2])
+			}
 		}
-		if in.Imm, err = parseImm(ops[1]); err != nil {
-			return "", errf(line, "%v", err)
+	case formLoad:
+		if in.Rd, err = parseReg(ops[0]); err == nil {
+			in.Ra, in.Imm, err = parseMem(ops[1])
 		}
-		return "", nil
-
-	case isa.OpS2R:
-		if err = need(2); err != nil {
-			return "", err
+	case formStore:
+		if in.Ra, in.Imm, err = parseMem(ops[0]); err == nil {
+			in.Rb, err = parseReg(ops[1])
 		}
-		if in.Rd, err = parseReg(ops[0]); err != nil {
-			return "", errf(line, "%v", err)
-		}
-		sr, ok := specialRegs[strings.ToUpper(ops[1])]
-		if !ok {
-			return "", errf(line, "unknown special register %q", ops[1])
-		}
-		in.Imm = sr
-		return "", nil
-
-	case isa.OpIADD, isa.OpISUB, isa.OpIMUL, isa.OpIMAD, isa.OpIMIN, isa.OpIMAX,
-		isa.OpAND, isa.OpOR, isa.OpXOR, isa.OpSHL, isa.OpSHR,
-		isa.OpFADD, isa.OpFMUL, isa.OpFFMA, isa.OpFMIN, isa.OpFMAX:
-		if err = need(3); err != nil {
-			return "", err
-		}
-		if in.Rd, err = parseReg(ops[0]); err != nil {
-			return "", errf(line, "%v", err)
-		}
-		if in.Ra, err = parseReg(ops[1]); err != nil {
-			return "", errf(line, "%v", err)
-		}
-		if in.Rb, err = parseReg(ops[2]); err != nil {
-			return "", errf(line, "%v", err)
-		}
-		return "", nil
-
-	case isa.OpIADDI, isa.OpISUBI, isa.OpIMULI, isa.OpANDI, isa.OpORI,
-		isa.OpXORI, isa.OpSHLI, isa.OpSHRI:
-		if err = need(3); err != nil {
-			return "", err
-		}
-		if in.Rd, err = parseReg(ops[0]); err != nil {
-			return "", errf(line, "%v", err)
-		}
-		if in.Ra, err = parseReg(ops[1]); err != nil {
-			return "", errf(line, "%v", err)
-		}
-		if in.Imm, err = parseImm(ops[2]); err != nil {
-			return "", errf(line, "%v", err)
-		}
-		return "", nil
-
-	case isa.OpISET, isa.OpFSET:
-		// ISET Rd, Ra, Rb, COND, Pd
-		if err = need(5); err != nil {
-			return "", err
-		}
-		if in.Rd, err = parseReg(ops[0]); err != nil {
-			return "", errf(line, "%v", err)
-		}
-		if in.Ra, err = parseReg(ops[1]); err != nil {
-			return "", errf(line, "%v", err)
-		}
-		if in.Rb, err = parseReg(ops[2]); err != nil {
-			return "", errf(line, "%v", err)
-		}
-		if in.Cond, err = parseCond(ops[3]); err != nil {
-			return "", errf(line, "%v", err)
-		}
-		p, err := parsePred(ops[4])
-		if err != nil {
-			return "", errf(line, "%v", err)
-		}
-		in.Pd = p & 1
-		return "", nil
-
-	case isa.OpISETI:
-		// ISETI Rd, Ra, imm, COND, Pd
-		if err = need(5); err != nil {
-			return "", err
-		}
-		if in.Rd, err = parseReg(ops[0]); err != nil {
-			return "", errf(line, "%v", err)
-		}
-		if in.Ra, err = parseReg(ops[1]); err != nil {
-			return "", errf(line, "%v", err)
-		}
-		if in.Imm, err = parseImm(ops[2]); err != nil {
-			return "", errf(line, "%v", err)
-		}
-		if in.Cond, err = parseCond(ops[3]); err != nil {
-			return "", errf(line, "%v", err)
-		}
-		p, err := parsePred(ops[4])
-		if err != nil {
-			return "", errf(line, "%v", err)
-		}
-		in.Pd = p & 1
-		return "", nil
-
-	case isa.OpGLD, isa.OpSLD, isa.OpLDC:
-		// GLD Rd, [Ra+off]
-		if err = need(2); err != nil {
-			return "", err
-		}
-		if in.Rd, err = parseReg(ops[0]); err != nil {
-			return "", errf(line, "%v", err)
-		}
-		if in.Ra, in.Imm, err = parseMem(ops[1]); err != nil {
-			return "", errf(line, "%v", err)
-		}
-		return "", nil
-
-	case isa.OpGST, isa.OpSST:
-		// GST [Ra+off], Rb
-		if err = need(2); err != nil {
-			return "", err
-		}
-		if in.Ra, in.Imm, err = parseMem(ops[0]); err != nil {
-			return "", errf(line, "%v", err)
-		}
-		if in.Rb, err = parseReg(ops[1]); err != nil {
-			return "", errf(line, "%v", err)
-		}
-		return "", nil
-
-	case isa.OpSSY, isa.OpBRA, isa.OpCAL:
-		if err = need(1); err != nil {
-			return "", err
-		}
+	case formBranch:
 		if isIdent(ops[0]) {
 			return ops[0], nil // label fixup
 		}
-		if in.Imm, err = parseImm(ops[0]); err != nil {
-			return "", errf(line, "%v", err)
-		}
-		return "", nil
+		in.Imm, err = parseImm(ops[0])
 	}
-	return "", errf(line, "unhandled opcode %v", in.Op)
+	if err == nil && (f == formSet || f == formSetI) {
+		// ... , COND, Pd: the binary format has one Pd bit, so the
+		// predicate destination folds to P0/P1.
+		if in.Cond, err = parseCond(ops[3]); err == nil {
+			var p uint8
+			p, err = parsePred(ops[4])
+			in.Pd = p & 1
+		}
+	}
+	if err != nil {
+		return "", errf(line, "%v", err)
+	}
+	return "", nil
 }
 
 // Disassemble renders the program as assembly text, one instruction per
@@ -454,6 +429,8 @@ func Disassemble(prog []isa.Instruction) string {
 }
 
 // Format renders a single instruction in the assembler's input syntax.
+// It prints only the operand fields of the opcode's form (formFields);
+// Canonical zeroes the rest.
 func Format(in isa.Instruction) string {
 	var b strings.Builder
 	if in.Pg != isa.PredAlways {
@@ -464,36 +441,59 @@ func Format(in isa.Instruction) string {
 		}
 	}
 	b.WriteString(in.Op.String())
-	switch in.Op {
-	case isa.OpNOP, isa.OpRET, isa.OpEXIT, isa.OpBAR:
-	case isa.OpMOV, isa.OpNOT, isa.OpINEG, isa.OpF2I, isa.OpI2F,
-		isa.OpRCP, isa.OpRSQ, isa.OpSIN, isa.OpCOS, isa.OpLG2, isa.OpEX2:
+	switch formOf(in.Op) {
+	case formRR:
 		fmt.Fprintf(&b, " R%d, R%d", in.Rd, in.Ra)
-	case isa.OpMVI:
+	case formRI:
 		fmt.Fprintf(&b, " R%d, %d", in.Rd, in.Imm)
-	case isa.OpS2R:
+	case formS2R:
 		name, ok := specialRegNames[in.Imm]
 		if !ok {
 			name = fmt.Sprintf("SR_%d", in.Imm)
 		}
 		fmt.Fprintf(&b, " R%d, %s", in.Rd, name)
-	case isa.OpIADD, isa.OpISUB, isa.OpIMUL, isa.OpIMAD, isa.OpIMIN,
-		isa.OpIMAX, isa.OpAND, isa.OpOR, isa.OpXOR, isa.OpSHL, isa.OpSHR,
-		isa.OpFADD, isa.OpFMUL, isa.OpFFMA, isa.OpFMIN, isa.OpFMAX:
+	case formRRR:
 		fmt.Fprintf(&b, " R%d, R%d, R%d", in.Rd, in.Ra, in.Rb)
-	case isa.OpIADDI, isa.OpISUBI, isa.OpIMULI, isa.OpANDI, isa.OpORI,
-		isa.OpXORI, isa.OpSHLI, isa.OpSHRI:
+	case formRRI:
 		fmt.Fprintf(&b, " R%d, R%d, %d", in.Rd, in.Ra, in.Imm)
-	case isa.OpISET, isa.OpFSET:
+	case formSet:
 		fmt.Fprintf(&b, " R%d, R%d, R%d, %v, P%d", in.Rd, in.Ra, in.Rb, in.Cond, in.Pd)
-	case isa.OpISETI:
+	case formSetI:
 		fmt.Fprintf(&b, " R%d, R%d, %d, %v, P%d", in.Rd, in.Ra, in.Imm, in.Cond, in.Pd)
-	case isa.OpGLD, isa.OpSLD, isa.OpLDC:
+	case formLoad:
 		fmt.Fprintf(&b, " R%d, [R%d+%d]", in.Rd, in.Ra, in.Imm)
-	case isa.OpGST, isa.OpSST:
+	case formStore:
 		fmt.Fprintf(&b, " [R%d+%d], R%d", in.Ra, in.Imm, in.Rb)
-	case isa.OpSSY, isa.OpBRA, isa.OpCAL:
+	case formBranch:
 		fmt.Fprintf(&b, " %d", in.Imm)
 	}
 	return b.String()
+}
+
+// Canonical returns the instruction its Format text denotes: the
+// operand fields the opcode's form does not print are zeroed, the
+// predicate destination is folded to P0/P1 as the assembler folds it,
+// and an unguarded instruction has PSense set, as the assembler leaves
+// it. Whenever Assemble(Format(in)) succeeds it returns Canonical(in),
+// so two instructions with the same text have the same canonical form.
+func Canonical(in isa.Instruction) isa.Instruction {
+	out := isa.Instruction{Op: in.Op, Pg: in.Pg, PSense: in.PSense || in.Pg == isa.PredAlways}
+	fields := formFields[formOf(in.Op)]
+	if fields&fieldRd != 0 {
+		out.Rd = in.Rd
+	}
+	if fields&fieldRa != 0 {
+		out.Ra = in.Ra
+	}
+	if fields&fieldRb != 0 {
+		out.Rb = in.Rb
+	}
+	if fields&fieldImm != 0 {
+		out.Imm = in.Imm
+	}
+	if fields&fieldCondPd != 0 {
+		out.Cond = in.Cond
+		out.Pd = in.Pd & 1
+	}
+	return out
 }

@@ -186,6 +186,10 @@ func TestFormatAssembleProperty(t *testing.T) {
 		}
 		// Normalize fields the textual format does not carry for this op.
 		canon := canonical(in)
+		// The form table agrees with the ISA's operand semantics.
+		if c := Canonical(canon); c != canon {
+			t.Fatalf("Canonical(%+v) = %+v", canon, c)
+		}
 		text := Format(canon)
 		prog, err := Assemble(text)
 		if err != nil {
@@ -244,5 +248,27 @@ func TestNegativeMemOffset(t *testing.T) {
 	prog := mustAssemble(t, "GLD R1, [R2-8]")
 	if prog[0].Imm != -8 {
 		t.Errorf("offset = %d, want -8", prog[0].Imm)
+	}
+}
+
+func TestEveryOpcodeHasForm(t *testing.T) {
+	for op := isa.Opcode(0); int(op) < isa.NumOpcodes; op++ {
+		if formOf(op) == formInvalid {
+			t.Errorf("%v has no operand form", op)
+		}
+	}
+}
+
+// TestCanonicalDropsUnprintedFields: operands the text does not carry
+// do not survive canonicalization, and printed ones do.
+func TestCanonicalDropsUnprintedFields(t *testing.T) {
+	mov := isa.Instruction{Op: isa.OpMOV, Rd: 6, Ra: 5, Rb: 6, Imm: 9, Pg: isa.PredAlways}
+	want := isa.Instruction{Op: isa.OpMOV, Rd: 6, Ra: 5, Pg: isa.PredAlways, PSense: true}
+	if got := Canonical(mov); got != want {
+		t.Fatalf("Canonical(%+v) = %+v, want %+v", mov, got, want)
+	}
+	set := isa.Instruction{Op: isa.OpISET, Rd: 1, Ra: 2, Rb: 3, Cond: isa.CondLT, Pd: 3, Pg: 2}
+	if got := Canonical(set); got.Pd != 1 || got.Cond != isa.CondLT || got.Rb != 3 || got.PSense {
+		t.Fatalf("Canonical(%+v) = %+v", set, got)
 	}
 }

@@ -1,9 +1,9 @@
 package run
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -20,10 +20,12 @@ import (
 
 // CheckpointVersion is bumped whenever the persisted schema or the
 // ConfigHash input changes incompatibly; a version mismatch refuses to
-// resume. Version 3 stopped hashing two deleted compactor options, so a
-// v2 journal is refused as a schema mismatch rather than reported as a
-// misleading configuration change.
-const CheckpointVersion = 3
+// resume, as a schema mismatch rather than a misleading configuration
+// change. Version 3 stopped hashing two deleted compactor options.
+// Version 4 fingerprints PTPs with stl.Digest, a binary encoding of
+// their canonical serialized form, and hashes faults as fixed-width
+// records, so every Entry.OrigHash and config hash changed value.
+const CheckpointVersion = 4
 
 // WALFile is the append-only write-ahead journal inside the checkpoint
 // directory. One fsync'd record per PTP outcome; recovery replays it
@@ -90,12 +92,14 @@ type Entry struct {
 	Unessential     int     `json:"unessential,omitempty"`
 	DetectedThisRun int     `json:"detectedThisRun,omitempty"`
 
-	// OrigHash fingerprints the input PTP (sha256 of its serialized
-	// form) so resuming against an edited library fails loudly.
+	// OrigHash fingerprints the input PTP (its stl.Digest, a sha256
+	// over a binary encoding of its canonical serialized form) so
+	// resuming against an edited library fails loudly.
 	OrigHash string `json:"origHash"`
 	// Compacted is the WritePTP serialization of the compacted program;
 	// present only when Status is StatusCompacted (reverted, excluded
-	// and quarantined PTPs keep the original, which the library holds).
+	// and quarantined PTPs keep the original, which the library holds)
+	// and a journal is open — nothing else reads it.
 	Compacted json.RawMessage `json:"compacted,omitempty"`
 	// DroppedFaults is the delta of the target module's campaign
 	// detected-id set contributed by this PTP (ascending). Replaying the
@@ -274,16 +278,6 @@ func (cl *campaignLog) appendOutcome(e Entry) error {
 // Close closes the underlying journal.
 func (cl *campaignLog) Close() error { return cl.j.Close() }
 
-// HashPTP fingerprints a PTP through its serialized form.
-func HashPTP(p *stl.PTP) (string, error) {
-	var buf bytes.Buffer
-	if err := stl.WritePTP(&buf, p); err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(buf.Bytes())
-	return hex.EncodeToString(sum[:]), nil
-}
-
 // ConfigHash fingerprints everything that determines a run's results:
 // the GPU configuration, the per-module fault lists, the library's PTPs,
 // and the deterministic compactor options. Workers and Simulator are
@@ -294,6 +288,16 @@ func HashPTP(p *stl.PTP) (string, error) {
 // excluded for the same reason: they change what happens on a crash,
 // not what a successful compaction computes.
 func ConfigHash(cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL, opt core.Options) (string, error) {
+	hash, _, err := configHash(cfg, ms, lib, opt)
+	return hash, err
+}
+
+// configHash is ConfigHash plus each library PTP's stl.Digest, in
+// library order, so Run hashes every PTP once per campaign. Each fault
+// is one fixed-width record (lane, gate, pin, SA1) after its module's
+// header, and each PTP is its fixed-length digest, which covers the
+// name: no field needs escaping.
+func configHash(cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL, opt core.Options) (string, []string, error) {
 	h := sha256.New()
 	fmt.Fprintf(h, "gpu:%+v\n", cfg)
 
@@ -303,22 +307,32 @@ func ConfigHash(cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL, opt core.Optio
 	}
 	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
 	for _, k := range kinds {
-		m := ms.Modules[k]
+		m, faults := ms.Modules[k], ms.Faults[k]
 		fmt.Fprintf(h, "module:%v gates:%d lanes:%d faults:%d\n",
-			k, m.NL.NumGates(), m.Lanes, len(ms.Faults[k]))
-		for _, f := range ms.Faults[k] {
-			fmt.Fprintf(h, "f:%d.%d.%d.%v\n", f.Lane, f.Site.Gate, f.Site.Pin, f.Site.SA1)
+			k, m.NL.NumGates(), m.Lanes, len(faults))
+		rec := make([]byte, 0, 8*len(faults))
+		for _, f := range faults {
+			var sa1 byte
+			if f.Site.SA1 {
+				sa1 = 1
+			}
+			rec = binary.LittleEndian.AppendUint16(rec, uint16(f.Lane))
+			rec = binary.LittleEndian.AppendUint32(rec, uint32(f.Site.Gate))
+			rec = append(rec, byte(f.Site.Pin), sa1)
 		}
+		h.Write(rec)
 	}
 
-	for _, p := range lib.PTPs {
-		ph, err := HashPTP(p)
+	digests := make([]string, len(lib.PTPs))
+	for i, p := range lib.PTPs {
+		d, err := stl.Digest(p)
 		if err != nil {
-			return "", fmt.Errorf("run: hashing PTP %s: %w", p.Name, err)
+			return "", nil, fmt.Errorf("run: hashing PTP %s: %w", p.Name, err)
 		}
-		fmt.Fprintf(h, "ptp:%s:%s\n", p.Name, ph)
+		digests[i] = d
+		fmt.Fprintf(h, "ptp:%s\n", d)
 	}
 
 	fmt.Fprintf(h, "opt:reverse=%v instr=%v\n", opt.ReversePatterns, opt.InstructionGranularity)
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return hex.EncodeToString(h.Sum(nil)), digests, nil
 }

@@ -212,7 +212,7 @@ func fsckCheckpoint(ck *Checkpoint, wantHash string, lib *stl.STL, rep *FsckRepo
 			continue
 		}
 		p := lib.PTPs[i]
-		ph, err := HashPTP(p)
+		ph, err := stl.Digest(p)
 		if err != nil {
 			rep.add(FsckPTPDrift, "hashing library PTP %s: %v", p.Name, err)
 			continue

@@ -13,6 +13,7 @@ import (
 	"gpustl/internal/core"
 	"gpustl/internal/gpu"
 	"gpustl/internal/journal"
+	"gpustl/internal/stl"
 )
 
 // referenceRun computes the uninterrupted run every recovery test
@@ -40,11 +41,11 @@ func assertSameResult(t *testing.T, ref, got *Report, want string) {
 		t.Fatalf("STL sizes differ: %d vs %d", len(got.Compacted.PTPs), len(ref.Compacted.PTPs))
 	}
 	for i := range ref.Compacted.PTPs {
-		a, err := HashPTP(ref.Compacted.PTPs[i])
+		a, err := stl.Digest(ref.Compacted.PTPs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := HashPTP(got.Compacted.PTPs[i])
+		b, err := stl.Digest(got.Compacted.PTPs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,44 +259,50 @@ func TestLegacyCheckpointRefused(t *testing.T) {
 	}
 }
 
-// TestV2JournalRefused: a campaign.wal whose meta record carries schema
-// version 2 (written before the config hash dropped two deleted
-// compactor options, so its hash no longer matches either) is refused by
-// Run as a schema mismatch, not as a configuration change, and fsck
-// reports it as a [schema] finding.
-func TestV2JournalRefused(t *testing.T) {
-	cfg := gpu.DefaultConfig()
-	copt := core.Options{Workers: 4}
-	lib, ms := testEnv(t)
-	hash, err := ConfigHash(cfg, ms, lib, copt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	j, _, err := journal.Open(context.Background(), filepath.Join(dir, WALFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := j.Append(recMeta, metaRecord{Version: 2, ConfigHash: strings.Repeat("0", len(hash)), PTPs: len(lib.PTPs)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+// TestOldJournalRefused: a campaign.wal whose meta record carries an
+// older schema version is refused by Run as a schema mismatch, not as a
+// configuration change, and fsck reports it as one [schema] finding.
+// Version 2 hashed two deleted compactor options; version 3 hashed PTPs
+// through their JSON serialization and faults as text. Neither's config
+// hash can match a current one.
+func TestOldJournalRefused(t *testing.T) {
+	for _, version := range []int{2, 3} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			cfg := gpu.DefaultConfig()
+			copt := core.Options{Workers: 4}
+			lib, ms := testEnv(t)
+			hash, err := ConfigHash(cfg, ms, lib, copt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			j, _, err := journal.Open(context.Background(), filepath.Join(dir, WALFile))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := j.Append(recMeta, metaRecord{Version: version, ConfigHash: strings.Repeat("0", len(hash)), PTPs: len(lib.PTPs)}); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	_, err = Run(context.Background(), cfg, ms, lib, copt, Options{CheckpointDir: dir, FCTolerance: 5})
-	if err == nil {
-		t.Fatal("Run resumed a v2 journal")
-	}
-	if msg := err.Error(); !strings.Contains(msg, "schema version 2") || strings.Contains(msg, "different configuration") {
-		t.Fatalf("Run did not refuse the v2 journal as a schema mismatch: %q", msg)
-	}
-	rep, err := Fsck(dir, hash, lib, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Issues) != 1 || rep.Issues[0].Kind != FsckSchema {
-		t.Fatalf("fsck issues: %v", issueKinds(rep))
+			_, err = Run(context.Background(), cfg, ms, lib, copt, Options{CheckpointDir: dir, FCTolerance: 5})
+			if err == nil {
+				t.Fatalf("Run resumed a v%d journal", version)
+			}
+			want := fmt.Sprintf("schema version %d", version)
+			if msg := err.Error(); !strings.Contains(msg, want) || strings.Contains(msg, "different configuration") {
+				t.Fatalf("Run did not refuse the v%d journal as a schema mismatch: %q", version, msg)
+			}
+			rep, err := Fsck(dir, hash, lib, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Issues) != 1 || rep.Issues[0].Kind != FsckSchema {
+				t.Fatalf("fsck issues: %v", issueKinds(rep))
+			}
+		})
 	}
 }
 

@@ -192,11 +192,11 @@ func TestKillAndResumeRendersByteIdentical(t *testing.T) {
 
 	// The compacted programs agree instruction-for-instruction too.
 	for i := range ref.Compacted.PTPs {
-		a, err := HashPTP(ref.Compacted.PTPs[i])
+		a, err := stl.Digest(ref.Compacted.PTPs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := HashPTP(resumed.Compacted.PTPs[i])
+		b, err := stl.Digest(resumed.Compacted.PTPs[i])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -228,7 +228,9 @@ func (r *Report) Render(w io.Writer) {
 func Run(ctx context.Context, cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL,
 	copt core.Options, opts Options) (*Report, error) {
 
-	hash, err := ConfigHash(cfg, ms, lib, copt)
+	// One pass digests every PTP; the resume check and each journal
+	// entry reuse these instead of hashing a PTP again.
+	hash, digests, err := configHash(cfg, ms, lib, copt)
 	if err != nil {
 		return nil, err
 	}
@@ -304,11 +306,7 @@ func Run(ctx context.Context, cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL,
 			// Resume path: validate the entry against the library, then
 			// replay its campaign delta and report row.
 			e := ck.Entries[i]
-			ph, err := HashPTP(p)
-			if err != nil {
-				return rep, err
-			}
-			if e.Index != i || e.Name != p.Name || e.OrigHash != ph {
+			if e.Index != i || e.Name != p.Name || e.OrigHash != digests[i] {
 				return rep, fmt.Errorf("run: journaled entry %d (%s) does not match library PTP %s; delete %s to start over",
 					i, e.Name, p.Name, opts.CheckpointDir)
 			}
@@ -354,10 +352,7 @@ func Run(ctx context.Context, cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL,
 				i, len(lib.PTPs), context.Cause(ctx))
 		}
 
-		e := Entry{Index: i, Name: p.Name, OrigSize: len(p.Prog)}
-		if e.OrigHash, err = HashPTP(p); err != nil {
-			return rep, err
-		}
+		e := Entry{Index: i, Name: p.Name, OrigSize: len(p.Prog), OrigHash: digests[i]}
 
 		ptpSpan := opts.Tracer.Start(campSpan, obs.KindPTP, p.Name)
 		comp := p
@@ -427,11 +422,13 @@ func Run(ctx context.Context, cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL,
 				} else {
 					e.Status = StatusCompacted
 					comp = res.Compacted
-					var buf bytes.Buffer
-					if err := stl.WritePTP(&buf, comp); err != nil {
-						return rep, fmt.Errorf("run: serializing compacted %s: %w", p.Name, err)
+					if clog != nil {
+						var buf bytes.Buffer
+						if err := stl.WritePTP(&buf, comp); err != nil {
+							return rep, fmt.Errorf("run: serializing compacted %s: %w", p.Name, err)
+						}
+						e.Compacted = json.RawMessage(buf.Bytes())
 					}
-					e.Compacted = json.RawMessage(buf.Bytes())
 				}
 			}
 		}
