@@ -21,8 +21,10 @@ lint:
 # explicit high-contention race run); the fuzz smoke keeps the
 # journal/STL/assembly parsers honest against corrupt bytes without
 # the cost of a long fuzzing run. The explicit metrics-lint pass
-# scrapes a live server's /metrics and fails on any Prometheus
-# text-format hygiene problem. verify-medium checks the paper's tables
+# runs a campaign through a live server over two loopback workers,
+# scrapes both /metrics endpoints, and fails on any Prometheus
+# text-format hygiene problem or on a family missing from the
+# docs/OBSERVABILITY.md catalog. verify-medium checks the paper's tables
 # at medium scale against the committed results_medium.txt.
 .PHONY: verify
 verify: test lint chaos-smoke chaos-overload chaos-server verify-medium

@@ -19,7 +19,6 @@
 //	GET  /api/v1/campaigns/{id}          campaign state
 //	POST /api/v1/campaigns/{id}/cancel   request cancellation
 //	GET  /api/v1/campaigns/{id}/results  the compacted STL (verified)
-//	GET  /v1/usage                       per-tenant usage accounting
 //	GET  /livez, /readyz                 health (readyz carries queue JSON)
 //
 // Everything durable lives under -state: the campaign queue journal
@@ -75,11 +74,10 @@ func main() {
 		simWorkers  = flag.Int("sim-workers", 4, "per-campaign fault-simulation parallelism")
 		stageTO     = flag.Duration("stage-timeout", 0, "per-stage watchdog timeout per PTP (0 = off)")
 		verifyFrac  = flag.Float64("verify-frac", 0, "fraction of shards re-executed for Byzantine verification (fleet mode)")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/slo and /debug/pprof on this address (empty = off)")
+		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (empty = off)")
 		traceOut    = flag.String("trace-out", "", "write span trace JSONL here (campaign executions, shards); merge with stltrace")
 		traceMaxB   = flag.Int64("trace-max-bytes", 64<<20, "rotate the trace file past this size (0 = unbounded)")
 		traceKeep   = flag.Int("trace-keep", 2, "rotated trace files kept (trace.1 .. trace.N)")
-		sloLatency  = flag.Duration("slo-campaign-latency", 5*time.Minute, "campaign latency SLO threshold: 99% of campaigns should finish within this")
 		logJSON     = flag.Bool("log-json", false, "emit logs as JSON instead of text")
 		failpoints  = flag.String("failpoints", "", "arm fault-injection sites for every campaign this server runs: name=action[|p=|after=|times=|seed=],... (chaos drills)")
 	)
@@ -112,7 +110,6 @@ func main() {
 
 	reg := gpustl.NewMetricsRegistry()
 	obs.RegisterBuildInfo(reg, "stlserver")
-	usage := obs.NewUsageMeter(reg)
 
 	// The tracer records campaign execution spans (remote children of
 	// the submitting client's span when the submit carried trace
@@ -170,29 +167,7 @@ func main() {
 		Fleet:          fleet,
 		Metrics:        reg,
 		Tracer:         tracer,
-		Usage:          usage,
 		Logf:           obs.Logf(logger, slog.LevelInfo),
-	})
-
-	// The SLO engine tracks the control plane's three objectives and
-	// publishes gpustl_slo_* burn-rate gauges plus the /debug/slo page.
-	// Bad/total functions read the registry directly; the engine samples
-	// them on a fixed cadence so multi-window burn rates are comparable.
-	rejected := obs.CounterSeriesValue(reg, "gpustl_server_submit_rejected_total")
-	submitted := obs.CounterSeriesValue(reg, "gpustl_server_campaigns_submitted_total")
-	mismatches := obs.CounterSeriesValue(reg, "gpustl_dist_verify_mismatches_total")
-	verifyDispatches := obs.CounterSeriesValue(reg, "gpustl_dist_verify_dispatches_total")
-	slo := obs.NewSLOEngine(reg, []obs.SLO{
-		obs.LatencySLO(reg, "campaign-latency", "gpustl_server_campaign_seconds",
-			(*sloLatency).Seconds(), 0.99,
-			fmt.Sprintf("99%% of campaigns finish within %s", *sloLatency)),
-		obs.RatioSLO("submit-shed", 0.99,
-			rejected,
-			func() float64 { return submitted() + rejected() },
-			"99% of submits admitted (not shed by tenant quota)"),
-		obs.RatioSLO("verify-mismatch", 0.999,
-			mismatches, verifyDispatches,
-			"99.9% of Byzantine verification re-executions agree"),
 	})
 
 	hsrv := &http.Server{
@@ -202,7 +177,7 @@ func main() {
 	}
 	var msrv *http.Server
 	if *metricsAddr != "" {
-		msrv = &http.Server{Addr: *metricsAddr, Handler: obs.NewDebugMuxSLO(reg, "gpustl_server", slo)}
+		msrv = &http.Server{Addr: *metricsAddr, Handler: obs.NewDebugMux(reg, "gpustl_server")}
 		go func() {
 			if err := msrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				logger.Error("metrics listener failed", "addr", *metricsAddr, "err", err)
@@ -216,13 +191,11 @@ func main() {
 	ctx, stop := signal.NotifyContext(root, os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// Background telemetry: the SLO engine samples its objectives every
-	// 10s; the tracer flushes every 15s so a kill -9 loses at most that
-	// much span history. Both stop with ctx; the final flush below
-	// covers the drain path.
+	// Background telemetry: the tracer flushes every 15s so a kill -9
+	// loses at most that much span history. It stops with bgCtx; the
+	// final flush below covers the drain path.
 	bgCtx, bgStop := context.WithCancel(context.Background())
 	defer bgStop()
-	go slo.Run(bgCtx, 10*time.Second)
 	if tracer != nil {
 		go func() {
 			tick := time.NewTicker(15 * time.Second)

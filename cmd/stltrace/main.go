@@ -30,8 +30,9 @@
 // With -html the same campaign is rendered as a static HTML flame
 // view (one lane per tree depth, hover for span details). With
 // multiple campaigns in the merged files, -trace selects one by ID
-// and -list enumerates them; the default is the dominant trace (most
-// spans).
+// and -list enumerates them, one line per trace sorted by root wall
+// time (slowest first) with the root's tenant and cache annotations
+// when present; the default is the dominant trace (most spans).
 package main
 
 import (
@@ -49,7 +50,7 @@ func main() {
 		traceID = flag.String("trace", "", "campaign trace ID to render (default: the trace with the most spans)")
 		width   = flag.Int("width", 72, "waterfall bar width in columns")
 		htmlOut = flag.String("html", "", "also write a static HTML flame view here")
-		list    = flag.Bool("list", false, "list the trace IDs in the merged files and exit")
+		list    = flag.Bool("list", false, "list the traces in the merged files, slowest first (ID, root wall time, tenant and cache annotations) and exit")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: stltrace [flags] [NAME=]FILE...\n\n")
@@ -75,8 +76,8 @@ func main() {
 		fatalf("no traced spans in %d file(s)", len(procs))
 	}
 	if *list {
-		for _, id := range ids {
-			fmt.Println(id)
+		for _, l := range m.List() {
+			fmt.Println(l)
 		}
 		return
 	}

@@ -43,7 +43,6 @@ package gpustl
 import (
 	"context"
 	"net/http"
-	"time"
 
 	"gpustl/internal/asm"
 	"gpustl/internal/atpg"
@@ -435,10 +434,6 @@ type DistCoordinator = dist.Coordinator
 // backoff, deadlines, hedging, heartbeats, shard count).
 type DistOptions = dist.Options
 
-// DistResult is the outcome of one completed distributed campaign run:
-// the merged report plus the run's coordinator and engine counters.
-type DistResult = dist.Result
-
 // WorkerTransport carries shard requests to one worker.
 type WorkerTransport = dist.Transport
 
@@ -456,8 +451,9 @@ func NewLocalWorker(name string) WorkerTransport { return dist.NewLocal(name) }
 // URL).
 func NewWorkerTransport(addr string) WorkerTransport { return dist.NewHTTP(addr) }
 
-// NewWorkerHandler returns the worker daemon's HTTP handler (cmd/
-// stlworker serves this; tests can mount it on httptest servers).
+// NewWorkerHandler returns a worker daemon's HTTP handler with no
+// telemetry or limits (tests and benchmarks mount it on loopback
+// servers; cmd/stlworker uses NewWorkerHandlerOptions).
 func NewWorkerHandler(name string, logf func(format string, args ...any)) http.Handler {
 	return dist.NewHandler(name, logf)
 }
@@ -465,13 +461,6 @@ func NewWorkerHandler(name string, logf func(format string, args ...any)) http.H
 // WorkerHandler is the worker daemon's handler with graceful-drain
 // controls (StartDrain / DrainWait) for clean SIGTERM shutdown.
 type WorkerHandler = dist.WorkerHandler
-
-// NewWorkerHandlerMetrics is NewWorkerHandler with worker-side shard
-// telemetry recorded into the given registry, returned as the concrete
-// drainable handler.
-func NewWorkerHandlerMetrics(name string, logf func(format string, args ...any), m *MetricsRegistry) *WorkerHandler {
-	return dist.NewHandlerMetrics(name, logf, m)
-}
 
 // WorkerServiceOptions tunes the worker daemon's backpressure: bounded
 // concurrency and accept queue, in-flight request-byte accounting, and
@@ -489,34 +478,13 @@ func NewWorkerHandlerOptions(name string, o WorkerServiceOptions) *WorkerHandler
 }
 
 // ---------------------------------------------------------------------------
-// Overload resilience: admission control and retry budgets.
-
-// ErrOverloaded marks work shed by admission control rather than
-// attempted: a fast, explicit refusal that left no partial artifact.
-// Retry later (or resume a checkpointed campaign) once load eases.
-var ErrOverloaded = overload.ErrOverloaded
+// Overload resilience: admission control and transient-failure classification.
 
 // AdmissionPool is a weighted semaphore with a bounded FIFO wait queue
-// and deadline-aware shedding — the campaign-level admission gate. Wire
-// one into RunnerOptions.Admission; a nil pool admits everything
+// and deadline-aware shedding — the campaign-level admission gate that
+// RunnerOptions.Admission takes. A nil pool admits everything
 // instantly.
 type AdmissionPool = overload.Admission
-
-// AdmissionPoolOptions configures an AdmissionPool.
-type AdmissionPoolOptions = overload.AdmissionOptions
-
-// NewAdmissionPool creates an admission pool bounding the summed cost
-// of concurrently admitted campaigns.
-func NewAdmissionPool(o AdmissionPoolOptions) *AdmissionPool {
-	return overload.NewAdmission(o)
-}
-
-// EstimateCampaignCost estimates one campaign's admission cost from its
-// shape (gates × lanes × PTPs × pattern words). Costs are proportional
-// across campaigns, not absolute bytes.
-func EstimateCampaignCost(gates, lanes, ptps, patternWords int) int64 {
-	return overload.CampaignCost(gates, lanes, ptps, patternWords)
-}
 
 // IsTransientFailure reports whether a campaign error is environmental
 // and retry-worthy — an overload shed, an expired deadline or
@@ -526,7 +494,7 @@ func EstimateCampaignCost(gates, lanes, ptps, patternWords int) int64 {
 func IsTransientFailure(err error) bool { return journal.IsTransient(err) }
 
 // ---------------------------------------------------------------------------
-// Observability: metrics registry, span tracing, structured logging.
+// Observability: metrics registry, span traces, the operator endpoint.
 
 // MetricsRegistry is the process's metric namespace: counters, gauges
 // and histograms with atomic hot paths, rendered as Prometheus text or
@@ -534,9 +502,6 @@ func IsTransientFailure(err error) bool { return journal.IsTransient(err) }
 // handle it returns) is a valid no-op, so instrumented code needs no
 // conditionals.
 type MetricsRegistry = obs.Registry
-
-// MetricsSnapshot is a point-in-time copy of a registry's values.
-type MetricsSnapshot = obs.Snapshot
 
 // NewMetricsRegistry creates an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
@@ -553,9 +518,6 @@ func MarshalMetrics(r *MetricsRegistry) ([]byte, error) {
 // is a valid no-op.
 type SpanTracer = obs.Tracer
 
-// TraceSpan is one in-flight span of a SpanTracer.
-type TraceSpan = obs.Span
-
 // TraceEvent is one line of a JSONL trace file.
 type TraceEvent = obs.Event
 
@@ -566,95 +528,11 @@ type TraceSummary = obs.TraceSummary
 // NewSpanTracer creates a tracer whose Flush writes path.
 func NewSpanTracer(path string) *SpanTracer { return obs.NewTracer(path) }
 
-// SpanTracerOptions bounds a tracer's on-disk footprint: past MaxBytes
-// the flushed file rotates (path.1 .. path.KeepFiles).
-type SpanTracerOptions = obs.TracerOptions
-
-// NewSpanTracerOptions creates a size-bounded, rotating tracer.
-func NewSpanTracerOptions(path string, o SpanTracerOptions) *SpanTracer {
-	return obs.NewTracerOptions(path, o)
-}
-
-// TraceContextHeader is the HTTP header carrying trace context between
-// processes (`traceid-spanid-flags`, hex). Submits to stlserver and
-// shard requests to stlworker both propagate it.
-const TraceContextHeader = obs.TraceHeader
-
-// TraceSpanContext is the propagated identity of one span — enough for
-// a remote process to open child spans in the same campaign trace.
-type TraceSpanContext = obs.SpanContext
-
-// ParseTraceContext parses the TraceContextHeader wire format.
-func ParseTraceContext(s string) (TraceSpanContext, error) { return obs.ParseTraceHeader(s) }
-
 // ReadTraceFile parses a JSONL trace written by SpanTracer.Flush.
 func ReadTraceFile(path string) ([]TraceEvent, error) { return obs.ReadTraceFile(path) }
 
 // SummarizeTrace folds trace events into the per-stage summary.
 func SummarizeTrace(events []TraceEvent) *TraceSummary { return obs.Summarize(events) }
-
-// ProcessTrace is one process's trace file, named for the merge.
-type ProcessTrace = obs.ProcessTrace
-
-// MergedTrace is the fleet-wide view of one or more campaigns: every
-// process's spans on one skew-corrected clock, linked into span trees
-// via the propagated trace context. cmd/stltrace is a thin CLI over it.
-type MergedTrace = obs.MergedTrace
-
-// TraceCriticalPath decomposes one merged campaign's wall-clock into
-// queue-wait / transport / simulate / verify / journal / orchestration
-// self-time; the categories tile the wall exactly.
-type TraceCriticalPath = obs.CriticalPathSummary
-
-// MergeTraces merges per-process traces onto one corrected timeline,
-// estimating per-process clock skew from RPC send/recv span pairs.
-func MergeTraces(procs []ProcessTrace) (*MergedTrace, error) { return obs.MergeTraces(procs) }
-
-// UsageMeter accumulates per-tenant consumption (campaigns, fault
-// blocks, worker-seconds, cache hits/misses, journal bytes) as
-// tenant-labeled counters; stlserver exposes it at GET /v1/usage.
-type UsageMeter = obs.UsageMeter
-
-// TenantUsage is one tenant's accumulated consumption snapshot.
-type TenantUsage = obs.TenantUsage
-
-// NewUsageMeter creates a usage meter recording into reg.
-func NewUsageMeter(reg *MetricsRegistry) *UsageMeter { return obs.NewUsageMeter(reg) }
-
-// SLO is one service-level objective: an objective ratio plus bad/total
-// event counters read from the registry.
-type SLO = obs.SLO
-
-// SLOEngine samples SLOs on a fixed cadence and derives multi-window
-// burn rates, published as gpustl_slo_* gauges and /debug/slo.
-type SLOEngine = obs.SLOEngine
-
-// SLOStatus is one objective's current burn-rate picture.
-type SLOStatus = obs.SLOStatus
-
-// NewSLOEngine creates an engine over the given objectives; windows
-// default to 5m/30m/1h/6h.
-func NewSLOEngine(reg *MetricsRegistry, slos []SLO, windows ...time.Duration) *SLOEngine {
-	return obs.NewSLOEngine(reg, slos, windows...)
-}
-
-// LatencySLO builds an SLO over a latency histogram: good events are
-// observations at or under threshold seconds.
-var LatencySLO = obs.LatencySLO
-
-// RatioSLO builds an SLO from explicit bad/total counter readers.
-var RatioSLO = obs.RatioSLO
-
-// RegisterBuildInfo publishes the gpustl_build_info gauge (component,
-// version, Go version) every daemon exposes.
-var RegisterBuildInfo = obs.RegisterBuildInfo
-
-// MetricsLintProblem is one finding of LintMetricsText.
-type MetricsLintProblem = obs.LintProblem
-
-// LintMetricsText checks Prometheus text-format output for the
-// promlint-style defects the repo's own exporters must not have.
-var LintMetricsText = obs.LintPrometheusText
 
 // NewDebugMux builds the operator endpoint a daemon serves on its
 // metrics address: /metrics (Prometheus text), /debug/vars (expvar) and
@@ -663,13 +541,8 @@ func NewDebugMux(reg *MetricsRegistry, publishName string) *http.ServeMux {
 	return obs.NewDebugMux(reg, publishName)
 }
 
-// NewDebugMuxSLO is NewDebugMux plus the SLO engine's /debug/slo page
-// and burn-rate gauges; /metrics also answers OpenMetrics (with
-// histogram exemplars linking buckets to trace IDs) when the scraper
-// asks for it via Accept.
-func NewDebugMuxSLO(reg *MetricsRegistry, publishName string, slo *SLOEngine) *http.ServeMux {
-	return obs.NewDebugMuxSLO(reg, publishName, slo)
-}
+// ---------------------------------------------------------------------------
+// Iterative baseline (prior work).
 
 // BaselineCompactor is the iterative prior-work method (one fault
 // simulation per candidate removal).

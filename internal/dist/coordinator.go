@@ -912,15 +912,9 @@ func (rl *runLoop) onResult(d *dispatch, res *ShardResult, err error) {
 		return
 	}
 	if err == nil {
-		// The exemplar pins the campaign's trace ID to the latency
-		// bucket, so a burning latency SLO links straight to a trace.
-		var traceID string
-		if d.span != nil {
-			traceID = d.span.TraceID().String()
-		}
 		rl.opt.Metrics.Histogram(
 			fmt.Sprintf("gpustl_dist_shard_seconds{worker=%q}", d.w.t.Name()),
-			obs.DefLatencyBuckets()).ObserveExemplar(time.Since(d.started).Seconds(), traceID)
+			obs.DefLatencyBuckets()).Observe(time.Since(d.started).Seconds())
 		if s.verify {
 			rl.onVerifyReply(s, d, res)
 		} else {
@@ -1219,12 +1213,9 @@ func (rl *runLoop) finish(camp *fault.Campaign, ordered []fault.TimedPattern) (*
 	if err := camp.RestoreDetected(detIDs); err != nil {
 		return nil, err
 	}
-	rl.recordSimStats(simStats)
-	// Per-tenant usage attribution: the accepted shard replies' summed
-	// block counts are the fleet work this campaign consumed.
-	if u, tenant := obs.UsageFromContext(rl.loopCtx); u != nil {
-		u.AddFaultBlocks(tenant, simStats.Blocks)
-	}
+	// The accepted replies' summed engine counters, fleet-wide, under
+	// the same names an in-process run publishes.
+	simStats.Record(rl.opt.Metrics)
 	return &Result{Report: fault.BuildReport(ordered, dets), Stats: rl.stats, SimStats: simStats}, nil
 }
 
@@ -1285,33 +1276,4 @@ func (c *Coordinator) recordStats(st Stats, err error) {
 		}
 		m.Gauge(fmt.Sprintf("gpustl_dist_breaker_state{worker=%q}", c.transports[i].Name())).Set(v)
 	}
-}
-
-// recordSimStats records the engine counters aggregated from a
-// completed run's shard replies: how much work the optimized simulator
-// avoided, fleet-wide.
-func (rl *runLoop) recordSimStats(ss fault.SimStats) {
-	m := rl.opt.Metrics
-	if m == nil {
-		return
-	}
-	for _, c := range []struct {
-		name string
-		n    uint64
-	}{
-		{"gpustl_faultsim_blocks_total", ss.Blocks},
-		{"gpustl_faultsim_patterns_total", ss.TotalPatterns},
-		{"gpustl_faultsim_unique_patterns_total", ss.UniquePatterns},
-		{"gpustl_faultsim_fault_evals_total", ss.FaultEvals},
-		{"gpustl_faultsim_cone_skips_total", ss.ConeSkips},
-		{"gpustl_faultsim_prescreen_skips_total", ss.PrescreenSkips},
-		{"gpustl_faultsim_propagations_total", ss.Propagations},
-	} {
-		m.Counter(c.name).Add(c.n)
-	}
-	m.Gauge("gpustl_faultsim_dedup_hit_rate").Set(ss.DedupHitRate())
-	m.Gauge("gpustl_faultsim_prescreen_skip_ratio").Set(ss.PrescreenSkipRatio())
-	m.Gauge("gpustl_faultsim_block_words").Set(float64(ss.BlockWords))
-	m.Gauge("gpustl_faultsim_plan_levels").Set(float64(ss.PlanLevels))
-	m.Gauge("gpustl_faultsim_plan_runs").Set(float64(ss.PlanRuns))
 }

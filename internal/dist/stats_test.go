@@ -56,22 +56,22 @@ func TestShardStatsAggregation(t *testing.T) {
 
 	snap := reg.Snapshot()
 	for name, want := range map[string]uint64{
-		"gpustl_faultsim_blocks_total":          ss.Blocks,
-		"gpustl_faultsim_patterns_total":        ss.TotalPatterns,
-		"gpustl_faultsim_unique_patterns_total": ss.UniquePatterns,
-		"gpustl_faultsim_fault_evals_total":     ss.FaultEvals,
-		"gpustl_faultsim_cone_skips_total":      ss.ConeSkips,
-		"gpustl_faultsim_prescreen_skips_total": ss.PrescreenSkips,
-		"gpustl_faultsim_propagations_total":    ss.Propagations,
+		"gpustl_fault_blocks_total":          ss.Blocks,
+		"gpustl_fault_patterns_total":        ss.TotalPatterns,
+		"gpustl_fault_unique_patterns_total": ss.UniquePatterns,
+		"gpustl_fault_evals_total":           ss.FaultEvals,
+		"gpustl_fault_cone_skips_total":      ss.ConeSkips,
+		"gpustl_fault_prescreen_skips_total": ss.PrescreenSkips,
+		"gpustl_fault_propagations_total":    ss.Propagations,
 	} {
 		if got := snap.Counters[name]; got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
-	if g := snap.Gauges["gpustl_faultsim_dedup_hit_rate"]; g != ss.DedupHitRate() {
+	if g := snap.Gauges["gpustl_fault_dedup_hit_ratio"]; g != ss.DedupHitRate() {
 		t.Errorf("dedup hit-rate gauge = %v, want %v", g, ss.DedupHitRate())
 	}
-	if g := snap.Gauges["gpustl_faultsim_prescreen_skip_ratio"]; g != ss.PrescreenSkipRatio() {
+	if g := snap.Gauges["gpustl_fault_prescreen_skip_ratio"]; g != ss.PrescreenSkipRatio() {
 		t.Errorf("prescreen skip-ratio gauge = %v, want %v", g, ss.PrescreenSkipRatio())
 	}
 }

@@ -509,13 +509,6 @@ func (c *Campaign) SimulateCtx(ctx context.Context, stream []TimedPattern, opt S
 	c.runs++
 	c.statsMu.Unlock()
 	c.recordMetrics(opt, len(ordered), faultsIn, len(rep.Detections), runStats, time.Since(simStart))
-	// Per-tenant usage attribution (context-carried, once per run like
-	// the metrics above): only the full in-process run meters here —
-	// SimulateSubset shards report stats to their coordinator, which
-	// owns that aggregation and its metering.
-	if u, tenant := obs.UsageFromContext(ctx); u != nil {
-		u.AddFaultBlocks(tenant, runStats.Blocks)
-	}
 	return rep, nil
 }
 
@@ -645,23 +638,7 @@ func (c *Campaign) recordMetrics(opt SimOptions, patterns, faultsIn, dropped int
 		m.Gauge("gpustl_fault_patterns_per_second").Set(float64(patterns) / s)
 	}
 	m.Histogram("gpustl_fault_sim_seconds", obs.DefLatencyBuckets()).Observe(elapsed.Seconds())
-	// Engine-effectiveness counters: how much work the optimizations
-	// resolved without a full propagation, and how much stimulus the
-	// unique-pattern dictionary folded away.
-	m.Counter("gpustl_fault_unique_patterns_total").Add(stats.UniquePatterns)
-	m.Counter("gpustl_fault_evals_total").Add(stats.FaultEvals)
-	m.Counter("gpustl_fault_prescreen_skips_total").Add(stats.PrescreenSkips)
-	m.Counter("gpustl_fault_cone_skips_total").Add(stats.ConeSkips)
-	m.Counter("gpustl_fault_propagations_total").Add(stats.Propagations)
-	m.Gauge("gpustl_fault_dedup_hit_ratio").Set(stats.DedupHitRate())
-	m.Gauge("gpustl_fault_prescreen_skip_ratio").Set(stats.PrescreenSkipRatio())
-	m.Gauge("gpustl_fault_cone_skip_ratio").Set(stats.ConeSkipRatio())
-	// Evaluator shape: the chosen block width and the compiled plan's
-	// level/run structure, so dashboards can attribute throughput shifts
-	// to width selection rather than guessing from pattern counts.
-	m.Gauge("gpustl_fault_block_words").Set(float64(stats.BlockWords))
-	m.Gauge("gpustl_fault_plan_levels").Set(float64(stats.PlanLevels))
-	m.Gauge("gpustl_fault_plan_runs").Set(float64(stats.PlanRuns))
+	stats.Record(m)
 }
 
 // shardResult carries one worker's detections, to be merged serially.

@@ -3,6 +3,8 @@ package fault
 import (
 	"fmt"
 	"strings"
+
+	"gpustl/internal/obs"
 )
 
 // SimStats counts what the optimized simulation engine actually did: how
@@ -98,6 +100,33 @@ func (s SimStats) ConeSkipRatio() float64 {
 		return 0
 	}
 	return float64(s.ConeSkips) / float64(s.FaultEvals)
+}
+
+// Record publishes the stats under the gpustl_fault_* engine series.
+// The in-process run (SimulateCtx) and the distributed coordinator
+// (summed shard replies) both call it once per run, so a quantity has
+// one name wherever the simulation ran. The counters say how much work
+// the optimizations resolved without a full propagation and how much
+// stimulus the unique-pattern dictionary folded away; the shape gauges
+// let dashboards attribute throughput shifts to block-width selection
+// rather than guessing from pattern counts. A nil registry is a no-op.
+func (s SimStats) Record(m *obs.Registry) {
+	if m == nil {
+		return
+	}
+	m.Counter("gpustl_fault_blocks_total").Add(s.Blocks)
+	m.Counter("gpustl_fault_patterns_total").Add(s.TotalPatterns)
+	m.Counter("gpustl_fault_unique_patterns_total").Add(s.UniquePatterns)
+	m.Counter("gpustl_fault_evals_total").Add(s.FaultEvals)
+	m.Counter("gpustl_fault_prescreen_skips_total").Add(s.PrescreenSkips)
+	m.Counter("gpustl_fault_cone_skips_total").Add(s.ConeSkips)
+	m.Counter("gpustl_fault_propagations_total").Add(s.Propagations)
+	m.Gauge("gpustl_fault_dedup_hit_ratio").Set(s.DedupHitRate())
+	m.Gauge("gpustl_fault_prescreen_skip_ratio").Set(s.PrescreenSkipRatio())
+	m.Gauge("gpustl_fault_cone_skip_ratio").Set(s.ConeSkipRatio())
+	m.Gauge("gpustl_fault_block_words").Set(float64(s.BlockWords))
+	m.Gauge("gpustl_fault_plan_levels").Set(float64(s.PlanLevels))
+	m.Gauge("gpustl_fault_plan_runs").Set(float64(s.PlanRuns))
 }
 
 // String renders the stats as an aligned report block, in the style of

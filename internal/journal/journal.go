@@ -284,11 +284,6 @@ func (j *Journal) Seq() uint64 { return j.seq }
 // Path returns the journal's file path.
 func (j *Journal) Path() string { return j.path }
 
-// Size returns the byte offset of the clean end of the journal: every
-// acknowledged record, replayed and appended alike. Callers meter
-// bytes written in a session as the delta between two Size calls.
-func (j *Journal) Size() int64 { return j.off }
-
 // Append frames body as the next record, writes it, and fsyncs the file
 // before returning the record's sequence number. Failures are surfaced
 // distinctly — ErrDiskFull for ENOSPC/EDQUOT, ErrShortWrite for a torn

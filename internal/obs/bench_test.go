@@ -87,23 +87,3 @@ func BenchmarkObsTraceHeaderRoundTrip(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkObsHistogramObserveExemplar(b *testing.B) {
-	r := NewRegistry()
-	h := r.Histogram("bench_seconds", DefLatencyBuckets())
-	tid := NewTraceID().String()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.ObserveExemplar(0.0042, tid)
-	}
-}
-
-func BenchmarkObsNilUsageMeter(b *testing.B) {
-	var u *UsageMeter
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u.AddFaultBlocks("t", 64)
-	}
-}

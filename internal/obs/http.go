@@ -4,7 +4,6 @@ import (
 	"expvar"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 )
 
 // NewDebugMux builds the operator endpoint a daemon serves on its
@@ -14,29 +13,14 @@ import (
 // under publishName (skipped when empty), so /debug/vars carries the
 // same numbers a Prometheus scrape sees.
 func NewDebugMux(reg *Registry, publishName string) *http.ServeMux {
-	return NewDebugMuxSLO(reg, publishName, nil)
-}
-
-// NewDebugMuxSLO is NewDebugMux plus the SLO burn-rate page on
-// /debug/slo (a nil engine serves 404 there). A scraper that sends
-// Accept: application/openmetrics-text gets the OpenMetrics rendering
-// of /metrics — the same series plus trace-ID exemplars on histogram
-// buckets; everyone else gets the classic text format.
-func NewDebugMuxSLO(reg *Registry, publishName string, slo *SLOEngine) *http.ServeMux {
 	if publishName != "" {
 		reg.PublishExpvar(publishName)
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if strings.Contains(r.Header.Get("Accept"), "application/openmetrics-text") {
-			w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-			reg.WriteOpenMetrics(w)
-			return
-		}
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		reg.WritePrometheus(w)
 	})
-	mux.Handle("/debug/slo", slo.Handler())
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

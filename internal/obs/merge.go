@@ -269,30 +269,79 @@ func (m *MergedTrace) TraceIDs() []string {
 	return out
 }
 
+// TraceListing is one trace's row in `stltrace -list`: the trace ID,
+// its root span's wall time, and the root's tenant and cache
+// annotations (empty when the root carries none, as in stlcompact
+// traces). It answers "which trace was the slow campaign" and "what did
+// tenant X run" without a metrics series per tenant.
+type TraceListing struct {
+	ID     string
+	Wall   time.Duration
+	Tenant string
+	Cache  string
+}
+
+// String renders the row as `stltrace -list` prints it.
+func (l TraceListing) String() string {
+	s := fmt.Sprintf("%s  %12v", l.ID, l.Wall)
+	if l.Tenant != "" {
+		s += "  tenant=" + l.Tenant
+	}
+	if l.Cache != "" {
+		s += "  cache=" + l.Cache
+	}
+	return s
+}
+
+// List returns one row per trace ID, slowest root first (ties by ID).
+func (m *MergedTrace) List() []TraceListing {
+	best := map[string]*mergedSpan{}
+	for _, r := range m.roots {
+		if r.ev.Trace != "" && betterRoot(best[r.ev.Trace], r) {
+			best[r.ev.Trace] = r
+		}
+	}
+	out := make([]TraceListing, 0, len(best))
+	for id, r := range best {
+		out = append(out, TraceListing{ID: id, Wall: time.Duration(r.ev.DurN),
+			Tenant: r.ev.Attrs["tenant"], Cache: r.ev.Attrs["cache"]})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Wall != out[j].Wall {
+			return out[i].Wall > out[j].Wall
+		}
+		return out[i].ID < out[j].ID
+	})
+	return out
+}
+
 // rootFor picks the campaign tree to analyze: the root span of the
 // given trace (longest campaign-kind root, else longest root). Empty
 // traceID means "any".
 func (m *MergedTrace) rootFor(traceID string) *mergedSpan {
 	var best *mergedSpan
-	better := func(s *mergedSpan) bool {
-		if best == nil {
-			return true
-		}
-		bi, si := best.ev.Kind == KindCampaign, s.ev.Kind == KindCampaign
-		if bi != si {
-			return si
-		}
-		return s.ev.DurN > best.ev.DurN
-	}
 	for _, r := range m.roots {
 		if traceID != "" && r.ev.Trace != traceID {
 			continue
 		}
-		if better(r) {
+		if betterRoot(best, r) {
 			best = r
 		}
 	}
 	return best
+}
+
+// betterRoot reports whether s beats the current best root: a
+// campaign-kind root beats any other kind, then the longer one wins.
+func betterRoot(best, s *mergedSpan) bool {
+	if best == nil {
+		return true
+	}
+	bi, si := best.ev.Kind == KindCampaign, s.ev.Kind == KindCampaign
+	if bi != si {
+		return si
+	}
+	return s.ev.DurN > best.ev.DurN
 }
 
 // The critical-path categories: where one campaign's wall-clock went.

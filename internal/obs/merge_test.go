@@ -1,7 +1,10 @@
 package obs
 
 import (
+	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -256,5 +259,62 @@ func TestMergeRejectsDuplicateSpanIDs(t *testing.T) {
 	}
 	if _, err := MergeTraces(procs); err == nil {
 		t.Fatal("duplicate span IDs across files not rejected")
+	}
+}
+
+// TestMergeList pins `stltrace -list`: one row per trace read back from
+// a JSONL file, slowest root first, carrying the root's tenant and
+// cache annotations only when the root has them. A longer orphan
+// non-campaign root must not displace its trace's campaign root.
+func TestMergeList(t *testing.T) {
+	fast, slow := NewTraceID().String(), NewTraceID().String()
+	events := []Event{
+		{ID: 0x10, Trace: fast, Kind: KindCampaign, Name: "execute:c1",
+			StartN: msN(0), DurN: msN(40), Attrs: map[string]string{"tenant": "acme"}},
+		{ID: 0x11, Parent: 0x10, Trace: fast, Kind: KindStage, Name: "queue-wait",
+			StartN: msN(0), DurN: msN(5)},
+		{ID: 0x12, Parent: 0x99, Trace: fast, Remote: true, Kind: KindShard,
+			Name: "shard-exec:0", StartN: msN(0), DurN: msN(500)},
+		{ID: 0x20, Trace: slow, Kind: KindCampaign, Name: "execute:c2",
+			StartN: msN(50), DurN: msN(120), Attrs: map[string]string{"tenant": "beta", "cache": "hit"}},
+	}
+	var buf strings.Builder
+	enc := json.NewEncoder(&buf)
+	for _, ev := range events {
+		if err := enc.Encode(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "server.jsonl")
+	if err := os.WriteFile(path, []byte(buf.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	read, err := ReadTraceFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := MergeTraces([]ProcessTrace{{Proc: "server", Events: read}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	got := m.List()
+	want := []TraceListing{
+		{ID: slow, Wall: 120 * time.Millisecond, Tenant: "beta", Cache: "hit"},
+		{ID: fast, Wall: 40 * time.Millisecond, Tenant: "acme"},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("List = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("List[%d] = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if s := got[0].String(); !strings.HasPrefix(s, slow) || !strings.HasSuffix(s, "120ms  tenant=beta  cache=hit") {
+		t.Errorf("row 0 = %q", s)
+	}
+	if s := got[1].String(); !strings.HasSuffix(s, "40ms  tenant=acme") {
+		t.Errorf("row 1 = %q", s)
 	}
 }

@@ -107,12 +107,6 @@ type Histogram struct {
 	counts []atomic.Uint64 // len(bounds)+1, last = +Inf
 	sum    atomic.Uint64   // float64 bits, CAS-accumulated
 	n      atomic.Uint64
-
-	// Exemplar storage (ObserveExemplar): one slot per bucket, written
-	// under exMu off the Observe hot path, allocated on first use so
-	// plain histograms pay only two nil words.
-	exMu sync.Mutex
-	ex   []Exemplar
 }
 
 // ExpBuckets returns n exponentially growing bucket bounds starting at
@@ -126,8 +120,8 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// DefLatencyBuckets spans 100µs to ~200s, the range of shard and stage
-// latencies in this system.
+// DefLatencyBuckets spans 100µs to ~105s (21 doublings), the range of
+// shard and stage latencies in this system.
 func DefLatencyBuckets() []float64 { return ExpBuckets(100e-6, 2, 21) }
 
 // DefQueueBuckets spans 10µs to ~40s: admission queue waits and shed

@@ -181,3 +181,26 @@ func TestDebugMuxEndpoints(t *testing.T) {
 		t.Fatalf("/debug/pprof/ = %d", code)
 	}
 }
+
+// TestMetricsEndpointContentNegotiation pins /metrics to the classic
+// text format: a Prometheus that prefers OpenMetrics (it sends that
+// Accept header first) still gets text/plain, which it falls back to.
+func TestMetricsEndpointContentNegotiation(t *testing.T) {
+	reg := NewRegistry()
+	reg.Histogram("lat_seconds", []float64{0.1, 1}).Observe(0.05)
+	mux := NewDebugMux(reg, "")
+	for _, accept := range []string{"", "application/openmetrics-text; version=1.0.0,text/plain;q=0.5"} {
+		req := httptest.NewRequest("GET", "/metrics", nil)
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		rr := httptest.NewRecorder()
+		mux.ServeHTTP(rr, req)
+		if ct := rr.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+			t.Errorf("Accept %q: content type = %q", accept, ct)
+		}
+		if body := rr.Body.String(); !strings.Contains(body, `lat_seconds_bucket{le="0.1"} 1`) || strings.Contains(body, "# EOF") {
+			t.Errorf("Accept %q: not a classic text scrape:\n%s", accept, body)
+		}
+	}
+}

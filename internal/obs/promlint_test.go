@@ -35,8 +35,8 @@ func TestLintCleanRegistryOutput(t *testing.T) {
 	// Everything the real registry serializes must lint clean.
 	reg := NewRegistry()
 	reg.Counter("gpustl_requests_total").Add(3)
-	reg.Counter(`gpustl_usage_fault_blocks_total{tenant="acme"}`).Add(10)
-	reg.Gauge(`gpustl_slo_burn_rate{slo="x",window="5m0s"}`).Set(0.5)
+	reg.Counter(`gpustl_overload_shed_total{pool="worker_slots",reason="queue_full"}`).Add(10)
+	reg.Gauge(`gpustl_overload_queue_depth{pool="admission"}`).Set(2)
 	h := reg.Histogram("gpustl_latency_seconds", []float64{0.01, 0.1, 1})
 	h.Observe(0.05)
 	h.Observe(2)

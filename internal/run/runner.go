@@ -114,13 +114,6 @@ type Options struct {
 	// (outcome counts, retries, FC deltas, progress) and is threaded
 	// into the fault simulator through core.Options by the caller.
 	Metrics *obs.Registry
-	// Usage, when set with Tenant, meters per-tenant consumption the
-	// runner can see directly: bytes appended to the campaign journal.
-	// (Worker-seconds and cache traffic are metered by the server,
-	// which owns those resources.)
-	Usage *obs.UsageMeter
-	// Tenant attributes Usage; empty disables usage metering.
-	Tenant string
 	// OnOutcome, when set, is called after every PTP settles (including
 	// resumed ones) with the outcome and running progress — the hook the
 	// CLI's live progress line hangs off.
@@ -282,14 +275,6 @@ func Run(ctx context.Context, cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL,
 	campSpan := opts.Tracer.Start(obs.SpanFromContext(ctx), obs.KindCampaign, "campaign")
 	campSpan.Annotate("ptps", fmt.Sprintf("%d", len(lib.PTPs)))
 	defer campSpan.End()
-	if opts.Usage != nil && opts.Tenant != "" && clog != nil {
-		startBytes := clog.j.Size()
-		defer func() {
-			if delta := clog.j.Size() - startBytes; delta > 0 {
-				opts.Usage.AddJournalBytes(opts.Tenant, uint64(delta))
-			}
-		}()
-	}
 	opts.Metrics.Gauge("gpustl_run_ptps_planned").Set(float64(len(lib.PTPs)))
 
 	compactors := map[circuits.ModuleKind]*core.Compactor{}

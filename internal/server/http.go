@@ -51,7 +51,6 @@ type readyzBody struct {
 //	GET  /api/v1/campaigns/{id}          one campaign's state
 //	POST /api/v1/campaigns/{id}/cancel   request cancellation
 //	GET  /api/v1/campaigns/{id}/results  the verified compacted STL
-//	GET  /v1/usage                       per-tenant usage accounting
 //	GET  /livez                          process liveness (always 200)
 //	GET  /readyz                         readiness + queue JSON (200/503)
 //
@@ -108,12 +107,6 @@ func (s *Server) Handler() http.Handler {
 		default:
 			w.Header().Set("Content-Type", "application/json")
 			w.Write(b)
-		}
-	})
-	mux.HandleFunc("GET /v1/usage", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if err := s.opt.Usage.WriteJSON(w); err != nil {
-			s.opt.logf("server: writing usage response: %v", err)
 		}
 	})
 	mux.HandleFunc("GET /livez", func(w http.ResponseWriter, r *http.Request) {

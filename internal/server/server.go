@@ -57,12 +57,9 @@ type Options struct {
 	// transports). Nil runs campaigns with the in-process simulator.
 	Fleet func() (core.FaultSimulator, error)
 	// Metrics receives gpustl_server_* series; Tracer records campaign
-	// spans; Usage meters per-tenant consumption (fault-blocks,
-	// worker-seconds, cache hits, journal bytes) for GET /v1/usage;
-	// Logf gets operational notes. All nil-safe.
+	// spans; Logf gets operational notes. All nil-safe.
 	Metrics *obs.Registry
 	Tracer  *obs.Tracer
-	Usage   *obs.UsageMeter
 	Logf    func(format string, args ...any)
 }
 
@@ -803,10 +800,6 @@ func (s *Server) execute(id string) {
 		defer execSpan.End()
 		ctx = obs.ContextWithSpan(ctx, execSpan)
 	}
-	var traceStr string
-	if tid := execSpan.TraceID(); !tid.IsZero() {
-		traceStr = tid.String()
-	}
 	execStart := time.Now()
 	if cancelReq {
 		s.mCanceled.Inc()
@@ -824,16 +817,13 @@ func (s *Server) execute(id string) {
 	// fleet. The artifact is already durable, so "done" is journalable
 	// immediately.
 	if _, ok := s.cache.get(env.key); ok {
-		s.opt.Usage.AddCampaign(tenant)
-		s.opt.Usage.AddCacheHit(tenant)
 		execSpan.Annotate("cache", "hit")
-		s.hCampaign.ObserveExemplar(time.Since(execStart).Seconds(), traceStr)
+		s.hCampaign.Observe(time.Since(execStart).Seconds())
 		s.mDone.Inc()
 		s.terminal(id, recDone, queueRec{ID: id, CacheKey: env.key, FromCache: true})
 		return
 	}
-	s.opt.Usage.AddCampaign(tenant)
-	s.opt.Usage.AddCacheMiss(tenant)
+	execSpan.Annotate("cache", "miss")
 	s.q.mu.Lock()
 	err = s.q.append(recRunning, queueRec{ID: id, Holder: s.opt.Holder})
 	s.q.mu.Unlock()
@@ -854,11 +844,6 @@ func (s *Server) execute(id string) {
 		}
 		copt.Simulator = sim
 	}
-	// Everything below run.Run sees only a context; the usage ref lets
-	// the fault simulator and the dist coordinator meter fault-blocks
-	// against the right tenant without knowing about the server.
-	ctx = obs.ContextWithUsage(ctx, s.opt.Usage, tenant)
-	runStart := time.Now()
 	rep, err := run.Run(ctx, env.cfg, env.ms, env.lib, copt, run.Options{
 		CheckpointDir: s.runDir(id),
 		StageTimeout:  s.opt.StageTimeout,
@@ -867,13 +852,7 @@ func (s *Server) execute(id string) {
 		Logf:          s.opt.Logf,
 		Tracer:        s.opt.Tracer,
 		Metrics:       s.opt.Metrics,
-		Usage:         s.opt.Usage,
-		Tenant:        tenant,
 	})
-	// Worker-seconds are capacity reserved, not work completed: campaign
-	// wall-clock times the simulation parallelism held for it, metered
-	// whether the run succeeded or not.
-	s.opt.Usage.AddWorkerTime(tenant, time.Duration(s.opt.SimWorkers)*time.Since(runStart))
 	if err != nil {
 		execSpan.Annotate("error", err.Error())
 		s.finishErr(id, &sp, err, ctx)
@@ -890,7 +869,7 @@ func (s *Server) execute(id string) {
 		s.terminal(id, recFailed, queueRec{ID: id, Error: err.Error()})
 		return
 	}
-	s.hCampaign.ObserveExemplar(time.Since(execStart).Seconds(), traceStr)
+	s.hCampaign.Observe(time.Since(execStart).Seconds())
 	s.mDone.Inc()
 	s.terminal(id, recDone, queueRec{ID: id, CacheKey: env.key})
 }

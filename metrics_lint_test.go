@@ -1,16 +1,21 @@
 package gpustl
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
+	"gpustl/internal/core"
+	"gpustl/internal/dist"
 	"gpustl/internal/obs"
 	"gpustl/internal/ptpgen"
 	"gpustl/internal/server"
@@ -18,22 +23,35 @@ import (
 )
 
 // TestMetricsLint is the scrape-path hygiene gate: it runs a real
-// campaign through an in-process stlserver wired exactly like the
-// daemon (metrics, tracer, usage meter, SLO engine, build info), then
-// feeds everything /metrics serves through the Prometheus text-format
-// linter. A malformed series name or incoherent histogram introduced
-// anywhere in the codebase fails here, not in production Prometheus.
+// campaign through an in-process stlserver wired like the daemon
+// (metrics, tracer, build info) over a fleet of two loopback stlworker
+// handlers with backpressure limits, then feeds both the server's and
+// the workers' /metrics through the Prometheus text-format linter. A
+// malformed series name or incoherent histogram introduced anywhere in
+// the server, dist or worker code fails here, not in production
+// Prometheus. Every family either scrape emits must also have a row in
+// docs/OBSERVABILITY.md's metric catalog.
 //
-// The same run doubles as the end-to-end observability check: the
-// submitted X-Gpustl-Trace context must reappear in the server's
-// trace file, and /v1/usage must bill the campaign to its tenant.
+// The same run doubles as the end-to-end trace check: the submitted
+// X-Gpustl-Trace context must reappear in the server's trace file, with
+// a queue-wait child and the tenant on the execute span.
 func TestMetricsLint(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
 	obs.RegisterBuildInfo(reg, "stlserver")
-	usage := obs.NewUsageMeter(reg)
+	wreg := obs.NewRegistry()
+	obs.RegisterBuildInfo(wreg, "stlworker")
 	tracePath := filepath.Join(dir, "trace.jsonl")
 	tracer := obs.NewTracer(tracePath)
+
+	var transports []dist.Transport
+	for _, name := range []string{"w1", "w2"} {
+		ws := httptest.NewServer(dist.NewHandlerOptions(name, dist.WorkerOptions{
+			MaxConcurrent: 2, MaxQueue: 8, MaxInflightBytes: 64 << 20, Metrics: wreg,
+		}))
+		defer ws.Close()
+		transports = append(transports, dist.NewHTTP(ws.URL))
+	}
 
 	srv := server.New(server.Options{
 		StateDir:       filepath.Join(dir, "state"),
@@ -43,9 +61,11 @@ func TestMetricsLint(t *testing.T) {
 		LeaseTTL:       200 * time.Millisecond,
 		DrainGrace:     5 * time.Second,
 		SimWorkers:     2,
-		Metrics:        reg,
-		Tracer:         tracer,
-		Usage:          usage,
+		Fleet: func() (core.FaultSimulator, error) {
+			return dist.New(dist.Options{Metrics: reg, Tracer: tracer}, transports...)
+		},
+		Metrics: reg,
+		Tracer:  tracer,
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -65,14 +85,6 @@ func TestMetricsLint(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-
-	slo := obs.NewSLOEngine(reg, []obs.SLO{
-		obs.LatencySLO(reg, "campaign-latency", "gpustl_server_campaign_seconds", 300, 0.99, "campaigns under 5m"),
-		obs.RatioSLO("submit-shed", 0.99,
-			obs.CounterSeriesValue(reg, "gpustl_server_submit_rejected_total"),
-			obs.CounterSeriesValue(reg, "gpustl_server_campaigns_submitted_total"),
-			"submissions not shed"),
-	})
 	h := srv.Handler()
 
 	// Submit a small campaign with a propagated trace context, the way
@@ -113,59 +125,57 @@ func TestMetricsLint(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	slo.Sample()
 
-	// Scrape through the same mux the daemon serves and lint the result.
-	mux := obs.NewDebugMuxSLO(reg, "", slo)
-	rr = httptest.NewRecorder()
-	mux.ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
-	probs, err := obs.LintPrometheusText(rr.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range probs {
-		t.Errorf("lint: %s", p)
-	}
-
-	// The scrape must carry the fleet-observability families this run
-	// exercised; their absence means the wiring regressed silently.
-	rr = httptest.NewRecorder()
-	mux.ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
-	scrape := rr.Body.String()
-	for _, want := range []string{
-		`gpustl_build_info{`,
-		`gpustl_usage_campaigns_total{tenant="acme"}`,
-		`gpustl_usage_fault_blocks_total{tenant="acme"}`,
-		`gpustl_slo_burn_rate{`,
-		"gpustl_server_campaign_seconds_bucket",
+	// Scrape both processes through the mux the daemons serve, lint the
+	// text, and check the families this run exercised are present:
+	// their absence means the wiring regressed silently.
+	catalog := catalogFamilies(t, "docs/OBSERVABILITY.md")
+	for _, sp := range []struct {
+		who  string
+		reg  *obs.Registry
+		want []string
+	}{
+		{"server", reg, []string{
+			`gpustl_build_info{`,
+			"gpustl_server_campaign_seconds_bucket",
+			"gpustl_run_ptps_total",
+			`gpustl_dist_shard_seconds_bucket{worker=`,
+			"gpustl_dist_runs_total",
+			"gpustl_fault_blocks_total",
+			"gpustl_fault_dedup_hit_ratio",
+		}},
+		{"worker", wreg, []string{
+			`gpustl_build_info{`,
+			"gpustl_worker_shards_total",
+			"gpustl_worker_shard_seconds_bucket",
+			`gpustl_overload_admitted_total{pool="worker_slots"}`,
+		}},
 	} {
-		if !strings.Contains(scrape, want) {
-			t.Errorf("/metrics missing %s", want)
+		rr := httptest.NewRecorder()
+		obs.NewDebugMux(sp.reg, "").ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+		scrape := rr.Body.String()
+		probs, err := obs.LintPrometheusText(strings.NewReader(scrape))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	// Usage accounting reached the API.
-	rr = httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest("GET", "/v1/usage", nil))
-	var ur struct {
-		Tenants []obs.TenantUsage `json:"tenants"`
-	}
-	if err := json.Unmarshal(rr.Body.Bytes(), &ur); err != nil {
-		t.Fatalf("usage response: %v\n%s", err, rr.Body.String())
-	}
-	var acme *obs.TenantUsage
-	for i := range ur.Tenants {
-		if ur.Tenants[i].Tenant == "acme" {
-			acme = &ur.Tenants[i]
+		for _, p := range probs {
+			t.Errorf("%s lint: %s", sp.who, p)
 		}
-	}
-	if acme == nil || acme.Campaigns != 1 || acme.FaultBlocks == 0 {
-		t.Fatalf("tenant acme not billed: %+v", ur.Tenants)
+		for _, want := range sp.want {
+			if !strings.Contains(scrape, want) {
+				t.Errorf("%s /metrics missing %s", sp.who, want)
+			}
+		}
+		for _, fam := range scrapeFamilies(scrape) {
+			if !catalog[fam] {
+				t.Errorf("%s /metrics family %s has no row in the docs/OBSERVABILITY.md catalog", sp.who, fam)
+			}
+		}
 	}
 
 	// The propagated trace context made it into the server's trace file:
-	// the execute span joined the client's trace remotely and a
-	// queue-wait child was recorded.
+	// the execute span joined the client's trace remotely, carries the
+	// tenant, and a queue-wait child was recorded.
 	if err := tracer.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -173,13 +183,17 @@ func TestMetricsLint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var joined, queueWait bool
+	var joined, queueWait, tenant bool
 	for _, ev := range events {
-		if ev.Trace == sc.Trace.String() {
-			joined = true
-			if ev.Name == "queue-wait" {
-				queueWait = true
-			}
+		if ev.Trace != sc.Trace.String() {
+			continue
+		}
+		joined = true
+		switch {
+		case ev.Name == "queue-wait":
+			queueWait = true
+		case strings.HasPrefix(ev.Name, "execute:"):
+			tenant = ev.Attrs["tenant"] == "acme"
 		}
 	}
 	if !joined {
@@ -188,4 +202,54 @@ func TestMetricsLint(t *testing.T) {
 	if !queueWait {
 		t.Error("no queue-wait span recorded for the traced campaign")
 	}
+	if !tenant {
+		t.Error(`execute span does not carry tenant="acme"`)
+	}
+}
+
+// scrapeFamilies returns the metric family names a Prometheus text
+// scrape declares in its # TYPE lines.
+func scrapeFamilies(scrape string) []string {
+	var fams []string
+	for _, line := range strings.Split(scrape, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			fams = append(fams, f[2])
+		}
+	}
+	return fams
+}
+
+// catalogRow matches a catalog table row's leading metric name, up to
+// its label list or closing backtick.
+var catalogRow = regexp.MustCompile("^\\| `(gpustl_[a-z0-9_]+)")
+
+// catalogFamilies reads the family names from the rows of the
+// "## Metric catalog" section of the observability doc.
+func catalogFamilies(t *testing.T, path string) map[string]bool {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fams := map[string]bool{}
+	in := false
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		if strings.HasPrefix(line, "## ") {
+			in = line == "## Metric catalog"
+			continue
+		}
+		if m := catalogRow.FindStringSubmatch(line); in && m != nil {
+			fams[m[1]] = true
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(fams) == 0 {
+		t.Fatalf("no catalog rows found in %s", path)
+	}
+	return fams
 }
