@@ -29,7 +29,7 @@ func (c *Compactor) CompactToBudget(p *stl.PTP, budgetCC uint64) (*Result, error
 	}
 
 	ctx := context.Background()
-	col, res, err := c.runTrace(ctx, p, false)
+	col, res, err := c.runTrace(ctx, p, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +138,7 @@ func (c *Compactor) CompactToBudget(p *stl.PTP, budgetCC uint64) (*Result, error
 	}
 	elapsed := time.Since(start)
 
-	compCol, compRes, err := c.runTrace(ctx, comp, true)
+	compCol, compRes, err := c.runTrace(ctx, comp, col)
 	if err != nil {
 		return nil, fmt.Errorf("core: budget-compacted %s does not run: %w", p.Name, err)
 	}

@@ -172,10 +172,17 @@ func (r *Result) DurationReduction() float64 {
 // column: negative = coverage lost).
 func (r *Result) FCDiff() float64 { return r.CompFC - r.OrigFC }
 
-// runTrace executes the PTP with the tracing monitor attached.
-func (c *Compactor) runTrace(ctx context.Context, p *stl.PTP, lite bool) (*trace.Collector, gpu.Result, error) {
+// runTrace executes the PTP with the tracing monitor attached. orig is
+// nil for the run of an original PTP, which keeps the retire spans the
+// labeling stage needs. The run of a compacted PTP passes the original's
+// collector instead: it drops the spans and sizes its pattern stream
+// from the original's, which a compacted program rarely exceeds.
+func (c *Compactor) runTrace(ctx context.Context, p *stl.PTP, orig *trace.Collector) (*trace.Collector, gpu.Result, error) {
 	col := trace.NewCollector(c.Module.Kind)
-	col.LiteRows = lite
+	if orig != nil {
+		col.LiteRows = true
+		col.Patterns = make([]fault.TimedPattern, 0, len(orig.Patterns))
+	}
 	g, err := gpu.New(c.GPU, col)
 	if err != nil {
 		return nil, gpu.Result{}, err
@@ -296,7 +303,7 @@ func (c *Compactor) CompactPTPCtx(ctx context.Context, p *stl.PTP, onStage func(
 	if err := enter(StageTrace); err != nil {
 		return nil, err
 	}
-	col, res, err := c.runTrace(ctx, p, false)
+	col, res, err := c.runTrace(ctx, p, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -376,7 +383,7 @@ func (c *Compactor) CompactPTPCtx(ctx context.Context, p *stl.PTP, onStage func(
 	if err := enter(StageEvaluate); err != nil {
 		return nil, err
 	}
-	compCol, compRes, err := c.runTrace(ctx, comp, true)
+	compCol, compRes, err := c.runTrace(ctx, comp, col)
 	if err != nil {
 		return nil, fmt.Errorf("core: compacted %s does not run: %w", p.Name, err)
 	}

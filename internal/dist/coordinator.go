@@ -327,8 +327,10 @@ func (c *Coordinator) Run(ctx context.Context, camp *fault.Campaign, stream []fa
 			}
 		}
 	}
+	start, faultsIn := time.Now(), camp.Remaining()
 	parts := camp.PartitionRemaining(shards)
 	if len(parts) == 0 {
+		camp.RecordRun(c.opt.Metrics, len(ordered), faultsIn, 0, fault.SimStats{}, time.Since(start))
 		return &Result{Report: fault.BuildReport(ordered, nil)}, nil
 	}
 
@@ -339,7 +341,12 @@ func (c *Coordinator) Run(ctx context.Context, camp *fault.Campaign, stream []fa
 	if err != nil {
 		return nil, err
 	}
-	return rl.finish(camp, ordered)
+	res, err = rl.finish(camp, ordered)
+	if err != nil {
+		return nil, err
+	}
+	camp.RecordRun(c.opt.Metrics, len(ordered), faultsIn, len(res.Report.Detections), res.SimStats, time.Since(start))
+	return res, nil
 }
 
 // SimulateCampaign adapts the coordinator to the compactor's
@@ -1213,9 +1220,6 @@ func (rl *runLoop) finish(camp *fault.Campaign, ordered []fault.TimedPattern) (*
 	if err := camp.RestoreDetected(detIDs); err != nil {
 		return nil, err
 	}
-	// The accepted replies' summed engine counters, fleet-wide, under
-	// the same names an in-process run publishes.
-	simStats.Record(rl.opt.Metrics)
 	return &Result{Report: fault.BuildReport(ordered, dets), Stats: rl.stats, SimStats: simStats}, nil
 }
 

@@ -508,7 +508,7 @@ func (c *Campaign) SimulateCtx(ctx context.Context, stream []TimedPattern, opt S
 	c.stats.Add(runStats)
 	c.runs++
 	c.statsMu.Unlock()
-	c.recordMetrics(opt, len(ordered), faultsIn, len(rep.Detections), runStats, time.Since(simStart))
+	c.RecordRun(opt.Metrics, len(ordered), faultsIn, len(rep.Detections), runStats, time.Since(simStart))
 	return rep, nil
 }
 
@@ -617,12 +617,16 @@ func (c *Campaign) Stats() SimStats {
 	return c.stats
 }
 
-// recordMetrics publishes one SimulateCtx run's batched counters. It is
-// deliberately called once per run, after the merge: the hot inner loop
-// carries zero instrumentation, keeping the overhead bound (<1% of the
-// simulation) independent of campaign size.
-func (c *Campaign) recordMetrics(opt SimOptions, patterns, faultsIn, dropped int, stats SimStats, elapsed time.Duration) {
-	m := opt.Metrics
+// RecordRun publishes one simulation run's batched metrics into m: the
+// run, its patterns, the faults it dropped out of faultsIn, the
+// campaign's remaining faults and coverage after it, its latency and its
+// engine counters. SimulateCtx calls it for an in-process run and a
+// distributed coordinator after merging its shards, so both paths
+// publish the same families. It is deliberately called once per run,
+// after the merge: the hot inner loop carries zero instrumentation,
+// keeping the overhead bound (<1% of the simulation) independent of
+// campaign size.
+func (c *Campaign) RecordRun(m *obs.Registry, patterns, faultsIn, dropped int, stats SimStats, elapsed time.Duration) {
 	if m == nil {
 		return
 	}

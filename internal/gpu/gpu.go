@@ -11,7 +11,7 @@
 // The simulator is *functional* — instruction semantics are computed in Go —
 // but every stage advances a clock-cycle counter using a calibrated timing
 // model, and a Monitor receives per-cycle events (fetched words, decoded
-// instructions, per-lane operand tuples). Those events are exactly the
+// instructions, each SP pass's operand rows). Those events are exactly the
 // tracing information the compaction method of the paper extracts from its
 // RTL and gate-level logic simulations.
 package gpu
@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"gpustl/internal/isa"
 )
@@ -160,9 +161,13 @@ type Monitor interface {
 	Fetch(cc uint64, warp, pc int, word isa.Word)
 	// Decode fires after the decode stage with the decoded instruction.
 	Decode(cc uint64, warp, pc int, in isa.Instruction)
-	// ALUOp fires once per active thread of an ALU/FPU-class instruction,
-	// with the SP lane it executes on and its operand tuple.
-	ALUOp(cc uint64, warp, pc, lane, thread int, op isa.Opcode, a, b, c uint32)
+	// ALUPass fires once per SP pass of an ALU/FPU-class instruction that
+	// has at least one active thread in it. SP lane l of the pass executes
+	// thread thread0+l; bit l of exec says whether it is active, and a[l],
+	// b[l], c[l] are its operand tuple. The rows are the simulator's
+	// scratch: they are valid only during the call and must be neither
+	// kept nor written.
+	ALUPass(cc uint64, warp, pc int, op isa.Opcode, thread0 int, exec uint32, a, b, c []uint32)
 	// SFUOp fires once per active thread of an SFU-class instruction.
 	SFUOp(cc uint64, warp, pc, lane, thread int, op isa.Opcode, a uint32)
 	// MemOp fires once per active thread of a memory instruction.
@@ -178,13 +183,13 @@ type Monitor interface {
 // NopMonitor is a Monitor with empty callbacks, for embedding.
 type NopMonitor struct{}
 
-func (NopMonitor) Fetch(uint64, int, int, isa.Word)                                     {}
-func (NopMonitor) Decode(uint64, int, int, isa.Instruction)                             {}
-func (NopMonitor) ALUOp(uint64, int, int, int, int, isa.Opcode, uint32, uint32, uint32) {}
-func (NopMonitor) SFUOp(uint64, int, int, int, int, isa.Opcode, uint32)                 {}
-func (NopMonitor) MemOp(uint64, int, int, int, isa.Opcode, Space, uint32)               {}
-func (NopMonitor) Store(uint64, int, int, int, Space, uint32, uint32)                   {}
-func (NopMonitor) Retire(uint64, uint64, int, int)                                      {}
+func (NopMonitor) Fetch(uint64, int, int, isa.Word)                                                {}
+func (NopMonitor) Decode(uint64, int, int, isa.Instruction)                                        {}
+func (NopMonitor) ALUPass(uint64, int, int, isa.Opcode, int, uint32, []uint32, []uint32, []uint32) {}
+func (NopMonitor) SFUOp(uint64, int, int, int, int, isa.Opcode, uint32)                            {}
+func (NopMonitor) MemOp(uint64, int, int, int, isa.Opcode, Space, uint32)                          {}
+func (NopMonitor) Store(uint64, int, int, int, Space, uint32, uint32)                              {}
+func (NopMonitor) Retire(uint64, uint64, int, int)                                                 {}
 
 var _ Monitor = NopMonitor{}
 
@@ -214,8 +219,11 @@ type warpState struct {
 
 	pendingRPC int // set by SSY, consumed by the next divergent branch
 
-	regs  [][isa.NumGPR]uint32 // [WarpSize] GPRs
-	preds [][isa.NumPred]bool  // [WarpSize] predicates
+	// The register file is laid out by register, one row of WarpSize
+	// lanes each, so an instruction reads and writes whole operand rows;
+	// each predicate register is a lane mask.
+	regs  [isa.NumGPR]row
+	preds [isa.NumPred]uint32
 
 	exited  uint32 // lanes permanently done
 	atBar   bool   // parked at a barrier
@@ -224,6 +232,9 @@ type warpState struct {
 }
 
 func (w *warpState) top() *stackEntry { return &w.stack[len(w.stack)-1] }
+
+// row holds one 32-bit value per thread of a warp.
+type row = [WarpSize]uint32
 
 // GPU is the simulator instance. Create with New, run kernels with Run.
 type GPU struct {
@@ -245,6 +256,12 @@ type GPU struct {
 	// polls ctx once every ctxPollRounds scheduling rounds.
 	ctx       context.Context
 	ctxRounds uint
+
+	// Scratch rows of execALU: the immediate broadcast, an all-zero row
+	// for operands an opcode does not read, and the result. They live
+	// here rather than on the stack because the monitor receives slices
+	// of them, which would make stack rows escape on every instruction.
+	imm, zero, res row
 }
 
 // New creates a simulator. A nil monitor disables tracing; with several
@@ -358,8 +375,6 @@ func (g *GPU) runBlock(k Kernel) error {
 			id:         w,
 			stack:      []stackEntry{{pc: 0, rpc: noRPC, mask: 0xffffffff}},
 			pendingRPC: noRPC,
-			regs:       make([][isa.NumGPR]uint32, WarpSize),
-			preds:      make([][isa.NumPred]bool, WarpSize),
 		}
 		g.warps[w] = ws
 	}
@@ -452,16 +467,11 @@ func (g *GPU) step(k Kernel, w *warpState) error {
 	// Guard predicate: mask off lanes where the guard fails.
 	exec := active
 	if in.Pg != isa.PredAlways {
-		var m uint32
-		for l := 0; l < WarpSize; l++ {
-			if active&(1<<l) == 0 {
-				continue
-			}
-			if w.preds[l][in.Pg] == in.PSense {
-				m |= 1 << l
-			}
+		if in.PSense {
+			exec &= w.preds[in.Pg]
+		} else {
+			exec &^= w.preds[in.Pg]
 		}
-		exec = m
 	}
 
 	// Operand read stage.
@@ -492,31 +502,42 @@ func (g *GPU) step(k Kernel, w *warpState) error {
 // advancePC moves the warp past a non-branch instruction.
 func advancePC(w *warpState) { w.top().pc++ }
 
+// execALU executes an ALU/FPU-class instruction for the whole warp at
+// once: the operand classes and the opcode are resolved once, every lane
+// is evaluated over the operand rows, and the results are written back
+// under the exec mask. The monitor sees one event per SP pass.
 func (g *GPU) execALU(w *warpState, pc int, in isa.Instruction, exec uint32) {
-	tim := g.cfg.Timing
-	passLat := tim.ALUPass
+	passLat := g.cfg.Timing.ALUPass
 	if isa.ClassOf(in.Op) == isa.ClassFPU {
-		passLat = tim.FPUPass
+		passLat = g.cfg.Timing.FPUPass
 	}
-	passes := WarpSize / g.cfg.NumSPs
-	for p := 0; p < passes; p++ {
-		ccPass := g.cc
-		for lane := 0; lane < g.cfg.NumSPs; lane++ {
-			t := p*g.cfg.NumSPs + lane
-			if exec&(1<<t) == 0 {
-				continue
-			}
-			a, b, c := g.operands(w, t, in)
-			g.mon.ALUOp(ccPass, w.id, pc, lane, t, in.Op, a, b, c)
-			res, pr := evalALU(in, a, b, c, g.special(w, t))
-			if isa.WritesRd(in.Op) {
-				w.regs[t][in.Rd] = res
-			}
-			if isa.SetsPred(in.Op) {
-				w.preds[t][in.Pd] = pr
-			}
+	a, b, c := g.operandRows(w, in)
+	pred := g.evalRows(w, in, a, b, c)
+
+	n := g.cfg.NumSPs
+	passMask := uint32(1)<<n - 1
+	for t0 := 0; t0 < WarpSize; t0 += n {
+		if m := exec >> t0 & passMask; m != 0 {
+			g.mon.ALUPass(g.cc, w.id, pc, in.Op, t0, m, a[t0:t0+n], b[t0:t0+n], c[t0:t0+n])
 		}
 		g.cc += uint64(passLat)
+	}
+
+	// Write-back comes after the monitor calls: a and c may be rows of
+	// the register file, Rd among them.
+	if isa.WritesRd(in.Op) {
+		rd := &w.regs[in.Rd]
+		if exec == 1<<WarpSize-1 {
+			*rd = g.res
+		} else {
+			for m := exec; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m)
+				rd[l] = g.res[l]
+			}
+		}
+	}
+	if isa.SetsPred(in.Op) {
+		w.preds[in.Pd] = w.preds[in.Pd]&^exec | pred&exec
 	}
 	advancePC(w)
 }
@@ -530,9 +551,9 @@ func (g *GPU) execSFU(w *warpState, pc int, in isa.Instruction, exec uint32) {
 			if exec&(1<<t) == 0 {
 				continue
 			}
-			a := w.regs[t][in.Ra]
+			a := w.regs[in.Ra][t]
 			g.mon.SFUOp(ccPass, w.id, pc, lane, t, in.Op, a)
-			w.regs[t][in.Rd] = evalSFU(in.Op, a)
+			w.regs[in.Rd][t] = evalSFU(in.Op, a)
 		}
 		g.cc += uint64(g.cfg.Timing.SFUPass)
 	}
@@ -548,27 +569,27 @@ func (g *GPU) execMem(w *warpState, pc int, in isa.Instruction, exec uint32) {
 			if exec&(1<<t) == 0 {
 				continue
 			}
-			addr := w.regs[t][in.Ra] + uint32(in.Imm)
+			addr := w.regs[in.Ra][t] + uint32(in.Imm)
 			switch in.Op {
 			case isa.OpGLD:
 				g.mon.MemOp(ccPass, w.id, pc, t, in.Op, SpaceGlobal, addr)
-				w.regs[t][in.Rd] = g.global[int(addr/4)%len(g.global)]
+				w.regs[in.Rd][t] = g.global[int(addr/4)%len(g.global)]
 			case isa.OpGST:
-				v := w.regs[t][in.Rb]
+				v := w.regs[in.Rb][t]
 				g.mon.MemOp(ccPass, w.id, pc, t, in.Op, SpaceGlobal, addr)
 				g.global[int(addr/4)%len(g.global)] = v
 				g.mon.Store(ccPass, w.id, pc, t, SpaceGlobal, addr, v)
 			case isa.OpSLD:
 				g.mon.MemOp(ccPass, w.id, pc, t, in.Op, SpaceShared, addr)
-				w.regs[t][in.Rd] = g.shared[int(addr/4)%len(g.shared)]
+				w.regs[in.Rd][t] = g.shared[int(addr/4)%len(g.shared)]
 			case isa.OpSST:
-				v := w.regs[t][in.Rb]
+				v := w.regs[in.Rb][t]
 				g.mon.MemOp(ccPass, w.id, pc, t, in.Op, SpaceShared, addr)
 				g.shared[int(addr/4)%len(g.shared)] = v
 				g.mon.Store(ccPass, w.id, pc, t, SpaceShared, addr, v)
 			case isa.OpLDC:
 				g.mon.MemOp(ccPass, w.id, pc, t, in.Op, SpaceConstant, addr)
-				w.regs[t][in.Rd] = g.constant[int(addr/4)%len(g.constant)]
+				w.regs[in.Rd][t] = g.constant[int(addr/4)%len(g.constant)]
 			}
 		}
 		g.cc += uint64(g.cfg.Timing.MemPass)
@@ -646,106 +667,161 @@ func (g *GPU) execCtrl(w *warpState, pc int, in isa.Instruction, exec, active ui
 	return nil
 }
 
-// operands fetches the (a, b, c) inputs of an ALU/FPU instruction for
-// thread t: a = R[Ra] (or a special register for S2R), b = R[Rb] or the
-// immediate, c = R[Rd] for the multiply-add accumulators.
-func (g *GPU) operands(w *warpState, t int, in isa.Instruction) (a, b, c uint32) {
+// operandRows resolves the (a, b, c) operand rows of an ALU/FPU
+// instruction: a = R[Ra], b = R[Rb] or the immediate, c = R[Rd] for the
+// multiply-add accumulators. An operand the opcode does not read is zero.
+func (g *GPU) operandRows(w *warpState, in isa.Instruction) (a, b, c *row) {
+	a, b, c = &g.zero, &g.zero, &g.zero
 	if isa.ReadsRa(in.Op) {
-		a = w.regs[t][in.Ra]
+		a = &w.regs[in.Ra]
 	}
 	switch {
 	case isa.ReadsRb(in.Op):
-		b = w.regs[t][in.Rb]
+		b = &w.regs[in.Rb]
 	case isa.HasImm(in.Op) || in.Op == isa.OpMVI:
-		b = uint32(in.Imm)
+		for l := range g.imm {
+			g.imm[l] = uint32(in.Imm)
+		}
+		b = &g.imm
 	}
 	if isa.ReadsRd(in.Op) {
-		c = w.regs[t][in.Rd]
+		c = &w.regs[in.Rd]
 	}
 	return a, b, c
 }
 
-// special resolves S2R special-register reads for thread t of warp w.
-func (g *GPU) special(w *warpState, t int) func(int32) uint32 {
-	return func(sr int32) uint32 {
-		switch sr {
-		case isa.SRTid:
-			return uint32(w.id*WarpSize + t)
-		case isa.SRNTid:
-			return uint32(g.tpb)
-		case isa.SRCTAid:
-			return uint32(g.block)
-		case isa.SRWarp:
-			return uint32(w.id)
-		case isa.SRLane:
-			return uint32(t % WarpSize)
-		}
-		return 0
+// specialReg reads special register sr for thread t of warp w (S2R).
+func (g *GPU) specialReg(w *warpState, t int, sr int32) uint32 {
+	switch sr {
+	case isa.SRTid:
+		return uint32(w.id*WarpSize + t)
+	case isa.SRNTid:
+		return uint32(g.tpb)
+	case isa.SRCTAid:
+		return uint32(g.block)
+	case isa.SRWarp:
+		return uint32(w.id)
+	case isa.SRLane:
+		return uint32(t % WarpSize)
 	}
+	return 0
 }
 
-// evalALU computes the result and predicate outcome of an ALU/FPU-class
-// instruction given its operand values.
-func evalALU(in isa.Instruction, a, b, c uint32, special func(int32) uint32) (res uint32, pred bool) {
+// evalRows computes an ALU/FPU-class instruction on every lane of the
+// operand rows into g.res and returns the lanes whose predicate outcome
+// is true. Lanes outside the exec mask are computed too; the caller
+// discards them.
+func (g *GPU) evalRows(w *warpState, in isa.Instruction, a, b, c *row) (pred uint32) {
+	res := &g.res
 	switch in.Op {
 	case isa.OpMOV:
-		res = a
+		*res = *a
 	case isa.OpMVI:
-		res = b
+		*res = *b
 	case isa.OpS2R:
-		res = special(in.Imm)
+		for l := range res {
+			res[l] = g.specialReg(w, l, in.Imm)
+		}
 	case isa.OpIADD, isa.OpIADDI:
-		res = a + b
+		for l := range res {
+			res[l] = a[l] + b[l]
+		}
 	case isa.OpISUB, isa.OpISUBI:
-		res = a - b
+		for l := range res {
+			res[l] = a[l] - b[l]
+		}
 	case isa.OpIMUL, isa.OpIMULI:
-		res = a * b
+		for l := range res {
+			res[l] = a[l] * b[l]
+		}
 	case isa.OpIMAD:
-		res = a*b + c
+		for l := range res {
+			res[l] = a[l]*b[l] + c[l]
+		}
 	case isa.OpIMIN:
-		res = uint32(min(int32(a), int32(b)))
+		for l := range res {
+			res[l] = uint32(min(int32(a[l]), int32(b[l])))
+		}
 	case isa.OpIMAX:
-		res = uint32(max(int32(a), int32(b)))
+		for l := range res {
+			res[l] = uint32(max(int32(a[l]), int32(b[l])))
+		}
 	case isa.OpINEG:
-		res = -a
+		for l := range res {
+			res[l] = -a[l]
+		}
 	case isa.OpAND, isa.OpANDI:
-		res = a & b
+		for l := range res {
+			res[l] = a[l] & b[l]
+		}
 	case isa.OpOR, isa.OpORI:
-		res = a | b
+		for l := range res {
+			res[l] = a[l] | b[l]
+		}
 	case isa.OpXOR, isa.OpXORI:
-		res = a ^ b
+		for l := range res {
+			res[l] = a[l] ^ b[l]
+		}
 	case isa.OpNOT:
-		res = ^a
+		for l := range res {
+			res[l] = ^a[l]
+		}
 	case isa.OpSHL, isa.OpSHLI:
-		res = a << (b & 31)
+		for l := range res {
+			res[l] = a[l] << (b[l] & 31)
+		}
 	case isa.OpSHR, isa.OpSHRI:
-		res = a >> (b & 31)
+		for l := range res {
+			res[l] = a[l] >> (b[l] & 31)
+		}
 	case isa.OpISET, isa.OpISETI:
-		pred = intCond(in.Cond, int32(a), int32(b))
-		if pred {
-			res = 0xffffffff
+		for l := range res {
+			res[l] = 0
+			if intCond(in.Cond, int32(a[l]), int32(b[l])) {
+				res[l] = 0xffffffff
+				pred |= 1 << l
+			}
 		}
 	case isa.OpFSET:
-		pred = floatCond(in.Cond, f32(a), f32(b))
-		if pred {
-			res = 0xffffffff
+		for l := range res {
+			res[l] = 0
+			if floatCond(in.Cond, f32(a[l]), f32(b[l])) {
+				res[l] = 0xffffffff
+				pred |= 1 << l
+			}
 		}
 	case isa.OpFADD:
-		res = u32(f32(a) + f32(b))
+		for l := range res {
+			res[l] = fadd(a[l], b[l])
+		}
 	case isa.OpFMUL:
-		res = u32(f32(a) * f32(b))
+		for l := range res {
+			res[l] = fmul(a[l], b[l])
+		}
 	case isa.OpFFMA:
-		res = u32(f32(a)*f32(b) + f32(c))
+		for l := range res {
+			res[l] = fadd(c[l], fmul(a[l], b[l]))
+		}
 	case isa.OpFMIN:
-		res = u32(float32(math.Min(float64(f32(a)), float64(f32(b)))))
+		for l := range res {
+			res[l] = u32(float32(math.Min(float64(f32(a[l])), float64(f32(b[l])))))
+		}
 	case isa.OpFMAX:
-		res = u32(float32(math.Max(float64(f32(a)), float64(f32(b)))))
+		for l := range res {
+			res[l] = u32(float32(math.Max(float64(f32(a[l])), float64(f32(b[l])))))
+		}
 	case isa.OpF2I:
-		res = uint32(int32(f32(a)))
+		for l := range res {
+			res[l] = uint32(int32(f32(a[l])))
+		}
 	case isa.OpI2F:
-		res = u32(float32(int32(a)))
+		for l := range res {
+			res[l] = u32(float32(int32(a[l])))
+		}
+	default:
+		*res = row{}
 	}
-	return res, pred
+	return pred
 }
 
 // evalSFU computes an SFU transcendental.
@@ -804,6 +880,44 @@ func floatCond(c isa.Cond, a, b float32) bool {
 	}
 	return false
 }
+
+// fadd and fmul are FP32 addition and multiplication with a fixed NaN
+// rule: a NaN result carries the first NaN operand, quieted, which is
+// what SSE arithmetic does with its destination operand first. Go
+// leaves the payload of a NaN result to the code generator's operand
+// order, so without the rule a change of register allocation could
+// change result bits. FFMA is fadd(c, fmul(a, b)): the accumulator's NaN
+// comes first.
+func fadd(x, y uint32) uint32 {
+	r := f32(x) + f32(y)
+	if r != r {
+		return firstNaN(x, y, r)
+	}
+	return u32(r)
+}
+
+func fmul(x, y uint32) uint32 {
+	r := f32(x) * f32(y)
+	if r != r {
+		return firstNaN(x, y, r)
+	}
+	return u32(r)
+}
+
+// firstNaN returns the first of x and y that is a NaN, quieted, or the
+// NaN r the operation generated when neither operand is one.
+func firstNaN(x, y uint32, r float32) uint32 {
+	const quiet = 1 << 22
+	switch {
+	case isNaN32(x):
+		return x | quiet
+	case isNaN32(y):
+		return y | quiet
+	}
+	return u32(r)
+}
+
+func isNaN32(u uint32) bool { return u&0x7f800000 == 0x7f800000 && u&0x7fffff != 0 }
 
 func f32(u uint32) float32 { return math.Float32frombits(u) }
 func u32(f float32) uint32 { return math.Float32bits(f) }

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 
 	"gpustl/internal/asm"
@@ -472,15 +473,16 @@ func TestSPWidthVariants(t *testing.T) {
 // traceCollector checks monitor event plumbing.
 type traceCollector struct {
 	NopMonitor
-	fetches  int
-	decodes  int
-	aluOps   int
-	sfuOps   int
-	memOps   int
-	stores   int
-	retires  int
-	lastCC   uint64
-	ccSorted bool
+	fetches   int
+	decodes   int
+	aluOps    int
+	aluPasses int
+	sfuOps    int
+	memOps    int
+	stores    int
+	retires   int
+	lastCC    uint64
+	ccSorted  bool
 }
 
 func (c *traceCollector) Fetch(cc uint64, warp, pc int, w isa.Word) {
@@ -488,8 +490,9 @@ func (c *traceCollector) Fetch(cc uint64, warp, pc int, w isa.Word) {
 	c.lastCC = cc
 }
 func (c *traceCollector) Decode(cc uint64, warp, pc int, in isa.Instruction) { c.decodes++ }
-func (c *traceCollector) ALUOp(cc uint64, warp, pc, lane, thread int, op isa.Opcode, a, b, cop uint32) {
-	c.aluOps++
+func (c *traceCollector) ALUPass(cc uint64, warp, pc int, op isa.Opcode, thread0 int, exec uint32, a, b, cop []uint32) {
+	c.aluPasses++
+	c.aluOps += bits.OnesCount32(exec)
 }
 func (c *traceCollector) SFUOp(cc uint64, warp, pc, lane, thread int, op isa.Opcode, a uint32) {
 	c.sfuOps++
@@ -514,8 +517,8 @@ func TestMonitorEvents(t *testing.T) {
 	if mon.fetches != 5 || mon.decodes != 5 || mon.retires != 5 {
 		t.Errorf("fetch/decode/retire = %d/%d/%d, want 5 each", mon.fetches, mon.decodes, mon.retires)
 	}
-	if mon.aluOps != 64 {
-		t.Errorf("aluOps = %d, want 64", mon.aluOps)
+	if mon.aluOps != 64 || mon.aluPasses != 8 {
+		t.Errorf("aluOps/aluPasses = %d/%d, want 64/8", mon.aluOps, mon.aluPasses)
 	}
 	if mon.sfuOps != 32 {
 		t.Errorf("sfuOps = %d, want 32", mon.sfuOps)

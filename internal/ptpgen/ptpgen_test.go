@@ -11,13 +11,9 @@ import (
 	"gpustl/internal/trace"
 )
 
-// runPTP executes a PTP on the simulated GPU with an optional collector.
-func runPTP(t *testing.T, p *stl.PTP, col *trace.Collector) gpu.Result {
+// runPTP executes a PTP on the simulated GPU with an optional monitor.
+func runPTP(t *testing.T, p *stl.PTP, mon gpu.Monitor) gpu.Result {
 	t.Helper()
-	var mon gpu.Monitor
-	if col != nil {
-		mon = col
-	}
 	g, err := gpu.New(gpu.DefaultConfig(), mon)
 	if err != nil {
 		t.Fatal(err)
@@ -69,12 +65,13 @@ func TestIMMStructure(t *testing.T) {
 func TestIMMRuns(t *testing.T) {
 	p := IMM(30, 2)
 	col := trace.NewCollector(circuits.ModuleDU)
-	runPTP(t, p, col)
+	stats := &trace.OpStats{}
+	runPTP(t, p, trace.NewTee(col, stats))
 	if len(col.Patterns) != len(p.Prog) {
 		t.Errorf("DU patterns = %d, want %d (one per instruction, 1 warp)",
 			len(col.Patterns), len(p.Prog))
 	}
-	if len(col.Stores) == 0 {
+	if stats.Stores == 0 {
 		t.Error("no observable stores")
 	}
 }
@@ -140,9 +137,9 @@ func TestMEMStructure(t *testing.T) {
 
 func TestMEMRuns(t *testing.T) {
 	p := MEM(25, 4)
-	col := trace.NewCollector(circuits.ModuleDU)
-	runPTP(t, p, col)
-	if len(col.Stores) == 0 {
+	stats := &trace.OpStats{}
+	runPTP(t, p, stats)
+	if stats.Stores == 0 {
 		t.Error("no stores")
 	}
 }

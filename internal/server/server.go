@@ -167,6 +167,16 @@ type Server struct {
 	hCampaign  *obs.Histogram
 }
 
+// campaignBuckets is the campaign-latency ladder, 10 ms to 2 h. A whole
+// campaign runs from well under a second (a cache hit) to an hour or
+// more (a full-scale SP library), far past the ~105 s top of
+// obs.DefLatencyBuckets; the round bounds let a latency objective name
+// its threshold (le="300" is five minutes).
+var campaignBuckets = []float64{
+	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
+	120, 300, 600, 1200, 1800, 3600, 7200,
+}
+
 // New creates a Server over opts.StateDir. Nothing is opened or locked
 // until Run.
 func New(opts Options) *Server {
@@ -189,7 +199,7 @@ func New(opts Options) *Server {
 		s.mRejected = m.Counter("gpustl_server_submit_rejected_total")
 		s.gQueue = m.Gauge("gpustl_server_queue_depth")
 		s.gRunning = m.Gauge("gpustl_server_campaigns_running")
-		s.hCampaign = m.Histogram("gpustl_server_campaign_seconds", obs.DefLatencyBuckets())
+		s.hCampaign = m.Histogram("gpustl_server_campaign_seconds", campaignBuckets)
 	}
 	return s
 }

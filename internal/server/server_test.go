@@ -141,6 +141,26 @@ func counter(ts *testSrv, name string) uint64 {
 // same id is a no-op, the same id with a different spec is a conflict,
 // and the same content under a new id is served from the cache without
 // re-simulation.
+// TestCampaignHistogramReachesAnHour checks that a long campaign lands
+// in a finite bucket of gpustl_server_campaign_seconds, so a latency
+// objective can be computed for it, and that the ladder reaches an hour.
+func TestCampaignHistogramReachesAnHour(t *testing.T) {
+	reg := obs.NewRegistry()
+	New(Options{StateDir: t.TempDir(), Metrics: reg})
+	const name = "gpustl_server_campaign_seconds"
+	reg.Histogram(name, nil).Observe(300)
+	hs, ok := reg.Snapshot().Histograms[name]
+	if !ok {
+		t.Fatalf("%s not registered", name)
+	}
+	if hs.Buckets["300"] != 1 {
+		t.Errorf("le=300 holds %d observations, want the 300 s one; buckets %v", hs.Buckets["300"], hs.Buckets)
+	}
+	if hs.Buckets["3600"] != 1 {
+		t.Errorf("no le=3600 bucket holding the observation; buckets %v", hs.Buckets)
+	}
+}
+
 func TestCampaignLifecycle(t *testing.T) {
 	ts := startSrv(t, t.TempDir(), "t1", nil)
 	ts.waitReady(t, 10*time.Second)

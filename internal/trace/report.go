@@ -10,16 +10,16 @@ import (
 	"gpustl/internal/isa"
 )
 
-// WriteReport serializes the Tracing Report as a text file, the form the
-// paper's environment exchanges between tools: one line per decoded warp
-// instruction with its clock cycle, warp identifier, program counter,
-// mnemonic and raw word, followed by the retire spans.
-func (c *Collector) WriteReport(w io.Writer) error {
+// WriteReport serializes the Tracing Report of the run of prog as a text
+// file, the form the paper's environment exchanges between tools: one
+// line per executed warp instruction with its fetch cycle, warp
+// identifier, program counter, mnemonic and raw word (see Rows),
+// followed by the retire spans.
+func (c *Collector) WriteReport(w io.Writer, prog []isa.Instruction) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# gpustl tracing report: %d rows, %d spans, %d stores\n",
-		len(c.Rows), len(c.Spans), len(c.Stores))
+	fmt.Fprintf(bw, "# gpustl tracing report: %d rows, %d spans\n", len(c.Spans), len(c.Spans))
 	fmt.Fprintln(bw, "# cc warp pc opcode word")
-	for _, r := range c.Rows {
+	for _, r := range Rows(c.Spans, prog) {
 		fmt.Fprintf(bw, "i %d %d %d %s %016x\n", r.CC, r.Warp, r.PC, r.Op, uint64(r.Word))
 	}
 	fmt.Fprintln(bw, "# ccStart ccEnd warp pc")
@@ -31,8 +31,7 @@ func (c *Collector) WriteReport(w io.Writer) error {
 
 // ReadReport parses a report written by WriteReport, reconstructing the
 // rows and spans (pattern streams travel separately, as VCDE files).
-func ReadReport(r io.Reader) (*Collector, error) {
-	c := &Collector{}
+func ReadReport(r io.Reader) (rows []Row, spans []Span, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
 	line := 0
@@ -51,9 +50,9 @@ func ReadReport(r io.Reader) (*Collector, error) {
 			op, ok := isa.OpcodeByName(f[4])
 			word, err4 := strconv.ParseUint(f[5], 16, 64)
 			if err1 != nil || err2 != nil || err3 != nil || err4 != nil || !ok {
-				return nil, fmt.Errorf("trace: report line %d malformed", line)
+				return nil, nil, fmt.Errorf("trace: report line %d malformed", line)
 			}
-			c.Rows = append(c.Rows, Row{CC: cc, Warp: int16(warp), PC: int32(pc),
+			rows = append(rows, Row{CC: cc, Warp: int16(warp), PC: int32(pc),
 				Op: op, Word: isa.Word(word)})
 		case f[0] == "s" && len(f) == 5:
 			s0, err1 := strconv.ParseUint(f[1], 10, 64)
@@ -61,13 +60,13 @@ func ReadReport(r io.Reader) (*Collector, error) {
 			warp, err3 := strconv.ParseInt(f[3], 10, 16)
 			pc, err4 := strconv.ParseInt(f[4], 10, 32)
 			if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
-				return nil, fmt.Errorf("trace: report line %d malformed", line)
+				return nil, nil, fmt.Errorf("trace: report line %d malformed", line)
 			}
-			c.Spans = append(c.Spans, Span{CCStart: s0, CCEnd: s1,
+			spans = append(spans, Span{CCStart: s0, CCEnd: s1,
 				Warp: int16(warp), PC: int32(pc)})
 		default:
-			return nil, fmt.Errorf("trace: report line %d: unexpected %q", line, text)
+			return nil, nil, fmt.Errorf("trace: report line %d: unexpected %q", line, text)
 		}
 	}
-	return c, sc.Err()
+	return rows, spans, sc.Err()
 }

@@ -10,30 +10,32 @@ import (
 
 func TestReportRoundTrip(t *testing.T) {
 	col := runWith(t, circuits.ModuleDU)
+	prog := testProgram(t)
 	var buf bytes.Buffer
-	if err := col.WriteReport(&buf); err != nil {
+	if err := col.WriteReport(&buf, prog); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadReport(&buf)
+	backRows, backSpans, err := ReadReport(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Rows) != len(col.Rows) || len(back.Spans) != len(col.Spans) {
+	rows := Rows(col.Spans, prog)
+	if len(backRows) != len(rows) || len(backSpans) != len(col.Spans) {
 		t.Fatalf("lengths: rows %d/%d spans %d/%d",
-			len(back.Rows), len(col.Rows), len(back.Spans), len(col.Spans))
+			len(backRows), len(rows), len(backSpans), len(col.Spans))
 	}
-	for i := range col.Rows {
-		if back.Rows[i] != col.Rows[i] {
-			t.Fatalf("row %d: %+v != %+v", i, back.Rows[i], col.Rows[i])
+	for i := range rows {
+		if backRows[i] != rows[i] {
+			t.Fatalf("row %d: %+v != %+v", i, backRows[i], rows[i])
 		}
 	}
 	for i := range col.Spans {
-		if back.Spans[i] != col.Spans[i] {
-			t.Fatalf("span %d: %+v != %+v", i, back.Spans[i], col.Spans[i])
+		if backSpans[i] != col.Spans[i] {
+			t.Fatalf("span %d: %+v != %+v", i, backSpans[i], col.Spans[i])
 		}
 	}
 	// The round-tripped report rebuilds a working cc index.
-	idx := back.CCToPC()
+	idx := (&Collector{Spans: backSpans}).CCToPC()
 	for _, s := range col.Spans {
 		if _, pc, ok := idx.Lookup(s.CCStart); !ok || pc != s.PC {
 			t.Fatalf("cc index broken after round trip at cc %d", s.CCStart)
@@ -50,7 +52,7 @@ func TestReadReportErrors(t *testing.T) {
 		"q what",          // unknown record
 	}
 	for _, src := range cases {
-		if _, err := ReadReport(strings.NewReader(src)); err == nil {
+		if _, _, err := ReadReport(strings.NewReader(src)); err == nil {
 			t.Errorf("ReadReport(%q) succeeded", src)
 		}
 	}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -41,9 +42,9 @@ func (s *OpStats) Decode(cc uint64, warp, pc int, in isa.Instruction) {
 	s.Decodes[in.Op]++
 }
 
-// ALUOp implements gpu.Monitor.
-func (s *OpStats) ALUOp(cc uint64, warp, pc, lane, thread int, op isa.Opcode, a, b, c uint32) {
-	s.ThreadOps[op]++
+// ALUPass implements gpu.Monitor.
+func (s *OpStats) ALUPass(cc uint64, warp, pc int, op isa.Opcode, thread0 int, exec uint32, a, b, c []uint32) {
+	s.ThreadOps[op] += uint64(bits.OnesCount32(exec))
 }
 
 // SFUOp implements gpu.Monitor.
@@ -147,9 +148,9 @@ func (t *Tee) Decode(cc uint64, warp, pc int, in isa.Instruction) {
 	}
 }
 
-func (t *Tee) ALUOp(cc uint64, warp, pc, lane, thread int, op isa.Opcode, a, b, c uint32) {
+func (t *Tee) ALUPass(cc uint64, warp, pc int, op isa.Opcode, thread0 int, exec uint32, a, b, c []uint32) {
 	for _, m := range t.Monitors {
-		m.ALUOp(cc, warp, pc, lane, thread, op, a, b, c)
+		m.ALUPass(cc, warp, pc, op, thread0, exec, a, b, c)
 	}
 }
 

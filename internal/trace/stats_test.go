@@ -60,7 +60,7 @@ func TestTeeDeliversToAll(t *testing.T) {
 	if stats.TotalDecodes() != 3 {
 		t.Errorf("stats decodes = %d", stats.TotalDecodes())
 	}
-	if len(col.Patterns) != 3 || len(col.Rows) != 3 {
-		t.Errorf("collector got %d patterns, %d rows", len(col.Patterns), len(col.Rows))
+	if rows := Rows(col.Spans, prog); len(col.Patterns) != 3 || len(rows) != 3 {
+		t.Errorf("collector got %d patterns, %d rows", len(col.Patterns), len(rows))
 	}
 }

@@ -3,15 +3,16 @@
 //
 // A Collector plays the role of the hardware monitor the authors insert
 // into one SM of the RT-level GPU model: attached to the simulator as a
-// gpu.Monitor, it records, for every clock cycle, the decoded instruction,
-// program counter, executed instruction per warp, warp identifier and cycle
-// value (the Tracing Report), and — like the gate-level logic simulation —
+// gpu.Monitor, it records the start and end cycle, warp identifier and
+// program counter of every executed warp instruction — with the program,
+// the Tracing Report — and, like the gate-level logic simulation,
 // extracts the sequence of test patterns applied to the target module by
 // observing the module's input activity (the Test Pattern Report).
 package trace
 
 import (
-	"fmt"
+	"math/bits"
+	"slices"
 
 	"gpustl/internal/circuits"
 	"gpustl/internal/fault"
@@ -19,9 +20,11 @@ import (
 	"gpustl/internal/isa"
 )
 
-// Row is one line of the Tracing Report: one decoded warp instruction.
+// Row is one line of the Tracing Report: one executed warp instruction.
+// Rows are not collected; Rows derives them from the retire spans and
+// the program.
 type Row struct {
-	CC   uint64
+	CC   uint64 // the cycle the instruction is fetched (its span's start)
 	Warp int16
 	PC   int32
 	Op   isa.Opcode
@@ -37,37 +40,25 @@ type Span struct {
 	CCEnd   uint64
 }
 
-// StoreEvent is an architecturally observable write (GST/SST) — the PTP's
-// observation points.
-type StoreEvent struct {
-	CC     uint64
-	Warp   int16
-	PC     int32
-	Thread int16
-	Space  gpu.Space
-	Addr   uint32
-	Value  uint32
-}
-
-// Collector gathers the Tracing Report and the target module's Test
-// Pattern Report during one logic simulation.
+// Collector gathers the retire spans and the target module's Test
+// Pattern Report during one logic simulation. The spans and the program
+// are the Tracing Report (see Rows).
 type Collector struct {
 	gpu.NopMonitor
 
 	// Target selects which module's input patterns are extracted.
 	Target circuits.ModuleKind
 
-	Rows     []Row
 	Spans    []Span
 	Patterns []fault.TimedPattern
-	Stores   []StoreEvent
 
-	// LiteRows drops the Rows/Spans reports (pattern extraction only).
+	// LiteRows drops the Spans (pattern extraction only). Without spans
+	// there is no Tracing Report and no cc → (warp, pc) index.
 	LiteRows bool
 
 	// curCond holds the latest decoded condition field per warp; the SM
 	// decodes an instruction before its execute-stage callbacks fire, so
-	// ALUOp can recover the comparison condition of ISET/ISETI from here.
+	// ALUPass can recover the comparison condition of ISET/ISETI from here.
 	curCond []isa.Cond
 }
 
@@ -77,68 +68,87 @@ func NewCollector(target circuits.ModuleKind) *Collector {
 	return &Collector{Target: target}
 }
 
+// grow returns s with room for n more elements. When s is full it
+// doubles its capacity rather than letting append grow a large slice by
+// a quarter at a time: a trace's streams run to hundreds of thousands of
+// entries, and the smaller steps copy them several times as often.
+// Asking slices.Grow for more than twice the capacity makes append
+// allocate exactly that, and unlike make it leaves the copied part
+// uncleared.
+func grow[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return slices.Grow(s, max(n, 2*cap(s)+1-len(s), 64))
+}
+
+// addPattern appends one pattern to the Test Pattern Report.
+func (c *Collector) addPattern(p fault.TimedPattern) {
+	c.Patterns = append(grow(c.Patterns, 1), p)
+}
+
 // Fetch implements gpu.Monitor; the raw word and PC form the DU pattern
 // and, for the pipeline-register target, one registered cycle (enabled,
 // no flush — the functional fetch stream).
 func (c *Collector) Fetch(cc uint64, warp, pc int, word isa.Word) {
 	switch c.Target {
 	case circuits.ModuleDU:
-		c.Patterns = append(c.Patterns, fault.TimedPattern{
+		c.addPattern(fault.TimedPattern{
 			CC: cc, Lane: 0, Warp: int16(warp), PC: int32(pc),
 			Pat: circuits.EncodeDUPattern(word, pc),
 		})
 	case circuits.ModulePIPE:
-		c.Patterns = append(c.Patterns, fault.TimedPattern{
+		c.addPattern(fault.TimedPattern{
 			CC: cc, Lane: 0, Warp: int16(warp), PC: int32(pc),
 			Pat: circuits.EncodePIPEPattern(uint64(word), uint32(pc), true, false),
 		})
 	}
 }
 
-// Decode implements gpu.Monitor; every decode produces a trace row.
+// Decode implements gpu.Monitor; it keeps the warp's condition field for
+// the SP patterns of its comparisons.
 func (c *Collector) Decode(cc uint64, warp, pc int, in isa.Instruction) {
 	for len(c.curCond) <= warp {
 		c.curCond = append(c.curCond, isa.CondEQ)
 	}
 	c.curCond[warp] = in.Cond
-	if c.LiteRows {
-		return
-	}
-	c.Rows = append(c.Rows, Row{
-		CC: cc, Warp: int16(warp), PC: int32(pc), Op: in.Op, Word: isa.Encode(in),
-	})
 }
 
-// ALUOp implements gpu.Monitor; SP-datapath operand tuples form the SP
-// patterns and FP32-unit tuples the FP32 patterns (one per active thread,
-// on the lane that executes it).
-func (c *Collector) ALUOp(cc uint64, warp, pc, lane, thread int, op isa.Opcode, a, b, cop uint32) {
-	if c.Target == circuits.ModuleFP32 {
-		fn, ra, rb, rc, ok := circuits.FP32FnOf(op, a, b, cop)
-		if !ok {
+// ALUPass implements gpu.Monitor; SP-datapath operand tuples form the SP
+// patterns and FP32-unit tuples the FP32 patterns (one per active thread
+// of the pass, on the lane that executes it).
+func (c *Collector) ALUPass(cc uint64, warp, pc int, op isa.Opcode, thread0 int, exec uint32, a, b, cop []uint32) {
+	switch c.Target {
+	case circuits.ModuleFP32:
+		if _, _, _, _, ok := circuits.FP32FnOf(op, 0, 0, 0); !ok {
 			return
 		}
-		c.Patterns = append(c.Patterns, fault.TimedPattern{
-			CC: cc, Lane: int16(lane), Warp: int16(warp), PC: int32(pc),
-			Pat: circuits.EncodeFP32Pattern(fn, ra, rb, rc),
-		})
+	case circuits.ModuleSP:
+		if _, _, _, _, ok := circuits.SPFnOf(op, 0, 0, 0); !ok {
+			return // FP32 op: executes outside the SP integer datapath
+		}
+	default:
 		return
-	}
-	if c.Target != circuits.ModuleSP {
-		return
-	}
-	fn, ra, rb, rc, ok := circuits.SPFnOf(op, a, b, cop)
-	if !ok {
-		return // FP32 op: executes outside the SP integer datapath
 	}
 	cond := isa.CondEQ
 	if warp < len(c.curCond) {
 		cond = c.curCond[warp]
 	}
-	c.Patterns = append(c.Patterns, fault.TimedPattern{
-		CC: cc, Lane: int16(lane), Warp: int16(warp), PC: int32(pc),
-		Pat: circuits.EncodeSPPattern(fn, cond, ra, rb, rc),
-	})
+	c.Patterns = grow(c.Patterns, bits.OnesCount32(exec))
+	for m := exec; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		var pat circuits.Pattern
+		if c.Target == circuits.ModuleFP32 {
+			fn, ra, rb, rc, _ := circuits.FP32FnOf(op, a[lane], b[lane], cop[lane])
+			pat = circuits.EncodeFP32Pattern(fn, ra, rb, rc)
+		} else {
+			fn, ra, rb, rc, _ := circuits.SPFnOf(op, a[lane], b[lane], cop[lane])
+			pat = circuits.EncodeSPPattern(fn, cond, ra, rb, rc)
+		}
+		c.Patterns = append(c.Patterns, fault.TimedPattern{
+			CC: cc, Lane: int16(lane), Warp: int16(warp), PC: int32(pc), Pat: pat,
+		})
+	}
 }
 
 // SFUOp implements gpu.Monitor.
@@ -150,17 +160,9 @@ func (c *Collector) SFUOp(cc uint64, warp, pc, lane, thread int, op isa.Opcode, 
 	if !ok {
 		return
 	}
-	c.Patterns = append(c.Patterns, fault.TimedPattern{
+	c.addPattern(fault.TimedPattern{
 		CC: cc, Lane: int16(lane), Warp: int16(warp), PC: int32(pc),
 		Pat: circuits.EncodeSFUPattern(fn, a),
-	})
-}
-
-// Store implements gpu.Monitor.
-func (c *Collector) Store(cc uint64, warp, pc, thread int, sp gpu.Space, addr, v uint32) {
-	c.Stores = append(c.Stores, StoreEvent{
-		CC: cc, Warp: int16(warp), PC: int32(pc), Thread: int16(thread),
-		Space: sp, Addr: addr, Value: v,
 	})
 }
 
@@ -169,9 +171,21 @@ func (c *Collector) Retire(ccStart, ccEnd uint64, warp, pc int) {
 	if c.LiteRows {
 		return
 	}
-	c.Spans = append(c.Spans, Span{
+	c.Spans = append(grow(c.Spans, 1), Span{
 		Warp: int16(warp), PC: int32(pc), CCStart: ccStart, CCEnd: ccEnd,
 	})
+}
+
+// Rows derives the Tracing Report's rows from the retire spans and the
+// program they ran: one row per executed warp instruction, in execution
+// order, stamped with the cycle it was fetched.
+func Rows(spans []Span, prog []isa.Instruction) []Row {
+	rows := make([]Row, len(spans))
+	for i, s := range spans {
+		in := prog[s.PC]
+		rows[i] = Row{CC: s.CCStart, Warp: s.Warp, PC: s.PC, Op: in.Op, Word: isa.Encode(in)}
+	}
+	return rows
 }
 
 var _ gpu.Monitor = (*Collector)(nil)
@@ -210,10 +224,4 @@ func (ix *CCIndex) Lookup(cc uint64) (warp int16, pc int32, ok bool) {
 		return 0, 0, false
 	}
 	return s.Warp, s.PC, true
-}
-
-// Stats summarizes a trace for reporting.
-func (c *Collector) Stats() string {
-	return fmt.Sprintf("trace: %d rows, %d spans, %d %v patterns, %d stores",
-		len(c.Rows), len(c.Spans), len(c.Patterns), c.Target, len(c.Stores))
 }

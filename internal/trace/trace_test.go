@@ -20,34 +20,50 @@ const testProg = `
 	EXIT
 `
 
-func runWith(t *testing.T, target circuits.ModuleKind) *Collector {
+func testProgram(t *testing.T) []isa.Instruction {
 	t.Helper()
 	prog, err := asm.Assemble(testProg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := NewCollector(target)
-	g, err := gpu.New(gpu.DefaultConfig(), col)
+	return prog
+}
+
+// runMon runs testProg on one warp under mon.
+func runMon(t *testing.T, mon gpu.Monitor) {
+	t.Helper()
+	g, err := gpu.New(gpu.DefaultConfig(), mon)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Run(gpu.Kernel{Prog: prog, Blocks: 1, ThreadsPerBlock: 32}); err != nil {
+	if _, err := g.Run(gpu.Kernel{Prog: testProgram(t), Blocks: 1, ThreadsPerBlock: 32}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func runWith(t *testing.T, target circuits.ModuleKind) *Collector {
+	t.Helper()
+	col := NewCollector(target)
+	runMon(t, col)
 	return col
 }
 
 func TestTraceRowsAndSpans(t *testing.T) {
 	col := runWith(t, circuits.ModuleDU)
-	if len(col.Rows) != 8 {
-		t.Fatalf("rows = %d, want 8", len(col.Rows))
+	prog := testProgram(t)
+	rows := Rows(col.Spans, prog)
+	if len(rows) != 8 {
+		t.Fatalf("rows = %d, want 8", len(rows))
 	}
-	for i, r := range col.Rows {
+	for i, r := range rows {
 		if int(r.PC) != i {
 			t.Errorf("row %d pc = %d", i, r.PC)
 		}
 		if r.Warp != 0 {
 			t.Errorf("row %d warp = %d", i, r.Warp)
+		}
+		if r.Op != prog[i].Op || r.Word != isa.Encode(prog[i]) || r.CC != col.Spans[i].CCStart {
+			t.Errorf("row %d = %+v, program has %v, span starts at %d", i, r, prog[i].Op, col.Spans[i].CCStart)
 		}
 	}
 	if len(col.Spans) != 8 {
@@ -63,6 +79,7 @@ func TestTraceRowsAndSpans(t *testing.T) {
 
 func TestDUPatterns(t *testing.T) {
 	col := runWith(t, circuits.ModuleDU)
+	rows := Rows(col.Spans, testProgram(t))
 	// One DU pattern per fetched warp instruction.
 	if len(col.Patterns) != 8 {
 		t.Fatalf("DU patterns = %d, want 8", len(col.Patterns))
@@ -77,7 +94,7 @@ func TestDUPatterns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("pattern word undecodable: %v", err)
 		}
-		if int(p.PC) >= len(col.Rows) || col.Rows[p.PC].Op != in.Op {
+		if int(p.PC) >= len(rows) || rows[p.PC].Op != in.Op {
 			t.Errorf("pattern pc %d op %v mismatch", p.PC, in.Op)
 		}
 	}
@@ -125,12 +142,13 @@ func TestSFUPatterns(t *testing.T) {
 }
 
 func TestStores(t *testing.T) {
-	col := runWith(t, circuits.ModuleDU)
-	if len(col.Stores) != 32 {
-		t.Fatalf("stores = %d, want 32", len(col.Stores))
+	log := &storeLog{}
+	runMon(t, log)
+	if len(log.stores) != 32 {
+		t.Fatalf("stores = %d, want 32", len(log.stores))
 	}
-	for _, s := range col.Stores {
-		if s.Space != gpu.SpaceGlobal || s.PC != 6 {
+	for _, s := range log.stores {
+		if s.space != gpu.SpaceGlobal || s.pc != 6 {
 			t.Errorf("store %+v", s)
 		}
 	}
@@ -167,8 +185,8 @@ func TestLiteRows(t *testing.T) {
 	if _, err := g.Run(gpu.Kernel{Prog: prog, Blocks: 1, ThreadsPerBlock: 32}); err != nil {
 		t.Fatal(err)
 	}
-	if len(col.Rows) != 0 || len(col.Spans) != 0 {
-		t.Fatalf("LiteRows kept rows=%d spans=%d", len(col.Rows), len(col.Spans))
+	if len(col.Spans) != 0 {
+		t.Fatalf("LiteRows kept %d spans", len(col.Spans))
 	}
 	if len(col.Patterns) == 0 {
 		t.Fatal("LiteRows dropped patterns")

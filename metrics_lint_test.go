@@ -143,6 +143,12 @@ func TestMetricsLint(t *testing.T) {
 			"gpustl_dist_runs_total",
 			"gpustl_fault_blocks_total",
 			"gpustl_fault_dedup_hit_ratio",
+			// Published by the coordinator's merge, as an in-process
+			// run publishes them.
+			"gpustl_fault_runs_total",
+			"gpustl_fault_coverage_pct",
+			"gpustl_fault_remaining",
+			"gpustl_fault_sim_seconds_bucket",
 		}},
 		{"worker", wreg, []string{
 			`gpustl_build_info{`,
