@@ -1,8 +1,10 @@
-# Tier-1 gate: build + tests (what CI and the roadmap require).
+# Tier-1 gate: build + tests (what CI and the roadmap require). The
+# tests run uncached in shuffled order, which catches state leaking
+# from one test into the next.
 .PHONY: test
 test:
 	go build ./...
-	go test ./...
+	go test -shuffle=on -count=1 ./...
 
 # Lint: formatting drift and vet findings fail the build. gofmt -l
 # prints offending files; the grep inverts that into an exit code.

@@ -54,13 +54,26 @@ func env(b *testing.B) *Env {
 	return benchEnv
 }
 
+// uncompacted returns e without the compactions it caches once they
+// ran, so every benchmark iteration compacts the STL again instead of
+// re-reading the first iteration's reports.
+func uncompacted(e *Env) *Env {
+	return &Env{
+		Params: e.Params, Cfg: e.Cfg,
+		DU: e.DU, SP: e.SP, SFU: e.SFU,
+		DUFaults: e.DUFaults, SPFaults: e.SPFaults, SFUFaults: e.SFUFaults,
+		IMM: e.IMM, MEM: e.MEM, CNTRL: e.CNTRL, TPGEN: e.TPGEN, RAND: e.RAND, SFUIMM: e.SFUIMM,
+		TPGENDropped: e.TPGENDropped, SFUIMMDropped: e.SFUIMMDropped,
+	}
+}
+
 // BenchmarkTableI regenerates Table I: size, ARC %, duration and FC of the
 // six PTPs plus the combined rows.
 func BenchmarkTableI(b *testing.B) {
 	e := env(b)
 	var last *TableIResult
 	for i := 0; i < b.N; i++ {
-		t1, err := TableI(e)
+		t1, err := TableI(uncompacted(e))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -77,7 +90,7 @@ func BenchmarkTableII(b *testing.B) {
 	e := env(b)
 	var last *CompactionTables
 	for i := 0; i < b.N; i++ {
-		t2, err := TableII(e)
+		t2, err := TableII(uncompacted(e))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -95,7 +108,7 @@ func BenchmarkTableIII(b *testing.B) {
 	e := env(b)
 	var last *CompactionTables
 	for i := 0; i < b.N; i++ {
-		t3, err := TableIII(e)
+		t3, err := TableIII(uncompacted(e))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -113,15 +126,16 @@ func BenchmarkSTLSummary(b *testing.B) {
 	e := env(b)
 	var last *STLSummaryResult
 	for i := 0; i < b.N; i++ {
-		t2, err := TableII(e)
+		u := uncompacted(e)
+		t2, err := TableII(u)
 		if err != nil {
 			b.Fatal(err)
 		}
-		t3, err := TableIII(e)
+		t3, err := TableIII(u)
 		if err != nil {
 			b.Fatal(err)
 		}
-		sum, err := STLSummary(e, t2, t3)
+		sum, err := STLSummary(u, t2, t3)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -346,7 +346,7 @@ func runFsck(kind gpustl.ModuleKind, mod *gpustl.Module, faults []gpustl.Fault,
 			}
 		}
 	}
-	rep, err := gpustl.FsckCampaign(fl.ckDir, hash, lib, artifacts)
+	rep, err := gpustl.FsckCampaign(fl.ckDir, hash, ms, lib, artifacts)
 	if err != nil {
 		logger.Error(err.Error())
 		return 1

@@ -403,10 +403,11 @@ type (
 // FsckCampaign verifies the durable state of a checkpointed campaign —
 // the write-ahead journal's record CRCs and schema, the config hash
 // against wantHash (skipped when empty), the journaled PTP hashes
-// against lib (skipped when nil), and each artifact's checksum sidecar —
-// without modifying anything.
-func FsckCampaign(dir, wantHash string, lib *STL, artifacts []string) (*FsckReport, error) {
-	return run.Fsck(dir, wantHash, lib, artifacts)
+// against lib (skipped when nil), the journaled fault ids against ms's
+// fault lists (skipped when ms or lib is nil), and each artifact's
+// checksum sidecar — without modifying anything.
+func FsckCampaign(dir, wantHash string, ms *ModuleSet, lib *STL, artifacts []string) (*FsckReport, error) {
+	return run.Fsck(dir, wantHash, ms, lib, artifacts)
 }
 
 // CampaignConfigHash fingerprints everything that determines a run's

@@ -33,7 +33,7 @@ func (c *Compactor) CompactToBudget(p *stl.PTP, budgetCC uint64) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	origFC, err := c.evaluateFC(ctx, p, col.Patterns)
+	origFC, origDet, err := c.evaluateFC(ctx, p, col.Patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +142,7 @@ func (c *Compactor) CompactToBudget(p *stl.PTP, budgetCC uint64) (*Result, error
 	if err != nil {
 		return nil, fmt.Errorf("core: budget-compacted %s does not run: %w", p.Name, err)
 	}
-	compFC, err := c.evaluateFC(ctx, comp, compCol.Patterns)
+	compFC, compDet, err := c.evaluateFC(ctx, comp, compCol.Patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -156,6 +156,8 @@ func (c *Compactor) CompactToBudget(p *stl.PTP, budgetCC uint64) (*Result, error
 		CompDuration:    compRes.Cycles,
 		OrigFC:          origFC,
 		CompFC:          compFC,
+		OrigDetected:    origDet,
+		CompDetected:    compDet,
 		TotalSBs:        len(sbs),
 		RemovedSBs:      removedSBs,
 		DetectedThisRun: rep.DetectedThisRun(),

@@ -150,6 +150,11 @@ type Result struct {
 	OrigSize, CompSize         int
 	OrigDuration, CompDuration uint64
 	OrigFC, CompFC             float64 // standalone FC (%), fresh fault list
+	// OrigDetected and CompDetected are the sets behind OrigFC and
+	// CompFC: the ids (into the campaign's master list, ascending) of
+	// the faults each program detects standalone. Detection is per
+	// fault, so a group of PTPs detects the union of their sets.
+	OrigDetected, CompDetected []fault.ID
 
 	TotalSBs, RemovedSBs   int
 	Essential, Unessential int // labeled instructions inside candidate SBs
@@ -202,13 +207,13 @@ func (c *Compactor) runTrace(ctx context.Context, p *stl.PTP, orig *trace.Collec
 
 // evaluateFC runs a standalone fault simulation of the PTP's pattern
 // stream against a fresh copy of the campaign's fault list and returns the
-// coverage percentage.
-func (c *Compactor) evaluateFC(ctx context.Context, p *stl.PTP, patterns []fault.TimedPattern) (float64, error) {
+// coverage percentage and the ids of the detected faults, ascending.
+func (c *Compactor) evaluateFC(ctx context.Context, p *stl.PTP, patterns []fault.TimedPattern) (float64, []fault.ID, error) {
 	fc := fault.NewCampaignWithFaults(c.Module, c.Campaign.Faults())
 	if _, err := c.simulate(ctx, fc, patterns, fault.SimOptions{Workers: c.Opt.Workers, Metrics: c.Opt.Metrics}); err != nil {
-		return 0, fmt.Errorf("core: FC evaluation of %s: %w", p.Name, err)
+		return 0, nil, fmt.Errorf("core: FC evaluation of %s: %w", p.Name, err)
 	}
-	return fc.Coverage(), nil
+	return fc.Coverage(), fc.DetectedIDs(), nil
 }
 
 // dropFaults runs the stage-3 fault simulation of the PTP's pattern
@@ -311,7 +316,7 @@ func (c *Compactor) CompactPTPCtx(ctx context.Context, p *stl.PTP, onStage func(
 	// Standalone FC of the original PTP (fresh fault list) for the Diff FC
 	// column; this is the paper's reference fault-injection campaign, not
 	// part of the compaction loop itself.
-	origFC, err := c.evaluateFC(ctx, p, col.Patterns)
+	origFC, origDet, err := c.evaluateFC(ctx, p, col.Patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -387,7 +392,7 @@ func (c *Compactor) CompactPTPCtx(ctx context.Context, p *stl.PTP, onStage func(
 	if err != nil {
 		return nil, fmt.Errorf("core: compacted %s does not run: %w", p.Name, err)
 	}
-	compFC, err := c.evaluateFC(ctx, comp, compCol.Patterns)
+	compFC, compDet, err := c.evaluateFC(ctx, comp, compCol.Patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -402,6 +407,8 @@ func (c *Compactor) CompactPTPCtx(ctx context.Context, p *stl.PTP, onStage func(
 		CompDuration:    compRes.Cycles,
 		OrigFC:          origFC,
 		CompFC:          compFC,
+		OrigDetected:    origDet,
+		CompDetected:    compDet,
 		TotalSBs:        len(sbs),
 		RemovedSBs:      nRemovedSBs,
 		Essential:       nEss,

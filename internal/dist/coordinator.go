@@ -219,7 +219,7 @@ func New(opt Options, transports ...Transport) (*Coordinator, error) {
 		opt:        opt,
 		autoShards: autoShards,
 		transports: transports,
-		budget:     overload.NewRetryBudget(opt.RetryBudget, opt.RetryBurst, opt.Metrics),
+		budget:     overload.NewRetryBudget("dist", opt.RetryBudget, opt.RetryBurst, opt.Metrics),
 	}
 	for _, t := range transports {
 		c.health = append(c.health, newWorkerHealth(opt, t.Name()))

@@ -14,6 +14,7 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"sync"
 
 	"gpustl/internal/atpg"
 	"gpustl/internal/circuits"
@@ -130,6 +131,11 @@ type Env struct {
 
 	// Conversion losses of the ATPG-based PTPs.
 	TPGENDropped, SFUIMMDropped int
+
+	// The compactions Tables I–III view, run on first use.
+	compactOnce sync.Once
+	compacted   []library
+	compactErr  error
 }
 
 // BuildEnv constructs modules, fault lists, ATPG pattern sets and PTPs.
@@ -242,26 +248,4 @@ func (e *Env) RunPTPAs(p *stl.PTP, target circuits.ModuleKind) (*trace.Collector
 		return nil, 0, fmt.Errorf("experiments: running %s: %w", p.Name, err)
 	}
 	return col, res.Cycles, nil
-}
-
-// GroupFC runs the given PTPs in order against one fresh campaign of the
-// module's fault list and returns the cumulative coverage — the combined
-// FC of the paper's "IMM+MEM+CNTRL" and "TPGEN+RAND" rows.
-func (e *Env) GroupFC(ptps ...*stl.PTP) (float64, error) {
-	if len(ptps) == 0 {
-		return 0, nil
-	}
-	m := e.ModuleOf(ptps[0])
-	camp := fault.NewCampaignWithFaults(m, e.FaultsOf(ptps[0]))
-	for _, p := range ptps {
-		if p.Target != ptps[0].Target {
-			return 0, fmt.Errorf("experiments: mixed targets in group")
-		}
-		col, _, err := e.RunPTP(p)
-		if err != nil {
-			return 0, err
-		}
-		camp.Simulate(col.Patterns, fault.SimOptions{})
-	}
-	return camp.Coverage(), nil
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"gpustl/internal/circuits"
-	"gpustl/internal/core"
 	"gpustl/internal/fault"
 	"gpustl/internal/ptpgen"
 	"gpustl/internal/report"
@@ -40,14 +39,12 @@ func Extensions(e *Env) (*ExtensionsResult, error) {
 		sample = 48000
 	}
 	fpFaults.SampleFaults(sample, e.Params.Seed+40)
-	comp := core.New(e.Cfg, fp, fpFaults.Faults(),
-		core.Options{Workers: e.Params.Workers})
-	ptp := ptpgen.FPRAND(e.Params.RANDSBs/2, e.Params.Seed+41)
-	res, err := comp.CompactPTP(ptp)
+	rep, err := e.compact(fp, fpFaults.Faults(), false,
+		ptpgen.FPRAND(e.Params.RANDSBs/2, e.Params.Seed+41))
 	if err != nil {
 		return nil, err
 	}
-	out.FP = rowFromResult("FP_RAND", res)
+	out.FP = rowFromOutcome(rep.Outcomes[0])
 
 	// Pipeline registers: sequential campaign over IMM's fetch stream.
 	pipe, err := circuits.Build(circuits.ModulePIPE, 0)

@@ -1,0 +1,100 @@
+package experiments
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"math"
+	"testing"
+
+	"gpustl/internal/circuits"
+	"gpustl/internal/core"
+	"gpustl/internal/fault"
+	"gpustl/internal/run"
+	"gpustl/internal/stl"
+)
+
+// GroupFC runs the given PTPs in order against one fresh campaign of the
+// module's fault list and returns the cumulative coverage: a logic and
+// a fault simulation per PTP, the direct way to measure a group's FC.
+func (e *Env) GroupFC(ptps ...*stl.PTP) (float64, error) {
+	if len(ptps) == 0 {
+		return 0, nil
+	}
+	m := e.ModuleOf(ptps[0])
+	camp := fault.NewCampaignWithFaults(m, e.FaultsOf(ptps[0]))
+	for _, p := range ptps {
+		if p.Target != ptps[0].Target {
+			return 0, fmt.Errorf("experiments: mixed targets in group")
+		}
+		col, _, err := e.RunPTP(p)
+		if err != nil {
+			return 0, err
+		}
+		camp.Simulate(col.Patterns, fault.SimOptions{})
+	}
+	return camp.Coverage(), nil
+}
+
+// TestLibraryFCMatchesGroupFC holds run.Run's library FC, which unions
+// the sets the pipeline already simulated, to GroupFC's re-simulation:
+// the original library FC over the original programs and the shipped
+// one over the STL the run wrote. With the stlcompact default
+// tolerance of 5 points, small-scale CNTRL reverts, so the shipped
+// union takes its original's set; with the revert off every PTP ships
+// compacted.
+func TestLibraryFCMatchesGroupFC(t *testing.T) {
+	env := smallEnv(t)
+	for _, tol := range []float64{5, math.Inf(1)} {
+		for _, l := range env.libraries()[:2] {
+			t.Run(fmt.Sprintf("%v/fctol=%v", l.mod.Kind, tol), func(t *testing.T) {
+				ms := &core.ModuleSet{
+					Modules: map[circuits.ModuleKind]*circuits.Module{l.mod.Kind: l.mod},
+					Faults:  map[circuits.ModuleKind][]fault.Fault{l.mod.Kind: l.faults},
+				}
+				rep, err := run.Run(context.Background(), env.Cfg, ms, &stl.STL{PTPs: l.ptps},
+					core.Options{}, run.Options{FCTolerance: tol})
+				if err != nil {
+					t.Fatal(err)
+				}
+				reverted := 0
+				for _, o := range rep.Outcomes {
+					if o.Status == run.StatusRevertedFC {
+						reverted++
+					}
+				}
+				if l.mod.Kind == circuits.ModuleDU && tol == 5 && reverted == 0 {
+					t.Fatal("no DU PTP reverted at fctol 5; the shipped union never takes an original's set")
+				}
+				if math.IsInf(tol, 1) && reverted != 0 {
+					t.Fatalf("%d PTPs reverted with the revert off", reverted)
+				}
+
+				var buf bytes.Buffer
+				if err := stl.WriteSTL(&buf, rep.Compacted); err != nil {
+					t.Fatal(err)
+				}
+				shipped, err := stl.ReadSTL(&buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantOrig, err := env.GroupFC(l.ptps...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantShipped, err := env.GroupFC(shipped.PTPs...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(rep.Library) != 1 {
+					t.Fatalf("library FC rows: %+v", rep.Library)
+				}
+				lib := rep.Library[0]
+				if lib.OrigFC() != wantOrig || lib.ShippedFC() != wantShipped {
+					t.Errorf("library FC %.4f -> %.4f, GroupFC %.4f -> %.4f",
+						lib.OrigFC(), lib.ShippedFC(), wantOrig, wantShipped)
+				}
+			})
+		}
+	}
+}

@@ -1,16 +1,83 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"time"
 
+	"gpustl/internal/circuits"
 	"gpustl/internal/core"
 	"gpustl/internal/fault"
 	"gpustl/internal/ptpgen"
 	"gpustl/internal/report"
+	"gpustl/internal/run"
 	"gpustl/internal/stl"
 )
+
+// library is one of the paper's three compaction runs: a module's PTPs
+// in application order against its fault list, whether stage 3 applies
+// the patterns in reverse (the paper does for SFU_IMM), and the name of
+// the group's combined row (none for a single PTP); rep is its
+// run.Run report once compacted.
+type library struct {
+	mod     *circuits.Module
+	faults  []fault.Fault
+	ptps    []*stl.PTP
+	reverse bool
+	group   string
+	rep     *run.Report
+}
+
+// libraries lists the runs behind Tables I–III: the Decoder Unit PTPs
+// and the SP PTPs each share one fault campaign, so each drops the
+// faults its predecessors detected.
+func (e *Env) libraries() []library {
+	return []library{
+		{mod: e.DU, faults: e.DUFaults, ptps: []*stl.PTP{e.IMM, e.MEM, e.CNTRL}, group: "IMM+MEM+CNTRL"},
+		{mod: e.SP, faults: e.SPFaults, ptps: []*stl.PTP{e.TPGEN, e.RAND}, group: "TPGEN+RAND"},
+		{mod: e.SFU, faults: e.SFUFaults, ptps: []*stl.PTP{e.SFUIMM}, reverse: true},
+	}
+}
+
+// compactions compacts the libraries through run.Run, the production
+// driver, once per Env: Tables I–III are views over their reports.
+func (e *Env) compactions() ([]library, error) {
+	e.compactOnce.Do(func() {
+		libs := e.libraries()
+		for i, l := range libs {
+			if libs[i].rep, e.compactErr = e.compact(l.mod, l.faults, l.reverse, l.ptps...); e.compactErr != nil {
+				return
+			}
+		}
+		e.compacted = libs
+	})
+	return e.compacted, e.compactErr
+}
+
+// compact runs PTPs targeting m through run.Run with the FC-safety
+// revert off (an infinite FCTolerance), since the paper reports every
+// compaction, and fails unless each PTP compacted.
+func (e *Env) compact(m *circuits.Module, faults []fault.Fault, reverse bool, ptps ...*stl.PTP) (*run.Report, error) {
+	ms := &core.ModuleSet{
+		Modules: map[circuits.ModuleKind]*circuits.Module{m.Kind: m},
+		Faults:  map[circuits.ModuleKind][]fault.Fault{m.Kind: faults},
+	}
+	rep, err := run.Run(context.Background(), e.Cfg, ms, &stl.STL{PTPs: ptps},
+		core.Options{ReversePatterns: reverse, Workers: e.Params.Workers},
+		run.Options{FCTolerance: math.Inf(1)})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
+	for _, o := range rep.Outcomes {
+		if o.Status != run.StatusCompacted {
+			return nil, fmt.Errorf("experiments: %s %s: %s", o.Name, o.Status, o.Err)
+		}
+	}
+	return rep, nil
+}
 
 // PTPStats is one row of Table I.
 type PTPStats struct {
@@ -28,73 +95,36 @@ type TableIResult struct {
 	Rows []PTPStats
 }
 
-// TableI measures every PTP's size, admissible-region percentage, duration
-// and standalone FC, plus the two combined-group rows.
+// TableI lists every PTP's size, admissible-region percentage, duration
+// and standalone FC, as measured on the originals by the compaction
+// runs, plus the two combined-group rows, whose FC is the module's
+// original library FC.
 func TableI(e *Env) (*TableIResult, error) {
+	cs, err := e.compactions()
+	if err != nil {
+		return nil, err
+	}
 	out := &TableIResult{}
-	statsOf := func(p *stl.PTP) (PTPStats, error) {
-		col, cycles, err := e.RunPTP(p)
-		if err != nil {
-			return PTPStats{}, err
+	for _, c := range cs {
+		module := c.mod.Kind.String()
+		group := PTPStats{Module: module, Name: c.group, ARCPct: groupARC(c.ptps...),
+			FC: c.rep.Library[0].OrigFC()}
+		for i, o := range c.rep.Outcomes {
+			out.Rows = append(out.Rows, PTPStats{
+				Module:   module,
+				Name:     o.Name,
+				Size:     o.OrigSize,
+				ARCPct:   100 * c.ptps[i].ARCFraction(),
+				Duration: o.OrigDuration,
+				FC:       o.OrigFC,
+			})
+			group.Size += o.OrigSize
+			group.Duration += o.OrigDuration
 		}
-		camp := fault.NewCampaignWithFaults(e.ModuleOf(p), e.FaultsOf(p))
-		camp.Simulate(col.Patterns, fault.SimOptions{})
-		return PTPStats{
-			Module:   p.Target.String(),
-			Name:     p.Name,
-			Size:     len(p.Prog),
-			ARCPct:   100 * p.ARCFraction(),
-			Duration: cycles,
-			FC:       camp.Coverage(),
-		}, nil
-	}
-
-	var (
-		groupSize int
-		groupDur  uint64
-	)
-	for _, p := range []*stl.PTP{e.IMM, e.MEM, e.CNTRL} {
-		s, err := statsOf(p)
-		if err != nil {
-			return nil, err
+		if c.group != "" {
+			out.Rows = append(out.Rows, group)
 		}
-		out.Rows = append(out.Rows, s)
-		groupSize += s.Size
-		groupDur += s.Duration
 	}
-	duFC, err := e.GroupFC(e.IMM, e.MEM, e.CNTRL)
-	if err != nil {
-		return nil, err
-	}
-	out.Rows = append(out.Rows, PTPStats{
-		Module: "DU", Name: "IMM+MEM+CNTRL", Size: groupSize,
-		ARCPct: groupARC(e.IMM, e.MEM, e.CNTRL), Duration: groupDur, FC: duFC,
-	})
-
-	groupSize, groupDur = 0, 0
-	for _, p := range []*stl.PTP{e.TPGEN, e.RAND} {
-		s, err := statsOf(p)
-		if err != nil {
-			return nil, err
-		}
-		out.Rows = append(out.Rows, s)
-		groupSize += s.Size
-		groupDur += s.Duration
-	}
-	spFC, err := e.GroupFC(e.TPGEN, e.RAND)
-	if err != nil {
-		return nil, err
-	}
-	out.Rows = append(out.Rows, PTPStats{
-		Module: "SP", Name: "TPGEN+RAND", Size: groupSize,
-		ARCPct: groupARC(e.TPGEN, e.RAND), Duration: groupDur, FC: spFC,
-	})
-
-	s, err := statsOf(e.SFUIMM)
-	if err != nil {
-		return nil, err
-	}
-	out.Rows = append(out.Rows, s)
 	return out, nil
 }
 
@@ -145,23 +175,49 @@ type CompactRow struct {
 	TotalSBs     int
 }
 
-func rowFromResult(name string, r *core.Result) CompactRow {
+// rowFromOutcome is one compacted PTP's row.
+func rowFromOutcome(o run.Outcome) CompactRow {
 	return CompactRow{
-		Name:           name,
-		CompSize:       r.CompSize,
-		SizePct:        -r.SizeReduction(),
-		CompDuration:   r.CompDuration,
-		DurPct:         -r.DurationReduction(),
-		DiffFC:         r.FCDiff(),
-		CompactionTime: r.CompactionTime,
-		OrigSize:       r.OrigSize,
-		OrigDuration:   r.OrigDuration,
-		OrigFC:         r.OrigFC,
-		CompFC:         r.CompFC,
-		RemovedSBs:     r.RemovedSBs,
-		TotalSBs:       r.TotalSBs,
+		Name:           o.Name,
+		CompSize:       o.CompSize,
+		SizePct:        change(float64(o.OrigSize), float64(o.CompSize)),
+		CompDuration:   o.CompDuration,
+		DurPct:         change(float64(o.OrigDuration), float64(o.CompDuration)),
+		DiffFC:         o.CompFC - o.OrigFC,
+		CompactionTime: o.CompactionTime,
+		OrigSize:       o.OrigSize,
+		OrigDuration:   o.OrigDuration,
+		OrigFC:         o.OrigFC,
+		CompFC:         o.CompFC,
+		RemovedSBs:     o.RemovedSBs,
+		TotalSBs:       o.TotalSBs,
 	}
 }
+
+// combinedRow aggregates a library's rows; its FC columns are the
+// module's original and shipped library FC.
+func combinedRow(name string, rep *run.Report) CompactRow {
+	row := CompactRow{Name: name}
+	for _, o := range rep.Outcomes {
+		row.OrigSize += o.OrigSize
+		row.CompSize += o.CompSize
+		row.OrigDuration += o.OrigDuration
+		row.CompDuration += o.CompDuration
+		row.RemovedSBs += o.RemovedSBs
+		row.TotalSBs += o.TotalSBs
+		row.CompactionTime += o.CompactionTime
+	}
+	row.SizePct = change(float64(row.OrigSize), float64(row.CompSize))
+	row.DurPct = change(float64(row.OrigDuration), float64(row.CompDuration))
+	lib := rep.Library[0]
+	row.OrigFC, row.CompFC = lib.OrigFC(), lib.ShippedFC()
+	row.DiffFC = row.CompFC - row.OrigFC
+	return row
+}
+
+// change is the percentage change from orig to comp: negative for a
+// reduction, as the paper prints it.
+func change(orig, comp float64) float64 { return -100 * (1 - comp/orig) }
 
 // CompactionResult holds one table's compaction rows plus the compacted
 // PTPs for downstream use.
@@ -191,97 +247,39 @@ func (t *CompactionResult) Render(w io.Writer, title string) {
 	tb.Render(w)
 }
 
-// TableII compacts the Decoder Unit PTPs in the paper's order (IMM, then
-// MEM, then CNTRL) with cross-PTP fault dropping, and adds the combined
-// row.
+// TableII is the Decoder Unit compaction: IMM, then MEM, then CNTRL
+// with cross-PTP fault dropping, and the combined row.
 func TableII(e *Env) (*CompactionResult, error) {
-	c := core.New(e.Cfg, e.DU, e.DUFaults, core.Options{Workers: e.Params.Workers})
-	out := &CompactionResult{Compacted: map[string]*stl.PTP{}}
-
-	var results []*core.Result
-	for _, p := range []*stl.PTP{e.IMM, e.MEM, e.CNTRL} {
-		r, err := c.CompactPTP(p)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, r)
-		out.Rows = append(out.Rows, rowFromResult(p.Name, r))
-		out.Compacted[p.Name] = r.Compacted
-	}
-	combined, err := combinedRow(e, "IMM+MEM+CNTRL", results)
-	if err != nil {
-		return nil, err
-	}
-	out.Rows = append(out.Rows, combined)
-	return out, nil
+	return compactionTable(e, circuits.ModuleDU)
 }
 
-// TableIII compacts the functional-unit PTPs: TPGEN then RAND on the SP
+// TableIII is the functional-unit compaction: TPGEN then RAND on the SP
 // campaign (with dropping), the combined row, and SFU_IMM with the
 // reverse-order pattern application the paper reports for it.
 func TableIII(e *Env) (*CompactionResult, error) {
-	out := &CompactionResult{Compacted: map[string]*stl.PTP{}}
-
-	sp := core.New(e.Cfg, e.SP, e.SPFaults, core.Options{Workers: e.Params.Workers})
-	var results []*core.Result
-	for _, p := range []*stl.PTP{e.TPGEN, e.RAND} {
-		r, err := sp.CompactPTP(p)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, r)
-		out.Rows = append(out.Rows, rowFromResult(p.Name, r))
-		out.Compacted[p.Name] = r.Compacted
-	}
-	combined, err := combinedRow(e, "TPGEN+RAND", results)
-	if err != nil {
-		return nil, err
-	}
-	out.Rows = append(out.Rows, combined)
-
-	sfu := core.New(e.Cfg, e.SFU, e.SFUFaults, core.Options{
-		ReversePatterns: true, Workers: e.Params.Workers})
-	r, err := sfu.CompactPTP(e.SFUIMM)
-	if err != nil {
-		return nil, err
-	}
-	out.Rows = append(out.Rows, rowFromResult("SFU_IMM", r))
-	out.Compacted["SFU_IMM"] = r.Compacted
-	return out, nil
+	return compactionTable(e, circuits.ModuleSP, circuits.ModuleSFU)
 }
 
-// combinedRow aggregates a group of compaction results and evaluates the
-// combined original and compacted FC on fresh campaigns.
-func combinedRow(e *Env, name string, results []*core.Result) (CompactRow, error) {
-	var row CompactRow
-	row.Name = name
-	var totalTime time.Duration
-	var origs, comps []*stl.PTP
-	for _, r := range results {
-		row.OrigSize += r.OrigSize
-		row.CompSize += r.CompSize
-		row.OrigDuration += r.OrigDuration
-		row.CompDuration += r.CompDuration
-		row.RemovedSBs += r.RemovedSBs
-		row.TotalSBs += r.TotalSBs
-		totalTime += r.CompactionTime
-		origs = append(origs, r.Original)
-		comps = append(comps, r.Compacted)
-	}
-	row.SizePct = -100 * (1 - float64(row.CompSize)/float64(row.OrigSize))
-	row.DurPct = -100 * (1 - float64(row.CompDuration)/float64(row.OrigDuration))
-	row.CompactionTime = totalTime
-	origFC, err := e.GroupFC(origs...)
+// compactionTable renders the given modules' compactions as rows.
+func compactionTable(e *Env, kinds ...circuits.ModuleKind) (*CompactionResult, error) {
+	cs, err := e.compactions()
 	if err != nil {
-		return row, err
+		return nil, err
 	}
-	compFC, err := e.GroupFC(comps...)
-	if err != nil {
-		return row, err
+	out := &CompactionResult{Compacted: map[string]*stl.PTP{}}
+	for _, c := range cs {
+		if !slices.Contains(kinds, c.mod.Kind) {
+			continue
+		}
+		for i, o := range c.rep.Outcomes {
+			out.Rows = append(out.Rows, rowFromOutcome(o))
+			out.Compacted[o.Name] = c.rep.Compacted.PTPs[i]
+		}
+		if c.group != "" {
+			out.Rows = append(out.Rows, combinedRow(c.group, c.rep))
+		}
 	}
-	row.OrigFC, row.CompFC = origFC, compFC
-	row.DiffFC = compFC - origFC
-	return row, nil
+	return out, nil
 }
 
 // STLSummaryResult reproduces the whole-STL claims of Section IV: the

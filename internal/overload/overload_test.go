@@ -274,7 +274,7 @@ func TestAdmissionFailpointDelay(t *testing.T) {
 
 func TestRetryBudget(t *testing.T) {
 	m := obs.NewRegistry()
-	b := NewRetryBudget(0.5, 2, m)
+	b := NewRetryBudget("test", 0.5, 2, m)
 	// Starts full: 2 tokens.
 	if !b.Allow() || !b.Allow() {
 		t.Fatal("burst tokens should allow 2 retries")
@@ -297,19 +297,19 @@ func TestRetryBudget(t *testing.T) {
 		t.Fatalf("tokens should cap at burst: %g", got)
 	}
 	snap := m.Snapshot()
-	if snap.Counters["gpustl_overload_retries_denied_total"] != 2 {
+	if snap.Counters[`gpustl_overload_retries_denied_total{budget="test"}`] != 2 {
 		t.Fatalf("denied counter: %v", snap.Counters)
 	}
-	if snap.Counters["gpustl_overload_retry_tokens_spent_total"] != 3 {
+	if snap.Counters[`gpustl_overload_retry_tokens_spent_total{budget="test"}`] != 3 {
 		t.Fatalf("spent counter: %v", snap.Counters)
 	}
 }
 
 func TestRetryBudgetDisabledAndNil(t *testing.T) {
-	if b := NewRetryBudget(-1, 10, nil); b != nil {
+	if b := NewRetryBudget("test", -1, 10, nil); b != nil {
 		t.Fatal("negative ratio should disable (nil)")
 	}
-	if b := NewRetryBudget(0.1, 0, nil); b != nil {
+	if b := NewRetryBudget("test", 0.1, 0, nil); b != nil {
 		t.Fatal("zero burst should disable (nil)")
 	}
 	var b *RetryBudget
@@ -404,7 +404,7 @@ func BenchmarkAdmissionNil(b *testing.B) {
 }
 
 func BenchmarkRetryBudget(b *testing.B) {
-	rb := NewRetryBudget(0.1, 64, nil)
+	rb := NewRetryBudget("bench", 0.1, 64, nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rb.OnRequest()

@@ -27,24 +27,24 @@ type RetryBudget struct {
 	mEarned *obs.Counter
 	mSpent  *obs.Counter
 	mDenied *obs.Counter
-	mTokens *obs.Gauge
 }
 
 // NewRetryBudget creates a budget earning ratio tokens per request with
 // at most burst banked. ratio <= 0 or burst <= 0 disables the budget
 // (returns nil — always allow), so callers can thread configuration
-// straight through.
-func NewRetryBudget(ratio float64, burst int, m *obs.Registry) *RetryBudget {
+// straight through. Its counters carry the label budget="<kind>": all
+// budgets of one kind (every tenant's, or every coordinator's) add
+// into one series, and kinds never mix.
+func NewRetryBudget(kind string, ratio float64, burst int, m *obs.Registry) *RetryBudget {
 	if ratio <= 0 || burst <= 0 {
 		return nil
 	}
 	b := &RetryBudget{ratio: ratio, burst: float64(burst), tokens: float64(burst)}
 	if m != nil {
-		b.mEarned = m.Counter("gpustl_overload_retry_tokens_earned_total")
-		b.mSpent = m.Counter("gpustl_overload_retry_tokens_spent_total")
-		b.mDenied = m.Counter("gpustl_overload_retries_denied_total")
-		b.mTokens = m.Gauge("gpustl_overload_retry_tokens")
-		b.mTokens.Set(b.tokens)
+		lab := `{budget="` + kind + `"}`
+		b.mEarned = m.Counter("gpustl_overload_retry_tokens_earned_total" + lab)
+		b.mSpent = m.Counter("gpustl_overload_retry_tokens_spent_total" + lab)
+		b.mDenied = m.Counter("gpustl_overload_retries_denied_total" + lab)
 	}
 	return b
 }
@@ -59,7 +59,6 @@ func (b *RetryBudget) OnRequest() {
 	if b.tokens > b.burst {
 		b.tokens = b.burst
 	}
-	b.mTokens.Set(b.tokens)
 	b.mu.Unlock()
 	b.mEarned.Inc()
 }
@@ -77,7 +76,6 @@ func (b *RetryBudget) Allow() bool {
 		return false
 	}
 	b.tokens--
-	b.mTokens.Set(b.tokens)
 	b.mu.Unlock()
 	b.mSpent.Inc()
 	return true

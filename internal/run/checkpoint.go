@@ -25,7 +25,9 @@ import (
 // Version 4 fingerprints PTPs with stl.Digest, a binary encoding of
 // their canonical serialized form, and hashes faults as fixed-width
 // records, so every Entry.OrigHash and config hash changed value.
-const CheckpointVersion = 4
+// Version 5 added Entry.ShippedFaults, without which a resumed run
+// cannot report the shipped library FC.
+const CheckpointVersion = 5
 
 // WALFile is the append-only write-ahead journal inside the checkpoint
 // directory. One fsync'd record per PTP outcome; recovery replays it
@@ -105,6 +107,10 @@ type Entry struct {
 	// detected-id set contributed by this PTP (ascending). Replaying the
 	// deltas in order reconstructs the cross-PTP fault-dropping state.
 	DroppedFaults []int32 `json:"droppedFaults,omitempty"`
+	// ShippedFaults is the delta of the module's shipped set (see
+	// LibraryFC) contributed by the program this PTP ships, ascending.
+	// Replaying the deltas in order reconstructs the shipped library FC.
+	ShippedFaults []int32 `json:"shippedFaults,omitempty"`
 }
 
 // Checkpoint is the in-memory state of a (possibly partial) STL

@@ -7,6 +7,7 @@ import (
 	"io"
 	"path/filepath"
 
+	"gpustl/internal/core"
 	"gpustl/internal/journal"
 	"gpustl/internal/stl"
 )
@@ -46,6 +47,10 @@ const (
 	// FsckArtifact: an output artifact fails its checksum sidecar, or
 	// has no sidecar to check.
 	FsckArtifact FsckKind = "artifact-checksum"
+	// FsckFaultID: a journaled outcome's dropped or shipped fault ids
+	// reach outside its module's fault list — a resume would refuse
+	// the entry.
+	FsckFaultID FsckKind = "fault-id-range"
 )
 
 // FsckIssue is one integrity finding.
@@ -98,13 +103,15 @@ func (r *FsckReport) Render(w io.Writer) {
 //     with the replayed totals),
 //   - the campaign's config hash against wantHash (skipped when empty),
 //   - each outcome's input-PTP hash against lib (skipped when nil),
+//   - each outcome's dropped and shipped fault ids against its
+//     module's fault list in ms (skipped when ms or lib is nil),
 //   - each artifact path's checksum sidecar,
 //   - a legacy checkpoint.json in a directory with no journal records,
 //     which no binary reads anymore.
 //
 // Every finding carries a distinct FsckKind; the caller maps a non-clean
 // report to a non-zero exit.
-func Fsck(dir, wantHash string, lib *stl.STL, artifacts []string) (*FsckReport, error) {
+func Fsck(dir, wantHash string, ms *core.ModuleSet, lib *stl.STL, artifacts []string) (*FsckReport, error) {
 	walPath := filepath.Join(dir, WALFile)
 	rep := &FsckReport{JournalPath: walPath}
 
@@ -133,7 +140,7 @@ func Fsck(dir, wantHash string, lib *stl.STL, artifacts []string) (*FsckReport, 
 	ck := fsckRecords(rp, rep)
 	if ck != nil {
 		rep.Salvageable = len(ck.Entries)
-		fsckCheckpoint(ck, wantHash, lib, rep)
+		fsckCheckpoint(ck, wantHash, ms, lib, rep)
 	}
 	fsckArtifacts(artifacts, rep)
 	return rep, nil
@@ -196,8 +203,8 @@ func fsckRecords(rp *journal.Replay, rep *FsckReport) *Checkpoint {
 }
 
 // fsckCheckpoint cross-checks a salvaged checkpoint against this run's
-// configuration and library.
-func fsckCheckpoint(ck *Checkpoint, wantHash string, lib *stl.STL, rep *FsckReport) {
+// configuration, fault lists and library.
+func fsckCheckpoint(ck *Checkpoint, wantHash string, ms *core.ModuleSet, lib *stl.STL, rep *FsckReport) {
 	if wantHash != "" && ck.ConfigHash != wantHash {
 		rep.add(FsckConfigHash, "campaign was written under config %.12s, these flags hash to %.12s — resuming would mix incompatible states",
 			ck.ConfigHash, wantHash)
@@ -220,6 +227,22 @@ func fsckCheckpoint(ck *Checkpoint, wantHash string, lib *stl.STL, rep *FsckRepo
 		if e.Name != p.Name || e.OrigHash != ph {
 			rep.add(FsckPTPDrift, "outcome %d was computed from PTP %s (hash %.12s) but the library holds %s (hash %.12s) — the library changed after the campaign started",
 				i, e.Name, e.OrigHash, p.Name, ph)
+		}
+		if ms == nil {
+			continue
+		}
+		n := int32(len(ms.Faults[p.Target]))
+		for _, set := range []struct {
+			name string
+			ids  []int32
+		}{{"dropped", e.DroppedFaults}, {"shipped", e.ShippedFaults}} {
+			for _, id := range set.ids {
+				if id < 0 || id >= n {
+					rep.add(FsckFaultID, "outcome %d (%s) has %s fault id %d outside the %v fault list (%d faults)",
+						i, e.Name, set.name, id, p.Target, n)
+					break
+				}
+			}
 		}
 	}
 }

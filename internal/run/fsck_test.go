@@ -16,11 +16,11 @@ import (
 )
 
 // fsckCampaign runs a full checkpointed campaign and returns its
-// directory, library, and config hash.
-func fsckCampaign(t *testing.T) (dir string, lib *stl.STL, hash string) {
+// directory, library, module set and config hash.
+func fsckCampaign(t *testing.T) (dir string, lib *stl.STL, ms *core.ModuleSet, hash string) {
 	t.Helper()
 	dir = t.TempDir()
-	lib, ms := testEnv(t)
+	lib, ms = testEnv(t)
 	cfg := gpu.DefaultConfig()
 	copt := core.Options{Workers: 4}
 	if _, err := Run(context.Background(), cfg, ms, lib, copt,
@@ -31,7 +31,7 @@ func fsckCampaign(t *testing.T) (dir string, lib *stl.STL, hash string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return dir, lib, h
+	return dir, lib, ms, h
 }
 
 func issueKinds(rep *FsckReport) []FsckKind {
@@ -43,8 +43,8 @@ func issueKinds(rep *FsckReport) []FsckKind {
 }
 
 func TestFsckCleanCampaign(t *testing.T) {
-	dir, lib, hash := fsckCampaign(t)
-	rep, err := Fsck(dir, hash, lib, nil)
+	dir, lib, ms, hash := fsckCampaign(t)
+	rep, err := Fsck(dir, hash, ms, lib, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestFsckCleanCampaign(t *testing.T) {
 }
 
 func TestFsckDetectsCRCMismatch(t *testing.T) {
-	dir, lib, hash := fsckCampaign(t)
+	dir, lib, ms, hash := fsckCampaign(t)
 	walPath := filepath.Join(dir, WALFile)
 	data, err := os.ReadFile(walPath)
 	if err != nil {
@@ -74,7 +74,7 @@ func TestFsckDetectsCRCMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := Fsck(dir, hash, lib, nil)
+	rep, err := Fsck(dir, hash, ms, lib, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestFsckDetectsCRCMismatch(t *testing.T) {
 }
 
 func TestFsckDetectsTornTail(t *testing.T) {
-	dir, lib, hash := fsckCampaign(t)
+	dir, lib, ms, hash := fsckCampaign(t)
 	walPath := filepath.Join(dir, WALFile)
 	data, err := os.ReadFile(walPath)
 	if err != nil {
@@ -99,7 +99,7 @@ func TestFsckDetectsTornTail(t *testing.T) {
 	if err := os.WriteFile(walPath, data[:len(data)-10], 0o666); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Fsck(dir, hash, lib, nil)
+	rep, err := Fsck(dir, hash, ms, lib, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +109,8 @@ func TestFsckDetectsTornTail(t *testing.T) {
 }
 
 func TestFsckDetectsConfigHashMismatch(t *testing.T) {
-	dir, lib, _ := fsckCampaign(t)
-	rep, err := Fsck(dir, strings.Repeat("0", 64), lib, nil)
+	dir, lib, ms, _ := fsckCampaign(t)
+	rep, err := Fsck(dir, strings.Repeat("0", 64), ms, lib, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestFsckDetectsConfigHashMismatch(t *testing.T) {
 }
 
 func TestFsckDetectsPTPHashDrift(t *testing.T) {
-	dir, _, hash := fsckCampaign(t)
+	dir, _, ms, hash := fsckCampaign(t)
 	// The operator edited the library after the campaign: same names,
 	// different programs.
 	drifted := &stl.STL{PTPs: []*stl.PTP{
@@ -131,7 +131,7 @@ func TestFsckDetectsPTPHashDrift(t *testing.T) {
 		ptpgen.MEM(20, 62),
 		ptpgen.DIVG(3, 2, 63),
 	}}
-	rep, err := Fsck(dir, hash, drifted, nil)
+	rep, err := Fsck(dir, hash, ms, drifted, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +149,62 @@ func TestFsckDetectsPTPHashDrift(t *testing.T) {
 	}
 }
 
+// TestFsckDetectsFaultIDOutsideList: a journaled dropped or shipped
+// fault id past the module's fault list is one [fault-id-range]
+// finding, and a resume refuses the entry instead of replaying it.
+func TestFsckDetectsFaultIDOutsideList(t *testing.T) {
+	src, lib, _, hash := fsckCampaign(t)
+	ck, err := LoadCheckpoint(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, set := range []string{"dropped", "shipped"} {
+		t.Run(set, func(t *testing.T) {
+			entries := append([]Entry(nil), ck.Entries...)
+			e := entries[1]
+			if set == "dropped" {
+				e.DroppedFaults = append(append([]int32(nil), e.DroppedFaults...), 1500)
+			} else {
+				e.ShippedFaults = append(append([]int32(nil), e.ShippedFaults...), 1500)
+			}
+			entries[1] = e
+			dir := t.TempDir()
+			j, _, err := journal.Open(context.Background(), filepath.Join(dir, WALFile))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := j.Append(recMeta, metaRecord{Version: CheckpointVersion, ConfigHash: hash, PTPs: len(lib.PTPs)}); err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				if _, err := j.Append(recOutcome, e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			lib, ms := testEnv(t)
+			rep, err := Fsck(dir, hash, ms, lib, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Issues) != 1 || rep.Issues[0].Kind != FsckFaultID ||
+				!strings.Contains(rep.Issues[0].Detail, set+" fault id 1500") {
+				t.Fatalf("issues: %+v", rep.Issues)
+			}
+			_, err = Run(context.Background(), gpu.DefaultConfig(), ms, lib, core.Options{Workers: 4},
+				Options{CheckpointDir: dir, FCTolerance: 5})
+			if err == nil || !strings.Contains(err.Error(), "outside") {
+				t.Fatalf("resume replayed an out-of-range %s id: %v", set, err)
+			}
+		})
+	}
+}
+
 func TestFsckDetectsArtifactCorruption(t *testing.T) {
-	dir, lib, hash := fsckCampaign(t)
+	dir, lib, ms, hash := fsckCampaign(t)
 	art := filepath.Join(t.TempDir(), "out.stl")
 	if err := journal.WriteFileAtomic(art, []byte("payload")); err != nil {
 		t.Fatal(err)
@@ -164,7 +218,7 @@ func TestFsckDetectsArtifactCorruption(t *testing.T) {
 	}
 
 	// Intact artifact: clean.
-	rep, err := Fsck(dir, hash, lib, []string{art})
+	rep, err := Fsck(dir, hash, ms, lib, []string{art})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +231,7 @@ func TestFsckDetectsArtifactCorruption(t *testing.T) {
 	if err := os.WriteFile(art, []byte("PAYLOAD"), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	rep, err = Fsck(dir, hash, lib, []string{art, missing})
+	rep, err = Fsck(dir, hash, ms, lib, []string{art, missing})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -241,7 +241,7 @@ func TestLegacyCheckpointRefused(t *testing.T) {
 	_, err = LoadCheckpoint(dir)
 	refused("LoadCheckpoint", err)
 
-	rep, err := Fsck(dir, hash, lib, nil)
+	rep, err := Fsck(dir, hash, ms, lib, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,9 +264,11 @@ func TestLegacyCheckpointRefused(t *testing.T) {
 // configuration change, and fsck reports it as one [schema] finding.
 // Version 2 hashed two deleted compactor options; version 3 hashed PTPs
 // through their JSON serialization and faults as text. Neither's config
-// hash can match a current one.
+// hash can match a current one. Version 4 hashes like version 5 but
+// journals no shipped fault sets, so its resume could not report the
+// shipped library FC.
 func TestOldJournalRefused(t *testing.T) {
-	for _, version := range []int{2, 3} {
+	for _, version := range []int{2, 3, 4} {
 		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
 			cfg := gpu.DefaultConfig()
 			copt := core.Options{Workers: 4}
@@ -295,7 +297,7 @@ func TestOldJournalRefused(t *testing.T) {
 			if msg := err.Error(); !strings.Contains(msg, want) || strings.Contains(msg, "different configuration") {
 				t.Fatalf("Run did not refuse the v%d journal as a schema mismatch: %q", version, msg)
 			}
-			rep, err := Fsck(dir, hash, lib, nil)
+			rep, err := Fsck(dir, hash, ms, lib, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

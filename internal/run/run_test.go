@@ -189,6 +189,16 @@ func TestKillAndResumeRendersByteIdentical(t *testing.T) {
 	if got := render(t, resumed); got != want {
 		t.Errorf("resumed report differs:\n--- uninterrupted\n%s--- resumed\n%s", want, got)
 	}
+	// The library FC lines are part of that report, and the replayed
+	// shipped set reproduces them.
+	for _, line := range []string{"library FC DU: ", "excluded PTPs are not fault-simulated"} {
+		if !strings.Contains(want, line) {
+			t.Errorf("report has no %q line:\n%s", line, want)
+		}
+	}
+	if len(ref.Library) != 1 || len(resumed.Library) != 1 || ref.Library[0] != resumed.Library[0] {
+		t.Errorf("library FC %+v after resume, want %+v", resumed.Library, ref.Library)
+	}
 
 	// The compacted programs agree instruction-for-instruction too.
 	for i := range ref.Compacted.PTPs {

@@ -141,10 +141,59 @@ type Outcome struct {
 	OrigDuration, CompDuration uint64
 	OrigFC, CompFC             float64
 	DetectedThisRun            int
+	TotalSBs, RemovedSBs       int
+	// CompactionTime is the pipeline's wall-clock time through stage 5
+	// (core.Result.CompactionTime). It is not rendered and not
+	// journaled, so it is zero on a resumed outcome.
+	CompactionTime time.Duration
 	// Resumed marks outcomes reconstructed from the journal rather
 	// than computed this run (not rendered: reports must not depend on
 	// where the work ran).
 	Resumed bool
+}
+
+// outcomeOf is the report row of a journal entry.
+func outcomeOf(e Entry) Outcome {
+	return Outcome{
+		Name: e.Name, Status: e.Status, Stage: core.Stage(e.Stage), Err: e.Error,
+		Attempts: e.Attempts,
+		OrigSize: e.OrigSize, CompSize: e.CompSize,
+		OrigDuration: e.OrigDuration, CompDuration: e.CompDuration,
+		OrigFC: e.OrigFC, CompFC: e.CompFC,
+		DetectedThisRun: e.DetectedThisRun,
+		TotalSBs:        e.TotalSBs, RemovedSBs: e.RemovedSBs,
+	}
+}
+
+// LibraryFC is one module's fault coverage over the whole library, the
+// paper's stage-5 figure, computed from the sets the pipeline already
+// simulated. Original counts the faults of the module's campaign that
+// the original programs detect: the stage-3 campaign's detected set,
+// which is the union of the originals' standalone sets. Shipped counts
+// the union of what each shipped program detects standalone: the
+// compacted program's set, or the original's where the PTP reverted.
+// A PTP whose pipeline failed ships its original but is credited only
+// with the faults its stage-3 simulation dropped. Excluded PTPs are
+// never fault-simulated and are left out of both.
+type LibraryFC struct {
+	Module            circuits.ModuleKind
+	Faults            int
+	Original, Shipped int
+}
+
+// OrigFC returns the original library's coverage in percent.
+func (l LibraryFC) OrigFC() float64 { return pct(l.Original, l.Faults) }
+
+// ShippedFC returns the shipped library's coverage in percent.
+func (l LibraryFC) ShippedFC() float64 { return pct(l.Shipped, l.Faults) }
+
+// pct is fault.Campaign.Coverage's formula, so a library FC prints
+// exactly as a campaign over the same programs would.
+func pct(n, total int) float64 {
+	if total == 0 {
+		return 0
+	}
+	return 100 * float64(n) / float64(total)
 }
 
 // Report is the result of a resilient STL compaction run.
@@ -158,6 +207,9 @@ type Report struct {
 	Reverted           int
 	Quarantined        int
 	Resumed            int
+	// Library holds each module's library FC, in order of the module's
+	// first simulated PTP.
+	Library []LibraryFC
 	// Notes carries operational messages (journal salvage).
 	// They are not part of Render — reports stay byte-identical across
 	// kills and resumes.
@@ -170,6 +222,20 @@ func (r *Report) SizeReduction() float64 {
 		return 0
 	}
 	return 100 * (1 - float64(r.CompSize)/float64(r.OrigSize))
+}
+
+// noteLibrary refreshes the library FC row of c's module after one of
+// its PTPs settled; shipped is the module's shipped-set size.
+func (r *Report) noteLibrary(c *core.Compactor, shipped int) {
+	row := LibraryFC{Module: c.Module.Kind, Faults: c.Campaign.Total(),
+		Original: c.Campaign.Detected(), Shipped: shipped}
+	for i := range r.Library {
+		if r.Library[i].Module == row.Module {
+			r.Library[i] = row
+			return
+		}
+	}
+	r.Library = append(r.Library, row)
 }
 
 // Render writes the run report. The output is deterministic — no
@@ -200,6 +266,13 @@ func (r *Report) Render(w io.Writer) {
 	tb.Render(w)
 	fmt.Fprintf(w, "total: %d -> %d instructions (%.2f%% smaller), %d excluded, %d reverted, %d quarantined\n",
 		r.OrigSize, r.CompSize, r.SizeReduction(), r.Excluded, r.Reverted, r.Quarantined)
+	for _, l := range r.Library {
+		fmt.Fprintf(w, "library FC %v: %.2f%% original -> %.2f%% shipped (%d faults)\n",
+			l.Module, l.OrigFC(), l.ShippedFC(), l.Faults)
+	}
+	if len(r.Library) > 0 && r.Excluded > 0 {
+		fmt.Fprintf(w, "  excluded PTPs are not fault-simulated and are left out of the library FC\n")
+	}
 	for _, o := range r.Outcomes {
 		if o.Err != "" {
 			fmt.Fprintf(w, "  %s: %s\n", o.Name, o.Err)
@@ -282,8 +355,11 @@ func Run(ctx context.Context, cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL,
 		compactors[kind] = core.New(cfg, m, ms.Faults[kind], copt)
 	}
 	// dropped tracks each campaign's detected-id set so the per-PTP
-	// journal record carries only this PTP's delta.
+	// journal record carries only this PTP's delta. The campaign's set
+	// is the original library's; shipped holds the shipped library's,
+	// journaled as deltas the same way.
 	dropped := map[circuits.ModuleKind][]fault.ID{}
+	shipped := shippedSets{}
 
 	for i, p := range lib.PTPs {
 		c := compactors[p.Target]
@@ -302,27 +378,25 @@ func Run(ctx context.Context, cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL,
 					return rep, fmt.Errorf("run: journaled entry %d: %w", i, err)
 				}
 			}
+			simulated := c != nil && e.Status != StatusExcluded
 			if c != nil && len(e.DroppedFaults) > 0 {
-				ids := make([]fault.ID, len(e.DroppedFaults))
-				for j, id := range e.DroppedFaults {
-					ids[j] = fault.ID(id)
-				}
-				if err := c.Campaign.RestoreDetected(ids); err != nil {
+				if err := c.Campaign.RestoreDetected(toIDs(e.DroppedFaults)); err != nil {
 					return rep, fmt.Errorf("run: journaled entry %d: %w", i, err)
 				}
 				dropped[p.Target] = c.Campaign.DetectedIDs()
 			}
-			o := Outcome{
-				Name: e.Name, Status: e.Status, Stage: core.Stage(e.Stage), Err: e.Error,
-				Attempts: e.Attempts,
-				OrigSize: e.OrigSize, CompSize: e.CompSize,
-				OrigDuration: e.OrigDuration, CompDuration: e.CompDuration,
-				OrigFC: e.OrigFC, CompFC: e.CompFC,
-				DetectedThisRun: e.DetectedThisRun,
-				Resumed:         true,
+			if simulated {
+				if _, err := shipped.add(c, toIDs(e.ShippedFaults)); err != nil {
+					return rep, fmt.Errorf("run: journaled entry %d: %w", i, err)
+				}
 			}
+			o := outcomeOf(e)
+			o.Resumed = true
 			rep.Resumed++
 			accumulate(rep, o, comp)
+			if simulated {
+				rep.noteLibrary(c, shipped[p.Target].n)
+			}
 			opts.Metrics.Counter("gpustl_run_resumed_total").Inc()
 			opts.recordOutcome(o, len(rep.Outcomes), len(lib.PTPs))
 			continue
@@ -341,6 +415,7 @@ func Run(ctx context.Context, cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL,
 
 		ptpSpan := opts.Tracer.Start(campSpan, obs.KindPTP, p.Name)
 		comp := p
+		var compTime time.Duration
 		if c == nil || len(p.ARCs()) == 0 {
 			e.Status = StatusExcluded
 			e.CompSize = len(p.Prog)
@@ -393,6 +468,7 @@ func Run(ctx context.Context, cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL,
 				e.CompDuration = res.CompDuration
 				e.OrigFC = res.OrigFC
 				e.CompFC = res.CompFC
+				compTime = res.CompactionTime
 				e.TotalSBs = res.TotalSBs
 				e.RemovedSBs = res.RemovedSBs
 				e.Essential = res.Essential
@@ -415,6 +491,21 @@ func Run(ctx context.Context, cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL,
 						e.Compacted = json.RawMessage(buf.Bytes())
 					}
 				}
+			}
+			// What the shipped program detects standalone: the
+			// compacted program's set, the original's on an FC revert,
+			// and on a failure only what the original dropped in
+			// stage 3.
+			ship := toIDs(e.DroppedFaults)
+			switch e.Status {
+			case StatusCompacted:
+				ship = res.CompDetected
+			case StatusRevertedFC:
+				ship = res.OrigDetected
+			}
+			if e.ShippedFaults, err = shipped.add(c, ship); err != nil {
+				ptpSpan.End()
+				return rep, err
 			}
 		}
 
@@ -448,15 +539,12 @@ func Run(ctx context.Context, cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL,
 			ptpSpan.Annotate("attempts", fmt.Sprintf("%d", e.Attempts))
 		}
 		ptpSpan.End()
-		o := Outcome{
-			Name: e.Name, Status: e.Status, Stage: core.Stage(e.Stage), Err: e.Error,
-			Attempts: e.Attempts,
-			OrigSize: e.OrigSize, CompSize: e.CompSize,
-			OrigDuration: e.OrigDuration, CompDuration: e.CompDuration,
-			OrigFC: e.OrigFC, CompFC: e.CompFC,
-			DetectedThisRun: e.DetectedThisRun,
-		}
+		o := outcomeOf(e)
+		o.CompactionTime = compTime
 		accumulate(rep, o, comp)
+		if e.Status != StatusExcluded {
+			rep.noteLibrary(c, shipped[p.Target].n)
+		}
 		opts.recordOutcome(o, len(rep.Outcomes), len(lib.PTPs))
 	}
 	return rep, nil
@@ -624,6 +712,48 @@ func compactOne(ctx context.Context, c *core.Compactor, p *stl.PTP,
 	}()
 	res, err = c.CompactPTPCtx(cctx, p, onStage)
 	return
+}
+
+// shippedSets holds each module's shipped set: the union of what the
+// shipped programs detect, over the campaign's master fault list.
+type shippedSets map[circuits.ModuleKind]*faultSet
+
+// faultSet is a set of fault ids over one campaign's master list.
+type faultSet struct {
+	in []bool
+	n  int
+}
+
+// add puts ids into the set of c's module and returns those the set
+// did not hold yet, in the given order: the delta a journal entry
+// carries. An id outside the fault list is an error.
+func (ss shippedSets) add(c *core.Compactor, ids []fault.ID) ([]int32, error) {
+	s := ss[c.Module.Kind]
+	if s == nil {
+		s = &faultSet{in: make([]bool, c.Campaign.Total())}
+		ss[c.Module.Kind] = s
+	}
+	var delta []int32
+	for _, id := range ids {
+		if id < 0 || int(id) >= len(s.in) {
+			return nil, fmt.Errorf("run: shipped fault id %d outside the %v fault list (%d faults)", id, c.Module.Kind, len(s.in))
+		}
+		if !s.in[id] {
+			s.in[id] = true
+			s.n++
+			delta = append(delta, int32(id))
+		}
+	}
+	return delta, nil
+}
+
+// toIDs converts journaled fault ids.
+func toIDs(ids []int32) []fault.ID {
+	out := make([]fault.ID, len(ids))
+	for i, id := range ids {
+		out[i] = fault.ID(id)
+	}
+	return out
 }
 
 // diffIDs returns the elements of cur not in prev; both are ascending.

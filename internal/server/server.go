@@ -215,7 +215,7 @@ func (s *Server) tenant(name string) *tenantCtl {
 				Metrics:  s.opt.Metrics,
 				Name:     "tenant_" + name,
 			}),
-			rb: overload.NewRetryBudget(s.opt.TenantRetryRatio, s.opt.TenantRetryBurst, s.opt.Metrics),
+			rb: overload.NewRetryBudget("tenant", s.opt.TenantRetryRatio, s.opt.TenantRetryBurst, s.opt.Metrics),
 		}
 		s.tenants[name] = t
 	}

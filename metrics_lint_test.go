@@ -149,6 +149,10 @@ func TestMetricsLint(t *testing.T) {
 			"gpustl_fault_coverage_pct",
 			"gpustl_fault_remaining",
 			"gpustl_fault_sim_seconds_bucket",
+			// The tenant's requeue budget and the coordinator's
+			// shard-retry budget write apart.
+			`gpustl_overload_retry_tokens_earned_total{budget="tenant"}`,
+			`gpustl_overload_retry_tokens_earned_total{budget="dist"}`,
 		}},
 		{"worker", wreg, []string{
 			`gpustl_build_info{`,
