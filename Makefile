@@ -14,8 +14,9 @@ lint:
 	go vet ./...
 
 # Full verification: lint, the race detector, the crash-recovery
-# durability tests, a flake guard that reruns the chaos tests most
-# sensitive to failpoint isolation twenty times, and a short fuzz
+# durability tests, a flake guard that reruns twenty times the chaos
+# tests most sensitive to failpoint isolation and the identity test of
+# the runner's logic-simulation lookahead, and a short fuzz
 # smoke of every hostile-input decoder and of asm.Canonical, which the
 # PTP digest depends on. The race pass matters here —
 # the fault simulator, the resilient runner and the metrics registry
@@ -32,7 +33,7 @@ lint:
 .PHONY: verify
 verify: test lint chaos-smoke chaos-overload chaos-server verify-medium
 	go test -race ./...
-	go test -count=20 -run 'TestSoakConcurrentSchedules|TestChaosMergeByteIdentical|TestConcurrentRunsDoNotShareFailpoints' ./internal/chaos ./internal/dist
+	go test -count=20 -run 'TestSoakConcurrentSchedules|TestChaosMergeByteIdentical|TestConcurrentRunsDoNotShareFailpoints|TestLookaheadMatchesSerial' ./internal/chaos ./internal/dist ./internal/run
 	go test -race -run 'TestRegistryConcurrent' -count=1 ./internal/obs
 	go test -run 'TestMetricsLint' -count=1 .
 	go test -run 'TestCrashRecovery|TestTornFinalRecord|TestFlippedCRCByte' -count=1 ./internal/run

@@ -67,5 +67,5 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ncompacted PTP re-ran in %d cc; thread-0 signature: %#08x\n",
-		out.Cycles, out.Global[0x10000/4])
+		out.Cycles, out.Global.Word(0x10000/4))
 }

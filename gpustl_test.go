@@ -46,8 +46,8 @@ func TestFacadeAssembler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Global[0] != 42 {
-		t.Errorf("kernel stored %d", out.Global[0])
+	if out.Global.Word(0) != 42 {
+		t.Errorf("kernel stored %d", out.Global.Word(0))
 	}
 }
 

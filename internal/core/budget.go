@@ -29,7 +29,7 @@ func (c *Compactor) CompactToBudget(p *stl.PTP, budgetCC uint64) (*Result, error
 	}
 
 	ctx := context.Background()
-	col, res, err := c.runTrace(ctx, p, nil)
+	col, cycles, err := c.runTrace(ctx, p, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +138,7 @@ func (c *Compactor) CompactToBudget(p *stl.PTP, budgetCC uint64) (*Result, error
 	}
 	elapsed := time.Since(start)
 
-	compCol, compRes, err := c.runTrace(ctx, comp, col)
+	compCol, compCycles, err := c.runTrace(ctx, comp, col)
 	if err != nil {
 		return nil, fmt.Errorf("core: budget-compacted %s does not run: %w", p.Name, err)
 	}
@@ -152,8 +152,8 @@ func (c *Compactor) CompactToBudget(p *stl.PTP, budgetCC uint64) (*Result, error
 		Compacted:       comp,
 		OrigSize:        len(p.Prog),
 		CompSize:        len(comp.Prog),
-		OrigDuration:    res.Cycles,
-		CompDuration:    compRes.Cycles,
+		OrigDuration:    cycles,
+		CompDuration:    compCycles,
 		OrigFC:          origFC,
 		CompFC:          compFC,
 		OrigDetected:    origDet,

@@ -63,7 +63,9 @@ type Options struct {
 	// many goroutines (fault.SimOptions.Workers): 0 selects
 	// runtime.GOMAXPROCS(0), 1 is serial. Results are identical at any
 	// setting. The evaluator block width is always auto-selected from
-	// the pattern stream.
+	// the pattern stream. run.Run also bounds its logic-simulation
+	// lookahead by it: min(Workers, GOMAXPROCS) − 1 helpers run later
+	// PTPs' stage 2 ahead of library order, none at 1.
 	Workers int
 	// Simulator, when non-nil, executes every fault simulation (the
 	// stage-3 run and the standalone FC evaluations) instead of the
@@ -177,12 +179,13 @@ func (r *Result) DurationReduction() float64 {
 // column: negative = coverage lost).
 func (r *Result) FCDiff() float64 { return r.CompFC - r.OrigFC }
 
-// runTrace executes the PTP with the tracing monitor attached. orig is
-// nil for the run of an original PTP, which keeps the retire spans the
-// labeling stage needs. The run of a compacted PTP passes the original's
+// runTrace executes the PTP with the tracing monitor attached and
+// returns the collector and the simulated clock cycles. orig is nil for
+// the run of an original PTP, which keeps the retire spans the labeling
+// stage needs. The run of a compacted PTP passes the original's
 // collector instead: it drops the spans and sizes its pattern stream
 // from the original's, which a compacted program rarely exceeds.
-func (c *Compactor) runTrace(ctx context.Context, p *stl.PTP, orig *trace.Collector) (*trace.Collector, gpu.Result, error) {
+func (c *Compactor) runTrace(ctx context.Context, p *stl.PTP, orig *trace.Collector) (*trace.Collector, uint64, error) {
 	col := trace.NewCollector(c.Module.Kind)
 	if orig != nil {
 		col.LiteRows = true
@@ -190,7 +193,7 @@ func (c *Compactor) runTrace(ctx context.Context, p *stl.PTP, orig *trace.Collec
 	}
 	g, err := gpu.New(c.GPU, col)
 	if err != nil {
-		return nil, gpu.Result{}, err
+		return nil, 0, err
 	}
 	res, err := g.RunCtx(ctx, gpu.Kernel{
 		Prog:            p.Prog,
@@ -200,10 +203,34 @@ func (c *Compactor) runTrace(ctx context.Context, p *stl.PTP, orig *trace.Collec
 		GlobalData:      p.Data.Words,
 	})
 	if err != nil {
-		return nil, res, fmt.Errorf("core: logic simulation of %s: %w", p.Name, err)
+		return nil, 0, fmt.Errorf("core: logic simulation of %s: %w", p.Name, err)
 	}
-	return col, res, nil
+	return col, res.Cycles, nil
 }
+
+// Trace is stage 2's product for one original PTP: the tracing
+// monitor's collector and the simulated clock cycles.
+type Trace struct {
+	col    *trace.Collector
+	cycles uint64
+}
+
+// TracePTP runs stage 2 on its own: the one logic simulation of p, with
+// the tracing monitor attached. It reads nothing the shared campaign
+// holds, so a caller may run it for a PTP while earlier PTPs are still
+// compacting.
+func (c *Compactor) TracePTP(ctx context.Context, p *stl.PTP) (*Trace, error) {
+	col, cycles, err := c.runTrace(ctx, p, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &Trace{col: col, cycles: cycles}, nil
+}
+
+// LogicSim supplies stage 2 of the PTP being compacted. CompactPTPCtx
+// calls it once, right after entering StageTrace, with the compaction's
+// context; an error fails the PTP at that stage.
+type LogicSim func(ctx context.Context) (*Trace, error)
 
 // evaluateFC runs a standalone fault simulation of the PTP's pattern
 // stream against a fresh copy of the campaign's fault list and returns the
@@ -263,7 +290,7 @@ func (c *Compactor) partition(p *stl.PTP) (sbs []stl.SB, candidates []bool, err 
 // CompactPTP runs the five stages on one PTP and returns the result. The
 // shared campaign is updated with the faults this PTP detects.
 func (c *Compactor) CompactPTP(p *stl.PTP) (*Result, error) {
-	return c.CompactPTPCtx(context.Background(), p, nil)
+	return c.CompactPTPCtx(context.Background(), p, nil, nil)
 }
 
 // CompactPTPCtx is CompactPTP with cooperative cancellation and stage
@@ -277,7 +304,13 @@ func (c *Compactor) CompactPTP(p *stl.PTP) (*Result, error) {
 // simulation completes); an error after stage 3 keeps the drops, which
 // is sound because a caller that reverts to the original PTP keeps a
 // program that detects a superset of those faults.
-func (c *Compactor) CompactPTPCtx(ctx context.Context, p *stl.PTP, onStage func(Stage) error) (*Result, error) {
+//
+// logic (optional) supplies stage 2, such as a logic simulation a caller
+// ran ahead of time; nil runs TracePTP in place. A failure after the
+// original's standalone FC was measured returns a partial Result with
+// the error: it carries only Original, OrigSize, OrigDuration, OrigFC
+// and OrigDetected, which is what the caller ships when it reverts.
+func (c *Compactor) CompactPTPCtx(ctx context.Context, p *stl.PTP, onStage func(Stage) error, logic LogicSim) (*Result, error) {
 	if err := c.Campaign.Err(); err != nil {
 		return nil, err
 	}
@@ -308,10 +341,14 @@ func (c *Compactor) CompactPTPCtx(ctx context.Context, p *stl.PTP, onStage func(
 	if err := enter(StageTrace); err != nil {
 		return nil, err
 	}
-	col, res, err := c.runTrace(ctx, p, nil)
+	if logic == nil {
+		logic = func(ctx context.Context) (*Trace, error) { return c.TracePTP(ctx, p) }
+	}
+	tr, err := logic(ctx)
 	if err != nil {
 		return nil, err
 	}
+	col := tr.col
 
 	// Standalone FC of the original PTP (fresh fault list) for the Diff FC
 	// column; this is the paper's reference fault-injection campaign, not
@@ -320,21 +357,25 @@ func (c *Compactor) CompactPTPCtx(ctx context.Context, p *stl.PTP, onStage func(
 	if err != nil {
 		return nil, err
 	}
+	failed := func(err error) (*Result, error) {
+		return &Result{Original: p, OrigSize: len(p.Prog), OrigDuration: tr.cycles,
+			OrigFC: origFC, OrigDetected: origDet}, err
+	}
 
 	// Stage 3 — the ONE optimized fault simulation, with fault dropping on
 	// the shared campaign, followed by instruction labeling (Fig. 2).
 	if err := enter(StageFaultSim); err != nil {
-		return nil, err
+		return failed(err)
 	}
 	rep, err := c.dropFaults(ctx, p, col.Patterns)
 	if err != nil {
-		return nil, err
+		return failed(err)
 	}
 	essential := Label(len(p.Prog), rep, col.CCToPC())
 
 	// Stage 4 — reduction (Fig. 3).
 	if err := enter(StageReduce); err != nil {
-		return nil, err
+		return failed(err)
 	}
 	var removed []int
 	nEss, nUness := 0, 0
@@ -375,26 +416,26 @@ func (c *Compactor) CompactPTPCtx(ctx context.Context, p *stl.PTP, onStage func(
 	}
 	// Stage 5 — reassembling.
 	if err := enter(StageReassemble); err != nil {
-		return nil, err
+		return failed(err)
 	}
 	comp, err := Reassemble(p, sbs, removed)
 	if err != nil {
-		return nil, err
+		return failed(err)
 	}
 	elapsed := time.Since(start)
 
 	// Final evaluation: re-simulate the compacted PTP to measure its
 	// duration and standalone FC.
 	if err := enter(StageEvaluate); err != nil {
-		return nil, err
+		return failed(err)
 	}
-	compCol, compRes, err := c.runTrace(ctx, comp, col)
+	compCol, compCycles, err := c.runTrace(ctx, comp, col)
 	if err != nil {
-		return nil, fmt.Errorf("core: compacted %s does not run: %w", p.Name, err)
+		return failed(fmt.Errorf("core: compacted %s does not run: %w", p.Name, err))
 	}
 	compFC, compDet, err := c.evaluateFC(ctx, comp, compCol.Patterns)
 	if err != nil {
-		return nil, err
+		return failed(err)
 	}
 
 	nRemovedSBs := countRemovedSBs(sbs, removed)
@@ -403,8 +444,8 @@ func (c *Compactor) CompactPTPCtx(ctx context.Context, p *stl.PTP, onStage func(
 		Compacted:       comp,
 		OrigSize:        len(p.Prog),
 		CompSize:        len(comp.Prog),
-		OrigDuration:    res.Cycles,
-		CompDuration:    compRes.Cycles,
+		OrigDuration:    tr.cycles,
+		CompDuration:    compCycles,
 		OrigFC:          origFC,
 		CompFC:          compFC,
 		OrigDetected:    origDet,

@@ -3,8 +3,10 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"gpustl/internal/circuits"
@@ -42,18 +44,37 @@ func (e *Env) GroupFC(ptps ...*stl.PTP) (float64, error) {
 // one over the STL the run wrote. With the stlcompact default
 // tolerance of 5 points, small-scale CNTRL reverts, so the shipped
 // union takes its original's set; with the revert off every PTP ships
-// compacted.
+// compacted. A PTP that fails after its original's FC was measured
+// (here the second, at the reduce stage) ships its original and is
+// credited with that original's whole standalone set, not only the
+// faults it dropped in stage 3.
 func TestLibraryFCMatchesGroupFC(t *testing.T) {
 	env := smallEnv(t)
-	for _, tol := range []float64{5, math.Inf(1)} {
+	refused := errors.New("reduce refused")
+	for _, tc := range []struct {
+		tol          float64
+		reduceFailed bool
+	}{{5, false}, {math.Inf(1), false}, {math.Inf(1), true}} {
+		tol := tc.tol
 		for _, l := range env.libraries()[:2] {
-			t.Run(fmt.Sprintf("%v/fctol=%v", l.mod.Kind, tol), func(t *testing.T) {
+			name := fmt.Sprintf("%v/fctol=%v", l.mod.Kind, tol)
+			opts := run.Options{FCTolerance: tol}
+			if tc.reduceFailed {
+				name += "/reduce-error"
+				opts.StageHook = func(ptp string, s core.Stage) error {
+					if ptp == l.ptps[1].Name && s == core.StageReduce {
+						return refused
+					}
+					return nil
+				}
+			}
+			t.Run(name, func(t *testing.T) {
 				ms := &core.ModuleSet{
 					Modules: map[circuits.ModuleKind]*circuits.Module{l.mod.Kind: l.mod},
 					Faults:  map[circuits.ModuleKind][]fault.Fault{l.mod.Kind: l.faults},
 				}
 				rep, err := run.Run(context.Background(), env.Cfg, ms, &stl.STL{PTPs: l.ptps},
-					core.Options{}, run.Options{FCTolerance: tol})
+					core.Options{}, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -68,6 +89,9 @@ func TestLibraryFCMatchesGroupFC(t *testing.T) {
 				}
 				if math.IsInf(tol, 1) && reverted != 0 {
 					t.Fatalf("%d PTPs reverted with the revert off", reverted)
+				}
+				if o := rep.Outcomes[1]; tc.reduceFailed && (o.Status != run.StatusRevertedError || o.Stage != core.StageReduce) {
+					t.Fatalf("%s: %+v, want reverted-error @reduce", o.Name, o)
 				}
 
 				var buf bytes.Buffer
@@ -93,6 +117,13 @@ func TestLibraryFCMatchesGroupFC(t *testing.T) {
 				if lib.OrigFC() != wantOrig || lib.ShippedFC() != wantShipped {
 					t.Errorf("library FC %.4f -> %.4f, GroupFC %.4f -> %.4f",
 						lib.OrigFC(), lib.ShippedFC(), wantOrig, wantShipped)
+				}
+				var out bytes.Buffer
+				rep.Render(&out)
+				line := fmt.Sprintf("library FC %v: %.2f%% original -> %.2f%% shipped (%d faults)\n",
+					l.mod.Kind, wantOrig, wantShipped, len(l.faults))
+				if !strings.Contains(out.String(), line) {
+					t.Errorf("report lacks %q:\n%s", line, out.String())
 				}
 			})
 		}

@@ -197,7 +197,66 @@ var _ Monitor = NopMonitor{}
 type Result struct {
 	Cycles       uint64 // total clock cycles
 	Instructions uint64 // dynamic warp-instructions executed
-	Global       []uint32
+	Global       Memory // final global memory
+}
+
+// pageShift sets the size of one page of Memory: 1<<pageShift words
+// (4 KiB).
+const (
+	pageShift = 10
+	pageWords = 1 << pageShift
+	pageMask  = pageWords - 1
+)
+
+// Memory is a memory space of a fixed number of 32-bit words (global,
+// constant, and each block's shared memory), held as a table of
+// fixed-size pages that are allocated when first written. A kernel
+// touches a few pages of the 4 MiB global space, so a run allocates and
+// zeroes only those; a word of a page never written reads 0. Word
+// indices wrap around at the memory's size, as the simulator's loads
+// and stores do.
+type Memory struct {
+	words int
+	pages []*[pageWords]uint32
+}
+
+func newMemory(words int) Memory {
+	return Memory{words: words, pages: make([]*[pageWords]uint32, (words+pageMask)>>pageShift)}
+}
+
+// Word returns word i, modulo the memory's size.
+func (m Memory) Word(i int) uint32 {
+	if m.words == 0 {
+		return 0
+	}
+	i %= m.words
+	if p := m.pages[i>>pageShift]; p != nil {
+		return p[i&pageMask]
+	}
+	return 0
+}
+
+// store writes word i, modulo the memory's size, allocating its page on
+// first write.
+func (m Memory) store(i int, v uint32) {
+	i %= m.words
+	p := m.pages[i>>pageShift]
+	if p == nil {
+		p = new([pageWords]uint32)
+		m.pages[i>>pageShift] = p
+	}
+	p[i&pageMask] = v
+}
+
+// Image returns the whole memory as one flat slice of its size.
+func (m Memory) Image() []uint32 {
+	img := make([]uint32, m.words)
+	for i, p := range m.pages {
+		if p != nil {
+			copy(img[i<<pageShift:], p[:])
+		}
+	}
+	return img
 }
 
 // stackEntry is one SIMT reconvergence-stack record (Fung-style: the top of
@@ -241,9 +300,9 @@ type GPU struct {
 	cfg Config
 	mon Monitor
 
-	global   []uint32
-	shared   []uint32
-	constant []uint32
+	global   Memory
+	shared   Memory
+	constant Memory
 
 	cc     uint64
 	dyn    uint64
@@ -321,12 +380,14 @@ func (g *GPU) RunCtx(ctx context.Context, k Kernel) (Result, error) {
 		return Result{}, errors.New("gpu: Blocks must be positive")
 	}
 
-	g.global = make([]uint32, g.cfg.GlobalWords)
-	g.constant = make([]uint32, g.cfg.ConstantWords)
-	copy(g.constant, k.ConstantData)
+	g.global = newMemory(g.cfg.GlobalWords)
+	g.constant = newMemory(g.cfg.ConstantWords)
+	for i, v := range k.ConstantData[:min(len(k.ConstantData), g.cfg.ConstantWords)] {
+		g.constant.store(i, v)
+	}
 	base := int(k.GlobalBase / 4)
 	for i, v := range k.GlobalData {
-		g.global[(base+i)%len(g.global)] = v
+		g.global.store(base+i, v)
 	}
 	g.cc = 0
 	g.dyn = 0
@@ -367,7 +428,7 @@ func (g *GPU) RunCtx(ctx context.Context, k Kernel) (Result, error) {
 }
 
 func (g *GPU) runBlock(k Kernel) error {
-	g.shared = make([]uint32, g.cfg.SharedWords)
+	g.shared = newMemory(g.cfg.SharedWords)
 	g.nwarps = k.ThreadsPerBlock / WarpSize
 	g.warps = make([]*warpState, g.nwarps)
 	for w := range g.warps {
@@ -573,23 +634,23 @@ func (g *GPU) execMem(w *warpState, pc int, in isa.Instruction, exec uint32) {
 			switch in.Op {
 			case isa.OpGLD:
 				g.mon.MemOp(ccPass, w.id, pc, t, in.Op, SpaceGlobal, addr)
-				w.regs[in.Rd][t] = g.global[int(addr/4)%len(g.global)]
+				w.regs[in.Rd][t] = g.global.Word(int(addr / 4))
 			case isa.OpGST:
 				v := w.regs[in.Rb][t]
 				g.mon.MemOp(ccPass, w.id, pc, t, in.Op, SpaceGlobal, addr)
-				g.global[int(addr/4)%len(g.global)] = v
+				g.global.store(int(addr/4), v)
 				g.mon.Store(ccPass, w.id, pc, t, SpaceGlobal, addr, v)
 			case isa.OpSLD:
 				g.mon.MemOp(ccPass, w.id, pc, t, in.Op, SpaceShared, addr)
-				w.regs[in.Rd][t] = g.shared[int(addr/4)%len(g.shared)]
+				w.regs[in.Rd][t] = g.shared.Word(int(addr / 4))
 			case isa.OpSST:
 				v := w.regs[in.Rb][t]
 				g.mon.MemOp(ccPass, w.id, pc, t, in.Op, SpaceShared, addr)
-				g.shared[int(addr/4)%len(g.shared)] = v
+				g.shared.store(int(addr/4), v)
 				g.mon.Store(ccPass, w.id, pc, t, SpaceShared, addr, v)
 			case isa.OpLDC:
 				g.mon.MemOp(ccPass, w.id, pc, t, in.Op, SpaceConstant, addr)
-				w.regs[in.Rd][t] = g.constant[int(addr/4)%len(g.constant)]
+				w.regs[in.Rd][t] = g.constant.Word(int(addr / 4))
 			}
 		}
 		g.cc += uint64(g.cfg.Timing.MemPass)

@@ -213,8 +213,8 @@ func TestSFUWidthVariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Global[0] != 0x3f000000 { // 0.5f
-			t.Fatalf("NumSFUs=%d: rsq(4) = %#x", sfus, res.Global[0])
+		if res.Global.Word(0) != 0x3f000000 { // 0.5f
+			t.Fatalf("NumSFUs=%d: rsq(4) = %#x", sfus, res.Global.Word(0))
 		}
 	}
 }

@@ -32,7 +32,7 @@ func run(t *testing.T, src string, tpb int, mon Monitor) Result {
 }
 
 // word reads global memory word i from the result.
-func word(res Result, byteAddr uint32) uint32 { return res.Global[byteAddr/4] }
+func word(res Result, byteAddr uint32) uint32 { return res.Global.Word(int(byteAddr / 4)) }
 
 func TestStraightLineArithmetic(t *testing.T) {
 	res := run(t, `
@@ -459,7 +459,7 @@ func TestSPWidthVariants(t *testing.T) {
 			t.Fatal(err)
 		}
 		for tid := uint32(0); tid < 32; tid++ {
-			if got := res.Global[tid]; got != tid*7 {
+			if got := res.Global.Word(int(tid)); got != tid*7 {
 				t.Fatalf("%d SPs: thread %d got %d", sps, tid, got)
 			}
 		}
@@ -562,7 +562,7 @@ func TestMultipleBlocks(t *testing.T) {
 	}
 	for b := uint32(0); b < 3; b++ {
 		for tid := uint32(0); tid < 32; tid++ {
-			if got := res.Global[b*32+tid]; got != b {
+			if got := res.Global.Word(int(b*32 + tid)); got != b {
 				t.Fatalf("block %d thread %d got %d", b, tid, got)
 			}
 		}

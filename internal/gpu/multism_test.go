@@ -28,7 +28,7 @@ func TestMultiSMSameResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := res.Global[:8*32]
+		out := res.Global.Image()[:8*32]
 		if ref == nil {
 			ref = append([]uint32(nil), out...)
 			continue

@@ -37,7 +37,7 @@ func TestDIVGSignatures(t *testing.T) {
 			for rep := 0; rep < repeats; rep++ {
 				sig = signature.Fold(sig, DivgLeafConst(rep*leavesPerRepeat+leaf))
 			}
-			got := res.Global[(SigBase+4*uint32(tid))/4]
+			got := res.Global.Word(int(SigBase+4*uint32(tid)) / 4)
 			if got != sig {
 				t.Fatalf("depth %d thread %d: signature %#x, want %#x",
 					depth, tid, got, sig)

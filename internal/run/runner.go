@@ -172,9 +172,12 @@ func outcomeOf(e Entry) Outcome {
 // which is the union of the originals' standalone sets. Shipped counts
 // the union of what each shipped program detects standalone: the
 // compacted program's set, or the original's where the PTP reverted.
-// A PTP whose pipeline failed ships its original but is credited only
-// with the faults its stage-3 simulation dropped. Excluded PTPs are
-// never fault-simulated and are left out of both.
+// A PTP whose pipeline failed ships its original too, credited with
+// the original's standalone set when the failure came after core
+// measured it (the original-FC simulation in the trace stage). A PTP
+// that failed earlier, or whose attempt panicked, is credited only with
+// the faults its stage-3 simulation dropped, a lower bound. Excluded
+// PTPs are never fault-simulated and are left out of both.
 type LibraryFC struct {
 	Module            circuits.ModuleKind
 	Faults            int
@@ -360,6 +363,8 @@ func Run(ctx context.Context, cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL,
 	// journaled as deltas the same way.
 	dropped := map[circuits.ModuleKind][]fault.ID{}
 	shipped := shippedSets{}
+	la := startLookahead(ctx, lookaheadHelpers(copt.Workers), lib, compactors, len(ck.Entries))
+	defer la.stop()
 
 	for i, p := range lib.PTPs {
 		c := compactors[p.Target]
@@ -413,14 +418,16 @@ func Run(ctx context.Context, cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL,
 
 		e := Entry{Index: i, Name: p.Name, OrigSize: len(p.Prog), OrigHash: digests[i]}
 
+		job := la.take(i)
 		ptpSpan := opts.Tracer.Start(campSpan, obs.KindPTP, p.Name)
 		comp := p
 		var compTime time.Duration
-		if c == nil || len(p.ARCs()) == 0 {
+		if !simulated(c, p) {
 			e.Status = StatusExcluded
 			e.CompSize = len(p.Prog)
 		} else {
-			res, stage, attempts, cerr := compactWithRetry(ctx, c, p, opts, ptpSpan)
+			res, stage, attempts, cerr := compactWithRetry(ctx, c, p, opts, ptpSpan, job)
+			job.release()
 			e.Attempts = attempts
 			// Record the campaign delta whatever the outcome: stage-3
 			// drops may have committed even when a later stage failed,
@@ -493,14 +500,16 @@ func Run(ctx context.Context, cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL,
 				}
 			}
 			// What the shipped program detects standalone: the
-			// compacted program's set, the original's on an FC revert,
-			// and on a failure only what the original dropped in
-			// stage 3.
+			// compacted program's set, and otherwise the original's
+			// wherever core measured it (an FC revert, or a failure
+			// after the original-FC simulation). A PTP that failed
+			// earlier or panicked is credited only with what the
+			// original dropped in stage 3.
 			ship := toIDs(e.DroppedFaults)
-			switch e.Status {
-			case StatusCompacted:
+			switch {
+			case e.Status == StatusCompacted:
 				ship = res.CompDetected
-			case StatusRevertedFC:
+			case res != nil:
 				ship = res.OrigDetected
 			}
 			if e.ShippedFaults, err = shipped.add(c, ship); err != nil {
@@ -603,12 +612,15 @@ func accumulate(rep *Report, o Outcome, comp *stl.PTP) {
 // over-compact, so the PTP goes straight to quarantine. Deterministic
 // stage errors are never retried.
 func compactWithRetry(ctx context.Context, c *core.Compactor, p *stl.PTP,
-	opts Options, ptpSpan *obs.Span) (res *core.Result, stage core.Stage, attempts int, err error) {
+	opts Options, ptpSpan *obs.Span, job *logicJob) (res *core.Result, stage core.Stage, attempts int, err error) {
 
 	for {
 		attempts++
 		before := c.Campaign.Detected()
-		res, stage, err = compactOne(ctx, c, p, opts, ptpSpan)
+		res, stage, err = compactOne(ctx, c, p, opts, ptpSpan, job)
+		// The helper's trace serves one attempt; a retry simulates
+		// inline.
+		job = nil
 		if err == nil || ctx.Err() != nil {
 			return res, stage, attempts, err
 		}
@@ -626,11 +638,14 @@ func compactWithRetry(ctx context.Context, c *core.Compactor, p *stl.PTP,
 }
 
 // compactOne runs the pipeline on one PTP with panic isolation and a
-// per-stage watchdog. The returned stage is the last stage entered, for
-// failure attribution; err (when non-nil) is a *StageError whose Kind
-// distinguishes panics and watchdog timeouts from plain errors.
+// per-stage watchdog. job, when non-nil, is the PTP's logic simulation
+// a lookahead helper claimed; stage 2 waits for it instead of
+// simulating. The returned stage is the last stage entered, for failure
+// attribution; err (when non-nil) is a *StageError whose Kind
+// distinguishes panics and watchdog timeouts from plain errors. A
+// failed attempt keeps core's partial result, except after a panic.
 func compactOne(ctx context.Context, c *core.Compactor, p *stl.PTP,
-	opts Options, ptpSpan *obs.Span) (res *core.Result, stage core.Stage, err error) {
+	opts Options, ptpSpan *obs.Span, job *logicJob) (res *core.Result, stage core.Stage, err error) {
 
 	cctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
@@ -669,6 +684,9 @@ func compactOne(ctx context.Context, c *core.Compactor, p *stl.PTP,
 		curStage.Store(s)
 		stageSpan.End()
 		stageSpan = opts.Tracer.Start(ptpSpan, obs.KindStage, string(s))
+		if s == core.StageTrace {
+			stageSpan.Annotate("logic_sim", job.state())
+		}
 		if watchdog != nil {
 			watchdog.Reset(opts.StageTimeout)
 		}
@@ -706,12 +724,22 @@ func compactOne(ctx context.Context, c *core.Compactor, p *stl.PTP,
 					err = cause
 				}
 			}
-			res = nil
 			err = &StageError{Stage: stage, PTP: p.Name, Kind: kind, Err: err}
 		}
 	}()
-	res, err = c.CompactPTPCtx(cctx, p, onStage)
+	var logic core.LogicSim
+	if job != nil {
+		logic = job.wait
+	}
+	res, err = c.CompactPTPCtx(cctx, p, onStage, logic)
 	return
+}
+
+// simulated reports whether Run compacts p: its module has a gate-level
+// model (a compactor) and p has admissible regions. Any other PTP is
+// excluded and never simulated.
+func simulated(c *core.Compactor, p *stl.PTP) bool {
+	return c != nil && len(p.ARCs()) > 0
 }
 
 // shippedSets holds each module's shipped set: the union of what the

@@ -140,7 +140,7 @@ func renderStreams(t *testing.T) string {
 		fmt.Fprintf(&out, "%s cycles %d\n", sc.name, res.Cycles)
 		fmt.Fprintf(&out, "%s instructions %d\n", sc.name, res.Instructions)
 		fmt.Fprintf(&out, "%s global %s\n", sc.name, digest(func(h hash.Hash) {
-			binary.Write(h, binary.LittleEndian, res.Global)
+			binary.Write(h, binary.LittleEndian, res.Global.Image())
 		}))
 		spans := cols[0].Spans
 		fmt.Fprintf(&out, "%s spans %d %s\n", sc.name, len(spans), digest(func(h hash.Hash) {
