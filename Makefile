@@ -29,10 +29,13 @@ lint:
 # scrapes both /metrics endpoints, and fails on any Prometheus
 # text-format hygiene problem or on a family missing from the
 # docs/OBSERVABILITY.md catalog. verify-medium checks the paper's tables
-# at medium scale against the committed results_medium.txt.
+# at medium scale against the committed results_medium.txt. perfbench is
+# its own Go module, so `go build ./...` never compiles it; it is vetted
+# and tested on its own, since it compiles against the library's API.
 .PHONY: verify
 verify: test lint chaos-smoke chaos-overload chaos-server verify-medium
 	go test -race ./...
+	cd perfbench && go vet . && go test .
 	go test -count=20 -run 'TestSoakConcurrentSchedules|TestChaosMergeByteIdentical|TestConcurrentRunsDoNotShareFailpoints|TestLookaheadMatchesSerial' ./internal/chaos ./internal/dist ./internal/run
 	go test -race -run 'TestRegistryConcurrent' -count=1 ./internal/obs
 	go test -run 'TestMetricsLint' -count=1 .

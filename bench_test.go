@@ -273,7 +273,9 @@ func BenchmarkFaultSimulation(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		camp := NewFaultCampaign(mod, faults)
-		camp.Simulate(col.Patterns, SimOptions{BlockWords: benchBlockWords()})
+		if _, err := camp.SimulateCtx(context.Background(), col.Patterns, SimOptions{BlockWords: benchBlockWords()}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -374,7 +376,9 @@ func BenchmarkFaultSimulationOverload(b *testing.B) {
 			b.Fatal(err)
 		}
 		camp := NewFaultCampaign(mod, faults)
-		camp.Simulate(col.Patterns, SimOptions{BlockWords: benchBlockWords()})
+		if _, err := camp.SimulateCtx(ctx, col.Patterns, SimOptions{BlockWords: benchBlockWords()}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -412,7 +416,9 @@ func TestOverloadPlumbingOverhead(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		camp := NewFaultCampaign(mod, faults)
 		start := time.Now()
-		camp.Simulate(col.Patterns, SimOptions{BlockWords: benchBlockWords()})
+		if _, err := camp.SimulateCtx(context.Background(), col.Patterns, SimOptions{BlockWords: benchBlockWords()}); err != nil {
+			t.Fatal(err)
+		}
 		if d := time.Since(start); d < simTime {
 			simTime = d
 		}

@@ -124,7 +124,7 @@ func main() {
 			best = append(best, eff{i, n})
 		}
 	}
-	fmt.Printf("effective patterns: %d of %d\n", len(best), rep.NumPatterns)
+	fmt.Printf("effective patterns: %d of %d\n", len(best), len(rep.Stream))
 	for i := 0; i < len(best)-1; i++ {
 		for j := i + 1; j < len(best); j++ {
 			if best[j].n > best[i].n {
@@ -136,7 +136,8 @@ func main() {
 		best = best[:*top]
 	}
 	for _, b := range best {
+		p := rep.Stream[b.idx]
 		fmt.Printf("  pattern %6d  cc %10d  lane %d  pc %6d: %5d faults\n",
-			b.idx, rep.CCs[b.idx], rep.Lanes[b.idx], rep.PCs[b.idx], b.n)
+			b.idx, p.CC, p.Lane, p.PC, b.n)
 	}
 }

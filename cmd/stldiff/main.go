@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -57,7 +58,9 @@ func measure(p *gpustl.PTP, nFaults int, seed int64) (uint64, float64) {
 		fatal(err)
 	}
 	camp := gpustl.NewFaultCampaign(mod, gpustl.SampleFaults(mod, nFaults, seed))
-	camp.Simulate(col.Patterns, gpustl.SimOptions{})
+	if _, err := camp.SimulateCtx(context.Background(), col.Patterns, gpustl.SimOptions{}); err != nil {
+		fatal(err)
+	}
 	return res.Cycles, camp.Coverage()
 }
 

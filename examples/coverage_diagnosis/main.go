@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,7 +29,9 @@ func groupProfile(mod *gpustl.Module, faults []gpustl.Fault, p *gpustl.PTP) []gp
 		log.Fatal(err)
 	}
 	camp := gpustl.NewFaultCampaign(mod, faults)
-	camp.Simulate(col.Patterns, gpustl.SimOptions{})
+	if _, err := camp.SimulateCtx(context.Background(), col.Patterns, gpustl.SimOptions{}); err != nil {
+		log.Fatal(err)
+	}
 	return camp.CoverageByGroup()
 }
 

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -72,7 +73,9 @@ func main() {
 		}); err != nil {
 			log.Fatal(err)
 		}
-		camp.Simulate(col.Patterns, gpustl.SimOptions{})
+		if _, err := camp.SimulateCtx(context.Background(), col.Patterns, gpustl.SimOptions{}); err != nil {
+			log.Fatal(err)
+		}
 	}
 	fmt.Printf("\nreassembled STL combined FC on the Decoder Unit: %.2f%% (%d/%d faults)\n",
 		camp.Coverage(), camp.Detected(), camp.Total())

@@ -251,7 +251,15 @@ type ATPGResult = atpg.Result
 func DefaultATPGOptions(seed int64) ATPGOptions { return atpg.DefaultOptions(seed) }
 
 // GenerateATPG runs random-pattern + PODEM test generation on a module.
-func GenerateATPG(m *Module, opt ATPGOptions) *ATPGResult { return atpg.Generate(m, opt) }
+// It panics when m is not combinational, the only way its fault
+// simulation can fail.
+func GenerateATPG(m *Module, opt ATPGOptions) *ATPGResult {
+	res, err := atpg.Generate(m, opt)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
 
 // StaticCompactPatterns performs classic reverse-order static test-set
 // compaction, preserving the pattern set's coverage exactly.

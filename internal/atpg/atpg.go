@@ -1,6 +1,8 @@
 package atpg
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 
 	"gpustl/internal/circuits"
@@ -71,8 +73,10 @@ func (r *Result) Coverage() float64 {
 // new pattern to drop collateral detections.
 //
 // ATPG works on a single lane of the module (the same patterns reach every
-// lane when the converted PTP executes across all threads).
-func Generate(m *circuits.Module, opt Options) *Result {
+// lane when the converted PTP executes across all threads). A fault
+// simulation failure, such as a sequential module, is returned as the
+// error.
+func Generate(m *circuits.Module, opt Options) (*Result, error) {
 	rng := rand.New(rand.NewSource(opt.Seed))
 	oneLane := &circuits.Module{Kind: m.Kind, NL: m.NL, Lanes: 1}
 
@@ -109,7 +113,10 @@ func Generate(m *circuits.Module, opt Options) *Result {
 		for i := range stream {
 			stream[i] = fault.TimedPattern{CC: uint64(blk*64 + i), Pat: randomPattern()}
 		}
-		rep := camp.Simulate(stream, fault.SimOptions{})
+		rep, err := camp.SimulateCtx(context.TODO(), stream, fault.SimOptions{})
+		if err != nil {
+			return nil, fmt.Errorf("atpg: fault-simulating %v: %w", m.Kind, err)
+		}
 		if rep.DetectedThisRun() == 0 {
 			useless++
 			continue
@@ -144,7 +151,10 @@ func Generate(m *circuits.Module, opt Options) *Result {
 				res.Untestable++
 				continue
 			}
-			rep := camp.Simulate([]fault.TimedPattern{{Pat: pat}}, fault.SimOptions{})
+			rep, err := camp.SimulateCtx(context.TODO(), []fault.TimedPattern{{Pat: pat}}, fault.SimOptions{})
+			if err != nil {
+				return nil, fmt.Errorf("atpg: fault-simulating %v: %w", m.Kind, err)
+			}
 			if rep.DetectedThisRun() == 0 {
 				// The PODEM pattern must detect its target; a miss means a
 				// modeling bug — treat conservatively as untestable.
@@ -155,7 +165,7 @@ func Generate(m *circuits.Module, opt Options) *Result {
 			res.Patterns = append(res.Patterns, pat)
 		}
 	}
-	return res
+	return res, nil
 }
 
 // StaticCompact performs classic static test-set compaction: the patterns
@@ -163,8 +173,9 @@ func Generate(m *circuits.Module, opt Options) *Result {
 // fault list, and only patterns that first-detect at least one fault are
 // kept (reverse-order fault simulation drops the early redundancy that
 // greedy generation accumulates). The kept patterns preserve the original
-// set's coverage exactly.
-func StaticCompact(m *circuits.Module, patterns []circuits.Pattern, opt Options) []circuits.Pattern {
+// set's coverage exactly. A fault simulation failure is returned as the
+// error.
+func StaticCompact(m *circuits.Module, patterns []circuits.Pattern, opt Options) ([]circuits.Pattern, error) {
 	oneLane := &circuits.Module{Kind: m.Kind, NL: m.NL, Lanes: 1}
 	sites := fault.AllSites(m.NL)
 	if opt.Collapse {
@@ -178,7 +189,10 @@ func StaticCompact(m *circuits.Module, patterns []circuits.Pattern, opt Options)
 	for i, p := range patterns {
 		stream[i] = fault.TimedPattern{CC: uint64(i), Pat: p}
 	}
-	rep := camp.Simulate(stream, fault.SimOptions{Reverse: true})
+	rep, err := camp.SimulateCtx(context.TODO(), stream, fault.SimOptions{Reverse: true})
+	if err != nil {
+		return nil, fmt.Errorf("atpg: fault-simulating %v: %w", m.Kind, err)
+	}
 	// rep is in reversed order; keep detecting patterns, restoring the
 	// original relative order.
 	keepRev := make([]bool, len(patterns))
@@ -195,7 +209,7 @@ func StaticCompact(m *circuits.Module, patterns []circuits.Pattern, opt Options)
 			out = append(out, patterns[i])
 		}
 	}
-	return out
+	return out, nil
 }
 
 // GenerateForSites runs PODEM for an explicit list of fault sites and

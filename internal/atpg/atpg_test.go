@@ -1,12 +1,39 @@
 package atpg
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"gpustl/internal/circuits"
 	"gpustl/internal/fault"
 	"gpustl/internal/netlist"
 )
+
+// generate runs Generate, failing the test on error.
+func generate(t testing.TB, m *circuits.Module, opt Options) *Result {
+	t.Helper()
+	res, err := Generate(m, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestGenerateRefusesSequential checks that a module the fault simulator
+// cannot run comes back as an error from both entry points.
+func TestGenerateRefusesSequential(t *testing.T) {
+	m, err := circuits.Build(circuits.ModulePIPE, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Generate(m, DefaultOptions(1)); !errors.Is(err, netlist.ErrSequential) {
+		t.Fatalf("Generate on a sequential module: err = %v, want ErrSequential", err)
+	}
+	if _, err := StaticCompact(m, []circuits.Pattern{{}}, DefaultOptions(1)); !errors.Is(err, netlist.ErrSequential) {
+		t.Fatalf("StaticCompact on a sequential module: err = %v, want ErrSequential", err)
+	}
+}
 
 // buildTestCircuit returns a small circuit with redundancy-free logic:
 // y = (a AND b) OR (NOT c), z = a XOR c.
@@ -126,7 +153,7 @@ func TestGenerateOnSP(t *testing.T) {
 	}
 	opt := DefaultOptions(1)
 	opt.SampleFaults = 3000
-	res := Generate(m, opt)
+	res := generate(t, m, opt)
 	if res.Coverage() < 85 {
 		t.Errorf("ATPG coverage = %.1f%%, want >= 85%%", res.Coverage())
 	}
@@ -151,7 +178,7 @@ func TestGenerateOnSFU(t *testing.T) {
 	opt := DefaultOptions(2)
 	opt.SampleFaults = 1500
 	opt.RandomBlocks = 128
-	res := Generate(m, opt)
+	res := generate(t, m, opt)
 	if res.Coverage() < 75 {
 		t.Errorf("SFU ATPG coverage = %.1f%%", res.Coverage())
 	}
@@ -167,11 +194,11 @@ func TestKeepAllBlocksAddsRedundancy(t *testing.T) {
 	strict := DefaultOptions(7)
 	strict.SampleFaults = 1200
 	strict.UsePodem = false
-	sres := Generate(m, strict)
+	sres := generate(t, m, strict)
 
 	keep := strict
 	keep.KeepAllBlocks = 4
-	kres := Generate(m, keep)
+	kres := generate(t, m, keep)
 
 	// Same coverage (the fault campaign is identical), more patterns (the
 	// early blocks are emitted wholesale, like a raw ATPG pattern file).
@@ -193,8 +220,8 @@ func TestGenerateDeterminism(t *testing.T) {
 	opt := DefaultOptions(5)
 	opt.SampleFaults = 500
 	opt.UsePodem = false
-	a := Generate(m, opt)
-	b := Generate(m, opt)
+	a := generate(t, m, opt)
+	b := generate(t, m, opt)
 	if len(a.Patterns) != len(b.Patterns) || a.RandomDet != b.RandomDet {
 		t.Fatalf("nondeterministic: %d/%d vs %d/%d",
 			len(a.Patterns), a.RandomDet, len(b.Patterns), b.RandomDet)
@@ -215,9 +242,12 @@ func TestStaticCompactPreservesCoverage(t *testing.T) {
 	opt.SampleFaults = 1200
 	opt.KeepAllBlocks = 4 // deliberately redundant pattern set
 	opt.UsePodem = false
-	res := Generate(m, opt)
+	res := generate(t, m, opt)
 
-	compacted := StaticCompact(m, res.Patterns, opt)
+	compacted, err := StaticCompact(m, res.Patterns, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(compacted) >= len(res.Patterns) {
 		t.Fatalf("no static compaction: %d -> %d", len(res.Patterns), len(compacted))
 	}
@@ -229,7 +259,9 @@ func TestStaticCompactPreservesCoverage(t *testing.T) {
 		for i, p := range pats {
 			stream[i] = fault.TimedPattern{CC: uint64(i), Pat: p}
 		}
-		camp.Simulate(stream, fault.SimOptions{})
+		if _, err := camp.SimulateCtx(context.Background(), stream, fault.SimOptions{}); err != nil {
+			t.Fatal(err)
+		}
 		return camp.Detected()
 	}
 	before, after := coverage(res.Patterns), coverage(compacted)

@@ -10,6 +10,7 @@
 package baseline
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -81,7 +82,9 @@ func (c *Compactor) simulateFC(p *stl.PTP) (float64, uint64, error) {
 		return 0, 0, fmt.Errorf("baseline: %s: %w", p.Name, err)
 	}
 	camp := fault.NewCampaignWithFaults(c.Module, c.Faults)
-	camp.Simulate(col.Patterns, fault.SimOptions{})
+	if _, err := camp.SimulateCtx(context.TODO(), col.Patterns, fault.SimOptions{}); err != nil {
+		return 0, 0, fmt.Errorf("baseline: %s: %w", p.Name, err)
+	}
 	return camp.Coverage(), res.Cycles, nil
 }
 

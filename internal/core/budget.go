@@ -56,7 +56,7 @@ func (c *Compactor) CompactToBudget(p *stl.PTP, budgetCC uint64) (*Result, error
 		if n == 0 {
 			continue
 		}
-		if _, pc, ok := idx.Lookup(rep.CCs[i]); ok && int(pc) < len(det) {
+		if _, pc, ok := idx.Lookup(rep.Stream[i].CC); ok && int(pc) < len(det) {
 			det[pc] += int64(n)
 		}
 	}

@@ -491,7 +491,7 @@ func Label(progLen int, rep *fault.Report, idx *trace.CCIndex) []bool {
 		if n == 0 {
 			continue
 		}
-		_, pc, ok := idx.Lookup(rep.CCs[i])
+		_, pc, ok := idx.Lookup(rep.Stream[i].CC)
 		if !ok || int(pc) >= progLen {
 			continue
 		}

@@ -31,9 +31,8 @@ func sampledFaults(t testing.TB, m *circuits.Module, n int, seed int64) []fault.
 
 func TestLabelJoinsOnCC(t *testing.T) {
 	rep := &fault.Report{
-		NumPatterns:        3,
+		Stream:             []fault.TimedPattern{{CC: 10}, {CC: 20}, {CC: 30}},
 		DetectedPerPattern: []int32{0, 2, 0},
-		CCs:                []uint64{10, 20, 30},
 	}
 	col := &trace.Collector{Spans: []trace.Span{
 		{Warp: 0, PC: 0, CCStart: 5, CCEnd: 14},

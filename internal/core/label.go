@@ -68,7 +68,7 @@ func LabelDetailed(progLen int, rep *fault.Report, idx *trace.CCIndex) *LabelDet
 		if n == 0 {
 			continue
 		}
-		warp, pc, ok := idx.Lookup(rep.CCs[i])
+		warp, pc, ok := idx.Lookup(rep.Stream[i].CC)
 		if !ok || int(pc) >= progLen {
 			d.UnmatchedCCs++
 			continue

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"gpustl/internal/circuits"
@@ -27,7 +28,10 @@ func TestLabelDetailedAgreesWithLabel(t *testing.T) {
 	}
 
 	camp := fault.NewCampaignWithFaults(m, sampledFaults(t, m, 2000, 1))
-	rep := camp.Simulate(col.Patterns, fault.SimOptions{})
+	rep, err := camp.SimulateCtx(context.Background(), col.Patterns, fault.SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	idx := col.CCToPC()
 	plain := Label(len(p.Prog), rep, idx)
@@ -73,7 +77,10 @@ func TestLabelDetailedMultiWarp(t *testing.T) {
 		t.Fatal(err)
 	}
 	camp := fault.NewCampaignWithFaults(m, sampledFaults(t, m, 2000, 2))
-	rep := camp.Simulate(col.Patterns, fault.SimOptions{})
+	rep, err := camp.SimulateCtx(context.Background(), col.Patterns, fault.SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	detail := LabelDetailed(len(p.Prog), rep, col.CCToPC())
 
 	// At least one instruction must have been made essential by a warp

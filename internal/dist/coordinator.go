@@ -178,7 +178,9 @@ type Stats struct {
 // Result is the outcome of one completed distributed campaign run.
 type Result struct {
 	// Report is the merged Fault Sim Report, bit-identical to a serial
-	// Campaign.Simulate.
+	// Campaign.SimulateCtx run. Its Stream is the run's application-order
+	// stream: the caller's slice, or its reversed copy under
+	// SimOptions.Reverse.
 	Report *fault.Report
 	Stats  Stats
 	// SimStats aggregates the engine counters of every accepted shard
@@ -306,13 +308,7 @@ func (c *Coordinator) Run(ctx context.Context, camp *fault.Campaign, stream []fa
 		return nil, fmt.Errorf("dist: every worker is quarantined for byzantine replies (%s)",
 			strings.Join(c.Banned(), ", "))
 	}
-	ordered := stream
-	if opt.Reverse {
-		ordered = make([]fault.TimedPattern, len(stream))
-		for i, p := range stream {
-			ordered[len(stream)-1-i] = p
-		}
-	}
+	ordered := fault.OrderStream(stream, opt.Reverse)
 
 	// Wide blocks amortize each 64×W-pattern sweep over a shard's whole
 	// fault list, so shards below a few hundred faults waste most of the

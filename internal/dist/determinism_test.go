@@ -12,19 +12,24 @@ import (
 // TestAnyPartitionMatchesSerial is the distribution-safety property the
 // whole package rests on: for ANY partition of the remaining fault list
 // into k shards — not just the lane-grouped one the coordinator uses —
-// merging the per-shard SimulateSubset detections yields the same
-// detected-ID set and a Report with identical Detections ordering as one
-// serial Simulate run. First detections are per-fault, so shard
-// placement cannot matter.
+// running each shard as a ShardRequest through a Local worker (the
+// worker's production path) and merging the detections, mapped back
+// through the shard, yields the same detected-ID set and a Report with
+// identical Detections ordering as one serial SimulateCtx run. First
+// detections are per-fault, so shard placement cannot matter.
 func TestAnyPartitionMatchesSerial(t *testing.T) {
 	m := spModule(t)
 	stream := randomSPStream(rand.New(rand.NewSource(61)), m.Lanes, 768)
 
 	serial := newSPCampaign(t, m, 1000, 67)
-	wantRep := serial.Simulate(stream, fault.SimOptions{Workers: 1})
+	wantRep, err := serial.SimulateCtx(context.Background(), stream, fault.SimOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	wantIDs := serial.DetectedIDs()
 
 	camp := newSPCampaign(t, m, 1000, 67)
+	worker := NewLocal("w")
 	for trial, k := range []int{1, 2, 3, 5, 8} {
 		r := rand.New(rand.NewSource(int64(100 + trial)))
 		// A uniformly random partition: each fault lands in a random
@@ -35,12 +40,18 @@ func TestAnyPartitionMatchesSerial(t *testing.T) {
 			shards[s] = append(shards[s], fault.ID(i))
 		}
 		var merged []fault.Detection
-		for _, ids := range shards {
-			dets, _, err := camp.SimulateSubset(context.Background(), stream, ids)
+		for s, ids := range shards {
+			req := &ShardRequest{Shard: s, Module: m.Kind, Lanes: m.Lanes, Stream: stream}
+			for _, id := range ids {
+				req.Faults = append(req.Faults, camp.Faults()[id])
+			}
+			res, err := worker.Simulate(context.Background(), req)
 			if err != nil {
 				t.Fatalf("k=%d: %v", k, err)
 			}
-			merged = append(merged, dets...)
+			for _, d := range res.Detections {
+				merged = append(merged, fault.Detection{Fault: ids[d.Fault], Pattern: d.Pattern, CC: d.CC})
+			}
 		}
 		rep := fault.BuildReport(stream, merged)
 		if !reflect.DeepEqual(rep.Detections, wantRep.Detections) {
@@ -56,10 +67,6 @@ func TestAnyPartitionMatchesSerial(t *testing.T) {
 		}
 		if got := sortedIDs(ids); !reflect.DeepEqual(got, wantIDs) {
 			t.Fatalf("k=%d: detected-ID sets differ (%d vs %d)", k, len(got), len(wantIDs))
-		}
-		// SimulateSubset must not have mutated the campaign.
-		if camp.Detected() != 0 {
-			t.Fatalf("k=%d: SimulateSubset mutated campaign state", k)
 		}
 	}
 }
@@ -81,7 +88,10 @@ func TestPartitionRemainingCovers(t *testing.T) {
 	m := spModule(t)
 	stream := randomSPStream(rand.New(rand.NewSource(62)), m.Lanes, 256)
 	camp := newSPCampaign(t, m, 600, 71)
-	camp.Simulate(stream, fault.SimOptions{Workers: 1}) // drop a few faults first
+	// Drop a few faults first.
+	if _, err := camp.SimulateCtx(context.Background(), stream, fault.SimOptions{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
 
 	for _, k := range []int{1, 2, 4, 9} {
 		parts := camp.PartitionRemaining(k)

@@ -8,7 +8,7 @@
 // and dispatches each shard — faults plus the pattern stream — to a
 // worker over a pluggable Transport. Because first detections are
 // per-fault, the merged result is bit-identical to a serial
-// Campaign.Simulate run no matter how shards are placed, retried,
+// Campaign.SimulateCtx run no matter how shards are placed, retried,
 // hedged, duplicated, or reordered.
 //
 // The coordinator is robust by construction:

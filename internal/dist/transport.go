@@ -79,7 +79,7 @@ func (l *Local) module(kind circuits.ModuleKind, lanes int) (*circuits.Module, e
 var errBadShard = errors.New("malformed shard")
 
 // Simulate implements Transport: one throwaway campaign over the
-// request's fault list, simulated as a single subset. Detection indices
+// request's fault list, run serially by SimulateCtx. Detection indices
 // refer to the request's fault list, already sorted (Pattern, Fault).
 func (l *Local) Simulate(ctx context.Context, req *ShardRequest) (*ShardResult, error) {
 	mod, err := l.module(req.Module, req.Lanes)
@@ -90,7 +90,7 @@ func (l *Local) Simulate(ctx context.Context, req *ShardRequest) (*ShardResult, 
 	if err := camp.Err(); err != nil {
 		return nil, fmt.Errorf("dist: worker %s: %w: %w", l.name, errBadShard, err)
 	}
-	dets, stats, err := camp.SimulateSubset(ctx, req.Stream, nil)
+	rep, err := camp.SimulateCtx(ctx, req.Stream, fault.SimOptions{Workers: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -98,10 +98,10 @@ func (l *Local) Simulate(ctx context.Context, req *ShardRequest) (*ShardResult, 
 		Shard:      req.Shard,
 		Attempt:    req.Attempt,
 		Worker:     l.name,
-		Detections: make([]Detection, len(dets)),
-		Stats:      stats,
+		Detections: make([]Detection, len(rep.Detections)),
+		Stats:      rep.Stats,
 	}
-	for i, d := range dets {
+	for i, d := range rep.Detections {
 		res.Detections[i] = Detection{Fault: int32(d.Fault), Pattern: d.Pattern, CC: d.CC}
 	}
 	res.Checksum = ChecksumDetections(res.Detections)

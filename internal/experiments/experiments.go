@@ -175,14 +175,20 @@ func BuildEnv(p Params) (*Env, error) {
 	spOpt.SampleFaults = p.ATPGSPFaults
 	spOpt.RandomBlocks = p.ATPGBlocks
 	spOpt.KeepAllBlocks = p.ATPGKeepAll
-	spRes := atpg.Generate(env.SP, spOpt)
+	spRes, err := atpg.Generate(env.SP, spOpt)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
 	env.TPGEN, env.TPGENDropped = ptpgen.TPGEN(spRes.Patterns, p.Seed+21)
 
 	sfuOpt := atpg.DefaultOptions(p.Seed + 22)
 	sfuOpt.SampleFaults = p.ATPGSFUFaults
 	sfuOpt.RandomBlocks = p.ATPGBlocks
 	sfuOpt.KeepAllBlocks = p.ATPGKeepAll
-	sfuRes := atpg.Generate(env.SFU, sfuOpt)
+	sfuRes, err := atpg.Generate(env.SFU, sfuOpt)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
 	env.SFUIMM, env.SFUIMMDropped = ptpgen.SFUIMM(sfuRes.Patterns, p.Seed+23)
 
 	for _, ptp := range env.PTPs() {

@@ -33,7 +33,9 @@ func (e *Env) GroupFC(ptps ...*stl.PTP) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		camp.Simulate(col.Patterns, fault.SimOptions{})
+		if _, err := camp.SimulateCtx(context.Background(), col.Patterns, fault.SimOptions{}); err != nil {
+			return 0, err
+		}
 	}
 	return camp.Coverage(), nil
 }

@@ -1,6 +1,7 @@
 package fault_test
 
 import (
+	"context"
 	"testing"
 
 	"gpustl"
@@ -51,11 +52,11 @@ func TestEngineEquivalenceOnExamplePTPs(t *testing.T) {
 					var rep *fault.Report
 					if reference {
 						rep, err = fault.SimulateReference(camp, col.Patterns, o)
-						if err != nil {
-							t.Fatal(err)
-						}
 					} else {
-						rep = camp.Simulate(col.Patterns, o)
+						rep, err = camp.SimulateCtx(context.Background(), col.Patterns, o)
+					}
+					if err != nil {
+						t.Fatal(err)
 					}
 					return rep, camp.CoverageByGroup()
 				}

@@ -120,8 +120,9 @@ type TimedPattern struct {
 }
 
 // Campaign is a persistent fault-simulation context for one module. The
-// fault list survives across Simulate calls, so PTPs applied in sequence
-// drop each other's faults, as in the paper's stage-3 fault list report.
+// fault list survives across SimulateCtx calls, so PTPs applied in
+// sequence drop each other's faults, as in the paper's stage-3 fault list
+// report.
 type Campaign struct {
 	Module *circuits.Module
 
@@ -142,7 +143,6 @@ type Campaign struct {
 	// fault list: SampleFaults drops it.
 	coneOnce  sync.Once
 	coneOrder []ID
-	coneRank  []int32
 }
 
 // NewCampaign creates a campaign over the module's full uncollapsed
@@ -210,7 +210,7 @@ func (c *Campaign) SampleFaults(n int, seed int64) {
 	c.nDet = 0
 	// The cone ordering indexes the old list; rebuild it on next use.
 	c.coneOnce = sync.Once{}
-	c.coneOrder, c.coneRank = nil, nil
+	c.coneOrder = nil
 }
 
 // Faults returns the campaign's master fault list (do not mutate).
@@ -326,11 +326,16 @@ type Detection struct {
 	CC      uint64
 }
 
-// Report is the Fault Sim Report (FSR) of one Simulate run: per-pattern
+// Report is the Fault Sim Report (FSR) of one simulation run: per-pattern
 // detection counts plus the individual first detections, in stream order.
 type Report struct {
-	NumPatterns int
-	// DetectedPerPattern[i] counts faults first detected by stream entry i.
+	// Stream is the pattern stream in application order, which every
+	// index in the report refers to: the caller's slice itself, or a
+	// reordered copy (OrderStream's reversal, a sequential campaign's
+	// cc sort). The report shares it with the caller, so neither may
+	// mutate it.
+	Stream []TimedPattern
+	// DetectedPerPattern[i] counts faults first detected by Stream[i].
 	DetectedPerPattern []int32
 	// Detections lists each fault detected during this run.
 	Detections []Detection
@@ -339,19 +344,12 @@ type Report struct {
 	// effectiveness, pre-screen and cone-skip hit counts, propagation
 	// count.
 	Stats SimStats
-
-	// Copied stream metadata, so the FSR is self-contained like the
-	// paper's text-file report.
-	CCs   []uint64
-	Lanes []int16
-	PCs   []int32
-	Warps []int16
 }
 
 // DetectedThisRun returns the number of faults the run detected.
 func (r *Report) DetectedThisRun() int { return len(r.Detections) }
 
-// SimOptions tunes a Simulate run.
+// SimOptions tunes a SimulateCtx run.
 type SimOptions struct {
 	// Reverse applies the pattern stream in reverse order (used by the
 	// paper for the SFU_IMM PTP, where reverse-order application improved
@@ -406,21 +404,8 @@ func (c *Campaign) planWorkers(opt SimOptions) (int, error) {
 	return workers, nil
 }
 
-// Simulate runs the pattern stream against the campaign's remaining
-// faults, dropping faults at first detection, and returns the FSR. It is
-// the legacy entry point: any failure (a campaign constructed over an
-// unsupported module, or a panic inside a simulation worker) aborts the
-// caller with a panic. Resilient pipelines should use SimulateCtx, which
-// reports failures as errors and honors cancellation.
-func (c *Campaign) Simulate(stream []TimedPattern, opt SimOptions) *Report {
-	rep, err := c.SimulateCtx(context.Background(), stream, opt)
-	if err != nil {
-		panic(err)
-	}
-	return rep
-}
-
-// SimulateCtx is Simulate with cancellation and failure isolation: the
+// SimulateCtx runs the pattern stream against the campaign's remaining
+// faults, dropping faults at first detection, and returns the FSR. The
 // run stops early (returning ctx.Err()) when ctx is canceled, a panic in
 // any simulation worker is recovered and returned as an error, and the
 // campaign's fault-dropping state is only updated when the whole run
@@ -440,7 +425,7 @@ func (c *Campaign) SimulateCtx(ctx context.Context, stream []TimedPattern, opt S
 		return nil, fmt.Errorf("fault: SimOptions.BlockWords = %d outside [0, %d] (0 = auto)",
 			opt.BlockWords, netlist.MaxBlockWords)
 	}
-	ordered := orderStream(stream, opt.Reverse)
+	ordered := OrderStream(stream, opt.Reverse)
 
 	// Partition the remaining faults into shards, one per worker, each
 	// grouped by lane. With one worker this is the plain serial loop.
@@ -512,9 +497,9 @@ func (c *Campaign) SimulateCtx(ctx context.Context, stream []TimedPattern, opt S
 	return rep, nil
 }
 
-// orderStream returns the stream in application order: as given, or a
+// OrderStream returns the stream in application order: as given, or a
 // reversed copy.
-func orderStream(stream []TimedPattern, reverse bool) []TimedPattern {
+func OrderStream(stream []TimedPattern, reverse bool) []TimedPattern {
 	if !reverse {
 		return stream
 	}
@@ -527,28 +512,17 @@ func orderStream(stream []TimedPattern, reverse bool) []TimedPattern {
 
 // BuildReport assembles the Fault Sim Report of a run over the ordered
 // stream from its first detections, in any order: it sorts dets in place
-// by (pattern, fault), takes ownership of the slice, counts detections
-// per pattern and copies the stream metadata in so the FSR is
-// self-contained. First detections are per-fault, so the union of any
-// fault-partitioned simulation's detections — shards merged in process
-// or replies from distributed workers — gives the report of one serial
-// run. Every pattern index in dets must lie inside ordered.
+// by (pattern, fault), takes ownership of the slice and counts detections
+// per pattern. The report references ordered rather than copying it.
+// First detections are per-fault, so the union of any fault-partitioned
+// simulation's detections — shards merged in process or replies from
+// distributed workers — gives the report of one serial run. Every
+// pattern index in dets must lie inside ordered.
 func BuildReport(ordered []TimedPattern, dets []Detection) *Report {
-	n := len(ordered)
 	rep := &Report{
-		NumPatterns:        n,
-		DetectedPerPattern: make([]int32, n),
+		Stream:             ordered,
+		DetectedPerPattern: make([]int32, len(ordered)),
 		Detections:         dets,
-		CCs:                make([]uint64, n),
-		Lanes:              make([]int16, n),
-		PCs:                make([]int32, n),
-		Warps:              make([]int16, n),
-	}
-	for i, p := range ordered {
-		rep.CCs[i] = p.CC
-		rep.Lanes[i] = p.Lane
-		rep.PCs[i] = p.PC
-		rep.Warps[i] = p.Warp
 	}
 	sortDetections(dets, ordered)
 	for _, d := range dets {
@@ -609,8 +583,7 @@ func (c *Campaign) merge(results []*shardResult, ordered []TimedPattern) (*Repor
 }
 
 // Stats returns the engine counters accumulated across this campaign's
-// SimulateCtx runs (SimulateSubset calls report their stats to the caller
-// instead — a distributed coordinator owns that aggregation).
+// SimulateCtx runs.
 func (c *Campaign) Stats() SimStats {
 	c.statsMu.Lock()
 	defer c.statsMu.Unlock()
@@ -664,7 +637,7 @@ func (c *Campaign) partitionByLane(k int) [][][]ID {
 	}
 	shards := make([][][]ID, k)
 	perLane := make([]int, c.Module.Lanes)
-	order, _ := c.coneOrdering()
+	order := c.coneOrdering()
 	for _, id := range order {
 		f := &c.faults[id]
 		if !c.detected[id] && int(f.Lane) < c.Module.Lanes {
@@ -712,77 +685,14 @@ func (c *Campaign) PartitionRemaining(k int) [][]ID {
 	return out
 }
 
-// SimulateSubset runs the pattern stream against an explicit subset of
-// the campaign's faults, identified by master-list id, WITHOUT mutating
-// campaign state: no fault dropping, no detection marks. It is the
-// worker-side half of a distributed campaign — a coordinator partitions
-// the fault list with PartitionRemaining, ships each subset (with the
-// stream) to a worker, and merges the returned detections. ids == nil
-// selects every currently undetected fault. The stream is applied in the
-// order given (a coordinator that wants Reverse semantics pre-reverses
-// it). Detections carry global stream indices and are sorted by
-// (Pattern, Fault); faults already detected in this campaign are
-// skipped. Evaluator scratch is pooled per netlist, and concurrent
-// SimulateSubset calls on one campaign are safe.
-//
-// The returned stats are the run's engine counters (dedup hit-rate,
-// pre-screen and cone skips): a distributed worker ships them back with
-// its detections so the coordinator can aggregate optimization
-// effectiveness across shards. The campaign's cumulative Stats stay
-// untouched, like the rest of its state.
-func (c *Campaign) SimulateSubset(ctx context.Context, stream []TimedPattern, ids []ID) ([]Detection, SimStats, error) {
-	if c.initErr != nil {
-		return nil, SimStats{}, fmt.Errorf("fault: campaign over %v unusable: %w", c.Module.Kind, c.initErr)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, SimStats{}, err
-	}
-	if ids == nil {
-		for id := range c.faults {
-			if !c.detected[id] {
-				ids = append(ids, ID(id))
-			}
-		}
-	}
-	laneFaults := make([][]ID, c.Module.Lanes)
-	for _, id := range ids {
-		if id < 0 || int(id) >= len(c.faults) {
-			return nil, SimStats{}, fmt.Errorf("fault: SimulateSubset: id %d outside master list (%d faults)",
-				id, len(c.faults))
-		}
-		f := c.faults[id]
-		if c.detected[id] || int(f.Lane) >= c.Module.Lanes {
-			continue
-		}
-		laneFaults[f.Lane] = append(laneFaults[f.Lane], id)
-	}
-	nl := c.Module.NL
-	lanes, blockW := buildLaneStreams(nl, stream, c.laneIndex(stream),
-		laneClassUse(nl.Cone(), c.faults, [][][]ID{laneFaults}), 0)
-	stats := c.streamStats(lanes, blockW)
-	// Evaluators come from the netlist's per-width pool, so the wide
-	// scratch arrays survive campaign churn.
-	ev, err := nl.AcquireEvaluator(blockW)
-	if err != nil {
-		return nil, SimStats{}, err
-	}
-	defer nl.ReleaseEvaluator(ev)
-	sr, err := c.simulateShardOpt(ctx, stream, lanes, laneFaults, ev)
-	if err != nil {
-		return nil, SimStats{}, err
-	}
-	stats.Add(sr.stats)
-	sortDetections(sr.detections, stream)
-	return sr.detections, stats, nil
-}
-
 // simulateShardOpt is the fault-serial shard walker, one shape for every
 // block width W. It consumes the pre-packed deduplicated lane streams
-// (so there is no per-shard input clearing or packing), orders each
-// lane's faults by fan-out cone, and resolves most fault×block visits
-// without propagating anything — via the unchanged-cone test (no primary
-// input in the fault's detection support changed since an earlier block,
-// so that block's zero detection mask carries over) or the activation
+// (so there is no per-shard input clearing or packing), walks each
+// lane's faults in the cone order partitionByLane dealt them, and
+// resolves most fault×block visits without propagating anything — via
+// the unchanged-cone test (no primary input in the fault's detection
+// support changed since an earlier block, so that block's zero
+// detection mask carries over) or the activation
 // pre-screen (the site's local delta is zero on every valid pattern, and
 // detection is a bitwise subset of it). Visits that survive both tests
 // combine the delta with the evaluator's memoized per-block
@@ -826,7 +736,6 @@ func (c *Campaign) simulateShardOpt(ctx context.Context, ordered []TimedPattern,
 		if len(ls.blocks) == 0 || len(remaining) == 0 {
 			continue
 		}
-		c.sortByCone(remaining)
 		walk = c.buildWalk(walk, remaining, ci)
 		n := len(walk)
 		for b := range ls.blocks {

@@ -98,9 +98,10 @@ func TestSimulateDetectsAndDrops(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	stream := randomSPStream(r, m.Lanes, 4096)
 
-	rep := c.Simulate(stream, SimOptions{})
-	if rep.NumPatterns != len(stream) {
-		t.Fatalf("NumPatterns = %d", rep.NumPatterns)
+	rep := simulate(t, c, false, stream, SimOptions{})
+	// The report references the caller's stream rather than a copy.
+	if len(rep.Stream) != len(stream) || &rep.Stream[0] != &stream[0] {
+		t.Fatalf("report stream is not the caller's (%d patterns)", len(rep.Stream))
 	}
 	if got := rep.DetectedThisRun(); got == 0 {
 		t.Fatal("no faults detected by 4096 random patterns")
@@ -124,14 +125,14 @@ func TestSimulateDetectsAndDrops(t *testing.T) {
 	}
 
 	// A second identical run must detect nothing new (all dropped).
-	rep2 := c.Simulate(stream, SimOptions{})
+	rep2 := simulate(t, c, false, stream, SimOptions{})
 	if rep2.DetectedThisRun() != 0 {
 		t.Fatalf("dropped faults re-detected: %d", rep2.DetectedThisRun())
 	}
 
 	// After Reset the same run detects the same faults.
 	c.Reset()
-	rep3 := c.Simulate(stream, SimOptions{})
+	rep3 := simulate(t, c, false, stream, SimOptions{})
 	if rep3.DetectedThisRun() != rep.DetectedThisRun() {
 		t.Fatalf("after reset: %d != %d", rep3.DetectedThisRun(), rep.DetectedThisRun())
 	}
@@ -147,8 +148,8 @@ func TestSimulateDeterminism(t *testing.T) {
 	c2 := NewCampaign(m)
 	c2.SampleFaults(500, 7)
 
-	r1 := c1.Simulate(stream, SimOptions{})
-	r2 := c2.Simulate(stream, SimOptions{})
+	r1 := simulate(t, c1, false, stream, SimOptions{})
+	r2 := simulate(t, c2, false, stream, SimOptions{})
 	if len(r1.Detections) != len(r2.Detections) {
 		t.Fatalf("non-deterministic: %d vs %d", len(r1.Detections), len(r2.Detections))
 	}
@@ -168,7 +169,7 @@ func TestFirstDetectionIsEarliest(t *testing.T) {
 	c.SampleFaults(150, 3)
 	r := rand.New(rand.NewSource(8))
 	stream := randomSPStream(r, m.Lanes, 600)
-	rep := c.Simulate(stream, SimOptions{})
+	rep := simulate(t, c, false, stream, SimOptions{})
 
 	// Brute force: single-pattern blocks.
 	ev, err := netlist.NewEvaluator(m.NL)
@@ -214,16 +215,16 @@ func TestReverseOrder(t *testing.T) {
 
 	c := NewCampaign(m)
 	c.SampleFaults(300, 2)
-	fwd := c.Simulate(stream, SimOptions{})
+	fwd := simulate(t, c, false, stream, SimOptions{})
 	c.Reset()
-	rev := c.Simulate(stream, SimOptions{Reverse: true})
+	rev := simulate(t, c, false, stream, SimOptions{Reverse: true})
 	if fwd.DetectedThisRun() != rev.DetectedThisRun() {
 		t.Fatalf("total detections must not depend on order: %d vs %d",
 			fwd.DetectedThisRun(), rev.DetectedThisRun())
 	}
-	// The reversed report's metadata must be in reversed stream order.
-	if rev.CCs[0] != stream[len(stream)-1].CC {
-		t.Fatalf("reverse metadata: first cc %d", rev.CCs[0])
+	// The reversed report's stream must be in reversed order.
+	if len(rev.Stream) != len(stream) || rev.Stream[0] != stream[len(stream)-1] {
+		t.Fatalf("reverse stream: %d patterns, first cc %d", len(rev.Stream), rev.Stream[0].CC)
 	}
 }
 
@@ -232,7 +233,7 @@ func TestCoverageByGroup(t *testing.T) {
 	c := NewCampaign(m)
 	c.SampleFaults(3000, 19)
 	r := rand.New(rand.NewSource(20))
-	c.Simulate(randomSPStream(r, m.Lanes, 4096), SimOptions{})
+	simulate(t, c, false, randomSPStream(r, m.Lanes, 4096), SimOptions{})
 
 	groups := c.CoverageByGroup()
 	if len(groups) < 5 {
@@ -289,7 +290,7 @@ func TestLaneIsolation(t *testing.T) {
 				isa.CondLT, r.Uint32(), r.Uint32(), r.Uint32()),
 		}
 	}
-	rep := c.Simulate(stream, SimOptions{})
+	rep := simulate(t, c, false, stream, SimOptions{})
 	for _, d := range rep.Detections {
 		if c.Faults()[d.Fault].Lane != 0 {
 			t.Fatalf("lane-%d fault detected by lane-0 pattern", c.Faults()[d.Fault].Lane)
@@ -308,7 +309,7 @@ func BenchmarkSimulateSP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := NewCampaign(m)
 		c.SampleFaults(5000, 1)
-		c.Simulate(stream, SimOptions{})
+		simulate(b, c, false, stream, SimOptions{})
 	}
 }
 
@@ -329,7 +330,7 @@ func BenchmarkSimulateSPMetrics(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := NewCampaign(m)
 		c.SampleFaults(5000, 1)
-		c.Simulate(stream, SimOptions{Metrics: reg})
+		simulate(b, c, false, stream, SimOptions{Metrics: reg})
 	}
 }
 

@@ -28,7 +28,7 @@ func (c *Campaign) simulateReference(ctx context.Context, stream []TimedPattern,
 	if err != nil {
 		return nil, err
 	}
-	ordered := orderStream(stream, opt.Reverse)
+	ordered := OrderStream(stream, opt.Reverse)
 	laneIdx := c.laneIndex(ordered)
 	sr, err := c.simulateShard(ctx, ordered, laneIdx, c.partitionByLane(1)[0], ev)
 	if err != nil {

@@ -17,7 +17,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	run := func(workers int) (*Report, int) {
 		c := NewCampaign(m)
 		c.SampleFaults(1500, 9)
-		rep := c.Simulate(stream, SimOptions{Workers: workers})
+		rep := simulate(t, c, false, stream, SimOptions{Workers: workers})
 		return rep, c.Detected()
 	}
 
@@ -54,13 +54,13 @@ func TestParallelDroppingAcrossRuns(t *testing.T) {
 
 	serial := NewCampaign(m)
 	serial.SampleFaults(1000, 3)
-	serial.Simulate(s1, SimOptions{})
-	repS := serial.Simulate(s2, SimOptions{})
+	simulate(t, serial, false, s1, SimOptions{})
+	repS := simulate(t, serial, false, s2, SimOptions{})
 
 	par := NewCampaign(m)
 	par.SampleFaults(1000, 3)
-	par.Simulate(s1, SimOptions{Workers: 4})
-	repP := par.Simulate(s2, SimOptions{Workers: 4})
+	simulate(t, par, false, s1, SimOptions{Workers: 4})
+	repP := simulate(t, par, false, s2, SimOptions{Workers: 4})
 
 	if repS.DetectedThisRun() != repP.DetectedThisRun() {
 		t.Fatalf("second-run detections differ: %d vs %d",
@@ -80,6 +80,6 @@ func BenchmarkSimulateSPParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := NewCampaign(m)
 		c.SampleFaults(5000, 1)
-		c.Simulate(stream, SimOptions{Workers: workers})
+		simulate(b, c, false, stream, SimOptions{Workers: workers})
 	}
 }

@@ -118,18 +118,8 @@ func (c *SeqCampaign) Simulate(stream []TimedPattern) (*Report, error) {
 	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].CC < ordered[j].CC })
 
 	rep := &Report{
-		NumPatterns:        len(ordered),
+		Stream:             ordered,
 		DetectedPerPattern: make([]int32, len(ordered)),
-		CCs:                make([]uint64, len(ordered)),
-		Lanes:              make([]int16, len(ordered)),
-		PCs:                make([]int32, len(ordered)),
-		Warps:              make([]int16, len(ordered)),
-	}
-	for i, p := range ordered {
-		rep.CCs[i] = p.CC
-		rep.Lanes[i] = p.Lane
-		rep.PCs[i] = p.PC
-		rep.Warps[i] = p.Warp
 	}
 
 	var remaining []ID

@@ -51,7 +51,7 @@ func TestSeqCampaignDetectsRegisterFaults(t *testing.T) {
 		t.Errorf("pipeline register coverage only %.2f%%", c.Coverage())
 	}
 	t.Logf("PIPE: %d faults, %.2f%% coverage from %d cycles",
-		c.Total(), c.Coverage(), rep.NumPatterns)
+		c.Total(), c.Coverage(), len(rep.Stream))
 
 	// Per-pattern counts sum to detections; ccs preserved.
 	var sum int32
@@ -62,7 +62,7 @@ func TestSeqCampaignDetectsRegisterFaults(t *testing.T) {
 		t.Fatalf("per-pattern sum %d != %d", sum, len(rep.Detections))
 	}
 	for _, d := range rep.Detections {
-		if rep.CCs[d.Pattern] != d.CC {
+		if rep.Stream[d.Pattern].CC != d.CC {
 			t.Fatalf("detection cc mismatch: %+v", d)
 		}
 	}

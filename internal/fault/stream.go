@@ -307,19 +307,18 @@ func laneClassUse(ci *netlist.ConeInfo, faults []Fault, laneFaults [][][]ID) [][
 }
 
 // coneOrdering returns the campaign's fault ids sorted by fan-out cone —
-// (first reachable output, cone class, id) — and the inverse rank per
-// id. Faults ordered this way run consecutively over overlapping gate
-// sets (warm observability memos and stamps), and the class-skip test
-// resolves whole runs of neighbours together. The ordering is a property
-// of the netlist and the fault list alone, so it is computed once per
-// campaign; when the three key components fit, they are packed into one
-// uint64 per fault and sorted without a comparison callback.
-func (c *Campaign) coneOrdering() ([]ID, []int32) {
+// (first reachable output, cone class, id). Faults ordered this way run
+// consecutively over overlapping gate sets (warm observability memos and
+// stamps), and the class-skip test resolves whole runs of neighbours
+// together. The ordering is a property of the netlist and the fault list
+// alone, so it is computed once per campaign; when the three key
+// components fit, they are packed into one uint64 per fault and sorted
+// without a comparison callback.
+func (c *Campaign) coneOrdering() []ID {
 	c.coneOnce.Do(func() {
 		ci := c.Module.NL.Cone()
 		n := len(c.faults)
 		c.coneOrder = make([]ID, n)
-		c.coneRank = make([]int32, n)
 		key := func(id int) (fo1 uint32, cl uint32) {
 			// A corrupt site (out-of-range gate) sorts first with a zero
 			// key; it still panics inside a worker's recover when
@@ -370,11 +369,8 @@ func (c *Campaign) coneOrdering() ([]ID, []int32) {
 				return a < b
 			})
 		}
-		for i, id := range c.coneOrder {
-			c.coneRank[id] = int32(i)
-		}
 	})
-	return c.coneOrder, c.coneRank
+	return c.coneOrder
 }
 
 // radixSortUint64 sorts keys ascending with an LSD byte radix sort.
@@ -413,14 +409,4 @@ func radixSortUint64(keys []uint64) {
 	if &src[0] != &keys[0] {
 		copy(keys, src)
 	}
-}
-
-// sortByCone orders a shard's fault ids by the campaign's cone ordering.
-// Shard lists produced by partitionByLane are already in this order, so
-// this only pays for externally supplied id lists (SimulateSubset). Order
-// within a shard does not affect results — first detections are
-// per-fault — so this is purely a locality sort.
-func (c *Campaign) sortByCone(ids []ID) {
-	_, rank := c.coneOrdering()
-	sort.Slice(ids, func(i, j int) bool { return rank[ids[i]] < rank[ids[j]] })
 }

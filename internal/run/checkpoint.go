@@ -26,8 +26,9 @@ import (
 // their canonical serialized form, and hashes faults as fixed-width
 // records, so every Entry.OrigHash and config hash changed value.
 // Version 5 added Entry.ShippedFaults, without which a resumed run
-// cannot report the shipped library FC.
-const CheckpointVersion = 5
+// cannot report the shipped library FC. Version 6 added
+// Entry.OriginalFaults, the same for the original library FC.
+const CheckpointVersion = 6
 
 // WALFile is the append-only write-ahead journal inside the checkpoint
 // directory. One fsync'd record per PTP outcome; recovery replays it
@@ -107,10 +108,13 @@ type Entry struct {
 	// detected-id set contributed by this PTP (ascending). Replaying the
 	// deltas in order reconstructs the cross-PTP fault-dropping state.
 	DroppedFaults []int32 `json:"droppedFaults,omitempty"`
-	// ShippedFaults is the delta of the module's shipped set (see
-	// LibraryFC) contributed by the program this PTP ships, ascending.
-	// Replaying the deltas in order reconstructs the shipped library FC.
-	ShippedFaults []int32 `json:"shippedFaults,omitempty"`
+	// OriginalFaults is the delta of the module's original set (see
+	// LibraryFC) contributed by this PTP's original program beyond its
+	// DroppedFaults, which the original set also takes, and
+	// ShippedFaults that of the shipped set by the program this PTP
+	// ships. Replaying the deltas in order reconstructs the library FC.
+	OriginalFaults []int32 `json:"originalFaults,omitempty"`
+	ShippedFaults  []int32 `json:"shippedFaults,omitempty"`
 }
 
 // Checkpoint is the in-memory state of a (possibly partial) STL

@@ -47,9 +47,9 @@ const (
 	// FsckArtifact: an output artifact fails its checksum sidecar, or
 	// has no sidecar to check.
 	FsckArtifact FsckKind = "artifact-checksum"
-	// FsckFaultID: a journaled outcome's dropped or shipped fault ids
-	// reach outside its module's fault list — a resume would refuse
-	// the entry.
+	// FsckFaultID: a journaled outcome's dropped, original or shipped
+	// fault ids reach outside its module's fault list — a resume would
+	// refuse the entry.
 	FsckFaultID FsckKind = "fault-id-range"
 )
 
@@ -103,8 +103,8 @@ func (r *FsckReport) Render(w io.Writer) {
 //     with the replayed totals),
 //   - the campaign's config hash against wantHash (skipped when empty),
 //   - each outcome's input-PTP hash against lib (skipped when nil),
-//   - each outcome's dropped and shipped fault ids against its
-//     module's fault list in ms (skipped when ms or lib is nil),
+//   - each outcome's dropped, original and shipped fault ids against
+//     its module's fault list in ms (skipped when ms or lib is nil),
 //   - each artifact path's checksum sidecar,
 //   - a legacy checkpoint.json in a directory with no journal records,
 //     which no binary reads anymore.
@@ -235,7 +235,7 @@ func fsckCheckpoint(ck *Checkpoint, wantHash string, ms *core.ModuleSet, lib *st
 		for _, set := range []struct {
 			name string
 			ids  []int32
-		}{{"dropped", e.DroppedFaults}, {"shipped", e.ShippedFaults}} {
+		}{{"dropped", e.DroppedFaults}, {"original", e.OriginalFaults}, {"shipped", e.ShippedFaults}} {
 			for _, id := range set.ids {
 				if id < 0 || id >= n {
 					rep.add(FsckFaultID, "outcome %d (%s) has %s fault id %d outside the %v fault list (%d faults)",

@@ -149,8 +149,8 @@ func TestFsckDetectsPTPHashDrift(t *testing.T) {
 	}
 }
 
-// TestFsckDetectsFaultIDOutsideList: a journaled dropped or shipped
-// fault id past the module's fault list is one [fault-id-range]
+// TestFsckDetectsFaultIDOutsideList: a journaled dropped, original or
+// shipped fault id past the module's fault list is one [fault-id-range]
 // finding, and a resume refuses the entry instead of replaying it.
 func TestFsckDetectsFaultIDOutsideList(t *testing.T) {
 	src, lib, _, hash := fsckCampaign(t)
@@ -158,13 +158,16 @@ func TestFsckDetectsFaultIDOutsideList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, set := range []string{"dropped", "shipped"} {
+	for _, set := range []string{"dropped", "original", "shipped"} {
 		t.Run(set, func(t *testing.T) {
 			entries := append([]Entry(nil), ck.Entries...)
 			e := entries[1]
-			if set == "dropped" {
+			switch set {
+			case "dropped":
 				e.DroppedFaults = append(append([]int32(nil), e.DroppedFaults...), 1500)
-			} else {
+			case "original":
+				e.OriginalFaults = append(append([]int32(nil), e.OriginalFaults...), 1500)
+			default:
 				e.ShippedFaults = append(append([]int32(nil), e.ShippedFaults...), 1500)
 			}
 			entries[1] = e

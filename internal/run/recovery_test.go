@@ -264,11 +264,11 @@ func TestLegacyCheckpointRefused(t *testing.T) {
 // configuration change, and fsck reports it as one [schema] finding.
 // Version 2 hashed two deleted compactor options; version 3 hashed PTPs
 // through their JSON serialization and faults as text. Neither's config
-// hash can match a current one. Version 4 hashes like version 5 but
-// journals no shipped fault sets, so its resume could not report the
-// shipped library FC.
+// hash can match a current one. Version 4 hashes like the current
+// version but journals no shipped fault sets, and version 5 no original
+// ones, so their resumes could not report the library FC.
 func TestOldJournalRefused(t *testing.T) {
-	for _, version := range []int{2, 3, 4} {
+	for _, version := range []int{2, 3, 4, 5} {
 		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
 			cfg := gpu.DefaultConfig()
 			copt := core.Options{Workers: 4}

@@ -216,6 +216,78 @@ func TestKillAndResumeRendersByteIdentical(t *testing.T) {
 	}
 }
 
+// TestLibraryFCWhenStage3Fails: a PTP that fails at the fault-sim stage
+// commits no stage-3 drops, yet ships its original, whose standalone set
+// core measured in the trace stage. With every PTP failing there, the
+// original and shipped libraries are the same programs, so their FCs
+// must agree and not read zero — also across a kill and resume.
+func TestLibraryFCWhenStage3Fails(t *testing.T) {
+	cfg := gpu.DefaultConfig()
+	copt := core.Options{Workers: 4}
+	injected := errors.New("injected fault-sim failure")
+	failFaultSim := func(ptp string, stage core.Stage) error {
+		if stage == core.StageFaultSim {
+			return injected
+		}
+		return nil
+	}
+	check := func(rep *Report) {
+		t.Helper()
+		if rep.Reverted != 2 {
+			t.Fatalf("reverted %d PTPs, want 2: %+v", rep.Reverted, rep.Outcomes)
+		}
+		if len(rep.Library) != 1 {
+			t.Fatalf("library FC rows: %+v", rep.Library)
+		}
+		l := rep.Library[0]
+		if l.Original == 0 || l.Original != l.Shipped {
+			t.Fatalf("library FC %.2f%% original -> %.2f%% shipped, want equal and nonzero",
+				l.OrigFC(), l.ShippedFC())
+		}
+	}
+
+	lib, ms := testEnv(t)
+	ref, err := Run(context.Background(), cfg, ms, lib, copt,
+		Options{FCTolerance: 5, StageHook: failFaultSim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(ref)
+	want := render(t, ref)
+
+	// Interrupt as the second PTP enters its trace, then resume.
+	dir := t.TempDir()
+	lib2, ms2 := testEnv(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err = Run(ctx, cfg, ms2, lib2, copt, Options{
+		CheckpointDir: dir,
+		FCTolerance:   5,
+		StageHook: func(ptp string, stage core.Stage) error {
+			if ptp == "MEM" && stage == core.StageTrace {
+				cancel()
+			}
+			return failFaultSim(ptp, stage)
+		},
+	})
+	if err == nil {
+		t.Fatal("interrupted run reported success")
+	}
+	lib3, ms3 := testEnv(t)
+	resumed, err := Run(context.Background(), cfg, ms3, lib3, copt,
+		Options{CheckpointDir: dir, FCTolerance: 5, StageHook: failFaultSim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Resumed != 1 {
+		t.Fatalf("resume replayed %d PTPs, want 1", resumed.Resumed)
+	}
+	check(resumed)
+	if got := render(t, resumed); got != want {
+		t.Errorf("resumed report differs:\n--- uninterrupted\n%s--- resumed\n%s", want, got)
+	}
+}
+
 func TestInjectedPanicQuarantinesOnePTPOnly(t *testing.T) {
 	lib, ms := testEnv(t)
 	opts := Options{

@@ -167,17 +167,17 @@ func outcomeOf(e Entry) Outcome {
 
 // LibraryFC is one module's fault coverage over the whole library, the
 // paper's stage-5 figure, computed from the sets the pipeline already
-// simulated. Original counts the faults of the module's campaign that
-// the original programs detect: the stage-3 campaign's detected set,
-// which is the union of the originals' standalone sets. Shipped counts
-// the union of what each shipped program detects standalone: the
-// compacted program's set, or the original's where the PTP reverted.
-// A PTP whose pipeline failed ships its original too, credited with
+// simulated. Original counts the union of what each original program
+// detects standalone; when every PTP gets past stage 3 that equals the
+// stage-3 campaign's detected set. Shipped counts the union of what
+// each shipped program detects standalone: the compacted program's
+// set, or the original's where the PTP reverted. A PTP whose pipeline
+// failed ships its original too. Both sets credit its original with
 // the original's standalone set when the failure came after core
-// measured it (the original-FC simulation in the trace stage). A PTP
-// that failed earlier, or whose attempt panicked, is credited only with
-// the faults its stage-3 simulation dropped, a lower bound. Excluded
-// PTPs are never fault-simulated and are left out of both.
+// measured it (the original-FC simulation in the trace stage); a PTP
+// that failed earlier, or whose attempt panicked, is credited only
+// with the faults its stage-3 simulation dropped, a lower bound.
+// Excluded PTPs are never fault-simulated and are left out of both.
 type LibraryFC struct {
 	Module            circuits.ModuleKind
 	Faults            int
@@ -228,10 +228,11 @@ func (r *Report) SizeReduction() float64 {
 }
 
 // noteLibrary refreshes the library FC row of c's module after one of
-// its PTPs settled; shipped is the module's shipped-set size.
-func (r *Report) noteLibrary(c *core.Compactor, shipped int) {
-	row := LibraryFC{Module: c.Module.Kind, Faults: c.Campaign.Total(),
-		Original: c.Campaign.Detected(), Shipped: shipped}
+// its PTPs settled, from the module's original and shipped sets.
+func (r *Report) noteLibrary(c *core.Compactor, original, shipped faultSets) {
+	k := c.Module.Kind
+	row := LibraryFC{Module: k, Faults: c.Campaign.Total(),
+		Original: original[k].n, Shipped: shipped[k].n}
 	for i := range r.Library {
 		if r.Library[i].Module == row.Module {
 			r.Library[i] = row
@@ -358,11 +359,11 @@ func Run(ctx context.Context, cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL,
 		compactors[kind] = core.New(cfg, m, ms.Faults[kind], copt)
 	}
 	// dropped tracks each campaign's detected-id set so the per-PTP
-	// journal record carries only this PTP's delta. The campaign's set
-	// is the original library's; shipped holds the shipped library's,
-	// journaled as deltas the same way.
+	// journal record carries only this PTP's delta. original and
+	// shipped hold the original and shipped libraries' sets, journaled
+	// as deltas the same way.
 	dropped := map[circuits.ModuleKind][]fault.ID{}
-	shipped := shippedSets{}
+	original, shipped := faultSets{}, faultSets{}
 	la := startLookahead(ctx, lookaheadHelpers(copt.Workers), lib, compactors, len(ck.Entries))
 	defer la.stop()
 
@@ -391,8 +392,13 @@ func Run(ctx context.Context, cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL,
 				dropped[p.Target] = c.Campaign.DetectedIDs()
 			}
 			if simulated {
-				if _, err := shipped.add(c, toIDs(e.ShippedFaults)); err != nil {
-					return rep, fmt.Errorf("run: journaled entry %d: %w", i, err)
+				for _, set := range []struct {
+					fs  faultSets
+					ids []int32
+				}{{original, e.DroppedFaults}, {original, e.OriginalFaults}, {shipped, e.ShippedFaults}} {
+					if _, err := set.fs.add(c, toIDs(set.ids)); err != nil {
+						return rep, fmt.Errorf("run: journaled entry %d: %w", i, err)
+					}
 				}
 			}
 			o := outcomeOf(e)
@@ -400,7 +406,7 @@ func Run(ctx context.Context, cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL,
 			rep.Resumed++
 			accumulate(rep, o, comp)
 			if simulated {
-				rep.noteLibrary(c, shipped[p.Target].n)
+				rep.noteLibrary(c, original, shipped)
 			}
 			opts.Metrics.Counter("gpustl_run_resumed_total").Inc()
 			opts.recordOutcome(o, len(rep.Outcomes), len(lib.PTPs))
@@ -499,20 +505,27 @@ func Run(ctx context.Context, cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL,
 					}
 				}
 			}
-			// What the shipped program detects standalone: the
-			// compacted program's set, and otherwise the original's
-			// wherever core measured it (an FC revert, or a failure
-			// after the original-FC simulation). A PTP that failed
-			// earlier or panicked is credited only with what the
-			// original dropped in stage 3.
-			ship := toIDs(e.DroppedFaults)
-			switch {
-			case e.Status == StatusCompacted:
-				ship = res.CompDetected
-			case res != nil:
-				ship = res.OrigDetected
+			// The original is credited with its stage-3 drops and,
+			// wherever core measured it (a finished PTP, an FC revert,
+			// or a failure after the original-FC simulation), with its
+			// standalone set, a superset of those drops. The journal
+			// carries the drops already, so OriginalFaults holds only
+			// the rest: nothing when every PTP gets past stage 3. The
+			// shipped program is the compacted one or that original.
+			orig := toIDs(e.DroppedFaults)
+			_, err = original.add(c, orig)
+			if err == nil && res != nil {
+				orig = res.OrigDetected
+				e.OriginalFaults, err = original.add(c, orig)
 			}
-			if e.ShippedFaults, err = shipped.add(c, ship); err != nil {
+			if err == nil {
+				ship := orig
+				if e.Status == StatusCompacted {
+					ship = res.CompDetected
+				}
+				e.ShippedFaults, err = shipped.add(c, ship)
+			}
+			if err != nil {
 				ptpSpan.End()
 				return rep, err
 			}
@@ -552,7 +565,7 @@ func Run(ctx context.Context, cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL,
 		o.CompactionTime = compTime
 		accumulate(rep, o, comp)
 		if e.Status != StatusExcluded {
-			rep.noteLibrary(c, shipped[p.Target].n)
+			rep.noteLibrary(c, original, shipped)
 		}
 		opts.recordOutcome(o, len(rep.Outcomes), len(lib.PTPs))
 	}
@@ -742,9 +755,10 @@ func simulated(c *core.Compactor, p *stl.PTP) bool {
 	return c != nil && len(p.ARCs()) > 0
 }
 
-// shippedSets holds each module's shipped set: the union of what the
-// shipped programs detect, over the campaign's master fault list.
-type shippedSets map[circuits.ModuleKind]*faultSet
+// faultSets holds one fault set per module, over the module campaign's
+// master fault list: the union of what the original, or the shipped,
+// programs detect.
+type faultSets map[circuits.ModuleKind]*faultSet
 
 // faultSet is a set of fault ids over one campaign's master list.
 type faultSet struct {
@@ -755,7 +769,7 @@ type faultSet struct {
 // add puts ids into the set of c's module and returns those the set
 // did not hold yet, in the given order: the delta a journal entry
 // carries. An id outside the fault list is an error.
-func (ss shippedSets) add(c *core.Compactor, ids []fault.ID) ([]int32, error) {
+func (ss faultSets) add(c *core.Compactor, ids []fault.ID) ([]int32, error) {
 	s := ss[c.Module.Kind]
 	if s == nil {
 		s = &faultSet{in: make([]bool, c.Campaign.Total())}
@@ -764,7 +778,7 @@ func (ss shippedSets) add(c *core.Compactor, ids []fault.ID) ([]int32, error) {
 	var delta []int32
 	for _, id := range ids {
 		if id < 0 || int(id) >= len(s.in) {
-			return nil, fmt.Errorf("run: shipped fault id %d outside the %v fault list (%d faults)", id, c.Module.Kind, len(s.in))
+			return nil, fmt.Errorf("run: fault id %d outside the %v fault list (%d faults)", id, c.Module.Kind, len(s.in))
 		}
 		if !s.in[id] {
 			s.in[id] = true

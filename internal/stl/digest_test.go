@@ -39,7 +39,11 @@ func generatorPTPs(t *testing.T) []*stl.PTP {
 		opt.SampleFaults = 300
 		opt.RandomBlocks = 16
 		opt.UsePodem = false
-		p, _ := g.convert(atpg.Generate(m, opt).Patterns, 7)
+		res, err := atpg.Generate(m, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, _ := g.convert(res.Patterns, 7)
 		ps = append(ps, p)
 	}
 	return ps

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -108,7 +109,10 @@ func TestOpStatsEngineGolden(t *testing.T) {
 	}
 	camp := fault.NewCampaign(m)
 	camp.SampleFaults(400, 7)
-	rep := camp.Simulate(col.Patterns, fault.SimOptions{Workers: 1})
+	rep, err := camp.SimulateCtx(context.Background(), col.Patterns, fault.SimOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	stats.RecordEngine(rep.Stats)
 	if stats.Engine.DedupHitRate() == 0 {
 		t.Fatal("looping kernel produced no duplicate stimulus; engine block untested")
