@@ -24,7 +24,8 @@ lint:
 # explicit high-contention race run); the fuzz smoke keeps the
 # journal/STL/assembly parsers honest against corrupt bytes without
 # the cost of a long fuzzing run; FuzzExecRows holds the SIMT row
-# evaluator to the scalar per-thread oracle. The explicit metrics-lint pass
+# evaluator to the scalar per-thread oracle, and FuzzImply holds PODEM's
+# event-driven implication to a full forward sweep. The explicit metrics-lint pass
 # runs a campaign through a live server over two loopback workers,
 # scrapes both /metrics endpoints, and fails on any Prometheus
 # text-format hygiene problem or on a family missing from the
@@ -53,6 +54,7 @@ verify: test lint chaos-smoke chaos-overload chaos-server verify-medium
 	go test -fuzz '^FuzzWideBlockEquiv$$' -fuzztime 10s -run '^$$' ./internal/fault
 	go test -fuzz '^FuzzObsFactors$$' -fuzztime 10s -run '^$$' ./internal/netlist
 	go test -fuzz '^FuzzExecRows$$' -fuzztime 10s -run '^$$' ./internal/gpu
+	go test -fuzz '^FuzzImply$$' -fuzztime 10s -run '^$$' ./internal/atpg
 
 # Medium-scale reproduction check: regenerate Tables I-III, the STL
 # summary, the ablations and the baseline comparison and diff them

@@ -86,6 +86,7 @@ import (
 	"time"
 
 	"gpustl"
+	"gpustl/internal/atpg"
 	"gpustl/internal/failpoint"
 	"gpustl/internal/obs"
 	"gpustl/internal/prof"
@@ -211,6 +212,20 @@ func main() {
 			fatalf("no PTPs targeting %v in %s", kind, *loadPath)
 		}
 	} else {
+		// ATPG runs under the signal context: Ctrl-C during a long
+		// generation stops it and exits like an interrupted run, with
+		// no PTP finished to report.
+		generateATPG := func(seed int64) *gpustl.ATPGResult {
+			opt := gpustl.DefaultATPGOptions(seed)
+			opt.SampleFaults = *n * 10
+			res, err := atpg.Generate(ctx, mod, opt)
+			if err != nil {
+				logger.Error("run stopped", "err", err)
+				profFlush()
+				os.Exit(1)
+			}
+			return res
+		}
 		switch kind {
 		case gpustl.ModuleDU:
 			ptps = []*gpustl.PTP{
@@ -219,16 +234,12 @@ func main() {
 				gpustl.GenerateCNTRL(max(2, *n/10), *seed+3),
 			}
 		case gpustl.ModuleSP:
-			opt := gpustl.DefaultATPGOptions(*seed + 4)
-			opt.SampleFaults = *n * 10
-			res := gpustl.GenerateATPG(mod, opt)
+			res := generateATPG(*seed + 4)
 			tpgen, dropped := gpustl.ConvertTPGEN(res, *seed+4)
 			logger.Info("TPGEN generated", "patterns", len(res.Patterns), "unconvertible", dropped)
 			ptps = []*gpustl.PTP{tpgen, gpustl.GenerateRAND(*n, *seed+5)}
 		case gpustl.ModuleSFU:
-			opt := gpustl.DefaultATPGOptions(*seed + 6)
-			opt.SampleFaults = *n * 10
-			res := gpustl.GenerateATPG(mod, opt)
+			res := generateATPG(*seed + 6)
 			sfu, dropped := gpustl.ConvertSFUIMM(res, *seed+6)
 			logger.Info("SFU_IMM generated", "patterns", len(res.Patterns), "unconvertible", dropped)
 			ptps = []*gpustl.PTP{sfu}

@@ -254,7 +254,7 @@ func DefaultATPGOptions(seed int64) ATPGOptions { return atpg.DefaultOptions(see
 // It panics when m is not combinational, the only way its fault
 // simulation can fail.
 func GenerateATPG(m *Module, opt ATPGOptions) *ATPGResult {
-	res, err := atpg.Generate(m, opt)
+	res, err := atpg.Generate(context.Background(), m, opt)
 	if err != nil {
 		panic(err)
 	}
@@ -262,7 +262,8 @@ func GenerateATPG(m *Module, opt ATPGOptions) *ATPGResult {
 }
 
 // StaticCompactPatterns performs classic reverse-order static test-set
-// compaction, preserving the pattern set's coverage exactly.
+// compaction, preserving the pattern set's coverage exactly; ctx bounds
+// its fault simulation.
 var StaticCompactPatterns = atpg.StaticCompact
 
 // ConvertTPGEN parses ATPG SP patterns into the TPGEN PTP; the second

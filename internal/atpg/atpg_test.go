@@ -13,7 +13,7 @@ import (
 // generate runs Generate, failing the test on error.
 func generate(t testing.TB, m *circuits.Module, opt Options) *Result {
 	t.Helper()
-	res, err := Generate(m, opt)
+	res, err := Generate(context.Background(), m, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,11 +27,28 @@ func TestGenerateRefusesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Generate(m, DefaultOptions(1)); !errors.Is(err, netlist.ErrSequential) {
+	if _, err := Generate(context.Background(), m, DefaultOptions(1)); !errors.Is(err, netlist.ErrSequential) {
 		t.Fatalf("Generate on a sequential module: err = %v, want ErrSequential", err)
 	}
-	if _, err := StaticCompact(m, []circuits.Pattern{{}}, DefaultOptions(1)); !errors.Is(err, netlist.ErrSequential) {
+	if _, err := StaticCompact(context.Background(), m, []circuits.Pattern{{}}, DefaultOptions(1)); !errors.Is(err, netlist.ErrSequential) {
 		t.Fatalf("StaticCompact on a sequential module: err = %v, want ErrSequential", err)
+	}
+}
+
+// TestGenerateCanceled checks that a done context stops both entry
+// points with context.Canceled and no result.
+func TestGenerateCanceled(t *testing.T) {
+	m, err := circuits.Build(circuits.ModuleSP, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if res, err := Generate(ctx, m, DefaultOptions(1)); !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("Generate with a canceled context = %v, %v; want nil, context.Canceled", res, err)
+	}
+	if pats, err := StaticCompact(ctx, m, []circuits.Pattern{{}}, DefaultOptions(1)); !errors.Is(err, context.Canceled) || pats != nil {
+		t.Fatalf("StaticCompact with a canceled context = %v, %v; want nil, context.Canceled", pats, err)
 	}
 }
 
@@ -244,7 +261,7 @@ func TestStaticCompactPreservesCoverage(t *testing.T) {
 	opt.UsePodem = false
 	res := generate(t, m, opt)
 
-	compacted, err := StaticCompact(m, res.Patterns, opt)
+	compacted, err := StaticCompact(context.Background(), m, res.Patterns, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

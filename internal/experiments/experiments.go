@@ -12,6 +12,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -175,7 +176,7 @@ func BuildEnv(p Params) (*Env, error) {
 	spOpt.SampleFaults = p.ATPGSPFaults
 	spOpt.RandomBlocks = p.ATPGBlocks
 	spOpt.KeepAllBlocks = p.ATPGKeepAll
-	spRes, err := atpg.Generate(env.SP, spOpt)
+	spRes, err := atpg.Generate(context.Background(), env.SP, spOpt)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
@@ -185,7 +186,7 @@ func BuildEnv(p Params) (*Env, error) {
 	sfuOpt.SampleFaults = p.ATPGSFUFaults
 	sfuOpt.RandomBlocks = p.ATPGBlocks
 	sfuOpt.KeepAllBlocks = p.ATPGKeepAll
-	sfuRes, err := atpg.Generate(env.SFU, sfuOpt)
+	sfuRes, err := atpg.Generate(context.Background(), env.SFU, sfuOpt)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}

@@ -2,6 +2,7 @@ package stl_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"gpustl/internal/asm"
@@ -39,7 +40,7 @@ func generatorPTPs(t *testing.T) []*stl.PTP {
 		opt.SampleFaults = 300
 		opt.RandomBlocks = 16
 		opt.UsePodem = false
-		res, err := atpg.Generate(m, opt)
+		res, err := atpg.Generate(context.Background(), m, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
