@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"gpustl"
+	"gpustl/internal/circuits"
 	"gpustl/internal/obs"
 )
 
@@ -30,18 +31,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	var kind gpustl.ModuleKind
-	switch *module {
-	case "DU":
-		kind = gpustl.ModuleDU
-	case "SP":
-		kind = gpustl.ModuleSP
-	case "SFU":
-		kind = gpustl.ModuleSFU
-	case "FP32":
-		kind = gpustl.ModuleFP32
-	default:
-		fatal(fmt.Errorf("unknown module %q", *module))
+	kind, err := circuits.ParseModuleKind(*module)
+	if err != nil {
+		fatal(err)
 	}
 	m, err := gpustl.BuildModule(kind)
 	if err != nil {

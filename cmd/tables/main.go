@@ -30,7 +30,7 @@ func main() {
 		summary   = flag.Bool("summary", false, "print the whole-STL summary (runs tables 2 and 3)")
 		ablations = flag.Bool("ablations", false, "run the ablation studies")
 		baseline  = flag.Bool("baseline", false, "run the proposed-vs-iterative-baseline comparison")
-		exts      = flag.Bool("extensions", false, "run the beyond-the-paper studies (FP32, pipeline registers)")
+		exts      = flag.Bool("extensions", false, "run the beyond-the-paper study (FP_RAND compaction on the FP32 unit)")
 		seed      = flag.Int64("seed", 1, "experiment seed")
 		csvDir    = flag.String("csv", "", "also write each table as CSV into this directory")
 		logJSON   = flag.Bool("log-json", false, "emit logs as JSON instead of text")

@@ -115,7 +115,6 @@ const (
 	ModuleSP   = circuits.ModuleSP
 	ModuleSFU  = circuits.ModuleSFU
 	ModuleFP32 = circuits.ModuleFP32
-	ModulePIPE = circuits.ModulePIPE // sequential: fetch/decode pipeline registers
 )
 
 // Module is a gate-level netlist plus its lane count in the SM.
@@ -160,17 +159,6 @@ func SampleFaults(m *Module, n int, seed int64) []Fault {
 // NewFaultCampaign creates a campaign over an explicit fault list.
 func NewFaultCampaign(m *Module, faults []Fault) *FaultCampaign {
 	return fault.NewCampaignWithFaults(m, faults)
-}
-
-// SeqFaultCampaign fault-simulates a sequential module (ModulePIPE):
-// the pattern stream is one ordered test sequence and faulty state
-// persists across clock cycles.
-type SeqFaultCampaign = fault.SeqCampaign
-
-// NewSeqFaultCampaign creates a sequential campaign over the module's
-// stem stuck-at faults.
-func NewSeqFaultCampaign(m *Module) (*SeqFaultCampaign, error) {
-	return fault.NewSeqCampaign(m)
 }
 
 // ---------------------------------------------------------------------------
@@ -251,8 +239,9 @@ type ATPGResult = atpg.Result
 func DefaultATPGOptions(seed int64) ATPGOptions { return atpg.DefaultOptions(seed) }
 
 // GenerateATPG runs random-pattern + PODEM test generation on a module.
-// It panics when m is not combinational, the only way its fault
-// simulation can fail.
+// It panics when Generate fails, which with no deadline means PODEM and
+// the fault simulator disagree on a pattern: a PODEM pattern that fault
+// simulation finds does not detect its target.
 func GenerateATPG(m *Module, opt ATPGOptions) *ATPGResult {
 	res, err := atpg.Generate(context.Background(), m, opt)
 	if err != nil {
@@ -635,8 +624,7 @@ type AblationResult = experiments.AblationResult
 // BaselineCompareResult holds the proposed-vs-baseline cost comparison.
 type BaselineCompareResult = experiments.BaselineCompareResult
 
-// ExtensionsResult holds the beyond-the-paper studies (FP32 compaction,
-// sequential pipeline-register coverage).
+// ExtensionsResult holds the beyond-the-paper study (FP32 compaction).
 type ExtensionsResult = experiments.ExtensionsResult
 
 // Experiment drivers, one per paper artifact.

@@ -99,20 +99,6 @@ func TestFacadeWholeSTL(t *testing.T) {
 	}
 }
 
-func TestFacadeSequentialCampaign(t *testing.T) {
-	pipe, err := BuildModule(ModulePIPE)
-	if err != nil {
-		t.Fatal(err)
-	}
-	camp, err := NewSeqFaultCampaign(pipe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if camp.Total() == 0 {
-		t.Fatal("empty sequential fault list")
-	}
-}
-
 func TestFacadeVCDE(t *testing.T) {
 	var buf bytes.Buffer
 	h := VCDEHeader{Module: ModuleSP, Lanes: 8, Inputs: 103}
@@ -137,6 +123,7 @@ func TestReadSTLMalformed(t *testing.T) {
 		{"empty input", "", "decoding STL"},
 		{"truncated JSON", `{"ptps":[{"name":"x","tar`, "decoding STL"},
 		{"unknown module kind", `{"ptps":[{"name":"x","target":"GX9","kernel":{"Blocks":1,"ThreadsPerBlock":32},"program":"EXIT"}]}`, "unknown target module"},
+		{"PIPE target", `{"ptps":[{"name":"x","target":"PIPE","kernel":{"Blocks":1,"ThreadsPerBlock":32},"program":"EXIT"}]}`, "unknown target module"},
 		{"empty PTP list", `{"ptps":[]}`, "no PTPs"},
 		{"missing ptps key", `{}`, "no PTPs"},
 		{"duplicate PTP names", `{"ptps":[` + valid + `,` + valid + `]}`, "duplicate PTP name"},

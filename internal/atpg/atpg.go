@@ -55,7 +55,8 @@ type Result struct {
 	TotalFaults  int // faults targeted
 	RandomDet    int // detected in the random phase
 	PodemDet     int // detected by PODEM-generated patterns
-	Untestable   int // PODEM proved/abandoned without a pattern
+	Untestable   int // PODEM exhausted the search: no pattern exists
+	Aborted      int // PODEM hit MaxBacktracks before deciding
 	RandPatterns int // patterns kept from the random phase
 }
 
@@ -74,9 +75,9 @@ func (r *Result) Coverage() float64 {
 //
 // ATPG works on a single lane of the module (the same patterns reach every
 // lane when the converted PTP executes across all threads). A fault
-// simulation failure, such as a sequential module, is returned as the
-// error, and so is a PODEM pattern that the fault simulator finds does
-// not detect its target: the two models of the module disagree. ctx is
+// simulation failure is returned as the error, and so is a PODEM pattern
+// that the fault simulator finds does not detect its target: the two
+// models of the module disagree. ctx is
 // checked by every fault simulation and before every PODEM target; once
 // it is done, Generate returns no result and an error wrapping ctx.Err().
 func Generate(ctx context.Context, m *circuits.Module, opt Options) (*Result, error) {
@@ -152,9 +153,13 @@ func Generate(ctx context.Context, m *circuits.Module, opt Options) (*Result, er
 				return nil, err
 			}
 			pd := newPodem(m.NL, f.Site, opt.MaxBacktracks)
-			pat, ok := pd.run()
-			if !ok {
+			pat, out := pd.run()
+			switch out {
+			case podemUntestable:
 				res.Untestable++
+				continue
+			case podemAborted:
+				res.Aborted++
 				continue
 			}
 			rep, err := camp.SimulateCtx(ctx, []fault.TimedPattern{{Pat: pat}}, fault.SimOptions{})
@@ -216,16 +221,20 @@ func StaticCompact(ctx context.Context, m *circuits.Module, patterns []circuits.
 }
 
 // GenerateForSites runs PODEM for an explicit list of fault sites and
-// returns one pattern per testable fault (no random phase, no dropping) —
-// a building block for tests and focused campaigns.
-func GenerateForSites(nl *netlist.Netlist, sites []netlist.FaultSite, maxBacktracks int) (pats []circuits.Pattern, untestable int) {
+// returns one pattern per fault it solves (no random phase, no dropping),
+// counting the rest as proven untestable or aborted at maxBacktracks — a
+// building block for tests and focused campaigns.
+func GenerateForSites(nl *netlist.Netlist, sites []netlist.FaultSite, maxBacktracks int) (pats []circuits.Pattern, untestable, aborted int) {
 	for _, s := range sites {
 		pd := newPodem(nl, s, maxBacktracks)
-		if pat, ok := pd.run(); ok {
+		switch pat, out := pd.run(); out {
+		case podemFound:
 			pats = append(pats, pat)
-		} else {
+		case podemUntestable:
 			untestable++
+		case podemAborted:
+			aborted++
 		}
 	}
-	return pats, untestable
+	return pats, untestable, aborted
 }

@@ -20,21 +20,6 @@ func generate(t testing.TB, m *circuits.Module, opt Options) *Result {
 	return res
 }
 
-// TestGenerateRefusesSequential checks that a module the fault simulator
-// cannot run comes back as an error from both entry points.
-func TestGenerateRefusesSequential(t *testing.T) {
-	m, err := circuits.Build(circuits.ModulePIPE, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Generate(context.Background(), m, DefaultOptions(1)); !errors.Is(err, netlist.ErrSequential) {
-		t.Fatalf("Generate on a sequential module: err = %v, want ErrSequential", err)
-	}
-	if _, err := StaticCompact(context.Background(), m, []circuits.Pattern{{}}, DefaultOptions(1)); !errors.Is(err, netlist.ErrSequential) {
-		t.Fatalf("StaticCompact on a sequential module: err = %v, want ErrSequential", err)
-	}
-}
-
 // TestGenerateCanceled checks that a done context stops both entry
 // points with context.Canceled and no result.
 func TestGenerateCanceled(t *testing.T) {
@@ -105,9 +90,9 @@ func TestPodemSmallCircuitAllFaults(t *testing.T) {
 	nl := buildTestCircuit(t)
 	for _, f := range fault.AllSites(nl) {
 		pd := newPodem(nl, f, 100)
-		pat, ok := pd.run()
-		if !ok {
-			t.Fatalf("fault %v reported untestable in an irredundant circuit", f)
+		pat, out := pd.run()
+		if out != podemFound {
+			t.Fatalf("fault %v: outcome %d in an irredundant circuit", f, out)
 		}
 		verifyPatternDetects(t, nl, f, pat)
 	}
@@ -126,13 +111,19 @@ func TestPodemUntestableFault(t *testing.T) {
 		t.Fatal("no AND gate")
 	}
 	pd := newPodem(nl, netlist.FaultSite{Gate: andGate, Pin: -1, SA1: false}, 100)
-	if _, ok := pd.run(); ok {
-		t.Fatal("untestable fault got a pattern")
+	if _, out := pd.run(); out != podemUntestable {
+		t.Fatalf("redundant fault: outcome %d, want proven untestable", out)
+	}
+	// With no backtrack allowed, the same search stops at its first flip
+	// before it can prove anything.
+	pd = newPodem(nl, netlist.FaultSite{Gate: andGate, Pin: -1, SA1: false}, 0)
+	if _, out := pd.run(); out != podemAborted {
+		t.Fatalf("redundant fault, no backtracks: outcome %d, want aborted", out)
 	}
 	// The same gate's sa1 IS testable (forces y=1 when a=0).
 	pd = newPodem(nl, netlist.FaultSite{Gate: andGate, Pin: -1, SA1: true}, 100)
-	pat, ok := pd.run()
-	if !ok {
+	pat, out := pd.run()
+	if out != podemFound {
 		t.Fatal("testable sa1 not found")
 	}
 	verifyPatternDetects(t, nl, netlist.FaultSite{Gate: andGate, Pin: -1, SA1: true}, pat)
@@ -149,8 +140,8 @@ func TestPodemOnSPSample(t *testing.T) {
 	ok, bad := 0, 0
 	for i := 0; i < len(sites); i += step {
 		pd := newPodem(m.NL, sites[i], 500)
-		pat, found := pd.run()
-		if !found {
+		pat, out := pd.run()
+		if out != podemFound {
 			bad++
 			continue
 		}
@@ -182,9 +173,9 @@ func TestGenerateOnSP(t *testing.T) {
 		t.Errorf("pattern set too large: %d patterns for %d faults",
 			len(res.Patterns), res.TotalFaults)
 	}
-	t.Logf("SP ATPG: %d faults, %d patterns (%d random, %d PODEM-era), cov %.2f%%, untestable %d",
+	t.Logf("SP ATPG: %d faults, %d patterns (%d random, %d PODEM-era), cov %.2f%%, untestable %d, aborted %d",
 		res.TotalFaults, len(res.Patterns), res.RandPatterns,
-		len(res.Patterns)-res.RandPatterns, res.Coverage(), res.Untestable)
+		len(res.Patterns)-res.RandPatterns, res.Coverage(), res.Untestable, res.Aborted)
 }
 
 func TestGenerateOnSFU(t *testing.T) {
@@ -199,8 +190,8 @@ func TestGenerateOnSFU(t *testing.T) {
 	if res.Coverage() < 75 {
 		t.Errorf("SFU ATPG coverage = %.1f%%", res.Coverage())
 	}
-	t.Logf("SFU ATPG: %d faults, %d patterns, cov %.2f%%, untestable %d",
-		res.TotalFaults, len(res.Patterns), res.Coverage(), res.Untestable)
+	t.Logf("SFU ATPG: %d faults, %d patterns, cov %.2f%%, untestable %d, aborted %d",
+		res.TotalFaults, len(res.Patterns), res.Coverage(), res.Untestable, res.Aborted)
 }
 
 func TestKeepAllBlocksAddsRedundancy(t *testing.T) {
@@ -292,9 +283,9 @@ func TestStaticCompactPreservesCoverage(t *testing.T) {
 func TestGenerateForSites(t *testing.T) {
 	nl := buildTestCircuit(t)
 	sites := fault.AllSites(nl)[:6]
-	pats, untestable := GenerateForSites(nl, sites, 100)
-	if untestable != 0 || len(pats) != 6 {
-		t.Fatalf("pats=%d untestable=%d", len(pats), untestable)
+	pats, untestable, aborted := GenerateForSites(nl, sites, 100)
+	if untestable != 0 || aborted != 0 || len(pats) != 6 {
+		t.Fatalf("pats=%d untestable=%d aborted=%d", len(pats), untestable, aborted)
 	}
 }
 

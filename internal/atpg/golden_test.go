@@ -72,9 +72,9 @@ func TestPatternsGolden(t *testing.T) {
 		{"small-sfu", sfu, small(23, 1000)},
 	} {
 		res := generate(t, c.m, c.opt)
-		fmt.Fprintf(&b, "%s patterns=%d sha256=%s rand=%d random_det=%d podem_det=%d untestable=%d\n",
+		fmt.Fprintf(&b, "%s patterns=%d sha256=%s rand=%d random_det=%d podem_det=%d untestable=%d aborted=%d\n",
 			c.name, len(res.Patterns), patternsDigest(res.Patterns),
-			res.RandPatterns, res.RandomDet, res.PodemDet, res.Untestable)
+			res.RandPatterns, res.RandomDet, res.PodemDet, res.Untestable, res.Aborted)
 	}
 
 	sites := fault.AllSites(sp.NL)
@@ -82,9 +82,9 @@ func TestPatternsGolden(t *testing.T) {
 	for i := 0; i < len(sites); i += len(sites) / 150 {
 		spread = append(spread, sites[i])
 	}
-	pats, untestable := GenerateForSites(sp.NL, spread, 300)
-	fmt.Fprintf(&b, "sites-sp sites=%d patterns=%d sha256=%s untestable=%d\n",
-		len(spread), len(pats), patternsDigest(pats), untestable)
+	pats, untestable, aborted := GenerateForSites(sp.NL, spread, 300)
+	fmt.Fprintf(&b, "sites-sp sites=%d patterns=%d sha256=%s untestable=%d aborted=%d\n",
+		len(spread), len(pats), patternsDigest(pats), untestable, aborted)
 	got := b.String()
 
 	golden := filepath.Join("testdata", "patterns.golden")

@@ -84,15 +84,14 @@ func newPodem(nl *netlist.Netlist, f netlist.FaultSite, maxBacktracks int) *pode
 		p.inIx[net] = int32(i)
 	}
 	p.cone, p.inCone, p.coneOuts = faultCone(nl, f.Gate)
-	// With every input X, every net is X except the constants, the
-	// flip-flops (which evaluate to 0 here) and the fault site: start
-	// from all-X and let propagate settle those.
+	// With every input X, every net is X except the constants and the
+	// fault site: start from all-X and let propagate settle those.
 	for i := range p.val {
 		p.val[i] = tval{vX, vX}
 	}
 	for id, g := range nl.Gates {
 		switch g.Kind {
-		case netlist.KConst0, netlist.KConst1, netlist.KDFF:
+		case netlist.KConst0, netlist.KConst1:
 			p.schedule(int32(id))
 		}
 	}
@@ -427,14 +426,22 @@ type decision struct {
 	flipped bool
 }
 
+// outcome is how a PODEM search ends.
+type outcome uint8
+
+const (
+	podemFound      outcome = iota // a pattern that detects the fault
+	podemUntestable                // the search space is exhausted: no pattern exists
+	podemAborted                   // the backtrack budget ran out first
+)
+
 // run executes the PODEM search. It returns the generated pattern and
-// true on success; (zero, false) when the fault is untestable or the
-// backtrack budget is exhausted.
-func (p *podem) run() (circuits.Pattern, bool) {
+// podemFound on success, and a zero pattern with the reason otherwise.
+func (p *podem) run() (circuits.Pattern, outcome) {
 	var stack []decision
 	for {
 		if p.detected() {
-			return p.pattern(), true
+			return p.pattern(), podemFound
 		}
 		net, want, ok := p.objective()
 		feasible := ok
@@ -452,7 +459,7 @@ func (p *podem) run() (circuits.Pattern, bool) {
 		// Backtrack.
 		for {
 			if len(stack) == 0 {
-				return circuits.Pattern{}, false
+				return circuits.Pattern{}, podemUntestable
 			}
 			d := &stack[len(stack)-1]
 			if !d.flipped {
@@ -461,7 +468,7 @@ func (p *podem) run() (circuits.Pattern, bool) {
 				p.assign(d.pi, d.value)
 				p.backtracks++
 				if p.backtracks > p.maxBacktracks {
-					return circuits.Pattern{}, false
+					return circuits.Pattern{}, podemAborted
 				}
 				p.propagate()
 				break
@@ -470,7 +477,7 @@ func (p *podem) run() (circuits.Pattern, bool) {
 			stack = stack[:len(stack)-1]
 		}
 		if p.detected() {
-			return p.pattern(), true
+			return p.pattern(), podemFound
 		}
 	}
 }

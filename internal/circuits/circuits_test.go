@@ -303,16 +303,24 @@ func TestBuildModuleKinds(t *testing.T) {
 			t.Fatalf("Build(%v): %v", k, err)
 		}
 		wantLanes := map[ModuleKind]int{ModuleDU: 1, ModuleSP: 8, ModuleSFU: 2,
-			ModuleFP32: 8, ModulePIPE: 1}[k]
+			ModuleFP32: 8}[k]
 		if m.Lanes != wantLanes {
 			t.Errorf("%v lanes = %d, want %d", k, m.Lanes, wantLanes)
 		}
 		if m.NL == nil || m.Kind != k {
 			t.Errorf("%v malformed module", k)
 		}
+		if got, err := ParseModuleKind(k.String()); err != nil || got != k {
+			t.Errorf("ParseModuleKind(%q) = %v, %v", k.String(), got, err)
+		}
 	}
 	if _, err := Build(ModuleKind(99), 0); err == nil {
 		t.Error("unknown kind accepted")
+	}
+	for _, name := range []string{"", "du", "PIPE", "ModuleKind(4)"} {
+		if _, err := ParseModuleKind(name); err == nil {
+			t.Errorf("ParseModuleKind(%q) accepted", name)
+		}
 	}
 }
 

@@ -16,7 +16,6 @@ const (
 	ModuleSP                     // SP core integer datapath (8 lanes)
 	ModuleSFU                    // Special Function Unit datapath (2 lanes)
 	ModuleFP32                   // FP32 floating-point datapath (8 lanes)
-	ModulePIPE                   // fetch/decode pipeline registers (sequential)
 	moduleKinds
 )
 
@@ -34,10 +33,18 @@ func (k ModuleKind) String() string {
 		return "SFU"
 	case ModuleFP32:
 		return "FP32"
-	case ModulePIPE:
-		return "PIPE"
 	}
 	return fmt.Sprintf("ModuleKind(%d)", uint8(k))
+}
+
+// ParseModuleKind returns the kind whose String is name.
+func ParseModuleKind(name string) (ModuleKind, error) {
+	for k := ModuleKind(0); k < moduleKinds; k++ {
+		if k.String() == name {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown module %q", name)
 }
 
 // Module pairs a gate-level netlist with its place in the SM.
@@ -83,15 +90,6 @@ func Build(kind ModuleKind, lanes int) (*Module, error) {
 			lanes = 8
 		}
 		nl, err := BuildFP32()
-		if err != nil {
-			return nil, err
-		}
-		return &Module{Kind: kind, NL: nl, Lanes: lanes}, nil
-	case ModulePIPE:
-		if lanes == 0 {
-			lanes = 1
-		}
-		nl, err := BuildPIPE()
 		if err != nil {
 			return nil, err
 		}

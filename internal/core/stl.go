@@ -28,9 +28,6 @@ func NewModuleSet(lib *stl.STL, sample int, seed int64) (*ModuleSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		if m.NL.NumDFFs() > 0 {
-			continue // sequential targets are not compaction candidates here
-		}
 		ms.Modules[p.Target] = m
 		c := fault.NewCampaign(m)
 		if sample > 0 {

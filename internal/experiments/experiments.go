@@ -232,13 +232,7 @@ func (e *Env) FaultsOf(p *stl.PTP) []fault.Fault {
 // RunPTP executes a PTP on the simulated GPU with pattern extraction for
 // its own target module and returns the collector and total cycles.
 func (e *Env) RunPTP(p *stl.PTP) (*trace.Collector, uint64, error) {
-	return e.RunPTPAs(p, p.Target)
-}
-
-// RunPTPAs executes a PTP extracting patterns for an explicit target
-// module (e.g. the pipeline registers, which any fetch stream exercises).
-func (e *Env) RunPTPAs(p *stl.PTP, target circuits.ModuleKind) (*trace.Collector, uint64, error) {
-	col := trace.NewCollector(target)
+	col := trace.NewCollector(p.Target)
 	col.LiteRows = true
 	g, err := gpu.New(e.Cfg, col)
 	if err != nil {

@@ -246,12 +246,6 @@ func TestExtensions(t *testing.T) {
 	if x.FP.SizePct >= 0 {
 		t.Errorf("FP_RAND did not compact: %.2f%%", x.FP.SizePct)
 	}
-	if x.PipeCoverage < 60 {
-		t.Errorf("pipeline coverage %.2f%%", x.PipeCoverage)
-	}
-	if len(x.PipeGroups) < 2 {
-		t.Errorf("pipe groups: %d", len(x.PipeGroups))
-	}
 	var buf bytes.Buffer
 	x.Render(&buf)
 	if !strings.Contains(buf.String(), "EXTENSIONS") {

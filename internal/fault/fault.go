@@ -130,7 +130,7 @@ type Campaign struct {
 	detected []bool
 	nDet     int
 
-	initErr error // deferred constructor error (sequential module, malformed fault)
+	initErr error // deferred constructor error: a fault outside the module
 
 	// stats accumulates engine counters across this campaign's SimulateCtx
 	// runs (the per-campaign dictionary effectiveness view); guarded by
@@ -146,14 +146,14 @@ type Campaign struct {
 }
 
 // NewCampaign creates a campaign over the module's full uncollapsed
-// stuck-at fault list. A campaign over an unsupported (sequential) module
-// is created in a failed state: SimulateCtx returns the error, Err exposes
-// it.
+// stuck-at fault list.
 func NewCampaign(m *circuits.Module) *Campaign {
 	return newCampaign(m, ExpandLanes(AllSites(m.NL), m.Lanes))
 }
 
-// NewCampaignWithFaults creates a campaign over an explicit fault list.
+// NewCampaignWithFaults creates a campaign over an explicit fault list. A
+// list with a fault outside the module gives a campaign in a failed
+// state: SimulateCtx returns the error, Err exposes it.
 func NewCampaignWithFaults(m *circuits.Module, faults []Fault) *Campaign {
 	fs := make([]Fault, len(faults))
 	copy(fs, faults)
@@ -162,17 +162,12 @@ func NewCampaignWithFaults(m *circuits.Module, faults []Fault) *Campaign {
 
 // newCampaign wraps an owned fault list. Evaluators come from the
 // netlist's per-width pool at run time; construction checks only that
-// the module is combinational and that every fault fits it: a site
-// inside the netlist (gate in range, pin -1 or below the gate's arity)
-// and a non-negative lane. Faults in lanes past the module's are left
-// out of runs, not refused. The first failure becomes the campaign's
-// deferred error.
+// every fault fits the module: a site inside the netlist (gate in range,
+// pin -1 or below the gate's arity) and a non-negative lane. Faults in
+// lanes past the module's are left out of runs, not refused. The first
+// misfit becomes the campaign's deferred error.
 func newCampaign(m *circuits.Module, faults []Fault) *Campaign {
 	c := &Campaign{Module: m, faults: faults, detected: make([]bool, len(faults))}
-	if m.NL.NumDFFs() > 0 {
-		c.initErr = fmt.Errorf("fault: %s: %w", m.NL.Name, netlist.ErrSequential)
-		return c
-	}
 	gates := m.NL.Gates
 	for i := range faults {
 		f := &faults[i]
@@ -331,9 +326,8 @@ type Detection struct {
 type Report struct {
 	// Stream is the pattern stream in application order, which every
 	// index in the report refers to: the caller's slice itself, or a
-	// reordered copy (OrderStream's reversal, a sequential campaign's
-	// cc sort). The report shares it with the caller, so neither may
-	// mutate it.
+	// reversed copy (OrderStream). The report shares it with the
+	// caller, so neither may mutate it.
 	Stream []TimedPattern
 	// DetectedPerPattern[i] counts faults first detected by Stream[i].
 	DetectedPerPattern []int32

@@ -127,14 +127,18 @@ func TestDetectedIDsRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCampaignErrSurfacesSequentialModule(t *testing.T) {
-	m := pipeModule(t) // sequential: combinational campaigns must refuse it
-	c := NewCampaign(m)
-	if c.Err() == nil {
-		t.Fatal("campaign over sequential module reports no error")
+func TestCampaignErrSurfacesMalformedFault(t *testing.T) {
+	m := spModule(t)
+	bad := Fault{Site: netlist.FaultSite{Gate: int32(len(m.NL.Gates)), Pin: -1}}
+	c := NewCampaignWithFaults(m, []Fault{{Site: AllSites(m.NL)[0]}, bad})
+	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "outside the module") {
+		t.Fatalf("campaign with a fault past the netlist: Err() = %v", err)
 	}
-	stream := pipeStream(8)
+	stream := randomSPStream(rand.New(rand.NewSource(5)), m.Lanes, 8)
 	if _, err := c.SimulateCtx(context.Background(), stream, SimOptions{}); err == nil {
 		t.Fatal("SimulateCtx ignored construction error")
+	}
+	if c.Detected() != 0 {
+		t.Fatalf("failed campaign committed %d detections", c.Detected())
 	}
 }

@@ -80,8 +80,7 @@ func buildCone(n *Netlist) *ConeInfo {
 	}
 
 	// Forward pass over the topological order: fsupp(g) = primary inputs
-	// reaching g. DFF inputs are not combinational dependencies (levelize
-	// treats a DFF as a level-0 source), so they contribute nothing here.
+	// reaching g.
 	inBit := make([]int32, ng)
 	for i := range inBit {
 		inBit[i] = -1
@@ -95,9 +94,6 @@ func buildCone(n *Netlist) *ConeInfo {
 		row := fsupp[int(id)*words : (int(id)+1)*words]
 		if b := inBit[id]; b >= 0 {
 			row[b/64] |= 1 << uint(b%64)
-		}
-		if g.Kind == KDFF {
-			continue
 		}
 		for p := 0; p < g.NumIn(); p++ {
 			src := fsupp[int(g.In[p])*words : (int(g.In[p])+1)*words]
@@ -126,8 +122,7 @@ func buildCone(n *Netlist) *ConeInfo {
 
 	// Reverse topological pass: dsupp(g) ∪= dsupp(c) for every consumer c.
 	// Consumers sit at strictly higher levels, so walking the order
-	// backwards sees them finalized. Fanout edges into DFF data pins were
-	// never recorded, matching the combinational-only detection semantics.
+	// backwards sees them finalized.
 	for i := len(n.order) - 1; i >= 0; i-- {
 		id := n.order[i]
 		row := ci.detSupp[int(id)*words : (int(id)+1)*words]

@@ -39,9 +39,6 @@ func bruteDetSupp(nl *Netlist, gate int32) (support map[int32]bool, firstOut int
 			support[id] = true
 		}
 		g := nl.Gates[id]
-		if g.Kind == KDFF {
-			return
-		}
 		for p := 0; p < g.NumIn(); p++ {
 			fanin(g.In[p], seen)
 		}

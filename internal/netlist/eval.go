@@ -1,9 +1,6 @@
 package netlist
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // FaultSite identifies a single stuck-at fault: the output (Pin == -1) or
 // an input pin of a gate, stuck at 1 (SA1) or 0.
@@ -63,13 +60,7 @@ type Evaluator struct {
 	cones coneScratch // stem-cone compile scratch; see stemCone
 }
 
-// ErrSequential reports that a combinational-only entry point was handed
-// a netlist with flip-flops.
-var ErrSequential = errors.New("netlist: sequential netlist; use NewSeqEvaluator")
-
-// NewEvaluator creates a width-1 (64 patterns per block) evaluator for a
-// combinational netlist. It returns ErrSequential on netlists with
-// flip-flops — use NewSeqEvaluator for those.
+// NewEvaluator creates a width-1 (64 patterns per block) evaluator.
 func NewEvaluator(nl *Netlist) (*Evaluator, error) {
 	return NewEvaluatorWide(nl, 1)
 }
@@ -82,9 +73,6 @@ const MaxBlockWords = 16
 // NewEvaluatorWide creates an evaluator computing w words (64×w
 // patterns) per net per block. w must be in [1, MaxBlockWords].
 func NewEvaluatorWide(nl *Netlist, w int) (*Evaluator, error) {
-	if nl.NumDFFs() > 0 {
-		return nil, fmt.Errorf("netlist: NewEvaluator on %s: %w", nl.Name, ErrSequential)
-	}
 	if w < 1 || w > MaxBlockWords {
 		return nil, fmt.Errorf("netlist: block width %d words outside [1, %d]", w, MaxBlockWords)
 	}

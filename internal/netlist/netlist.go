@@ -33,10 +33,6 @@ const (
 	KNor
 	KXnor
 	KMux
-	// KDFF is a D flip-flop: a state element whose output acts as a level-0
-	// source during combinational evaluation and samples its single input
-	// when SeqEvaluator clocks it. Only SeqEvaluator understands DFFs.
-	KDFF
 	kindCount
 )
 
@@ -45,7 +41,7 @@ const NumKinds = int(kindCount)
 
 var kindNames = [NumKinds]string{
 	"INPUT", "CONST0", "CONST1", "BUF", "NOT", "AND", "OR", "XOR",
-	"NAND", "NOR", "XNOR", "MUX", "DFF",
+	"NAND", "NOR", "XNOR", "MUX",
 }
 
 // String returns the cell name.
@@ -59,7 +55,7 @@ func (k Kind) String() string {
 // arityTab holds arity+1 per kind so the zero value flags unknown kinds.
 var arityTab = [NumKinds]int8{
 	KInput: 1, KConst0: 1, KConst1: 1,
-	KBuf: 2, KNot: 2, KDFF: 2,
+	KBuf: 2, KNot: 2,
 	KAnd: 3, KOr: 3, KXor: 3, KNand: 3, KNor: 3, KXnor: 3,
 	KMux: 4,
 }
@@ -166,17 +162,6 @@ type Builder struct {
 	groupIdx map[string]uint16
 	curGroup uint16
 	gateGrp  []uint16
-
-	// err holds the first construction error (e.g. a bad ConnectD), so
-	// builder chains need not check every call; Build surfaces it.
-	err error
-}
-
-// recordErr keeps the first construction error for Build to report.
-func (b *Builder) recordErr(err error) {
-	if b.err == nil {
-		b.err = err
-	}
 }
 
 // NewBuilder returns an empty builder for a circuit with the given name.
@@ -290,9 +275,6 @@ func (b *Builder) OutputBus(name string, nets []int32) {
 
 // Build validates, levelizes and freezes the circuit.
 func (b *Builder) Build() (*Netlist, error) {
-	if b.err != nil {
-		return nil, b.err
-	}
 	n := &Netlist{
 		Name:        b.name,
 		Gates:       b.gates,
@@ -316,9 +298,8 @@ func (b *Builder) Build() (*Netlist, error) {
 					return nil, fmt.Errorf("netlist: gate %d (%v) pin %d: bad net %d", id, g.Kind, p, in)
 				}
 				// Builders only reference already-created nets, so the
-				// combinational graph is acyclic by construction; DFF data
-				// inputs are the one sanctioned feedback path.
-				if in >= int32(id) && g.Kind != KDFF {
+				// graph is acyclic by construction.
+				if in >= int32(id) {
 					return nil, fmt.Errorf("netlist: gate %d references later net %d (cycle?)", id, in)
 				}
 			} else if in != -1 {
@@ -340,14 +321,12 @@ func (n *Netlist) levelize() {
 	n.fanout = make([][]int32, len(n.Gates))
 	for id, g := range n.Gates {
 		var lvl int32
-		if g.Kind != KDFF { // a DFF is a level-0 state source; its D edge
-			for p := 0; p < g.NumIn(); p++ { // is sampled at clock time only
-				in := g.In[p]
-				if n.level[in] >= lvl {
-					lvl = n.level[in] + 1
-				}
-				n.fanout[in] = append(n.fanout[in], int32(id))
+		for p := 0; p < g.NumIn(); p++ {
+			in := g.In[p]
+			if n.level[in] >= lvl {
+				lvl = n.level[in] + 1
 			}
+			n.fanout[in] = append(n.fanout[in], int32(id))
 		}
 		n.level[id] = lvl
 		if lvl > n.maxLvl {

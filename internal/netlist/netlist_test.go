@@ -55,16 +55,6 @@ func mustEvalOnce(t *testing.T, ev *Evaluator, pattern []bool) []bool {
 	return out
 }
 
-// mustStep clocks a sequential evaluator or fails the test.
-func mustStep(t *testing.T, e *SeqEvaluator, inputs []bool) uint64 {
-	t.Helper()
-	det, err := e.Step(inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return det
-}
-
 func TestAdderExhaustive(t *testing.T) {
 	nl := buildAdder4(t)
 	ev := mustEval(t, nl)

@@ -9,7 +9,7 @@ package netlist
 // one Gate load per gate — the one-pass levelized sweep of GATSPI-style
 // GPU simulators, on CPU words.
 //
-// Source gates (inputs, constants, flip-flops) are excluded: their
+// Source gates (inputs and constants) are excluded: their
 // values are loaded outside the sweep and no run ever writes them. The
 // plan is a property of the netlist alone, built once and shared
 // read-only by every evaluator at any block width.
@@ -56,13 +56,11 @@ func (n *Netlist) Plan() *EvalPlan {
 	return n.plan
 }
 
-// planned reports whether a gate takes part in the combinational sweep.
-// Inputs and constants are loaded before the sweep; DFF outputs are
-// level-0 state sources whose values only change when a sequential
-// evaluator clocks them.
+// planned reports whether a gate takes part in the sweep. Inputs and
+// constants are loaded before it.
 func planned(k Kind) bool {
 	switch k {
-	case KInput, KConst0, KConst1, KDFF:
+	case KInput, KConst0, KConst1:
 		return false
 	}
 	return true

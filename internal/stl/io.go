@@ -81,16 +81,8 @@ func ReadPTP(r io.Reader) (*PTP, error) {
 		return nil, fmt.Errorf("stl: PTP %s: input exceeds limit: %d protected regions, max %d",
 			j.Name, len(j.Protected), MaxSBCount)
 	}
-	var target circuits.ModuleKind
-	found := false
-	for k := circuits.ModuleKind(0); int(k) < circuits.NumModuleKinds; k++ {
-		if k.String() == j.Target {
-			target = k
-			found = true
-			break
-		}
-	}
-	if !found {
+	target, err := circuits.ParseModuleKind(j.Target)
+	if err != nil {
 		return nil, fmt.Errorf("stl: unknown target module %q", j.Target)
 	}
 	prog, err := asm.Assemble(j.Program)

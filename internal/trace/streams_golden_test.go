@@ -53,8 +53,8 @@ type streamCase struct {
 // the DU, RAND and a small TPGEN on the SP, an SFU program, the FP32
 // program, the divergence kernel), multi-warp blocks, multi-block grids,
 // and the 16- and 32-lane SP configurations. Every case runs under a
-// collector for each module kind, so the PIPE stream is pinned on all of
-// them.
+// collector for each module kind, so every module's stream is pinned on
+// all of them.
 func streamCases() []streamCase {
 	r := rand.New(rand.NewSource(5))
 	spPats := make([]circuits.Pattern, 48)

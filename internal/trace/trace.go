@@ -87,20 +87,12 @@ func (c *Collector) addPattern(p fault.TimedPattern) {
 	c.Patterns = append(grow(c.Patterns, 1), p)
 }
 
-// Fetch implements gpu.Monitor; the raw word and PC form the DU pattern
-// and, for the pipeline-register target, one registered cycle (enabled,
-// no flush — the functional fetch stream).
+// Fetch implements gpu.Monitor; the raw word and PC form the DU pattern.
 func (c *Collector) Fetch(cc uint64, warp, pc int, word isa.Word) {
-	switch c.Target {
-	case circuits.ModuleDU:
+	if c.Target == circuits.ModuleDU {
 		c.addPattern(fault.TimedPattern{
 			CC: cc, Lane: 0, Warp: int16(warp), PC: int32(pc),
 			Pat: circuits.EncodeDUPattern(word, pc),
-		})
-	case circuits.ModulePIPE:
-		c.addPattern(fault.TimedPattern{
-			CC: cc, Lane: 0, Warp: int16(warp), PC: int32(pc),
-			Pat: circuits.EncodePIPEPattern(uint64(word), uint32(pc), true, false),
 		})
 	}
 }

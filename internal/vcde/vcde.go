@@ -71,7 +71,7 @@ func Read(r io.Reader) (Header, []fault.TimedPattern, error) {
 			if len(f) != 6 || f[2] != "lanes" || f[4] != "inputs" {
 				return h, nil, fmt.Errorf("vcde: line %d: bad module header", line)
 			}
-			mk, err := moduleByName(f[1])
+			mk, err := circuits.ParseModuleKind(f[1])
 			if err != nil {
 				return h, nil, fmt.Errorf("vcde: line %d: %v", line, err)
 			}
@@ -134,13 +134,4 @@ func Read(r io.Reader) (Header, []fault.TimedPattern, error) {
 		return h, nil, fmt.Errorf("vcde: missing end marker")
 	}
 	return h, pats, nil
-}
-
-func moduleByName(name string) (circuits.ModuleKind, error) {
-	for k := circuits.ModuleKind(0); int(k) < circuits.NumModuleKinds; k++ {
-		if k.String() == name {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown module %q", name)
 }
