@@ -55,6 +55,7 @@ verify: test lint chaos-smoke chaos-overload chaos-server verify-medium
 	go test -fuzz '^FuzzObsFactors$$' -fuzztime 10s -run '^$$' ./internal/netlist
 	go test -fuzz '^FuzzExecRows$$' -fuzztime 10s -run '^$$' ./internal/gpu
 	go test -fuzz '^FuzzImply$$' -fuzztime 10s -run '^$$' ./internal/atpg
+	go test -fuzz '^FuzzSubsetRuns$$' -fuzztime 10s -run '^$$' ./internal/core
 
 # Medium-scale reproduction check: regenerate Tables I-III, the STL
 # summary, the ablations and the baseline comparison and diff them

@@ -33,12 +33,12 @@ func (c *Compactor) CompactToBudget(p *stl.PTP, budgetCC uint64) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	origFC, origDet, err := c.evaluateFC(ctx, p, col.Patterns)
+	origFC, origDet, origRep, err := c.evaluateFC(ctx, p, col.Patterns, nil)
 	if err != nil {
 		return nil, err
 	}
 
-	rep, err := c.dropFaults(ctx, p, col.Patterns)
+	rep, err := c.dropFaults(ctx, p, col.Patterns, origDet)
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +142,7 @@ func (c *Compactor) CompactToBudget(p *stl.PTP, budgetCC uint64) (*Result, error
 	if err != nil {
 		return nil, fmt.Errorf("core: budget-compacted %s does not run: %w", p.Name, err)
 	}
-	compFC, compDet, err := c.evaluateFC(ctx, comp, compCol.Patterns)
+	compFC, compDet, _, err := c.evaluateFC(ctx, comp, compCol.Patterns, origRep)
 	if err != nil {
 		return nil, err
 	}

@@ -233,21 +233,49 @@ func (c *Compactor) TracePTP(ctx context.Context, p *stl.PTP) (*Trace, error) {
 type LogicSim func(ctx context.Context) (*Trace, error)
 
 // evaluateFC runs a standalone fault simulation of the PTP's pattern
-// stream against a fresh copy of the campaign's fault list and returns the
-// coverage percentage and the ids of the detected faults, ascending.
-func (c *Compactor) evaluateFC(ctx context.Context, p *stl.PTP, patterns []fault.TimedPattern) (float64, []fault.ID, error) {
-	fc := fault.NewCampaignWithFaults(c.Module, c.Campaign.Faults())
-	if _, err := c.simulate(ctx, fc, patterns, fault.SimOptions{Workers: c.Opt.Workers, Metrics: c.Opt.Metrics}); err != nil {
-		return 0, nil, fmt.Errorf("core: FC evaluation of %s: %w", p.Name, err)
+// stream against a fresh detection state over the campaign's fault list.
+// It returns the coverage percentage, the ids of the detected faults,
+// ascending, and the run's report. orig nil simulates every fault. A
+// compacted PTP passes the report of its original's standalone run: the
+// faults whose first detecting (lane, input vector) in it also occurs in
+// patterns are detected with no simulation, since the module is
+// combinational, and only the rest are simulated.
+func (c *Compactor) evaluateFC(ctx context.Context, p *stl.PTP, patterns []fault.TimedPattern, orig *fault.Report) (float64, []fault.ID, *fault.Report, error) {
+	fc := c.Campaign.Fresh()
+	if orig != nil {
+		if err := fc.RestoreDetected(orig.Surviving(patterns)); err != nil {
+			return 0, nil, nil, fmt.Errorf("core: FC evaluation of %s: %w", p.Name, err)
+		}
 	}
-	return fc.Coverage(), fc.DetectedIDs(), nil
+	rep, err := c.simulate(ctx, fc, patterns, fault.SimOptions{Workers: c.Opt.Workers, Metrics: c.Opt.Metrics})
+	if err != nil {
+		return 0, nil, nil, fmt.Errorf("core: FC evaluation of %s: %w", p.Name, err)
+	}
+	return fc.Coverage(), fc.DetectedIDs(), rep, nil
 }
 
 // dropFaults runs the stage-3 fault simulation of the PTP's pattern
-// stream on the shared campaign, committing its first detections (the
-// cross-PTP fault dropping), and returns the Fault Sim Report.
-func (c *Compactor) dropFaults(ctx context.Context, p *stl.PTP, patterns []fault.TimedPattern) (*fault.Report, error) {
-	rep, err := c.simulate(ctx, c.Campaign, patterns, fault.SimOptions{
+// stream, commits its first detections to the shared campaign (the
+// cross-PTP fault dropping), and returns the Fault Sim Report. origDet
+// is the original's standalone detected set. Which faults a
+// combinational module detects does not depend on pattern order, so a
+// fault outside it cannot be detected here: the run simulates only the
+// shared campaign's undetected faults in origDet, on a scratch campaign.
+// First detections are per fault, so its report is the report of a run
+// over every undetected fault. The shared campaign changes only when the
+// run succeeds.
+func (c *Compactor) dropFaults(ctx context.Context, p *stl.PTP, patterns []fault.TimedPattern, origDet []fault.ID) (*fault.Report, error) {
+	live := make([]fault.ID, 0, len(origDet))
+	for _, id := range origDet {
+		if !c.Campaign.IsDetected(id) {
+			live = append(live, id)
+		}
+	}
+	scratch := c.Campaign.Fresh()
+	if err := scratch.Only(live); err != nil {
+		return nil, fmt.Errorf("core: fault simulation of %s: %w", p.Name, err)
+	}
+	rep, err := c.simulate(ctx, scratch, patterns, fault.SimOptions{
 		Reverse: c.Opt.ReversePatterns,
 		Workers: c.Opt.Workers,
 		Metrics: c.Opt.Metrics,
@@ -255,6 +283,14 @@ func (c *Compactor) dropFaults(ctx context.Context, p *stl.PTP, patterns []fault
 	if err != nil {
 		return nil, fmt.Errorf("core: fault simulation of %s: %w", p.Name, err)
 	}
+	dropped := make([]fault.ID, len(rep.Detections))
+	for i, d := range rep.Detections {
+		dropped[i] = d.Fault
+	}
+	if err := c.Campaign.RestoreDetected(dropped); err != nil {
+		return nil, fmt.Errorf("core: fault simulation of %s: %w", p.Name, err)
+	}
+	c.Campaign.RecordCoverage(c.Opt.Metrics)
 	return rep, nil
 }
 
@@ -353,7 +389,7 @@ func (c *Compactor) CompactPTPCtx(ctx context.Context, p *stl.PTP, onStage func(
 	// Standalone FC of the original PTP (fresh fault list) for the Diff FC
 	// column; this is the paper's reference fault-injection campaign, not
 	// part of the compaction loop itself.
-	origFC, origDet, err := c.evaluateFC(ctx, p, col.Patterns)
+	origFC, origDet, origRep, err := c.evaluateFC(ctx, p, col.Patterns, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -367,7 +403,7 @@ func (c *Compactor) CompactPTPCtx(ctx context.Context, p *stl.PTP, onStage func(
 	if err := enter(StageFaultSim); err != nil {
 		return failed(err)
 	}
-	rep, err := c.dropFaults(ctx, p, col.Patterns)
+	rep, err := c.dropFaults(ctx, p, col.Patterns, origDet)
 	if err != nil {
 		return failed(err)
 	}
@@ -377,43 +413,8 @@ func (c *Compactor) CompactPTPCtx(ctx context.Context, p *stl.PTP, onStage func(
 	if err := enter(StageReduce); err != nil {
 		return failed(err)
 	}
-	var removed []int
-	nEss, nUness := 0, 0
-	if c.Opt.InstructionGranularity {
-		for i, sb := range sbs {
-			if !candidates[i] {
-				continue
-			}
-			for pc := sb.Start; pc < sb.End; pc++ {
-				if essential[pc] {
-					nEss++
-				} else {
-					nUness++
-					removed = append(removed, pc)
-				}
-			}
-		}
-	} else {
-		for i, sb := range sbs {
-			if !candidates[i] {
-				continue
-			}
-			allUness := true
-			for pc := sb.Start; pc < sb.End; pc++ {
-				if essential[pc] {
-					nEss++
-					allUness = false
-				} else {
-					nUness++
-				}
-			}
-			if allUness {
-				for pc := sb.Start; pc < sb.End; pc++ {
-					removed = append(removed, pc)
-				}
-			}
-		}
-	}
+	removed, nEss, nUness := c.reduce(sbs, candidates, essential)
+
 	// Stage 5 — reassembling.
 	if err := enter(StageReassemble); err != nil {
 		return failed(err)
@@ -433,7 +434,7 @@ func (c *Compactor) CompactPTPCtx(ctx context.Context, p *stl.PTP, onStage func(
 	if err != nil {
 		return failed(fmt.Errorf("core: compacted %s does not run: %w", p.Name, err))
 	}
-	compFC, compDet, err := c.evaluateFC(ctx, comp, compCol.Patterns)
+	compFC, compDet, _, err := c.evaluateFC(ctx, comp, compCol.Patterns, origRep)
 	if err != nil {
 		return failed(err)
 	}
@@ -457,6 +458,37 @@ func (c *Compactor) CompactPTPCtx(ctx context.Context, p *stl.PTP, onStage func(
 		DetectedThisRun: rep.DetectedThisRun(),
 		CompactionTime:  elapsed,
 	}, nil
+}
+
+// reduce is stage 4 (Fig. 3): it returns the instructions to remove —
+// every instruction of each candidate SB whose instructions are all
+// unessential, or under InstructionGranularity every unessential
+// instruction of a candidate SB — and the counts of essential and
+// unessential instructions inside candidate SBs.
+func (c *Compactor) reduce(sbs []stl.SB, candidates, essential []bool) (removed []int, nEss, nUness int) {
+	for i, sb := range sbs {
+		if !candidates[i] {
+			continue
+		}
+		allUness := true
+		for pc := sb.Start; pc < sb.End; pc++ {
+			if essential[pc] {
+				nEss++
+				allUness = false
+			} else {
+				nUness++
+				if c.Opt.InstructionGranularity {
+					removed = append(removed, pc)
+				}
+			}
+		}
+		if allUness && !c.Opt.InstructionGranularity {
+			for pc := sb.Start; pc < sb.End; pc++ {
+				removed = append(removed, pc)
+			}
+		}
+	}
+	return removed, nEss, nUness
 }
 
 func countRemovedSBs(sbs []stl.SB, removed []int) int {

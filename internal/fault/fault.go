@@ -132,15 +132,8 @@ type Campaign struct {
 
 	initErr error // deferred constructor error: a fault outside the module
 
-	// stats accumulates engine counters across this campaign's SimulateCtx
-	// runs (the per-campaign dictionary effectiveness view); guarded by
-	// statsMu only because Stats() may be read while a run is merging.
-	statsMu sync.Mutex
-	stats   SimStats
-	runs    uint64
-
 	// Cone ordering of the fault list (see coneOrdering), built once per
-	// fault list: SampleFaults drops it.
+	// fault list and shared with Fresh copies: SampleFaults drops it.
 	coneOnce  sync.Once
 	coneOrder []ID
 }
@@ -179,6 +172,41 @@ func newCampaign(m *circuits.Module, faults []Fault) *Campaign {
 		}
 	}
 	return c
+}
+
+// Fresh returns a campaign over the same module and fault list with a
+// detection state of its own, in which no fault is detected. It shares
+// the list and its cone ordering instead of copying and re-sorting them:
+// no run mutates a fault list, so a scratch campaign for one run costs
+// one detection flag per fault.
+func (c *Campaign) Fresh() *Campaign {
+	order := c.coneOrdering()
+	f := &Campaign{Module: c.Module, faults: c.faults, detected: make([]bool, len(c.faults)),
+		initErr: c.initErr, coneOrder: order}
+	f.coneOnce.Do(func() {})
+	return f
+}
+
+// Only marks every fault outside live as detected, so that later runs
+// simulate the faults in live and no others. It makes a Fresh campaign
+// the scratch campaign of a run whose other faults' outcome is already
+// known. Ids outside the master list are an error; the campaign is only
+// mutated when every id is valid.
+func (c *Campaign) Only(live []ID) error {
+	if err := c.checkIDs("Only", live); err != nil {
+		return err
+	}
+	for i := range c.detected {
+		c.detected[i] = true
+	}
+	c.nDet = len(c.detected)
+	for _, id := range live {
+		if c.detected[id] {
+			c.detected[id] = false
+			c.nDet--
+		}
+	}
+	return nil
 }
 
 // Err returns the campaign's deferred construction error, if any. A
@@ -299,16 +327,25 @@ func (c *Campaign) DetectedIDs() []ID {
 // outside the master list are an error; the campaign is only mutated when
 // every id is valid.
 func (c *Campaign) RestoreDetected(ids []ID) error {
-	for _, id := range ids {
-		if id < 0 || int(id) >= len(c.faults) {
-			return fmt.Errorf("fault: RestoreDetected: id %d outside master list (%d faults)",
-				id, len(c.faults))
-		}
+	if err := c.checkIDs("RestoreDetected", ids); err != nil {
+		return err
 	}
 	for _, id := range ids {
 		if !c.detected[id] {
 			c.detected[id] = true
 			c.nDet++
+		}
+	}
+	return nil
+}
+
+// checkIDs returns an error naming op when an id lies outside the
+// master list.
+func (c *Campaign) checkIDs(op string, ids []ID) error {
+	for _, id := range ids {
+		if id < 0 || int(id) >= len(c.faults) {
+			return fmt.Errorf("fault: %s: id %d outside master list (%d faults)",
+				op, id, len(c.faults))
 		}
 	}
 	return nil
@@ -404,6 +441,8 @@ func (c *Campaign) planWorkers(opt SimOptions) (int, error) {
 // any simulation worker is recovered and returned as an error, and the
 // campaign's fault-dropping state is only updated when the whole run
 // succeeds — a failed or canceled call leaves the campaign untouched.
+// With no fault left to simulate it returns the empty report without
+// deduplicating or packing the stream.
 func (c *Campaign) SimulateCtx(ctx context.Context, stream []TimedPattern, opt SimOptions) (*Report, error) {
 	if c.initErr != nil {
 		return nil, fmt.Errorf("fault: campaign over %v unusable: %w", c.Module.Kind, c.initErr)
@@ -426,6 +465,10 @@ func (c *Campaign) SimulateCtx(ctx context.Context, stream []TimedPattern, opt S
 	shards := c.partitionByLane(workers)
 	simStart := time.Now()
 	faultsIn := c.Remaining()
+	if !anyFault(shards) {
+		c.RecordRun(opt.Metrics, len(ordered), faultsIn, 0, SimStats{}, time.Since(simStart))
+		return BuildReport(ordered, nil), nil
+	}
 
 	// Dedup and pack the stimulus once, shared read-only by every shard;
 	// the cone index is built here, before forking workers.
@@ -483,10 +526,6 @@ func (c *Campaign) SimulateCtx(ctx context.Context, stream []TimedPattern, opt S
 	rep, st := c.merge(results, ordered)
 	runStats.Add(st)
 	rep.Stats = runStats
-	c.statsMu.Lock()
-	c.stats.Add(runStats)
-	c.runs++
-	c.statsMu.Unlock()
 	c.RecordRun(opt.Metrics, len(ordered), faultsIn, len(rep.Detections), runStats, time.Since(simStart))
 	return rep, nil
 }
@@ -576,23 +615,15 @@ func (c *Campaign) merge(results []*shardResult, ordered []TimedPattern) (*Repor
 	return BuildReport(ordered, dets), st
 }
 
-// Stats returns the engine counters accumulated across this campaign's
-// SimulateCtx runs.
-func (c *Campaign) Stats() SimStats {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	return c.stats
-}
-
 // RecordRun publishes one simulation run's batched metrics into m: the
-// run, its patterns, the faults it dropped out of faultsIn, the
-// campaign's remaining faults and coverage after it, its latency and its
-// engine counters. SimulateCtx calls it for an in-process run and a
-// distributed coordinator after merging its shards, so both paths
+// run, its patterns, the faults it dropped out of faultsIn, its latency
+// and its engine counters. SimulateCtx calls it for an in-process run and
+// a distributed coordinator after merging its shards, so both paths
 // publish the same families. It is deliberately called once per run,
 // after the merge: the hot inner loop carries zero instrumentation,
 // keeping the overhead bound (<1% of the simulation) independent of
-// campaign size.
+// campaign size. The run may be on a scratch campaign, so the campaign's
+// coverage is not among them: see RecordCoverage.
 func (c *Campaign) RecordRun(m *obs.Registry, patterns, faultsIn, dropped int, stats SimStats, elapsed time.Duration) {
 	if m == nil {
 		return
@@ -600,8 +631,6 @@ func (c *Campaign) RecordRun(m *obs.Registry, patterns, faultsIn, dropped int, s
 	m.Counter("gpustl_fault_runs_total").Inc()
 	m.Counter("gpustl_fault_patterns_simulated_total").Add(uint64(patterns))
 	m.Counter("gpustl_fault_dropped_total").Add(uint64(dropped))
-	m.Gauge("gpustl_fault_remaining").Set(float64(c.Remaining()))
-	m.Gauge("gpustl_fault_coverage_pct").Set(c.Coverage())
 	if faultsIn > 0 {
 		m.Gauge("gpustl_fault_dropped_ratio").Set(float64(dropped) / float64(faultsIn))
 	}
@@ -610,6 +639,18 @@ func (c *Campaign) RecordRun(m *obs.Registry, patterns, faultsIn, dropped int, s
 	}
 	m.Histogram("gpustl_fault_sim_seconds", obs.DefLatencyBuckets()).Observe(elapsed.Seconds())
 	stats.Record(m)
+}
+
+// RecordCoverage publishes the campaign's undetected faults and
+// cumulative coverage into m. The owner of a campaign that persists
+// across runs calls it after committing a run's drops; scratch campaigns
+// never do, so the gauges always describe the shared fault list.
+func (c *Campaign) RecordCoverage(m *obs.Registry) {
+	if m == nil {
+		return
+	}
+	m.Gauge("gpustl_fault_remaining").Set(float64(c.Remaining()))
+	m.Gauge("gpustl_fault_coverage_pct").Set(c.Coverage())
 }
 
 // shardResult carries one worker's detections, to be merged serially.
@@ -654,6 +695,18 @@ func (c *Campaign) partitionByLane(k int) [][][]ID {
 		next = (next + 1) % k
 	}
 	return shards
+}
+
+// anyFault reports whether a partitionByLane result holds a fault.
+func anyFault(shards [][][]ID) bool {
+	for _, lanes := range shards {
+		for _, ids := range lanes {
+			if len(ids) > 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // PartitionRemaining splits the campaign's currently undetected faults

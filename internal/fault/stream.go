@@ -191,6 +191,86 @@ func hashPattern(p circuits.Pattern) uint64 {
 	return h
 }
 
+// Surviving returns the faults of the report whose first detecting
+// (lane, input vector) also occurs in stream, in the report's detection
+// order. The module is combinational, so that input vector detects each
+// of them in stream too, wherever it sits. The probe table is
+// open-addressed over the distinct detecting keys, like
+// buildLaneStreams' dedup dictionary, and the scan of stream stops once
+// every key is found.
+func (r *Report) Surviving(stream []TimedPattern) []ID {
+	if len(r.Detections) == 0 || len(stream) == 0 {
+		return nil
+	}
+	need := 2
+	for need < 2*len(r.Detections) {
+		need <<= 1
+	}
+	hmask := uint64(need - 1)
+	table := make([]int32, need) // slot -> keys index
+	for i := range table {
+		table[i] = -1
+	}
+	// keys holds each distinct detecting pattern once, as its report
+	// index. Detections are sorted by pattern, so faults sharing a first
+	// detecting pattern are adjacent; kid maps each detection to its key.
+	var keys []int32
+	kid := make([]int32, len(r.Detections))
+	for i, d := range r.Detections {
+		if i > 0 && d.Pattern == r.Detections[i-1].Pattern {
+			kid[i] = kid[i-1]
+			continue
+		}
+		tp := &r.Stream[d.Pattern]
+		h := hashLanePattern(tp.Lane, tp.Pat) & hmask
+		for {
+			j := table[h]
+			if j < 0 {
+				table[h] = int32(len(keys))
+				kid[i] = table[h]
+				keys = append(keys, d.Pattern)
+				break
+			}
+			if k := &r.Stream[keys[j]]; k.Lane == tp.Lane && k.Pat == tp.Pat {
+				kid[i] = j
+				break
+			}
+			h = (h + 1) & hmask
+		}
+	}
+	found := make([]bool, len(keys))
+	left := len(keys)
+scan:
+	for i := range stream {
+		tp := &stream[i]
+		for h := hashLanePattern(tp.Lane, tp.Pat) & hmask; table[h] >= 0; h = (h + 1) & hmask {
+			j := table[h]
+			if k := &r.Stream[keys[j]]; k.Lane == tp.Lane && k.Pat == tp.Pat {
+				if !found[j] {
+					found[j] = true
+					if left--; left == 0 {
+						break scan
+					}
+				}
+				break
+			}
+		}
+	}
+	var out []ID
+	for i, d := range r.Detections {
+		if found[kid[i]] {
+			out = append(out, d.Fault)
+		}
+	}
+	return out
+}
+
+// hashLanePattern is hashPattern with the lane mixed in, for tables
+// keyed by (lane, input vector).
+func hashLanePattern(lane int16, p circuits.Pattern) uint64 {
+	return hashPattern(p) ^ uint64(uint16(lane))*0x94D049BB133111EB
+}
+
 // buildClassSkips marks, for every block and cone class, whether the
 // block's stimulus projected onto the class's detection support already
 // occurred in an earlier block of the lane. Matching is hash-bucketed

@@ -146,9 +146,11 @@ func TestMetricsLint(t *testing.T) {
 			// Published by the coordinator's merge, as an in-process
 			// run publishes them.
 			"gpustl_fault_runs_total",
+			"gpustl_fault_sim_seconds_bucket",
+			// Published by core from the shared campaign after each
+			// stage-3 commit.
 			"gpustl_fault_coverage_pct",
 			"gpustl_fault_remaining",
-			"gpustl_fault_sim_seconds_bucket",
 			// The tenant's requeue budget and the coordinator's
 			// shard-retry budget write apart.
 			`gpustl_overload_retry_tokens_earned_total{budget="tenant"}`,
