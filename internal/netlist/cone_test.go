@@ -172,14 +172,16 @@ func withConeBudget(nl *Netlist, budget int64) *Netlist {
 	return nl
 }
 
-// coneOpsTotal returns the summed op count of every fan-out stem's cone:
-// the budget that would cache them all.
-func coneOpsTotal(nl *Netlist) int64 {
+// coneWordsTotal returns the summed compiled size (code and output
+// words) of every fan-out stem's cone: the budget that would cache them
+// all.
+func coneWordsTotal(nl *Netlist) int64 {
 	var scr coneScratch
 	var total int64
 	for g := range nl.Gates {
 		if len(nl.fanout[g]) > 1 {
-			total += int64(len(nl.collectStemCone(int32(g), &scr)))
+			sc := nl.compileStemCone(int32(g), &scr)
+			total += int64(len(sc.Code) + len(sc.Outs))
 		}
 	}
 	return total
@@ -272,9 +274,10 @@ func checkObsFactors(t *testing.T, r *rand.Rand, nls []*Netlist, w, blocks int) 
 	}
 }
 
-// TestObsFactorsDetection checks the ObsW factorization at W=1, at a
-// generic width (4) and at W=16, which runs the fixed-width
-// evalConeOps16, on three twins of each random circuit: one whose cone
+// TestObsFactorsDetection checks the ObsW factorization at W=1, at the
+// generic widths 4 and 8 (8 is the auto width of 257–512-pattern
+// streams) and at W=16, which runs the unrolled evalStemCode16, on
+// three twins of each random circuit: one whose cone
 // budget caches every stem, one whose budget is spent so every stem
 // compiles into evaluator scratch on each fill, and one whose budget
 // admits only some stems, so cached and scratch cones interleave in one
@@ -285,8 +288,8 @@ func TestObsFactorsDetection(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		seed, nIn, nGates := r.Int63(), 4+r.Intn(10), 30+r.Intn(150)
 		build := func() *Netlist { return randomCircuit(t, rand.New(rand.NewSource(seed)), nIn, nGates) }
-		total := coneOpsTotal(build())
-		for _, w := range []int{1, 4, 16} {
+		total := coneWordsTotal(build())
+		for _, w := range []int{1, 4, 8, 16} {
 			partial := withConeBudget(build(), total/2)
 			nls := []*Netlist{build(), withConeBudget(build(), 0), partial}
 			checkObsFactors(t, r, nls, w, 2)
@@ -323,7 +326,7 @@ func TestObsConcurrentPartialBudget(t *testing.T) {
 		want[g] = slices.Clone(ref.ObsW(int32(g)))
 	}
 
-	nl := withConeBudget(build(), coneOpsTotal(ref.nl)/2)
+	nl := withConeBudget(build(), coneWordsTotal(ref.nl)/2)
 	var wg sync.WaitGroup
 	for k := 0; k < workers; k++ {
 		ev, err := NewEvaluatorWide(nl, w)
@@ -354,7 +357,7 @@ func TestObsConcurrentPartialBudget(t *testing.T) {
 
 // FuzzObsFactors fuzzes the budget split: a random circuit, a cone
 // budget anywhere from nothing to every stem cached, and a block width
-// of 1, 4 or 16, checked against a fully cached twin.
+// of 1, 4, 8 or 16, checked against a fully cached twin.
 func FuzzObsFactors(f *testing.F) {
 	f.Add(int64(1), uint8(6), uint8(80), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(12), uint8(150), uint8(128), uint8(1))
@@ -365,9 +368,9 @@ func FuzzObsFactors(f *testing.F) {
 			return randomCircuit(t, rand.New(rand.NewSource(seed)), 1+int(nIn)%16, 13+int(nGates))
 		}
 		nl := build()
-		b := coneOpsTotal(nl) * int64(budget) / 255
+		b := coneWordsTotal(nl) * int64(budget) / 255
 		nls := []*Netlist{build(), withConeBudget(nl, b)}
-		checkObsFactors(t, rand.New(rand.NewSource(seed)), nls, []int{1, 4, 16}[wSel%3], 2)
+		checkObsFactors(t, rand.New(rand.NewSource(seed)), nls, []int{1, 4, 8, 16}[wSel%4], 2)
 	})
 }
 

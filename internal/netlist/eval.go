@@ -1,6 +1,9 @@
 package netlist
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+)
 
 // FaultSite identifies a single stuck-at fault: the output (Pin == -1) or
 // an input pin of a gate, stuck at 1 (SA1) or 0.
@@ -108,27 +111,38 @@ func NewEvaluatorWide(nl *Netlist, w int) (*Evaluator, error) {
 }
 
 // AcquireEvaluator returns an evaluator of the given block width for this
-// netlist, recycled from the netlist's pool when one is available and
-// freshly built otherwise. Evaluator scratch is epoch-guarded, so a
+// netlist, recycled from the netlist's free list when one is available
+// and freshly built otherwise. Evaluator scratch is epoch-guarded, so a
 // recycled evaluator behaves exactly like a fresh one; pass it back with
 // ReleaseEvaluator when done to keep the warm arrays circulating.
 func (n *Netlist) AcquireEvaluator(w int) (*Evaluator, error) {
 	if w >= 1 && w <= MaxBlockWords {
-		if v := n.evPool[w-1].Get(); v != nil {
-			return v.(*Evaluator), nil
+		n.evMu.Lock()
+		free := n.evFree[w-1]
+		if len(free) > 0 {
+			e := free[len(free)-1]
+			n.evFree[w-1] = free[:len(free)-1]
+			n.evMu.Unlock()
+			return e, nil
 		}
+		n.evMu.Unlock()
 	}
 	return NewEvaluatorWide(n, w)
 }
 
-// ReleaseEvaluator returns an evaluator to its netlist's pool. Evaluators
-// of other netlists (or nil) are ignored. The caller must not use the
-// evaluator after releasing it.
+// ReleaseEvaluator returns an evaluator to its netlist's free list, which
+// keeps at most GOMAXPROCS evaluators per width and drops the excess.
+// Evaluators of other netlists (or nil) are ignored. The caller must not
+// use the evaluator after releasing it.
 func (n *Netlist) ReleaseEvaluator(e *Evaluator) {
 	if e == nil || e.nl != n {
 		return
 	}
-	n.evPool[e.w-1].Put(e)
+	n.evMu.Lock()
+	if free := n.evFree[e.w-1]; len(free) < runtime.GOMAXPROCS(0) {
+		n.evFree[e.w-1] = append(free, e)
+	}
+	n.evMu.Unlock()
 }
 
 // Netlist returns the circuit under evaluation.
@@ -795,30 +809,28 @@ func (e *Evaluator) ObsW(gate int32) []uint64 {
 // stemObsW fills dst with the W-word observability row of fanout stem g:
 // the detection mask of an all-ones flip at g.
 //
-// Flipping a stem for a whole block diverges essentially its entire
-// static cone — across 64×W patterns some pattern sensitizes almost
-// every path — so the fill runs the stem's level-ordered compiled cone
-// (StemCone) in one flat loop: every cone gate is evaluated exactly
-// once, with no per-gate scheduling at all. The compiled cone resolves
-// every operand to the good or faulty half of the combined buffer at
-// build time, so the loop needs no epoch, no stamps, and no per-operand
-// source checks.
+// The fill writes the flipped stem row to faulty slot 0 and runs the
+// stem's compiled cone (StemCone) in one flat pass: every cone gate is
+// evaluated exactly once, with no per-gate scheduling and no divergence
+// test, into the dense faulty slots that follow. The compiled code
+// resolves every operand to a good row or a faulty slot of the combined
+// buffer at build time, so the pass needs no epoch, no stamps and no
+// per-operand source checks.
 func (e *Evaluator) stemObsW(g int32, dst []uint64) {
-	frow, grow := e.row(e.faulty, g), e.row(e.good, g)
+	sc := e.nl.stemCone(g, &e.cones)
+	w := e.w
+	frow, grow := e.faulty[:w], e.row(e.good, g)
 	for j := range frow {
 		frow[j] = ^grow[j]
 	}
-	sc := e.nl.stemCone(g, &e.cones)
-	if e.w == 16 {
-		evalConeOps16(e.gf, sc.Ops)
+	if w == 16 {
+		evalStemCode16(e.gf, sc.Code, len(e.good)+w)
 	} else {
-		evalConeOps(e.gf, sc.Ops, e.w)
+		evalStemCode(e.gf, sc.Code, len(e.good)+w, w)
 	}
-	for j := range dst {
-		dst[j] = 0
-	}
-	for _, out := range sc.Outs {
-		fr, gr := e.row(e.faulty, out), e.row(e.good, out)
+	clear(dst)
+	for i := 0; i+1 < len(sc.Outs); i += 2 {
+		gr, fr := e.row(e.gf, sc.Outs[i]), e.row(e.gf, sc.Outs[i+1])
 		for j := range dst {
 			dst[j] |= fr[j] ^ gr[j]
 		}

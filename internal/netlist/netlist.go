@@ -106,12 +106,15 @@ type Netlist struct {
 	stemOnce sync.Once // sizes the lazily filled stem-cone cache (see stemcone.go)
 	stems    stemConeCache
 
-	// evPool recycles evaluators per block width (index w-1). The
-	// expensive part of an evaluator is its width-strided scratch —
-	// good/faulty/observability arrays, megabytes at the widest setting —
-	// and that outlives any single simulation campaign over the circuit,
-	// so the pool lives here rather than with any one caller.
-	evPool [MaxBlockWords]sync.Pool
+	// evFree keeps released evaluators per block width (index w-1), at
+	// most GOMAXPROCS each. The expensive part of an evaluator is its
+	// width-strided scratch — good/faulty/observability arrays, megabytes
+	// at the widest setting — and that outlives any single simulation
+	// campaign over the circuit, so the free list lives here rather than
+	// with any one caller. Unlike a sync.Pool it survives garbage
+	// collection, which would otherwise drop warm evaluators mid-campaign.
+	evMu   sync.Mutex
+	evFree [MaxBlockWords][]*Evaluator
 }
 
 // Groups returns the functional group names declared during construction

@@ -2,6 +2,8 @@ package netlist
 
 import (
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -318,6 +320,89 @@ func TestKindStrings(t *testing.T) {
 	for k := Kind(0); int(k) < NumKinds; k++ {
 		if k.String() == "" {
 			t.Errorf("kind %d has no name", k)
+		}
+	}
+}
+
+// TestEvaluatorFreeList checks that released evaluators survive garbage
+// collection, so a campaign that collects between simulations still
+// reuses its warm evaluators, and that each width keeps at most
+// GOMAXPROCS of them.
+func TestEvaluatorFreeList(t *testing.T) {
+	nl := buildAdder4(t)
+	ev, err := nl.AcquireEvaluator(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl.ReleaseEvaluator(ev)
+	runtime.GC()
+	runtime.GC()
+	if got, err := nl.AcquireEvaluator(4); err != nil || got != ev {
+		t.Fatalf("after two GCs Acquire returned %p (err %v), want the released %p", got, err, ev)
+	}
+	if got, err := nl.AcquireEvaluator(8); err != nil || got == ev || got.BlockWords() != 8 {
+		t.Fatalf("Acquire(8) returned %p of width %d (err %v), want a fresh width-8 evaluator", got, got.BlockWords(), err)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	evs := make([]*Evaluator, 5)
+	for i := range evs {
+		if evs[i], err = nl.AcquireEvaluator(2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range evs {
+		nl.ReleaseEvaluator(e)
+	}
+	if n := len(nl.evFree[1]); n != 3 {
+		t.Fatalf("free list holds %d width-2 evaluators after 5 releases, want the cap of 3", n)
+	}
+	for i := 0; i < 3; i++ {
+		if got, _ := nl.AcquireEvaluator(2); got != evs[2-i] {
+			t.Fatalf("Acquire %d returned %p, want the kept %p", i, got, evs[2-i])
+		}
+	}
+}
+
+// TestEvaluatorFreeListConcurrent acquires and releases evaluators from
+// several goroutines at once, as the fault engine's workers do: no
+// evaluator may be handed to two holders at a time, and the free list
+// never exceeds its cap.
+func TestEvaluatorFreeListConcurrent(t *testing.T) {
+	nl := buildAdder4(t)
+	const workers, rounds = 4, 200
+	var mu sync.Mutex
+	held := map[*Evaluator]bool{}
+	var wg sync.WaitGroup
+	for k := 0; k < workers; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				ev, err := nl.AcquireEvaluator(1 + i%2)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				dup := held[ev]
+				held[ev] = true
+				mu.Unlock()
+				if dup {
+					t.Errorf("evaluator %p handed out twice", ev)
+					return
+				}
+				mu.Lock()
+				delete(held, ev)
+				mu.Unlock()
+				nl.ReleaseEvaluator(ev)
+			}
+		}()
+	}
+	wg.Wait()
+	for w, free := range nl.evFree {
+		if len(free) > runtime.GOMAXPROCS(0) {
+			t.Fatalf("width %d keeps %d evaluators, over the cap of %d", w+1, len(free), runtime.GOMAXPROCS(0))
 		}
 	}
 }
