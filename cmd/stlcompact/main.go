@@ -67,10 +67,13 @@
 // quarantined, current stage, ETA); a pipe gets one plain line per PTP.
 //
 // With -fsck, nothing is compacted: the journal in -checkpoint and the
-// -save artifacts are verified — record CRCs and sequence, the config
-// hash against the given flags, the journaled PTP hashes against the
-// (generated or -load'ed) library, and artifact checksum sidecars —
-// and the findings are printed, exiting non-zero on any issue.
+// -save artifacts are verified — record CRCs and sequence, and with the
+// reader a resume uses, the schema, the config hash against the given
+// flags, the journaled PTP hashes against the (generated or -load'ed)
+// library, the fault-id ranges and the compacted programs; then the
+// artifact checksum sidecars — and the findings are printed with
+// whether a resume salvages a prefix or refuses the journal, exiting
+// non-zero on any issue.
 package main
 
 import (
@@ -90,6 +93,7 @@ import (
 	"gpustl/internal/failpoint"
 	"gpustl/internal/obs"
 	"gpustl/internal/prof"
+	"gpustl/internal/ptpgen"
 )
 
 // logger is the process-wide structured logger, configured in main
@@ -228,11 +232,7 @@ func main() {
 		}
 		switch kind {
 		case gpustl.ModuleDU:
-			ptps = []*gpustl.PTP{
-				gpustl.GenerateIMM(*n, *seed+1),
-				gpustl.GenerateMEM(*n, *seed+2),
-				gpustl.GenerateCNTRL(max(2, *n/10), *seed+3),
-			}
+			ptps = ptpgen.DU(*n, *seed)
 		case gpustl.ModuleSP:
 			res := generateATPG(*seed + 4)
 			tpgen, dropped := gpustl.ConvertTPGEN(res, *seed+4)

@@ -402,8 +402,10 @@ type (
 // the write-ahead journal's record CRCs and schema, the config hash
 // against wantHash (skipped when empty), the journaled PTP hashes
 // against lib (skipped when nil), the journaled fault ids against ms's
-// fault lists (skipped when ms or lib is nil), and each artifact's
-// checksum sidecar — without modifying anything.
+// fault lists (skipped when ms or lib is nil), that journaled compacted
+// programs decode, and each artifact's checksum sidecar — without
+// modifying anything. It reads the journal with the code a resume
+// uses, so its verdict is the resume's.
 func FsckCampaign(dir, wantHash string, ms *ModuleSet, lib *STL, artifacts []string) (*FsckReport, error) {
 	return run.Fsck(dir, wantHash, ms, lib, artifacts)
 }

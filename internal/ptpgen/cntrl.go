@@ -109,6 +109,13 @@ func CNTRL(sections int, seed int64) *stl.PTP {
 	return CNTRLThreads(sections, 1024, seed)
 }
 
+// DU is the Decoder Unit library stlcompact and stlserver generate
+// from one size and seed: IMM and MEM with n SBs each and CNTRL with
+// max(2, n/10) sections, seeded seed+1, seed+2 and seed+3.
+func DU(n int, seed int64) []*stl.PTP {
+	return []*stl.PTP{IMM(n, seed+1), MEM(n, seed+2), CNTRL(max(2, n/10), seed+3)}
+}
+
 // CNTRLThreads is CNTRL with a configurable block size; the STL's
 // non-candidate remainder uses smaller blocks.
 func CNTRLThreads(sections, threads int, seed int64) *stl.PTP {

@@ -1,6 +1,7 @@
 package run
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -36,8 +37,9 @@ const CheckpointVersion = 6
 const WALFile = "campaign.wal"
 
 // legacyCheckpointFile is the pre-journal (v1) whole-state checkpoint.
-// It is no longer read: a directory holding one and no journal is
-// refused (refuseLegacy) rather than resumed or silently restarted.
+// It is no longer read: a directory holding one and no journal records
+// is refused (readJournal) rather than resumed or silently restarted,
+// which would discard it.
 const legacyCheckpointFile = "checkpoint.json"
 
 // markEvery is how many outcome records sit between two consecutive
@@ -115,6 +117,11 @@ type Entry struct {
 	// ships. Replaying the deltas in order reconstructs the library FC.
 	OriginalFaults []int32 `json:"originalFaults,omitempty"`
 	ShippedFaults  []int32 `json:"shippedFaults,omitempty"`
+
+	// ship is the program this PTP ships: the compacted one, or the
+	// library's original. It is not journaled; a resume takes the
+	// compacted program readJournal decoded.
+	ship *stl.PTP
 }
 
 // Checkpoint is the in-memory state of a (possibly partial) STL
@@ -126,88 +133,180 @@ type Checkpoint struct {
 }
 
 // LoadCheckpoint reads the campaign state persisted in dir's
-// write-ahead journal. Missing state is not an error: it returns
-// (nil, nil) so a first run starts fresh — unless dir holds a legacy
-// checkpoint.json, which is refused. A journal with a corrupt tail
-// loads the records before the corruption (exactly what a resume would
-// use).
+// write-ahead journal, checking its schema alone. Missing state is not
+// an error: it returns (nil, nil) so a first run starts fresh — unless
+// dir holds a legacy checkpoint.json, which is refused. A journal with
+// a corrupt tail loads the records before the corruption (exactly what
+// a resume would use).
 func LoadCheckpoint(dir string) (*Checkpoint, error) {
-	walPath := filepath.Join(dir, WALFile)
-	rp, err := journal.Scan(walPath)
+	rd, err := readJournal(dir, expectation{})
+	if err != nil {
+		return nil, err
+	}
+	if err := rd.refusal(); err != nil {
+		return nil, err
+	}
+	return rd.ck, nil
+}
+
+// expectation is what a campaign expects of its journal. A zero field
+// skips its checks, so fsck without flags checks the schema alone.
+type expectation struct {
+	hash string   // the config hash
+	lib  *stl.STL // the library, with each PTP's stl.Digest in digests
+	// digests are lib's PTP digests, from the pass that builds the
+	// config hash.
+	digests []string
+	ms      *core.ModuleSet // each module's fault list, for the id ranges
+}
+
+// journalRead is one journal replay walked against an expectation: the
+// checkpoint a resume continues from and the fsck report of every
+// finding, in journal order after the tail's.
+type journalRead struct {
+	FsckReport
+	rp *journal.Replay
+	// ck is nil when the journal holds no record.
+	ck *Checkpoint
+	// totals are the running totals after the last outcome, so the
+	// writer continues the mark sequence.
+	totals markRecord
+}
+
+// refusal is the error a resume refuses the journal with: its first
+// finding that refuses.
+func (rd *journalRead) refusal() error {
+	if is := firstRefusal(rd.Issues); is != nil {
+		return fmt.Errorf("run: journal %s: %s; run `stlcompact -fsck` with the campaign's original flags to list every finding, or delete %s to start over",
+			rd.JournalPath, is.Detail, filepath.Dir(rd.JournalPath))
+	}
+	return nil
+}
+
+// readJournal scans dir's journal, without modifying it, and walks it
+// against want. It is the one reader of the journal: a resume refuses
+// on the first finding other than the tail's, and fsck reports them
+// all. Every outcome's compacted program is decoded here, once; the
+// entry carries it, or the library's original, as the program it
+// ships.
+func readJournal(dir string, want expectation) (*journalRead, error) {
+	path := filepath.Join(dir, WALFile)
+	rp, err := journal.Scan(path)
 	if err != nil {
 		return nil, fmt.Errorf("run: reading journal: %w", err)
 	}
-	if len(rp.Records) == 0 {
-		return nil, refuseLegacy(dir)
+	rd := &journalRead{FsckReport: FsckReport{JournalPath: path, Records: len(rp.Records)}, rp: rp}
+	if rp.Truncated {
+		kind := FsckTornTail
+		switch rp.Kind {
+		case journal.CorruptCRC:
+			kind = FsckCRC
+		case journal.CorruptSeq:
+			kind = FsckSeq
+		}
+		rd.add(kind, "journal tail dropped after %d good byte(s) of %d: %s",
+			rp.GoodSize, rp.TotalSize, rp.Reason)
 	}
-	ck, _, err := checkpointFromReplay(rp)
-	return ck, err
-}
-
-// refuseLegacy fails when dir holds a legacy checkpoint.json. Callers
-// ask only when dir has no journal to resume: resuming the legacy
-// campaign is no longer supported, and starting over silently would
-// discard it.
-func refuseLegacy(dir string) error {
-	path := filepath.Join(dir, legacyCheckpointFile)
-	if _, err := os.Stat(path); err != nil {
-		return nil
-	}
-	return fmt.Errorf("run: %s is a pre-journal (v1) checkpoint, which this binary no longer reads; delete it to start the campaign over", path)
-}
-
-// checkpointFromReplay rebuilds the checkpoint from a journal replay,
-// validating the schema (meta first, outcomes in order, marks agreeing
-// with the replayed totals). It also returns the running totals so the
-// writer can continue the mark sequence.
-func checkpointFromReplay(rp *journal.Replay) (*Checkpoint, markRecord, error) {
-	var totals markRecord
 	if len(rp.Records) == 0 {
-		return nil, totals, nil
+		legacy := filepath.Join(dir, legacyCheckpointFile)
+		if _, err := os.Stat(legacy); err == nil {
+			rd.add(FsckSchema, "%s is a pre-journal (v1) checkpoint, which this binary no longer reads; delete it to start the campaign over", legacy)
+		}
+		return rd, nil
 	}
 	first := rp.Records[0]
-	if first.Type != recMeta {
-		return nil, totals, fmt.Errorf("run: journal %s: first record is %q, want %q; run `stlcompact -fsck` to inspect it, or delete the checkpoint directory to start over",
-			rp.Path, first.Type, recMeta)
-	}
 	var meta metaRecord
+	if first.Type != recMeta {
+		rd.add(FsckSchema, "first record is %q, want %q", first.Type, recMeta)
+		return rd, nil
+	}
 	if err := json.Unmarshal(first.Body, &meta); err != nil {
-		return nil, totals, fmt.Errorf("run: journal %s: meta record: %v; run `stlcompact -fsck` to inspect it", rp.Path, err)
+		rd.add(FsckSchema, "meta record does not decode: %v", err)
+		return rd, nil
 	}
 	if meta.Version != CheckpointVersion {
-		return nil, totals, fmt.Errorf("run: journal %s has schema version %d, this binary writes %d; delete the checkpoint directory to start over",
-			rp.Path, meta.Version, CheckpointVersion)
+		rd.add(FsckSchema, "schema version %d, this binary reads %d", meta.Version, CheckpointVersion)
+		return rd, nil
 	}
-	ck := &Checkpoint{Version: meta.Version, ConfigHash: meta.ConfigHash}
+	if want.hash != "" && meta.ConfigHash != want.hash {
+		rd.add(FsckConfigHash, "written by a different configuration (hash %.12s, this campaign hashes to %.12s); resuming would mix incompatible states",
+			meta.ConfigHash, want.hash)
+	}
+	rd.ck = &Checkpoint{Version: meta.Version, ConfigHash: meta.ConfigHash}
 	for i, rec := range rp.Records[1:] {
 		switch rec.Type {
 		case recOutcome:
 			var e Entry
 			if err := json.Unmarshal(rec.Body, &e); err != nil {
-				return nil, totals, fmt.Errorf("run: journal %s: record %d: %v; run `stlcompact -fsck` to inspect it", rp.Path, i+2, err)
+				rd.add(FsckSchema, "record %d does not decode as an outcome: %v", i+2, err)
+				continue
 			}
-			if e.Index != len(ck.Entries) {
-				return nil, totals, fmt.Errorf("run: journal %s: record %d holds outcome %d, want %d; run `stlcompact -fsck` to inspect it",
-					rp.Path, i+2, e.Index, len(ck.Entries))
-			}
-			ck.Entries = append(ck.Entries, e)
-			totals.Outcomes++
-			totals.OrigSize += e.OrigSize
-			totals.CompSize += e.CompSize
+			rd.checkEntry(i+2, &e, want)
+			rd.ck.Entries = append(rd.ck.Entries, e)
+			rd.totals.Outcomes++
+			rd.totals.OrigSize += e.OrigSize
+			rd.totals.CompSize += e.CompSize
 		case recMark:
 			var m markRecord
 			if err := json.Unmarshal(rec.Body, &m); err != nil {
-				return nil, totals, fmt.Errorf("run: journal %s: record %d: %v", rp.Path, i+2, err)
-			}
-			if m != totals {
-				return nil, totals, fmt.Errorf("run: journal %s: compaction mark %+v disagrees with the replayed outcomes %+v; run `stlcompact -fsck` to inspect it",
-					rp.Path, m, totals)
+				rd.add(FsckSchema, "record %d does not decode as a mark: %v", i+2, err)
+			} else if m != rd.totals {
+				rd.add(FsckMark, "mark at record %d says %d outcomes (orig %d, comp %d) but the replay holds %d (orig %d, comp %d)",
+					i+2, m.Outcomes, m.OrigSize, m.CompSize, rd.totals.Outcomes, rd.totals.OrigSize, rd.totals.CompSize)
 			}
 		default:
-			return nil, totals, fmt.Errorf("run: journal %s: record %d has unknown type %q", rp.Path, i+2, rec.Type)
+			rd.add(FsckSchema, "record %d has unknown type %q", i+2, rec.Type)
 		}
 	}
-	return ck, totals, nil
+	return rd, nil
+}
+
+// checkEntry checks the outcome journal record rec holds against its
+// position and the library, and sets the program it ships.
+func (rd *journalRead) checkEntry(rec int, e *Entry, want expectation) {
+	i := len(rd.ck.Entries)
+	if e.Index != i {
+		rd.add(FsckSchema, "record %d holds outcome %d, want %d", rec, e.Index, i)
+	}
+	if e.Status == StatusCompacted {
+		p, err := stl.ReadPTP(bytes.NewReader(e.Compacted))
+		if err != nil {
+			rd.add(FsckSchema, "outcome %d (%s): compacted program does not decode: %v", i, e.Name, err)
+		}
+		e.ship = p
+	}
+	if want.lib == nil {
+		return
+	}
+	if i >= len(want.lib.PTPs) {
+		rd.add(FsckPTPDrift, "outcome %d (%s) has no PTP at that index in the library (%d PTPs)",
+			i, e.Name, len(want.lib.PTPs))
+		return
+	}
+	p := want.lib.PTPs[i]
+	if e.Name != p.Name || e.OrigHash != want.digests[i] {
+		rd.add(FsckPTPDrift, "outcome %d, computed from PTP %s (hash %.12s), does not match library PTP %s (hash %.12s); the library changed after the campaign started",
+			i, e.Name, e.OrigHash, p.Name, want.digests[i])
+	}
+	if e.ship == nil {
+		e.ship = p
+	}
+	if want.ms == nil {
+		return
+	}
+	n := int32(len(want.ms.Faults[p.Target]))
+	for _, set := range []struct {
+		name string
+		ids  []int32
+	}{{"dropped", e.DroppedFaults}, {"original", e.OriginalFaults}, {"shipped", e.ShippedFaults}} {
+		for _, id := range set.ids {
+			if id < 0 || id >= n {
+				rd.add(FsckFaultID, "outcome %d (%s) has %s fault id %d outside the %v fault list (%d faults)",
+					i, e.Name, set.name, id, p.Target, n)
+				break
+			}
+		}
+	}
 }
 
 // campaignLog is the runner's append handle on the write-ahead journal.
@@ -216,56 +315,38 @@ type campaignLog struct {
 	totals markRecord
 }
 
-// openCampaign opens (or creates) dir's campaign journal, replays it,
-// and validates it against this run's config hash and library size.
-// A directory with no journal but a legacy checkpoint.json is refused. The returned checkpoint holds every salvaged entry; notes
-// carries human-readable salvage messages.
-func openCampaign(ctx context.Context, dir, configHash string, nPTPs int) (*campaignLog, *Checkpoint, []string, error) {
-	walPath := filepath.Join(dir, WALFile)
-	// Refuse before Open creates a journal next to the legacy file.
-	if fi, err := os.Stat(walPath); err != nil || fi.Size() == 0 {
-		if err := refuseLegacy(dir); err != nil {
-			return nil, nil, nil, err
-		}
+// openCampaign reads dir's campaign journal against want and refuses
+// on its first finding past a torn or corrupt tail, before anything on
+// disk changes. Otherwise it opens the journal, which drops that tail,
+// and returns the entries to resume with human-readable salvage notes;
+// a journal with no records gets its meta record and resumes nothing.
+func openCampaign(ctx context.Context, dir string, want expectation) (*campaignLog, []Entry, []string, error) {
+	rd, err := readJournal(dir, want)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	j, rp, err := journal.Open(ctx, walPath)
+	if err := rd.refusal(); err != nil {
+		return nil, nil, nil, err
+	}
+	j, _, err := journal.Open(ctx, rd.JournalPath)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("run: opening journal: %w", err)
 	}
 	var notes []string
-	if rp.Truncated {
+	if rp := rd.rp; rp.Truncated {
 		notes = append(notes, fmt.Sprintf(
 			"journal %s: salvaged %d record(s) (%d of %d bytes); dropped corrupt tail (%s): %s",
-			walPath, len(rp.Records), rp.GoodSize, rp.TotalSize, rp.Kind, rp.Reason))
+			rd.JournalPath, len(rp.Records), rp.GoodSize, rp.TotalSize, rp.Kind, rp.Reason))
 	}
-	fail := func(err error) (*campaignLog, *Checkpoint, []string, error) {
+	cl := &campaignLog{j: j, totals: rd.totals}
+	if rd.ck != nil {
+		return cl, rd.ck.Entries, notes, nil
+	}
+	if _, err := j.Append(recMeta, metaRecord{Version: CheckpointVersion, ConfigHash: want.hash, PTPs: len(want.lib.PTPs)}); err != nil {
 		j.Close()
-		return nil, nil, nil, err
+		return nil, nil, nil, fmt.Errorf("run: journaling campaign meta: %w", err)
 	}
-
-	cl := &campaignLog{j: j}
-	if len(rp.Records) > 0 {
-		ck, totals, err := checkpointFromReplay(rp)
-		if err != nil {
-			return fail(err)
-		}
-		cl.totals = totals
-		if ck.ConfigHash != configHash {
-			return fail(fmt.Errorf("run: journal %s was written by a different configuration (hash %.12s, want %.12s); run `stlcompact -fsck` with the campaign's original flags, or delete %s to start over",
-				walPath, ck.ConfigHash, configHash, dir))
-		}
-		if len(ck.Entries) > nPTPs {
-			return fail(fmt.Errorf("run: journal %s has %d outcomes but the library has %d PTPs; delete %s to start over",
-				walPath, len(ck.Entries), nPTPs, dir))
-		}
-		return cl, ck, notes, nil
-	}
-
-	// No journal records yet: a fresh start.
-	if _, err := cl.j.Append(recMeta, metaRecord{Version: CheckpointVersion, ConfigHash: configHash, PTPs: nPTPs}); err != nil {
-		return fail(fmt.Errorf("run: journaling campaign meta: %w", err))
-	}
-	return cl, &Checkpoint{Version: CheckpointVersion, ConfigHash: configHash}, notes, nil
+	return cl, nil, notes, nil
 }
 
 // appendOutcome journals one finished PTP (fsync'd before returning)
@@ -333,16 +414,27 @@ func configHash(cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL, opt core.Optio
 		h.Write(rec)
 	}
 
-	digests := make([]string, len(lib.PTPs))
-	for i, p := range lib.PTPs {
-		d, err := stl.Digest(p)
-		if err != nil {
-			return "", nil, fmt.Errorf("run: hashing PTP %s: %w", p.Name, err)
-		}
-		digests[i] = d
+	digests, err := digestsOf(lib)
+	if err != nil {
+		return "", nil, err
+	}
+	for _, d := range digests {
 		fmt.Fprintf(h, "ptp:%s\n", d)
 	}
 
 	fmt.Fprintf(h, "opt:reverse=%v instr=%v\n", opt.ReversePatterns, opt.InstructionGranularity)
 	return hex.EncodeToString(h.Sum(nil)), digests, nil
+}
+
+// digestsOf returns each library PTP's stl.Digest, in library order.
+func digestsOf(lib *stl.STL) ([]string, error) {
+	digests := make([]string, len(lib.PTPs))
+	for i, p := range lib.PTPs {
+		d, err := stl.Digest(p)
+		if err != nil {
+			return nil, fmt.Errorf("run: hashing PTP %s: %w", p.Name, err)
+		}
+		digests[i] = d
+	}
+	return digests, nil
 }

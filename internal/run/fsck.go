@@ -1,11 +1,9 @@
 package run
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"path/filepath"
 
 	"gpustl/internal/core"
 	"gpustl/internal/journal"
@@ -59,12 +57,27 @@ type FsckIssue struct {
 	Detail string
 }
 
+// firstRefusal returns the first finding a resume refuses a journal
+// for, or nil. Only the tail findings journal.Open truncates leave a
+// prefix to resume, and artifact findings are not the journal's.
+func firstRefusal(issues []FsckIssue) *FsckIssue {
+	for i, is := range issues {
+		switch is.Kind {
+		case FsckTornTail, FsckCRC, FsckSeq, FsckArtifact:
+		default:
+			return &issues[i]
+		}
+	}
+	return nil
+}
+
 // FsckReport summarizes a campaign-state integrity check.
 type FsckReport struct {
 	JournalPath string
 	// Records is how many intact journal records were read.
 	Records int
-	// Salvageable is how many PTP outcomes a resume would recover.
+	// Salvageable is how many PTP outcomes a resume would recover: 0
+	// when a resume refuses the journal.
 	Salvageable int
 	Issues      []FsckIssue
 }
@@ -77,7 +90,7 @@ func (r *FsckReport) add(kind FsckKind, format string, args ...any) {
 }
 
 // Render writes the check's findings and the repair summary: what a
-// resume would salvage and what must be deleted or re-run.
+// resume would salvage, or that it refuses the journal.
 func (r *FsckReport) Render(w io.Writer) {
 	fmt.Fprintf(w, "fsck: %s: %d record(s), %d outcome(s) salvageable\n", r.JournalPath, r.Records, r.Salvageable)
 	for _, is := range r.Issues {
@@ -86,23 +99,27 @@ func (r *FsckReport) Render(w io.Writer) {
 	switch {
 	case r.Clean():
 		fmt.Fprintf(w, "fsck: clean\n")
-	case r.Salvageable > 0:
+	case firstRefusal(r.Issues) != nil:
+		fmt.Fprintf(w, "fsck: %d issue(s); a resume refuses this journal — delete the checkpoint directory to start over\n",
+			len(r.Issues))
+	default:
 		fmt.Fprintf(w, "fsck: %d issue(s); a resume salvages the first %d outcome(s) and redoes the rest\n",
 			len(r.Issues), r.Salvageable)
-	default:
-		fmt.Fprintf(w, "fsck: %d issue(s); nothing salvageable — delete the checkpoint directory to start over\n",
-			len(r.Issues))
 	}
 }
 
 // Fsck verifies the durable campaign state in dir and any output
-// artifacts, without modifying anything:
+// artifacts, without modifying anything. It reads the journal with the
+// same code a resume does, so it reports exactly what a resume refuses
+// or salvages past:
 //
 //   - the journal's record envelopes (CRC32C, sequence chain, torn tail),
-//   - the record schema (meta first, outcomes in order, marks agreeing
-//     with the replayed totals),
+//   - the record schema (meta first, known record types, outcomes in
+//     order, marks agreeing with the replayed totals, compacted
+//     programs that decode),
 //   - the campaign's config hash against wantHash (skipped when empty),
-//   - each outcome's input-PTP hash against lib (skipped when nil),
+//   - each outcome's name and input-PTP hash against lib, and that lib
+//     has a PTP for it (skipped when lib is nil),
 //   - each outcome's dropped, original and shipped fault ids against
 //     its module's fault list in ms (skipped when ms or lib is nil),
 //   - each artifact path's checksum sidecar,
@@ -112,139 +129,23 @@ func (r *FsckReport) Render(w io.Writer) {
 // Every finding carries a distinct FsckKind; the caller maps a non-clean
 // report to a non-zero exit.
 func Fsck(dir, wantHash string, ms *core.ModuleSet, lib *stl.STL, artifacts []string) (*FsckReport, error) {
-	walPath := filepath.Join(dir, WALFile)
-	rep := &FsckReport{JournalPath: walPath}
-
-	rp, err := journal.Scan(walPath)
-	if err != nil {
-		return nil, fmt.Errorf("fsck: reading journal: %w", err)
-	}
-	if len(rp.Records) == 0 {
-		if err := refuseLegacy(dir); err != nil {
-			rep.add(FsckSchema, "%v", err)
-		}
-	}
-	rep.Records = len(rp.Records)
-	if rp.Truncated {
-		kind := FsckTornTail
-		switch rp.Kind {
-		case journal.CorruptCRC:
-			kind = FsckCRC
-		case journal.CorruptSeq:
-			kind = FsckSeq
-		}
-		rep.add(kind, "journal tail dropped after %d good byte(s) of %d: %s",
-			rp.GoodSize, rp.TotalSize, rp.Reason)
-	}
-
-	ck := fsckRecords(rp, rep)
-	if ck != nil {
-		rep.Salvageable = len(ck.Entries)
-		fsckCheckpoint(ck, wantHash, ms, lib, rep)
-	}
-	fsckArtifacts(artifacts, rep)
-	return rep, nil
-}
-
-// fsckRecords validates the journal's record schema, collecting issues
-// instead of stopping at the first, and returns the salvageable
-// checkpoint (nil when even the meta record is unusable).
-func fsckRecords(rp *journal.Replay, rep *FsckReport) *Checkpoint {
-	if len(rp.Records) == 0 {
-		return nil
-	}
-	first := rp.Records[0]
-	if first.Type != recMeta {
-		rep.add(FsckSchema, "first record is %q, want %q", first.Type, recMeta)
-		return nil
-	}
-	var meta metaRecord
-	if err := json.Unmarshal(first.Body, &meta); err != nil {
-		rep.add(FsckSchema, "meta record does not decode: %v", err)
-		return nil
-	}
-	if meta.Version != CheckpointVersion {
-		rep.add(FsckSchema, "journal schema version %d, this binary reads %d", meta.Version, CheckpointVersion)
-		return nil
-	}
-	ck := &Checkpoint{Version: meta.Version, ConfigHash: meta.ConfigHash}
-	var totals markRecord
-	for i, rec := range rp.Records[1:] {
-		switch rec.Type {
-		case recOutcome:
-			var e Entry
-			if err := json.Unmarshal(rec.Body, &e); err != nil {
-				rep.add(FsckSchema, "record %d (seq %d) does not decode as an outcome: %v", i+2, rec.Seq, err)
-				return ck
-			}
-			if e.Index != len(ck.Entries) {
-				rep.add(FsckSchema, "record %d holds outcome %d, want %d", i+2, e.Index, len(ck.Entries))
-				return ck
-			}
-			ck.Entries = append(ck.Entries, e)
-			totals.Outcomes++
-			totals.OrigSize += e.OrigSize
-			totals.CompSize += e.CompSize
-		case recMark:
-			var m markRecord
-			if err := json.Unmarshal(rec.Body, &m); err != nil {
-				rep.add(FsckSchema, "record %d does not decode as a mark: %v", i+2, err)
-				return ck
-			}
-			if m != totals {
-				rep.add(FsckMark, "mark at record %d says %d outcomes (orig %d, comp %d) but the replay holds %d (orig %d, comp %d)",
-					i+2, m.Outcomes, m.OrigSize, m.CompSize, totals.Outcomes, totals.OrigSize, totals.CompSize)
-			}
-		default:
-			rep.add(FsckSchema, "record %d has unknown type %q", i+2, rec.Type)
-		}
-	}
-	return ck
-}
-
-// fsckCheckpoint cross-checks a salvaged checkpoint against this run's
-// configuration, fault lists and library.
-func fsckCheckpoint(ck *Checkpoint, wantHash string, ms *core.ModuleSet, lib *stl.STL, rep *FsckReport) {
-	if wantHash != "" && ck.ConfigHash != wantHash {
-		rep.add(FsckConfigHash, "campaign was written under config %.12s, these flags hash to %.12s — resuming would mix incompatible states",
-			ck.ConfigHash, wantHash)
-	}
-	if lib == nil {
-		return
-	}
-	for i, e := range ck.Entries {
-		if i >= len(lib.PTPs) {
-			rep.add(FsckPTPDrift, "outcome %d (%s) has no PTP at that index in the library (%d PTPs)",
-				i, e.Name, len(lib.PTPs))
-			continue
-		}
-		p := lib.PTPs[i]
-		ph, err := stl.Digest(p)
+	want := expectation{hash: wantHash, ms: ms}
+	if lib != nil {
+		digests, err := digestsOf(lib)
 		if err != nil {
-			rep.add(FsckPTPDrift, "hashing library PTP %s: %v", p.Name, err)
-			continue
+			return nil, fmt.Errorf("fsck: %w", err)
 		}
-		if e.Name != p.Name || e.OrigHash != ph {
-			rep.add(FsckPTPDrift, "outcome %d was computed from PTP %s (hash %.12s) but the library holds %s (hash %.12s) — the library changed after the campaign started",
-				i, e.Name, e.OrigHash, p.Name, ph)
-		}
-		if ms == nil {
-			continue
-		}
-		n := int32(len(ms.Faults[p.Target]))
-		for _, set := range []struct {
-			name string
-			ids  []int32
-		}{{"dropped", e.DroppedFaults}, {"original", e.OriginalFaults}, {"shipped", e.ShippedFaults}} {
-			for _, id := range set.ids {
-				if id < 0 || id >= n {
-					rep.add(FsckFaultID, "outcome %d (%s) has %s fault id %d outside the %v fault list (%d faults)",
-						i, e.Name, set.name, id, p.Target, n)
-					break
-				}
-			}
-		}
+		want.lib, want.digests = lib, digests
 	}
+	rd, err := readJournal(dir, want)
+	if err != nil {
+		return nil, fmt.Errorf("fsck: %w", err)
+	}
+	if rd.ck != nil && firstRefusal(rd.Issues) == nil {
+		rd.Salvageable = len(rd.ck.Entries)
+	}
+	fsckArtifacts(artifacts, &rd.FsckReport)
+	return &rd.FsckReport, nil
 }
 
 // fsckArtifacts verifies each artifact path against its checksum

@@ -3,6 +3,7 @@ package run
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -264,5 +265,174 @@ func TestFsckDistinctDiagnosticsRender(t *testing.T) {
 		if !strings.Contains(out, tag) {
 			t.Errorf("render lacks %s:\n%s", tag, out)
 		}
+	}
+}
+
+// TestFsckAgreesWithResume holds fsck's verdict to what a resume does,
+// one journal defect per row. Every journal is written through
+// journal.Append, so its CRCs hold unless the row damages bytes. Where
+// fsck says a resume refuses the journal, Run must refuse it and leave
+// it as it was; otherwise Run must resume exactly the outcomes fsck
+// counts as salvageable and render like an uninterrupted run.
+func TestFsckAgreesWithResume(t *testing.T) {
+	src, _, _, hash := fsckCampaign(t)
+	ck, err := LoadCheckpoint(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ck.Entries) != 3 || ck.Entries[0].Status != StatusCompacted {
+		t.Fatalf("clean campaign entries: %+v", ck.Entries)
+	}
+	_, want := referenceRun(t)
+
+	type record struct {
+		typ  string
+		body any
+	}
+	meta := record{recMeta, metaRecord{Version: CheckpointVersion, ConfigHash: hash, PTPs: 3}}
+	// outcomes journals the clean campaign's entries, the i-th edited by
+	// edit when it is non-nil.
+	outcomes := func(edit func(i int, e *Entry)) []record {
+		var recs []record
+		for i, e := range ck.Entries {
+			if edit != nil {
+				edit(i, &e)
+			}
+			recs = append(recs, record{recOutcome, e})
+		}
+		return recs
+	}
+	withID := func(set string) func(int, *Entry) {
+		return func(i int, e *Entry) {
+			if i != 1 {
+				return
+			}
+			switch set {
+			case "dropped":
+				e.DroppedFaults = append(append([]int32(nil), e.DroppedFaults...), 1500)
+			case "original":
+				e.OriginalFaults = append(append([]int32(nil), e.OriginalFaults...), 1500)
+			default:
+				e.ShippedFaults = append(append([]int32(nil), e.ShippedFaults...), 1500)
+			}
+		}
+	}
+	lastLine := func(data []byte) int {
+		return bytes.LastIndexByte(data[:len(data)-1], '\n') + 1
+	}
+	rows := []struct {
+		name    string
+		records []record
+		damage  func(data []byte) []byte // applied to the written journal
+		legacy  bool                     // no journal, a v1 checkpoint.json
+	}{
+		{name: "torn-tail", records: append([]record{meta}, outcomes(nil)...),
+			damage: func(data []byte) []byte {
+				i := lastLine(data)
+				return data[:i+(len(data)-i)/2]
+			}},
+		{name: "crc-flip", records: append([]record{meta}, outcomes(nil)...),
+			damage: func(data []byte) []byte {
+				i := bytes.LastIndex(data, []byte(`"name":"DIVG"`))
+				data[i+len(`"name":"`)] = 'X'
+				return data
+			}},
+		{name: "config-hash", records: append([]record{{recMeta,
+			metaRecord{Version: CheckpointVersion, ConfigHash: strings.Repeat("0", len(hash)), PTPs: 3}}},
+			outcomes(nil)...)},
+		{name: "ptp-drift", records: append([]record{meta}, outcomes(func(i int, e *Entry) {
+			if i == 1 {
+				e.OrigHash = strings.Repeat("0", len(e.OrigHash))
+			}
+		})...)},
+		{name: "dropped-id", records: append([]record{meta}, outcomes(withID("dropped"))...)},
+		{name: "original-id", records: append([]record{meta}, outcomes(withID("original"))...)},
+		{name: "shipped-id", records: append([]record{meta}, outcomes(withID("shipped"))...)},
+		{name: "undecodable-compacted", records: append([]record{meta}, outcomes(func(i int, e *Entry) {
+			if i == 0 {
+				e.Compacted = []byte(`{}`)
+			}
+		})...)},
+		{name: "mark-mismatch", records: append(append([]record{meta}, outcomes(nil)...),
+			record{recMark, markRecord{Outcomes: 5}})},
+		{name: "unknown-type", records: append(append([]record{meta}, outcomes(nil)...),
+			record{"bogus", map[string]int{"n": 1}})},
+		{name: "outcome-order", records: func() []record {
+			o := outcomes(nil)
+			return []record{meta, o[0], o[2], o[1]}
+		}()},
+		{name: "extra-outcome", records: append(append([]record{meta}, outcomes(nil)...),
+			outcomes(func(i int, e *Entry) { e.Index = 3 })[2])},
+		{name: "legacy", legacy: true},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			dir := t.TempDir()
+			walPath := filepath.Join(dir, WALFile)
+			if row.legacy {
+				legacy := fmt.Sprintf(`{"version":1,"configHash":%q,"entries":[]}`, hash)
+				if err := os.WriteFile(filepath.Join(dir, "checkpoint.json"), []byte(legacy), 0o666); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				j, _, err := journal.Open(context.Background(), walPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range row.records {
+					if _, err := j.Append(r.typ, r.body); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := j.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if row.damage != nil {
+					data, err := os.ReadFile(walPath)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := os.WriteFile(walPath, row.damage(data), 0o666); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			before, _ := os.ReadFile(walPath)
+
+			lib, ms := testEnv(t)
+			rep, err := Fsck(dir, hash, ms, lib, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			rep.Render(&buf)
+			if rep.Clean() {
+				t.Fatalf("fsck calls the journal clean:\n%s", buf.String())
+			}
+			refuses := strings.Contains(buf.String(), "a resume refuses this journal")
+
+			got, err := Run(context.Background(), gpu.DefaultConfig(), ms, lib, core.Options{Workers: 4},
+				Options{CheckpointDir: dir, FCTolerance: 5})
+			if refuses {
+				if err == nil {
+					t.Fatalf("fsck says a resume refuses the journal, but Run resumed %d outcome(s):\n%s",
+						got.Resumed, buf.String())
+				}
+				if after, _ := os.ReadFile(walPath); !bytes.Equal(after, before) {
+					t.Errorf("a refused resume changed the journal")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("fsck says a resume salvages %d outcome(s), but Run refused: %v\n%s",
+					rep.Salvageable, err, buf.String())
+			}
+			if got.Resumed != rep.Salvageable {
+				t.Errorf("Run resumed %d outcome(s), fsck counts %d salvageable", got.Resumed, rep.Salvageable)
+			}
+			if g := render(t, got); g != want {
+				t.Errorf("resumed report differs:\n--- uninterrupted\n%s--- resumed\n%s", want, g)
+			}
+		})
 	}
 }

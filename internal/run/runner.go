@@ -327,17 +327,18 @@ func Run(ctx context.Context, cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL,
 	}
 	defer release()
 	rep := &Report{Compacted: &stl.STL{}}
-	ck := &Checkpoint{Version: CheckpointVersion, ConfigHash: hash}
 	var clog *campaignLog
+	var resume []Entry
 	if opts.CheckpointDir != "" {
 		if err := os.MkdirAll(opts.CheckpointDir, 0o777); err != nil {
 			return nil, fmt.Errorf("run: checkpoint dir: %w", err)
 		}
-		cl, cck, notes, err := openCampaign(ctx, opts.CheckpointDir, hash, len(lib.PTPs))
+		var notes []string
+		clog, resume, notes, err = openCampaign(ctx, opts.CheckpointDir,
+			expectation{hash: hash, lib: lib, digests: digests, ms: ms})
 		if err != nil {
 			return nil, err
 		}
-		clog, ck = cl, cck
 		rep.Notes = notes
 		for _, n := range notes {
 			opts.logf("%s", n)
@@ -364,52 +365,52 @@ func Run(ctx context.Context, cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL,
 	// as deltas the same way.
 	dropped := map[circuits.ModuleKind][]fault.ID{}
 	original, shipped := faultSets{}, faultSets{}
-	la := startLookahead(ctx, lookaheadHelpers(copt.Workers), lib, compactors, len(ck.Entries))
+	// settle adds one finished PTP, fresh or resumed, to the report: the
+	// one way a row, its shipped program and its module's library FC get
+	// there.
+	settle := func(c *core.Compactor, e Entry, o Outcome) {
+		if o.Resumed {
+			rep.Resumed++
+			opts.Metrics.Counter("gpustl_run_resumed_total").Inc()
+		}
+		rep.Outcomes = append(rep.Outcomes, o)
+		rep.Compacted.PTPs = append(rep.Compacted.PTPs, e.ship)
+		rep.OrigSize += o.OrigSize
+		rep.CompSize += len(e.ship.Prog)
+		switch o.Status {
+		case StatusExcluded:
+			rep.Excluded++
+		case StatusRevertedError, StatusRevertedFC:
+			rep.Reverted++
+		case StatusQuarantined:
+			rep.Quarantined++
+		}
+		if c != nil && e.Status != StatusExcluded {
+			rep.noteLibrary(c, original, shipped)
+		}
+		opts.recordOutcome(o, len(rep.Outcomes), len(lib.PTPs))
+	}
+	la := startLookahead(ctx, lookaheadHelpers(copt.Workers), lib, compactors, len(resume))
 	defer la.stop()
 
 	for i, p := range lib.PTPs {
 		c := compactors[p.Target]
-		if i < len(ck.Entries) {
-			// Resume path: validate the entry against the library, then
-			// replay its campaign delta and report row.
-			e := ck.Entries[i]
-			if e.Index != i || e.Name != p.Name || e.OrigHash != digests[i] {
-				return rep, fmt.Errorf("run: journaled entry %d (%s) does not match library PTP %s; delete %s to start over",
-					i, e.Name, p.Name, opts.CheckpointDir)
-			}
-			comp := p
-			if e.Status == StatusCompacted {
-				comp, err = stl.ReadPTP(bytes.NewReader(e.Compacted))
-				if err != nil {
-					return rep, fmt.Errorf("run: journaled entry %d: %w", i, err)
-				}
-			}
-			simulated := c != nil && e.Status != StatusExcluded
-			if c != nil && len(e.DroppedFaults) > 0 {
+		if i < len(resume) {
+			// Resume path: openCampaign accepted the entry, so replay its
+			// campaign delta and report row.
+			e := resume[i]
+			if c != nil && e.Status != StatusExcluded {
 				if err := c.Campaign.RestoreDetected(toIDs(e.DroppedFaults)); err != nil {
-					return rep, fmt.Errorf("run: journaled entry %d: %w", i, err)
+					return rep, err
 				}
 				dropped[p.Target] = c.Campaign.DetectedIDs()
-			}
-			if simulated {
-				for _, set := range []struct {
-					fs  faultSets
-					ids []int32
-				}{{original, e.DroppedFaults}, {original, e.OriginalFaults}, {shipped, e.ShippedFaults}} {
-					if _, err := set.fs.add(c, toIDs(set.ids)); err != nil {
-						return rep, fmt.Errorf("run: journaled entry %d: %w", i, err)
-					}
-				}
+				original.add(c, toIDs(e.DroppedFaults))
+				original.add(c, toIDs(e.OriginalFaults))
+				shipped.add(c, toIDs(e.ShippedFaults))
 			}
 			o := outcomeOf(e)
 			o.Resumed = true
-			rep.Resumed++
-			accumulate(rep, o, comp)
-			if simulated {
-				rep.noteLibrary(c, original, shipped)
-			}
-			opts.Metrics.Counter("gpustl_run_resumed_total").Inc()
-			opts.recordOutcome(o, len(rep.Outcomes), len(lib.PTPs))
+			settle(c, e, o)
 			continue
 		}
 
@@ -422,11 +423,10 @@ func Run(ctx context.Context, cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL,
 				i, len(lib.PTPs), context.Cause(ctx))
 		}
 
-		e := Entry{Index: i, Name: p.Name, OrigSize: len(p.Prog), OrigHash: digests[i]}
+		e := Entry{Index: i, Name: p.Name, OrigSize: len(p.Prog), OrigHash: digests[i], ship: p}
 
 		job := la.take(i)
 		ptpSpan := opts.Tracer.Start(campSpan, obs.KindPTP, p.Name)
-		comp := p
 		var compTime time.Duration
 		if !simulated(c, p) {
 			e.Status = StatusExcluded
@@ -495,10 +495,10 @@ func Run(ctx context.Context, cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL,
 						p.Name, res.CompFC, res.OrigFC-res.CompFC, res.OrigFC, opts.FCTolerance)
 				} else {
 					e.Status = StatusCompacted
-					comp = res.Compacted
+					e.ship = res.Compacted
 					if clog != nil {
 						var buf bytes.Buffer
-						if err := stl.WritePTP(&buf, comp); err != nil {
+						if err := stl.WritePTP(&buf, e.ship); err != nil {
 							return rep, fmt.Errorf("run: serializing compacted %s: %w", p.Name, err)
 						}
 						e.Compacted = json.RawMessage(buf.Bytes())
@@ -513,25 +513,18 @@ func Run(ctx context.Context, cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL,
 			// the rest: nothing when every PTP gets past stage 3. The
 			// shipped program is the compacted one or that original.
 			orig := toIDs(e.DroppedFaults)
-			_, err = original.add(c, orig)
-			if err == nil && res != nil {
+			original.add(c, orig)
+			if res != nil {
 				orig = res.OrigDetected
-				e.OriginalFaults, err = original.add(c, orig)
+				e.OriginalFaults = original.add(c, orig)
 			}
-			if err == nil {
-				ship := orig
-				if e.Status == StatusCompacted {
-					ship = res.CompDetected
-				}
-				e.ShippedFaults, err = shipped.add(c, ship)
+			ship := orig
+			if e.Status == StatusCompacted {
+				ship = res.CompDetected
 			}
-			if err != nil {
-				ptpSpan.End()
-				return rep, err
-			}
+			e.ShippedFaults = shipped.add(c, ship)
 		}
 
-		ck.Entries = append(ck.Entries, e)
 		if clog != nil {
 			// Crash-consistency brackets around the commit: a crash (or
 			// injected error) before the append loses the entry — a
@@ -563,11 +556,7 @@ func Run(ctx context.Context, cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL,
 		ptpSpan.End()
 		o := outcomeOf(e)
 		o.CompactionTime = compTime
-		accumulate(rep, o, comp)
-		if e.Status != StatusExcluded {
-			rep.noteLibrary(c, original, shipped)
-		}
-		opts.recordOutcome(o, len(rep.Outcomes), len(lib.PTPs))
+		settle(c, e, o)
 	}
 	return rep, nil
 }
@@ -598,22 +587,6 @@ func (o Options) recordOutcome(out Outcome, done, total int) {
 	}
 	if o.OnOutcome != nil {
 		o.OnOutcome(out, done, total)
-	}
-}
-
-// accumulate appends one outcome and its surviving PTP to the report.
-func accumulate(rep *Report, o Outcome, comp *stl.PTP) {
-	rep.Outcomes = append(rep.Outcomes, o)
-	rep.Compacted.PTPs = append(rep.Compacted.PTPs, comp)
-	rep.OrigSize += o.OrigSize
-	rep.CompSize += len(comp.Prog)
-	switch o.Status {
-	case StatusExcluded:
-		rep.Excluded++
-	case StatusRevertedError, StatusRevertedFC:
-		rep.Reverted++
-	case StatusQuarantined:
-		rep.Quarantined++
 	}
 }
 
@@ -768,8 +741,9 @@ type faultSet struct {
 
 // add puts ids into the set of c's module and returns those the set
 // did not hold yet, in the given order: the delta a journal entry
-// carries. An id outside the fault list is an error.
-func (ss faultSets) add(c *core.Compactor, ids []fault.ID) ([]int32, error) {
+// carries. Every id is inside the fault list: the campaign's own, or
+// a journaled one readJournal accepted.
+func (ss faultSets) add(c *core.Compactor, ids []fault.ID) []int32 {
 	s := ss[c.Module.Kind]
 	if s == nil {
 		s = &faultSet{in: make([]bool, c.Campaign.Total())}
@@ -777,16 +751,13 @@ func (ss faultSets) add(c *core.Compactor, ids []fault.ID) ([]int32, error) {
 	}
 	var delta []int32
 	for _, id := range ids {
-		if id < 0 || int(id) >= len(s.in) {
-			return nil, fmt.Errorf("run: fault id %d outside the %v fault list (%d faults)", id, c.Module.Kind, len(s.in))
-		}
 		if !s.in[id] {
 			s.in[id] = true
 			s.n++
 			delta = append(delta, int32(id))
 		}
 	}
-	return delta, nil
+	return delta
 }
 
 // toIDs converts journaled fault ids.

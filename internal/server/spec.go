@@ -55,8 +55,9 @@ type Spec struct {
 	// Target/N/Seed generate a library when STL is absent. Only "DU"
 	// (IMM + MEM + CNTRL PTPs) can be generated server-side; SP/SFU
 	// libraries need ATPG and must be submitted inline. Seed also seeds
-	// the fault-list sample, exactly as stlcompact's -seed does, so a
-	// generated campaign byte-matches the equivalent stlcompact run.
+	// the fault-list sample, exactly as stlcompact's -seed does, and
+	// both generate the library with ptpgen.DU, so a generated campaign
+	// byte-matches the equivalent stlcompact run.
 	Target string `json:"target,omitempty"`
 	N      int    `json:"n,omitempty"`
 	Seed   int64  `json:"seed,omitempty"`
@@ -157,11 +158,7 @@ func buildEnv(sp *Spec) (*env, error) {
 		lib = s
 	} else {
 		sampleSeed = sp.Seed
-		lib = &stl.STL{PTPs: []*stl.PTP{
-			ptpgen.IMM(sp.N, sp.Seed+1),
-			ptpgen.MEM(sp.N, sp.Seed+2),
-			ptpgen.CNTRL(max(2, sp.N/10), sp.Seed+3),
-		}}
+		lib = &stl.STL{PTPs: ptpgen.DU(sp.N, sp.Seed)}
 	}
 	ms, err := core.NewModuleSet(lib, sp.faultSample(), sampleSeed)
 	if err != nil {
