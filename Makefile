@@ -29,12 +29,13 @@ lint:
 # runs a campaign through a live server over two loopback workers,
 # scrapes both /metrics endpoints, and fails on any Prometheus
 # text-format hygiene problem or on a family missing from the
-# docs/OBSERVABILITY.md catalog. verify-medium checks the paper's tables
-# at medium scale against the committed results_medium.txt. perfbench is
+# docs/OBSERVABILITY.md catalog. verify-medium and verify-paper check the
+# paper's tables at medium and paper scale against the committed
+# results_medium.txt and results_paper.txt. perfbench is
 # its own Go module, so `go build ./...` never compiles it; it is vetted
 # and tested on its own, since it compiles against the library's API.
 .PHONY: verify
-verify: test lint chaos-smoke chaos-overload chaos-server verify-medium
+verify: test lint chaos-smoke chaos-overload chaos-server verify-medium verify-paper
 	go test -race ./...
 	cd perfbench && go vet . && go test .
 	go test -count=20 -run 'TestSoakConcurrentSchedules|TestChaosMergeByteIdentical|TestConcurrentRunsDoNotShareFailpoints|TestLookaheadMatchesSerial' ./internal/chaos ./internal/dist ./internal/run
@@ -57,10 +58,11 @@ verify: test lint chaos-smoke chaos-overload chaos-server verify-medium
 	go test -fuzz '^FuzzImply$$' -fuzztime 10s -run '^$$' ./internal/atpg
 	go test -fuzz '^FuzzSubsetRuns$$' -fuzztime 10s -run '^$$' ./internal/core
 
-# Medium-scale reproduction check: regenerate Tables I-III, the STL
+# Reproduction checks, one per scale: regenerate Tables I-III, the STL
 # summary, the ablations and the baseline comparison and diff them
-# against results_medium.txt (small scale is pinned in go test by
-# internal/experiments/testdata/tables_small.golden). Wall-clock fields
+# against results_<scale>.txt (small scale is pinned in go test by
+# internal/experiments/testdata/tables_small.golden). verify-medium
+# takes about 20 s, verify-paper 30-45 s. Wall-clock fields
 # vary from run to run, so MASK_TIMES blanks them on both sides: the
 # environment build time, the compaction-time column, the baseline
 # comparison's milliseconds, and the column padding and rule lengths
@@ -71,13 +73,13 @@ MASK_TIMES = sed -E \
 	-e 's/^(proposed|iterative baseline)( +[0-9]+ +)[0-9.]+/\1\2T/' \
 	-e 's/-{3,}/---/' -e 's/ +/ /g'
 
-.PHONY: verify-medium
-verify-medium:
-	go run ./cmd/tables -scale medium -table all -summary -ablations -baseline > .results_medium.got
-	$(MASK_TIMES) results_medium.txt > .results_medium.want.masked
-	$(MASK_TIMES) .results_medium.got > .results_medium.got.masked
-	diff .results_medium.want.masked .results_medium.got.masked
-	rm -f .results_medium.got .results_medium.want.masked .results_medium.got.masked
+.PHONY: verify-medium verify-paper
+verify-medium verify-paper: verify-%:
+	go run ./cmd/tables -scale $* -table all -summary -ablations -baseline > .results_$*.got
+	$(MASK_TIMES) results_$*.txt > .results_$*.want.masked
+	$(MASK_TIMES) .results_$*.got > .results_$*.got.masked
+	diff .results_$*.want.masked .results_$*.got.masked
+	rm -f .results_$*.got .results_$*.want.masked .results_$*.got.masked
 
 # Chaos soak: every canonical fault schedule (torn journal writes,
 # mid-commit crashes, stage panics, lossy wire, Byzantine worker,
