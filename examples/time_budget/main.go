@@ -2,9 +2,12 @@
 // windows are short — "application constraints might limit the available
 // execution time". This example uses CompactToBudget, the library's
 // extension of the five-stage method, to fit one PTP into progressively
-// tighter clock-cycle budgets and shows the coverage/time trade-off curve,
-// still paying only one logic simulation and one fault simulation per
-// point.
+// tighter clock-cycle budgets and shows the coverage/time trade-off curve.
+// Each point runs CompactPTP's pipeline with a knapsack as stage 4, so it
+// costs what CompactPTP does: one logic simulation of the original, three
+// fault simulations (the original's FC, stage 3, the compacted PTP's FC)
+// and one logic simulation of the compacted PTP, with no fault
+// simulation per candidate selection.
 package main
 
 import (

@@ -4,85 +4,80 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"gpustl/internal/stl"
 )
 
 // CompactToBudget is an extension of the paper's method for its own
 // motivating scenario: "application constraints might limit the available
-// execution time" (§I). Instead of removing only all-unessential Small
-// Blocks, it selects the subset of candidate SBs that fits a clock-cycle
-// budget while maximizing the number of faults detected, using the same
-// single logic simulation and single fault simulation.
+// execution time" (§I). It runs CompactPTP's pipeline with another stage
+// 4: instead of removing only all-unessential Small Blocks, it selects
+// the subset of candidate SBs that fits a clock-cycle budget while
+// maximizing the number of faults detected. The cost is CompactPTP's:
+// one logic simulation of the original, three fault simulations (the
+// original's standalone FC, stage 3, the compacted PTP's FC) and one
+// logic simulation of the compacted PTP, with no fault simulation per
+// candidate selection.
 //
 // Selection is greedy by detections-per-cycle, which is the classic
 // knapsack heuristic; mandatory code (protected regions, non-candidate
 // instructions) is always kept and its cost charged against the budget.
-// The returned Result is as in CompactPTP; Result.CompDuration reports the
-// re-simulated duration of the selected program.
+// A budget below the mandatory cost is refused after the logic
+// simulation and before any fault simulation, so the shared campaign is
+// left as it was. The returned Result is as in CompactPTP;
+// Result.CompDuration reports the re-simulated duration of the selected
+// program.
 func (c *Compactor) CompactToBudget(p *stl.PTP, budgetCC uint64) (*Result, error) {
-	start := time.Now()
+	ctx := context.Background()
 	sbs, candidates, err := c.partition(p)
 	if err != nil {
 		return nil, err
 	}
-
-	ctx := context.Background()
-	col, cycles, err := c.runTrace(ctx, p, nil)
+	tr, err := c.TracePTP(ctx, p)
 	if err != nil {
 		return nil, err
 	}
-	origFC, origDet, origRep, err := c.evaluateFC(ctx, p, col.Patterns, nil)
+	reduce, err := budgetReducer(p, sbs, candidates, tr, budgetCC)
 	if err != nil {
 		return nil, err
 	}
+	return c.compact(ctx, p, nil, func(context.Context) (*Trace, error) { return tr, nil }, reduce)
+}
 
-	rep, err := c.dropFaults(ctx, p, col.Patterns, origDet)
-	if err != nil {
-		return nil, err
-	}
-
-	// Per-instruction cost (total cc across warps) and detection counts.
+// budgetReducer returns the stage 4 that fits p, traced as tr, into
+// budgetCC, or an error when its mandatory code alone exceeds the budget.
+func budgetReducer(p *stl.PTP, sbs []stl.SB, candidates []bool, tr *Trace, budgetCC uint64) (reducer, error) {
+	// Per-instruction cost: total cc across warps. Mandatory cost:
+	// everything outside candidate SBs.
 	cost := make([]uint64, len(p.Prog))
-	for _, s := range col.Spans {
+	var mandatory uint64
+	for _, s := range tr.col.Spans {
 		if int(s.PC) < len(cost) {
 			cost[s.PC] += s.CCEnd - s.CCStart + 1
+			mandatory += s.CCEnd - s.CCStart + 1
 		}
 	}
-	det := make([]int64, len(p.Prog))
-	idx := col.CCToPC()
-	for i, n := range rep.DetectedPerPattern {
-		if n == 0 {
-			continue
-		}
-		if _, pc, ok := idx.Lookup(rep.Stream[i].CC); ok && int(pc) < len(det) {
-			det[pc] += int64(n)
-		}
-	}
-
-	// Mandatory cost: everything outside candidate SBs.
-	inCandidate := make([]bool, len(p.Prog))
 	for i, sb := range sbs {
 		if !candidates[i] {
 			continue
 		}
 		for pc := sb.Start; pc < sb.End; pc++ {
-			inCandidate[pc] = true
-		}
-	}
-	var mandatory uint64
-	for pc := range p.Prog {
-		if !inCandidate[pc] {
-			mandatory += cost[pc]
+			mandatory -= cost[pc]
 		}
 	}
 	if mandatory > budgetCC {
 		return nil, fmt.Errorf("core: budget %d cc below the mandatory cost %d cc of %s",
 			budgetCC, mandatory, p.Name)
 	}
+	return func(sbs []stl.SB, candidates []bool, det []int32) []int {
+		return knapsack(sbs, candidates, det, cost, budgetCC-mandatory)
+	}, nil
+}
 
-	// Greedy knapsack over candidate SBs by detections per cycle.
+// knapsack selects candidate SBs greedily by detections per cycle,
+// keeping each SB that detects something and fits the budget left, and
+// returns the instructions of the candidate SBs it did not keep.
+func knapsack(sbs []stl.SB, candidates []bool, det []int32, cost []uint64, budget uint64) []int {
 	type sbScore struct {
 		idx  int
 		det  int64
@@ -95,7 +90,7 @@ func (c *Compactor) CompactToBudget(p *stl.PTP, budgetCC uint64) (*Result, error
 		}
 		s := sbScore{idx: i}
 		for pc := sb.Start; pc < sb.End; pc++ {
-			s.det += det[pc]
+			s.det += int64(det[pc])
 			s.cost += cost[pc]
 		}
 		scored = append(scored, s)
@@ -109,58 +104,22 @@ func (c *Compactor) CompactToBudget(p *stl.PTP, budgetCC uint64) (*Result, error
 		}
 		return scored[a].idx < scored[b].idx
 	})
-	remainingBudget := budgetCC - mandatory
 	keep := make([]bool, len(sbs))
 	for _, s := range scored {
-		if s.det == 0 {
-			continue // never spend budget on undetecting SBs
-		}
-		if s.cost <= remainingBudget {
+		// never spend budget on undetecting SBs
+		if s.det > 0 && s.cost <= budget {
 			keep[s.idx] = true
-			remainingBudget -= s.cost
+			budget -= s.cost
 		}
 	}
-
 	var removed []int
-	removedSBs := 0
 	for i, sb := range sbs {
 		if !candidates[i] || keep[i] {
 			continue
 		}
-		removedSBs++
 		for pc := sb.Start; pc < sb.End; pc++ {
 			removed = append(removed, pc)
 		}
 	}
-	comp, err := Reassemble(p, sbs, removed)
-	if err != nil {
-		return nil, err
-	}
-	elapsed := time.Since(start)
-
-	compCol, compCycles, err := c.runTrace(ctx, comp, col)
-	if err != nil {
-		return nil, fmt.Errorf("core: budget-compacted %s does not run: %w", p.Name, err)
-	}
-	compFC, compDet, _, err := c.evaluateFC(ctx, comp, compCol.Patterns, origRep)
-	if err != nil {
-		return nil, err
-	}
-
-	return &Result{
-		Original:        p,
-		Compacted:       comp,
-		OrigSize:        len(p.Prog),
-		CompSize:        len(comp.Prog),
-		OrigDuration:    cycles,
-		CompDuration:    compCycles,
-		OrigFC:          origFC,
-		CompFC:          compFC,
-		OrigDetected:    origDet,
-		CompDetected:    compDet,
-		TotalSBs:        len(sbs),
-		RemovedSBs:      removedSBs,
-		DetectedThisRun: rep.DetectedThisRun(),
-		CompactionTime:  elapsed,
-	}, nil
+	return removed
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"gpustl/internal/circuits"
+	"gpustl/internal/fault"
 	"gpustl/internal/gpu"
 	"gpustl/internal/ptpgen"
 )
@@ -84,14 +86,37 @@ func TestCompactToBudgetFullBudgetMatchesCompaction(t *testing.T) {
 	if d := budget.CompFC - plain.CompFC; d < -0.5 || d > 0.5 {
 		t.Errorf("full-budget FC %.2f deviates from plain %.2f", budget.CompFC, plain.CompFC)
 	}
+	// Both label the same FSR, so they count the same instructions.
+	if budget.Essential != plain.Essential || budget.Unessential != plain.Unessential {
+		t.Errorf("budget labeled %d essential, %d unessential; CompactPTP %d, %d",
+			budget.Essential, budget.Unessential, plain.Essential, plain.Unessential)
+	}
 }
 
+// countingSim runs the campaign's own simulator and counts the calls.
+type countingSim struct{ calls int }
+
+func (s *countingSim) SimulateCampaign(ctx context.Context, camp *fault.Campaign, stream []fault.TimedPattern, opt fault.SimOptions) (*fault.Report, error) {
+	s.calls++
+	return camp.SimulateCtx(ctx, stream, opt)
+}
+
+// TestCompactToBudgetTooSmall checks that a budget below the mandatory
+// cost is refused before any fault simulation, leaving the shared
+// campaign as it was.
 func TestCompactToBudgetTooSmall(t *testing.T) {
 	m := module(t, circuits.ModuleDU)
 	faults := sampledFaults(t, m, 500, 7)
 	p := ptpgen.CNTRL(10, 8) // large mandatory (loops, scaffolding)
-	c := New(gpu.DefaultConfig(), m, faults, Options{})
+	sim := &countingSim{}
+	c := New(gpu.DefaultConfig(), m, faults, Options{Simulator: sim})
 	if _, err := c.CompactToBudget(p, 10); err == nil {
 		t.Fatal("impossible budget accepted")
+	}
+	if ids := c.Campaign.DetectedIDs(); len(ids) != 0 {
+		t.Errorf("refused budget dropped %d faults from the shared campaign", len(ids))
+	}
+	if sim.calls != 0 {
+		t.Errorf("refused budget ran %d fault simulations", sim.calls)
 	}
 }

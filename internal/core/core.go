@@ -10,13 +10,19 @@
 //	          module (package fault), with cross-PTP fault dropping, and
 //	          the instruction-labeling algorithm of Fig. 2;
 //	stage 4 — PTP reduction: the Fig. 3 algorithm removes Small Blocks
-//	          whose instructions are all unessential;
+//	          whose instructions are all unessential (CompactToBudget
+//	          swaps in a detections-per-cycle knapsack, the pipeline's
+//	          only other difference);
 //	stage 5 — reassembling: rebuild the program, relocate input data,
 //	          repair branch displacements, and re-evaluate fault coverage.
 //
-// The headline property is preserved: compacting a PTP costs one logic
-// simulation and one fault simulation, instead of one fault simulation per
+// The headline property is preserved: every removal is decided from one
+// fault simulation's labels, instead of one fault simulation per
 // candidate removal as in prior CPU-oriented methods (package baseline).
+// In all, a PTP costs one logic simulation of the original, three fault
+// simulations (the original's standalone FC, stage 3, and the compacted
+// PTP's standalone FC, the first and last for measurement only) and one
+// logic simulation of the compacted PTP.
 package core
 
 import (
@@ -347,6 +353,17 @@ func (c *Compactor) CompactPTP(p *stl.PTP) (*Result, error) {
 // the error: it carries only Original, OrigSize, OrigDuration, OrigFC
 // and OrigDetected, which is what the caller ships when it reverts.
 func (c *Compactor) CompactPTPCtx(ctx context.Context, p *stl.PTP, onStage func(Stage) error, logic LogicSim) (*Result, error) {
+	return c.compact(ctx, p, onStage, logic, c.reduce)
+}
+
+// reducer is stage 4: given the PTP's SBs, the candidate mask and the
+// number of fault detections the labeled FSR attributes to each
+// instruction, it returns the instructions to remove.
+type reducer func(sbs []stl.SB, candidates []bool, det []int32) []int
+
+// compact is the per-PTP pipeline behind CompactPTPCtx and
+// CompactToBudget, which differ only in the stage-4 reducer.
+func (c *Compactor) compact(ctx context.Context, p *stl.PTP, onStage func(Stage) error, logic LogicSim, reduce reducer) (*Result, error) {
 	if err := c.Campaign.Err(); err != nil {
 		return nil, err
 	}
@@ -407,13 +424,26 @@ func (c *Compactor) CompactPTPCtx(ctx context.Context, p *stl.PTP, onStage func(
 	if err != nil {
 		return failed(err)
 	}
-	essential := Label(len(p.Prog), rep, col.CCToPC())
+	det := detections(len(p.Prog), rep, col.CCToPC())
 
-	// Stage 4 — reduction (Fig. 3).
+	// Stage 4 — reduction.
 	if err := enter(StageReduce); err != nil {
 		return failed(err)
 	}
-	removed, nEss, nUness := c.reduce(sbs, candidates, essential)
+	removed := reduce(sbs, candidates, det)
+	var nEss, nUness int
+	for i, sb := range sbs {
+		if !candidates[i] {
+			continue
+		}
+		for pc := sb.Start; pc < sb.End; pc++ {
+			if det[pc] > 0 {
+				nEss++
+			} else {
+				nUness++
+			}
+		}
+	}
 
 	// Stage 5 — reassembling.
 	if err := enter(StageReassemble); err != nil {
@@ -439,7 +469,6 @@ func (c *Compactor) CompactPTPCtx(ctx context.Context, p *stl.PTP, onStage func(
 		return failed(err)
 	}
 
-	nRemovedSBs := countRemovedSBs(sbs, removed)
 	return &Result{
 		Original:        p,
 		Compacted:       comp,
@@ -452,7 +481,7 @@ func (c *Compactor) CompactPTPCtx(ctx context.Context, p *stl.PTP, onStage func(
 		OrigDetected:    origDet,
 		CompDetected:    compDet,
 		TotalSBs:        len(sbs),
-		RemovedSBs:      nRemovedSBs,
+		RemovedSBs:      len(sbs) - len(comp.SBs),
 		Essential:       nEss,
 		Unessential:     nUness,
 		DetectedThisRun: rep.DetectedThisRun(),
@@ -460,26 +489,21 @@ func (c *Compactor) CompactPTPCtx(ctx context.Context, p *stl.PTP, onStage func(
 	}, nil
 }
 
-// reduce is stage 4 (Fig. 3): it returns the instructions to remove —
-// every instruction of each candidate SB whose instructions are all
-// unessential, or under InstructionGranularity every unessential
-// instruction of a candidate SB — and the counts of essential and
-// unessential instructions inside candidate SBs.
-func (c *Compactor) reduce(sbs []stl.SB, candidates, essential []bool) (removed []int, nEss, nUness int) {
+// reduce is the paper's stage 4 (Fig. 3): it removes every instruction
+// of each candidate SB whose instructions are all unessential (detect
+// nothing), or under InstructionGranularity every unessential
+// instruction of a candidate SB.
+func (c *Compactor) reduce(sbs []stl.SB, candidates []bool, det []int32) (removed []int) {
 	for i, sb := range sbs {
 		if !candidates[i] {
 			continue
 		}
 		allUness := true
 		for pc := sb.Start; pc < sb.End; pc++ {
-			if essential[pc] {
-				nEss++
+			if det[pc] > 0 {
 				allUness = false
-			} else {
-				nUness++
-				if c.Opt.InstructionGranularity {
-					removed = append(removed, pc)
-				}
+			} else if c.Opt.InstructionGranularity {
+				removed = append(removed, pc)
 			}
 		}
 		if allUness && !c.Opt.InstructionGranularity {
@@ -488,48 +512,25 @@ func (c *Compactor) reduce(sbs []stl.SB, candidates, essential []bool) (removed 
 			}
 		}
 	}
-	return removed, nEss, nUness
+	return removed
 }
 
-func countRemovedSBs(sbs []stl.SB, removed []int) int {
-	rm := make(map[int]bool, len(removed))
-	for _, pc := range removed {
-		rm[pc] = true
-	}
-	n := 0
-	for _, sb := range sbs {
-		all := true
-		for pc := sb.Start; pc < sb.End; pc++ {
-			if !rm[pc] {
-				all = false
-				break
-			}
-		}
-		if all {
-			n++
-		}
-	}
-	return n
-}
-
-// Label implements the instruction-labeling algorithm of Fig. 2: an
-// instruction is essential when at least one clock cycle of its execution
-// (any warp) carries a pattern that detected a fault in the Fault Sim
-// Report; otherwise it is unessential. The FSR is joined to instructions
-// through the clock-cycle index of the Tracing Report.
-func Label(progLen int, rep *fault.Report, idx *trace.CCIndex) []bool {
-	essential := make([]bool, progLen)
+// detections implements the instruction-labeling algorithm of Fig. 2: it
+// joins the Fault Sim Report to instructions through the clock-cycle
+// index of the Tracing Report and returns, per instruction, the number
+// of fault detections its execution (any warp) carried. An instruction
+// is essential when its count is nonzero.
+func detections(progLen int, rep *fault.Report, idx *trace.CCIndex) []int32 {
+	det := make([]int32, progLen)
 	for i, n := range rep.DetectedPerPattern {
 		if n == 0 {
 			continue
 		}
-		_, pc, ok := idx.Lookup(rep.Stream[i].CC)
-		if !ok || int(pc) >= progLen {
-			continue
+		if _, pc, ok := idx.Lookup(rep.Stream[i].CC); ok && int(pc) < progLen {
+			det[pc] += n
 		}
-		essential[pc] = true
 	}
-	return essential
+	return det
 }
 
 // Reassemble builds the compacted PTP: instructions in removed (indices

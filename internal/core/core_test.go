@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"gpustl/internal/asm"
@@ -39,9 +40,8 @@ func TestLabelJoinsOnCC(t *testing.T) {
 		{Warp: 0, PC: 1, CCStart: 15, CCEnd: 24},
 		{Warp: 0, PC: 2, CCStart: 25, CCEnd: 34},
 	}}
-	ess := Label(3, rep, col.CCToPC())
-	if ess[0] || !ess[1] || ess[2] {
-		t.Fatalf("labeling = %v, want only pc 1 essential", ess)
+	if det := detections(3, rep, col.CCToPC()); !reflect.DeepEqual(det, []int32{0, 2, 0}) {
+		t.Fatalf("detections = %v, want only pc 1's 2", det)
 	}
 }
 

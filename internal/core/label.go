@@ -57,8 +57,8 @@ func (d *LabelDetail) String() string {
 }
 
 // LabelDetailed runs the Fig. 2 algorithm keeping the per-warp attribution.
-// It is the inspectable variant of Label; both agree on the Essential
-// vector.
+// It is the inspectable variant of the pipeline's labeling join; both
+// agree on the Essential vector.
 func LabelDetailed(progLen int, rep *fault.Report, idx *trace.CCIndex) *LabelDetail {
 	d := &LabelDetail{
 		Essential: make([]bool, progLen),

@@ -11,6 +11,9 @@ import (
 	"gpustl/internal/trace"
 )
 
+// TestLabelDetailedAgreesWithLabel holds LabelDetailed to the
+// pipeline's labeling join: per instruction, the per-warp hits sum to
+// its detections, and it is essential when they are nonzero.
 func TestLabelDetailedAgreesWithLabel(t *testing.T) {
 	m := module(t, circuits.ModuleDU)
 	p := ptpgen.IMM(30, 3)
@@ -34,12 +37,17 @@ func TestLabelDetailedAgreesWithLabel(t *testing.T) {
 	}
 
 	idx := col.CCToPC()
-	plain := Label(len(p.Prog), rep, idx)
+	det := detections(len(p.Prog), rep, idx)
 	detail := LabelDetailed(len(p.Prog), rep, idx)
 
-	for pc := range plain {
-		if plain[pc] != detail.Essential[pc] {
-			t.Fatalf("pc %d: Label=%v LabelDetailed=%v", pc, plain[pc], detail.Essential[pc])
+	for pc := range det {
+		hits := 0
+		for _, n := range detail.WarpHits[pc] {
+			hits += n
+		}
+		if int(det[pc]) != hits || (det[pc] > 0) != detail.Essential[pc] {
+			t.Fatalf("pc %d: %d detections; LabelDetailed: %d hits, essential %v",
+				pc, det[pc], hits, detail.Essential[pc])
 		}
 	}
 	if detail.UnmatchedCCs != 0 {

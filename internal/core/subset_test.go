@@ -39,9 +39,11 @@ func (c *Compactor) fullStage3(ctx context.Context, patterns []fault.TimedPatter
 	})
 }
 
-// compactReference is CompactPTP with the oracles in place of the subset
-// runs. Stage 4 and reassembling are the production code.
-func (c *Compactor) compactReference(t *testing.T, p *stl.PTP) *Result {
+// compactReference is the pipeline with the oracles in place of the
+// subset runs, and with its own join of the FSR to instructions
+// (LabelDetailed's per-warp hits) and its own label and removed-SB
+// counts. Stage 4 is reduce; reassembling is the production code.
+func (c *Compactor) compactReference(t *testing.T, p *stl.PTP, reduce reducer) *Result {
 	t.Helper()
 	ctx := context.Background()
 	sbs, candidates, err := c.partition(p)
@@ -60,7 +62,27 @@ func (c *Compactor) compactReference(t *testing.T, p *stl.PTP) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	removed, nEss, nUness := c.reduce(sbs, candidates, Label(len(p.Prog), rep, col.CCToPC()))
+	label := LabelDetailed(len(p.Prog), rep, col.CCToPC())
+	det := make([]int32, len(p.Prog))
+	for pc, hits := range label.WarpHits {
+		for _, n := range hits {
+			det[pc] += int32(n)
+		}
+	}
+	var nEss, nUness int
+	for i, sb := range sbs {
+		if !candidates[i] {
+			continue
+		}
+		for pc := sb.Start; pc < sb.End; pc++ {
+			if label.Essential[pc] {
+				nEss++
+			} else {
+				nUness++
+			}
+		}
+	}
+	removed := reduce(sbs, candidates, det)
 	comp, err := Reassemble(p, sbs, removed)
 	if err != nil {
 		t.Fatal(err)
@@ -83,6 +105,28 @@ func (c *Compactor) compactReference(t *testing.T, p *stl.PTP) *Result {
 		Essential: nEss, Unessential: nUness,
 		DetectedThisRun: rep.DetectedThisRun(),
 	}
+}
+
+// countRemovedSBs counts the SBs all of whose instructions are in removed.
+func countRemovedSBs(sbs []stl.SB, removed []int) int {
+	rm := make(map[int]bool, len(removed))
+	for _, pc := range removed {
+		rm[pc] = true
+	}
+	n := 0
+	for _, sb := range sbs {
+		all := true
+		for pc := sb.Start; pc < sb.End; pc++ {
+			if !rm[pc] {
+				all = false
+				break
+			}
+		}
+		if all {
+			n++
+		}
+	}
+	return n
 }
 
 // spPatterns and sfuPatterns are random operand tuples standing in for
@@ -145,63 +189,67 @@ func sameResult(t *testing.T, ptp string, got, want *Result) {
 // subset runs, and the shared campaign after each PTP, to the full-list
 // simulations: IMM, MEM (data relocation) and CNTRL (branch repair) on
 // the DU, TPGEN and RAND on the 8-lane SP, SFU_IMM under
-// ReversePatterns.
+// ReversePatterns. Each library runs once through CompactPTP (Fig. 3)
+// and once through CompactToBudget at 3/4 of each PTP's traced
+// duration; a PTP whose mandatory cost exceeds that must be refused with
+// the shared campaign unchanged.
 func TestCompactPTPMatchesFullSimulation(t *testing.T) {
 	for _, lib := range subsetLibraries() {
 		t.Run(lib.name, func(t *testing.T) {
 			m := module(t, lib.kind)
 			faults := sampledFaults(t, m, lib.faults, 41)
 			opt := Options{ReversePatterns: lib.reverse}
-			sub := New(gpu.DefaultConfig(), m, faults, opt)
-			ref := New(gpu.DefaultConfig(), m, faults, opt)
-			for _, p := range lib.ptps {
-				got, err := sub.CompactPTP(p)
-				if err != nil {
-					t.Fatal(err)
+			t.Run("fig3", func(t *testing.T) {
+				sub := New(gpu.DefaultConfig(), m, faults, opt)
+				ref := New(gpu.DefaultConfig(), m, faults, opt)
+				for _, p := range lib.ptps {
+					got, err := sub.CompactPTP(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameResult(t, p.Name, got, ref.compactReference(t, p, ref.reduce))
+					if !reflect.DeepEqual(sub.Campaign.DetectedIDs(), ref.Campaign.DetectedIDs()) {
+						t.Fatalf("%s: shared campaigns differ after the PTP", p.Name)
+					}
 				}
-				sameResult(t, p.Name, got, ref.compactReference(t, p))
-				if !reflect.DeepEqual(sub.Campaign.DetectedIDs(), ref.Campaign.DetectedIDs()) {
-					t.Fatalf("%s: shared campaigns differ after the PTP", p.Name)
+			})
+			t.Run("budget", func(t *testing.T) {
+				sub := New(gpu.DefaultConfig(), m, faults, opt)
+				ref := New(gpu.DefaultConfig(), m, faults, opt)
+				removedSBs := 0
+				for _, p := range lib.ptps {
+					sbs, candidates, err := ref.partition(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tr, err := ref.TracePTP(context.Background(), p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					budget := tr.cycles * 3 / 4
+					reduce, fitErr := budgetReducer(p, sbs, candidates, tr, budget)
+					got, err := sub.CompactToBudget(p, budget)
+					if fitErr != nil {
+						if err == nil {
+							t.Fatalf("%s: budget below the mandatory cost accepted (%v)", p.Name, fitErr)
+						}
+						t.Logf("%s: %v", p.Name, err)
+					} else {
+						if err != nil {
+							t.Fatal(err)
+						}
+						sameResult(t, p.Name, got, ref.compactReference(t, p, reduce))
+						removedSBs += got.RemovedSBs
+					}
+					if !reflect.DeepEqual(sub.Campaign.DetectedIDs(), ref.Campaign.DetectedIDs()) {
+						t.Fatalf("%s: shared campaigns differ after the PTP", p.Name)
+					}
 				}
-			}
+				if removedSBs == 0 {
+					t.Fatal("the budget removed nothing; the compacted FC was not exercised")
+				}
+			})
 		})
-	}
-}
-
-// TestCompactToBudgetMatchesFullSimulation holds CompactToBudget's
-// coverage sets to the full-list simulations.
-func TestCompactToBudgetMatchesFullSimulation(t *testing.T) {
-	m := module(t, circuits.ModuleDU)
-	c := New(gpu.DefaultConfig(), m, sampledFaults(t, m, 2500, 43), Options{})
-	p := ptpgen.IMM(40, 44)
-	full, err := c.CompactPTP(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Campaign.Reset()
-	res, err := c.CompactToBudget(p, full.OrigDuration*3/4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	col, _, err := c.runTrace(ctx, res.Compacted, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compFC, compDet, err := c.fullFC(ctx, col.Patterns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CompFC != compFC || !reflect.DeepEqual(res.CompDetected, compDet) {
-		t.Fatalf("CompDetected: %d faults (FC %.4f), full simulation %d (FC %.4f)",
-			len(res.CompDetected), res.CompFC, len(compDet), compFC)
-	}
-	if !reflect.DeepEqual(res.OrigDetected, full.OrigDetected) || res.DetectedThisRun != full.DetectedThisRun {
-		t.Fatalf("original: %d detected, %d this run; CompactPTP %d, %d",
-			len(res.OrigDetected), res.DetectedThisRun, len(full.OrigDetected), full.DetectedThisRun)
-	}
-	if res.RemovedSBs == 0 {
-		t.Fatal("budget removed nothing; the compacted FC was not exercised")
 	}
 }
 
@@ -290,7 +338,7 @@ func FuzzSubsetRuns(f *testing.F) {
 			t.Fatalf("stage-3 FSR: %d detections, full simulation %d",
 				len(rep.Detections), len(refRep.Detections))
 		}
-		if !reflect.DeepEqual(Label(len(p.Prog), rep, col.CCToPC()), Label(len(p.Prog), refRep, col.CCToPC())) {
+		if !reflect.DeepEqual(detections(len(p.Prog), rep, col.CCToPC()), detections(len(p.Prog), refRep, col.CCToPC())) {
 			t.Fatal("labels differ")
 		}
 		if !reflect.DeepEqual(sub.Campaign.DetectedIDs(), ref.Campaign.DetectedIDs()) {
