@@ -41,7 +41,7 @@ verify: test lint chaos-smoke chaos-overload chaos-server verify-medium verify-p
 	go test -count=20 -run 'TestSoakConcurrentSchedules|TestChaosMergeByteIdentical|TestConcurrentRunsDoNotShareFailpoints|TestLookaheadMatchesSerial' ./internal/chaos ./internal/dist ./internal/run
 	go test -race -run 'TestRegistryConcurrent' -count=1 ./internal/obs
 	go test -run 'TestMetricsLint' -count=1 .
-	go test -run 'TestCrashRecovery|TestTornFinalRecord|TestFlippedCRCByte|TestFsckAgreesWithResume' -count=1 ./internal/run
+	go test -run 'TestCrashRecovery|TestTornFinalRecord|TestFlippedCRCByte|TestFsckAgreesWithResume|TestResumeRefusesOtherFCTolerance' -count=1 ./internal/run
 	go test -fuzz '^FuzzAssemble$$' -fuzztime 10s -run '^$$' ./internal/asm
 	go test -fuzz '^FuzzCanonical$$' -fuzztime 10s -run '^$$' ./internal/asm
 	go test -fuzz '^FuzzDecode$$' -fuzztime 10s -run '^$$' ./internal/isa

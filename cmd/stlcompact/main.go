@@ -69,11 +69,11 @@
 // With -fsck, nothing is compacted: the journal in -checkpoint and the
 // -save artifacts are verified — record CRCs and sequence, and with the
 // reader a resume uses, the schema, the config hash against the given
-// flags, the journaled PTP hashes against the (generated or -load'ed)
-// library, the fault-id ranges and the compacted programs; then the
-// artifact checksum sidecars — and the findings are printed with
-// whether a resume salvages a prefix or refuses the journal, exiting
-// non-zero on any issue.
+// flags (-fctol among them), the journaled PTP hashes against the
+// (generated or -load'ed) library, the fault-id ranges and the
+// compacted programs; then the artifact checksum sidecars — and the
+// findings are printed with whether a resume salvages a prefix or
+// refuses the journal, exiting non-zero on any issue.
 package main
 
 import (
@@ -248,10 +248,10 @@ func main() {
 
 	if *fsck {
 		if *ckDir == "" {
-			fatalf("-fsck requires -checkpoint DIR (pass the campaign's original flags so the config hash matches)")
+			fatalf("-fsck requires -checkpoint DIR (pass the campaign's original -target, -n, -seed, -faults, -load, -reverse, -instr and -fctol so the config hash matches)")
 		}
 		code := runFsck(kind, mod, faults, ptps, runFlags{
-			reverse: *reverse, instrG: *instrG,
+			reverse: *reverse, instrG: *instrG, fcTol: *fcTol,
 			saveDir: *saveDir, ckDir: *ckDir,
 		})
 		profFlush()
@@ -343,7 +343,7 @@ func runFsck(kind gpustl.ModuleKind, mod *gpustl.Module, faults []gpustl.Fault,
 	ptps []*gpustl.PTP, fl runFlags) int {
 
 	cfg, copt, ms, lib := buildCampaign(kind, mod, faults, ptps, fl)
-	hash, err := gpustl.CampaignConfigHash(cfg, ms, lib, copt)
+	hash, err := gpustl.CampaignConfigHash(cfg, ms, lib, copt, fl.fcTol)
 	if err != nil {
 		logger.Error(err.Error())
 		return 1

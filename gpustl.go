@@ -411,10 +411,11 @@ func FsckCampaign(dir, wantHash string, ms *ModuleSet, lib *STL, artifacts []str
 }
 
 // CampaignConfigHash fingerprints everything that determines a run's
-// results; the resilient runner refuses to resume a journal written
-// under a different hash, and FsckCampaign cross-checks it.
-func CampaignConfigHash(cfg GPUConfig, ms *ModuleSet, lib *STL, opt CompactorOptions) (string, error) {
-	return run.ConfigHash(cfg, ms, lib, opt)
+// results, the FC tolerance (RunnerOptions.FCTolerance) among them; the
+// resilient runner refuses to resume a journal written under a
+// different hash, and FsckCampaign cross-checks it.
+func CampaignConfigHash(cfg GPUConfig, ms *ModuleSet, lib *STL, opt CompactorOptions, fcTol float64) (string, error) {
+	return run.ConfigHash(cfg, ms, lib, opt, fcTol)
 }
 
 // ---------------------------------------------------------------------------

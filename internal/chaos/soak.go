@@ -487,8 +487,9 @@ func Schedules() []Schedule {
 			Failpoints: map[string]failpoint.Config{
 				// A failed queue-journal append is fail-stop: each fire
 				// kills the control plane at a journaled cut point. Prob
-				// spreads the two kills across the round's many appends
-				// (submits, leases, heartbeat renewals, terminal records).
+				// spreads the two kills across the round's appends
+				// (submits, leases, running and terminal records,
+				// requeues).
 				"server.journal.append": {Kind: failpoint.KindError, Prob: 0.05, Times: 2, Seed: 81},
 				// One suppressed heartbeat renewal = lease loss = another
 				// fail-stop kill, a few heartbeats in.

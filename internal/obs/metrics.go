@@ -22,8 +22,8 @@
 //
 // Series names follow the Prometheus data model: a base name plus
 // optional labels, written inline as `name{key="value"}`. WritePrometheus
-// renders the text exposition format; WriteJSON (and ExpvarFunc) render
-// an expvar-compatible JSON snapshot.
+// renders the text exposition format; MarshalSnapshot (and ExpvarFunc)
+// render an expvar-compatible JSON snapshot.
 package obs
 
 import (
@@ -363,8 +363,8 @@ type HistogramSnapshot struct {
 	Buckets map[string]uint64 `json:"buckets"` // upper bound -> cumulative count
 }
 
-// Snapshot captures every metric as plain values, the shape WriteJSON
-// and the expvar integration serve.
+// Snapshot captures every metric as plain values, the shape
+// MarshalSnapshot writes and the expvar integration serves.
 type Snapshot struct {
 	Counters   map[string]uint64            `json:"counters"`
 	Gauges     map[string]float64           `json:"gauges"`
@@ -402,20 +402,10 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// MarshalSnapshot renders a snapshot as indented JSON.
+// MarshalSnapshot renders a snapshot as indented JSON, the shape
+// `stlcompact -metrics-out` writes.
 func MarshalSnapshot(s Snapshot) ([]byte, error) {
 	return json.MarshalIndent(s, "", "  ")
-}
-
-// WriteJSON renders the snapshot as indented JSON (the shape served
-// under /debug/vars and written by `stlcompact -metrics-out`).
-func (r *Registry) WriteJSON(w io.Writer) error {
-	data, err := MarshalSnapshot(r.Snapshot())
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
 }
 
 // ExpvarFunc adapts the registry to expvar: publish the result under a

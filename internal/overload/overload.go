@@ -6,14 +6,16 @@
 // It provides three primitives, each independently wired into the tiers
 // above it (internal/run, internal/dist, the stlworker daemon):
 //
-//   - Admission: a weighted semaphore over estimated in-flight
-//     simulation bytes with a bounded FIFO wait queue. Work that cannot
-//     be admitted before its deadline — or that arrives with the queue
-//     already full — is shed explicitly with ErrOverloaded, fast,
-//     before any artifact is written. Shedding early and loudly is the
-//     load-shedding contract: a client that gets ErrOverloaded in
-//     milliseconds can retry elsewhere or later; one that queues for
-//     minutes and then times out has burned its deadline for nothing.
+//   - Admission: a weighted semaphore over caller-defined costs (a
+//     campaign charges its library's summed program length in
+//     instructions, a worker its request bytes or one slot) with a
+//     bounded FIFO wait queue. Work that cannot be admitted before its
+//     deadline — or that arrives with the queue already full — is shed
+//     explicitly with ErrOverloaded, fast, before any artifact is
+//     written. Shedding early and loudly is the load-shedding
+//     contract: a client that gets ErrOverloaded in milliseconds can
+//     retry elsewhere or later; one that queues for minutes and then
+//     times out has burned its deadline for nothing.
 //   - RetryBudget: a token-bucket bound on retries as a fraction of
 //     requests (the classic ~10% budget). Individual request retries
 //     are fine; a fleet-wide retry storm against an already-sick
@@ -74,28 +76,3 @@ func (systemClock) After(d time.Duration) <-chan time.Time { return time.After(d
 
 // SystemClock returns the real-time Clock.
 func SystemClock() Clock { return systemClock{} }
-
-// CampaignCost estimates one campaign's in-flight simulation weight:
-// netlist size (gates × lanes) times PTP count times pattern-stream
-// words. The unit is deliberately abstract — "simulation bytes" up to a
-// constant factor — because admission control needs costs that are
-// *proportional* across campaigns, not accurate in absolute terms: a
-// campaign over twice the gates or twice the patterns should charge
-// twice the capacity. Every factor is clamped to at least 1 so a
-// degenerate input still charges something.
-func CampaignCost(gates, lanes, ptps, patternWords int) int64 {
-	c := int64(max(gates, 1)) * int64(max(lanes, 1))
-	c *= int64(max(ptps, 1))
-	c *= int64(max(patternWords, 1))
-	if c <= 0 { // overflow paranoia: saturate, never wrap negative
-		return 1 << 62
-	}
-	return c
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -11,25 +11,6 @@ import (
 	"gpustl/internal/obs"
 )
 
-func TestCampaignCost(t *testing.T) {
-	base := CampaignCost(100, 4, 10, 300)
-	if base != 100*4*10*300 {
-		t.Fatalf("cost = %d", base)
-	}
-	if got := CampaignCost(200, 4, 10, 300); got != 2*base {
-		t.Fatalf("double gates: %d vs %d", got, 2*base)
-	}
-	if got := CampaignCost(100, 4, 10, 600); got != 2*base {
-		t.Fatalf("double patterns: %d vs %d", got, 2*base)
-	}
-	if got := CampaignCost(0, 0, 0, 0); got != 1 {
-		t.Fatalf("degenerate input should cost 1, got %d", got)
-	}
-	if got := CampaignCost(1<<31, 1<<31, 1<<31, 1<<31); got != 1<<62 {
-		t.Fatalf("overflow should saturate at 1<<62, got %d", got)
-	}
-}
-
 func TestFakeClock(t *testing.T) {
 	c := NewFakeClock(time.Unix(1000, 0))
 	ch := c.After(5 * time.Second)

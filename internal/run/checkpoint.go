@@ -28,8 +28,9 @@ import (
 // records, so every Entry.OrigHash and config hash changed value.
 // Version 5 added Entry.ShippedFaults, without which a resumed run
 // cannot report the shipped library FC. Version 6 added
-// Entry.OriginalFaults, the same for the original library FC.
-const CheckpointVersion = 6
+// Entry.OriginalFaults, the same for the original library FC. Version
+// 7 hashes the FC tolerance, so every config hash changed value.
+const CheckpointVersion = 7
 
 // WALFile is the append-only write-ahead journal inside the checkpoint
 // directory. One fsync'd record per PTP outcome; recovery replays it
@@ -371,15 +372,17 @@ func (cl *campaignLog) Close() error { return cl.j.Close() }
 
 // ConfigHash fingerprints everything that determines a run's results:
 // the GPU configuration, the per-module fault lists, the library's PTPs,
-// and the deterministic compactor options. Workers and Simulator are
-// excluded — the fault simulation is bit-identical at any worker count
-// and over any (contract-honoring) simulation engine, so a resume may
-// use a different parallelism, or distributed workers instead of the
-// in-process engine, than the original run. Retry/quarantine knobs are
-// excluded for the same reason: they change what happens on a crash,
-// not what a successful compaction computes.
-func ConfigHash(cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL, opt core.Options) (string, error) {
-	hash, _, err := configHash(cfg, ms, lib, opt)
+// the deterministic compactor options and the FC tolerance
+// (Options.FCTolerance), which decides whether each compacted PTP ships
+// or reverts. Workers and Simulator are excluded — the fault simulation
+// is bit-identical at any worker count and over any (contract-honoring)
+// simulation engine, so a resume may use a different parallelism, or
+// distributed workers instead of the in-process engine, than the
+// original run. Retry/quarantine knobs are excluded for the same
+// reason: they change what happens on a crash, not what a successful
+// compaction computes.
+func ConfigHash(cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL, opt core.Options, fcTol float64) (string, error) {
+	hash, _, err := configHash(cfg, ms, lib, opt, fcTol)
 	return hash, err
 }
 
@@ -388,7 +391,7 @@ func ConfigHash(cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL, opt core.Optio
 // is one fixed-width record (lane, gate, pin, SA1) after its module's
 // header, and each PTP is its fixed-length digest, which covers the
 // name: no field needs escaping.
-func configHash(cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL, opt core.Options) (string, []string, error) {
+func configHash(cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL, opt core.Options, fcTol float64) (string, []string, error) {
 	h := sha256.New()
 	fmt.Fprintf(h, "gpu:%+v\n", cfg)
 
@@ -422,7 +425,7 @@ func configHash(cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL, opt core.Optio
 		fmt.Fprintf(h, "ptp:%s\n", d)
 	}
 
-	fmt.Fprintf(h, "opt:reverse=%v instr=%v\n", opt.ReversePatterns, opt.InstructionGranularity)
+	fmt.Fprintf(h, "opt:reverse=%v instr=%v fctol=%v\n", opt.ReversePatterns, opt.InstructionGranularity, fcTol)
 	return hex.EncodeToString(h.Sum(nil)), digests, nil
 }
 

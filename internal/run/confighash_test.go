@@ -12,8 +12,9 @@ import (
 )
 
 // TestConfigHashSensitivity: every input that determines a campaign's
-// results moves the config hash, and the engine knobs that do not
-// (worker count, simulator backend) leave it alone.
+// results — fault lists, PTPs, the deterministic compactor options and
+// the FC tolerance — moves the config hash, and the engine knobs that
+// do not (worker count, simulator backend) leave it alone.
 func TestConfigHashSensitivity(t *testing.T) {
 	cfg := gpu.DefaultConfig()
 	build := func() (*stl.STL, *core.ModuleSet) {
@@ -27,16 +28,17 @@ func TestConfigHashSensitivity(t *testing.T) {
 		}
 		return lib, ms
 	}
-	hash := func(lib *stl.STL, ms *core.ModuleSet, opt core.Options) string {
+	const fcTol = 5
+	hash := func(lib *stl.STL, ms *core.ModuleSet, opt core.Options, tol float64) string {
 		t.Helper()
-		h, err := ConfigHash(cfg, ms, lib, opt)
+		h, err := ConfigHash(cfg, ms, lib, opt, tol)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return h
 	}
 	lib, ms := build()
-	base := hash(lib, ms, core.Options{})
+	base := hash(lib, ms, core.Options{}, fcTol)
 
 	du, sp := circuits.ModuleDU, circuits.ModuleSP
 	changes := []struct {
@@ -68,13 +70,30 @@ func TestConfigHashSensitivity(t *testing.T) {
 	for _, c := range changes {
 		lib, ms := build()
 		c.edit(lib, ms)
-		if hash(lib, ms, core.Options{}) == base {
+		if hash(lib, ms, core.Options{}, fcTol) == base {
+			t.Errorf("config hash unchanged when %s", c.name)
+		}
+	}
+
+	options := []struct {
+		name  string
+		opt   core.Options
+		fcTol float64
+	}{
+		{"ReversePatterns is set", core.Options{ReversePatterns: true}, fcTol},
+		{"InstructionGranularity is set", core.Options{InstructionGranularity: true}, fcTol},
+		{"the FC tolerance drops to 0", core.Options{}, 0},
+		{"the FC tolerance rises to 100", core.Options{}, 100},
+		{"the FC tolerance moves by a hundredth", core.Options{}, fcTol + 0.01},
+	}
+	for _, c := range options {
+		if hash(lib, ms, c.opt, c.fcTol) == base {
 			t.Errorf("config hash unchanged when %s", c.name)
 		}
 	}
 
 	for _, opt := range []core.Options{{Workers: 7}, {Simulator: overloadedSim{}}} {
-		if h := hash(lib, ms, opt); h != base {
+		if h := hash(lib, ms, opt, fcTol); h != base {
 			t.Errorf("config hash moved with engine options %+v", opt)
 		}
 	}

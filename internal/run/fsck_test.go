@@ -28,7 +28,7 @@ func fsckCampaign(t *testing.T) (dir string, lib *stl.STL, ms *core.ModuleSet, h
 		Options{CheckpointDir: dir, FCTolerance: 5}); err != nil {
 		t.Fatal(err)
 	}
-	h, err := ConfigHash(cfg, ms, lib, copt)
+	h, err := ConfigHash(cfg, ms, lib, copt, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -215,7 +215,7 @@ func TestLegacyCheckpointRefused(t *testing.T) {
 	cfg := gpu.DefaultConfig()
 	copt := core.Options{Workers: 4}
 	lib, ms := testEnv(t)
-	hash, err := ConfigHash(cfg, ms, lib, copt)
+	hash, err := ConfigHash(cfg, ms, lib, copt, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,14 +266,15 @@ func TestLegacyCheckpointRefused(t *testing.T) {
 // through their JSON serialization and faults as text. Neither's config
 // hash can match a current one. Version 4 hashes like the current
 // version but journals no shipped fault sets, and version 5 no original
-// ones, so their resumes could not report the library FC.
+// ones, so their resumes could not report the library FC. Version 6
+// did not hash the FC tolerance.
 func TestOldJournalRefused(t *testing.T) {
-	for _, version := range []int{2, 3, 4, 5} {
+	for _, version := range []int{2, 3, 4, 5, 6} {
 		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
 			cfg := gpu.DefaultConfig()
 			copt := core.Options{Workers: 4}
 			lib, ms := testEnv(t)
-			hash, err := ConfigHash(cfg, ms, lib, copt)
+			hash, err := ConfigHash(cfg, ms, lib, copt, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -305,6 +306,63 @@ func TestOldJournalRefused(t *testing.T) {
 				t.Fatalf("fsck issues: %v", issueKinds(rep))
 			}
 		})
+	}
+}
+
+// TestResumeRefusesOtherFCTolerance: the FC tolerance decides whether a
+// compacted PTP ships or reverts, so a journal written under one
+// tolerance must not be resumed under another. A run at FCTolerance 100
+// is stopped after its first PTP; the FCTolerance 0 resume must refuse
+// the journal as a configuration change and leave it untouched, and
+// fsck under tolerance 0 must report the same one finding.
+func TestResumeRefusesOtherFCTolerance(t *testing.T) {
+	cfg := gpu.DefaultConfig()
+	copt := core.Options{Workers: 4}
+	dir := t.TempDir()
+	lib, ms := testEnv(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	partial, err := Run(ctx, cfg, ms, lib, copt, Options{
+		CheckpointDir: dir,
+		FCTolerance:   100,
+		StageHook: func(ptp string, stage core.Stage) error {
+			if ptp == "MEM" && stage == core.StageTrace {
+				cancel()
+			}
+			return nil
+		},
+	})
+	if err == nil {
+		t.Fatal("interrupted run reported success")
+	}
+	if len(partial.Outcomes) != 1 {
+		t.Fatalf("partial run finished %d PTPs, want 1", len(partial.Outcomes))
+	}
+	wal := filepath.Join(dir, WALFile)
+	before, err := os.ReadFile(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	lib, ms = testEnv(t)
+	_, err = Run(context.Background(), cfg, ms, lib, copt, Options{CheckpointDir: dir, FCTolerance: 0})
+	if err == nil || !strings.Contains(err.Error(), "different configuration") {
+		t.Fatalf("FCTolerance 0 resume of an FCTolerance 100 journal: got %v, want a config-hash refusal", err)
+	}
+	if after, err := os.ReadFile(wal); err != nil || !bytes.Equal(before, after) {
+		t.Fatalf("refused resume changed the journal (read error %v)", err)
+	}
+
+	hash, err := ConfigHash(cfg, ms, lib, copt, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Fsck(dir, hash, ms, lib, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Issues) != 1 || rep.Issues[0].Kind != FsckConfigHash {
+		t.Fatalf("fsck under FCTolerance 0: issues %v, want [%s]", issueKinds(rep), FsckConfigHash)
 	}
 }
 

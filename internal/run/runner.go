@@ -300,7 +300,7 @@ func Run(ctx context.Context, cfg gpu.Config, ms *core.ModuleSet, lib *stl.STL,
 
 	// One pass digests every PTP; the resume check and each journal
 	// entry reuse these instead of hashing a PTP again.
-	hash, digests, err := configHash(cfg, ms, lib, copt)
+	hash, digests, err := configHash(cfg, ms, lib, copt, opts.FCTolerance)
 	if err != nil {
 		return nil, err
 	}

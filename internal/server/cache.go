@@ -12,12 +12,11 @@ import (
 )
 
 // cache is the content-addressed result cache. An entry is the
-// compacted STL for one campaign configuration, stored under the
-// campaign's config hash (run.ConfigHash: netlists + PTP set + sim
-// options) with a .sum checksum sidecar. Writes are crash-atomic
-// (journal.WriteFileAtomic); reads verify the checksum every time and
-// treat any mismatch — rot, torn write, injected corruption — as a
-// miss, never as servable data. A corrupted entry therefore costs a
+// compacted STL for one submitted spec, stored under the spec's
+// SHA-256 (Spec.cacheKey) with a .sum checksum sidecar. Writes are
+// crash-atomic (journal.WriteFileAtomic); reads verify the checksum
+// every time and treat any mismatch — rot, torn write, injected
+// corruption — as a miss, never as servable data. A corrupted entry therefore costs a
 // re-simulation, not a wrong artifact.
 type cache struct {
 	dir string
@@ -44,8 +43,8 @@ func newCache(ctx context.Context, dir string, m *obs.Registry, logf func(string
 	return c, nil
 }
 
-// path returns the artifact path for a cache key. Keys are hex config
-// hashes, so they are filesystem-safe by construction.
+// path returns the artifact path for a cache key. Keys are hex
+// digests, so they are filesystem-safe by construction.
 func (c *cache) path(key string) string {
 	return filepath.Join(c.dir, key+".stl.json")
 }

@@ -52,7 +52,7 @@ func (s State) Terminal() bool {
 // folds them, last writer wins, terminal states stick.
 const (
 	recSubmit    = "submit"    // campaign accepted: id, tenant, spec
-	recLease     = "lease"     // ownership claimed/renewed: id, holder, expiry
+	recLease     = "lease"     // ownership claimed: id, holder
 	recRunning   = "running"   // executor started simulating
 	recRequeue   = "requeue"   // ownership released un-finished: back to queued
 	recDone      = "done"      // artifact durably cached
@@ -65,18 +65,14 @@ const (
 // stay empty per type; one schema keeps replay simple and the journal
 // greppable.
 type queueRec struct {
-	ID     string          `json:"id"`
-	Tenant string          `json:"tenant,omitempty"`
-	Spec   json.RawMessage `json:"spec,omitempty"`
-	Holder string          `json:"holder,omitempty"`
-	// Expiry is an absolute unix-nanosecond lease deadline. Absolute,
-	// not a TTL: a successor replaying the journal after a crash must
-	// be able to judge expiry against its own clock.
-	Expiry    int64  `json:"expiry,omitempty"`
-	CacheKey  string `json:"cacheKey,omitempty"`
-	FromCache bool   `json:"fromCache,omitempty"`
-	Reason    string `json:"reason,omitempty"`
-	Error     string `json:"error,omitempty"`
+	ID        string          `json:"id"`
+	Tenant    string          `json:"tenant,omitempty"`
+	Spec      json.RawMessage `json:"spec,omitempty"`
+	Holder    string          `json:"holder,omitempty"`
+	CacheKey  string          `json:"cacheKey,omitempty"`
+	FromCache bool            `json:"fromCache,omitempty"`
+	Reason    string          `json:"reason,omitempty"`
+	Error     string          `json:"error,omitempty"`
 	// Trace is the submitting client's trace context (X-Gpustl-Trace
 	// wire format), journaled with the submit record so a campaign
 	// resumed by a successor server still lands in the original trace.
@@ -95,7 +91,6 @@ type Campaign struct {
 	SubmitSeq uint64
 	State     State
 	Holder    string
-	Expiry    int64
 	CancelReq bool
 	CacheKey  string
 	FromCache bool
@@ -154,8 +149,8 @@ type queue struct {
 // openQueue opens (or creates) the queue journal in dir and folds its
 // records back into campaign state. Campaigns that were leased or
 // running when the previous owner died come back as their journaled
-// state — adoption (requeue or re-lease) is the caller's decision,
-// made against lease expiry.
+// state — adoption is the caller's decision, made once it holds the
+// state-dir lease.
 func openQueue(ctx context.Context, path string) (*queue, *journal.Replay, error) {
 	j, rp, err := journal.Open(ctx, path)
 	if err != nil {
@@ -207,23 +202,19 @@ func (q *queue) apply(seq uint64, typ string, body json.RawMessage) error {
 	}
 	switch typ {
 	case recLease:
-		// A lease on a queued campaign claims it; a lease on a running
-		// one is a heartbeat renewal and must not demote the state.
+		// A lease on a queued campaign claims it. Older servers also
+		// journaled a lease per running campaign on every heartbeat;
+		// replaying one must not demote the state.
 		if c.State == StateQueued {
 			c.State = StateLeased
 		}
 		c.Holder = r.Holder
-		c.Expiry = r.Expiry
 	case recRunning:
 		c.State = StateRunning
 		c.Holder = r.Holder
-		if r.Expiry != 0 {
-			c.Expiry = r.Expiry
-		}
 	case recRequeue:
 		c.State = StateQueued
 		c.Holder = ""
-		c.Expiry = 0
 		c.Requeues++
 	case recDone:
 		c.State = StateDone

@@ -414,12 +414,12 @@ func (s *Server) releaseQuota(id string) {
 	}
 }
 
-// heartbeat renews the state-dir lease and the per-campaign leases of
-// everything this server is running. Any renewal failure — the LOCK
-// naming someone else, or the server.lease.expire failpoint suppressing
-// the write — is lease loss, and lease loss is fail-stop: a server that
-// cannot prove it still owns the state dir must stop writing to it
-// before a successor starts.
+// heartbeat renews the state-dir lease, the only lease there is: a
+// successor that acquires it adopts every leased or running campaign.
+// Any renewal failure — the LOCK naming someone else, or the
+// server.lease.expire failpoint suppressing the write — is lease loss,
+// and lease loss is fail-stop: a server that cannot prove it still owns
+// the state dir must stop writing to it before a successor starts.
 func (s *Server) heartbeat(done <-chan struct{}) {
 	t := time.NewTicker(s.opt.HeartbeatEvery)
 	defer t.Stop()
@@ -434,36 +434,14 @@ func (s *Server) heartbeat(done <-chan struct{}) {
 		if s.killed.Load() {
 			return
 		}
-		expiry := time.Now().Add(s.opt.LeaseTTL)
-		if err := renewLock(s.ictx, s.opt.StateDir, s.opt.Holder, expiry); err != nil {
+		if err := renewLock(s.ictx, s.opt.StateDir, s.opt.Holder, time.Now().Add(s.opt.LeaseTTL)); err != nil {
 			s.mLeaseLost.Inc()
 			s.crash(fmt.Errorf("%w: %v", errLeaseLost, err))
 			return
 		}
 		s.mRenewals.Inc()
-		if err := s.renewCampaignLeases(expiry); err != nil {
-			s.crash(err)
-			return
-		}
 		s.updateGauges()
 	}
-}
-
-// renewCampaignLeases journals a fresh expiry for every campaign this
-// server holds, so a peer replaying the journal can judge orphan-hood
-// against absolute time even if the LOCK file were lost.
-func (s *Server) renewCampaignLeases(expiry time.Time) error {
-	s.q.mu.Lock()
-	defer s.q.mu.Unlock()
-	for _, c := range s.q.camps {
-		if c.Holder != s.opt.Holder || c.State.Terminal() || c.State == StateQueued {
-			continue
-		}
-		if err := s.q.append(recLease, queueRec{ID: c.ID, Holder: s.opt.Holder, Expiry: expiry.UnixNano()}); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // schedule is the fair-share dispatch loop: while capacity remains,
@@ -531,8 +509,7 @@ func (s *Server) dispatch() {
 		if pick == nil {
 			return
 		}
-		expiry := time.Now().Add(s.opt.LeaseTTL)
-		if err := s.q.append(recLease, queueRec{ID: pick.ID, Holder: s.opt.Holder, Expiry: expiry.UnixNano()}); err != nil {
+		if err := s.q.append(recLease, queueRec{ID: pick.ID, Holder: s.opt.Holder}); err != nil {
 			s.q.mu.Unlock()
 			s.crash(err)
 			s.q.mu.Lock()
@@ -816,24 +793,29 @@ func (s *Server) execute(id string) {
 		s.terminal(id, recCanceled, queueRec{ID: id, Error: errCanceledByClient.Error()})
 		return
 	}
+	// Cache first: a spec already completed is served from the verified
+	// cache without building its environment or touching the fleet. The
+	// artifact is already durable, so "done" is journalable immediately.
+	key, err := sp.cacheKey()
+	if err != nil {
+		s.mFailed.Inc()
+		s.terminal(id, recFailed, queueRec{ID: id, Error: err.Error()})
+		return
+	}
+	if _, ok := s.cache.get(key); ok {
+		execSpan.Annotate("cache", "hit")
+		s.hCampaign.Observe(time.Since(execStart).Seconds())
+		s.mDone.Inc()
+		s.terminal(id, recDone, queueRec{ID: id, CacheKey: key, FromCache: true})
+		return
+	}
+	execSpan.Annotate("cache", "miss")
 	env, err := buildEnv(&sp)
 	if err != nil {
 		s.mFailed.Inc()
 		s.terminal(id, recFailed, queueRec{ID: id, Error: err.Error()})
 		return
 	}
-	// Cache first: a byte-identical configuration that already
-	// completed is served from the verified cache without touching the
-	// fleet. The artifact is already durable, so "done" is journalable
-	// immediately.
-	if _, ok := s.cache.get(env.key); ok {
-		execSpan.Annotate("cache", "hit")
-		s.hCampaign.Observe(time.Since(execStart).Seconds())
-		s.mDone.Inc()
-		s.terminal(id, recDone, queueRec{ID: id, CacheKey: env.key, FromCache: true})
-		return
-	}
-	execSpan.Annotate("cache", "miss")
 	s.q.mu.Lock()
 	err = s.q.append(recRunning, queueRec{ID: id, Holder: s.opt.Holder})
 	s.q.mu.Unlock()
@@ -874,14 +856,14 @@ func (s *Server) execute(id string) {
 		s.terminal(id, recFailed, queueRec{ID: id, Error: "encoding artifact: " + err.Error()})
 		return
 	}
-	if err := s.cache.put(env.key, buf.Bytes()); err != nil {
+	if err := s.cache.put(key, buf.Bytes()); err != nil {
 		s.mFailed.Inc()
 		s.terminal(id, recFailed, queueRec{ID: id, Error: err.Error()})
 		return
 	}
 	s.hCampaign.Observe(time.Since(execStart).Seconds())
 	s.mDone.Inc()
-	s.terminal(id, recDone, queueRec{ID: id, CacheKey: env.key})
+	s.terminal(id, recDone, queueRec{ID: id, CacheKey: key})
 }
 
 // finishErr classifies a failed execution: client cancellation and

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -17,6 +18,7 @@ import (
 	"gpustl/internal/failpoint"
 	"gpustl/internal/obs"
 	"gpustl/internal/ptpgen"
+	"gpustl/internal/run"
 	"gpustl/internal/stl"
 )
 
@@ -217,6 +219,97 @@ func TestCampaignLifecycle(t *testing.T) {
 	}
 	if !bytes.Equal(art, art2) {
 		t.Fatal("cache served different bytes than the original run")
+	}
+}
+
+// TestServedArtifactMatchesRun holds the server to the library: specs
+// that differ only in the FC tolerance, Reverse or Instr are submitted
+// in turn to one server, and each served artifact must equal what
+// run.Run ships over the same environment. Each distinct spec must be
+// simulated; only a byte-identical resubmission, from either tenant,
+// may be served from the cache.
+func TestServedArtifactMatchesRun(t *testing.T) {
+	ts := startSrv(t, t.TempDir(), "t1", nil)
+	ts.waitReady(t, 10*time.Second)
+
+	tol := func(v float64) *float64 { return &v }
+	inline := inlineLib(t, 6, 11)
+	// On both libraries fctol 0 reverts a PTP that fctol 100 ships
+	// compacted, and the generated one reverts another at fctol 5.
+	rows := []struct {
+		name string
+		spec Spec
+	}{
+		{"inline fctol 100", Spec{STL: inline, Faults: 300, FCTol: tol(100)}},
+		{"inline fctol 5", Spec{STL: inline, Faults: 300, FCTol: tol(5)}},
+		{"inline fctol 0", Spec{STL: inline, Faults: 300, FCTol: tol(0)}},
+		{"inline reverse", Spec{STL: inline, Faults: 300, FCTol: tol(5), Reverse: true}},
+		{"inline instr", Spec{STL: inline, Faults: 300, FCTol: tol(5), Instr: true}},
+		{"generated fctol 100", Spec{Target: "DU", N: 6, Seed: 1, Faults: 300, FCTol: tol(100)}},
+		{"generated fctol 5", Spec{Target: "DU", N: 6, Seed: 1, Faults: 300, FCTol: tol(5)}},
+		{"generated fctol 0", Spec{Target: "DU", N: 6, Seed: 1, Faults: 300, FCTol: tol(0)}},
+	}
+	served, shipped := make([][]byte, len(rows)), make([][]byte, len(rows))
+	for i, r := range rows {
+		e, err := buildEnv(&r.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copt := e.copt
+		copt.Workers = 2
+		rep, err := run.Run(context.Background(), e.cfg, e.ms, e.lib, copt, run.Options{FCTolerance: r.spec.fcTol()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := stl.WriteSTL(&want, rep.Compacted); err != nil {
+			t.Fatal(err)
+		}
+		shipped[i] = want.Bytes()
+
+		id := fmt.Sprintf("c%d", i)
+		sp := r.spec
+		sp.Tenant = "acme"
+		if _, err := ts.Submit(id, &sp); err != nil {
+			t.Fatal(err)
+		}
+		v := ts.waitTerminal(t, id, 60*time.Second)
+		if v.State != StateDone {
+			t.Fatalf("%s: state %s (%s), want done", r.name, v.State, v.Error)
+		}
+		if v.FromCache {
+			t.Errorf("%s: served from the cache, want a simulation", r.name)
+		}
+		if served[i], err = ts.Result(id); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(served[i], want.Bytes()) {
+			t.Errorf("%s: served a %d-byte artifact, run.Run ships %d bytes", r.name, len(served[i]), want.Len())
+		}
+	}
+	for _, pair := range [][2]int{{0, 2}, {5, 6}, {6, 7}} {
+		if bytes.Equal(shipped[pair[0]], shipped[pair[1]]) {
+			t.Errorf("run.Run ships the same artifact for %s and %s; the fixture no longer exercises the FC tolerance",
+				rows[pair[0]].name, rows[pair[1]].name)
+		}
+	}
+
+	for i, r := range rows {
+		for _, tenant := range []string{"acme", "umbrella"} {
+			id := fmt.Sprintf("c%d-%s", i, tenant)
+			sp := r.spec
+			sp.Tenant = tenant
+			if _, err := ts.Submit(id, &sp); err != nil {
+				t.Fatal(err)
+			}
+			v := ts.waitTerminal(t, id, 60*time.Second)
+			if v.State != StateDone || !v.FromCache {
+				t.Fatalf("%s resubmitted by %s: state %s fromCache %v, want a cache hit", r.name, tenant, v.State, v.FromCache)
+			}
+			if got, err := ts.Result(id); err != nil || !bytes.Equal(got, served[i]) {
+				t.Fatalf("%s resubmitted by %s: cache served other bytes (%v)", r.name, tenant, err)
+			}
+		}
 	}
 }
 

@@ -19,12 +19,16 @@
 //   - campaigns/<id>/ — each campaign's own crash-recovery journal
 //     (internal/run's campaign.wal).
 //   - cache/ — the content-addressed result cache, keyed by the
-//     campaign's config hash (netlist + PTP set + sim options) and
-//     checksum-verified on every read.
+//     submitted spec (Spec.cacheKey) and checksum-verified on every
+//     read. The key covers the spec, not the netlists, the simulator
+//     or the compaction code, so a state directory's cache is valid
+//     only for the binary that wrote it.
 package server
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -32,7 +36,6 @@ import (
 	"gpustl/internal/core"
 	"gpustl/internal/gpu"
 	"gpustl/internal/ptpgen"
-	"gpustl/internal/run"
 	"gpustl/internal/stl"
 )
 
@@ -121,24 +124,30 @@ func (sp *Spec) Validate() error {
 	return nil
 }
 
-// env is a campaign's fully built execution environment plus its
-// content address.
+// cacheKey is the content address of the campaign's result: the
+// SHA-256 of the spec as the queue journals it, with Tenant cleared so
+// tenants share entries. Every field that shapes the artifact — the
+// library, Faults, Reverse, Instr, FCTol — is in it by construction.
+func (sp Spec) cacheKey() (string, error) {
+	sp.Tenant = ""
+	b, err := json.Marshal(sp)
+	if err != nil {
+		return "", fmt.Errorf("server: hashing spec: %w", err)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:]), nil
+}
+
+// env is a campaign's fully built execution environment.
 type env struct {
 	cfg  gpu.Config
 	ms   *core.ModuleSet
 	lib  *stl.STL
 	copt core.Options
-	// key is the content address of the campaign's result:
-	// run.ConfigHash over (GPU config, per-module netlists and fault
-	// lists, the PTP set, and the deterministic compactor options) —
-	// everything that determines the output bytes, and nothing that
-	// doesn't (worker count, simulator backend, retry knobs).
-	key string
 }
 
 // buildEnv constructs the campaign environment a spec describes. It is
-// deterministic: the same spec always yields the same config hash, so
-// repeat submissions hit the result cache.
+// deterministic: the same spec always yields the same environment.
 func buildEnv(sp *Spec) (*env, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
@@ -164,14 +173,9 @@ func buildEnv(sp *Spec) (*env, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: building module set: %w", err)
 	}
-	cfg := gpu.DefaultConfig()
 	copt := core.Options{
 		ReversePatterns:        sp.Reverse,
 		InstructionGranularity: sp.Instr,
 	}
-	key, err := run.ConfigHash(cfg, ms, lib, copt)
-	if err != nil {
-		return nil, fmt.Errorf("server: hashing campaign config: %w", err)
-	}
-	return &env{cfg: cfg, ms: ms, lib: lib, copt: copt, key: key}, nil
+	return &env{cfg: gpu.DefaultConfig(), ms: ms, lib: lib, copt: copt}, nil
 }
