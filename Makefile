@@ -24,7 +24,9 @@ lint:
 # explicit high-contention race run); the fuzz smoke keeps the
 # journal/STL/assembly parsers honest against corrupt bytes without
 # the cost of a long fuzzing run; FuzzExecRows holds the SIMT row
-# evaluator to the scalar per-thread oracle, and FuzzImply holds PODEM's
+# evaluator to the scalar per-thread oracle, FuzzCollectorDedup holds
+# the collector's unique and reversed pattern streams to a map-based
+# dedup, and FuzzImply holds PODEM's
 # event-driven implication to a full forward sweep. The explicit metrics-lint pass
 # runs a campaign through a live server over two loopback workers,
 # scrapes both /metrics endpoints, and fails on any Prometheus
@@ -55,6 +57,7 @@ verify: test lint chaos-smoke chaos-overload chaos-server verify-medium verify-p
 	go test -fuzz '^FuzzWideBlockEquiv$$' -fuzztime 10s -run '^$$' ./internal/fault
 	go test -fuzz '^FuzzObsFactors$$' -fuzztime 10s -run '^$$' ./internal/netlist
 	go test -fuzz '^FuzzExecRows$$' -fuzztime 10s -run '^$$' ./internal/gpu
+	go test -fuzz '^FuzzCollectorDedup$$' -fuzztime 10s -run '^$$' ./internal/trace
 	go test -fuzz '^FuzzImply$$' -fuzztime 10s -run '^$$' ./internal/atpg
 	go test -fuzz '^FuzzSubsetRuns$$' -fuzztime 10s -run '^$$' ./internal/core
 

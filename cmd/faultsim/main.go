@@ -21,6 +21,7 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
+	"slices"
 	"syscall"
 
 	"gpustl"
@@ -33,7 +34,7 @@ func main() {
 		patFile = flag.String("patterns", "", "VCDE pattern file (from ptpgen -vcde)")
 		sample  = flag.Int("sample", 0, "sample the fault list to N faults (0 = full)")
 		seed    = flag.Int64("seed", 1, "sampling seed")
-		reverse = flag.Bool("reverse", false, "apply patterns in reverse order")
+		reverse = flag.Bool("reverse", false, "apply the file's patterns in reverse order")
 		top     = flag.Int("top", 10, "print the K most effective patterns")
 		workers = flag.Int("workers", 0, "parallel simulation workers (0 = GOMAXPROCS, 1 = serial)")
 		blockW  = flag.Int("block-words", 0, "block width in 64-pattern words (0 = auto, max 16)")
@@ -91,9 +92,11 @@ func main() {
 	fmt.Printf("fault list: %d stuck-at faults (%d gates x %d lanes)\n",
 		len(faults), mod.NL.NumGates(), mod.Lanes)
 
+	if *reverse {
+		slices.Reverse(patterns)
+	}
 	camp := gpustl.NewFaultCampaign(mod, faults)
 	rep, err := camp.SimulateCtx(ctx, patterns, gpustl.SimOptions{
-		Reverse:    *reverse,
 		Workers:    *workers,
 		BlockWords: *blockW,
 	})

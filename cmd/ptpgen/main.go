@@ -25,7 +25,7 @@ func main() {
 		n       = flag.Int("n", 100, "scale: SB count (IMM/MEM/RAND), sections (CNTRL), ATPG fault sample (TPGEN/SFU_IMM)")
 		seed    = flag.Int64("seed", 1, "generator seed")
 		out     = flag.String("out", ".", "output directory")
-		emitV   = flag.Bool("vcde", false, "also extract and write the test-pattern stream (.vcde)")
+		emitV   = flag.Bool("vcde", false, "also extract and write the unique test-pattern stream (.vcde)")
 		logJSON = flag.Bool("log-json", false, "emit logs as JSON instead of text")
 	)
 	flag.Parse()

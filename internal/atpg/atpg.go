@@ -193,27 +193,20 @@ func StaticCompact(ctx context.Context, m *circuits.Module, patterns []circuits.
 	if opt.SampleFaults > 0 {
 		camp.SampleFaults(opt.SampleFaults, opt.Seed)
 	}
+	// Stream entry j is pattern len-1-j: the set in reverse order.
+	last := len(patterns) - 1
 	stream := make([]fault.TimedPattern, len(patterns))
-	for i, p := range patterns {
-		stream[i] = fault.TimedPattern{CC: uint64(i), Pat: p}
+	for j := range stream {
+		stream[j] = fault.TimedPattern{CC: uint64(last - j), Pat: patterns[last-j]}
 	}
-	rep, err := camp.SimulateCtx(ctx, stream, fault.SimOptions{Reverse: true})
+	rep, err := camp.SimulateCtx(ctx, stream, fault.SimOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("atpg: fault-simulating %v: %w", m.Kind, err)
 	}
-	// rep is in reversed order; keep detecting patterns, restoring the
-	// original relative order.
-	keepRev := make([]bool, len(patterns))
-	for i, n := range rep.DetectedPerPattern {
-		if n > 0 {
-			keepRev[i] = true
-		}
-	}
+	// Keep the detecting patterns in their original relative order.
 	var out []circuits.Pattern
 	for i := range patterns {
-		// Stream entry j in the reversed order corresponds to original
-		// index len-1-j.
-		if keepRev[len(patterns)-1-i] {
+		if rep.DetectedPerPattern[last-i] > 0 {
 			out = append(out, patterns[i])
 		}
 	}

@@ -58,7 +58,8 @@ type FaultSimulator interface {
 type Options struct {
 	// ReversePatterns applies the extracted pattern stream in reverse
 	// order during the stage-3 fault simulation (the paper uses this for
-	// SFU_IMM, where it improves the compaction rate).
+	// SFU_IMM, where it improves the compaction rate): the collector's
+	// Reversed stream, each (lane, input vector) at its last occurrence.
 	ReversePatterns bool
 	// InstructionGranularity removes individual unessential instructions
 	// instead of whole Small Blocks (an ablation of the SB design choice;
@@ -238,35 +239,59 @@ func (c *Compactor) TracePTP(ctx context.Context, p *stl.PTP) (*Trace, error) {
 // context; an error fails the PTP at that stage.
 type LogicSim func(ctx context.Context) (*Trace, error)
 
-// evaluateFC runs a standalone fault simulation of the PTP's pattern
-// stream against a fresh detection state over the campaign's fault list.
-// It returns the coverage percentage, the ids of the detected faults,
-// ascending, and the run's report. orig nil simulates every fault. A
-// compacted PTP passes the report of its original's standalone run: the
-// faults whose first detecting (lane, input vector) in it also occurs in
-// patterns are detected with no simulation, since the module is
-// combinational, and only the rest are simulated.
-func (c *Compactor) evaluateFC(ctx context.Context, p *stl.PTP, patterns []fault.TimedPattern, orig *fault.Report) (float64, []fault.ID, *fault.Report, error) {
+// evaluateFC runs a standalone fault simulation of the PTP's traced
+// pattern stream against a fresh detection state over the campaign's
+// fault list. It returns the coverage percentage, the ids of the
+// detected faults, ascending, and the run's report. orig nil simulates
+// every fault. A compacted PTP passes the report of its original's
+// standalone run: the faults surviving finds are detected with no
+// simulation, and only the rest are simulated.
+func (c *Compactor) evaluateFC(ctx context.Context, p *stl.PTP, col *trace.Collector, orig *fault.Report) (float64, []fault.ID, *fault.Report, error) {
 	fc := c.Campaign.Fresh()
 	if orig != nil {
-		if err := fc.RestoreDetected(orig.Surviving(patterns)); err != nil {
+		if err := fc.RestoreDetected(surviving(orig, col)); err != nil {
 			return 0, nil, nil, fmt.Errorf("core: FC evaluation of %s: %w", p.Name, err)
 		}
 	}
-	rep, err := c.simulate(ctx, fc, patterns, fault.SimOptions{Workers: c.Opt.Workers, Metrics: c.Opt.Metrics})
+	rep, err := c.simulate(ctx, fc, col.Patterns, fault.SimOptions{Workers: c.Opt.Workers, Metrics: c.Opt.Metrics})
 	if err != nil {
 		return 0, nil, nil, fmt.Errorf("core: FC evaluation of %s: %w", p.Name, err)
 	}
 	return fc.Coverage(), fc.DetectedIDs(), rep, nil
 }
 
+// surviving returns the faults of the original's standalone report whose
+// first detecting (lane, input vector) the compacted run applied too,
+// looked up in the compacted trace's pattern table. The module is
+// combinational, so that vector detects each of them in the compacted
+// run as well, wherever it sits.
+func surviving(orig *fault.Report, comp *trace.Collector) []fault.ID {
+	var out []fault.ID
+	for _, d := range orig.Detections {
+		if tp := &orig.Stream[d.Pattern]; comp.Applied(tp.Lane, tp.Pat) {
+			out = append(out, d.Fault)
+		}
+	}
+	return out
+}
+
+// stage3Stream returns the traced stream in the order stage 3 applies
+// it: the collector's reversed stream under ReversePatterns.
+func (c *Compactor) stage3Stream(col *trace.Collector) []fault.TimedPattern {
+	if c.Opt.ReversePatterns {
+		return col.Reversed()
+	}
+	return col.Patterns
+}
+
 // dropFaults runs the stage-3 fault simulation of the PTP's pattern
-// stream, commits its first detections to the shared campaign (the
-// cross-PTP fault dropping), and returns the Fault Sim Report. origDet
-// is the original's standalone detected set. Which faults a
-// combinational module detects does not depend on pattern order, so a
-// fault outside it cannot be detected here: the run simulates only the
-// shared campaign's undetected faults in origDet, on a scratch campaign.
+// stream, given in application order, commits its first detections to
+// the shared campaign (the cross-PTP fault dropping), and returns the
+// Fault Sim Report. origDet is the original's standalone detected set.
+// Which faults a combinational module detects does not depend on
+// pattern order, so a fault outside it cannot be detected here: the run
+// simulates only the shared campaign's undetected faults in origDet, on
+// a scratch campaign.
 // First detections are per fault, so its report is the report of a run
 // over every undetected fault. The shared campaign changes only when the
 // run succeeds.
@@ -282,7 +307,6 @@ func (c *Compactor) dropFaults(ctx context.Context, p *stl.PTP, patterns []fault
 		return nil, fmt.Errorf("core: fault simulation of %s: %w", p.Name, err)
 	}
 	rep, err := c.simulate(ctx, scratch, patterns, fault.SimOptions{
-		Reverse: c.Opt.ReversePatterns,
 		Workers: c.Opt.Workers,
 		Metrics: c.Opt.Metrics,
 	})
@@ -406,7 +430,7 @@ func (c *Compactor) compact(ctx context.Context, p *stl.PTP, onStage func(Stage)
 	// Standalone FC of the original PTP (fresh fault list) for the Diff FC
 	// column; this is the paper's reference fault-injection campaign, not
 	// part of the compaction loop itself.
-	origFC, origDet, origRep, err := c.evaluateFC(ctx, p, col.Patterns, nil)
+	origFC, origDet, origRep, err := c.evaluateFC(ctx, p, col, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -420,7 +444,7 @@ func (c *Compactor) compact(ctx context.Context, p *stl.PTP, onStage func(Stage)
 	if err := enter(StageFaultSim); err != nil {
 		return failed(err)
 	}
-	rep, err := c.dropFaults(ctx, p, col.Patterns, origDet)
+	rep, err := c.dropFaults(ctx, p, c.stage3Stream(col), origDet)
 	if err != nil {
 		return failed(err)
 	}
@@ -464,7 +488,7 @@ func (c *Compactor) compact(ctx context.Context, p *stl.PTP, onStage func(Stage)
 	if err != nil {
 		return failed(fmt.Errorf("core: compacted %s does not run: %w", p.Name, err))
 	}
-	compFC, compDet, _, err := c.evaluateFC(ctx, comp, compCol.Patterns, origRep)
+	compFC, compDet, _, err := c.evaluateFC(ctx, comp, compCol, origRep)
 	if err != nil {
 		return failed(err)
 	}

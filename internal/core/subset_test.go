@@ -11,9 +11,11 @@ import (
 	"gpustl/internal/dist"
 	"gpustl/internal/fault"
 	"gpustl/internal/gpu"
+	"gpustl/internal/isa"
 	"gpustl/internal/obs"
 	"gpustl/internal/ptpgen"
 	"gpustl/internal/stl"
+	"gpustl/internal/trace"
 )
 
 // The oracles: stage 3 and the FC evaluation as full-list simulations,
@@ -30,13 +32,11 @@ func (c *Compactor) fullFC(ctx context.Context, patterns []fault.TimedPattern) (
 	return fc.Coverage(), fc.DetectedIDs(), nil
 }
 
-// fullStage3 simulates every undetected fault of the shared campaign,
-// which the engine commits the detections to.
-func (c *Compactor) fullStage3(ctx context.Context, patterns []fault.TimedPattern) (*fault.Report, error) {
-	return c.simulate(ctx, c.Campaign, patterns, fault.SimOptions{
-		Reverse: c.Opt.ReversePatterns,
-		Workers: c.Opt.Workers,
-	})
+// fullStage3 simulates every undetected fault of the shared campaign
+// over the traced stream in stage-3 order, and the engine commits the
+// detections to the campaign.
+func (c *Compactor) fullStage3(ctx context.Context, col *trace.Collector) (*fault.Report, error) {
+	return c.simulate(ctx, c.Campaign, c.stage3Stream(col), fault.SimOptions{Workers: c.Opt.Workers})
 }
 
 // compactReference is the pipeline with the oracles in place of the
@@ -58,7 +58,7 @@ func (c *Compactor) compactReference(t *testing.T, p *stl.PTP, reduce reducer) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := c.fullStage3(ctx, col.Patterns)
+	rep, err := c.fullStage3(ctx, col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,11 +314,11 @@ func FuzzSubsetRuns(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		origFC, origDet, origRep, err := sub.evaluateFC(ctx, p, col.Patterns, nil)
+		origFC, origDet, origRep, err := sub.evaluateFC(ctx, p, col, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := sub.dropFaults(ctx, p, col.Patterns, origDet)
+		rep, err := sub.dropFaults(ctx, p, sub.stage3Stream(col), origDet)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,7 +326,7 @@ func FuzzSubsetRuns(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refRep, err := ref.fullStage3(ctx, col.Patterns)
+		refRep, err := ref.fullStage3(ctx, col)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -361,7 +361,7 @@ func FuzzSubsetRuns(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		compFC, compDet, _, err := sub.evaluateFC(ctx, comp, compCol.Patterns, origRep)
+		compFC, compDet, _, err := sub.evaluateFC(ctx, comp, compCol, origRep)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -409,5 +409,30 @@ func TestFaultGaugesReadSharedCampaign(t *testing.T) {
 				t.Errorf("distributed=%v %s: gpustl_fault_runs_total = %d, want %d", distributed, p.Name, got, want)
 			}
 		}
+	}
+}
+
+// TestSurvivingMatchesLaneAndVector checks that a detection survives
+// exactly when the compacted run applied its (lane, input vector), at
+// any position and clock cycle, and not for the same vector in another
+// lane.
+func TestSurvivingMatchesLaneAndVector(t *testing.T) {
+	a := circuits.EncodeSFUPattern(circuits.SFUSin, 1)
+	b := circuits.EncodeSFUPattern(circuits.SFUSin, 2)
+	c := circuits.EncodeSFUPattern(circuits.SFUCos, 3)
+	orig := fault.BuildReport([]fault.TimedPattern{
+		{CC: 10, Lane: 0, Pat: a}, {CC: 20, Lane: 1, Pat: b}, {CC: 30, Lane: 0, Pat: c},
+	}, []fault.Detection{{Fault: 3, Pattern: 2}, {Fault: 1, Pattern: 0}, {Fault: 2, Pattern: 1}, {Fault: 4, Pattern: 0}})
+
+	comp := trace.NewCollector(circuits.ModuleSFU)
+	if got := surviving(orig, comp); got != nil {
+		t.Fatalf("surviving(empty trace) = %v", got)
+	}
+	comp.SFUOp(500, 0, 0, 1, 0, isa.OpSIN, 1) // a, on the other lane
+	comp.SFUOp(7, 0, 1, 1, 0, isa.OpSIN, 2)   // b, earlier and elsewhere
+	comp.SFUOp(8, 1, 2, 0, 0, isa.OpCOS, 3)   // c, twice
+	comp.SFUOp(9, 1, 2, 0, 0, isa.OpCOS, 3)
+	if got, want := surviving(orig, comp), []fault.ID{2, 3}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("surviving = %v, want %v", got, want)
 	}
 }

@@ -33,7 +33,7 @@ func TestByzantineWorkerQuarantined(t *testing.T) {
 	stream := randomSPStream(rand.New(rand.NewSource(61)), m.Lanes, 512)
 
 	serial := newSPCampaign(t, m, 800, 67)
-	wantRep := serialReport(t, serial, stream, false)
+	wantRep := serialReport(t, serial, stream)
 
 	// The Byzantine failpoint is armed in a set scoped to the liar's
 	// transport alone.
@@ -89,7 +89,7 @@ func TestByzantineWorkerQuarantined(t *testing.T) {
 	// liar is never consulted again, so the next campaign sees zero
 	// Byzantine replies and stays exact (the liar's set is still armed).
 	serial2 := newSPCampaign(t, m, 600, 71)
-	wantRep2 := serialReport(t, serial2, stream, false)
+	wantRep2 := serialReport(t, serial2, stream)
 	camp2 := newSPCampaign(t, m, 600, 71)
 	res2, err := co.Run(context.Background(), camp2, stream, fault.SimOptions{})
 	if err != nil {
@@ -130,7 +130,7 @@ func TestQuarantineRequeuesUnverifiedShards(t *testing.T) {
 	stream := randomSPStream(rand.New(rand.NewSource(62)), m.Lanes, 384)
 
 	serial := newSPCampaign(t, m, 700, 73)
-	wantRep := serialReport(t, serial, stream, false)
+	wantRep := serialReport(t, serial, stream)
 
 	// Honest for its first 4 replies — long enough to settle its share
 	// of the initial dispatch wave — then every reply is a lie.
@@ -170,7 +170,7 @@ func TestVerificationCleanPath(t *testing.T) {
 	stream := randomSPStream(rand.New(rand.NewSource(63)), m.Lanes, 256)
 
 	serial := newSPCampaign(t, m, 500, 79)
-	wantRep := serialReport(t, serial, stream, false)
+	wantRep := serialReport(t, serial, stream)
 
 	co, err := New(byzOptions(nil), NewLocal("w1"), NewLocal("w2"), NewLocal("w3"))
 	if err != nil {
@@ -223,7 +223,7 @@ func TestDrainingWorkerRedistributes(t *testing.T) {
 	stream := randomSPStream(rand.New(rand.NewSource(64)), m.Lanes, 256)
 
 	serial := newSPCampaign(t, m, 400, 83)
-	wantRep := serialReport(t, serial, stream, false)
+	wantRep := serialReport(t, serial, stream)
 
 	handler := NewHandlerMetrics("draining", nil, nil)
 	handler.StartDrain()

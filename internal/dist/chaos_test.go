@@ -40,7 +40,7 @@ func TestChaosMergeByteIdentical(t *testing.T) {
 	stream := randomSPStream(rand.New(rand.NewSource(51)), m.Lanes, 768)
 
 	serial := newSPCampaign(t, m, 1000, 41)
-	wantRep := serialReport(t, serial, stream, false)
+	wantRep := serialReport(t, serial, stream)
 
 	// after=1|times=1: the 8 shards start two per worker, so the kill
 	// worker serves its first shard and freezes on its second at every
@@ -138,7 +138,7 @@ func TestFailedShardCommitsNothing(t *testing.T) {
 		camp := newSPCampaign(t, m, 800, 43)
 		// Start from a partly detected campaign, so "unchanged" means
 		// more than "still empty".
-		serialReport(t, camp, stream[:16], false)
+		serialReport(t, camp, stream[:16])
 		before, ids := camp.Detected(), camp.DetectedIDs()
 		if before == 0 {
 			t.Fatal("test needs a campaign with prior detections")
@@ -299,7 +299,7 @@ func TestWorkerDeathRedistributes(t *testing.T) {
 	stream := randomSPStream(rand.New(rand.NewSource(53)), m.Lanes, 512)
 
 	serial := newSPCampaign(t, m, 800, 47)
-	wantRep := serialReport(t, serial, stream, false)
+	wantRep := serialReport(t, serial, stream)
 
 	hang := &hangTransport{name: "silent"}
 	hang.dead.Store(true) // pings fail from the start; Simulate just hangs
@@ -334,7 +334,7 @@ func TestHedgedStraggler(t *testing.T) {
 	stream := randomSPStream(rand.New(rand.NewSource(54)), m.Lanes, 256)
 
 	serial := newSPCampaign(t, m, 500, 53)
-	wantRep := serialReport(t, serial, stream, false)
+	wantRep := serialReport(t, serial, stream)
 
 	slow := WithFailpoints(NewLocal("slow"), fpSet(t, map[string]failpoint.Config{
 		"dist.reply.delay": {Kind: failpoint.KindDelay, Delay: 10 * time.Second, Seed: 201},

@@ -178,14 +178,11 @@ type Stats struct {
 // Result is the outcome of one completed distributed campaign run.
 type Result struct {
 	// Report is the merged Fault Sim Report, bit-identical to a serial
-	// Campaign.SimulateCtx run. Its Stream is the run's application-order
-	// stream: the caller's slice, or its reversed copy under
-	// SimOptions.Reverse.
+	// Campaign.SimulateCtx run. Its Stream is the caller's slice.
 	Report *fault.Report
 	Stats  Stats
 	// SimStats aggregates the engine counters of every accepted shard
-	// reply: dedup dictionary hit rate, activation pre-screen and
-	// unchanged-cone skips.
+	// reply: blocks, activation pre-screen and unchanged-cone skips.
 	SimStats fault.SimStats
 }
 
@@ -308,14 +305,12 @@ func (c *Coordinator) Run(ctx context.Context, camp *fault.Campaign, stream []fa
 		return nil, fmt.Errorf("dist: every worker is quarantined for byzantine replies (%s)",
 			strings.Join(c.Banned(), ", "))
 	}
-	ordered := fault.OrderStream(stream, opt.Reverse)
-
 	// Wide blocks amortize each 64×W-pattern sweep over a shard's whole
 	// fault list, so shards below a few hundred faults waste most of the
 	// width. Cap the shard count to keep at least 256×W faults per shard
 	// at the width the stream auto-selects.
 	shards := c.opt.Shards
-	if minFaults := 256 * fault.AutoBlockWords(len(ordered)); c.autoShards && minFaults > 0 {
+	if minFaults := 256 * fault.AutoBlockWords(len(stream)); c.autoShards && minFaults > 0 {
 		if rem := camp.Total() - camp.Detected(); rem/minFaults < shards {
 			shards = rem / minFaults
 			if shards < 1 {
@@ -326,22 +321,22 @@ func (c *Coordinator) Run(ctx context.Context, camp *fault.Campaign, stream []fa
 	start, faultsIn := time.Now(), camp.Remaining()
 	parts := camp.PartitionRemaining(shards)
 	if len(parts) == 0 {
-		camp.RecordRun(c.opt.Metrics, len(ordered), faultsIn, 0, fault.SimStats{}, time.Since(start))
-		return &Result{Report: fault.BuildReport(ordered, nil)}, nil
+		camp.RecordRun(c.opt.Metrics, len(stream), faultsIn, 0, fault.SimStats{}, time.Since(start))
+		return &Result{Report: fault.BuildReport(stream, nil)}, nil
 	}
 
-	rl := newRunLoop(c, ctx, camp, ordered, parts)
+	rl := newRunLoop(c, ctx, camp, stream, parts)
 	defer rl.shutdown()
 	err = rl.run()
 	st = rl.stats
 	if err != nil {
 		return nil, err
 	}
-	res, err = rl.finish(camp, ordered)
+	res, err = rl.finish(camp, stream)
 	if err != nil {
 		return nil, err
 	}
-	camp.RecordRun(c.opt.Metrics, len(ordered), faultsIn, len(res.Report.Detections), res.SimStats, time.Since(start))
+	camp.RecordRun(c.opt.Metrics, len(stream), faultsIn, len(res.Report.Detections), res.SimStats, time.Since(start))
 	return res, nil
 }
 
@@ -456,7 +451,7 @@ type runLoop struct {
 
 	workers     []*worker
 	shards      []*shardState
-	ordered     []fault.TimedPattern
+	stream      []fault.TimedPattern
 	modKind     circuits.ModuleKind
 	modLanes    int
 	deadline    time.Duration
@@ -467,7 +462,7 @@ type runLoop struct {
 	stats       Stats
 }
 
-func newRunLoop(c *Coordinator, ctx context.Context, camp *fault.Campaign, ordered []fault.TimedPattern, parts [][]fault.ID) *runLoop {
+func newRunLoop(c *Coordinator, ctx context.Context, camp *fault.Campaign, stream []fault.TimedPattern, parts [][]fault.ID) *runLoop {
 	loopCtx, cancel := context.WithCancel(ctx)
 	rl := &runLoop{
 		co:      c,
@@ -477,9 +472,9 @@ func newRunLoop(c *Coordinator, ctx context.Context, camp *fault.Campaign, order
 		cancel:  cancel,
 		rng:     rand.New(rand.NewSource(c.opt.Seed)),
 		events:  make(chan event, 16),
-		ordered: ordered,
+		stream:  stream,
 		deadline: c.opt.ShardBaseTimeout +
-			time.Duration(len(ordered))*c.opt.ShardPatternTimeout,
+			time.Duration(len(stream))*c.opt.ShardPatternTimeout,
 	}
 	now := time.Now()
 	for i, t := range c.transports {
@@ -758,7 +753,7 @@ func (rl *runLoop) dispatch(s *shardState) bool {
 		Module:  rl.modKind,
 		Lanes:   rl.modLanes,
 		Faults:  s.faults,
-		Stream:  rl.ordered,
+		Stream:  rl.stream,
 	}
 	dctx, cancelCause := context.WithCancelCause(rl.loopCtx)
 	tctx, tcancel := context.WithTimeout(dctx, rl.deadline)
@@ -1199,7 +1194,7 @@ func (rl *runLoop) failStranded() {
 
 // finish merges the shard replies of a run in which every shard
 // succeeded into the campaign and the final Result.
-func (rl *runLoop) finish(camp *fault.Campaign, ordered []fault.TimedPattern) (*Result, error) {
+func (rl *runLoop) finish(camp *fault.Campaign, stream []fault.TimedPattern) (*Result, error) {
 	var (
 		dets     []fault.Detection
 		detIDs   []fault.ID
@@ -1216,7 +1211,7 @@ func (rl *runLoop) finish(camp *fault.Campaign, ordered []fault.TimedPattern) (*
 	if err := camp.RestoreDetected(detIDs); err != nil {
 		return nil, err
 	}
-	return &Result{Report: fault.BuildReport(ordered, dets), Stats: rl.stats, SimStats: simStats}, nil
+	return &Result{Report: fault.BuildReport(stream, dets), Stats: rl.stats, SimStats: simStats}, nil
 }
 
 // recordStats mirrors a run's Stats into the metrics registry, so a

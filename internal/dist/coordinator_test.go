@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -69,9 +70,9 @@ func fastOptions() Options {
 // serialReport runs the stream on c through the in-process engine with
 // one worker, failing the test on error: the reference every
 // distributed report is held to.
-func serialReport(t testing.TB, c *fault.Campaign, stream []fault.TimedPattern, reverse bool) *fault.Report {
+func serialReport(t testing.TB, c *fault.Campaign, stream []fault.TimedPattern) *fault.Report {
 	t.Helper()
-	rep, err := c.SimulateCtx(context.Background(), stream, fault.SimOptions{Reverse: reverse, Workers: 1})
+	rep, err := c.SimulateCtx(context.Background(), stream, fault.SimOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestCoordinatorMatchesSerial(t *testing.T) {
 	stream := randomSPStream(rand.New(rand.NewSource(31)), m.Lanes, 1024)
 
 	serial := newSPCampaign(t, m, 1200, 7)
-	wantRep := serialReport(t, serial, stream, false)
+	wantRep := serialReport(t, serial, stream)
 
 	co, err := New(fastOptions(), NewLocal("w1"), NewLocal("w2"), NewLocal("w3"))
 	if err != nil {
@@ -139,12 +140,16 @@ func TestCoordinatorMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestCoordinatorReverse runs a stream the caller reversed: the
+// coordinator ships it in the order given, and the report indexes it
+// in that order.
 func TestCoordinatorReverse(t *testing.T) {
 	m := spModule(t)
 	stream := randomSPStream(rand.New(rand.NewSource(33)), m.Lanes, 512)
+	slices.Reverse(stream)
 
 	serial := newSPCampaign(t, m, 800, 11)
-	wantRep := serialReport(t, serial, stream, true)
+	wantRep := serialReport(t, serial, stream)
 
 	co, err := New(fastOptions(), NewLocal("w1"), NewLocal("w2"))
 	if err != nil {
@@ -152,7 +157,7 @@ func TestCoordinatorReverse(t *testing.T) {
 	}
 	defer co.Close()
 	camp := newSPCampaign(t, m, 800, 11)
-	res, err := co.Run(context.Background(), camp, stream, fault.SimOptions{Reverse: true})
+	res, err := co.Run(context.Background(), camp, stream, fault.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,8 +174,8 @@ func TestCoordinatorDroppingAcrossRuns(t *testing.T) {
 	s2 := randomSPStream(r, m.Lanes, 512)
 
 	serial := newSPCampaign(t, m, 800, 13)
-	serialReport(t, serial, s1, false)
-	wantRep := serialReport(t, serial, s2, false)
+	serialReport(t, serial, s1)
+	wantRep := serialReport(t, serial, s2)
 
 	co, err := New(fastOptions(), NewLocal("w1"), NewLocal("w2"))
 	if err != nil {
@@ -196,7 +201,7 @@ func TestCoordinatorNothingRemaining(t *testing.T) {
 	m := spModule(t)
 	stream := randomSPStream(rand.New(rand.NewSource(35)), m.Lanes, 256)
 	camp := newSPCampaign(t, m, 400, 17)
-	serialReport(t, camp, stream, false)
+	serialReport(t, camp, stream)
 	if err := camp.RestoreDetected(allIDs(camp)); err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +253,7 @@ func TestHTTPTransportRoundTrip(t *testing.T) {
 	stream := randomSPStream(rand.New(rand.NewSource(38)), m.Lanes, 512)
 
 	serial := newSPCampaign(t, m, 800, 29)
-	wantRep := serialReport(t, serial, stream, false)
+	wantRep := serialReport(t, serial, stream)
 
 	srv1 := httptest.NewServer(NewHandler("httpw1", nil))
 	defer srv1.Close()
@@ -334,7 +339,7 @@ func TestSimulateCampaignHealthy(t *testing.T) {
 	stream := randomSPStream(rand.New(rand.NewSource(40)), m.Lanes, 512)
 
 	serial := newSPCampaign(t, m, 800, 37)
-	wantRep := serialReport(t, serial, stream, false)
+	wantRep := serialReport(t, serial, stream)
 
 	co, err := New(fastOptions(), NewLocal("w1"), NewLocal("w2"))
 	if err != nil {

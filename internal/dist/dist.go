@@ -64,8 +64,9 @@ type ShardRequest struct {
 	// Faults is the shard's explicit fault list; detections refer to it
 	// by index, so coordinator and worker need not share a master list.
 	Faults []fault.Fault
-	// Stream is the ordered pattern stream (already reversed when the
-	// campaign runs with Reverse semantics).
+	// Stream is the pattern stream in application order, as the
+	// coordinator's caller gave it: one entry per (lane, input vector)
+	// when it comes from trace.Collector.
 	Stream []fault.TimedPattern
 }
 
@@ -82,8 +83,8 @@ type ShardResult struct {
 	Attempt    int         `json:"attempt"`
 	Worker     string      `json:"worker"`
 	Detections []Detection `json:"detections"`
-	// Stats carries the worker's engine counters (dedup dictionary hit
-	// rate, activation pre-screen skips, ...) for this shard. Advisory
+	// Stats carries the worker's engine counters (blocks, activation
+	// pre-screen skips, ...) for this shard. Advisory
 	// telemetry: the coordinator aggregates accepted replies' stats into
 	// Result.SimStats, but never bases correctness decisions on them, so
 	// Validate leaves them unchecked.

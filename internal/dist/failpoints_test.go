@@ -34,7 +34,7 @@ func TestWireFailpointsStayExact(t *testing.T) {
 	stream := randomSPStream(rand.New(rand.NewSource(71)), m.Lanes, 384)
 
 	serial := newSPCampaign(t, m, 700, 91)
-	wantRep := serialReport(t, serial, stream, false)
+	wantRep := serialReport(t, serial, stream)
 
 	chaotic := WithFailpoints(NewLocal("chaotic"), fpSet(t, map[string]failpoint.Config{
 		"dist.reply.drop":      {Kind: failpoint.KindDrop, Prob: 0.2, Seed: 1},
@@ -67,7 +67,7 @@ func TestPingFailpointKillsAndRevives(t *testing.T) {
 	stream := randomSPStream(rand.New(rand.NewSource(72)), m.Lanes, 256)
 
 	serial := newSPCampaign(t, m, 500, 97)
-	wantRep := serialReport(t, serial, stream, false)
+	wantRep := serialReport(t, serial, stream)
 
 	flaky := WithFailpoints(NewLocal("flaky"), fpSet(t, map[string]failpoint.Config{
 		"dist.ping.error": {Kind: failpoint.KindError, Times: 4},

@@ -340,7 +340,7 @@ func TestVerifyShardSettlesWhenVoterDies(t *testing.T) {
 	stream := randomSPStream(rand.New(rand.NewSource(58)), m.Lanes, 256)
 
 	serial := newSPCampaign(t, m, 500, 89)
-	wantRep := serialReport(t, serial, stream, false)
+	wantRep := serialReport(t, serial, stream)
 
 	dying := &hangTransport{name: "dying"}
 	stop := time.AfterFunc(300*time.Millisecond, func() { dying.dead.Store(true) })

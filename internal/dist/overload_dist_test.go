@@ -54,7 +54,7 @@ func TestBusyRerouteNoFailureCharge(t *testing.T) {
 	stream := randomSPStream(rand.New(rand.NewSource(61)), m.Lanes, 256)
 
 	serial := newSPCampaign(t, m, 500, 61)
-	wantRep := serialReport(t, serial, stream, false)
+	wantRep := serialReport(t, serial, stream)
 
 	brown := WithFailpoints(NewLocal("brown"), fpSet(t, map[string]failpoint.Config{
 		"dist.reply.busy": {Kind: failpoint.KindError, Delay: 2 * time.Millisecond, Times: 2},
@@ -143,7 +143,7 @@ func TestBreakerTripsAndRoutesAround(t *testing.T) {
 	stream := randomSPStream(rand.New(rand.NewSource(63)), m.Lanes, 256)
 
 	serial := newSPCampaign(t, m, 600, 63)
-	wantRep := serialReport(t, serial, stream, false)
+	wantRep := serialReport(t, serial, stream)
 
 	reg := obs.NewRegistry()
 	opt := fastOptions()

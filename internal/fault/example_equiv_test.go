@@ -14,8 +14,9 @@ import (
 // width W ∈ {auto, 1, 4, 8, 16}, SimulateCtx must produce a Report with
 // byte-identical Detections — same fault, same first-detecting pattern
 // index, same clock cycle — and identical per-group coverage as the
-// test-only reference engine. SFU_IMM is additionally checked with
-// Reverse ordering, the way the paper applies it. It lives in an
+// test-only reference engine. SFU_IMM is additionally checked in
+// reverse order (the collector's Reversed stream), the way the paper
+// applies it. It lives in an
 // external test package so it can build the experiment environment
 // through the gpustl facade, which imports this package.
 func TestEngineEquivalenceOnExamplePTPs(t *testing.T) {
@@ -28,13 +29,13 @@ func TestEngineEquivalenceOnExamplePTPs(t *testing.T) {
 	}
 	widths := []int{0, 1, 4, 8, 16}
 	for _, ptp := range e.PTPs() {
-		opts := []fault.SimOptions{{}}
+		orders := []bool{false}
 		if ptp.Name == "SFU_IMM" {
-			opts = append(opts, fault.SimOptions{Reverse: true})
+			orders = append(orders, true)
 		}
-		for _, opt := range opts {
+		for _, reverse := range orders {
 			name := ptp.Name
-			if opt.Reverse {
+			if reverse {
 				name += "_reverse"
 			}
 			t.Run(name, func(t *testing.T) {
@@ -42,18 +43,21 @@ func TestEngineEquivalenceOnExamplePTPs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				stream := col.Patterns
+				if reverse {
+					stream = col.Reversed()
+				}
 				mod := e.ModuleOf(ptp)
 				faults := e.FaultsOf(ptp)
 
 				run := func(reference bool, w int) (*fault.Report, []fault.GroupCoverage) {
 					camp := gpustl.NewFaultCampaign(mod, faults)
-					o := opt
-					o.BlockWords = w
+					o := fault.SimOptions{BlockWords: w}
 					var rep *fault.Report
 					if reference {
-						rep, err = fault.SimulateReference(camp, col.Patterns, o)
+						rep, err = fault.SimulateReference(camp, stream, o)
 					} else {
-						rep, err = camp.SimulateCtx(context.Background(), col.Patterns, o)
+						rep, err = camp.SimulateCtx(context.Background(), stream, o)
 					}
 					if err != nil {
 						t.Fatal(err)

@@ -362,18 +362,16 @@ type Detection struct {
 // detection counts plus the individual first detections, in stream order.
 type Report struct {
 	// Stream is the pattern stream in application order, which every
-	// index in the report refers to: the caller's slice itself, or a
-	// reversed copy (OrderStream). The report shares it with the
-	// caller, so neither may mutate it.
+	// index in the report refers to: the caller's slice itself. The
+	// report shares it with the caller, so neither may mutate it.
 	Stream []TimedPattern
 	// DetectedPerPattern[i] counts faults first detected by Stream[i].
 	DetectedPerPattern []int32
 	// Detections lists each fault detected during this run.
 	Detections []Detection
 
-	// Stats reports what the simulation engine did on this run: dedup
-	// effectiveness, pre-screen and cone-skip hit counts, propagation
-	// count.
+	// Stats reports what the simulation engine did on this run:
+	// blocks, pre-screen and cone-skip hit counts, propagation count.
 	Stats SimStats
 }
 
@@ -382,14 +380,10 @@ func (r *Report) DetectedThisRun() int { return len(r.Detections) }
 
 // SimOptions tunes a SimulateCtx run.
 type SimOptions struct {
-	// Reverse applies the pattern stream in reverse order (used by the
-	// paper for the SFU_IMM PTP, where reverse-order application improved
-	// compaction).
-	Reverse bool
 	// BlockWords sets the evaluator block width in 64-pattern machine
 	// words: each good-circuit sweep covers 64×BlockWords patterns, with
 	// stride-BlockWords value arrays throughout the engine. 0 (the
-	// default) auto-selects from the deduplicated stream length
+	// default) auto-selects from the longest lane stream
 	// (AutoBlockWords); values outside [0, netlist.MaxBlockWords] are
 	// rejected with an error. Detections are byte-identical at every
 	// width — bit order equals stream order, so first detections cannot
@@ -435,14 +429,17 @@ func (c *Campaign) planWorkers(opt SimOptions) (int, error) {
 	return workers, nil
 }
 
-// SimulateCtx runs the pattern stream against the campaign's remaining
-// faults, dropping faults at first detection, and returns the FSR. The
-// run stops early (returning ctx.Err()) when ctx is canceled, a panic in
+// SimulateCtx runs the pattern stream, in the order given, against the
+// campaign's remaining faults, dropping faults at first detection, and
+// returns the FSR. The stream should hold each (lane, input vector) once,
+// as trace.Collector produces it: a repeat cannot be a first detection,
+// since its earlier twin detects first, so it changes nothing in the
+// report and only costs simulation time. The run stops early (returning ctx.Err()) when ctx is canceled, a panic in
 // any simulation worker is recovered and returned as an error, and the
 // campaign's fault-dropping state is only updated when the whole run
 // succeeds — a failed or canceled call leaves the campaign untouched.
 // With no fault left to simulate it returns the empty report without
-// deduplicating or packing the stream.
+// packing the stream.
 func (c *Campaign) SimulateCtx(ctx context.Context, stream []TimedPattern, opt SimOptions) (*Report, error) {
 	if c.initErr != nil {
 		return nil, fmt.Errorf("fault: campaign over %v unusable: %w", c.Module.Kind, c.initErr)
@@ -458,24 +455,23 @@ func (c *Campaign) SimulateCtx(ctx context.Context, stream []TimedPattern, opt S
 		return nil, fmt.Errorf("fault: SimOptions.BlockWords = %d outside [0, %d] (0 = auto)",
 			opt.BlockWords, netlist.MaxBlockWords)
 	}
-	ordered := OrderStream(stream, opt.Reverse)
-
 	// Partition the remaining faults into shards, one per worker, each
 	// grouped by lane. With one worker this is the plain serial loop.
 	shards := c.partitionByLane(workers)
 	simStart := time.Now()
 	faultsIn := c.Remaining()
 	if !anyFault(shards) {
-		c.RecordRun(opt.Metrics, len(ordered), faultsIn, 0, SimStats{}, time.Since(simStart))
-		return BuildReport(ordered, nil), nil
+		c.RecordRun(opt.Metrics, len(stream), faultsIn, 0, SimStats{}, time.Since(simStart))
+		return BuildReport(stream, nil), nil
 	}
 
-	// Dedup and pack the stimulus once, shared read-only by every shard;
-	// the cone index is built here, before forking workers.
+	// Pack the stimulus once, shared read-only by every shard; the cone
+	// index is built here, before forking workers.
 	nl := c.Module.NL
-	lanes, blockW := buildLaneStreams(nl, ordered, c.laneIndex(ordered),
+	laneIdx := c.laneIndex(stream)
+	lanes, blockW := buildLaneStreams(nl, stream, laneIdx,
 		laneClassUse(nl.Cone(), c.faults, shards), opt.BlockWords)
-	runStats := c.streamStats(lanes, blockW)
+	runStats := c.streamStats(laneIdx, blockW)
 
 	// Run the shards. Every worker recovers its own panics: the first
 	// error or panic cancels the remaining workers and is surfaced to the
@@ -507,7 +503,7 @@ func (c *Campaign) SimulateCtx(ctx context.Context, stream []TimedPattern, opt S
 				return
 			}
 			defer nl.ReleaseEvaluator(ev)
-			sr, err := c.simulateShardOpt(sctx, ordered, lanes, shards[w], ev)
+			sr, err := c.simulateShardOpt(sctx, stream, lanes, shards[w], ev)
 			if err != nil {
 				fail(err)
 				return
@@ -523,24 +519,11 @@ func (c *Campaign) SimulateCtx(ctx context.Context, stream []TimedPattern, opt S
 		return nil, err
 	}
 
-	rep, st := c.merge(results, ordered)
+	rep, st := c.merge(results, stream)
 	runStats.Add(st)
 	rep.Stats = runStats
-	c.RecordRun(opt.Metrics, len(ordered), faultsIn, len(rep.Detections), runStats, time.Since(simStart))
+	c.RecordRun(opt.Metrics, len(stream), faultsIn, len(rep.Detections), runStats, time.Since(simStart))
 	return rep, nil
-}
-
-// OrderStream returns the stream in application order: as given, or a
-// reversed copy.
-func OrderStream(stream []TimedPattern, reverse bool) []TimedPattern {
-	if !reverse {
-		return stream
-	}
-	out := make([]TimedPattern, len(stream))
-	for i, p := range stream {
-		out[len(stream)-1-i] = p
-	}
-	return out
 }
 
 // BuildReport assembles the Fault Sim Report of a run over the ordered
@@ -578,14 +561,14 @@ func (c *Campaign) laneIndex(stream []TimedPattern) [][]int32 {
 }
 
 // streamStats starts a run's stats with what the packed stimulus and the
-// evaluator shape already tell: pattern totals before and after dedup,
-// the block width, and the compiled plan's structure.
-func (c *Campaign) streamStats(lanes []laneStream, blockW int) SimStats {
+// evaluator shape already tell: the patterns packed, the block width,
+// and the compiled plan's structure.
+func (c *Campaign) streamStats(laneIdx [][]int32, blockW int) SimStats {
 	var st SimStats
-	for _, ls := range lanes {
-		st.TotalPatterns += uint64(ls.total)
-		st.UniquePatterns += uint64(ls.unique)
+	for _, idxs := range laneIdx {
+		st.TotalPatterns += uint64(len(idxs))
 	}
+	st.UniquePatterns = st.TotalPatterns
 	plan := c.Module.NL.Plan()
 	st.BlockWords = uint64(blockW)
 	st.PlanLevels = uint64(plan.NumLevels())
@@ -733,7 +716,7 @@ func (c *Campaign) PartitionRemaining(k int) [][]ID {
 }
 
 // simulateShardOpt is the fault-serial shard walker, one shape for every
-// block width W. It consumes the pre-packed deduplicated lane streams
+// block width W. It consumes the pre-packed lane streams
 // (so there is no per-shard input clearing or packing), walks each
 // lane's faults in the cone order partitionByLane dealt them, and
 // resolves most fault×block visits without propagating anything — via
@@ -753,19 +736,17 @@ func (c *Campaign) PartitionRemaining(k int) [][]ID {
 // (SiteOpFirstActive) and, only from there, for the first word whose
 // delta meets the observability row (SiteOpDetectFrom). Word order
 // equals stream order, so the earliest set bit at any width names the
-// earliest unique pattern — and a fault that dies in its first active
+// earliest pattern — and a fault that dies in its first active
 // word pays one word of work, not W, which is what makes wide blocks a
 // win on real streams where most faults drop almost immediately. A
 // visit whose delta is zero across every valid word is a prescreen skip;
 // anything else is one propagation.
 //
-// Detections are byte-identical to the reference engine's on the
-// original stream: a duplicate pattern can never be a first detection
-// (its earlier twin detects first), gidx maps every unique slot back to
-// the earliest original stream index, and both skip rules only ever
+// Detections are byte-identical to the reference engine's: gidx maps
+// every slot back to its stream index, and both skip rules only ever
 // elide provably zero masks. A fault leaves the walk at its first
 // detection: later patterns cannot produce another first detection.
-func (c *Campaign) simulateShardOpt(ctx context.Context, ordered []TimedPattern, lanes []laneStream,
+func (c *Campaign) simulateShardOpt(ctx context.Context, stream []TimedPattern, lanes []laneStream,
 	laneFaults [][]ID, ev *netlist.Evaluator) (*shardResult, error) {
 
 	sr := &shardResult{}
@@ -840,7 +821,7 @@ func (c *Campaign) simulateShardOpt(ctx context.Context, ordered []TimedPattern,
 				}
 				gi := blk.gidx[first]
 				sr.detections = append(sr.detections, Detection{
-					Fault: f.id, Pattern: gi, CC: ordered[gi].CC,
+					Fault: f.id, Pattern: gi, CC: stream[gi].CC,
 				})
 			}
 			n = kept

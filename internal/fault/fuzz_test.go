@@ -29,6 +29,9 @@ func FuzzWideBlockEquiv(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, nPat, w uint8, reverse bool, wk uint8) {
 		r := rand.New(rand.NewSource(seed))
 		stream := randomDUStream(r, 1+int(nPat))
+		if reverse {
+			stream = reverseStream(stream)
+		}
 		width := int(w) % 17 // 0 = auto, else an explicit W in [1,16]
 		workers := []int{1, 3}[wk%2]
 
@@ -36,7 +39,7 @@ func FuzzWideBlockEquiv(f *testing.F) {
 			c := NewCampaign(mod)
 			// 800 faults give three workers minFaultsPerWorker each.
 			c.SampleFaults(800, seed)
-			opt := SimOptions{Reverse: reverse, BlockWords: width, Workers: workers}
+			opt := SimOptions{BlockWords: width, Workers: workers}
 			return simulate(t, c, reference, stream, opt), c.DetectedIDs()
 		}
 		ref, refIDs := run(true)

@@ -9,7 +9,7 @@ import (
 
 // The reference engine: the straightforward fault simulator the shard
 // walker (simulateShardOpt) is held to by the equivalence tests. No
-// activation pre-screen, no unique-pattern dedup, no cone-aware
+// activation pre-screen, no cone-aware
 // scheduling or observability memo — one scalar evaluator, every
 // original pattern, one forward sweep of the faulty circuit
 // (Evaluator.FaultDetect) per fault×block.
@@ -17,9 +17,8 @@ import (
 
 // simulateReference runs the stream against the campaign's remaining
 // faults with the reference engine and returns the FSR, committing
-// detections to the campaign exactly like SimulateCtx. Reverse is
-// honored; BlockWords and Workers shape an engine the reference does not
-// have and are ignored.
+// detections to the campaign exactly like SimulateCtx. BlockWords and
+// Workers shape an engine the reference does not have and are ignored.
 func (c *Campaign) simulateReference(ctx context.Context, stream []TimedPattern, opt SimOptions) (*Report, error) {
 	if c.initErr != nil {
 		return nil, c.initErr
@@ -28,7 +27,7 @@ func (c *Campaign) simulateReference(ctx context.Context, stream []TimedPattern,
 	if err != nil {
 		return nil, err
 	}
-	ordered := OrderStream(stream, opt.Reverse)
+	ordered := stream
 	laneIdx := c.laneIndex(ordered)
 	sr, err := c.simulateShard(ctx, ordered, laneIdx, c.partitionByLane(1)[0], ev)
 	if err != nil {
@@ -39,7 +38,7 @@ func (c *Campaign) simulateReference(ctx context.Context, stream []TimedPattern,
 	for _, idxs := range laneIdx {
 		st.TotalPatterns += uint64(len(idxs))
 	}
-	st.UniquePatterns = st.TotalPatterns // nothing deduplicated
+	st.UniquePatterns = st.TotalPatterns
 	rep, runStats := c.merge([]*shardResult{sr}, ordered)
 	st.Add(runStats)
 	rep.Stats = st

@@ -8,12 +8,10 @@ import (
 )
 
 // SimStats counts what the optimized simulation engine actually did: how
-// much stimulus was deduplicated away, how many fault×block evaluations
-// were answered by the cone test or the activation pre-screen alone, and
-// how many needed a full fan-out-cone propagation. The counters make
-// optimization effectiveness observable — a regression here (e.g. a
-// stimulus change that defeats dedup) shows up even when wall-clock noise
-// hides it.
+// many fault×block evaluations were answered by the cone test or the
+// activation pre-screen alone, and how many needed a full fan-out-cone
+// propagation. The counters make optimization effectiveness observable —
+// a regression here shows up even when wall-clock noise hides it.
 //
 // TotalPatterns/UniquePatterns describe the stream once per run;
 // Blocks/FaultEvals/ConeSkips/PrescreenSkips/Propagations sum the work of
@@ -35,12 +33,10 @@ type SimStats struct {
 	// of the circuit, not of the run; merged by maximum like BlockWords.
 	PlanLevels uint64 `json:"plan_levels,omitempty"`
 	PlanRuns   uint64 `json:"plan_runs,omitempty"`
-	// TotalPatterns is the stream length fed to the run (after lane
-	// filtering), including duplicates.
-	TotalPatterns uint64 `json:"total_patterns"`
-	// UniquePatterns is the stream length after per-lane dedup; the
-	// reference engine reports TotalPatterns here (it deduplicates
-	// nothing).
+	// TotalPatterns is the stream length the run packed (after lane
+	// filtering). UniquePatterns equals it: the stream arrives
+	// deduplicated from trace.Collector, and the engine packs it as is.
+	TotalPatterns  uint64 `json:"total_patterns"`
 	UniquePatterns uint64 `json:"unique_patterns"`
 	// FaultEvals counts fault×block visits.
 	FaultEvals uint64 `json:"fault_evals"`
@@ -75,15 +71,6 @@ func (s *SimStats) Add(o SimStats) {
 	s.Propagations += o.Propagations
 }
 
-// DedupHitRate returns the fraction of stream patterns eliminated by the
-// unique-pattern dictionary, in [0,1].
-func (s SimStats) DedupHitRate() float64 {
-	if s.TotalPatterns == 0 {
-		return 0
-	}
-	return 1 - float64(s.UniquePatterns)/float64(s.TotalPatterns)
-}
-
 // PrescreenSkipRatio returns the fraction of fault×block visits the
 // activation pre-screen resolved, in [0,1].
 func (s SimStats) PrescreenSkipRatio() float64 {
@@ -106,8 +93,7 @@ func (s SimStats) ConeSkipRatio() float64 {
 // The in-process run (SimulateCtx) and the distributed coordinator
 // (summed shard replies) both call it once per run, so a quantity has
 // one name wherever the simulation ran. The counters say how much work
-// the optimizations resolved without a full propagation and how much
-// stimulus the unique-pattern dictionary folded away; the shape gauges
+// the optimizations resolved without a full propagation; the shape gauges
 // let dashboards attribute throughput shifts to block-width selection
 // rather than guessing from pattern counts. A nil registry is a no-op.
 func (s SimStats) Record(m *obs.Registry) {
@@ -116,12 +102,10 @@ func (s SimStats) Record(m *obs.Registry) {
 	}
 	m.Counter("gpustl_fault_blocks_total").Add(s.Blocks)
 	m.Counter("gpustl_fault_patterns_total").Add(s.TotalPatterns)
-	m.Counter("gpustl_fault_unique_patterns_total").Add(s.UniquePatterns)
 	m.Counter("gpustl_fault_evals_total").Add(s.FaultEvals)
 	m.Counter("gpustl_fault_prescreen_skips_total").Add(s.PrescreenSkips)
 	m.Counter("gpustl_fault_cone_skips_total").Add(s.ConeSkips)
 	m.Counter("gpustl_fault_propagations_total").Add(s.Propagations)
-	m.Gauge("gpustl_fault_dedup_hit_ratio").Set(s.DedupHitRate())
 	m.Gauge("gpustl_fault_prescreen_skip_ratio").Set(s.PrescreenSkipRatio())
 	m.Gauge("gpustl_fault_cone_skip_ratio").Set(s.ConeSkipRatio())
 	m.Gauge("gpustl_fault_block_words").Set(float64(s.BlockWords))
@@ -129,8 +113,7 @@ func (s SimStats) Record(m *obs.Registry) {
 	m.Gauge("gpustl_fault_plan_runs").Set(float64(s.PlanRuns))
 }
 
-// String renders the stats as an aligned report block, in the style of
-// trace.OpStats.
+// String renders the stats as an aligned report block.
 func (s SimStats) String() string {
 	pct := func(n uint64) float64 {
 		if s.FaultEvals == 0 {
@@ -140,8 +123,6 @@ func (s SimStats) String() string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "fault-sim engine stats\n")
-	fmt.Fprintf(&b, "  patterns    total %12d  unique %12d  dedup hit-rate %6.2f%%\n",
-		s.TotalPatterns, s.UniquePatterns, 100*s.DedupHitRate())
 	fmt.Fprintf(&b, "  blocks      %12d  (%d patterns / sweep, %d-word blocks)\n",
 		s.Blocks, 64*max(s.BlockWords, 1), max(s.BlockWords, 1))
 	if s.PlanRuns > 0 {

@@ -9,13 +9,13 @@ import (
 )
 
 // AutoBlockWords picks the evaluator block width, in 64-pattern machine
-// words, for a run whose largest per-lane deduplicated stream holds the
-// given number of patterns: the narrowest width of the supported sweep
-// set {1, 4, 8, 16} whose single block still covers the stream. Wider
-// blocks amortize the per-fault visit cost (site delta, observability
-// memo, skip bookkeeping) over more patterns, but cost proportionally
-// more per good-circuit sweep — so there is no point going wider than
-// the stream.
+// words, for a run whose longest lane stream holds the given number of
+// patterns: the narrowest width of the supported sweep set {1, 4, 8, 16}
+// whose single block still covers the stream. Wider blocks amortize the
+// per-fault visit cost (site delta, observability memo, skip
+// bookkeeping) over more patterns, but cost proportionally more per
+// good-circuit sweep — so there is no point going wider than the
+// stream.
 func AutoBlockWords(patterns int) int {
 	switch {
 	case patterns <= 64:
@@ -29,14 +29,14 @@ func AutoBlockWords(patterns int) int {
 }
 
 // blockStim is the precomputed stimulus of one block (64×W patterns) of
-// a lane's deduplicated stream: the packed input vectors Evaluator.Run
-// consumes, the global stream index of each slot's earliest original
-// occurrence, and the per-cone-class skip set. Blocks are built once per
-// run and shared read-only across shards, hoisting the per-shard input
-// clearing and re-packing out of the hot loop entirely.
+// a lane's stream: the packed input vectors Evaluator.Run consumes, the
+// global stream index of each slot, and the per-cone-class skip set.
+// Blocks are built once per run and shared read-only across shards,
+// hoisting the per-shard input clearing and re-packing out of the hot
+// loop entirely.
 type blockStim struct {
 	inputs []uint64 // W packed words per primary input, input-major
-	gidx   []int32  // first-occurrence global stream index per slot
+	gidx   []int32  // global stream index per slot
 	// skip is a bitset over cone-equivalence classes: bit c set when this
 	// block's projection onto class c's detection support is identical to
 	// an earlier block's. A fault of class c still undetected here was
@@ -46,128 +46,64 @@ type blockStim struct {
 	skip []uint64
 }
 
-// laneStream is one lane's deduplicated, pre-packed pattern stream.
+// laneStream is one lane's pre-packed pattern stream.
 type laneStream struct {
 	blocks []blockStim
-	total  int // original pattern count, duplicates included
-	unique int // patterns kept after dedup
 }
 
-// buildLaneStreams deduplicates and packs the per-lane streams for one
-// simulation run. Dedup is per lane: a TimedPattern whose input vector
-// (circuits.Pattern is a comparable value) already occurred earlier in
-// the same lane's stream is dropped, and any detection it would have
-// produced is attributed to that earlier occurrence — which is exactly
-// where the reference engine first detects it, since identical stimulus
-// yields identical detection masks. First-occurrence order is preserved,
-// so first-detection indices and cc values are byte-identical.
+// buildLaneStreams packs the per-lane streams of one simulation run:
+// laneIdx[lane] lists the lane's global stream indices in application
+// order. The stream is expected to hold each (lane, input vector) once,
+// as trace.Collector produces it; a repeat costs a slot and nothing
+// else, since its earlier twin detects first.
 //
 // classUsed[lane] restricts the block-level skip analysis to cone
 // classes that actually contain undetected faults in that lane; nil
 // analyses every class.
 //
 // reqWords fixes the block width in 64-pattern words; 0 lets
-// AutoBlockWords pick it from the largest per-lane unique stream (which
-// is why dedup runs as a first phase, before any packing). The chosen
-// width is returned alongside the streams so the caller can build
-// matching evaluators.
-func buildLaneStreams(nl *netlist.Netlist, ordered []TimedPattern, laneIdx [][]int32,
+// AutoBlockWords pick it from the longest lane stream. The chosen width
+// is returned alongside the streams so the caller can build matching
+// evaluators.
+func buildLaneStreams(nl *netlist.Netlist, stream []TimedPattern, laneIdx [][]int32,
 	classUsed [][]uint64, reqWords int) ([]laneStream, int) {
-
-	numIn := len(nl.Inputs)
-	lanes := make([]laneStream, len(laneIdx))
-
-	// Phase 1: per-lane dedup into first-occurrence-ordered unique lists.
-	// The dictionary is per lane. An exact-match open-addressed table
-	// (power-of-two, ≤50% load) replaces map[Pattern]struct{}: the hash
-	// only picks buckets, equality is the comparison of the packed
-	// words, so dedup is exact either way — just without per-insert
-	// hashing and bucket bookkeeping overhead.
-	type uniqStream struct {
-		pats []circuits.Pattern
-		gidx []int32
-	}
-	uniq := make([]uniqStream, len(laneIdx))
-	var table []int32 // open-addressed dictionary: slot -> pats index
-	maxUnique := 0
-	for lane, idxs := range laneIdx {
-		lanes[lane].total = len(idxs)
-		if len(idxs) == 0 {
-			continue
-		}
-		need := 2
-		for need < 2*len(idxs) {
-			need <<= 1
-		}
-		if len(table) < need {
-			table = make([]int32, need)
-		}
-		tbl := table[:need]
-		for i := range tbl {
-			tbl[i] = -1
-		}
-		hmask := uint64(need - 1)
-		u := &uniq[lane]
-		u.pats = make([]circuits.Pattern, 0, len(idxs))
-		u.gidx = make([]int32, 0, len(idxs))
-		for _, gi := range idxs {
-			p := ordered[gi].Pat
-			h := hashPattern(p) & hmask
-			dup := false
-			for {
-				j := tbl[h]
-				if j < 0 {
-					tbl[h] = int32(len(u.pats))
-					break
-				}
-				if u.pats[j] == p {
-					dup = true
-					break
-				}
-				h = (h + 1) & hmask
-			}
-			if dup {
-				continue
-			}
-			u.pats = append(u.pats, p)
-			u.gidx = append(u.gidx, gi)
-		}
-		lanes[lane].unique = len(u.pats)
-		if len(u.pats) > maxUnique {
-			maxUnique = len(u.pats)
-		}
-	}
 
 	w := reqWords
 	if w <= 0 {
-		w = AutoBlockWords(maxUnique)
+		longest := 0
+		for _, idxs := range laneIdx {
+			longest = max(longest, len(idxs))
+		}
+		w = AutoBlockWords(longest)
 	}
 
-	// Phase 2: pack each lane's unique stream into 64×w-pattern blocks,
-	// one 64-pattern transpose per word. Bit order equals stream order —
-	// pattern s of a block sits at word s/64, bit s%64 — so the earliest
-	// set bit of any detection mask is the earliest unique pattern at
-	// every width.
+	// Pack each lane's stream into 64×w-pattern blocks, one 64-pattern
+	// transpose per word. Bit order equals stream order — pattern s of a
+	// block sits at word s/64, bit s%64 — so the earliest set bit of any
+	// detection mask is the earliest pattern at every width.
+	numIn := len(nl.Inputs)
+	lanes := make([]laneStream, len(laneIdx))
 	bp := 64 * w
-	for lane := range lanes {
-		u, ls := &uniq[lane], &lanes[lane]
-		if len(u.pats) == 0 {
+	var word [64]circuits.Pattern
+	for lane, idxs := range laneIdx {
+		if len(idxs) == 0 {
 			continue
 		}
-		ls.blocks = make([]blockStim, 0, (len(u.pats)+bp-1)/bp)
-		for base := 0; base < len(u.pats); base += bp {
-			end := base + bp
-			if end > len(u.pats) {
-				end = len(u.pats)
-			}
+		ls := &lanes[lane]
+		ls.blocks = make([]blockStim, 0, (len(idxs)+bp-1)/bp)
+		for base := 0; base < len(idxs); base += bp {
+			end := min(base+bp, len(idxs))
 			blk := blockStim{
 				inputs: make([]uint64, numIn*w),
-				gidx:   u.gidx[base:end:end],
+				gidx:   idxs[base:end:end],
 			}
-			for word := 0; base+word*64 < end; word++ {
-				lo := base + word*64
+			for wd := 0; base+wd*64 < end; wd++ {
+				lo := base + wd*64
 				hi := min(lo+64, end)
-				circuits.PackPatternsAt(u.pats[lo:hi], blk.inputs, numIn, w, word)
+				for s, gi := range idxs[lo:hi] {
+					word[s] = stream[gi].Pat
+				}
+				circuits.PackPatternsAt(word[:hi-lo], blk.inputs, numIn, w, wd)
 			}
 			ls.blocks = append(ls.blocks, blk)
 		}
@@ -178,97 +114,6 @@ func buildLaneStreams(nl *netlist.Netlist, ordered []TimedPattern, laneIdx [][]i
 		buildClassSkips(nl.Cone(), numIn, ls, used, w)
 	}
 	return lanes, w
-}
-
-// hashPattern mixes a pattern's packed words into a table-bucket hash.
-// Collisions only cost probes — matching is exact — so a fast mixer is
-// all that is needed.
-func hashPattern(p circuits.Pattern) uint64 {
-	h := p.W[0]*0x9E3779B97F4A7C15 ^ p.W[1]*0xBF58476D1CE4E5B9
-	h ^= h >> 32
-	h *= 0xD6E8FEB86659FD93
-	h ^= h >> 29
-	return h
-}
-
-// Surviving returns the faults of the report whose first detecting
-// (lane, input vector) also occurs in stream, in the report's detection
-// order. The module is combinational, so that input vector detects each
-// of them in stream too, wherever it sits. The probe table is
-// open-addressed over the distinct detecting keys, like
-// buildLaneStreams' dedup dictionary, and the scan of stream stops once
-// every key is found.
-func (r *Report) Surviving(stream []TimedPattern) []ID {
-	if len(r.Detections) == 0 || len(stream) == 0 {
-		return nil
-	}
-	need := 2
-	for need < 2*len(r.Detections) {
-		need <<= 1
-	}
-	hmask := uint64(need - 1)
-	table := make([]int32, need) // slot -> keys index
-	for i := range table {
-		table[i] = -1
-	}
-	// keys holds each distinct detecting pattern once, as its report
-	// index. Detections are sorted by pattern, so faults sharing a first
-	// detecting pattern are adjacent; kid maps each detection to its key.
-	var keys []int32
-	kid := make([]int32, len(r.Detections))
-	for i, d := range r.Detections {
-		if i > 0 && d.Pattern == r.Detections[i-1].Pattern {
-			kid[i] = kid[i-1]
-			continue
-		}
-		tp := &r.Stream[d.Pattern]
-		h := hashLanePattern(tp.Lane, tp.Pat) & hmask
-		for {
-			j := table[h]
-			if j < 0 {
-				table[h] = int32(len(keys))
-				kid[i] = table[h]
-				keys = append(keys, d.Pattern)
-				break
-			}
-			if k := &r.Stream[keys[j]]; k.Lane == tp.Lane && k.Pat == tp.Pat {
-				kid[i] = j
-				break
-			}
-			h = (h + 1) & hmask
-		}
-	}
-	found := make([]bool, len(keys))
-	left := len(keys)
-scan:
-	for i := range stream {
-		tp := &stream[i]
-		for h := hashLanePattern(tp.Lane, tp.Pat) & hmask; table[h] >= 0; h = (h + 1) & hmask {
-			j := table[h]
-			if k := &r.Stream[keys[j]]; k.Lane == tp.Lane && k.Pat == tp.Pat {
-				if !found[j] {
-					found[j] = true
-					if left--; left == 0 {
-						break scan
-					}
-				}
-				break
-			}
-		}
-	}
-	var out []ID
-	for i, d := range r.Detections {
-		if found[kid[i]] {
-			out = append(out, d.Fault)
-		}
-	}
-	return out
-}
-
-// hashLanePattern is hashPattern with the lane mixed in, for tables
-// keyed by (lane, input vector).
-func hashLanePattern(lane int16, p circuits.Pattern) uint64 {
-	return hashPattern(p) ^ uint64(uint16(lane))*0x94D049BB133111EB
 }
 
 // buildClassSkips marks, for every block and cone class, whether the
@@ -294,9 +139,9 @@ func buildClassSkips(ci *netlist.ConeInfo, numIn int, ls *laneStream, used []uin
 		ins := ci.ClassInputs(c)
 		if len(ins) >= numIn {
 			// Full detection support: the projection is the whole block.
-			// Lane dedup guarantees distinct blocks hold disjoint pattern
-			// sets, so two full projections can never match — skipping the
-			// analysis loses nothing.
+			// A unique stream's blocks hold disjoint pattern sets, so two
+			// full projections never match — skipping the analysis loses
+			// nothing.
 			continue
 		}
 		if len(ins) == 0 {

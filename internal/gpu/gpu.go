@@ -170,8 +170,6 @@ type Monitor interface {
 	ALUPass(cc uint64, warp, pc int, op isa.Opcode, thread0 int, exec uint32, a, b, c []uint32)
 	// SFUOp fires once per active thread of an SFU-class instruction.
 	SFUOp(cc uint64, warp, pc, lane, thread int, op isa.Opcode, a uint32)
-	// MemOp fires once per active thread of a memory instruction.
-	MemOp(cc uint64, warp, pc, thread int, op isa.Opcode, space Space, addr uint32)
 	// Store fires for every architecturally visible write (GST/SST) — the
 	// observable points of the PTP.
 	Store(cc uint64, warp, pc, thread int, space Space, addr, value uint32)
@@ -187,7 +185,6 @@ func (NopMonitor) Fetch(uint64, int, int, isa.Word)                             
 func (NopMonitor) Decode(uint64, int, int, isa.Instruction)                                        {}
 func (NopMonitor) ALUPass(uint64, int, int, isa.Opcode, int, uint32, []uint32, []uint32, []uint32) {}
 func (NopMonitor) SFUOp(uint64, int, int, int, int, isa.Opcode, uint32)                            {}
-func (NopMonitor) MemOp(uint64, int, int, int, isa.Opcode, Space, uint32)                          {}
 func (NopMonitor) Store(uint64, int, int, int, Space, uint32, uint32)                              {}
 func (NopMonitor) Retire(uint64, uint64, int, int)                                                 {}
 
@@ -633,23 +630,18 @@ func (g *GPU) execMem(w *warpState, pc int, in isa.Instruction, exec uint32) {
 			addr := w.regs[in.Ra][t] + uint32(in.Imm)
 			switch in.Op {
 			case isa.OpGLD:
-				g.mon.MemOp(ccPass, w.id, pc, t, in.Op, SpaceGlobal, addr)
 				w.regs[in.Rd][t] = g.global.Word(int(addr / 4))
 			case isa.OpGST:
 				v := w.regs[in.Rb][t]
-				g.mon.MemOp(ccPass, w.id, pc, t, in.Op, SpaceGlobal, addr)
 				g.global.store(int(addr/4), v)
 				g.mon.Store(ccPass, w.id, pc, t, SpaceGlobal, addr, v)
 			case isa.OpSLD:
-				g.mon.MemOp(ccPass, w.id, pc, t, in.Op, SpaceShared, addr)
 				w.regs[in.Rd][t] = g.shared.Word(int(addr / 4))
 			case isa.OpSST:
 				v := w.regs[in.Rb][t]
-				g.mon.MemOp(ccPass, w.id, pc, t, in.Op, SpaceShared, addr)
 				g.shared.store(int(addr/4), v)
 				g.mon.Store(ccPass, w.id, pc, t, SpaceShared, addr, v)
 			case isa.OpLDC:
-				g.mon.MemOp(ccPass, w.id, pc, t, in.Op, SpaceConstant, addr)
 				w.regs[in.Rd][t] = g.constant.Word(int(addr / 4))
 			}
 		}

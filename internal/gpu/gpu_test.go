@@ -478,7 +478,6 @@ type traceCollector struct {
 	aluOps    int
 	aluPasses int
 	sfuOps    int
-	memOps    int
 	stores    int
 	retires   int
 	lastCC    uint64
@@ -497,9 +496,6 @@ func (c *traceCollector) ALUPass(cc uint64, warp, pc int, op isa.Opcode, thread0
 func (c *traceCollector) SFUOp(cc uint64, warp, pc, lane, thread int, op isa.Opcode, a uint32) {
 	c.sfuOps++
 }
-func (c *traceCollector) MemOp(cc uint64, warp, pc, thread int, op isa.Opcode, sp Space, addr uint32) {
-	c.memOps++
-}
 func (c *traceCollector) Store(cc uint64, warp, pc, thread int, sp Space, addr, v uint32) {
 	c.stores++
 }
@@ -511,7 +507,7 @@ func TestMonitorEvents(t *testing.T) {
 		S2R   R0, SR_TID      ; ALU x32
 		SHLI  R1, R0, 2       ; ALU x32
 		SIN   R2, R1          ; SFU x32
-		GST   [R1+0], R2      ; MEM x32 + store x32
+		GST   [R1+0], R2      ; store x32
 		EXIT
 	`, 32, mon)
 	if mon.fetches != 5 || mon.decodes != 5 || mon.retires != 5 {
@@ -523,8 +519,8 @@ func TestMonitorEvents(t *testing.T) {
 	if mon.sfuOps != 32 {
 		t.Errorf("sfuOps = %d, want 32", mon.sfuOps)
 	}
-	if mon.memOps != 32 || mon.stores != 32 {
-		t.Errorf("memOps/stores = %d/%d, want 32/32", mon.memOps, mon.stores)
+	if mon.stores != 32 {
+		t.Errorf("stores = %d, want 32", mon.stores)
 	}
 }
 

@@ -11,6 +11,15 @@ import (
 	"gpustl/internal/trace"
 )
 
+// storeCount wraps a monitor and counts the observable writes (GST/SST)
+// it sees.
+type storeCount struct {
+	gpu.Monitor
+	n int
+}
+
+func (s *storeCount) Store(uint64, int, int, int, gpu.Space, uint32, uint32) { s.n++ }
+
 // runPTP executes a PTP on the simulated GPU with an optional monitor.
 func runPTP(t *testing.T, p *stl.PTP, mon gpu.Monitor) gpu.Result {
 	t.Helper()
@@ -65,13 +74,13 @@ func TestIMMStructure(t *testing.T) {
 func TestIMMRuns(t *testing.T) {
 	p := IMM(30, 2)
 	col := trace.NewCollector(circuits.ModuleDU)
-	stats := &trace.OpStats{}
-	runPTP(t, p, trace.NewTee(col, stats))
+	stores := &storeCount{Monitor: col}
+	runPTP(t, p, stores)
 	if len(col.Patterns) != len(p.Prog) {
 		t.Errorf("DU patterns = %d, want %d (one per instruction, 1 warp)",
 			len(col.Patterns), len(p.Prog))
 	}
-	if stats.Stores == 0 {
+	if stores.n == 0 {
 		t.Error("no observable stores")
 	}
 }
@@ -137,9 +146,9 @@ func TestMEMStructure(t *testing.T) {
 
 func TestMEMRuns(t *testing.T) {
 	p := MEM(25, 4)
-	stats := &trace.OpStats{}
-	runPTP(t, p, stats)
-	if stats.Stores == 0 {
+	stores := &storeCount{Monitor: gpu.NopMonitor{}}
+	runPTP(t, p, stores)
+	if stores.n == 0 {
 		t.Error("no stores")
 	}
 }

@@ -47,13 +47,13 @@ type lookaheadRun struct {
 // runAtProcs runs the lookahead library at the given GOMAXPROCS with the
 // fault simulations' worker count left at GOMAXPROCS, so GOMAXPROCS 1
 // runs every logic simulation on the runner.
-func runAtProcs(t *testing.T, procs int, cfg gpu.Config, opts Options) lookaheadRun {
+func runAtProcs(t *testing.T, procs int, cfg gpu.Config, copt core.Options, opts Options) lookaheadRun {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	lib, ms := lookaheadLib(t)
 	opts.CheckpointDir = t.TempDir()
 	opts.Tracer = obs.NewTracer("")
-	rep, err := Run(context.Background(), cfg, ms, lib, core.Options{}, opts)
+	rep, err := Run(context.Background(), cfg, ms, lib, copt, opts)
 	if err != nil {
 		t.Fatalf("GOMAXPROCS %d: %v", procs, err)
 	}
@@ -85,7 +85,9 @@ func runAtProcs(t *testing.T, procs int, cfg gpu.Config, opts Options) lookahead
 // TestLookaheadMatchesSerial runs the same library with every logic
 // simulation on the runner (GOMAXPROCS 1) and with helpers running them
 // ahead (GOMAXPROCS 4): the report, the compacted STL and the journal
-// must match byte for byte, on a clean run and when stage 2 fails.
+// must match byte for byte, on a clean run, on a reverse-order run (a
+// helper's collector records the last occurrences stage 3 orders the
+// reversed stream by) and when stage 2 fails.
 func TestLookaheadMatchesSerial(t *testing.T) {
 	refused := errors.New("hook refuses the trace stage")
 	tight := gpu.DefaultConfig()
@@ -93,6 +95,7 @@ func TestLookaheadMatchesSerial(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		cfg   gpu.Config
+		copt  core.Options
 		hook  func(ptp string, s core.Stage) error
 		check func(t *testing.T, serial, ahead lookaheadRun)
 	}{{
@@ -114,6 +117,20 @@ func TestLookaheadMatchesSerial(t *testing.T) {
 				if got != "inline" {
 					t.Errorf("GOMAXPROCS 1: %s ran %q", name, got)
 				}
+			}
+		},
+	}, {
+		name: "reverse",
+		cfg:  gpu.DefaultConfig(),
+		copt: core.Options{ReversePatterns: true},
+		check: func(t *testing.T, serial, ahead lookaheadRun) {
+			for _, o := range ahead.rep.Outcomes {
+				if o.Status == StatusRevertedError || o.Status == StatusQuarantined {
+					t.Errorf("%s: %+v", o.Name, o)
+				}
+			}
+			if got := ahead.logicSim["CNTRL"]; got == "inline" {
+				t.Error("no helper ran CNTRL's logic simulation")
 			}
 		},
 	}, {
@@ -158,8 +175,8 @@ func TestLookaheadMatchesSerial(t *testing.T) {
 	}} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := Options{FCTolerance: 5, StageHook: tc.hook}
-			serial := runAtProcs(t, 1, tc.cfg, opts)
-			ahead := runAtProcs(t, 4, tc.cfg, opts)
+			serial := runAtProcs(t, 1, tc.cfg, tc.copt, opts)
+			ahead := runAtProcs(t, 4, tc.cfg, tc.copt, opts)
 			if serial.render != ahead.render {
 				t.Errorf("reports differ:\n--- GOMAXPROCS 1\n%s\n--- GOMAXPROCS 4\n%s", serial.render, ahead.render)
 			}

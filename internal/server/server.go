@@ -34,11 +34,6 @@ type Options struct {
 	// TenantQuota bounds one tenant's live (non-terminal) campaigns;
 	// a submit over quota is refused with 429/Retry-After (default 8).
 	TenantQuota int64
-	// TenantRetryRatio/TenantRetryBurst parameterize each tenant's
-	// retry budget, which bounds automatic re-execution of that
-	// tenant's transiently failed campaigns (defaults 0.2, 5).
-	TenantRetryRatio float64
-	TenantRetryBurst int
 	// HeartbeatEvery is the lease renewal period (default 1s);
 	// LeaseTTL is how long a lease outlives its last renewal (default
 	// 3× heartbeat). A dead server is adopted after at most LeaseTTL.
@@ -73,12 +68,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if d.TenantQuota <= 0 {
 		d.TenantQuota = 8
-	}
-	if d.TenantRetryRatio <= 0 {
-		d.TenantRetryRatio = 0.2
-	}
-	if d.TenantRetryBurst <= 0 {
-		d.TenantRetryBurst = 5
 	}
 	if d.HeartbeatEvery <= 0 {
 		d.HeartbeatEvery = time.Second
@@ -204,6 +193,14 @@ func New(opts Options) *Server {
 	return s
 }
 
+// tenantRetryRatio and tenantRetryBurst parameterize each tenant's
+// retry budget, which bounds automatic re-execution of that tenant's
+// transiently failed campaigns.
+const (
+	tenantRetryRatio = 0.2
+	tenantRetryBurst = 5
+)
+
 func (s *Server) tenant(name string) *tenantCtl {
 	s.tenantMu.Lock()
 	defer s.tenantMu.Unlock()
@@ -215,7 +212,7 @@ func (s *Server) tenant(name string) *tenantCtl {
 				Metrics:  s.opt.Metrics,
 				Name:     "tenant_" + name,
 			}),
-			rb: overload.NewRetryBudget("tenant", s.opt.TenantRetryRatio, s.opt.TenantRetryBurst, s.opt.Metrics),
+			rb: overload.NewRetryBudget("tenant", tenantRetryRatio, tenantRetryBurst, s.opt.Metrics),
 		}
 		s.tenants[name] = t
 	}

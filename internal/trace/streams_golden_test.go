@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"flag"
 	"fmt"
 	"hash"
 	"math/rand"
@@ -11,12 +12,75 @@ import (
 	"path/filepath"
 	"testing"
 
+	"gpustl/internal/asm"
 	"gpustl/internal/circuits"
 	"gpustl/internal/fault"
 	"gpustl/internal/gpu"
+	"gpustl/internal/isa"
 	"gpustl/internal/ptpgen"
 	"gpustl/internal/stl"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files with current output")
+
+// tee fans monitor events out to several monitors, so one logic
+// simulation feeds a collector per module kind and the store log.
+type tee []gpu.Monitor
+
+func (t tee) Fetch(cc uint64, warp, pc int, w isa.Word) {
+	for _, m := range t {
+		m.Fetch(cc, warp, pc, w)
+	}
+}
+
+func (t tee) Decode(cc uint64, warp, pc int, in isa.Instruction) {
+	for _, m := range t {
+		m.Decode(cc, warp, pc, in)
+	}
+}
+
+func (t tee) ALUPass(cc uint64, warp, pc int, op isa.Opcode, thread0 int, exec uint32, a, b, c []uint32) {
+	for _, m := range t {
+		m.ALUPass(cc, warp, pc, op, thread0, exec, a, b, c)
+	}
+}
+
+func (t tee) SFUOp(cc uint64, warp, pc, lane, thread int, op isa.Opcode, a uint32) {
+	for _, m := range t {
+		m.SFUOp(cc, warp, pc, lane, thread, op, a)
+	}
+}
+
+func (t tee) Store(cc uint64, warp, pc, thread int, sp gpu.Space, addr, v uint32) {
+	for _, m := range t {
+		m.Store(cc, warp, pc, thread, sp, addr, v)
+	}
+}
+
+func (t tee) Retire(ccStart, ccEnd uint64, warp, pc int) {
+	for _, m := range t {
+		m.Retire(ccStart, ccEnd, warp, pc)
+	}
+}
+
+func TestTeeDeliversToAll(t *testing.T) {
+	prog, err := asm.Assemble("MVI R1, 1\nGST [R0+0], R1\nEXIT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stores := &storeLog{}
+	col := NewCollector(circuits.ModuleDU)
+	g, _ := gpu.New(gpu.DefaultConfig(), tee{stores, col})
+	if _, err := g.Run(gpu.Kernel{Prog: prog, Blocks: 1, ThreadsPerBlock: 32}); err != nil {
+		t.Fatal(err)
+	}
+	if len(stores.stores) != 32 {
+		t.Errorf("store log got %d stores", len(stores.stores))
+	}
+	if rows := Rows(col.Spans, prog); len(col.Patterns) != 3 || len(rows) != 3 {
+		t.Errorf("collector got %d patterns, %d rows", len(col.Patterns), len(rows))
+	}
+}
 
 // storeLog is a test monitor recording every observable write (GST/SST)
 // in execution order.
@@ -104,7 +168,7 @@ func putU64(h hash.Hash, vs ...uint64) {
 // renderStreams runs every stream case and renders, per case, the run's
 // cycle and instruction counts and the sha256 of its final global
 // memory, its retire spans, its store stream and each module's pattern
-// stream.
+// stream, in application order and reversed.
 func renderStreams(t *testing.T) string {
 	t.Helper()
 	var out bytes.Buffer
@@ -115,14 +179,14 @@ func renderStreams(t *testing.T) string {
 		}
 		cfg.NumSMs = sc.numSMs
 		cols := make([]*Collector, circuits.NumModuleKinds)
-		mons := []gpu.Monitor{}
+		mons := tee{}
 		for k := range cols {
 			cols[k] = NewCollector(circuits.ModuleKind(k))
 			mons = append(mons, cols[k])
 		}
 		stores := &storeLog{}
 		mons = append(mons, stores)
-		g, err := gpu.New(cfg, NewTee(mons...))
+		g, err := gpu.New(cfg, mons)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,6 +222,11 @@ func renderStreams(t *testing.T) string {
 			fmt.Fprintf(&out, "%s patterns %v %d %s\n", sc.name, circuits.ModuleKind(k),
 				len(col.Patterns), digest(func(h hash.Hash) { hashPatterns(h, col.Patterns) }))
 		}
+		for k, col := range cols {
+			rev := col.Reversed()
+			fmt.Fprintf(&out, "%s reversed %v %d %s\n", sc.name, circuits.ModuleKind(k),
+				len(rev), digest(func(h hash.Hash) { hashPatterns(h, rev) }))
+		}
 	}
 	return out.String()
 }
@@ -171,7 +240,8 @@ func hashPatterns(h hash.Hash, ps []fault.TimedPattern) {
 // TestStreamsGolden pins, bit for bit, what one logic simulation
 // produces for each PTP family: cycles, dynamic instruction count, the
 // final global memory, the retire spans, the store stream and every
-// module's test-pattern stream. Any change to the simulator's execution
+// module's test-pattern stream, each (lane, input vector) once, in
+// application order and reversed. Any change to the simulator's execution
 // or to pattern extraction that is meant to be output-preserving must
 // leave testdata/streams.golden untouched. Regenerate with
 // `go test ./internal/trace -run StreamsGolden -update` only for a change

@@ -8,9 +8,16 @@
 // the Tracing Report — and, like the gate-level logic simulation,
 // extracts the sequence of test patterns applied to the target module by
 // observing the module's input activity (the Test Pattern Report).
+//
+// The collector is where a pattern's identity is decided: the module is
+// combinational, so a (lane, input vector) that already occurred detects
+// nothing new, and the report keeps each one once. Every later consumer
+// — the fault simulations, the labeling join, the compacted-FC shortcut
+// and the dist wire frame — reads that unique stream.
 package trace
 
 import (
+	"cmp"
 	"math/bits"
 	"slices"
 
@@ -49,7 +56,11 @@ type Collector struct {
 	// Target selects which module's input patterns are extracted.
 	Target circuits.ModuleKind
 
-	Spans    []Span
+	Spans []Span
+	// Patterns is the Test Pattern Report in application order, each
+	// (lane, input vector) once, at its first occurrence and carrying
+	// that occurrence's cc, warp and pc. Reversed gives the order of a
+	// reverse-order run. Read it; only the collector appends to it.
 	Patterns []fault.TimedPattern
 
 	// LiteRows drops the Spans (pattern extraction only). Without spans
@@ -60,6 +71,25 @@ type Collector struct {
 	// decodes an instruction before its execute-stage callbacks fire, so
 	// ALUPass can recover the comparison condition of ISET/ISETI from here.
 	curCond []isa.Cond
+
+	// last[i] is the latest occurrence of Patterns[i].
+	last []occurrence
+	// table is the open-addressed (lane, input vector) dictionary over
+	// Patterns: a power-of-two slot array at most half full, each slot 0
+	// (empty) or a Patterns index plus one. The hash only picks the
+	// first slot to probe; matching compares lane and vector exactly.
+	table []int32
+	// emitted counts the patterns the run applied, repeats included.
+	emitted int
+}
+
+// occurrence is where in the run a pattern was applied: its position
+// among all emitted patterns, and its cc, warp and pc.
+type occurrence struct {
+	seq  int
+	cc   uint64
+	warp int16
+	pc   int32
 }
 
 // NewCollector creates a collector extracting patterns for the target
@@ -82,9 +112,82 @@ func grow[T any](s []T, n int) []T {
 	return slices.Grow(s, max(n, 2*cap(s)+1-len(s), 64))
 }
 
-// addPattern appends one pattern to the Test Pattern Report.
+// addPattern records one applied pattern: a new (lane, input vector)
+// joins the Test Pattern Report, a repeat only moves its entry's latest
+// occurrence.
 func (c *Collector) addPattern(p fault.TimedPattern) {
+	at := occurrence{seq: c.emitted, cc: p.CC, warp: p.Warp, pc: p.PC}
+	c.emitted++
+	if 2*(len(c.Patterns)+1) > len(c.table) {
+		c.rehash(max(64, 2*len(c.table)))
+	}
+	s := c.slot(p.Lane, p.Pat)
+	if j := c.table[s]; j != 0 {
+		c.last[j-1] = at
+		return
+	}
 	c.Patterns = append(grow(c.Patterns, 1), p)
+	c.last = append(grow(c.last, 1), at)
+	c.table[s] = int32(len(c.Patterns))
+}
+
+// slot returns the table slot that holds (lane, pat), or the empty slot
+// where it belongs. The table must have an empty slot.
+func (c *Collector) slot(lane int16, pat circuits.Pattern) int {
+	mask := len(c.table) - 1
+	for s := int(hashLanePattern(lane, pat)) & mask; ; s = (s + 1) & mask {
+		j := c.table[s]
+		if j == 0 {
+			return s
+		}
+		if e := &c.Patterns[j-1]; e.Lane == lane && e.Pat == pat {
+			return s
+		}
+	}
+}
+
+// rehash rebuilds the table with n slots.
+func (c *Collector) rehash(n int) {
+	c.table = make([]int32, n)
+	for i := range c.Patterns {
+		c.table[c.slot(c.Patterns[i].Lane, c.Patterns[i].Pat)] = int32(i + 1)
+	}
+}
+
+// hashLanePattern mixes a lane and a pattern's packed words into a slot
+// hash. Collisions only cost probes, since matching is exact, so a fast
+// mixer is all the table needs.
+func hashLanePattern(lane int16, p circuits.Pattern) uint64 {
+	h := p.W[0]*0x9E3779B97F4A7C15 ^ p.W[1]*0xBF58476D1CE4E5B9
+	h ^= h >> 32
+	h *= 0xD6E8FEB86659FD93
+	h ^= h >> 29
+	return h ^ uint64(uint16(lane))*0x94D049BB133111EB
+}
+
+// Applied reports whether the run applied the input vector pat on lane.
+func (c *Collector) Applied(lane int16, pat circuits.Pattern) bool {
+	return len(c.table) > 0 && c.table[c.slot(lane, pat)] != 0
+}
+
+// Reversed returns the Test Pattern Report in the order a reverse-order
+// run applies it (core.Options.ReversePatterns): the emitted stream
+// reversed, each (lane, input vector) once at its first occurrence in
+// that order. That is its last occurrence in the run, whose cc, warp
+// and pc the entry carries, so the labeling join credits a reversed
+// run's detections to the instruction that applied them last.
+func (c *Collector) Reversed() []fault.TimedPattern {
+	order := make([]int32, len(c.Patterns))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(c.last[b].seq, c.last[a].seq) })
+	out := make([]fault.TimedPattern, len(order))
+	for k, i := range order {
+		at := &c.last[i]
+		out[k] = fault.TimedPattern{CC: at.cc, Lane: c.Patterns[i].Lane, Warp: at.warp, PC: at.pc, Pat: c.Patterns[i].Pat}
+	}
+	return out
 }
 
 // Fetch implements gpu.Monitor; the raw word and PC form the DU pattern.
@@ -126,7 +229,6 @@ func (c *Collector) ALUPass(cc uint64, warp, pc int, op isa.Opcode, thread0 int,
 	if warp < len(c.curCond) {
 		cond = c.curCond[warp]
 	}
-	c.Patterns = grow(c.Patterns, bits.OnesCount32(exec))
 	for m := exec; m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros32(m)
 		var pat circuits.Pattern
@@ -137,7 +239,7 @@ func (c *Collector) ALUPass(cc uint64, warp, pc int, op isa.Opcode, thread0 int,
 			fn, ra, rb, rc, _ := circuits.SPFnOf(op, a[lane], b[lane], cop[lane])
 			pat = circuits.EncodeSPPattern(fn, cond, ra, rb, rc)
 		}
-		c.Patterns = append(c.Patterns, fault.TimedPattern{
+		c.addPattern(fault.TimedPattern{
 			CC: cc, Lane: int16(lane), Warp: int16(warp), PC: int32(pc), Pat: pat,
 		})
 	}

@@ -103,15 +103,10 @@ func TestDUPatterns(t *testing.T) {
 func TestSPPatterns(t *testing.T) {
 	col := runWith(t, circuits.ModuleSP)
 	// 5 ALU-class instructions (S2R, SHLI, IADDI, IMULI, XOR) x 32 threads.
-	if len(col.Patterns) != 5*32 {
-		t.Fatalf("SP patterns = %d, want %d", len(col.Patterns), 5*32)
+	if col.emitted != 5*32 {
+		t.Fatalf("SP patterns emitted = %d, want %d", col.emitted, 5*32)
 	}
-	// Lanes must cycle 0..7 within each instruction.
-	for i, p := range col.Patterns {
-		if want := int16(i % 8); p.Lane != want {
-			t.Fatalf("pattern %d lane = %d, want %d", i, p.Lane, want)
-		}
-	}
+	checkUnique(t, col, 8)
 	// The XOR instruction's pattern for thread 0: a = 15 (=(0+5)*3), b = 0.
 	var found bool
 	for _, p := range col.Patterns {
@@ -127,16 +122,35 @@ func TestSPPatterns(t *testing.T) {
 
 func TestSFUPatterns(t *testing.T) {
 	col := runWith(t, circuits.ModuleSFU)
-	if len(col.Patterns) != 32 { // one SIN per thread
-		t.Fatalf("SFU patterns = %d, want 32", len(col.Patterns))
+	if col.emitted != 32 { // one SIN per thread
+		t.Fatalf("SFU patterns emitted = %d, want 32", col.emitted)
 	}
+	checkUnique(t, col, 2)
 	for i, p := range col.Patterns {
-		if want := int16(i % 2); p.Lane != want {
-			t.Fatalf("pattern %d lane = %d, want %d (2 SFUs)", i, p.Lane, want)
-		}
 		fn := circuits.SFUFn(p.Pat.W[0] >> 32)
 		if fn != circuits.SFUSin {
 			t.Fatalf("pattern %d fn = %d, want SIN", i, fn)
+		}
+	}
+}
+
+// checkUnique checks that the collector's report holds each (lane,
+// input vector) once, on lanes below lanes, in nondecreasing cc order.
+func checkUnique(t *testing.T, col *Collector, lanes int16) {
+	t.Helper()
+	type key struct {
+		lane int16
+		pat  circuits.Pattern
+	}
+	seen := map[key]bool{}
+	for i, p := range col.Patterns {
+		k := key{p.Lane, p.Pat}
+		if seen[k] || p.Lane < 0 || p.Lane >= lanes {
+			t.Fatalf("pattern %d: lane %d, repeat %v", i, p.Lane, seen[k])
+		}
+		seen[k] = true
+		if i > 0 && p.CC < col.Patterns[i-1].CC {
+			t.Fatalf("pattern %d: cc %d after %d", i, p.CC, col.Patterns[i-1].CC)
 		}
 	}
 }

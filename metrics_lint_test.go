@@ -142,7 +142,7 @@ func TestMetricsLint(t *testing.T) {
 			`gpustl_dist_shard_seconds_bucket{worker=`,
 			"gpustl_dist_runs_total",
 			"gpustl_fault_blocks_total",
-			"gpustl_fault_dedup_hit_ratio",
+			"gpustl_fault_prescreen_skip_ratio",
 			// Published by the coordinator's merge, as an in-process
 			// run publishes them.
 			"gpustl_fault_runs_total",
