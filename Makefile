@@ -26,8 +26,11 @@ lint:
 # the cost of a long fuzzing run; FuzzExecRows holds the SIMT row
 # evaluator to the scalar per-thread oracle, FuzzCollectorDedup holds
 # the collector's unique and reversed pattern streams to a map-based
-# dedup, and FuzzImply holds PODEM's
-# event-driven implication to a full forward sweep. The explicit metrics-lint pass
+# dedup, FuzzImply holds PODEM's
+# event-driven implication to a full forward sweep, and FuzzStemKernel
+# holds the AVX2 stem-cone kernel to the generic evalStemCode. The
+# purego pass runs the netlist and fault tests on the generic stem
+# kernel, so hosts with AVX2 test both paths. The explicit metrics-lint pass
 # runs a campaign through a live server over two loopback workers,
 # scrapes both /metrics endpoints, and fails on any Prometheus
 # text-format hygiene problem or on a family missing from the
@@ -39,6 +42,7 @@ lint:
 .PHONY: verify
 verify: test lint chaos-smoke chaos-overload chaos-server verify-medium verify-paper
 	go test -race ./...
+	go test -count=1 -tags purego ./internal/netlist ./internal/fault
 	cd perfbench && go vet . && go test .
 	go test -count=20 -run 'TestSoakConcurrentSchedules|TestChaosMergeByteIdentical|TestConcurrentRunsDoNotShareFailpoints|TestLookaheadMatchesSerial' ./internal/chaos ./internal/dist ./internal/run
 	go test -race -run 'TestRegistryConcurrent' -count=1 ./internal/obs
@@ -56,6 +60,7 @@ verify: test lint chaos-smoke chaos-overload chaos-server verify-medium verify-p
 	go test -fuzz '^FuzzWorkerHealth$$' -fuzztime 10s -run '^$$' ./internal/dist
 	go test -fuzz '^FuzzWideBlockEquiv$$' -fuzztime 10s -run '^$$' ./internal/fault
 	go test -fuzz '^FuzzObsFactors$$' -fuzztime 10s -run '^$$' ./internal/netlist
+	go test -fuzz '^FuzzStemKernel$$' -fuzztime 10s -run '^$$' ./internal/netlist
 	go test -fuzz '^FuzzExecRows$$' -fuzztime 10s -run '^$$' ./internal/gpu
 	go test -fuzz '^FuzzCollectorDedup$$' -fuzztime 10s -run '^$$' ./internal/trace
 	go test -fuzz '^FuzzImply$$' -fuzztime 10s -run '^$$' ./internal/atpg

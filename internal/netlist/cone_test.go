@@ -276,7 +276,8 @@ func checkObsFactors(t *testing.T, r *rand.Rand, nls []*Netlist, w, blocks int) 
 
 // TestObsFactorsDetection checks the ObsW factorization at W=1, at the
 // generic widths 4 and 8 (8 is the auto width of 257–512-pattern
-// streams) and at W=16, which runs the unrolled evalStemCode16, on
+// streams) and at W=16, which runs the AVX2 kernel on hosts that have
+// it (the generic evalStemCode elsewhere and under -tags purego), on
 // three twins of each random circuit: one whose cone
 // budget caches every stem, one whose budget is spent so every stem
 // compiles into evaluator scratch on each fill, and one whose budget

@@ -815,7 +815,9 @@ func (e *Evaluator) ObsW(gate int32) []uint64 {
 // test, into the dense faulty slots that follow. The compiled code
 // resolves every operand to a good row or a faulty slot of the combined
 // buffer at build time, so the pass needs no epoch, no stamps and no
-// per-operand source checks.
+// per-operand source checks. At W=16 the pass is one call of the AVX2
+// kernel on hosts that have it; elsewhere, and in a purego build, it is
+// the generic evalStemCode (runStemCode).
 func (e *Evaluator) stemObsW(g int32, dst []uint64) {
 	sc := e.nl.stemCone(g, &e.cones)
 	w := e.w
@@ -823,11 +825,7 @@ func (e *Evaluator) stemObsW(g int32, dst []uint64) {
 	for j := range frow {
 		frow[j] = ^grow[j]
 	}
-	if w == 16 {
-		evalStemCode16(e.gf, sc.Code, len(e.good)+w)
-	} else {
-		evalStemCode(e.gf, sc.Code, len(e.good)+w, w)
-	}
+	runStemCode(e.gf, sc.Code, len(e.good)+w, w)
 	clear(dst)
 	for i := 0; i+1 < len(sc.Outs); i += 2 {
 		gr, fr := e.row(e.gf, sc.Outs[i]), e.row(e.gf, sc.Outs[i+1])

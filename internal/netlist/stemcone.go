@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -112,10 +113,48 @@ func (n *Netlist) cacheStemCone(g int32, scr *coneScratch) *StemCone {
 }
 
 // compileStemCone compiles stem g's cone into scr.cone and returns it.
+// Both the cached and the scratch path compile here, so every cone a
+// kernel runs has passed checkStemCode once. The AVX2 kernel does no
+// bounds checks of its own: a cone the emitter got wrong panics here
+// instead of reaching it.
 func (n *Netlist) compileStemCone(g int32, scr *coneScratch) *StemCone {
 	sc := &scr.cone
 	sc.Code, sc.Outs = n.emitStemCone(g, n.collectStemCone(g, scr), scr, sc.Code[:0], sc.Outs[:0])
+	if err := checkStemCode(sc.Code, len(n.Gates)); err != nil {
+		panic(fmt.Sprintf("netlist: stem %d compiled to unsafe cone code: %v", g, err))
+	}
 	return sc
+}
+
+// checkStemCode checks that cone code stays inside the combined buffer
+// of an evaluator over ng gates when it runs from faulty slot 1: every
+// run header names a cone kind and at least one op, every run's
+// operands lie inside the code, every operand slot lies in [0, 2·ng),
+// and the op count is below ng, so the last op writes faulty slot ng-1
+// at most.
+func checkStemCode(code []int32, ng int) error {
+	ops := 0
+	for pc := 0; pc < len(code); {
+		k, n := code[pc]>>16, int(code[pc]&maxRunLen)
+		if k < int32(KBuf) || k > int32(KMux) || n == 0 {
+			return fmt.Errorf("pc %d: bad run header %#x", pc, code[pc])
+		}
+		end := pc + 1 + n*arity(Kind(k))
+		if end > len(code) {
+			return fmt.Errorf("pc %d: run of %d %v ops overruns %d code words", pc, n, Kind(k), len(code))
+		}
+		for i, s := range code[pc+1 : end] {
+			if s < 0 || int(s) >= 2*ng {
+				return fmt.Errorf("pc %d: operand slot %d outside [0, %d)", pc+1+i, s, 2*ng)
+			}
+		}
+		pc = end
+		ops += n
+	}
+	if ops >= ng {
+		return fmt.Errorf("%d ops write past faulty slot %d", ops, ng-1)
+	}
+	return nil
 }
 
 // opKinds is the number of combinational kinds a cone op can have,
@@ -210,9 +249,9 @@ func (n *Netlist) emitStemCone(g int32, cone []int32, scr *coneScratch, code, ou
 // evalStemCode runs compiled cone code (see StemCone) against an
 // evaluator's combined good|faulty buffer gf at width w: op i writes
 // gf[dst+i*w : dst+(i+1)*w]. It dispatches on kind once per run, then
-// loops over the run's ops. evalStemCode16 is the same kernel at W=16,
-// the auto width of paper-scale streams, with every word loop written
-// out word by word; other widths run plain word loops.
+// loops over the run's ops. It is the portable kernel and the oracle of
+// the AVX2 one (evalStemCodeAVX2), which runStemCode picks instead at
+// W=16, the auto width of paper-scale streams, on hosts that have it.
 func evalStemCode(gf []uint64, code []int32, dst, w int) {
 	for pc := 0; pc < len(code); {
 		k, n := Kind(code[pc]>>16), int(code[pc]&maxRunLen)
@@ -289,105 +328,6 @@ func evalStemCode(gf []uint64, code []int32, dst, w int) {
 				}
 				dst += w
 			}
-		}
-	}
-}
-
-func evalStemCode16(gf []uint64, code []int32, dst int) {
-	for pc := 0; pc < len(code); {
-		k, n := Kind(code[pc]>>16), int(code[pc]&maxRunLen)
-		ops := code[pc+1 : pc+1+n*arity(k)]
-		pc += 1 + len(ops)
-		switch k {
-		case KBuf:
-			for _, ai := range ops {
-				*(*[16]uint64)(gf[dst:]) = *(*[16]uint64)(gf[int(ai)*16:])
-				dst += 16
-			}
-		case KNot:
-			for _, ai := range ops {
-				a, d := (*[16]uint64)(gf[int(ai)*16:]), (*[16]uint64)(gf[dst:])
-				d[0], d[1], d[2], d[3] = ^a[0], ^a[1], ^a[2], ^a[3]
-				d[4], d[5], d[6], d[7] = ^a[4], ^a[5], ^a[6], ^a[7]
-				d[8], d[9], d[10], d[11] = ^a[8], ^a[9], ^a[10], ^a[11]
-				d[12], d[13], d[14], d[15] = ^a[12], ^a[13], ^a[14], ^a[15]
-				dst += 16
-			}
-		case KAnd:
-			for ; len(ops) >= 2; ops = ops[2:] {
-				a, b := (*[16]uint64)(gf[int(ops[0])*16:]), (*[16]uint64)(gf[int(ops[1])*16:])
-				d := (*[16]uint64)(gf[dst:])
-				d[0], d[1], d[2], d[3] = a[0]&b[0], a[1]&b[1], a[2]&b[2], a[3]&b[3]
-				d[4], d[5], d[6], d[7] = a[4]&b[4], a[5]&b[5], a[6]&b[6], a[7]&b[7]
-				d[8], d[9], d[10], d[11] = a[8]&b[8], a[9]&b[9], a[10]&b[10], a[11]&b[11]
-				d[12], d[13], d[14], d[15] = a[12]&b[12], a[13]&b[13], a[14]&b[14], a[15]&b[15]
-				dst += 16
-			}
-		case KOr:
-			for ; len(ops) >= 2; ops = ops[2:] {
-				a, b := (*[16]uint64)(gf[int(ops[0])*16:]), (*[16]uint64)(gf[int(ops[1])*16:])
-				d := (*[16]uint64)(gf[dst:])
-				d[0], d[1], d[2], d[3] = a[0]|b[0], a[1]|b[1], a[2]|b[2], a[3]|b[3]
-				d[4], d[5], d[6], d[7] = a[4]|b[4], a[5]|b[5], a[6]|b[6], a[7]|b[7]
-				d[8], d[9], d[10], d[11] = a[8]|b[8], a[9]|b[9], a[10]|b[10], a[11]|b[11]
-				d[12], d[13], d[14], d[15] = a[12]|b[12], a[13]|b[13], a[14]|b[14], a[15]|b[15]
-				dst += 16
-			}
-		case KXor:
-			for ; len(ops) >= 2; ops = ops[2:] {
-				a, b := (*[16]uint64)(gf[int(ops[0])*16:]), (*[16]uint64)(gf[int(ops[1])*16:])
-				d := (*[16]uint64)(gf[dst:])
-				d[0], d[1], d[2], d[3] = a[0]^b[0], a[1]^b[1], a[2]^b[2], a[3]^b[3]
-				d[4], d[5], d[6], d[7] = a[4]^b[4], a[5]^b[5], a[6]^b[6], a[7]^b[7]
-				d[8], d[9], d[10], d[11] = a[8]^b[8], a[9]^b[9], a[10]^b[10], a[11]^b[11]
-				d[12], d[13], d[14], d[15] = a[12]^b[12], a[13]^b[13], a[14]^b[14], a[15]^b[15]
-				dst += 16
-			}
-		case KNand:
-			for ; len(ops) >= 2; ops = ops[2:] {
-				a, b := (*[16]uint64)(gf[int(ops[0])*16:]), (*[16]uint64)(gf[int(ops[1])*16:])
-				d := (*[16]uint64)(gf[dst:])
-				d[0], d[1], d[2], d[3] = ^(a[0] & b[0]), ^(a[1] & b[1]), ^(a[2] & b[2]), ^(a[3] & b[3])
-				d[4], d[5], d[6], d[7] = ^(a[4] & b[4]), ^(a[5] & b[5]), ^(a[6] & b[6]), ^(a[7] & b[7])
-				d[8], d[9], d[10], d[11] = ^(a[8] & b[8]), ^(a[9] & b[9]), ^(a[10] & b[10]), ^(a[11] & b[11])
-				d[12], d[13], d[14], d[15] = ^(a[12] & b[12]), ^(a[13] & b[13]), ^(a[14] & b[14]), ^(a[15] & b[15])
-				dst += 16
-			}
-		case KNor:
-			for ; len(ops) >= 2; ops = ops[2:] {
-				a, b := (*[16]uint64)(gf[int(ops[0])*16:]), (*[16]uint64)(gf[int(ops[1])*16:])
-				d := (*[16]uint64)(gf[dst:])
-				d[0], d[1], d[2], d[3] = ^(a[0] | b[0]), ^(a[1] | b[1]), ^(a[2] | b[2]), ^(a[3] | b[3])
-				d[4], d[5], d[6], d[7] = ^(a[4] | b[4]), ^(a[5] | b[5]), ^(a[6] | b[6]), ^(a[7] | b[7])
-				d[8], d[9], d[10], d[11] = ^(a[8] | b[8]), ^(a[9] | b[9]), ^(a[10] | b[10]), ^(a[11] | b[11])
-				d[12], d[13], d[14], d[15] = ^(a[12] | b[12]), ^(a[13] | b[13]), ^(a[14] | b[14]), ^(a[15] | b[15])
-				dst += 16
-			}
-		case KXnor:
-			for ; len(ops) >= 2; ops = ops[2:] {
-				a, b := (*[16]uint64)(gf[int(ops[0])*16:]), (*[16]uint64)(gf[int(ops[1])*16:])
-				d := (*[16]uint64)(gf[dst:])
-				d[0], d[1], d[2], d[3] = ^(a[0] ^ b[0]), ^(a[1] ^ b[1]), ^(a[2] ^ b[2]), ^(a[3] ^ b[3])
-				d[4], d[5], d[6], d[7] = ^(a[4] ^ b[4]), ^(a[5] ^ b[5]), ^(a[6] ^ b[6]), ^(a[7] ^ b[7])
-				d[8], d[9], d[10], d[11] = ^(a[8] ^ b[8]), ^(a[9] ^ b[9]), ^(a[10] ^ b[10]), ^(a[11] ^ b[11])
-				d[12], d[13], d[14], d[15] = ^(a[12] ^ b[12]), ^(a[13] ^ b[13]), ^(a[14] ^ b[14]), ^(a[15] ^ b[15])
-				dst += 16
-			}
-		case KMux:
-			for ; len(ops) >= 3; ops = ops[3:] {
-				a, b := (*[16]uint64)(gf[int(ops[0])*16:]), (*[16]uint64)(gf[int(ops[1])*16:])
-				c, d := (*[16]uint64)(gf[int(ops[2])*16:]), (*[16]uint64)(gf[dst:])
-				d[0], d[1] = a[0]&c[0]|b[0]&^a[0], a[1]&c[1]|b[1]&^a[1]
-				d[2], d[3] = a[2]&c[2]|b[2]&^a[2], a[3]&c[3]|b[3]&^a[3]
-				d[4], d[5] = a[4]&c[4]|b[4]&^a[4], a[5]&c[5]|b[5]&^a[5]
-				d[6], d[7] = a[6]&c[6]|b[6]&^a[6], a[7]&c[7]|b[7]&^a[7]
-				d[8], d[9] = a[8]&c[8]|b[8]&^a[8], a[9]&c[9]|b[9]&^a[9]
-				d[10], d[11] = a[10]&c[10]|b[10]&^a[10], a[11]&c[11]|b[11]&^a[11]
-				d[12], d[13] = a[12]&c[12]|b[12]&^a[12], a[13]&c[13]|b[13]&^a[13]
-				d[14], d[15] = a[14]&c[14]|b[14]&^a[14], a[15]&c[15]|b[15]&^a[15]
-				dst += 16
-			}
-
 		}
 	}
 }

@@ -162,3 +162,147 @@ func TestStemCodeCachedMatchesScratch(t *testing.T) {
 		}
 	}
 }
+
+// TestStemCodeRangeChecked hand-corrupts compiled cone code and asserts
+// checkStemCode, which compileStemCone runs on every cone before any
+// kernel sees it, refuses each corruption: an operand slot outside the
+// combined buffer, a run whose operands overrun the code, an op count
+// that writes past the last faulty slot, and a header that names no
+// cone kind or no ops.
+func TestStemCodeRangeChecked(t *testing.T) {
+	nl := randomCircuit(t, rand.New(rand.NewSource(73)), 8, 200)
+	ng := len(nl.Gates)
+	var scr coneScratch
+	var code []int32
+	for g := range nl.Gates {
+		if c := nl.compileStemCone(int32(g), &scr).Code; len(nl.fanout[g]) > 1 && len(c) > len(code) {
+			code = slices.Clone(c)
+		}
+	}
+	ops, runs := decodeStemCode(t, code)
+	if len(runs) < 2 {
+		t.Fatalf("largest cone has %d runs, want at least 2", len(runs))
+	}
+	if err := checkStemCode(code, ng); err != nil {
+		t.Fatalf("compiled cone refused: %v", err)
+	}
+	// padded appends BUF ops reading faulty slot 0 until the cone has
+	// total ops.
+	padded := func(total int) []int32 {
+		c := append(slices.Clone(code), runHeader(KBuf, total-len(ops)))
+		for range total - len(ops) {
+			c = append(c, int32(ng))
+		}
+		return c
+	}
+	if err := checkStemCode(padded(ng-1), ng); err != nil {
+		t.Fatalf("cone writing exactly up to the last faulty slot refused: %v", err)
+	}
+	last := len(code) - 1                                           // an operand of the last op
+	lastHdr := last - runs[len(runs)-1]*arity(ops[len(ops)-1].Kind) // the last run's header
+	corrupt := map[string][]int32{
+		"slot past the buffer":   slices.Replace(slices.Clone(code), last, last+1, int32(2*ng)),
+		"negative slot":          slices.Replace(slices.Clone(code), last, last+1, -1),
+		"run overruns the code":  slices.Replace(slices.Clone(code), lastHdr, lastHdr+1, code[lastHdr]+1),
+		"truncated code":         code[:last],
+		"ops past the last slot": padded(ng),
+		"source kind":            slices.Replace(slices.Clone(code), 0, 1, runHeader(KInput, 1)),
+		"kind past MUX":          slices.Replace(slices.Clone(code), 0, 1, runHeader(kindCount, 1)),
+		"kind in the high bits":  slices.Replace(slices.Clone(code), 0, 1, code[0]|1<<24),
+		"empty run":              slices.Replace(slices.Clone(code), 0, 1, runHeader(KAnd, 0)),
+	}
+	for name, c := range corrupt {
+		if err := checkStemCode(c, ng); err == nil {
+			t.Errorf("%s: checkStemCode accepted the corrupt cone", name)
+		}
+	}
+}
+
+// randomStemCode returns random cone code for a netlist of ng gates and
+// the code offset of each run header: nRuns runs of random kinds and
+// lengths, each operand a random good or faulty slot. With long set,
+// the code starts with a maxRunLen run split off a longer same-kind
+// group, as emitStemCone splits one. The code passes checkStemCode.
+func randomStemCode(r *rand.Rand, ng, nRuns int, long bool) (code []int32, starts []int) {
+	ops := 0
+	emit := func(k Kind, n int) {
+		starts = append(starts, len(code))
+		code = append(code, runHeader(k, n))
+		for range n * arity(k) {
+			code = append(code, int32(r.Intn(2*ng)))
+		}
+		ops += n
+	}
+	if long {
+		k := KBuf + Kind(r.Intn(opKinds))
+		emit(k, maxRunLen)
+		emit(k, 1+r.Intn(7))
+	}
+	for range nRuns {
+		if left := ng - 1 - ops; left > 0 {
+			emit(KBuf+Kind(r.Intn(opKinds)), 1+r.Intn(min(left, 24)))
+		}
+	}
+	return code, starts
+}
+
+// FuzzStemKernel holds the W=16 kernel runStemCode picks (AVX2 on hosts
+// that have it) to the generic evalStemCode on random code over random
+// buffers: every cone kind, good and faulty operand slots anywhere in
+// the buffer, and runs split at maxRunLen. The two buffers must agree
+// in full after every run, and one whole-code call, the way stemObsW
+// runs a cone, must end where the run-by-run oracle does.
+func FuzzStemKernel(f *testing.F) {
+	f.Add(int64(1), uint16(40), uint8(12), false)
+	f.Add(int64(2), uint16(700), uint8(31), false)
+	f.Add(int64(3), uint16(0), uint8(1), false)
+	f.Add(int64(4), uint16(20), uint8(3), true)
+	f.Fuzz(func(t *testing.T, seed int64, size uint16, nRuns uint8, long bool) {
+		if !haveStemKernel {
+			t.Skip("no AVX2 stem kernel in this build or on this CPU")
+		}
+		const w = 16
+		r := rand.New(rand.NewSource(seed))
+		ng := 2 + int(size)%1024
+		if long {
+			ng += maxRunLen + 8
+		}
+		code, starts := randomStemCode(r, ng, 1+int(nRuns)%32, long)
+		if err := checkStemCode(code, ng); err != nil {
+			t.Fatalf("random code refused: %v", err)
+		}
+		oracle := make([]uint64, 2*ng*w)
+		for i := range oracle {
+			oracle[i] = r.Uint64()
+		}
+		perRun, whole := slices.Clone(oracle), slices.Clone(oracle)
+		dst := (ng + 1) * w
+		runStemCode(whole, code, dst, w)
+		for i, pc := range starts {
+			end := len(code)
+			if i+1 < len(starts) {
+				end = starts[i+1]
+			}
+			evalStemCode(oracle, code[pc:end], dst, w)
+			runStemCode(perRun, code[pc:end], dst, w)
+			if j := firstDiff(perRun, oracle); j >= 0 {
+				t.Fatalf("run %d (%v ×%d): word %d (row %d) %#x, oracle %#x",
+					i, Kind(code[pc]>>16), code[pc]&maxRunLen, j, j/w, perRun[j], oracle[j])
+			}
+			dst += int(code[pc]&maxRunLen) * w
+		}
+		if j := firstDiff(whole, oracle); j >= 0 {
+			t.Fatalf("whole-code call: word %d (row %d) %#x, oracle %#x", j, j/w, whole[j], oracle[j])
+		}
+	})
+}
+
+// firstDiff returns the first index where a and b differ, or -1.
+func firstDiff(a, b []uint64) int {
+	for i := range a {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
+}
