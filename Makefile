@@ -28,9 +28,10 @@ lint:
 # the collector's unique and reversed pattern streams to a map-based
 # dedup, FuzzImply holds PODEM's
 # event-driven implication to a full forward sweep, and FuzzStemKernel
-# holds the AVX2 stem-cone kernel to the generic evalStemCode. The
-# purego pass runs the netlist and fault tests on the generic stem
-# kernel, so hosts with AVX2 test both paths. The explicit metrics-lint pass
+# and FuzzPlanKernel hold the AVX2 stem-cone and good-sweep kernels to
+# the generic evalStemCode and evalPlanCode. The purego pass runs the
+# netlist and fault tests on both generic kernels, so hosts with AVX2
+# test both paths. The explicit metrics-lint pass
 # runs a campaign through a live server over two loopback workers,
 # scrapes both /metrics endpoints, and fails on any Prometheus
 # text-format hygiene problem or on a family missing from the
@@ -61,6 +62,7 @@ verify: test lint chaos-smoke chaos-overload chaos-server verify-medium verify-p
 	go test -fuzz '^FuzzWideBlockEquiv$$' -fuzztime 10s -run '^$$' ./internal/fault
 	go test -fuzz '^FuzzObsFactors$$' -fuzztime 10s -run '^$$' ./internal/netlist
 	go test -fuzz '^FuzzStemKernel$$' -fuzztime 10s -run '^$$' ./internal/netlist
+	go test -fuzz '^FuzzPlanKernel$$' -fuzztime 10s -run '^$$' ./internal/netlist
 	go test -fuzz '^FuzzExecRows$$' -fuzztime 10s -run '^$$' ./internal/gpu
 	go test -fuzz '^FuzzCollectorDedup$$' -fuzztime 10s -run '^$$' ./internal/trace
 	go test -fuzz '^FuzzImply$$' -fuzztime 10s -run '^$$' ./internal/atpg
@@ -151,7 +153,7 @@ bench:
 FAULT_BENCHES = 'BenchmarkFaultSimulation$$|BenchmarkTableI$$'
 
 # The levelized-plan evaluator sweeps, scalar and wide (BENCH_eval.json):
-# the per-block cost of the SoA plan at W = 1/4/8/16.
+# the per-block cost of the plan-code sweep at W = 1/4/8/16.
 EVAL_BENCHES = 'BenchmarkEvalRun$$|BenchmarkEvalRunWide/'
 
 # The overload pair: the fault-sim benchmark with and without the

@@ -27,7 +27,7 @@ type SimStats struct {
 	// stats report the widest width any of its runs used; the test-only
 	// reference engine always reports 1.
 	BlockWords uint64 `json:"block_words,omitempty"`
-	// PlanLevels and PlanRuns describe the netlist's compiled SoA
+	// PlanLevels and PlanRuns describe the netlist's compiled
 	// evaluation plan: how many logic levels hold planned gates and how
 	// many contiguous (level, kind) gate runs the sweep walks. Properties
 	// of the circuit, not of the run; merged by maximum like BlockWords.

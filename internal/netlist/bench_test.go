@@ -36,7 +36,7 @@ func benchEvalRun(b *testing.B, w int) {
 }
 
 // BenchmarkEvalRun sweeps one 64-pattern block through the compiled
-// levelized SoA plan (W = 1).
+// levelized plan code (W = 1).
 func BenchmarkEvalRun(b *testing.B) { benchEvalRun(b, 1) }
 
 // BenchmarkEvalRunWide sweeps wide blocks (W words = 64×W patterns per

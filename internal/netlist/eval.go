@@ -28,8 +28,9 @@ func (f FaultSite) String() string {
 // Evaluator computes blocks of 64×W patterns at once over a Netlist (one
 // pattern per bit of W machine words per net) and evaluates single-
 // stuck-at faulty circuits through per-gate observability rows. The
-// fault-free sweep runs over the netlist's compiled SoA plan: per-level,
-// per-kind tight loops with no per-gate dispatch in the inner body.
+// fault-free sweep runs the netlist's plan code (EvalPlan): per-level,
+// per-kind tight loops with no per-gate dispatch in the inner body, on
+// the AVX2 kernel at W=16 where the host has it.
 //
 // W (BlockWords) is fixed at construction; net n's good values occupy
 // good[n*W : (n+1)*W], pattern p at word p/64, bit p%64 — bit order is
@@ -152,9 +153,13 @@ func (e *Evaluator) Netlist() *Netlist { return e.nl }
 func (e *Evaluator) BlockWords() int { return e.w }
 
 // row returns net's w-word value row inside one of the stride-w arrays.
-func (e *Evaluator) row(a []uint64, net int32) []uint64 {
-	i := int(net) * e.w
-	return a[i : i+e.w : i+e.w]
+func (e *Evaluator) row(a []uint64, net int32) []uint64 { return netRow(a, net, e.w) }
+
+// netRow returns net's w-word row inside a stride-w array. The
+// three-index slice costs one bounds check, where a[i:][:w] costs two.
+func netRow(a []uint64, net int32, w int) []uint64 {
+	i := int(net) * w
+	return a[i : i+w : i+w]
 }
 
 func gateFn(k Kind, a, b, s uint64) uint64 {
@@ -206,155 +211,15 @@ func (e *Evaluator) Run(inputs []uint64) error {
 		for i, net := range e.nl.Inputs {
 			e.good[net] = inputs[i]
 		}
-		e.runScalar()
+		evalPlanScalar(e.good, e.plan.code)
 	} else {
 		w := e.w
 		for i, net := range e.nl.Inputs {
 			copy(e.row(e.good, net), inputs[i*w:(i+1)*w])
 		}
-		e.runWide()
+		runPlanCode(e.good, e.plan.code, w)
 	}
 	return nil
-}
-
-// runScalar sweeps the compiled plan at W == 1: one kind dispatch per
-// run, then a tight loop with direct good-array indexing.
-func (e *Evaluator) runScalar() {
-	p := e.plan
-	good := e.good
-	for ri := range p.runs {
-		r := &p.runs[ri]
-		out := p.out[r.Start:r.End]
-		in0 := p.in0[r.Start:r.End]
-		in1 := p.in1[r.Start:r.End]
-		in2 := p.in2[r.Start:r.End]
-		switch r.Kind {
-		case KBuf:
-			for i, o := range out {
-				good[o] = good[in0[i]]
-			}
-		case KNot:
-			for i, o := range out {
-				good[o] = ^good[in0[i]]
-			}
-		case KAnd:
-			for i, o := range out {
-				good[o] = good[in0[i]] & good[in1[i]]
-			}
-		case KOr:
-			for i, o := range out {
-				good[o] = good[in0[i]] | good[in1[i]]
-			}
-		case KXor:
-			for i, o := range out {
-				good[o] = good[in0[i]] ^ good[in1[i]]
-			}
-		case KNand:
-			for i, o := range out {
-				good[o] = ^(good[in0[i]] & good[in1[i]])
-			}
-		case KNor:
-			for i, o := range out {
-				good[o] = ^(good[in0[i]] | good[in1[i]])
-			}
-		case KXnor:
-			for i, o := range out {
-				good[o] = ^(good[in0[i]] ^ good[in1[i]])
-			}
-		case KMux:
-			for i, o := range out {
-				s := good[in0[i]]
-				good[o] = (s & good[in2[i]]) | (^s & good[in1[i]])
-			}
-		}
-	}
-}
-
-// runWide sweeps the compiled plan at W > 1: per run, per gate, a
-// branch-free loop over the W words of the operand rows.
-func (e *Evaluator) runWide() {
-	p := e.plan
-	w := e.w
-	good := e.good
-	for ri := range p.runs {
-		r := &p.runs[ri]
-		out := p.out[r.Start:r.End]
-		in0 := p.in0[r.Start:r.End]
-		in1 := p.in1[r.Start:r.End]
-		in2 := p.in2[r.Start:r.End]
-		switch r.Kind {
-		case KBuf:
-			for i, o := range out {
-				oi, ai := int(o)*w, int(in0[i])*w
-				copy(good[oi:oi+w], good[ai:ai+w])
-			}
-		case KNot:
-			for i, o := range out {
-				oi, ai := int(o)*w, int(in0[i])*w
-				ov, av := good[oi:oi+w:oi+w], good[ai:ai+w:ai+w]
-				for j := range ov {
-					ov[j] = ^av[j]
-				}
-			}
-		case KAnd:
-			for i, o := range out {
-				oi, ai, bi := int(o)*w, int(in0[i])*w, int(in1[i])*w
-				ov, av, bv := good[oi:oi+w:oi+w], good[ai:ai+w:ai+w], good[bi:bi+w:bi+w]
-				for j := range ov {
-					ov[j] = av[j] & bv[j]
-				}
-			}
-		case KOr:
-			for i, o := range out {
-				oi, ai, bi := int(o)*w, int(in0[i])*w, int(in1[i])*w
-				ov, av, bv := good[oi:oi+w:oi+w], good[ai:ai+w:ai+w], good[bi:bi+w:bi+w]
-				for j := range ov {
-					ov[j] = av[j] | bv[j]
-				}
-			}
-		case KXor:
-			for i, o := range out {
-				oi, ai, bi := int(o)*w, int(in0[i])*w, int(in1[i])*w
-				ov, av, bv := good[oi:oi+w:oi+w], good[ai:ai+w:ai+w], good[bi:bi+w:bi+w]
-				for j := range ov {
-					ov[j] = av[j] ^ bv[j]
-				}
-			}
-		case KNand:
-			for i, o := range out {
-				oi, ai, bi := int(o)*w, int(in0[i])*w, int(in1[i])*w
-				ov, av, bv := good[oi:oi+w:oi+w], good[ai:ai+w:ai+w], good[bi:bi+w:bi+w]
-				for j := range ov {
-					ov[j] = ^(av[j] & bv[j])
-				}
-			}
-		case KNor:
-			for i, o := range out {
-				oi, ai, bi := int(o)*w, int(in0[i])*w, int(in1[i])*w
-				ov, av, bv := good[oi:oi+w:oi+w], good[ai:ai+w:ai+w], good[bi:bi+w:bi+w]
-				for j := range ov {
-					ov[j] = ^(av[j] | bv[j])
-				}
-			}
-		case KXnor:
-			for i, o := range out {
-				oi, ai, bi := int(o)*w, int(in0[i])*w, int(in1[i])*w
-				ov, av, bv := good[oi:oi+w:oi+w], good[ai:ai+w:ai+w], good[bi:bi+w:bi+w]
-				for j := range ov {
-					ov[j] = ^(av[j] ^ bv[j])
-				}
-			}
-		case KMux:
-			for i, o := range out {
-				oi, si, li, hi := int(o)*w, int(in0[i])*w, int(in1[i])*w, int(in2[i])*w
-				ov := good[oi : oi+w : oi+w]
-				sv, lv, hv := good[si:si+w:si+w], good[li:li+w:li+w], good[hi:hi+w:hi+w]
-				for j := range ov {
-					ov[j] = (sv[j] & hv[j]) | (^sv[j] & lv[j])
-				}
-			}
-		}
-	}
 }
 
 // Output returns word 0 of primary output i's good value row after Run

@@ -100,7 +100,7 @@ type Netlist struct {
 	coneOnce sync.Once // lazily built cone metadata (see cone.go)
 	cone     *ConeInfo
 
-	planOnce sync.Once // lazily compiled SoA evaluation plan (see plan.go)
+	planOnce sync.Once // lazily compiled evaluation plan code (see plan.go)
 	plan     *EvalPlan
 
 	stemOnce sync.Once // sizes the lazily filled stem-cone cache (see stemcone.go)

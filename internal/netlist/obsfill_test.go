@@ -50,3 +50,32 @@ func BenchmarkObsFillSP(b *testing.B) {
 		fill()
 	}
 }
+
+// BenchmarkEvalRunSP is one W=16 good-circuit sweep of the SP module,
+// the width and netlist of sp-lib's fault simulations: the AVX2 plan
+// kernel on hosts that have it, the generic evalPlanCode in a purego
+// build. benchCircuit, which BenchmarkEvalRunWide sweeps, is a random
+// DAG whose levels and runs do not look like the module's.
+func BenchmarkEvalRunSP(b *testing.B) {
+	const w = 16
+	nl, err := circuits.BuildSP()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ev, err := netlist.NewEvaluatorWide(nl, w)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(11))
+	in := make([]uint64, len(nl.Inputs)*w)
+	for i := range in {
+		in[i] = r.Uint64()
+	}
+	b.SetBytes(int64(len(nl.Gates) * w * 8))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ev.Run(in); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

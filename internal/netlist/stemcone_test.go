@@ -258,7 +258,7 @@ func FuzzStemKernel(f *testing.F) {
 	f.Add(int64(3), uint16(0), uint8(1), false)
 	f.Add(int64(4), uint16(20), uint8(3), true)
 	f.Fuzz(func(t *testing.T, seed int64, size uint16, nRuns uint8, long bool) {
-		if !haveStemKernel {
+		if !haveAVX2 {
 			t.Skip("no AVX2 stem kernel in this build or on this CPU")
 		}
 		const w = 16

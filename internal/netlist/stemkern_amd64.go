@@ -2,9 +2,10 @@
 
 package netlist
 
-// haveStemKernel reports whether stem-cone code at W=16 runs on the
-// AVX2 kernel. It is fixed once per process from the CPU's feature bits.
-var haveStemKernel = cpuAVX2()
+// haveAVX2 reports whether stem-cone and plan code at W=16 run on the
+// AVX2 kernels. It is fixed once per process from the CPU's feature
+// bits.
+var haveAVX2 = cpuAVX2()
 
 // cpuAVX2 reports whether the CPU has AVX2 (CPUID leaf 7, EBX bit 5)
 // and the operating system saves the YMM registers (OSXSAVE and AVX in
@@ -20,12 +21,30 @@ func cpuAVX2() bool
 //go:noescape
 func evalStemCodeAVX2(gf []uint64, code []int32, dst int)
 
+// evalPlanCodeAVX2 is evalPlanCode at W=16, with evalStemCodeAVX2's
+// loads, ops and stores; each op stores to its own destination row. One
+// call runs the whole sweep. It does no bounds checks: code must have
+// passed checkPlanCode for the netlist whose good rows good holds.
+//
+//go:noescape
+func evalPlanCodeAVX2(good []uint64, code []int32)
+
 // runStemCode runs compiled cone code at width w on the fastest kernel
 // this process has.
 func runStemCode(gf []uint64, code []int32, dst, w int) {
-	if w == 16 && haveStemKernel {
+	if w == 16 && haveAVX2 {
 		evalStemCodeAVX2(gf, code, dst)
 		return
 	}
 	evalStemCode(gf, code, dst, w)
+}
+
+// runPlanCode runs plan code at width w > 1 on the fastest kernel this
+// process has.
+func runPlanCode(good []uint64, code []int32, w int) {
+	if w == 16 && haveAVX2 {
+		evalPlanCodeAVX2(good, code)
+		return
+	}
+	evalPlanCode(good, code, w)
 }
